@@ -2,8 +2,8 @@
 //!
 //! The paper proposes two concrete defenses — selective traffic filtering
 //! and on-device transcription — but does not evaluate them. This module
-//! closes that loop: run the audit once undefended and once per defense,
-//! then compare the observable record:
+//! closes that loop by comparing the observable record with and without
+//! each defense:
 //!
 //! * **Firewall**: advertising & tracking traffic should vanish while every
 //!   functional third-party flow survives ("blocking without breaking");
@@ -14,93 +14,69 @@
 //!   the interaction content the platform necessarily receives. Only the
 //!   platform itself can turn that off — the paper's transparency argument.
 
-use crate::analysis::bids;
-use crate::analysis::traffic;
-use crate::experiment::{apply_defense, DefenseMode};
+use crate::analysis::{bids, traffic};
+use crate::experiment::DefenseMode;
 use crate::index::AnalysisIndex;
-use crate::observations::Observations;
 use crate::persona::Persona;
-use alexa_net::DataType;
+use alexa_net::{DataType, Firewall, Verdict};
 use std::fmt::Write as _;
 
-/// Derive the observable record of a defended run from the undefended
-/// baseline, without re-executing the pipeline.
-///
-/// This is exact, not an approximation. Every defense in [`DefenseMode`] is
-/// a pure per-packet transform applied at the tap boundary
-/// ([`apply_defense`]) — the engine calls it on each outgoing batch right
-/// before the capture tap, at every capture site (router and AVS). Nothing
-/// upstream of the tap reads the defense mode: skill execution, the crawl,
-/// the profiler, audio sessions, and DSAR exports all run identically (and
-/// consume the RNG identically) regardless of defense. So a defended run's
-/// observations are, by construction, the baseline observations with
-/// `apply_defense` mapped over every captured packet batch; crawl, audio,
-/// DSAR, policies, catalog, org map, and coverage carry over unchanged.
-/// A digest-equality test against a genuinely re-executed defended run
-/// enforces this equivalence.
-pub fn derive_defended(baseline: &Observations, defense: DefenseMode) -> Observations {
-    let mut obs = baseline.clone();
-    for caps in obs.router_captures.values_mut() {
-        for cap in caps.iter_mut() {
-            cap.packets = apply_defense(defense, std::mem::take(&mut cap.packets));
-        }
-    }
-    for cap in &mut obs.avs_captures {
-        cap.packets = apply_defense(defense, std::mem::take(&mut cap.packets));
-    }
-    obs
+/// The defense-sensitive traffic observables of one run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Measurement {
+    /// A&T share of all router packets (Table 2's total).
+    pub ad_tracking_share: f64,
+    /// Third-party A&T domains, summed over personas (Table 3).
+    pub ad_tracking_domains: usize,
+    /// Functional third-party domains, summed over personas (Table 3).
+    pub functional_domains: usize,
+    /// Voice-recording records in the AVS plaintext captures.
+    pub voice_flows: usize,
+    /// Text-command records in the AVS plaintext captures.
+    pub text_flows: usize,
 }
 
-/// Comparison of one defended run against the undefended baseline.
-#[derive(Debug, Clone)]
-pub struct DefenseReport {
-    /// Name of the defense evaluated.
-    pub defense: String,
-    /// A&T traffic share, baseline → defended.
-    pub ad_tracking_share: (f64, f64),
-    /// Distinct third-party A&T domains observed, baseline → defended.
-    pub ad_tracking_domains: (usize, usize),
-    /// Distinct functional third-party domains observed, baseline →
-    /// defended (must not shrink: the defense must not break skills).
-    pub functional_domains: (usize, usize),
-    /// Voice-recording flows observed in plaintext captures, baseline →
-    /// defended.
-    pub voice_flows: (usize, usize),
-    /// Text-command flows observed, baseline → defended.
-    pub text_flows: (usize, usize),
-    /// Median CPM uplift of the strongest interest persona over vanilla,
-    /// baseline → defended (server-side profiling is out of the defense's
-    /// reach, so this should *not* drop).
-    pub bid_uplift: (f64, f64),
-}
+/// Measure a run as if `lens` had been active at its tap (`None`: as
+/// observed). Exact, because every defense is a pure per-packet transform at
+/// the tap (`experiment::apply_defense`) that nothing upstream reads: the
+/// firewall becomes one [`Firewall`] verdict per distinct host, text-only a
+/// voice → text remap. Oracle tests hold this equal to measuring a
+/// genuinely re-executed defended run.
+pub fn measure(ix: &AnalysisIndex, lens: DefenseMode) -> Measurement {
+    let fw = Firewall::new();
+    let blocked = |d: &alexa_net::Domain| {
+        lens == DefenseMode::Firewall && fw.judge_remote(d) == Verdict::Block
+    };
+    let host_blocked: Vec<bool> = ix.domains.iter().map(|d| blocked(d)).collect();
+    let keep = |h: u32| !host_blocked[h as usize];
 
-fn voice_and_text_flows(ix: &AnalysisIndex) -> (usize, usize) {
-    let mut voice = 0;
-    let mut text = 0;
+    let t3 = traffic::table3(ix, keep);
+    let mut m = Measurement {
+        ad_tracking_share: traffic::table2(ix, keep).total_ad_tracking,
+        ad_tracking_domains: t3.rows.iter().map(|r| r.1).sum(),
+        functional_domains: t3.rows.iter().map(|r| r.2).sum(),
+        voice_flows: 0,
+        text_flows: 0,
+    };
     for cap in &ix.obs.avs_captures {
-        for p in &cap.packets {
-            if let Some(records) = p.payload.records() {
-                for r in records {
-                    match r.data_type {
-                        DataType::VoiceRecording => voice += 1,
-                        DataType::TextCommand => text += 1,
-                        _ => {}
-                    }
+        for p in cap.packets.iter().filter(|p| !blocked(&p.remote)) {
+            for r in p.payload.records().unwrap_or_default() {
+                match r.data_type {
+                    DataType::VoiceRecording if lens == DefenseMode::TextOnly => m.text_flows += 1,
+                    DataType::VoiceRecording => m.voice_flows += 1,
+                    DataType::TextCommand => m.text_flows += 1,
+                    _ => {}
                 }
             }
         }
     }
-    (voice, text)
+    m
 }
 
-fn third_party_domains(ix: &AnalysisIndex) -> (usize, usize) {
-    let t3 = traffic::table3(ix);
-    let at = t3.rows.iter().map(|r| r.1).sum();
-    let functional = t3.rows.iter().map(|r| r.2).sum();
-    (at, functional)
-}
-
-fn max_median_uplift(ix: &AnalysisIndex) -> f64 {
+/// Median CPM uplift of the strongest interest persona over vanilla
+/// (Table 5). Crawl bids never pass a tap, so this is one number per run,
+/// whatever the defense.
+pub fn bid_uplift(ix: &AnalysisIndex) -> f64 {
     let t5 = bids::table5(ix);
     let Some((vanilla, _)) = t5.get(&Persona::Vanilla.name()) else {
         return 0.0;
@@ -115,29 +91,40 @@ fn max_median_uplift(ix: &AnalysisIndex) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Compare a defended run against the undefended baseline.
-pub fn compare(defense: &str, baseline: &AnalysisIndex, defended: &AnalysisIndex) -> DefenseReport {
-    let (base_at, base_fn) = third_party_domains(baseline);
-    let (def_at, def_fn) = third_party_domains(defended);
-    let (base_voice, base_text) = voice_and_text_flows(baseline);
-    let (def_voice, def_text) = voice_and_text_flows(defended);
+/// Comparison of one defense against the undefended baseline.
+#[derive(Debug, Clone)]
+pub struct DefenseReport {
+    /// Name of the defense evaluated.
+    pub defense: String,
+    /// The undefended run's observables.
+    pub baseline: Measurement,
+    /// The defended run's observables: the target observable should vanish
+    /// while functional domains must not shrink (no broken skills).
+    pub defended: Measurement,
+    /// [`bid_uplift`], baseline → defended (server-side profiling is out of
+    /// the defense's reach, so this should *not* drop).
+    pub bid_uplift: (f64, f64),
+}
+
+/// Pair a defended measurement with the baseline's.
+pub fn compare(
+    defense: &str,
+    baseline: Measurement,
+    defended: Measurement,
+    bid_uplift: (f64, f64),
+) -> DefenseReport {
     DefenseReport {
         defense: defense.to_string(),
-        ad_tracking_share: (
-            traffic::table2(baseline).total_ad_tracking,
-            traffic::table2(defended).total_ad_tracking,
-        ),
-        ad_tracking_domains: (base_at, def_at),
-        functional_domains: (base_fn, def_fn),
-        voice_flows: (base_voice, def_voice),
-        text_flows: (base_text, def_text),
-        bid_uplift: (max_median_uplift(baseline), max_median_uplift(defended)),
+        baseline,
+        defended,
+        bid_uplift,
     }
 }
 
 impl DefenseReport {
     /// Stream the comparison into `out`; returns render work units.
     pub fn render_into(&self, out: &mut String) -> usize {
+        let (b, d) = (&self.baseline, &self.defended);
         let _ = write!(
             out,
             "Defense evaluation: {}\n\
@@ -148,16 +135,16 @@ impl DefenseReport {
                text-command flows:         {} -> {}\n\
                max median bid uplift:      {:.2}x -> {:.2}x\n",
             self.defense,
-            100.0 * self.ad_tracking_share.0,
-            100.0 * self.ad_tracking_share.1,
-            self.ad_tracking_domains.0,
-            self.ad_tracking_domains.1,
-            self.functional_domains.0,
-            self.functional_domains.1,
-            self.voice_flows.0,
-            self.voice_flows.1,
-            self.text_flows.0,
-            self.text_flows.1,
+            100.0 * b.ad_tracking_share,
+            100.0 * d.ad_tracking_share,
+            b.ad_tracking_domains,
+            d.ad_tracking_domains,
+            b.functional_domains,
+            d.functional_domains,
+            b.voice_flows,
+            d.voice_flows,
+            b.text_flows,
+            d.text_flows,
             self.bid_uplift.0,
             self.bid_uplift.1,
         );
@@ -175,7 +162,6 @@ impl DefenseReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::DefenseMode;
     use crate::observations::Observations;
     use crate::{AuditConfig, AuditRun};
     use std::sync::OnceLock;
@@ -184,88 +170,140 @@ mod tests {
         crate::analysis::test_support::ix()
     }
 
-    fn firewalled() -> &'static AnalysisIndex<'static> {
-        static OBS: OnceLock<Observations> = OnceLock::new();
-        static IX: OnceLock<AnalysisIndex<'static>> = OnceLock::new();
-        IX.get_or_init(|| {
-            AnalysisIndex::build(OBS.get_or_init(|| {
-                AuditRun::execute(AuditConfig::small(2222).with_defense(DefenseMode::Firewall))
-            }))
-        })
+    /// The index of a genuinely re-executed `Firewall` or `TextOnly` run.
+    fn executed(mode: DefenseMode) -> &'static AnalysisIndex<'static> {
+        static OBS: [OnceLock<Observations>; 2] = [OnceLock::new(), OnceLock::new()];
+        static IX: [OnceLock<AnalysisIndex<'static>>; 2] = [OnceLock::new(), OnceLock::new()];
+        let i = usize::from(mode == DefenseMode::TextOnly);
+        let run = || AuditRun::execute(AuditConfig::small(2222).with_defense(mode));
+        IX[i].get_or_init(|| AnalysisIndex::build(OBS[i].get_or_init(run)))
     }
 
-    fn text_only() -> &'static AnalysisIndex<'static> {
-        static OBS: OnceLock<Observations> = OnceLock::new();
-        static IX: OnceLock<AnalysisIndex<'static>> = OnceLock::new();
-        IX.get_or_init(|| {
-            AnalysisIndex::build(OBS.get_or_init(|| {
-                AuditRun::execute(AuditConfig::small(2222).with_defense(DefenseMode::TextOnly))
-            }))
-        })
+    /// The baseline against the executed run of `mode`.
+    fn report(mode: DefenseMode) -> DefenseReport {
+        let defended = executed(mode);
+        compare(
+            &format!("{mode:?}"),
+            measure(baseline(), DefenseMode::None),
+            measure(defended, DefenseMode::None),
+            (bid_uplift(baseline()), bid_uplift(defended)),
+        )
+    }
+
+    /// Every field, and the share bit for bit.
+    fn fields(m: Measurement) -> (u64, Measurement) {
+        (m.ad_tracking_share.to_bits(), m)
     }
 
     #[test]
     fn firewall_removes_ad_tracking_without_breaking() {
-        let r = compare("firewall", baseline(), firewalled());
-        assert!(r.ad_tracking_share.0 > 0.0);
+        let r = report(DefenseMode::Firewall);
+        assert!(r.baseline.ad_tracking_share > 0.0);
         assert_eq!(
-            r.ad_tracking_share.1, 0.0,
+            r.defended.ad_tracking_share, 0.0,
             "A&T traffic survived the firewall"
         );
-        assert_eq!(r.ad_tracking_domains.1, 0);
+        assert_eq!(r.defended.ad_tracking_domains, 0);
         // Functionality preserved: functional third-party domains intact.
-        assert_eq!(r.functional_domains.0, r.functional_domains.1);
+        assert_eq!(r.baseline.functional_domains, r.defended.functional_domains);
     }
 
     #[test]
     fn firewall_does_not_stop_server_side_profiling() {
         // The paper's deeper point: Amazon's inference is out of reach of a
         // network filter. Bid uplift persists.
-        let r = compare("firewall", baseline(), firewalled());
+        let r = report(DefenseMode::Firewall);
         assert!(r.bid_uplift.1 > 1.5, "uplift gone: {:?}", r.bid_uplift);
     }
 
     #[test]
     fn text_only_eliminates_voice_recordings() {
-        let r = compare("text-only", baseline(), text_only());
-        assert!(r.voice_flows.0 > 0);
-        assert_eq!(r.voice_flows.1, 0, "voice recordings still flowing");
-        assert!(r.text_flows.1 > 0, "no text commands replaced them");
+        let r = report(DefenseMode::TextOnly);
+        assert!(r.baseline.voice_flows > 0);
+        assert_eq!(r.defended.voice_flows, 0, "voice recordings still flowing");
+        assert!(r.defended.text_flows > 0, "no text commands replaced them");
         // Functionality (and thus traffic shape) preserved.
-        assert_eq!(r.functional_domains.0, r.functional_domains.1);
+        assert_eq!(r.baseline.functional_domains, r.defended.functional_domains);
     }
 
     #[test]
     fn renders() {
-        let r = compare("firewall", baseline(), firewalled());
-        let s = r.render();
+        let s = report(DefenseMode::Firewall).render();
         assert!(s.contains("A&T traffic share"));
         assert!(s.contains("bid uplift"));
     }
 
+    /// The equivalence the repro pipeline relies on: the baseline read
+    /// through `mode`'s lens is exactly what a re-executed run sees, and the
+    /// defense does not move the uplift by a single bit.
+    fn assert_lens_matches_executed_run(mode: DefenseMode) {
+        assert_eq!(
+            fields(measure(baseline(), mode)),
+            fields(measure(executed(mode), DefenseMode::None)),
+            "{mode:?}"
+        );
+        assert_eq!(
+            bid_uplift(executed(mode)).to_bits(),
+            bid_uplift(baseline()).to_bits(),
+            "{mode:?}"
+        );
+    }
+
     #[test]
     fn derived_firewall_matches_executed_run() {
-        // The core equivalence the repro pipeline relies on: mapping
-        // apply_defense over the baseline captures yields the exact
-        // observable record of a genuinely re-executed defended run.
-        let base = crate::analysis::test_support::obs();
-        let derived = derive_defended(base, DefenseMode::Firewall);
-        let executed = firewalled().obs;
-        assert_eq!(derived.digest(), executed.digest());
+        assert_lens_matches_executed_run(DefenseMode::Firewall);
     }
 
     #[test]
     fn derived_text_only_matches_executed_run() {
-        let base = crate::analysis::test_support::obs();
-        let derived = derive_defended(base, DefenseMode::TextOnly);
-        let executed = text_only().obs;
-        assert_eq!(derived.digest(), executed.digest());
+        assert_lens_matches_executed_run(DefenseMode::TextOnly);
     }
 
     #[test]
-    fn derive_none_is_identity() {
-        let base = crate::analysis::test_support::obs();
-        let derived = derive_defended(base, DefenseMode::None);
-        assert_eq!(derived.digest(), base.digest());
+    fn lens_matches_the_tap_transform_on_blocked_avs_traffic() {
+        // The executed fixtures never send plaintext records to an A&T
+        // host; this record does, at both capture sites.
+        use alexa_net::{Capture, Domain, Packet, Payload, Record};
+        let mut cap = Capture::new("skill");
+        for (host, data_type) in [
+            ("dts.podtrac.com", DataType::VoiceRecording),
+            ("avs-alexa-na.amazon.com", DataType::VoiceRecording),
+            ("api.amazon.com", DataType::TextCommand),
+        ] {
+            let (ip, record) = (std::net::Ipv4Addr::LOCALHOST, Record::new(data_type, "x"));
+            let remote = Domain::parse(host).expect("valid host");
+            cap.packets.push(Packet::outgoing(
+                0,
+                remote,
+                ip,
+                Payload::Plain(vec![record]),
+            ));
+        }
+        let mut obs = Observations::default();
+        obs.router_captures
+            .insert("Vanilla".into(), vec![cap.clone()]);
+        obs.avs_captures.push(cap);
+        for mode in [DefenseMode::Firewall, DefenseMode::TextOnly] {
+            let mut defended = obs.clone();
+            let router = defended.router_captures.values_mut().flatten();
+            for cap in router.chain(&mut defended.avs_captures) {
+                cap.packets =
+                    crate::experiment::apply_defense(mode, std::mem::take(&mut cap.packets));
+            }
+            let executed = measure(&AnalysisIndex::build(&defended), DefenseMode::None);
+            let lensed = measure(&AnalysisIndex::build(&obs), mode);
+            assert_eq!(fields(lensed), fields(executed), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn no_lens_reproduces_the_plain_tables() {
+        let ix = baseline();
+        let m = measure(ix, DefenseMode::None);
+        let share = traffic::table2(ix, traffic::KEEP_ALL).total_ad_tracking;
+        assert_eq!(m.ad_tracking_share.to_bits(), share.to_bits());
+        let t3 = traffic::table3(ix, traffic::KEEP_ALL).rows;
+        let sums = t3.iter().fold((0, 0), |(at, f), r| (at + r.1, f + r.2));
+        assert_eq!((m.ad_tracking_domains, m.functional_domains), sums);
     }
 }

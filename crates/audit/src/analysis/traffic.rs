@@ -197,12 +197,16 @@ pub struct Table2 {
     pub total_ad_tracking: f64,
 }
 
-/// Compute Table 2 from packet counts.
-pub fn table2(ix: &AnalysisIndex) -> Table2 {
+/// The host filter of the report artifacts: count every host.
+pub const KEEP_ALL: fn(u32) -> bool = |_| true;
+
+/// Compute Table 2 from the packet counts of the host ids `keep` admits
+/// (the defense lens drops the hosts a firewall blocks).
+pub fn table2(ix: &AnalysisIndex, keep: impl Fn(u32) -> bool) -> Table2 {
     let mut counts: BTreeMap<(OrgClass, TrafficPurpose), usize> = BTreeMap::new();
     let mut total = 0usize;
     for f in &ix.flows {
-        for hc in ix.hosts_of(f) {
+        for hc in ix.hosts_of(f).iter().filter(|hc| keep(hc.host)) {
             let h = &ix.hosts[hc.host as usize];
             *counts
                 .entry((ix.org_class(h, f.vendor), ix.purpose(h)))
@@ -281,8 +285,8 @@ pub struct Table3 {
     pub rows: Vec<(String, usize, usize)>,
 }
 
-/// Compute Table 3.
-pub fn table3(ix: &AnalysisIndex) -> Table3 {
+/// Compute Table 3 over the hosts `keep` admits (see [`table2`]).
+pub fn table3(ix: &AnalysisIndex, keep: impl Fn(u32) -> bool) -> Table3 {
     let mut rows: Vec<(String, usize, usize)> = ix
         .persona_flows
         .iter()
@@ -290,7 +294,7 @@ pub fn table3(ix: &AnalysisIndex) -> Table3 {
             let mut at: BTreeSet<u32> = BTreeSet::new();
             let mut func: BTreeSet<u32> = BTreeSet::new();
             for f in ix.flows_in(range) {
-                for hc in ix.hosts_of(f) {
+                for hc in ix.hosts_of(f).iter().filter(|hc| keep(hc.host)) {
                     let h = &ix.hosts[hc.host as usize];
                     if ix.org_class(h, f.vendor) != OrgClass::ThirdParty {
                         continue;
@@ -506,7 +510,7 @@ mod tests {
 
     #[test]
     fn table2_shares_sum_to_one() {
-        let t2 = table2(ix());
+        let t2 = table2(ix(), KEEP_ALL);
         let sum: f64 = t2.rows.iter().map(|r| r.1 + r.2).sum();
         assert!((sum - 1.0).abs() < 1e-9, "sum {sum}");
         // Amazon dominates traffic (paper: 96.84%).
@@ -520,7 +524,7 @@ mod tests {
 
     #[test]
     fn table3_excludes_personas_without_third_parties() {
-        let t3 = table3(ix());
+        let t3 = table3(ix(), KEEP_ALL);
         for (p, _, _) in &t3.rows {
             assert_ne!(p, "Vanilla");
             assert_ne!(p, "Smart Home");

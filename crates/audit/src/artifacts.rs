@@ -18,8 +18,8 @@ use std::fmt::Write as _;
 pub fn render_into(ix: &AnalysisIndex, artifact: &str, out: &mut String) -> Option<usize> {
     Some(match artifact {
         "table1" => traffic::table1(ix).render_into(out),
-        "table2" => traffic::table2(ix).render_into(out),
-        "table3" => traffic::table3(ix).render_into(out),
+        "table2" => traffic::table2(ix, traffic::KEEP_ALL).render_into(out),
+        "table3" => traffic::table3(ix, traffic::KEEP_ALL).render_into(out),
         "table4" => traffic::table4(ix).render_into(out),
         "figure2" => traffic::figure2(ix).render_into(out),
         "table5" => bids::table5(ix).render_into(out),

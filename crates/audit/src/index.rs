@@ -190,6 +190,10 @@ pub struct AnalysisIndex<'a> {
     pub symbols: Interner,
     /// Distinct endpoint hosts in lexicographic order.
     pub hosts: Vec<HostInfo>,
+    /// The endpoint behind each [`AnalysisIndex::hosts`] entry (same order),
+    /// for predicates over the parsed name such as the defense lens's
+    /// firewall verdict.
+    pub domains: Vec<&'a alexa_net::Domain>,
     /// Per-(persona, skill) flow groups, personas then skills in
     /// lexicographic order.
     pub flows: Vec<SkillFlows>,
@@ -413,6 +417,7 @@ impl<'a> AnalysisIndex<'a> {
             obs,
             symbols,
             hosts,
+            domains: host_set.into_iter().collect(),
             flows,
             host_counts,
             persona_flows,

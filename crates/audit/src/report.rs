@@ -65,9 +65,9 @@ pub fn full_report_into(ix: &AnalysisIndex, out: &mut String) -> usize {
     work += section_note(out, &["avs.skills", "skill.installs", "skill.interactions"]);
     work += traffic::table1(ix).render_into(out);
     out.push('\n');
-    work += traffic::table2(ix).render_into(out);
+    work += traffic::table2(ix, traffic::KEEP_ALL).render_into(out);
     out.push('\n');
-    work += traffic::table3(ix).render_into(out);
+    work += traffic::table3(ix, traffic::KEEP_ALL).render_into(out);
     out.push('\n');
     work += traffic::table4(ix).render_into(out);
     out.push('\n');

@@ -102,7 +102,15 @@ fn analysis_never_panics_at_total_fault_rate() {
     let defended = AuditRun::execute(cfg.with_defense(DefenseMode::Firewall));
     let obs_ix = alexa_audit::AnalysisIndex::build(&obs);
     let defended_ix = alexa_audit::AnalysisIndex::build(&defended);
-    let comparison = defense::compare("firewall under total faults", &obs_ix, &defended_ix);
+    let comparison = defense::compare(
+        "firewall under total faults",
+        defense::measure(&obs_ix, DefenseMode::None),
+        defense::measure(&defended_ix, DefenseMode::None),
+        (
+            defense::bid_uplift(&obs_ix),
+            defense::bid_uplift(&defended_ix),
+        ),
+    );
     assert!(!comparison.render().is_empty());
 }
 

@@ -20,7 +20,9 @@ fn bench_audit(c: &mut Criterion) {
     let ix = shared_paper_ix();
     let mut group = c.benchmark_group("analysis");
     group.bench_function("table1_traffic", |b| b.iter(|| traffic::table1(ix)));
-    group.bench_function("table2_shares", |b| b.iter(|| traffic::table2(ix)));
+    group.bench_function("table2_shares", |b| {
+        b.iter(|| traffic::table2(ix, traffic::KEEP_ALL))
+    });
     group.bench_function("table5_bids", |b| b.iter(|| bids::table5(ix)));
     group.bench_function("figure3_boxes", |b| b.iter(|| bids::figure3(ix)));
     group.bench_function("table7_significance", |b| {

@@ -122,6 +122,22 @@ fn plan_parse_errors_are_typed_and_exit_2() {
 }
 
 #[test]
+fn deeply_nested_plan_exits_2_instead_of_overflowing() {
+    // 200k unclosed brackets once overflowed the recursive-descent parser's
+    // stack (abort, exit 134); the nesting limit makes it a syntax error.
+    let dir = scratch("deep-plan");
+    let plan = dir.join("deep.json");
+    std::fs::write(&plan, "[".repeat(200_000)).expect("write plan");
+    let out = run_campaign(&plan, &dir.join("out"));
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("plan is not valid JSON") && err.contains("nesting"),
+        "{err}"
+    );
+}
+
+#[test]
 fn missing_plan_exits_2() {
     let dir = scratch("missing-plan");
     let out = run_campaign(&dir.join("nope.json"), &dir.join("out"));

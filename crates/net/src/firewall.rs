@@ -99,14 +99,16 @@ impl Firewall {
 
     /// Decide a packet's fate without forwarding it.
     pub fn judge(&self, packet: &Packet) -> Verdict {
-        if self
-            .allowlist
-            .iter()
-            .any(|a| packet.remote.is_subdomain_of(a))
-        {
+        self.judge_remote(&packet.remote)
+    }
+
+    /// Decide the fate of every packet to `remote`: the verdict depends on
+    /// the endpoint alone, so it can be evaluated once per distinct host.
+    pub fn judge_remote(&self, remote: &Domain) -> Verdict {
+        if self.allowlist.iter().any(|a| remote.is_subdomain_of(a)) {
             return Verdict::Allow;
         }
-        if self.blocklist.is_ad_tracking(&packet.remote) {
+        if self.blocklist.is_ad_tracking(remote) {
             Verdict::Block
         } else {
             Verdict::Allow

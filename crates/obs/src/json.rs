@@ -79,6 +79,7 @@ impl Json {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -167,9 +168,17 @@ impl std::fmt::Display for JsonParseError {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
+/// recursive descent, so the limit turns hostile input (thousands of `[`)
+/// into a typed error instead of a stack overflow; every document this
+/// workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -231,8 +240,21 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => {
+                self.depth += 1;
+                let v = self.array();
+                self.depth -= 1;
+                v
+            }
+            Some(b'{') => {
+                self.depth += 1;
+                let v = self.object();
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
         }
@@ -559,6 +581,27 @@ mod tests {
         let err = Json::parse("[\n\n  nope\n]").unwrap_err();
         assert_eq!(err.line, 3);
         assert_eq!(err.to_string(), format!("line 3: {}", err.message));
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\": ".repeat(n - 1) + "{}" + &"}".repeat(n - 1);
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_err());
+
+        // One level past the limit fails at the offending bracket.
+        let err = Json::parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.offset, err.line), (MAX_DEPTH, 1));
+        assert!(err.message.contains("nesting"), "{}", err.message);
+
+        // Far past it — once a stack overflow — still a plain error, with
+        // the line of the first too-deep bracket.
+        let err = Json::parse(&("\n".to_string() + &"[".repeat(200_000))).unwrap_err();
+        assert_eq!((err.offset, err.line), (MAX_DEPTH + 1, 2));
+        let err = Json::parse(&"{\"a\": ".repeat(200_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{}", err.message);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub const REGISTRY: &[&str] = &[
     "crawler.syncs",             // aggregate: cookie syncs observed
     "crawler.visit",             // aggregate timer: one crawl visit
     "crawler.visits",            // aggregate: crawl visits completed
-    "derive.defended",           // stage: defended-record derivation for the defenses artifact
+    "derive.defended",           // stage: defense lens (faults: two defended re-executions)
     "dsar.after_install",        // span: DSAR export after installs
     "dsar.after_interaction1",   // span: DSAR export after first interaction round
     "dsar.after_interaction2",   // span: DSAR export after second interaction round
@@ -56,7 +56,7 @@ pub const REGISTRY: &[&str] = &[
     "fault.losses",              // counter: permanent losses after retry budget
     "fault.retries",             // counter: retries consumed by faults
     "index.build",               // stage: shared analysis-index construction
-    "index.defended",            // stage: analysis-index builds for the defended records
+    "index.defended",            // stage: bid uplift (faults: index + measure the defended runs)
     "install",                   // span: skill installation round
     "install.failed",            // counter: installs that failed permanently
     "interact",                  // span: skill interaction round

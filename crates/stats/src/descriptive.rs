@@ -25,9 +25,24 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     if xs.is_empty() || !(0.0..=1.0).contains(&q) {
         return None;
     }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    Some(quantile_sorted(&sorted, q))
+    // Type 7 needs at most two adjacent order statistics, so select them in
+    // O(n) instead of sorting: the values (and thus the result bits) are the
+    // ones a full sort would put at those positions.
+    let mut xs: Vec<f64> = xs.to_vec();
+    let n = xs.len();
+    let pos = q * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    let (_, &mut at_lo, above) = xs.select_nth_unstable_by(lo, f64::total_cmp);
+    if pos == lo as f64 {
+        return Some(at_lo);
+    }
+    let at_hi = above
+        .iter()
+        .copied()
+        .min_by(f64::total_cmp)
+        .unwrap_or(at_lo);
+    let frac = pos - lo as f64;
+    Some(at_lo * (1.0 - frac) + at_hi * frac)
 }
 
 /// Quantile of an already ascending-sorted slice. An empty slice yields

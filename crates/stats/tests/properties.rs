@@ -34,6 +34,21 @@ proptest! {
     }
 
     #[test]
+    fn selected_quantile_equals_sorted_quantile(
+        xs in prop::collection::vec((-8i32..8).prop_map(|v| f64::from(v) * 0.5), 1..64),
+        q in (0u32..101).prop_map(|k| f64::from(k) / 100.0),
+    ) {
+        // quantile() selects order statistics instead of sorting; ties
+        // included, it must return the exact bits a full sort gives.
+        let mut sorted = xs.clone();
+        sorted.sort_by(f64::total_cmp);
+        prop_assert_eq!(
+            quantile(&xs, q).unwrap().to_bits(),
+            alexa_stats::descriptive::quantile_sorted(&sorted, q).to_bits()
+        );
+    }
+
+    #[test]
     fn summary_is_ordered(xs in sample(64)) {
         let s = five_number_summary(&xs).unwrap();
         prop_assert!(s.min <= s.q1 && s.q1 <= s.median && s.median <= s.q3 && s.q3 <= s.max);

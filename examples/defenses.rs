@@ -1,8 +1,11 @@
-//! Evaluate the paper's proposed defenses (§8.1) by re-running the audit
-//! with each one enabled and comparing the observable record:
+//! Evaluate the paper's proposed defenses (§8.1) by reading the audit's
+//! observable record through each defense's lens:
 //!
 //! * a router **firewall** that blocks advertising & tracking endpoints;
 //! * **on-device transcription** (text-only voice channel).
+//!
+//! Both are pure per-packet transforms at the capture tap, so one
+//! undefended run measures all three conditions exactly.
 //!
 //! ```sh
 //! cargo run --release --example defenses
@@ -13,38 +16,26 @@ use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, DefenseMode};
 
 fn main() {
     let seed = 42;
-    println!("Running baseline audit (seed {seed}) ...");
+    println!("Running baseline audit (seed {seed}) ...\n");
     let baseline = AuditRun::execute(AuditConfig::small(seed));
+    let ix = AnalysisIndex::build(&baseline);
 
-    println!("Running audit with the A&T firewall ...");
-    let firewalled =
-        AuditRun::execute(AuditConfig::small(seed).with_defense(DefenseMode::Firewall));
-
-    println!("Running audit with on-device transcription ...\n");
-    let text_only = AuditRun::execute(AuditConfig::small(seed).with_defense(DefenseMode::TextOnly));
-
-    let baseline_ix = AnalysisIndex::build(&baseline);
-    let firewalled_ix = AnalysisIndex::build(&firewalled);
-    let text_only_ix = AnalysisIndex::build(&text_only);
-
-    println!(
-        "{}",
-        defense::compare(
+    let base = defense::measure(&ix, DefenseMode::None);
+    // Crawl bids never pass the tap: the uplift is the same under any lens.
+    let uplift = defense::bid_uplift(&ix);
+    for (name, mode) in [
+        (
             "A&T firewall (blocking without breaking)",
-            &baseline_ix,
-            &firewalled_ix
-        )
-        .render()
-    );
-    println!(
-        "{}",
-        defense::compare(
-            "on-device transcription (text-only)",
-            &baseline_ix,
-            &text_only_ix
-        )
-        .render()
-    );
+            DefenseMode::Firewall,
+        ),
+        ("on-device transcription (text-only)", DefenseMode::TextOnly),
+    ] {
+        let defended = defense::measure(&ix, mode);
+        println!(
+            "{}",
+            defense::compare(name, base, defended, (uplift, uplift)).render()
+        );
+    }
 
     println!(
         "Takeaway: both defenses remove their target observable (tracker traffic;\n\

@@ -22,7 +22,7 @@ fn main() {
         "RQ1: {} skills contacted Amazon, {} their own vendor, {} third parties ({} failed).",
         t1.skills_amazon, t1.skills_vendor, t1.skills_third_party, t1.skills_failed
     );
-    let t2 = traffic::table2(&ix);
+    let t2 = traffic::table2(&ix, traffic::KEEP_ALL);
     println!(
         "     {:.1}% of all traffic is advertising & tracking.",
         100.0 * t2.total_ad_tracking

@@ -38,7 +38,7 @@ fn paper_table1_skill_counts() {
 
 #[test]
 fn paper_table2_amazon_dominates() {
-    let t2 = traffic::table2(ix());
+    let t2 = traffic::table2(ix(), traffic::KEEP_ALL);
     let amazon = t2
         .rows
         .iter()
@@ -59,7 +59,7 @@ fn paper_table2_amazon_dominates() {
 
 #[test]
 fn paper_table3_fashion_leads_ad_tracking() {
-    let t3 = traffic::table3(ix());
+    let t3 = traffic::table3(ix(), traffic::KEEP_ALL);
     // Fashion & Style contacts the most A&T services (paper: 9).
     assert_eq!(t3.rows[0].0, "Fashion & Style");
     assert!(t3.rows[0].1 >= 7, "fashion A&T domains {}", t3.rows[0].1);

@@ -23,7 +23,7 @@ fn rq1_amazon_mediates_everything() {
     // Every skill that produced traffic reached Amazon; no skill avoided it.
     assert!(t1.skills_amazon > 0);
     assert!(t1.skills_third_party < t1.skills_amazon);
-    let t2 = traffic::table2(ix());
+    let t2 = traffic::table2(ix(), traffic::KEEP_ALL);
     let amazon_row = t2
         .rows
         .iter()
@@ -34,7 +34,7 @@ fn rq1_amazon_mediates_everything() {
 
 #[test]
 fn rq1_ad_tracking_traffic_is_minor_but_present() {
-    let t2 = traffic::table2(ix());
+    let t2 = traffic::table2(ix(), traffic::KEEP_ALL);
     assert!(
         t2.total_ad_tracking > 0.01,
         "A&T share {}",
