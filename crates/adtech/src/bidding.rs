@@ -25,15 +25,14 @@ use alexa_platform::SkillCategory;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// One ad slot on a publisher page.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdSlot {
-    /// Globally unique slot identifier (`site#position`). Shared (`Arc`) so
-    /// the hundreds of thousands of bids quoting the slot reference one
-    /// allocation instead of copying the id each time.
-    pub id: Arc<str>,
+    /// Globally unique slot identifier (`site#position`), an interned
+    /// [`label`](crate::label): the hundreds of thousands of bids quoting
+    /// the slot copy a pointer, not the id.
+    pub id: &'static str,
     /// Publisher site hosting the slot.
     pub site: String,
     /// Quality multiplier (viewability, position). Shared across personas.
@@ -43,10 +42,10 @@ pub struct AdSlot {
 /// One bid returned through the header-bidding API.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bid {
-    /// Bidder organization (registrable domain).
-    pub bidder: Arc<str>,
-    /// Slot the bid targets.
-    pub slot_id: Arc<str>,
+    /// Bidder organization (registrable domain, interned).
+    pub bidder: &'static str,
+    /// Slot the bid targets (interned).
+    pub slot_id: &'static str,
     /// Bid value in CPM (cost per mille), USD.
     pub cpm: f64,
 }
@@ -152,8 +151,8 @@ pub fn category_targeting(cat: SkillCategory) -> (f64, f64) {
 /// A header-bidding participant.
 #[derive(Debug, Clone)]
 pub struct Bidder {
-    /// Bidder organization (registrable domain).
-    pub org: Arc<str>,
+    /// Bidder organization (registrable domain, interned).
+    pub org: &'static str,
     /// Whether the org cookie-syncs with Amazon (receives Echo segments).
     pub is_partner: bool,
     /// Probability a non-partner learned the segments via downstream syncs.
@@ -213,7 +212,7 @@ impl Bidder {
         if self.is_partner {
             return true;
         }
-        let h = fnv_parts(&[&self.org, "|", &user.persona]);
+        let h = fnv_parts(&[self.org, "|", &user.persona]);
         (h % 10_000) as f64 / 10_000.0 < self.downstream_reach
     }
 
@@ -221,7 +220,7 @@ impl Bidder {
     /// reached the bidder (standard third-party tracking; deterministic per
     /// (bidder, persona)).
     pub fn web_reached(&self, persona: &str) -> bool {
-        let h = fnv_parts(&["web|", &self.org, "|", persona]);
+        let h = fnv_parts(&["web|", self.org, "|", persona]);
         (h % 10_000) as f64 / 10_000.0 < 0.85
     }
 
@@ -303,8 +302,8 @@ impl Bidder {
 
         let cpm = base * slot.quality * season.factor(iteration) * uplift;
         Some(Bid {
-            bidder: self.org.clone(),
-            slot_id: slot.id.clone(),
+            bidder: self.org,
+            slot_id: slot.id,
             cpm,
         })
     }
@@ -334,13 +333,13 @@ impl SlotContext {
             .map(|(median_u, ctx_sigma)| {
                 (
                     median_u,
-                    contextual_factor(&slot.id, &user.persona, ctx_sigma),
+                    contextual_factor(slot.id, &user.persona, ctx_sigma),
                 )
             });
         let web = if user.web_segments.is_empty() {
             None
         } else {
-            Some(contextual_factor(&slot.id, &user.persona, 0.35))
+            Some(contextual_factor(slot.id, &user.persona, 0.35))
         };
         SlotContext { echo, web }
     }
@@ -392,27 +391,33 @@ impl Auction {
         iteration: usize,
         rng: &mut StdRng,
     ) -> Vec<Bid> {
-        self.request_bids_with_view(slot, &self.user_view(user), user, iteration, rng)
+        let mut bids = Vec::new();
+        self.request_bids_into(slot, &self.user_view(user), user, iteration, rng, &mut bids);
+        bids
     }
 
     /// [`Auction::request_bids`] with the user's knowledge facts
-    /// precomputed (the crawler reuses one view across a whole crawl).
-    pub fn request_bids_with_view(
+    /// precomputed (the crawler reuses one view across a whole crawl),
+    /// appending the bids to `out` so a caller can collect a whole page's
+    /// bids in one reused buffer.
+    pub fn request_bids_into(
         &self,
         slot: &AdSlot,
         view: &UserView,
         user: &UserState,
         iteration: usize,
         rng: &mut StdRng,
-    ) -> Vec<Bid> {
+        out: &mut Vec<Bid>,
+    ) {
         let ctx = SlotContext::new(slot, user);
-        self.bidders
-            .iter()
-            .zip(view.knows_echo.iter().zip(&view.web_reached))
-            .filter_map(|(b, (&knows, &web))| {
-                b.bid_in_context(slot, &ctx, knows, web, user, iteration, self.season, rng)
-            })
-            .collect()
+        out.extend(
+            self.bidders
+                .iter()
+                .zip(view.knows_echo.iter().zip(&view.web_reached))
+                .filter_map(|(b, (&knows, &web))| {
+                    b.bid_in_context(slot, &ctx, knows, web, user, iteration, self.season, rng)
+                }),
+        );
     }
 }
 
@@ -424,7 +429,7 @@ pub fn standard_roster(partners: &[String]) -> Vec<Bidder> {
     // sync but do not quote client-side header bids.
     for org in partners.iter().take(15) {
         out.push(Bidder {
-            org: Arc::from(org.as_str()),
+            org: crate::label::intern(org),
             is_partner: true,
             downstream_reach: 0.0,
             base_median_cpm: 0.030,
@@ -433,7 +438,7 @@ pub fn standard_roster(partners: &[String]) -> Vec<Bidder> {
     }
     for i in 0..15 {
         out.push(Bidder {
-            org: format!("indieads{:02}.com", i + 1).into(),
+            org: crate::label::intern(&format!("indieads{:02}.com", i + 1)),
             is_partner: false,
             downstream_reach: 0.55,
             base_median_cpm: 0.030,
@@ -450,7 +455,7 @@ mod tests {
 
     fn slot() -> AdSlot {
         AdSlot {
-            id: "site#1".into(),
+            id: "site#1",
             site: "site".into(),
             quality: 1.0,
         }
@@ -458,7 +463,7 @@ mod tests {
 
     fn partner() -> Bidder {
         Bidder {
-            org: "criteo.com".into(),
+            org: "criteo.com",
             is_partner: true,
             downstream_reach: 0.0,
             base_median_cpm: 0.03,
@@ -497,7 +502,7 @@ mod tests {
         let mut log_ratio = 0.0;
         for i in 0..8 {
             let s = AdSlot {
-                id: format!("site#{i}").into(),
+                id: crate::label::intern(&format!("site#{i}")),
                 site: "site".into(),
                 quality: 1.0,
             };
@@ -567,12 +572,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let user = UserState::blank("x");
         let cheap = AdSlot {
-            id: "a".into(),
+            id: "a",
             site: "s".into(),
             quality: 0.5,
         };
         let pricey = AdSlot {
-            id: "b".into(),
+            id: "b",
             site: "s".into(),
             quality: 2.0,
         };
@@ -594,7 +599,7 @@ mod tests {
         let mut raised = 0;
         for i in 0..6 {
             let np = Bidder {
-                org: format!("indieads{i:02}.com").into(),
+                org: crate::label::intern(&format!("indieads{i:02}.com")),
                 is_partner: false,
                 downstream_reach: 0.0,
                 ..partner()

@@ -15,6 +15,7 @@
 use crate::adserver::AdServer;
 use crate::bidding::{Auction, Bid, UserState, UserView};
 use crate::identity::BrowserProfile;
+use crate::label::intern;
 use crate::sync::{SyncGraph, AMAZON_AD_ORG};
 use crate::website::Website;
 use crate::Creative;
@@ -23,16 +24,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// A cookie-sync redirect observed in crawl traffic.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// A cookie-sync redirect observed in crawl traffic. Every field is an
+/// interned [`label`](crate::label): the same few hundred orgs and cookie
+/// values appear in tens of thousands of sync events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SyncObservation {
-    /// Organization initiating the sync (sends its cookie). Shared (`Arc`):
-    /// the same few dozen orgs appear in tens of thousands of sync events.
-    pub from_org: Arc<str>,
+    /// Organization initiating the sync (sends its cookie).
+    pub from_org: &'static str,
     /// Organization receiving the identifier.
-    pub to_org: Arc<str>,
+    pub to_org: &'static str,
     /// The user identifier embedded in the redirect URL.
-    pub user_id: Arc<str>,
+    pub user_id: &'static str,
 }
 
 /// Everything recorded during one page visit.
@@ -42,7 +44,8 @@ pub struct VisitRecord {
     pub site: String,
     /// Crawl iteration this visit belongs to.
     pub iteration: usize,
-    /// Bids observed via the prebid API, per loaded slot.
+    /// Bids observed via the prebid API, grouped by loaded slot in the
+    /// page's ad-unit order.
     pub bids: Vec<Bid>,
     /// Ad creatives rendered on the page.
     pub creatives: Vec<Creative>,
@@ -70,34 +73,33 @@ pub struct Crawler {
 #[derive(Debug)]
 struct SyncPlan {
     /// Partner bidders, in roster order: `(org, downstream orgs)`.
-    partner_bidders: Vec<(Arc<str>, Vec<Arc<str>>)>,
+    partner_bidders: Vec<(&'static str, Vec<&'static str>)>,
     /// Non-bidding sync partners, in partner-list order.
-    trackers: Vec<(Arc<str>, Vec<Arc<str>>)>,
+    trackers: Vec<(&'static str, Vec<&'static str>)>,
     /// Amazon's ad endpoint, the hub every sync points at.
-    amazon: Arc<str>,
+    amazon: &'static str,
 }
 
 impl SyncPlan {
     fn build(auction: &Auction, graph: &SyncGraph) -> SyncPlan {
-        let arcs = |orgs: &[String]| -> Vec<Arc<str>> {
-            orgs.iter().map(|d| Arc::from(d.as_str())).collect()
-        };
+        let labels =
+            |orgs: &[String]| -> Vec<&'static str> { orgs.iter().map(|d| intern(d)).collect() };
         let partner_bidders = auction
             .bidders
             .iter()
-            .filter(|b| graph.is_partner(&b.org))
-            .map(|b| (b.org.clone(), arcs(graph.downstream_of(&b.org))))
+            .filter(|b| graph.is_partner(b.org))
+            .map(|b| (b.org, labels(graph.downstream_of(b.org))))
             .collect();
         let trackers = graph
             .partners()
             .iter()
-            .filter(|p| !auction.bidders.iter().any(|b| *b.org == ***p))
-            .map(|p| (Arc::from(p.as_str()), arcs(graph.downstream_of(p))))
+            .filter(|p| !auction.bidders.iter().any(|b| b.org == p.as_str()))
+            .map(|p| (intern(p), labels(graph.downstream_of(p))))
             .collect();
         SyncPlan {
             partner_bidders,
             trackers,
-            amazon: Arc::from(AMAZON_AD_ORG),
+            amazon: intern(AMAZON_AD_ORG),
         }
     }
 }
@@ -214,11 +216,14 @@ impl Crawler {
             ..VisitRecord::default()
         };
         // The paper's injected probe: a site without a `pbjs` object is
-        // skipped entirely.
-        let Some(mut page) = crate::prebid::probe(site, &self.auction) else {
+        // skipped entirely. The page collects its bids in the profile's
+        // scratch buffer, moved out for the visit so the profile stays
+        // usable meanwhile.
+        let mut bids = std::mem::take(&mut profile.bid_scratch);
+        let Some(mut page) = crate::prebid::probe(site, &self.auction, &mut bids) else {
+            profile.bid_scratch = bids;
             return record;
         };
-
         let view = self.user_view(profile, user);
         page.request_bids_with_view(
             user,
@@ -227,12 +232,8 @@ impl Crawler {
             h.wrapping_add(iteration as u64),
             |_| rng.gen_bool(self.slot_load_rate),
         );
-        record.bids = page
-            .get_bid_responses()
-            .values()
-            .flatten()
-            .cloned()
-            .collect();
+        record.bids = page.take_bids();
+        profile.bid_scratch = bids;
 
         record.creatives = self.adserver.select(user, &mut rng);
 
@@ -242,34 +243,44 @@ impl Crawler {
         // (roster order, sync rate 0.3), then the non-bidding tracker
         // partners (partner-list order, rate 0.18) — the same draw order the
         // original per-visit membership scans produced.
+        let mut syncs = std::mem::take(&mut profile.sync_scratch);
         for (plan, rate) in [
             (&self.sync_plan.partner_bidders, 0.3),
             (&self.sync_plan.trackers, 0.18),
         ] {
-            for (org, downstream) in plan {
+            for &(org, ref downstream) in plan {
                 if rng.gen_bool(rate) {
-                    let cookie = profile.cookie(org);
-                    record.syncs.push(SyncObservation {
-                        from_org: org.clone(),
-                        to_org: self.sync_plan.amazon.clone(),
-                        user_id: cookie.value.clone(),
+                    let user_id = profile.cookie(org).value;
+                    syncs.push(SyncObservation {
+                        from_org: org,
+                        to_org: self.sync_plan.amazon,
+                        user_id,
                     });
                     // Downstream propagation: each partner forwards to a few
                     // of its downstream orgs per sync event.
-                    for d in downstream {
+                    for &to_org in downstream {
                         if rng.gen_bool(0.35) {
-                            record.syncs.push(SyncObservation {
-                                from_org: org.clone(),
-                                to_org: d.clone(),
-                                user_id: cookie.value.clone(),
+                            syncs.push(SyncObservation {
+                                from_org: org,
+                                to_org,
+                                user_id,
                             });
                         }
                     }
                 }
             }
         }
+        record.syncs = drain_exact(&mut syncs);
+        profile.sync_scratch = syncs;
         record
     }
+}
+
+/// Move a scratch buffer's contents into an exactly sized vector, keeping
+/// the buffer's capacity for the next visit.
+#[allow(clippy::drain_collect)] // `mem::take` would hand the capacity away
+pub(crate) fn drain_exact<T>(scratch: &mut Vec<T>) -> Vec<T> {
+    scratch.drain(..).collect()
 }
 
 #[cfg(test)]
@@ -380,8 +391,8 @@ mod tests {
         for site in web.prebid_sites(30) {
             let rec = crawler.visit(site, &mut profile, &user, 5, 42);
             for s in &rec.syncs {
-                assert_ne!(&*s.from_org, AMAZON_AD_ORG, "Amazon must never sync out");
-                if &*s.to_org == AMAZON_AD_ORG {
+                assert_ne!(s.from_org, AMAZON_AD_ORG, "Amazon must never sync out");
+                if s.to_org == AMAZON_AD_ORG {
                     saw_amazon_sync = true;
                 }
             }
@@ -397,7 +408,7 @@ mod tests {
         for site in web.prebid_sites(10) {
             let rec = crawler.visit(site, &mut profile, &user, 5, 42);
             for s in &rec.syncs {
-                assert_eq!(s.user_id, profile.cookie(&s.from_org).value);
+                assert_eq!(s.user_id, profile.cookie(s.from_org).value);
             }
         }
     }
@@ -412,7 +423,7 @@ mod tests {
             for site in web.prebid_sites(200) {
                 let rec = crawler.visit(site, &mut profile, &user, iteration, 42);
                 for s in rec.syncs {
-                    if &*s.to_org == AMAZON_AD_ORG {
+                    if s.to_org == AMAZON_AD_ORG {
                         partners.insert(s.from_org);
                     }
                 }

@@ -5,19 +5,20 @@
 //! contaminate each other. Cookies are the client-side identifiers the
 //! cookie-syncing machinery (§5.5) exchanges.
 
+use crate::bidding::Bid;
+use crate::crawler::SyncObservation;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// One cookie set by an organization's domain.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cookie {
-    /// Organization (registrable domain) owning the cookie.
-    pub org: Arc<str>,
-    /// Opaque identifier value. Shared (`Arc`): the same identifier appears
-    /// in every sync event the cookie participates in, so cloning it must
-    /// not copy the string each time.
-    pub value: Arc<str>,
+    /// Organization (registrable domain) owning the cookie, interned.
+    pub org: &'static str,
+    /// Opaque identifier value, interned: the same identifier appears in
+    /// every sync event the cookie participates in, so copying it must not
+    /// copy the string.
+    pub value: &'static str,
 }
 
 /// A persona's browser profile: cookie jar, login state, and source IP.
@@ -31,7 +32,7 @@ pub struct BrowserProfile {
     /// (true for Echo personas; the web-control personas browse logged in
     /// too, per §3.3's crawl setup).
     pub amazon_login: Option<String>,
-    jar: BTreeMap<Arc<str>, Cookie>,
+    jar: BTreeMap<&'static str, Cookie>,
     /// Single-entry cache of the bidder roster's knowledge facts about this
     /// profile's user, keyed on whether the user held Echo segments when it
     /// was computed. The cached value is a pure function of (persona, key),
@@ -39,7 +40,13 @@ pub struct BrowserProfile {
     /// the cache lives on the shard-owned profile rather than the shared
     /// crawler, hit/miss patterns (and thus allocation accounting) are a
     /// deterministic function of the shard alone, not of scheduling.
-    pub(crate) view_cache: Option<(bool, Arc<crate::bidding::UserView>)>,
+    pub(crate) view_cache: Option<(bool, std::sync::Arc<crate::bidding::UserView>)>,
+    /// Scratch buffers the crawler fills during a visit and drains into the
+    /// visit record. Their capacity survives across visits, so each visit
+    /// allocates only its exactly sized record vectors.
+    pub(crate) bid_scratch: Vec<Bid>,
+    /// See [`BrowserProfile::bid_scratch`].
+    pub(crate) sync_scratch: Vec<SyncObservation>,
 }
 
 impl BrowserProfile {
@@ -51,6 +58,8 @@ impl BrowserProfile {
             amazon_login: amazon_account.map(str::to_string),
             jar: BTreeMap::new(),
             view_cache: None,
+            bid_scratch: Vec::new(),
+            sync_scratch: Vec::new(),
         }
     }
 
@@ -58,8 +67,8 @@ impl BrowserProfile {
     /// deterministic function of (persona, org) — stable across visits,
     /// distinct across personas, exactly what sync detection relies on.
     pub fn cookie(&mut self, org: &str) -> Cookie {
-        if let Some(c) = self.jar.get(org) {
-            return c.clone();
+        if let Some(&c) = self.jar.get(org) {
+            return c;
         }
         let mut h: u64 = 0xcbf29ce484222325;
         for b in self
@@ -72,10 +81,10 @@ impl BrowserProfile {
             h = h.wrapping_mul(0x100000001b3);
         }
         let c = Cookie {
-            org: Arc::from(org),
-            value: format!("uid-{h:016x}").into(),
+            org: crate::label::intern(org),
+            value: crate::label::intern(&format!("uid-{h:016x}")),
         };
-        self.jar.insert(c.org.clone(), c.clone());
+        self.jar.insert(c.org, c);
         c
     }
 

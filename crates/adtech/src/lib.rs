@@ -19,6 +19,8 @@
 //!   requests bids, records creatives and captures sync redirects;
 //! * [`adserver`] — display-creative inventory, including the specific
 //!   personalized ads the paper observed (Table 8);
+//! * [`label`] — the process-wide interner behind every crawl label (slot
+//!   ids, orgs, cookie values), so records copy pointers, not strings;
 //! * [`audio`] — streaming sessions on Amazon Music / Spotify / Pandora with
 //!   inserted audio ads, a noisy transcriber, and ad extraction (§5.4).
 //!
@@ -34,6 +36,7 @@ pub mod audio;
 pub mod bidding;
 pub mod crawler;
 pub mod identity;
+pub mod label;
 pub mod prebid;
 pub mod sync;
 pub mod website;

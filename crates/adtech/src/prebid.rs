@@ -12,8 +12,6 @@ use crate::bidding::{Auction, Bid, UserState, UserView};
 use crate::website::Website;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// The prebid version string our simulated publishers deploy.
 pub const PREBID_VERSION: &str = "v7.27.0";
@@ -23,20 +21,28 @@ pub const PREBID_VERSION: &str = "v7.27.0";
 pub struct PrebidPage<'a> {
     site: &'a Website,
     auction: &'a Auction,
-    /// Bids already gathered on the page (empty until an auction runs).
-    responses: BTreeMap<Arc<str>, Vec<Bid>>,
+    /// Bids gathered on the page, flat in ad-unit order (empty until an
+    /// auction runs). The buffer belongs to the caller, so a crawler reuses
+    /// one allocation across every page it visits.
+    responses: &'a mut Vec<Bid>,
 }
 
 /// Probe a site for prebid support — the `pbjs.version` injection.
 ///
 /// Returns `None` when the site does not run prebid (the injected call
-/// would find no `pbjs` object).
-pub fn probe<'a>(site: &'a Website, auction: &'a Auction) -> Option<PrebidPage<'a>> {
+/// would find no `pbjs` object). Otherwise the page collects its bids into
+/// `responses`, which is cleared first.
+pub fn probe<'a>(
+    site: &'a Website,
+    auction: &'a Auction,
+    responses: &'a mut Vec<Bid>,
+) -> Option<PrebidPage<'a>> {
     if site.prebid {
+        responses.clear();
         Some(PrebidPage {
             site,
             auction,
-            responses: BTreeMap::new(),
+            responses,
         })
     } else {
         None
@@ -50,17 +56,18 @@ impl<'a> PrebidPage<'a> {
     }
 
     /// `pbjs.adUnits`: the slot ids configured on the page.
-    pub fn ad_units(&self) -> Vec<&str> {
-        self.site.slots.iter().map(|s| &*s.id).collect()
+    pub fn ad_units(&self) -> Vec<&'static str> {
+        self.site.slots.iter().map(|s| s.id).collect()
     }
 
-    /// `pbjs.getBidResponses`: bids gathered so far, per ad unit.
-    pub fn get_bid_responses(&self) -> &BTreeMap<Arc<str>, Vec<Bid>> {
-        &self.responses
+    /// `pbjs.getBidResponses`: bids gathered so far, grouped by ad unit in
+    /// the page's ad-unit order (slot ids ascend within a site).
+    pub fn get_bid_responses(&self) -> &[Bid] {
+        self.responses
     }
 
     /// `pbjs.requestBids`: run the header-bidding auction for every ad unit
-    /// that loads, filling the response map. Returns the total number of
+    /// that loads, appending to the responses. Returns the total number of
     /// bids received. `loaded` decides per-slot whether the unit rendered
     /// (the paper's analyses must handle slots that failed to load).
     pub fn request_bids<F>(
@@ -92,29 +99,34 @@ impl<'a> PrebidPage<'a> {
         F: FnMut(&str) -> bool,
     {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x70626a73);
-        let mut total = 0;
+        let before = self.responses.len();
         for slot in &self.site.slots {
-            if !loaded(&slot.id) {
-                continue;
+            if loaded(slot.id) {
+                self.auction.request_bids_into(
+                    slot,
+                    view,
+                    user,
+                    iteration,
+                    &mut rng,
+                    self.responses,
+                );
             }
-            let bids = self
-                .auction
-                .request_bids_with_view(slot, view, user, iteration, &mut rng);
-            total += bids.len();
-            self.responses
-                .entry(slot.id.clone())
-                .or_default()
-                .extend(bids);
         }
-        total
+        self.responses.len() - before
     }
 
     /// `pbjs.getHighestCpmBids`: per ad unit, the winning bid so far.
     pub fn highest_cpm_bids(&self) -> Vec<&Bid> {
         self.responses
-            .values()
-            .filter_map(|bids| bids.iter().max_by(|a, b| a.cpm.total_cmp(&b.cpm)))
+            .chunk_by(|a, b| a.slot_id == b.slot_id)
+            .filter_map(|unit| unit.iter().max_by(|a, b| a.cpm.total_cmp(&b.cpm)))
             .collect()
+    }
+
+    /// Move the gathered bids out into an exactly sized vector, leaving the
+    /// caller's buffer empty (its capacity stays for the next page).
+    pub fn take_bids(self) -> Vec<Bid> {
+        crate::crawler::drain_exact(self.responses)
     }
 }
 
@@ -141,14 +153,15 @@ mod tests {
         let (auction, web) = setup();
         let with = web.all().iter().find(|w| w.prebid).unwrap();
         let without = web.all().iter().find(|w| !w.prebid).unwrap();
-        assert!(probe(with, &auction).is_some());
-        assert!(probe(without, &auction).is_none());
+        assert!(probe(with, &auction, &mut Vec::new()).is_some());
+        assert!(probe(without, &auction, &mut Vec::new()).is_none());
     }
 
     #[test]
     fn version_is_non_null_like_the_papers_check() {
         let (auction, web) = setup();
-        let page = probe(web.prebid_sites(1)[0], &auction).unwrap();
+        let mut buf = Vec::new();
+        let page = probe(web.prebid_sites(1)[0], &auction, &mut buf).unwrap();
         assert!(!page.version().is_empty());
         assert!(page.version().starts_with('v'));
     }
@@ -157,22 +170,32 @@ mod tests {
     fn request_bids_fills_responses() {
         let (auction, web) = setup();
         let site = web.prebid_sites(1)[0];
-        let mut page = probe(site, &auction).unwrap();
+        let mut buf = Vec::new();
+        let mut page = probe(site, &auction, &mut buf).unwrap();
         assert!(page.get_bid_responses().is_empty());
         let n = page.request_bids(&UserState::blank("t"), 10, 42, |_| true);
         assert!(n > 0);
+        assert_eq!(page.get_bid_responses().len(), n);
+        let units: Vec<&str> = page
+            .get_bid_responses()
+            .chunk_by(|a, b| a.slot_id == b.slot_id)
+            .map(|unit| unit[0].slot_id)
+            .collect();
         assert_eq!(
-            page.get_bid_responses().len(),
-            site.slots.len(),
+            units,
+            page.ad_units(),
             "every loaded unit collects responses"
         );
+        assert_eq!(page.take_bids().len(), n);
+        assert!(buf.is_empty(), "taking the bids drains the buffer");
     }
 
     #[test]
     fn failed_units_collect_nothing() {
         let (auction, web) = setup();
         let site = web.prebid_sites(1)[0];
-        let mut page = probe(site, &auction).unwrap();
+        let mut buf = Vec::new();
+        let mut page = probe(site, &auction, &mut buf).unwrap();
         let n = page.request_bids(&UserState::blank("t"), 10, 42, |_| false);
         assert_eq!(n, 0);
         assert!(page.get_bid_responses().is_empty());
@@ -182,11 +205,17 @@ mod tests {
     fn highest_cpm_bids_are_maxima() {
         let (auction, web) = setup();
         let site = web.prebid_sites(1)[0];
-        let mut page = probe(site, &auction).unwrap();
+        let mut buf = Vec::new();
+        let mut page = probe(site, &auction, &mut buf).unwrap();
         page.request_bids(&UserState::blank("t"), 10, 42, |_| true);
-        for winner in page.highest_cpm_bids() {
-            let unit = &page.get_bid_responses()[&winner.slot_id];
-            assert!(unit.iter().all(|b| b.cpm <= winner.cpm));
+        let winners = page.highest_cpm_bids();
+        assert_eq!(winners.len(), site.slots.len());
+        for winner in winners {
+            assert!(page
+                .get_bid_responses()
+                .iter()
+                .filter(|b| b.slot_id == winner.slot_id)
+                .all(|b| b.cpm <= winner.cpm));
         }
     }
 
@@ -194,7 +223,8 @@ mod tests {
     fn ad_units_match_site_slots() {
         let (auction, web) = setup();
         let site = web.prebid_sites(1)[0];
-        let page = probe(site, &auction).unwrap();
+        let mut buf = Vec::new();
+        let page = probe(site, &auction, &mut buf).unwrap();
         assert_eq!(page.ad_units().len(), site.slots.len());
     }
 }

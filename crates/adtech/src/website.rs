@@ -6,9 +6,15 @@
 //! ~35% prebid adoption and 2–5 ad slots per prebid site.
 
 use crate::bidding::AdSlot;
+use crate::label;
 use alexa_net::Domain;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Most header-bidding slots a prebid site carries (one digit, so slot ids
+/// ascend with their position).
+pub const MAX_SLOTS: usize = 5;
+const _: () = assert!(MAX_SLOTS <= 10);
 
 /// One publisher site.
 #[derive(Debug, Clone)]
@@ -19,7 +25,8 @@ pub struct Website {
     pub rank: usize,
     /// Whether the site runs `prebid.js` (probed via `pbjs.version`).
     pub prebid: bool,
-    /// Header-bidding ad slots (empty on non-prebid sites).
+    /// Header-bidding ad slots (empty on non-prebid sites), in ascending
+    /// slot-id order.
     pub slots: Vec<AdSlot>,
 }
 
@@ -37,9 +44,19 @@ impl WebEcosystem {
         for rank in 1..=n_sites {
             let name = format!("site{rank:04}.example.com");
             let domain = Domain::parse(&name).unwrap_or_else(|_| Domain::invalid_sentinel());
+            // Every possible slot id of every rank is interned, prebid site
+            // or not, so the label vocabulary depends on `n_sites` alone and
+            // never on the seed. One buffer serves all five ids: only the
+            // position digit changes.
+            let mut id = format!("{name}#slot0");
+            let slot_ids: [&'static str; MAX_SLOTS] = std::array::from_fn(|i| {
+                id.pop();
+                id.push(char::from(b'0' + i as u8));
+                label::intern(&id)
+            });
             let prebid = rng.gen_bool(0.35);
             let slots = if prebid {
-                let n_slots = rng.gen_range(2..=5);
+                let n_slots = rng.gen_range(2..=MAX_SLOTS);
                 (0..n_slots)
                     .map(|i| {
                         // Slot quality: log-normal around 1 with σ ≈ 0.9 so
@@ -50,7 +67,7 @@ impl WebEcosystem {
                         let u2: f64 = rng.gen_range(0.0..1.0);
                         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
                         AdSlot {
-                            id: format!("{name}#slot{i}").into(),
+                            id: slot_ids[i],
                             site: name.clone(),
                             quality: (0.9 * z).exp(),
                         }
@@ -129,12 +146,28 @@ mod tests {
         let mut ids: Vec<&str> = web
             .all()
             .iter()
-            .flat_map(|w| w.slots.iter().map(|s| &*s.id))
+            .flat_map(|w| w.slots.iter().map(|s| s.id))
             .collect();
         let before = ids.len();
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), before);
+    }
+
+    #[test]
+    fn slot_ids_ascend_within_every_prebid_site() {
+        // The crawler records a page's bids in ad-unit order; the recorded
+        // (and digested) bid order is slot-id order only if ids ascend.
+        for seed in [1, 7, 1234] {
+            let web = WebEcosystem::generate(seed, 700);
+            for w in web.all().iter().filter(|w| w.prebid) {
+                assert!(
+                    w.slots.windows(2).all(|p| p[0].id < p[1].id),
+                    "{}: slot ids out of order",
+                    w.domain.as_str()
+                );
+            }
+        }
     }
 
     #[test]

@@ -409,7 +409,7 @@ mod tests {
                 .visits_in(p, window.clone())
                 .iter()
                 .flat_map(|v| v.bids.iter())
-                .filter(|b| in_mask.contains(&*b.slot_id))
+                .filter(|b| in_mask.contains(b.slot_id))
                 .map(|b| b.cpm)
                 .collect();
             // Bit-exact (order included): the bootstrap resamples by index.

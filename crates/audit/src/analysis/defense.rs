@@ -38,7 +38,7 @@ pub struct Measurement {
 
 /// Measure a run as if `lens` had been active at its tap (`None`: as
 /// observed). Exact, because every defense is a pure per-packet transform at
-/// the tap (`experiment::apply_defense`) that nothing upstream reads: the
+/// the tap (`experiment::Defense`) that nothing upstream reads: the
 /// firewall becomes one [`Firewall`] verdict per distinct host, text-only a
 /// voice → text remap. Oracle tests hold this equal to measuring a
 /// genuinely re-executed defended run.
@@ -288,7 +288,7 @@ mod tests {
             let router = defended.router_captures.values_mut().flatten();
             for cap in router.chain(&mut defended.avs_captures) {
                 cap.packets =
-                    crate::experiment::apply_defense(mode, std::mem::take(&mut cap.packets));
+                    crate::experiment::Defense::new(mode).apply(std::mem::take(&mut cap.packets));
             }
             let executed = measure(&AnalysisIndex::build(&defended), DefenseMode::None);
             let lensed = measure(&AnalysisIndex::build(&obs), mode);

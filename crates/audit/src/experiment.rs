@@ -200,37 +200,51 @@ impl AuditConfig {
     }
 }
 
-/// Apply the configured defense to a device's outgoing packet batch.
+/// The configured defense, built once per shard and applied to each of its
+/// outgoing packet batches.
 ///
 /// * `Firewall`: drop packets to advertising & tracking endpoints at the
-///   router (they never reach the network, so they never reach a tap).
+///   router (they never reach the network, so they never reach a tap). The
+///   verdict depends on the endpoint alone, so one firewall serves every
+///   batch.
 /// * `TextOnly`: replace every voice-recording record with the locally
 ///   transcribed text command — the content needed for functionality, minus
 ///   the acoustic channel (mood, health, accent, …) the paper warns about.
-pub(crate) fn apply_defense(
-    defense: DefenseMode,
-    packets: Vec<alexa_net::Packet>,
-) -> Vec<alexa_net::Packet> {
-    use alexa_net::{DataType, Firewall, Payload, Record};
-    match defense {
-        DefenseMode::None => packets,
-        DefenseMode::Firewall => {
-            let mut fw = Firewall::new();
-            fw.filter_batch(packets)
+pub(crate) enum Defense {
+    None,
+    Firewall(alexa_net::Firewall),
+    TextOnly,
+}
+
+impl Defense {
+    pub(crate) fn new(mode: DefenseMode) -> Defense {
+        match mode {
+            DefenseMode::None => Defense::None,
+            DefenseMode::Firewall => Defense::Firewall(alexa_net::Firewall::new()),
+            DefenseMode::TextOnly => Defense::TextOnly,
         }
-        DefenseMode::TextOnly => packets
-            .into_iter()
-            .map(|mut p| {
-                if let Payload::Plain(records) = &mut p.payload {
-                    for r in records.iter_mut() {
-                        if r.data_type == DataType::VoiceRecording {
-                            *r = Record::new(DataType::TextCommand, r.value.clone());
+    }
+
+    /// Apply the defense to one outgoing packet batch.
+    pub(crate) fn apply(&mut self, packets: Vec<alexa_net::Packet>) -> Vec<alexa_net::Packet> {
+        use alexa_net::{DataType, Payload, Record};
+        match self {
+            Defense::None => packets,
+            Defense::Firewall(fw) => fw.filter_batch(packets),
+            Defense::TextOnly => packets
+                .into_iter()
+                .map(|mut p| {
+                    if let Payload::Plain(records) = &mut p.payload {
+                        for r in records.iter_mut() {
+                            if r.data_type == DataType::VoiceRecording {
+                                *r = Record::new(DataType::TextCommand, r.value.clone());
+                            }
                         }
                     }
-                }
-                p
-            })
-            .collect(),
+                    p
+                })
+                .collect(),
+        }
     }
 }
 
@@ -395,6 +409,7 @@ pub(crate) fn run_persona_shard(
     // persona reads another's account, so giving each shard its own cloud
     // preserves every observable relationship while removing all sharing.
     let mut cloud = AlexaCloud::new();
+    let mut defense = Defense::new(config.defense);
     let echo_index = Persona::echo_personas()
         .into_iter()
         .position(|p| p == persona);
@@ -431,7 +446,7 @@ pub(crate) fn run_persona_shard(
                     Ok(packets) => {
                         out.installs.observed += 1;
                         l.work(packets.len() as u64);
-                        tap.observe_batch(apply_defense(config.defense, packets));
+                        tap.observe_batch(defense.apply(packets));
                     }
                     Err(_) => out.failed_installs.push(skill.id.0.clone()),
                 }
@@ -499,7 +514,7 @@ pub(crate) fn run_persona_shard(
                         Ok(packets) => {
                             out.interactions.observed += 1;
                             l.work(packets.len() as u64);
-                            tap.observe_batch(apply_defense(config.defense, packets));
+                            tap.observe_batch(defense.apply(packets));
                         }
                         // Injected outage survived retry: the utterance is lost.
                         Err(e) if e.is_transient() => {}
@@ -707,6 +722,7 @@ pub(crate) fn run_avs_shard(
     );
     avs.set_fault_plane(plane.clone());
     let mut tap = AvsTap::with_faults(plane.clone());
+    let mut defense = Defense::new(config.defense);
     let rpolicy = RetryPolicy::standard();
     let mut budget = RetryBudget::new(plane.profile().retry_budget());
     let mut ledger = FaultLedger::new();
@@ -729,7 +745,7 @@ pub(crate) fn run_avs_shard(
             if let Ok(install_packets) = attempt.result {
                 skills_cov.observed += 1;
                 l.work(install_packets.len() as u64);
-                tap.observe_batch(apply_defense(config.defense, install_packets));
+                tap.observe_batch(defense.apply(install_packets));
                 for utterance in scraped_script(skill)
                     .iter()
                     .take(config.utterances_per_skill)
@@ -747,12 +763,12 @@ pub(crate) fn run_avs_shard(
                     absorb_outcome(&mut ledger, FaultChannel::InteractionFailure, &attempt);
                     if let Ok(packets) = attempt.result {
                         l.work(1 + packets.len() as u64);
-                        tap.observe_batch(apply_defense(config.defense, packets));
+                        tap.observe_batch(defense.apply(packets));
                     }
                 }
                 let uninstall = avs.uninstall(&mut cloud, skill);
                 l.work(uninstall.len() as u64);
-                tap.observe_batch(apply_defense(config.defense, uninstall));
+                tap.observe_batch(defense.apply(uninstall));
             }
             tap.stop();
         }
@@ -1223,7 +1239,7 @@ mod tests {
         let bids = |o: &Observations| {
             o.crawl["Fashion & Style"]
                 .iter()
-                .flat_map(|v| v.bids.iter().map(|b| (b.slot_id.clone(), b.cpm)))
+                .flat_map(|v| v.bids.iter().map(|b| (b.slot_id, b.cpm)))
                 .collect::<Vec<_>>()
         };
         assert_eq!(bids(&a), bids(&b));

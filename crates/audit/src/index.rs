@@ -32,22 +32,23 @@ use alexa_policy::FlowExtractor;
 // analyzer:allow(AD03) -- Hash collections here back address-keyed memo maps that are only probed, never iterated; nothing ordered is derived from them
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::Range;
-use std::sync::Arc;
 
-/// Identity key of a shared label: the `Arc` allocation address.
+/// Identity key of a crawl label: its address and length.
 ///
-/// The crawl's org, bidder and slot labels are `Arc<str>`s cloned from a
-/// small fixed set, so memoizing a per-string computation by allocation
-/// address replaces hundreds of thousands of string-keyed tree lookups
-/// with hash hits. Distinct allocations holding equal text merely recompute
-/// the same value, so results stay a pure function of the string content.
+/// The crawl's org, bidder and slot labels are interned
+/// (`alexa_adtech::label`), so equal text shares one address and memoizing
+/// a per-label computation by address computes it exactly once per distinct
+/// label, replacing hundreds of thousands of string-keyed tree lookups with
+/// hash hits. A label that bypassed the interner (a hand-built record)
+/// merely recomputes the same value, so results stay a pure function of the
+/// text.
 #[inline]
-fn arc_key(s: &Arc<str>) -> usize {
-    Arc::as_ptr(s) as *const u8 as usize
+fn label_key(s: &str) -> (usize, usize) {
+    (s.as_ptr() as usize, s.len())
 }
 
-/// Fibonacci-multiply hasher for the `usize` allocation-address keys above —
-/// the default SipHash costs more than the lookups it replaces.
+/// Fibonacci-multiply hasher for the address keys above — the default
+/// SipHash costs more than the lookups it replaces.
 #[derive(Default)]
 struct AddrHasher(u64);
 
@@ -61,14 +62,14 @@ impl std::hash::Hasher for AddrHasher {
         }
     }
     fn write_usize(&mut self, n: usize) {
-        self.0 = (n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = (self.0.rotate_left(29) ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     }
 }
 
-// analyzer:allow(AD03) -- lookup-only memo keyed by Arc pointer address; iteration order never reaches an output
-type AddrMap<V> = HashMap<usize, V, std::hash::BuildHasherDefault<AddrHasher>>;
-// analyzer:allow(AD03) -- lookup-only dedup set keyed by Arc pointer address; never iterated
-type AddrSet = HashSet<usize, std::hash::BuildHasherDefault<AddrHasher>>;
+// analyzer:allow(AD03) -- lookup-only memo keyed by label address; iteration order never reaches an output
+type AddrMap<V> = HashMap<(usize, usize), V, std::hash::BuildHasherDefault<AddrHasher>>;
+// analyzer:allow(AD03) -- lookup-only dedup set keyed by label address; never iterated
+type AddrSet = HashSet<(usize, usize), std::hash::BuildHasherDefault<AddrHasher>>;
 
 /// An interned label: index into the run's [`Interner`].
 pub type Sym = u32;
@@ -318,15 +319,15 @@ impl<'a> AnalysisIndex<'a> {
             for v in visits {
                 for s in &v.syncs {
                     if *is_amazon
-                        .entry(arc_key(&s.from_org))
-                        .or_insert_with(|| &*s.from_org == AMAZON_AD_ENDPOINT)
+                        .entry(label_key(s.from_org))
+                        .or_insert_with(|| s.from_org == AMAZON_AD_ENDPOINT)
                     {
                         amazon_out = true;
                     }
                     if *is_amazon
-                        .entry(arc_key(&s.to_org))
-                        .or_insert_with(|| &*s.to_org == AMAZON_AD_ENDPOINT)
-                        && partner_seen.insert(arc_key(&s.from_org))
+                        .entry(label_key(s.to_org))
+                        .or_insert_with(|| s.to_org == AMAZON_AD_ENDPOINT)
+                        && partner_seen.insert(label_key(s.from_org))
                     {
                         partners.insert(s.from_org.to_string());
                     }
@@ -340,12 +341,12 @@ impl<'a> AnalysisIndex<'a> {
             for v in visits {
                 for s in &v.syncs {
                     if *is_partner
-                        .entry(arc_key(&s.from_org))
-                        .or_insert_with(|| partners.contains(&*s.from_org))
+                        .entry(label_key(s.from_org))
+                        .or_insert_with(|| partners.contains(s.from_org))
                         && !*is_amazon
-                            .entry(arc_key(&s.to_org))
-                            .or_insert_with(|| &*s.to_org == AMAZON_AD_ENDPOINT)
-                        && down_seen.insert(arc_key(&s.to_org))
+                            .entry(label_key(s.to_org))
+                            .or_insert_with(|| s.to_org == AMAZON_AD_ENDPOINT)
+                        && down_seen.insert(label_key(s.to_org))
                     {
                         downstream.insert(s.to_org.to_string());
                     }
@@ -364,8 +365,8 @@ impl<'a> AnalysisIndex<'a> {
         for visits in obs.crawl.values() {
             for v in visits {
                 for b in &v.bids {
-                    if slot_ptr_seen.insert(arc_key(&b.slot_id)) {
-                        slot_set.insert(&*b.slot_id);
+                    if slot_ptr_seen.insert(label_key(b.slot_id)) {
+                        slot_set.insert(b.slot_id);
                     }
                 }
             }
@@ -387,11 +388,11 @@ impl<'a> AnalysisIndex<'a> {
                     bids.push(BidRow {
                         iteration: v.iteration as u32,
                         slot: *slot_of
-                            .entry(arc_key(&b.slot_id))
-                            .or_insert_with(|| slot_ids[&*b.slot_id]),
+                            .entry(label_key(b.slot_id))
+                            .or_insert_with(|| slot_ids[b.slot_id]),
                         partner: *bidder_partner
-                            .entry(arc_key(&b.bidder))
-                            .or_insert_with(|| sync.amazon_partners.contains(&*b.bidder)),
+                            .entry(label_key(b.bidder))
+                            .or_insert_with(|| sync.amazon_partners.contains(b.bidder)),
                         cpm: b.cpm,
                     });
                 }
@@ -484,17 +485,29 @@ impl<'a> AnalysisIndex<'a> {
     /// Slot mask (indexed like [`AnalysisIndex::slots`]) of the slots that
     /// returned at least one bid for *every* given persona within the
     /// iteration window — the paper's common-slot control.
+    ///
+    /// Masks are memoized. A miss computes and stores its mask with the
+    /// allocation meter paused, so every call charges the caller's window
+    /// exactly one mask clone, whichever render shard happens to miss first.
     pub fn common_slots(&self, personas: &[Persona], window: &Range<usize>) -> Vec<bool> {
-        let n = self.slots.len();
         if personas.is_empty() {
-            return vec![false; n];
+            return vec![false; self.slots.len()];
         }
-        {
-            let memo = self.slot_masks.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some((_, _, mask)) = memo.iter().find(|(p, w, _)| w == window && p == personas) {
-                return mask.clone();
-            }
-        }
+        let mut memo = self.slot_masks.lock().unwrap_or_else(|p| p.into_inner());
+        let hit = memo
+            .iter()
+            .position(|(p, w, _)| w == window && p == personas);
+        let at = hit.unwrap_or_else(|| {
+            let _unmetered = alexa_obs::alloc::pause();
+            let mask = self.compute_common_slots(personas, window);
+            memo.push((personas.to_vec(), window.clone(), mask));
+            memo.len() - 1
+        });
+        memo[at].2.clone()
+    }
+
+    fn compute_common_slots(&self, personas: &[Persona], window: &Range<usize>) -> Vec<bool> {
+        let n = self.slots.len();
         let mut common = vec![true; n];
         let mut seen = vec![false; n];
         for p in personas {
@@ -511,10 +524,6 @@ impl<'a> AnalysisIndex<'a> {
                 .zip(&seen)
                 .for_each(|(c, s)| *c = *c && *s);
         }
-        self.slot_masks
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push((personas.to_vec(), window.clone(), common.clone()));
         common
     }
 
@@ -573,6 +582,36 @@ mod tests {
         assert_eq!(i.resolve(b), "beta");
         assert_eq!(i.len(), 2);
         assert!(!i.is_empty());
+    }
+
+    #[test]
+    fn slot_mask_miss_and_hit_charge_the_same_bytes() {
+        use alexa_adtech::{Bid, VisitRecord};
+        let bid = |slot_id| Bid {
+            bidder: "b.example",
+            slot_id,
+            cpm: 1.0,
+        };
+        let mut obs = Observations::default();
+        obs.crawl.insert(
+            Persona::Vanilla.name(),
+            vec![VisitRecord {
+                iteration: 1,
+                bids: vec![bid("s#slot0"), bid("s#slot1")],
+                ..VisitRecord::default()
+            }],
+        );
+        let ix = AnalysisIndex::build(&obs);
+        let charged = || {
+            let before = alexa_obs::alloc::snapshot();
+            let mask = ix.common_slots(&[Persona::Vanilla], &(0..5));
+            let after = alexa_obs::alloc::snapshot();
+            (mask, after.count - before.count, after.bytes - before.bytes)
+        };
+        let miss = charged();
+        let hit = charged();
+        assert_eq!(miss.0, vec![true, true]);
+        assert_eq!(miss, hit, "a memo miss must charge exactly what a hit does");
     }
 
     #[test]

@@ -12,13 +12,12 @@
 //! [`crate::experiment`] and the worker loop in [`crate::worker`].
 
 use crate::experiment::{AuditConfig, AvsShard, DefenseMode, PersonaShard, ShardAlloc};
-use alexa_adtech::{Bid, Creative, StreamingService, SyncObservation, VisitRecord};
+use alexa_adtech::{label, Bid, Creative, StreamingService, SyncObservation, VisitRecord};
 use alexa_fault::{FaultChannel, FaultLedger, FaultProfile};
 use alexa_net::{Capture, DataType, Direction, Domain, Packet, Payload, Record};
 use alexa_obs::Json;
 use alexa_platform::{DsarExport, DsarPhase, Interest};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Render an `f64` as its exact bit pattern.
 fn f64_hex(v: f64) -> Json {
@@ -345,13 +344,14 @@ fn visit_to_json(v: &VisitRecord) -> Json {
 }
 
 fn visit_from_json(j: &Json) -> Option<VisitRecord> {
-    let arc =
-        |k: &str, o: &Json| -> Option<Arc<str>> { o.get(k).and_then(Json::as_str).map(Arc::from) };
+    // Decoded labels rejoin the process-wide interner, so a record that
+    // crossed the wire shares addresses with one crawled in-process.
+    let intern = |k: &str, o: &Json| o.get(k).and_then(Json::as_str).map(label::intern);
     let mut bids = Vec::new();
     for b in j.get("bids")?.as_arr()? {
         bids.push(Bid {
-            bidder: arc("bidder", b)?,
-            slot_id: arc("slot", b)?,
+            bidder: intern("bidder", b)?,
+            slot_id: intern("slot", b)?,
             cpm: f64_from_hex(b.get("cpm")?)?,
         });
     }
@@ -365,9 +365,9 @@ fn visit_from_json(j: &Json) -> Option<VisitRecord> {
     let mut syncs = Vec::new();
     for s in j.get("syncs")?.as_arr()? {
         syncs.push(SyncObservation {
-            from_org: arc("from", s)?,
-            to_org: arc("to", s)?,
-            user_id: arc("user", s)?,
+            from_org: intern("from", s)?,
+            to_org: intern("to", s)?,
+            user_id: intern("user", s)?,
         });
     }
     Some(VisitRecord {
@@ -618,8 +618,8 @@ mod tests {
                 site: "news.example".into(),
                 iteration: 5,
                 bids: vec![Bid {
-                    bidder: Arc::from("adx.example"),
-                    slot_id: Arc::from("news.example#3"),
+                    bidder: label::intern("adx.example"),
+                    slot_id: label::intern("news.example#3"),
                     cpm: 0.123_456_789_012_345_67,
                 }],
                 creatives: vec![Creative {
@@ -627,9 +627,9 @@ mod tests {
                     product: "Dyson vacuum cleaner".into(),
                 }],
                 syncs: vec![SyncObservation {
-                    from_org: Arc::from("a.example"),
-                    to_org: Arc::from("b.example"),
-                    user_id: Arc::from("uid-9"),
+                    from_org: label::intern("a.example"),
+                    to_org: label::intern("b.example"),
+                    user_id: label::intern("uid-9"),
                 }],
             }],
             audio: vec![(StreamingService::Pandora, vec!["ad script".into()])],
@@ -660,6 +660,45 @@ mod tests {
         assert_eq!(a.bids[0].cpm.to_bits(), b.bids[0].cpm.to_bits());
         // Debug-render equality is what the digest actually hashes.
         assert_eq!(format!("{:?}", a.bids), format!("{:?}", b.bids));
+    }
+
+    #[test]
+    fn crawled_visit_round_trips_to_the_same_interned_labels() {
+        use alexa_adtech::bidding::{standard_roster, SeasonModel, UserState};
+        use alexa_adtech::{Auction, BrowserProfile, Crawler, SyncGraph, WebEcosystem};
+        let graph = SyncGraph::generate(3);
+        let auction = Auction {
+            bidders: standard_roster(graph.partners()),
+            season: SeasonModel::default(),
+        };
+        let crawler = Crawler::new(auction, graph);
+        let web = WebEcosystem::generate(3, 120);
+        let mut profile = BrowserProfile::fresh("t", 1, None);
+        let user = UserState::blank("t");
+        let visits: Vec<VisitRecord> = web
+            .prebid_sites(6)
+            .into_iter()
+            .map(|site| crawler.visit(site, &mut profile, &user, 2, 3))
+            .collect();
+        assert!(visits
+            .iter()
+            .any(|v| !v.bids.is_empty() && !v.syncs.is_empty()));
+        let same = |a: &str, b: &str| std::ptr::eq(a, b);
+        for v in &visits {
+            let rendered = visit_to_json(v).render();
+            let back = visit_from_json(&Json::parse(&rendered).unwrap()).unwrap();
+            // Byte-identical where the digest looks, pointer-identical where
+            // the index memo looks.
+            assert_eq!(format!("{back:?}"), format!("{v:?}"));
+            for (a, b) in back.bids.iter().zip(&v.bids) {
+                assert!(same(a.bidder, b.bidder) && same(a.slot_id, b.slot_id));
+                assert_eq!(a.cpm.to_bits(), b.cpm.to_bits());
+            }
+            for (a, b) in back.syncs.iter().zip(&v.syncs) {
+                assert!(same(a.from_org, b.from_org) && same(a.to_org, b.to_org));
+                assert!(same(a.user_id, b.user_id));
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn bench_auction(c: &mut Criterion) {
         season: SeasonModel::default(),
     };
     let slot = AdSlot {
-        id: "bench#1".into(),
+        id: "bench#1",
         site: "bench".into(),
         quality: 1.0,
     };

@@ -82,11 +82,14 @@ impl fmt::Display for GateError {
     }
 }
 
-/// Stages gated individually: a wall-clock regression beyond the threshold
-/// in any of these fails the gate even when `total_ms` stays within bounds.
-/// `render.all` is the stage the shared-index/streaming-render work exists
-/// to keep down — a perf PR must not quietly give it back.
-pub const GATED_STAGES: &[&str] = &["render.all"];
+/// Stages gated individually: a wall-clock regression beyond the threshold,
+/// or an allocation regression beyond the alloc threshold, in any of these
+/// fails the gate even when `total_ms` stays within bounds. `render.all` is
+/// the stage the shared-index/streaming-render work exists to keep down;
+/// `persona.shards` holds the lean crawl records (interned labels,
+/// exactly sized bid and sync vectors). A perf PR must not quietly give
+/// either back.
+pub const GATED_STAGES: &[&str] = &["render.all", "persona.shards"];
 
 /// The gate's verdict plus its full comparison log.
 #[derive(Debug, Clone, Default, PartialEq)]

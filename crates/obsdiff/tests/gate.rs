@@ -179,18 +179,15 @@ fn gated_stage_regression_fails_even_when_total_is_fine() {
     assert!(report
         .render_human()
         .contains("render.all: 100 ms -> 300 ms REGRESSION"));
-    // Non-gated stages may swing freely: shrink render.all, triple another.
+    // Non-gated stages may swing freely: keep the gated ones, triple another.
+    let base2 = entry(7, "1", 1000, "\"render.all\": 100, \"avs.pass\": 900");
+    let baseline2 = bench_file("stage-base2", &base2);
     let cand2 = format!(
-        "{base}{}",
-        entry(
-            7,
-            "1",
-            1000,
-            "\"render.all\": 100, \"persona.shards\": 2700"
-        )
+        "{base2}{}",
+        entry(7, "1", 1000, "\"render.all\": 100, \"avs.pass\": 2700")
     );
     let candidate2 = bench_file("stage-cand2", &cand2);
-    assert!(run_gate(&baseline, &candidate2, 0.25, 0.10)
+    assert!(run_gate(&baseline2, &candidate2, 0.25, 0.10)
         .expect("gate runs")
         .passed());
 }
@@ -313,6 +310,32 @@ fn alloc_regression_on_gated_stage_fails() {
     assert!(run_gate(&baseline, &candidate, 0.25, 0.30)
         .expect("gate runs")
         .passed());
+}
+
+#[test]
+fn persona_shards_alloc_regression_fails() {
+    // The crawl's lean records are held by the alloc gate: a synthetic +20%
+    // persona.shards allocation fails at the 10% threshold on its own.
+    let alloc_entry = |persona_alloc: u64| {
+        format!(
+            "{{\"seed\": 7, \"jobs\": 8, \"total_ms\": 150, \
+             \"stages\": {{\"persona.shards\": 60, \"render.all\": 40}}, \
+             \"stage_alloc\": {{\"persona.shards\": {persona_alloc}, \"render.all\": 30000000}}}}\n"
+        )
+    };
+    let base = alloc_entry(21_000_000);
+    let cand = format!("{base}{}", alloc_entry(25_200_000));
+    let baseline = bench_file("persona-alloc-base", &base);
+    let candidate = bench_file("persona-alloc-cand", &cand);
+    let report = run_gate(&baseline, &candidate, 0.25, 0.10).expect("gate runs");
+    assert!(!report.passed());
+    assert_eq!(
+        report.failures,
+        vec!["seed=7 jobs=8 (stage persona.shards alloc +20.0%)".to_string()]
+    );
+    assert!(report
+        .render_human()
+        .contains("persona.shards: 21000000 B -> 25200000 B allocated REGRESSION"));
 }
 
 #[test]
