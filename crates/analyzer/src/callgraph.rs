@@ -436,7 +436,7 @@ mod tests {
             crate_name: crate_name.to_string(),
             is_bin: false,
         };
-        summarize(&ctx, &lex(src), 0, &BTreeSet::new(), Vec::new())
+        summarize(&ctx, &lex(src), &BTreeSet::new(), Vec::new())
     }
 
     fn config(entry: &str) -> Config {

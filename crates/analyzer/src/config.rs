@@ -82,9 +82,6 @@ pub struct Config {
     /// Crates exempt from the panic-safety lints (dev-tool shims whose API
     /// *is* panicking, e.g. the proptest substitute).
     pub panic_exempt: BTreeSet<String>,
-    /// Path prefixes on which AD05 (allocation in a loop) applies — the
-    /// hot analysis paths that must stream from the shared index.
-    pub alloc_paths: BTreeSet<String>,
     /// Committed-surface path prefixes for AS01 (determinism taint): public
     /// functions under these paths must not transitively reach a
     /// wallclock/entropy/spawn source. Empty = lint inactive.
@@ -211,7 +208,6 @@ impl Config {
                                 ("AP01", "exempt_crates") | ("AP02", "exempt_crates") => {
                                     &mut cfg.panic_exempt
                                 }
-                                ("AD05", "paths") => &mut cfg.alloc_paths,
                                 ("AS01", "entry_paths") => &mut cfg.entry_paths,
                                 ("AS04", "codes") => &mut cfg.exit_codes,
                                 _ => {

@@ -28,14 +28,11 @@
 //!
 //! The checks are lexical (a hand-rolled comment/string/cfg-aware lexer in
 //! [`lexer`]), not type-aware: that is exactly enough for these contracts,
-//! with zero dependencies and sub-second latency. Per-file work is cached
-//! under a content hash ([`cache`]); the semantic lints always recompute
-//! over the full summary set. See DESIGN.md §11.
+//! with zero dependencies and sub-second latency. See DESIGN.md §11.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod callgraph;
 pub mod config;
 pub mod findings;
@@ -69,8 +66,6 @@ pub struct AnalysisReport {
     pub baselined: usize,
     /// Files scanned.
     pub files_scanned: usize,
-    /// Files whose per-file summary came from the incremental cache.
-    pub cache_hits: usize,
     /// The actual per-(lint, path) deny counts — input for `--write-baseline`.
     pub counts: BTreeMap<(String, String), usize>,
 }
@@ -92,14 +87,6 @@ impl AnalysisReport {
             })
             .collect()
     }
-}
-
-/// Knobs for [`analyze_with`].
-#[derive(Debug, Default)]
-pub struct AnalyzeOpts {
-    /// Directory for the incremental per-file summary cache (the CLI uses
-    /// `<root>/target/analyzer`). `None` disables caching entirely.
-    pub cache_dir: Option<PathBuf>,
 }
 
 /// A fatal analysis error (I/O, config) — reported as one line, exit 2.
@@ -138,21 +125,10 @@ impl From<registry::RegistryError> for AnalyzerError {
 /// fixtures live under `tests/` and *must* stay unscanned).
 const SKIP_DIRS: &[&str] = &["target", "tests", "benches", "examples", "fixtures", ".git"];
 
-/// Analyze the workspace under `root` with the given configuration and no
-/// cache. See [`analyze_with`].
+/// Analyze the workspace under `root`: per-file lexical lints, then the
+/// cross-file semantic lints over the combined summary set, then one unified
+/// escape / severity / baseline-ratchet pass over every finding.
 pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerError> {
-    analyze_with(root, config, &AnalyzeOpts::default())
-}
-
-/// Analyze the workspace under `root`: per-file lexical lints (cached under
-/// a content hash when `opts.cache_dir` is set), then the cross-file
-/// semantic lints over the combined summary set, then one unified escape /
-/// severity / baseline-ratchet pass over every finding.
-pub fn analyze_with(
-    root: &Path,
-    config: &Config,
-    opts: &AnalyzeOpts,
-) -> Result<AnalysisReport, AnalyzerError> {
     let reg = Registry::load(root)?;
     let mut files = Vec::new();
     collect_rs_files(&root.join("crates"), &mut files).map_err(|e| AnalyzerError {
@@ -165,11 +141,6 @@ pub fn analyze_with(
         .iter()
         .flat_map(|p| [p.encode_fn.clone(), p.decode_fn.clone()])
         .collect();
-    let key = cache::global_key(config, &reg);
-    let mut cached = match &opts.cache_dir {
-        Some(dir) => cache::load(dir, key),
-        None => BTreeMap::new(),
-    };
 
     let mut report = AnalysisReport::default();
     let mut summaries: Vec<FileSummary> = Vec::new();
@@ -181,28 +152,16 @@ pub fn analyze_with(
         let src = std::fs::read_to_string(&path).map_err(|e| AnalyzerError {
             message: format!("cannot read {rel}: {e}"),
         })?;
-        let hash = cache::fnv1a(src.as_bytes());
         report.files_scanned += 1;
-        let summary = match cached.remove(&rel) {
-            Some(s) if s.hash == hash => {
-                report.cache_hits += 1;
-                s
-            }
-            _ => {
-                let lexed = lexer::lex(&src);
-                let ctx = classify(&rel);
-                let mut raw = Vec::new();
-                lints::run_lints(&lexed, &ctx, config, &reg, &mut raw);
-                symbols::summarize(&ctx, &lexed, hash, &wire_fns, raw)
-            }
-        };
+        let lexed = lexer::lex(&src);
+        let ctx = classify(&rel);
+        let mut raw = Vec::new();
+        lints::run_lints(&lexed, &ctx, config, &reg, &mut raw);
+        summaries.push(symbols::summarize(&ctx, &lexed, &wire_fns, raw));
         file_lines.insert(rel, src.lines().map(str::to_string).collect());
-        summaries.push(summary);
     }
 
-    // Cross-file semantic phase — always recomputed over the *full* summary
-    // set (cached or fresh), so an edit to a callee file re-taints its
-    // cached callers and a registry edit re-runs liveness everywhere.
+    // Cross-file semantic phase over the full summary set.
     let mut semantic: Vec<Finding> = Vec::new();
     for entry in &reg.obs_names {
         // Registry self-check: every declared obs name must be well-shaped,
@@ -349,12 +308,6 @@ pub fn analyze_with(
     report
         .drift
         .sort_by(|a, b| (&a.path, &a.lint).cmp(&(&b.path, &b.lint)));
-
-    // Persist the cache last, best-effort: a read-only target dir must not
-    // fail the analysis, it just means a cold cache next run.
-    if let Some(dir) = &opts.cache_dir {
-        let _ = cache::store(dir, key, &summaries);
-    }
     Ok(report)
 }
 

@@ -49,12 +49,6 @@ pub const CATALOG: &[LintSpec] = &[
         summary: "thread or process spawning (thread::spawn/scope/JoinHandle, process::Command) outside crates/exec — all parallelism goes through the deterministic execution backends",
     },
     LintSpec {
-        id: "AD05",
-        slug: "alloc-in-loop",
-        default_severity: Severity::Deny,
-        summary: ".clone()/format!/.to_string() inside a loop on a configured hot path — hoist the allocation or read the shared AnalysisIndex instead",
-    },
-    LintSpec {
         id: "AP01",
         slug: "panic-macro",
         default_severity: Severity::Deny,
@@ -139,7 +133,6 @@ pub struct FileCtx {
 }
 
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-const ALLOC_METHODS: &[&str] = &["clone", "to_string"];
 const UNWRAP_METHODS: &[&str] = &["unwrap", "expect"];
 /// Wall-clock token shapes — shared by AD01 and the AS01 taint source set.
 pub const WALLCLOCK_IDENTS: &[&str] = &["Instant", "SystemTime", "UNIX_EPOCH"];
@@ -197,15 +190,6 @@ pub fn run_lints(
         config.allowed_exit_codes()
     } else {
         Default::default()
-    };
-    let alloc_lint = config
-        .alloc_paths
-        .iter()
-        .any(|p| ctx.rel_path.starts_with(p.as_str()));
-    let in_loop = if alloc_lint {
-        loop_body_map(toks)
-    } else {
-        Vec::new()
     };
 
     for (i, t) in toks.iter().enumerate() {
@@ -275,27 +259,6 @@ pub fn run_lints(
                         t.col,
                         format!("`.{name}()` in library code"),
                     );
-                }
-                // AD05 — per-iteration allocation on a configured hot path.
-                if alloc_lint && in_loop.get(i).copied().unwrap_or(false) {
-                    if ALLOC_METHODS.contains(&name)
-                        && prev_is(toks, i, ".")
-                        && next_is(toks, i, "(")
-                    {
-                        push(
-                            "AD05",
-                            t.line,
-                            t.col,
-                            format!("`.{name}()` inside a loop on a hot analysis path"),
-                        );
-                    } else if name == "format" && next_is(toks, i, "!") {
-                        push(
-                            "AD05",
-                            t.line,
-                            t.col,
-                            "`format!` inside a loop on a hot analysis path".to_string(),
-                        );
-                    }
                 }
                 // AS04 — exit-status literals outside the documented
                 // contract, in bin targets only.
@@ -581,57 +544,6 @@ pub fn is_dotted_lowercase(name: &str) -> bool {
             && (!lead_alpha || s.starts_with(|c: char| c.is_ascii_lowercase()))
     };
     seg_ok(first, true) && segments.all(|s| seg_ok(s, false))
-}
-
-/// Per-token flag: is this token lexically inside a `for`/`while`/`loop`
-/// body? A brace-stack scan, `{` after a loop keyword (at the keyword's
-/// bracket depth) opens a loop body. `for` in `impl Trait for Type` and
-/// higher-ranked `for<'a>` positions is recognized and skipped: a statement
-/// `for` is never preceded by an identifier or `>` and never followed by
-/// `<`.
-fn loop_body_map(toks: &[Tok]) -> Vec<bool> {
-    let mut map = vec![false; toks.len()];
-    // One entry per open `{`: was it a loop body?
-    let mut braces: Vec<bool> = Vec::new();
-    // Bracket depth ((/[) at the pending loop keyword, if any.
-    let mut pending: Option<usize> = None;
-    let mut brackets = 0usize;
-    let mut loop_depth = 0usize;
-    for (i, t) in toks.iter().enumerate() {
-        match t.kind {
-            TokKind::Ident if matches!(t.text.as_str(), "for" | "while" | "loop") => {
-                let impl_for = prev_sig(toks, i).is_some_and(|p| {
-                    p.kind == TokKind::Ident || (p.kind == TokKind::Punct && p.text == ">")
-                });
-                let hrtb = next_is(toks, i, "<");
-                if !impl_for && !hrtb {
-                    pending = Some(brackets);
-                }
-            }
-            TokKind::Punct => match t.text.as_str() {
-                "(" | "[" => brackets += 1,
-                ")" | "]" => brackets = brackets.saturating_sub(1),
-                "{" => {
-                    let is_loop = pending == Some(brackets);
-                    if is_loop {
-                        pending = None;
-                        loop_depth += 1;
-                    }
-                    braces.push(is_loop);
-                }
-                // The guard pops unconditionally: a non-loop `}` must still
-                // shrink the brace stack, it just doesn't change loop depth.
-                "}" if braces.pop().unwrap_or(false) => {
-                    loop_depth = loop_depth.saturating_sub(1);
-                }
-                ";" => pending = None,
-                _ => {}
-            },
-            _ => {}
-        }
-        map[i] = loop_depth > 0;
-    }
-    map
 }
 
 /// Previous significant token before index `i`.

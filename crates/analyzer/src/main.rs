@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use alexa_analyzer::{analyze_with, config, findings, fix, sarif, AnalyzeOpts, Config, CATALOG};
+use alexa_analyzer::{analyze, config, findings, fix, sarif, Config, CATALOG};
 
 const USAGE: &str = "\
 alexa-analyzer — determinism & panic-safety lints for the audit workspace
@@ -25,8 +25,6 @@ OPTIONS:
                         match current findings (the ratchet update)
     --fix               delete stale analyzer:allow escapes and ratchet the
                         baseline down to reality, then re-run the analysis
-    --no-cache          skip the incremental summary cache under
-                        <root>/target/analyzer
     -h, --help          print this help
 ";
 
@@ -38,7 +36,6 @@ struct Cli {
     list_lints: bool,
     write_baseline: bool,
     fix: bool,
-    no_cache: bool,
 }
 
 #[derive(PartialEq)]
@@ -57,7 +54,6 @@ fn parse_cli() -> Result<Cli, String> {
         list_lints: false,
         write_baseline: false,
         fix: false,
-        no_cache: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -76,7 +72,6 @@ fn parse_cli() -> Result<Cli, String> {
             "--list-lints" => cli.list_lints = true,
             "--write-baseline" => cli.write_baseline = true,
             "--fix" => cli.fix = true,
-            "--no-cache" => cli.no_cache = true,
             "-h" | "--help" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -138,14 +133,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let opts = AnalyzeOpts {
-        cache_dir: if cli.no_cache {
-            None
-        } else {
-            Some(cli.root.join("target/analyzer"))
-        },
-    };
-    let mut report = match analyze_with(&cli.root, &cfg, &opts) {
+    let mut report = match analyze(&cli.root, &cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -172,7 +160,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            report = match analyze_with(&cli.root, &cfg, &opts) {
+            report = match analyze(&cli.root, &cfg) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -227,9 +215,8 @@ fn main() -> ExitCode {
                 out.push('\n');
             }
             out.push_str(&format!(
-                "{} files scanned ({} cached), {} new finding(s), {} baseline drift(s), {} baselined, {} warning(s)\n",
+                "{} files scanned, {} new finding(s), {} baseline drift(s), {} baselined, {} warning(s)\n",
                 report.files_scanned,
-                report.cache_hits,
                 report.new_findings.len(),
                 report.drift.len(),
                 report.baselined,

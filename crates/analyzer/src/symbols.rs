@@ -8,11 +8,7 @@
 //! the wire-schema lint, and `dotted.lowercase`-shaped string literals are
 //! collected for the registry-liveness lint.
 //!
-//! A [`FileSummary`] is everything the semantic pass needs from a file —
-//! which is what makes the incremental cache sound: cached summaries of
-//! unchanged files combine with fresh summaries of edited files, and the
-//! cross-file lints always recompute over the full set, so an edit to a
-//! callee re-taints its cached callers.
+//! A [`FileSummary`] is everything the semantic pass needs from a file.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -120,8 +116,6 @@ pub struct FileSummary {
     pub crate_name: String,
     /// Binary target (`src/main.rs` or `src/bin/*`).
     pub is_bin: bool,
-    /// FNV-1a hash of the file content (the cache key).
-    pub hash: u64,
     /// Functions, in source order.
     pub fns: Vec<FnSym>,
     /// Struct declarations with named fields.
@@ -130,8 +124,7 @@ pub struct FileSummary {
     /// liveness witnesses for AS03.
     pub shaped_literals: BTreeSet<String>,
     /// Raw per-file lint findings, *before* escape directives are applied
-    /// (the driver re-applies escapes every run, so cached findings and
-    /// fresh semantic findings share one escape pass).
+    /// (per-file and semantic findings share one escape pass).
     pub findings: Vec<Finding>,
     /// Escape directives found in the file.
     pub allows: Vec<AllowDirective>,
@@ -230,7 +223,6 @@ fn fn_is_pub(toks: &[Tok], fn_kw: usize) -> bool {
 pub fn summarize(
     ctx: &FileCtx,
     lexed: &Lexed,
-    hash: u64,
     wire_fns: &BTreeSet<String>,
     findings: Vec<Finding>,
 ) -> FileSummary {
@@ -239,7 +231,6 @@ pub fn summarize(
         rel: ctx.rel_path.clone(),
         crate_name: ctx.crate_name.clone(),
         is_bin: ctx.is_bin,
-        hash,
         findings,
         allows: lexed.allows.clone(),
         ..FileSummary::default()
@@ -514,7 +505,7 @@ mod tests {
             is_bin: false,
         };
         let wire: BTreeSet<String> = ["enc".to_string()].into_iter().collect();
-        summarize(&ctx, &lexed, 0, &wire, Vec::new())
+        summarize(&ctx, &lexed, &wire, Vec::new())
     }
 
     #[test]

@@ -45,8 +45,7 @@ use alexa_adtech::{
     Website,
 };
 use alexa_exec::{
-    par_map, Backend, BackendChoice, BackendStats, MockRemoteBackend, ProcessBackend, ShardOutcome,
-    ShardSpec, ThreadBackend,
+    par_map, BackendChoice, BackendStats, ProcessBackend, ShardOutcome, ShardSpec, ThreadBackend,
 };
 use alexa_fault::{
     retry, Coverage, CoverageReport, FaultChannel, FaultLedger, FaultPlane, FaultProfile,
@@ -282,7 +281,7 @@ pub(crate) struct PersonaShard {
 
 impl PersonaShard {
     /// The degraded stand-in for a persona shard whose worker was lost
-    /// (crash, timeout, permanent transport failure): planned work is
+    /// (crash, timeout, malformed reply): planned work is
     /// accounted as expected-but-unobserved, the ledger records one loss
     /// and opens the breaker, so the run reports reduced coverage and
     /// exits 3 instead of panicking.
@@ -792,7 +791,7 @@ pub(crate) fn run_avs_shard(
     }
 }
 
-/// Surface a backend's transport statistics through the recorder's
+/// Surface a backend's pool statistics through the recorder's
 /// volatile channel: visible in the human report, deliberately absent from
 /// the run-ledger bundle (schedule- and machine-dependent numbers must never
 /// change committed bytes).
@@ -800,10 +799,6 @@ fn record_backend_stats(rec: &Recorder, stats: &BackendStats) {
     rec.volatile("backend.shards", stats.shards);
     rec.volatile("backend.committed", stats.committed);
     rec.volatile("backend.lost", stats.lost);
-    rec.volatile("backend.retries.submit", stats.submit_retries);
-    rec.volatile("backend.retries.poll", stats.poll_retries);
-    rec.volatile("backend.retries.result", stats.result_retries);
-    rec.volatile("backend.backoff_ms", stats.transport_backoff_ms);
     rec.volatile("worker.spawned", stats.workers_spawned);
     rec.volatile("worker.respawned", stats.workers_respawned);
     rec.volatile("worker.timeouts", stats.timeouts);
@@ -858,21 +853,17 @@ fn decode_worker_reply<T>(
 ///   as a wire-encoded [`ShardSpec`]; replies carry the encoded shard plus
 ///   its worker-side [`ShardLog`]. Crashed, hung or garbled workers degrade
 ///   the shard.
-/// * `mock-remote` — shards execute in-process behind a submit/poll/result
-///   transport whose transient faults come from the run's fault profile.
 ///
 /// Whatever the backend, results are committed in structural-index order by
 /// the ordered committer, and a lost shard becomes `lost(index)` — a
 /// degraded placeholder whose ledger records the loss, so the run completes
 /// with reduced coverage (exit 3) instead of panicking.
-#[allow(clippy::too_many_arguments)] // one codec closure per wire direction, not tunable knobs
 fn fan_out<T: Send>(
     config: &AuditConfig,
     rec: &Recorder,
     group: &str,
     labels: &[String],
     run_local: &(impl Fn(usize, &mut ShardLog) -> T + Sync),
-    encode: &(impl Fn(&T) -> Json + Sync),
     decode: &impl Fn(&Json) -> Option<T>,
     lost: &impl Fn(usize) -> T,
 ) -> Vec<T> {
@@ -922,45 +913,13 @@ fn fan_out<T: Send>(
                 Err(_) => (0..n).map(lost).collect(),
             }
         }
-        BackendChoice::MockRemote => {
-            let backend = MockRemoteBackend::new(config.seed ^ 0xfa417, config.fault.clone());
-            let exec = |spec: &ShardSpec| -> Result<String, String> {
-                let mut log = rec.shard(group, spec.index, &spec.label);
-                let shard = run_local(spec.index, &mut log);
-                rec.submit(log);
-                Ok(encode(&shard).render())
-            };
-            match backend.run(config.jobs, specs, &exec) {
-                Ok(run) => {
-                    record_backend_stats(rec, &run.stats);
-                    run.outcomes
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, outcome)| match outcome {
-                            ShardOutcome::Done(res) => Json::parse(&res.payload)
-                                .ok()
-                                .as_ref()
-                                .and_then(decode)
-                                .unwrap_or_else(|| lost(i)),
-                            ShardOutcome::Lost { .. } => lost(i),
-                        })
-                        .collect()
-                }
-                Err(_) => (0..n).map(lost).collect(),
-            }
-        }
         BackendChoice::Process => {
             let backend = ProcessBackend {
                 worker_cmd: config.worker_cmd.clone(),
                 timeout_ms: config.worker_timeout_ms,
                 max_respawns: 8,
             };
-            // Children do the work; the in-process exec fn only runs if a
-            // spec could not be dispatched at all.
-            let exec = |_: &ShardSpec| -> Result<String, String> {
-                Err("process backend executes shards in child workers".to_string())
-            };
-            match backend.run(config.jobs, specs, &exec) {
+            match backend.run(config.jobs, specs) {
                 Ok(run) => {
                     record_backend_stats(rec, &run.stats);
                     run.outcomes
@@ -1046,7 +1005,6 @@ impl AuditRun {
                 "avs",
                 &labels,
                 &|ci, log| run_avs_shard(config, &market, &plane, ci, SkillCategory::ALL[ci], log),
-                &crate::wire::avs_shard_to_json,
                 &crate::wire::avs_shard_from_json,
                 &|_| AvsShard::lost(config),
             )
@@ -1091,7 +1049,6 @@ impl AuditRun {
                         log,
                     )
                 },
-                &crate::wire::persona_shard_to_json,
                 &crate::wire::persona_shard_from_json,
                 &|i| PersonaShard::lost(config, personas[i]),
             )

@@ -1,7 +1,7 @@
 //! JSON wire codecs for the shard fan-out (DESIGN.md §15).
 //!
-//! When shards execute outside the parent process (`--backend process`) or
-//! through the mock remote, their inputs and outputs cross a wire as the
+//! When shards execute outside the parent process (`--backend process`),
+//! their inputs and outputs cross a wire as the
 //! run-bundle JSON dialect (`alexa_obs::Json`, the PR 5 schema). The codecs
 //! here are **bit-exact**: every `f64` travels as its IEEE-754 bit pattern
 //! in hex (the JSON `Float` render is lossy by design), so a decoded shard

@@ -42,8 +42,8 @@
 //! campaign directory of cell bundles plus derived analysis tables, resuming
 //! over cells that are already complete — see `alexa_bench::campaign`.
 //!
-//! `--backend thread|process|mock-remote` selects the shard execution
-//! backend (DESIGN.md §15); all three produce byte-identical output for a
+//! `--backend thread|process` selects the shard execution backend
+//! (DESIGN.md §15); both produce byte-identical output for a
 //! given `(seed, fault profile)`. `--shard-worker` is the internal child
 //! entry point the `process` backend spawns — one wire-encoded shard spec
 //! per stdin line, one reply per stdout line.
@@ -129,16 +129,7 @@ fn run_bench(seed: u64, jobs: Option<usize>, rec: &Recorder) -> Observations {
         .filter(|s| s.depth == 0)
         .map(|s| (s.name.clone(), Json::Int(s.alloc_bytes)))
         .collect();
-    // Derived throughput: deterministic work units per wall-clock
-    // millisecond — normalises total_ms across machines of different speed.
     let total_ms = execute_ms + render_ms;
-    let total_work: u64 = report
-        .stages
-        .iter()
-        .filter(|s| s.depth == 0)
-        .map(|s| s.work)
-        .sum();
-    let work_per_ms = total_work as f64 / total_ms.max(1) as f64;
 
     let entry = Json::Obj(vec![
         ("seed".into(), Json::Int(seed)),
@@ -157,7 +148,6 @@ fn run_bench(seed: u64, jobs: Option<usize>, rec: &Recorder) -> Observations {
         ("execute_ms".into(), Json::Int(execute_ms)),
         ("render_all_ms".into(), Json::Int(render_ms)),
         ("total_ms".into(), Json::Int(total_ms)),
-        ("work_per_ms".into(), Json::Float(work_per_ms)),
         ("rendered_bytes".into(), Json::Int(rendered_bytes as u64)),
         ("stages".into(), Json::Obj(stages)),
         ("stage_work".into(), Json::Obj(stage_work)),
@@ -270,7 +260,7 @@ fn usage(code: i32) -> ! {
         "usage: repro [--seed N] [--jobs N] [--trace] [--metrics-out PATH] \
          [--mem-out PATH] [--trace-out PATH] [--profile-out PATH] [--run-dir DIR] \
          [--fault-profile none|flaky|degraded|hostile] [--fault-rate R] \
-         [--backend thread|process|mock-remote] [--worker-timeout-ms N] \
+         [--backend thread|process] [--worker-timeout-ms N] \
          <artifact>... | all | --bench | --list"
     );
     eprintln!("       repro campaign PLAN [--out DIR]");

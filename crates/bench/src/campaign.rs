@@ -38,8 +38,7 @@ use alexa_obs::campaign::{
     CAMPAIGN_FILE, CELLS_DIR, TABLES_DIR,
 };
 use alexa_obs::{install_global, Json, Recorder};
-use alexa_obsdiff::{load_bundle, LoadedBundle};
-use std::collections::BTreeMap;
+use alexa_obsdiff::{load_bundle, verify_instances, InstanceDivergence, LoadedBundle};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -93,16 +92,7 @@ pub enum CampaignError {
     },
     /// Two instances of one cell identity produced different bytes — the
     /// determinism contract is broken.
-    DeterminismBreak {
-        /// The cell identity.
-        id: String,
-        /// The bundle file that differs.
-        file: String,
-        /// The reference instance's key.
-        reference: String,
-        /// The divergent instance's key.
-        divergent: String,
-    },
+    DeterminismBreak(InstanceDivergence),
 }
 
 impl fmt::Display for CampaignError {
@@ -131,15 +121,11 @@ impl fmt::Display for CampaignError {
             CampaignError::CellUnloadable { key, error } => {
                 write!(f, "cell {key}: bundle does not load back: {error}")
             }
-            CampaignError::DeterminismBreak {
-                id,
-                file,
-                reference,
-                divergent,
-            } => write!(
+            CampaignError::DeterminismBreak(d) => write!(
                 f,
-                "cell identity {id}: {file} differs between instances {reference} and \
-                 {divergent} — bundles must be byte-identical across jobs and repeats"
+                "cell identity {}: {} differs between instances {} and {} — bundles must be \
+                 byte-identical across jobs and repeats",
+                d.id, d.file, d.reference, d.divergent
             ),
         }
     }
@@ -429,7 +415,16 @@ pub fn run_campaign_with(
     }
 
     // Byte-equality across instances of one identity (jobs × repeats).
-    rec.stage("campaign.verify", || verify_instances(&dir, &coords))?;
+    rec.stage("campaign.verify", || {
+        let cells: Vec<(String, String)> = coords.iter().map(|c| (c.id(), c.key())).collect();
+        match verify_instances(&dir.join(CELLS_DIR), &cells)
+            .into_iter()
+            .next()
+        {
+            Some(divergence) => Err(CampaignError::DeterminismBreak(divergence)),
+            None => Ok(()),
+        }
+    })?;
 
     // Analysis tables, derived from one representative bundle per identity.
     rec.stage("campaign.tables", || -> Result<(), CampaignError> {
@@ -556,43 +551,6 @@ fn bundle_degraded(bundle: &LoadedBundle) -> bool {
         .and_then(Json::as_arr)
         .map_or(0, <[Json]>::len);
     losses > 0 || degraded_shards > 0
-}
-
-/// Assert byte-equality of every bundle file across all instances of each
-/// cell identity. The first instance in plan order is the reference.
-fn verify_instances(dir: &Path, coords: &[CellCoord]) -> Result<(), CampaignError> {
-    let mut groups: BTreeMap<String, Vec<&CellCoord>> = BTreeMap::new();
-    for coord in coords {
-        groups.entry(coord.id()).or_default().push(coord);
-    }
-    for (id, instances) in groups {
-        let Some((reference, rest)) = instances.split_first() else {
-            continue;
-        };
-        let ref_dir = dir.join(CELLS_DIR).join(reference.key());
-        for other in rest {
-            let other_dir = dir.join(CELLS_DIR).join(other.key());
-            for file in [
-                METRICS_FILE,
-                TRACE_FILE,
-                MEMORY_FILE,
-                PROFILE_FILE,
-                MANIFEST_FILE,
-            ] {
-                let a = std::fs::read(ref_dir.join(file)).map_err(|e| io_err(&ref_dir, e))?;
-                let b = std::fs::read(other_dir.join(file)).map_err(|e| io_err(&other_dir, e))?;
-                if a != b {
-                    return Err(CampaignError::DeterminismBreak {
-                        id,
-                        file: file.to_string(),
-                        reference: reference.key(),
-                        divergent: other.key(),
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1007,13 +965,70 @@ mod tests {
             error: PlanError::SchemaMismatch { found: 9 },
         };
         assert_eq!(usage.exit_code(), 2);
-        let violation = CampaignError::DeterminismBreak {
+        let violation = CampaignError::DeterminismBreak(InstanceDivergence {
             id: "s7-fnone-dnone".into(),
-            file: METRICS_FILE.into(),
+            file: METRICS_FILE,
             reference: "s7-fnone-dnone-j1-r0".into(),
             divergent: "s7-fnone-dnone-j4-r0".into(),
-        };
+        });
         assert_eq!(violation.exit_code(), 1);
         assert!(violation.to_string().contains("byte-identical"));
+    }
+
+    #[test]
+    fn one_byte_instance_drift_fails_runner_and_checker_alike() {
+        // Two complete instances of one identity (jobs 1 and 2), written
+        // from an empty recorder so nothing executes, plus the campaign
+        // manifest `obs-diff campaign` reads.
+        let dir = std::env::temp_dir().join(format!("bench-verify-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let plan_path = dir.join("plan.json");
+        let src =
+            r#"{"schema": 1, "name": "verify", "scale": "small", "seeds": [7], "jobs": [1, 2]}"#;
+        std::fs::write(&plan_path, src).expect("write plan");
+        let plan = Plan::parse(src).expect("valid plan");
+        let coords = plan.cells();
+        let mut records = Vec::new();
+        for coord in &coords {
+            let cell_dir = dir.join(CELLS_DIR).join(coord.key());
+            let spec = cell_spec(&plan.hash(), coord, &FaultProfile::none(), 0);
+            write_bundle(&cell_dir, &spec, &Recorder::new().report()).expect("write bundle");
+            let bundle = load_bundle(&cell_dir).expect("bundle loads");
+            records.push(CellRecord {
+                coord: coord.clone(),
+                digest: bundle.observations_digest().unwrap_or("").to_string(),
+                degraded: false,
+            });
+        }
+        let manifest = campaign_manifest(&plan, &records).render() + "\n";
+        std::fs::write(dir.join(CAMPAIGN_FILE), manifest).expect("write manifest");
+        assert!(alexa_obsdiff::check_campaign(&dir).expect("checks").clean());
+
+        // One byte of the second instance's memory.json: a space becomes a
+        // newline, so the document still loads and means the same thing.
+        let (reference, divergent) = (coords[0].key(), coords[1].key());
+        let memory = dir.join(CELLS_DIR).join(&divergent).join(MEMORY_FILE);
+        let mut bytes = std::fs::read(&memory).expect("read memory.json");
+        let space = bytes.iter().position(|&b| b == b' ').expect("a space");
+        bytes[space] = b'\n';
+        std::fs::write(&memory, bytes).expect("write memory.json");
+
+        let expected = InstanceDivergence {
+            id: coords[0].id(),
+            file: MEMORY_FILE,
+            reference: reference.clone(),
+            divergent: divergent.clone(),
+        };
+        match run_campaign_with(&plan_path, Some(&dir), &Recorder::disabled(), &[]) {
+            Err(CampaignError::DeterminismBreak(d)) => assert_eq!(d, expected),
+            other => panic!("expected a determinism break, got {other:?}"),
+        }
+        let check = alexa_obsdiff::check_campaign(&dir).expect("checks");
+        assert_eq!(check.findings.len(), 1, "{:?}", check.findings);
+        for part in [MEMORY_FILE, &reference, &divergent] {
+            assert!(check.findings[0].contains(part), "{}", check.findings[0]);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

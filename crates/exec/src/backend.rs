@@ -1,4 +1,4 @@
-//! Pluggable worker backends behind one `Backend` trait (DESIGN.md §15).
+//! Interchangeable shard execution backends (DESIGN.md §15).
 //!
 //! The in-process [`par_map`] runs a closure over owned items; a backend
 //! runs **serializable shards**: each unit of work is a [`ShardSpec`] whose
@@ -15,27 +15,18 @@
 //!   crash detection (non-zero exit, malformed output, dead pipe) and a
 //!   bounded respawn budget. A dead worker degrades its shard, never the
 //!   run.
-//! * [`MockRemoteBackend`] — a submit → execute → poll → fetch state machine
-//!   whose transient transport failures are driven by the deterministic
-//!   [`FaultPlane`] through [`retry`] + [`RetryBudget`]: structural keys
-//!   make the retry sequences independent of poll interleaving.
 //!
 //! Failure taxonomy: a shard whose own execution returns `Err` is a
 //! **shard error** (the payload's producer decides what that means); a
-//! worker that crashes, times out, desyncs its protocol, or permanently
-//! fails transport is a **lost shard** ([`ShardOutcome::Lost`]). Both
-//! degrade gracefully — callers account lost shards into coverage (exit 3)
-//! instead of panicking the run. Transport accounting lands only in
-//! [`BackendStats`], never in the shard payloads, so transient retries can
-//! never change committed bytes.
+//! worker that crashes, times out or desyncs its protocol is a **lost
+//! shard** ([`ShardOutcome::Lost`]). Both degrade gracefully — callers
+//! account lost shards into coverage (exit 3) instead of panicking the run.
+//! Pool accounting lands only in [`BackendStats`], never in the shard
+//! payloads, so a respawn can never change committed bytes.
 //!
 //! [`par_map`]: crate::par_map
-//! [`FaultPlane`]: alexa_fault::FaultPlane
-//! [`retry`]: alexa_fault::retry
-//! [`RetryBudget`]: alexa_fault::RetryBudget
 
 use crate::{job_policy, locked, par_map};
-use alexa_fault::{retry, FaultChannel, FaultPlane, FaultProfile, RetryBudget, RetryPolicy};
 use alexa_obs::Json;
 use std::collections::VecDeque;
 use std::fmt;
@@ -161,8 +152,8 @@ pub struct ShardResult {
 pub enum ShardOutcome {
     /// The shard executed and returned a payload.
     Done(ShardResult),
-    /// The shard was lost — worker crash, timeout, malformed protocol, or
-    /// permanent transport failure. The run degrades; it never panics.
+    /// The shard was lost — worker crash, timeout or malformed protocol.
+    /// The run degrades; it never panics.
     Lost {
         /// The spec's structural index.
         index: usize,
@@ -181,10 +172,10 @@ impl ShardOutcome {
     }
 }
 
-/// Deterministic-by-construction transport and pool counters.
+/// Pool counters.
 ///
 /// These are *volatile* observability: they describe how the substrate
-/// behaved (retries, respawns, timeouts), never what the shards computed,
+/// behaved (respawns, timeouts, crashes), never what the shards computed,
 /// and they must stay out of every run-ledger surface.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendStats {
@@ -194,14 +185,6 @@ pub struct BackendStats {
     pub committed: u64,
     /// Shards lost to the failure taxonomy above.
     pub lost: u64,
-    /// Mock-remote submit retries.
-    pub submit_retries: u64,
-    /// Mock-remote poll retries.
-    pub poll_retries: u64,
-    /// Mock-remote result-fetch retries.
-    pub result_retries: u64,
-    /// Virtual transport backoff accumulated across retries.
-    pub transport_backoff_ms: u64,
     /// Child processes spawned (initial pool).
     pub workers_spawned: u64,
     /// Child processes respawned after a failure.
@@ -214,36 +197,19 @@ pub struct BackendStats {
     pub malformed: u64,
 }
 
-impl BackendStats {
-    fn absorb(&mut self, other: &BackendStats) {
-        self.shards += other.shards;
-        self.committed += other.committed;
-        self.lost += other.lost;
-        self.submit_retries += other.submit_retries;
-        self.poll_retries += other.poll_retries;
-        self.result_retries += other.result_retries;
-        self.transport_backoff_ms += other.transport_backoff_ms;
-        self.workers_spawned += other.workers_spawned;
-        self.workers_respawned += other.workers_respawned;
-        self.timeouts += other.timeouts;
-        self.crashes += other.crashes;
-        self.malformed += other.malformed;
-    }
-}
-
 /// A finished backend pass: outcomes in structural-index order plus the
 /// substrate's own accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackendRun {
     /// One outcome per spec, sorted by index — the committer's guarantee.
     pub outcomes: Vec<ShardOutcome>,
-    /// Transport/pool counters for volatile observability.
+    /// Pool counters for volatile observability.
     pub stats: BackendStats,
 }
 
 /// The shard executor a backend drives: decode the spec's payload, do the
 /// work, re-encode the result. `Err` is a shard-level failure the producer
-/// of the payload defined; transport failures never reach this function.
+/// of the payload defined; worker failures never reach this function.
 pub type ExecFn<'a> = &'a (dyn Fn(&ShardSpec) -> Result<String, String> + Sync);
 
 /// Typed misuse of the ordered committer.
@@ -277,7 +243,7 @@ impl fmt::Display for CommitError {
 impl std::error::Error for CommitError {}
 
 /// The ordered committer: outcomes arrive in any order (worker completion
-/// order, poll order, ...) and leave in structural-index order — exactly
+/// order) and leave in structural-index order — exactly
 /// once each. This is the single point that turns "whichever substrate ran
 /// it, in whatever interleaving" back into the deterministic merge order
 /// the digest guarantee needs.
@@ -330,22 +296,6 @@ fn commit_all(n: usize, outcomes: Vec<ShardOutcome>) -> Result<Vec<ShardOutcome>
     committer.into_ordered()
 }
 
-/// An interchangeable execution substrate for serializable shards.
-pub trait Backend: Sync {
-    /// The backend's stable name (`thread` / `process` / `mock-remote`).
-    fn name(&self) -> &'static str;
-
-    /// Execute every spec and commit the outcomes in structural-index
-    /// order. The specs must carry exactly the indexes `0..specs.len()`;
-    /// anything else is a typed [`CommitError`].
-    fn run(
-        &self,
-        jobs: Option<usize>,
-        specs: Vec<ShardSpec>,
-        exec_fn: ExecFn<'_>,
-    ) -> Result<BackendRun, CommitError>;
-}
-
 /// Which backend a run should use — the `--backend` knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendChoice {
@@ -354,24 +304,17 @@ pub enum BackendChoice {
     Thread,
     /// A pool of `repro --shard-worker` child processes.
     Process,
-    /// The fault-plane-driven submit/poll simulation.
-    MockRemote,
 }
 
 impl BackendChoice {
     /// Every choice, in CLI documentation order.
-    pub const ALL: [BackendChoice; 3] = [
-        BackendChoice::Thread,
-        BackendChoice::Process,
-        BackendChoice::MockRemote,
-    ];
+    pub const ALL: [BackendChoice; 2] = [BackendChoice::Thread, BackendChoice::Process];
 
     /// The stable CLI/plan token for this choice.
     pub fn label(&self) -> &'static str {
         match self {
             BackendChoice::Thread => "thread",
             BackendChoice::Process => "process",
-            BackendChoice::MockRemote => "mock-remote",
         }
     }
 }
@@ -382,11 +325,7 @@ pub struct BackendParseError(pub String);
 
 impl fmt::Display for BackendParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown backend '{}' (expected thread|process|mock-remote)",
-            self.0
-        )
+        write!(f, "unknown backend '{}' (expected thread|process)", self.0)
     }
 }
 
@@ -411,12 +350,11 @@ impl FromStr for BackendChoice {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThreadBackend;
 
-impl Backend for ThreadBackend {
-    fn name(&self) -> &'static str {
-        "thread"
-    }
-
-    fn run(
+impl ThreadBackend {
+    /// Execute every spec on scoped threads and commit the outcomes in
+    /// structural-index order. The specs must carry exactly the indexes
+    /// `0..specs.len()`; anything else is a typed [`CommitError`].
+    pub fn run(
         &self,
         jobs: Option<usize>,
         specs: Vec<ShardSpec>,
@@ -559,20 +497,15 @@ impl Worker {
     }
 }
 
-impl Backend for ProcessBackend {
-    fn name(&self) -> &'static str {
-        "process"
-    }
-
-    fn run(
+impl ProcessBackend {
+    /// Execute every spec in the child pool and commit the outcomes in
+    /// structural-index order. The shard executor runs in the children
+    /// (`repro --shard-worker`); the parent only shuttles payload strings.
+    pub fn run(
         &self,
         jobs: Option<usize>,
         specs: Vec<ShardSpec>,
-        exec_fn: ExecFn<'_>,
     ) -> Result<BackendRun, CommitError> {
-        // exec_fn runs in the children, not here; the parent only shuttles
-        // payload strings.
-        let _ = exec_fn;
         let n = specs.len();
         let pool = job_policy(jobs, false).min(n.max(1));
         let queue: Mutex<VecDeque<ShardSpec>> = Mutex::new(specs.into());
@@ -736,172 +669,6 @@ impl Backend for ProcessBackend {
     }
 }
 
-/// The remote submit/poll simulation, driven by the deterministic fault
-/// plane.
-///
-/// Each shard walks submit → execute → poll → fetch; the three transport
-/// hops can transiently fail on the `worker_submit` / `worker_poll` /
-/// `worker_result` channels and are retried under [`retry`] with a
-/// per-shard [`RetryBudget`]. Every decision keys on `(group, index,
-/// stage, attempt)` — what the work *is* — so the retry sequences, the
-/// accumulated stats, and the committed outcomes are a pure function of
-/// `(seed, profile, specs)` regardless of worker count or poll
-/// interleaving. A shard whose transport permanently fails is lost and
-/// degrades the run.
-#[derive(Debug, Clone)]
-pub struct MockRemoteBackend {
-    seed: u64,
-    plane: FaultPlane,
-}
-
-/// Transport retry schedule: deeper than the pipeline's standard policy so
-/// even hostile channel rates (≈ 0.3) drive the per-hop permanent-failure
-/// probability below 1e-5 — transient remote weather should cost retries,
-/// not shards.
-fn transport_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_attempts: 10,
-        base_delay_ms: 50,
-        max_delay_ms: 5_000,
-        jitter: 0.25,
-    }
-}
-
-/// Per-shard transport retry allowance.
-const TRANSPORT_BUDGET: u32 = 64;
-
-impl MockRemoteBackend {
-    /// A mock remote driven by `(seed, profile)` — the same pair that
-    /// drives the run's fault plane, so transport weather co-varies with
-    /// the rest of the injected faults.
-    pub fn new(seed: u64, profile: FaultProfile) -> MockRemoteBackend {
-        MockRemoteBackend {
-            seed,
-            plane: FaultPlane::new(seed, profile),
-        }
-    }
-
-    /// One fault-prone transport hop, retried under the shard's budget.
-    fn hop(
-        &self,
-        channel: FaultChannel,
-        spec: &ShardSpec,
-        stage: &str,
-        budget: &mut RetryBudget,
-        stats: &mut BackendStats,
-    ) -> Result<(), String> {
-        let key = format!("{}/{}/{}", spec.group, spec.index, stage);
-        let outcome = retry(
-            &transport_policy(),
-            budget,
-            self.seed,
-            &key,
-            |attempt| {
-                if self.plane.fires(channel, &format!("{key}#{attempt}")) {
-                    Err(format!("{stage} failed (transient)"))
-                } else {
-                    Ok(())
-                }
-            },
-            |_| true,
-        );
-        let retries = outcome.retries as u64;
-        match stage {
-            "submit" => stats.submit_retries += retries,
-            "poll" => stats.poll_retries += retries,
-            _ => stats.result_retries += retries,
-        }
-        stats.transport_backoff_ms += outcome.backoff_ms;
-        outcome.result.map_err(|e| {
-            let denied = if outcome.budget_denied {
-                " (retry budget exhausted)"
-            } else {
-                ""
-            };
-            format!(
-                "remote {stage} for shard {}/{} permanently failed after {} attempt(s){denied}: {e}",
-                spec.group, spec.index, outcome.attempts
-            )
-        })
-    }
-
-    /// Walk one shard through the full state machine.
-    fn run_shard(&self, spec: &ShardSpec, exec_fn: ExecFn<'_>) -> (ShardOutcome, BackendStats) {
-        let mut stats = BackendStats::default();
-        let mut budget = RetryBudget::new(TRANSPORT_BUDGET);
-        let lost = |error: String| ShardOutcome::Lost {
-            index: spec.index,
-            error,
-        };
-        if let Err(e) = self.hop(
-            FaultChannel::WorkerSubmit,
-            spec,
-            "submit",
-            &mut budget,
-            &mut stats,
-        ) {
-            return (lost(e), stats);
-        }
-        let executed = exec_fn(spec);
-        if let Err(e) = self.hop(
-            FaultChannel::WorkerPoll,
-            spec,
-            "poll",
-            &mut budget,
-            &mut stats,
-        ) {
-            return (lost(e), stats);
-        }
-        if let Err(e) = self.hop(
-            FaultChannel::WorkerResult,
-            spec,
-            "result",
-            &mut budget,
-            &mut stats,
-        ) {
-            return (lost(e), stats);
-        }
-        let outcome = match executed {
-            Ok(payload) => ShardOutcome::Done(ShardResult {
-                index: spec.index,
-                payload,
-            }),
-            Err(error) => lost(error),
-        };
-        (outcome, stats)
-    }
-}
-
-impl Backend for MockRemoteBackend {
-    fn name(&self) -> &'static str {
-        "mock-remote"
-    }
-
-    fn run(
-        &self,
-        jobs: Option<usize>,
-        specs: Vec<ShardSpec>,
-        exec_fn: ExecFn<'_>,
-    ) -> Result<BackendRun, CommitError> {
-        let n = specs.len();
-        let per_shard = par_map(jobs, specs, |_, spec| self.run_shard(&spec, exec_fn));
-        let mut stats = BackendStats::default();
-        let mut outcomes = Vec::with_capacity(n);
-        // Fold in structural order so the stats sum is deterministic by
-        // construction, not just commutativity.
-        for (outcome, shard_stats) in per_shard {
-            stats.absorb(&shard_stats);
-            outcomes.push(outcome);
-        }
-        let outcomes = commit_all(n, outcomes)?;
-        let commit_counts = tally(n, &outcomes);
-        stats.shards = commit_counts.shards;
-        stats.committed = commit_counts.committed;
-        stats.lost = commit_counts.lost;
-        Ok(BackendRun { outcomes, stats })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1008,55 +775,13 @@ mod tests {
     }
 
     #[test]
-    fn mock_remote_none_profile_is_invisible() {
-        let thread = ThreadBackend.run(Some(2), specs(9), &double).unwrap();
-        let remote = MockRemoteBackend::new(7, FaultProfile::none())
-            .run(Some(2), specs(9), &double)
-            .unwrap();
-        assert_eq!(thread.outcomes, remote.outcomes);
-        assert_eq!(remote.stats.submit_retries, 0);
-        assert_eq!(remote.stats.transport_backoff_ms, 0);
-    }
-
-    #[test]
-    fn mock_remote_is_deterministic_across_jobs_and_spec_order() {
-        let backend = MockRemoteBackend::new(1234, FaultProfile::hostile());
-        let reference = backend.run(Some(1), specs(16), &double).unwrap();
-        assert!(
-            reference.stats.submit_retries
-                + reference.stats.poll_retries
-                + reference.stats.result_retries
-                > 0,
-            "hostile transport rates should cost retries"
-        );
-        for jobs in [Some(2), Some(8), None] {
-            assert_eq!(reference, backend.run(jobs, specs(16), &double).unwrap());
-        }
-        // Submission order must not matter either: rotate the spec list.
-        let mut rotated = specs(16);
-        rotated.rotate_left(5);
-        assert_eq!(reference, backend.run(Some(4), rotated, &double).unwrap());
-    }
-
-    #[test]
-    fn mock_remote_total_fault_rate_loses_every_shard_gracefully() {
-        let backend = MockRemoteBackend::new(7, FaultProfile::uniform(1.0));
-        let run = backend.run(Some(2), specs(5), &double).unwrap();
-        assert_eq!(run.stats.lost, 5);
-        assert!(run.outcomes.iter().all(|o| matches!(
-            o,
-            ShardOutcome::Lost { error, .. } if error.contains("submit")
-        )));
-    }
-
-    #[test]
     fn process_backend_empty_command_degrades_every_shard() {
         let backend = ProcessBackend {
             worker_cmd: vec![],
             timeout_ms: 1_000,
             max_respawns: 1,
         };
-        let run = backend.run(Some(2), specs(3), &double).unwrap();
+        let run = backend.run(Some(2), specs(3)).unwrap();
         assert_eq!(run.stats.lost, 3);
         assert!(run
             .outcomes
@@ -1075,7 +800,7 @@ mod tests {
             timeout_ms: 5_000,
             max_respawns: 8,
         };
-        let run = backend.run(Some(2), specs(3), &double).unwrap();
+        let run = backend.run(Some(2), specs(3)).unwrap();
         assert_eq!(run.outcomes.len(), 3);
         assert_eq!(run.stats.lost + run.stats.committed, 3);
         assert!(run.stats.malformed > 0, "cat replies must be malformed");
@@ -1090,7 +815,7 @@ mod tests {
             timeout_ms: 200,
             max_respawns: 2,
         };
-        let run = backend.run(Some(2), specs(3), &double).unwrap();
+        let run = backend.run(Some(2), specs(3)).unwrap();
         assert_eq!(run.stats.lost, 3);
         assert!(run.stats.timeouts + run.stats.crashes > 0);
         assert!(run
@@ -1108,7 +833,7 @@ mod tests {
             timeout_ms: 1_000,
             max_respawns: 2,
         };
-        let run = backend.run(Some(1), specs(6), &double).unwrap();
+        let run = backend.run(Some(1), specs(6)).unwrap();
         assert_eq!(run.stats.lost, 6);
         assert!(run.stats.crashes > 0);
         assert!(run.stats.workers_respawned <= 2);

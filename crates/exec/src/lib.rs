@@ -17,9 +17,9 @@
 //! build must work fully offline.
 //!
 //! Beyond the in-process map, the [`backend`] module generalizes the same
-//! contract to interchangeable execution substrates (thread pool, child
-//! process pool, mock remote submit/poll) behind the [`Backend`] trait, with
-//! an ordered [`Committer`] preserving the byte-identical-output guarantee.
+//! contract to two interchangeable execution substrates (a thread pool and a
+//! child process pool), with an ordered [`Committer`] preserving the
+//! byte-identical-output guarantee.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -27,9 +27,9 @@ use std::sync::{Mutex, MutexGuard};
 pub mod backend;
 
 pub use backend::{
-    decode_reply, encode_reply, Backend, BackendChoice, BackendParseError, BackendRun,
-    BackendStats, CommitError, Committer, ExecFn, MockRemoteBackend, ProcessBackend, ShardOutcome,
-    ShardResult, ShardSpec, ThreadBackend,
+    decode_reply, encode_reply, BackendChoice, BackendParseError, BackendRun, BackendStats,
+    CommitError, Committer, ExecFn, ProcessBackend, ShardOutcome, ShardResult, ShardSpec,
+    ThreadBackend,
 };
 
 /// Lock a mutex, recovering from poisoning.

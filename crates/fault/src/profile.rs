@@ -24,17 +24,11 @@ pub enum FaultChannel {
     BidLoss,
     /// A privacy-policy page cannot be downloaded (`alexa-policy`).
     PolicyDownload,
-    /// A remote backend rejects a shard submission (`alexa-exec`).
-    WorkerSubmit,
-    /// A remote backend poll times out before answering (`alexa-exec`).
-    WorkerPoll,
-    /// A finished shard's result is lost in transit (`alexa-exec`).
-    WorkerResult,
 }
 
 impl FaultChannel {
     /// Every channel, in a fixed order (also the rate-table order).
-    pub const ALL: [FaultChannel; 10] = [
+    pub const ALL: [FaultChannel; 7] = [
         FaultChannel::InstallFailure,
         FaultChannel::InteractionFailure,
         FaultChannel::PacketDrop,
@@ -42,9 +36,6 @@ impl FaultChannel {
         FaultChannel::CrawlTimeout,
         FaultChannel::BidLoss,
         FaultChannel::PolicyDownload,
-        FaultChannel::WorkerSubmit,
-        FaultChannel::WorkerPoll,
-        FaultChannel::WorkerResult,
     ];
 
     /// Stable label used in counters, metrics JSON and report sections.
@@ -57,9 +48,6 @@ impl FaultChannel {
             FaultChannel::CrawlTimeout => "crawl_timeout",
             FaultChannel::BidLoss => "bid_loss",
             FaultChannel::PolicyDownload => "policy_download",
-            FaultChannel::WorkerSubmit => "worker_submit",
-            FaultChannel::WorkerPoll => "worker_poll",
-            FaultChannel::WorkerResult => "worker_result",
         }
     }
 
@@ -92,9 +80,6 @@ pub const CHANNEL_LABELS: &[&str] = &[
     "crawl_timeout",
     "bid_loss",
     "policy_download",
-    "worker_submit",
-    "worker_poll",
-    "worker_result",
 ];
 
 /// A named set of per-channel fault rates plus the per-shard retry budget
@@ -107,7 +92,7 @@ pub const CHANNEL_LABELS: &[&str] = &[
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultProfile {
     name: String,
-    rates: [f64; 10],
+    rates: [f64; 7],
     retry_budget: u32,
 }
 
@@ -138,7 +123,7 @@ impl FaultProfile {
     pub fn none() -> FaultProfile {
         FaultProfile {
             name: "none".into(),
-            rates: [0.0; 10],
+            rates: [0.0; 7],
             retry_budget: 0,
         }
     }
@@ -147,9 +132,8 @@ impl FaultProfile {
     pub fn flaky() -> FaultProfile {
         FaultProfile {
             name: "flaky".into(),
-            // install, interaction, drop, truncation, crawl, bid, policy,
-            // worker submit/poll/result
-            rates: [0.05, 0.03, 0.01, 0.01, 0.05, 0.02, 0.05, 0.02, 0.03, 0.02],
+            // install, interaction, drop, truncation, crawl, bid, policy
+            rates: [0.05, 0.03, 0.01, 0.01, 0.05, 0.02, 0.05],
             retry_budget: 96,
         }
     }
@@ -158,7 +142,7 @@ impl FaultProfile {
     pub fn degraded() -> FaultProfile {
         FaultProfile {
             name: "degraded".into(),
-            rates: [0.15, 0.10, 0.05, 0.05, 0.15, 0.10, 0.15, 0.08, 0.10, 0.08],
+            rates: [0.15, 0.10, 0.05, 0.05, 0.15, 0.10, 0.15],
             retry_budget: 48,
         }
     }
@@ -167,7 +151,7 @@ impl FaultProfile {
     pub fn hostile() -> FaultProfile {
         FaultProfile {
             name: "hostile".into(),
-            rates: [0.40, 0.35, 0.25, 0.20, 0.45, 0.35, 0.50, 0.25, 0.30, 0.25],
+            rates: [0.40, 0.35, 0.25, 0.20, 0.45, 0.35, 0.50],
             retry_budget: 16,
         }
     }
@@ -178,7 +162,7 @@ impl FaultProfile {
         let r = rate.clamp(0.0, 1.0);
         FaultProfile {
             name: format!("uniform({r})"),
-            rates: [r; 10],
+            rates: [r; 7],
             retry_budget: 32,
         }
     }
@@ -236,7 +220,7 @@ impl FaultProfile {
         if rate_values.len() != FaultChannel::ALL.len() {
             return None;
         }
-        let mut rates = [0.0; 10];
+        let mut rates = [0.0; 7];
         for (slot, v) in rates.iter_mut().zip(rate_values) {
             *slot = f64::from_bits(u64::from_str_radix(v.as_str()?, 16).ok()?);
         }

@@ -9,8 +9,8 @@
 //! it when the work ends; the deltas land in the shard log and merge by
 //! `(group, structural index)` exactly like spans. Because every shard's
 //! allocation sequence is a pure function of its input, the deltas are
-//! byte-identical across `--jobs` values and across thread / process /
-//! mock-remote backends.
+//! byte-identical across `--jobs` values and across the thread and process
+//! backends.
 //!
 //! Two rules keep that true:
 //!

@@ -51,7 +51,7 @@ pub const DEFENSE_MODES: &[&str] = &["none", "firewall", "text-only"];
 
 /// The execution backends a plan may name (mirrors `alexa-exec`'s
 /// `BackendChoice`; same layering note as [`FAULT_PRESETS`]).
-pub const BACKENDS: &[&str] = &["thread", "process", "mock-remote"];
+pub const BACKENDS: &[&str] = &["thread", "process"];
 
 /// Problem scale of a plan's cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -89,8 +89,8 @@ pub struct Plan {
     pub defenses: Vec<String>,
     /// Worker counts, in plan order.
     pub jobs: Vec<usize>,
-    /// Execution backends, in plan order (`thread`, `process`,
-    /// `mock-remote`). Like jobs and repeats, the backend is an *instance*
+    /// Execution backends, in plan order (`thread`, `process`). Like jobs
+    /// and repeats, the backend is an *instance*
     /// coordinate: every backend must reproduce the cell identity's bytes.
     pub backends: Vec<String>,
     /// How many times each `(seed, fault, defense, jobs, backend)` cell
@@ -538,23 +538,19 @@ mod tests {
 
     #[test]
     fn backend_axis_keys_and_enumerates() {
-        // Thread cells keep the pre-backend key shape; other backends get
-        // an explicit suffix. Identity never mentions the backend: all
-        // three must reproduce the same bytes.
+        // Thread cells keep the pre-backend key shape; the process backend
+        // gets an explicit suffix. Identity never mentions the backend: both
+        // must reproduce the same bytes.
         let src = r#"{
             "schema": 1, "name": "b", "seeds": [7],
-            "backends": ["thread", "process", "mock-remote"]
+            "backends": ["thread", "process"]
         }"#;
         let plan = Plan::parse(src).expect("valid plan");
-        assert_eq!(plan.backends, vec!["thread", "process", "mock-remote"]);
+        assert_eq!(plan.backends, vec!["thread", "process"]);
         let keys: Vec<String> = plan.cells().iter().map(CellCoord::key).collect();
         assert_eq!(
             keys,
-            vec![
-                "s7-fnone-dnone-j1-r0",
-                "s7-fnone-dnone-j1-r0-bprocess",
-                "s7-fnone-dnone-j1-r0-bmockremote",
-            ]
+            vec!["s7-fnone-dnone-j1-r0", "s7-fnone-dnone-j1-r0-bprocess"]
         );
         for cell in plan.cells() {
             assert_eq!(cell.id(), "s7-fnone-dnone");
@@ -615,6 +611,10 @@ mod tests {
             ),
             (
                 "{\"schema\": 1, \"name\": \"x\", \"seeds\": [1], \"backends\": [\"quantum\"]}",
+                "backends[0]",
+            ),
+            (
+                "{\"schema\": 1, \"name\": \"x\", \"seeds\": [1], \"backends\": [\"mock-remote\"]}",
                 "backends[0]",
             ),
             (

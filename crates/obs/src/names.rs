@@ -20,12 +20,8 @@ pub const REGISTRY: &[&str] = &[
     "avs",                       // shard group: AVS catalogue passes
     "avs.pass",                  // stage: AVS skill-store sweep
     "avs.skills",                // coverage section: skills seen via AVS
-    "backend.backoff_ms",        // volatile: virtual transport backoff accumulated
     "backend.committed",         // volatile: shards committed with a result
     "backend.lost",              // volatile: shards lost to the failure taxonomy
-    "backend.retries.poll",      // volatile: mock-remote poll retries
-    "backend.retries.result",    // volatile: mock-remote result-fetch retries
-    "backend.retries.submit",    // volatile: mock-remote submit retries
     "backend.shards",            // volatile: shards offered to a backend
     "boot",                      // span: device boot + profile setup
     "campaign.cells",            // stage: execute every plan cell

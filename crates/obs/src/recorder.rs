@@ -25,9 +25,9 @@ struct Inner {
     shards: BTreeMap<(String, usize), ShardReport>,
     aggregates: BTreeMap<String, Aggregate>,
     /// Schedule-dependent substrate counters (`backend.*` / `worker.*`):
-    /// retries, respawns, timeouts. Diagnostic only — surfaced by the
+    /// respawns, timeouts, crashes. Diagnostic only — surfaced by the
     /// human-facing report views and **never** by the run-ledger surfaces,
-    /// because transient transport weather must not change committed bytes.
+    /// because worker weather must not change committed bytes.
     volatile: BTreeMap<String, u64>,
 }
 
@@ -265,7 +265,7 @@ impl Recorder {
     /// Add `n` to a name-keyed **volatile** counter.
     ///
     /// Volatile counters record how the execution substrate behaved (worker
-    /// respawns, transport retries, timeouts) rather than what the pipeline
+    /// respawns, timeouts, crashes) rather than what the pipeline
     /// computed. They show up in [`Report::render_tree`] and
     /// [`Report::to_json`] but are excluded from every run-ledger surface,
     /// so they may legitimately differ between byte-identical runs.

@@ -95,11 +95,11 @@ pub struct Report {
     /// Name-keyed aggregates.
     pub aggregates: BTreeMap<String, Aggregate>,
     /// Schedule-dependent substrate counters (`backend.*` / `worker.*`):
-    /// worker respawns, transport retries, timeouts. Shown by the
+    /// worker respawns, timeouts, crashes. Shown by the
     /// human-facing views ([`Report::render_tree`], [`Report::to_json`])
     /// and deliberately **absent** from the run-ledger surfaces
     /// ([`Report::ledger_trace_json`], [`Report::ledger_metrics_json`]),
-    /// so transient transport weather can never change committed bytes.
+    /// so worker weather can never change committed bytes.
     pub volatile: BTreeMap<String, u64>,
 }
 

@@ -10,15 +10,16 @@
 //! 2. Every listed cell bundle loads, and its bundle manifest records the
 //!    campaign's plan hash, the cell's identity, and the digest the
 //!    campaign manifest claims.
-//! 3. Instances of one cell identity (differing only in `jobs`/`repeat`)
-//!    are compared through [`diff_bundles`] — structural drift between
-//!    them is a determinism violation, reported finding by finding.
+//! 3. Instances of one cell identity (differing only in `jobs`, `backend`
+//!    or `repeat`) are byte-identical, file by file ([`verify_instances`],
+//!    the same check the runner applies) — each differing file is a
+//!    determinism violation.
 
 use crate::bundle::load_bundle;
-use crate::diff::{diff_bundles, DiffOptions};
+use alexa_obs::bundle::{MANIFEST_FILE, MEMORY_FILE, METRICS_FILE, PROFILE_FILE, TRACE_FILE};
 use alexa_obs::campaign::{CAMPAIGN_FILE, CAMPAIGN_SCHEMA_VERSION, CELLS_DIR};
 use alexa_obs::Json;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -131,6 +132,61 @@ impl CampaignCheck {
     }
 }
 
+/// One bundle file that differs between two instances of a cell identity.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InstanceDivergence {
+    /// The cell identity.
+    pub id: String,
+    /// The bundle file that differs.
+    pub file: &'static str,
+    /// The reference (first) instance's key.
+    pub reference: String,
+    /// The divergent instance's key.
+    pub divergent: String,
+}
+
+/// Byte-compare every bundle file of each cell identity's instances against
+/// the identity's first instance. `cells` lists `(identity, key)` pairs in
+/// plan order, each bundle living under `cells_dir/<key>`. Divergences come
+/// back in identity order; a file missing from either side counts as one.
+///
+/// A byte match is the strictest instance check there is: identical bytes
+/// always diff clean.
+pub fn verify_instances(cells_dir: &Path, cells: &[(String, String)]) -> Vec<InstanceDivergence> {
+    const FILES: [&str; 5] = [
+        METRICS_FILE,
+        TRACE_FILE,
+        MEMORY_FILE,
+        PROFILE_FILE,
+        MANIFEST_FILE,
+    ];
+    let mut groups: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for (id, key) in cells {
+        groups.entry(id).or_default().push(key);
+    }
+    let mut divergences = Vec::new();
+    for (id, keys) in groups {
+        let Some((reference, rest)) = keys.split_first() else {
+            continue;
+        };
+        let read = |key: &str| FILES.map(|file| std::fs::read(cells_dir.join(key).join(file)).ok());
+        let expected = read(reference);
+        for other in rest {
+            for (&file, (a, b)) in FILES.iter().zip(expected.iter().zip(read(other))) {
+                if a.is_none() || *a != b {
+                    divergences.push(InstanceDivergence {
+                        id: id.to_string(),
+                        file,
+                        reference: reference.to_string(),
+                        divergent: other.to_string(),
+                    });
+                }
+            }
+        }
+    }
+    divergences
+}
+
 /// One cell row of `campaign.json`, as this checker needs it.
 struct CellRow {
     key: String,
@@ -193,10 +249,8 @@ pub fn check_campaign(dir: &Path) -> Result<CampaignCheck, CampaignCheckError> {
         .ok_or_else(|| missing("cells[].key/id/digest"))?;
 
     let mut findings = Vec::new();
-    let mut groups: BTreeMap<String, Vec<&CellRow>> = BTreeMap::new();
-    for row in &rows {
-        groups.entry(row.id.clone()).or_default().push(row);
-    }
+    // Cells whose bundle loads, as `(identity, key)` for the instance check.
+    let mut loaded: Vec<(String, String)> = Vec::new();
 
     // Per-cell integrity: the bundle loads and records what the campaign
     // manifest claims for it.
@@ -234,39 +288,28 @@ pub fn check_campaign(dir: &Path) -> Result<CampaignCheck, CampaignCheckError> {
                 row.digest
             ));
         }
+        loaded.push((row.id.clone(), row.key.clone()));
     }
 
-    // Cross-instance determinism: instances of one identity must diff
-    // clean (structure and every deterministic number identical).
-    let opts = DiffOptions::default();
-    for (id, instances) in &groups {
-        let Some((reference, rest)) = instances.split_first() else {
-            continue;
-        };
-        let Ok(ref_bundle) = load_bundle(&dir.join(CELLS_DIR).join(&reference.key)) else {
-            continue; // already reported above
-        };
-        for other in rest {
-            let Ok(other_bundle) = load_bundle(&dir.join(CELLS_DIR).join(&other.key)) else {
-                continue;
-            };
-            let report = diff_bundles(&ref_bundle, &other_bundle, &opts);
-            if !report.clean() {
-                findings.push(format!(
-                    "identity {id}: instances {} and {} drift ({} finding(s))",
-                    reference.key,
-                    other.key,
-                    report.findings.len()
-                ));
-            }
-        }
+    // Cross-instance determinism over the cells that loaded (the others
+    // are already reported above).
+    for d in verify_instances(&dir.join(CELLS_DIR), &loaded) {
+        findings.push(format!(
+            "identity {}: {} differs between instances {} and {}",
+            d.id, d.file, d.reference, d.divergent
+        ));
     }
 
+    let identities = rows
+        .iter()
+        .map(|row| row.id.as_str())
+        .collect::<BTreeSet<_>>()
+        .len();
     Ok(CampaignCheck {
         name,
         plan_hash,
         cells: rows.len(),
-        identities: groups.len(),
+        identities,
         findings,
     })
 }

@@ -15,7 +15,8 @@
 //! * `obs-diff campaign DIR` re-verifies a campaign directory written by
 //!   `repro campaign` from nothing but its files: every listed cell bundle
 //!   loads, records the campaign's plan hash / cell identity / digest, and
-//!   instances of one identity diff clean across `jobs` and `repeat`.
+//!   instances of one identity are byte-identical across `jobs`, `backend`
+//!   and `repeat`.
 //!
 //! Everything here only *reads* observability artifacts; nothing feeds back
 //! into a run, so the determinism contract is untouched.
@@ -29,6 +30,8 @@ pub mod diff;
 pub mod gate;
 
 pub use bundle::{load_bundle, BundleError, LoadedBundle};
-pub use campaign::{check_campaign, CampaignCheck, CampaignCheckError};
+pub use campaign::{
+    check_campaign, verify_instances, CampaignCheck, CampaignCheckError, InstanceDivergence,
+};
 pub use diff::{diff_bundles, DiffOptions, DiffReport, Finding, Severity};
 pub use gate::{run_gate, GateError, GateReport};
