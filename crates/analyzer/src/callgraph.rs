@@ -428,7 +428,6 @@ mod tests {
     use crate::lexer::lex;
     use crate::lints::FileCtx;
     use crate::symbols::summarize;
-    use std::collections::BTreeSet;
 
     fn file(rel: &str, crate_name: &str, src: &str) -> FileSummary {
         let ctx = FileCtx {
@@ -436,7 +435,7 @@ mod tests {
             crate_name: crate_name.to_string(),
             is_bin: false,
         };
-        summarize(&ctx, &lex(src), &BTreeSet::new(), Vec::new())
+        summarize(&ctx, &lex(src), Vec::new())
     }
 
     fn config(entry: &str) -> Config {

@@ -58,18 +58,6 @@ pub struct BaselineEntry {
     pub count: usize,
 }
 
-/// One AS02 wire pairing: a struct and the codec functions that must both
-/// mention every one of its fields.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WirePair {
-    /// Struct name as declared in the struct file.
-    pub struct_name: String,
-    /// Encode function name in the wire file.
-    pub encode_fn: String,
-    /// Decode function name in the wire file.
-    pub decode_fn: String,
-}
-
 /// Parsed analyzer configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Config {
@@ -86,13 +74,6 @@ pub struct Config {
     /// functions under these paths must not transitively reach a
     /// wallclock/entropy/spawn source. Empty = lint inactive.
     pub entry_paths: BTreeSet<String>,
-    /// AS02 wire pairings (`"Struct:encode_fn:decode_fn"` in the config).
-    /// Empty = lint inactive.
-    pub wire_pairs: Vec<WirePair>,
-    /// File declaring the AS02 wire-paired structs.
-    pub struct_file: String,
-    /// File holding the AS02 codec functions.
-    pub wire_file: String,
     /// Exit-status literals AS04 accepts in bin crates (defaults to the
     /// documented 0/2/3 contract when unset).
     pub exit_codes: BTreeSet<String>,
@@ -191,37 +172,24 @@ impl Config {
                 }
                 s if s.starts_with("lints.") => {
                     let lint = &s["lints.".len()..];
-                    match (lint, key) {
-                        ("AS02", "struct_file") => cfg.struct_file = parse_string(value, lineno)?,
-                        ("AS02", "wire_file") => cfg.wire_file = parse_string(value, lineno)?,
-                        ("AS02", "pairs") => {
-                            for spec in parse_string_array(value, lineno)? {
-                                cfg.wire_pairs.push(parse_wire_pair(&spec, lineno)?);
-                            }
+                    let list = parse_string_array(value, lineno)?;
+                    let target = match (lint, key) {
+                        ("AD01", "allow_crates") => &mut cfg.wallclock_allow,
+                        ("AD04", "allow_crates") => &mut cfg.thread_allow,
+                        ("AD03", "crates") => &mut cfg.ordered_crates,
+                        ("AP01", "exempt_crates") | ("AP02", "exempt_crates") => {
+                            &mut cfg.panic_exempt
                         }
+                        ("AS01", "entry_paths") => &mut cfg.entry_paths,
+                        ("AS04", "codes") => &mut cfg.exit_codes,
                         _ => {
-                            let list = parse_string_array(value, lineno)?;
-                            let target = match (lint, key) {
-                                ("AD01", "allow_crates") => &mut cfg.wallclock_allow,
-                                ("AD04", "allow_crates") => &mut cfg.thread_allow,
-                                ("AD03", "crates") => &mut cfg.ordered_crates,
-                                ("AP01", "exempt_crates") | ("AP02", "exempt_crates") => {
-                                    &mut cfg.panic_exempt
-                                }
-                                ("AS01", "entry_paths") => &mut cfg.entry_paths,
-                                ("AS04", "codes") => &mut cfg.exit_codes,
-                                _ => {
-                                    return Err(ConfigError {
-                                        line: lineno,
-                                        message: format!(
-                                            "unknown option `{key}` for [lints.{lint}]"
-                                        ),
-                                    })
-                                }
-                            };
-                            target.extend(list);
+                            return Err(ConfigError {
+                                line: lineno,
+                                message: format!("unknown option `{key}` for [lints.{lint}]"),
+                            })
                         }
-                    }
+                    };
+                    target.extend(list);
                 }
                 other => {
                     return Err(ConfigError {
@@ -289,22 +257,6 @@ fn parse_string(value: &str, line: u32) -> Result<String, ConfigError> {
         })
 }
 
-/// Parse an AS02 pair spec `"Struct:encode_fn:decode_fn"`.
-fn parse_wire_pair(spec: &str, line: u32) -> Result<WirePair, ConfigError> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    match parts.as_slice() {
-        [s, e, d] if !s.is_empty() && !e.is_empty() && !d.is_empty() => Ok(WirePair {
-            struct_name: s.to_string(),
-            encode_fn: e.to_string(),
-            decode_fn: d.to_string(),
-        }),
-        _ => Err(ConfigError {
-            line,
-            message: format!("AS02 pair must be \"Struct:encode_fn:decode_fn\", got {spec:?}"),
-        }),
-    }
-}
-
 fn parse_string_array(value: &str, line: u32) -> Result<Vec<String>, ConfigError> {
     let inner = value
         .strip_prefix('[')
@@ -367,11 +319,6 @@ crates = ["net"]
 [lints.AS01]
 entry_paths = ["crates/net/src/render/"]
 
-[lints.AS02]
-struct_file = "crates/net/src/schema.rs"
-wire_file = "crates/net/src/wire.rs"
-pairs = ["Shard:shard_to_json:shard_from_json"]
-
 [lints.AS04]
 codes = ["0", "2", "3", "7"]
 
@@ -400,16 +347,6 @@ count = 1
         assert_eq!(cfg.baseline_count("AP02", "crates/net/src/a.rs"), 3);
         assert_eq!(cfg.baseline_count("AP02", "crates/net/src/other.rs"), 0);
         assert!(cfg.entry_paths.contains("crates/net/src/render/"));
-        assert_eq!(cfg.struct_file, "crates/net/src/schema.rs");
-        assert_eq!(cfg.wire_file, "crates/net/src/wire.rs");
-        assert_eq!(
-            cfg.wire_pairs,
-            vec![WirePair {
-                struct_name: "Shard".to_string(),
-                encode_fn: "shard_to_json".to_string(),
-                decode_fn: "shard_from_json".to_string(),
-            }]
-        );
         assert!(cfg.allowed_exit_codes().contains("7"));
     }
 
@@ -424,12 +361,6 @@ count = 1
     }
 
     #[test]
-    fn malformed_wire_pair_is_an_error() {
-        let err = Config::parse("[lints.AS02]\npairs = [\"Shard:only_one\"]\n").expect_err("fail");
-        assert!(err.message.contains("Struct:encode_fn:decode_fn"), "{err}");
-    }
-
-    #[test]
     fn incomplete_baseline_is_an_error() {
         let err = Config::parse("[[baseline]]\nlint = \"AP01\"\n").expect_err("must fail");
         assert!(err.message.contains("incomplete"), "{err}");
@@ -438,6 +369,8 @@ count = 1
     #[test]
     fn unknown_section_is_an_error() {
         assert!(Config::parse("[mystery]\nx = \"1\"\n").is_err());
+        let err = Config::parse("[lints.AS02]\npairs = [\"A:b:c\"]\n").expect_err("no AS02");
+        assert!(err.message.contains("unknown option `pairs`"), "{err}");
     }
 
     #[test]

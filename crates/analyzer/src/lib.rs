@@ -18,8 +18,8 @@
 //!   and `fault.*` names must match declared fault channels.
 //! * **S-lints** (`AS0x`) — cross-file *semantic* checks over a lexical
 //!   symbol index and call graph ([`symbols`], [`callgraph`]): determinism
-//!   taint from committed surfaces (AS01), wire-schema drift (AS02),
-//!   registry liveness (AS03) and the exit-code contract (AS04).
+//!   taint from committed surfaces (AS01), registry liveness (AS03) and the
+//!   exit-code contract (AS04).
 //!
 //! Pre-existing findings live in a checked-in `analyzer.toml` **baseline**
 //! that works as a ratchet: any *new* finding fails, and any baseline entry
@@ -136,12 +136,6 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
     })?;
     files.sort();
 
-    let wire_fns: std::collections::BTreeSet<String> = config
-        .wire_pairs
-        .iter()
-        .flat_map(|p| [p.encode_fn.clone(), p.decode_fn.clone()])
-        .collect();
-
     let mut report = AnalysisReport::default();
     let mut summaries: Vec<FileSummary> = Vec::new();
     // Raw line content per file, for snippet backfill on semantic findings.
@@ -157,7 +151,7 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
         let ctx = classify(&rel);
         let mut raw = Vec::new();
         lints::run_lints(&lexed, &ctx, config, &reg, &mut raw);
-        summaries.push(symbols::summarize(&ctx, &lexed, &wire_fns, raw));
+        summaries.push(symbols::summarize(&ctx, &lexed, raw));
         file_lines.insert(rel, src.lines().map(str::to_string).collect());
     }
 
@@ -188,7 +182,6 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
         lints::check_fault_name(&entry.name, &reg, entry.line, entry.col, &mut push);
     }
     callgraph::as01_findings(&summaries, config, &mut semantic);
-    lints::as02_findings(&summaries, config, &mut semantic);
     lints::as03_findings(&summaries, &reg, &mut semantic);
 
     let mut sem_by_path: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
@@ -242,8 +235,8 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
         }
         all_findings.extend(raw);
     }
-    // Semantic findings on paths without a summary (e.g. a misconfigured
-    // AS02 file) cannot be escaped — they pass through directly.
+    // Semantic findings on paths without a summary cannot be escaped —
+    // they pass through directly.
     for (_, extra) in sem_by_path {
         all_findings.extend(extra);
     }

@@ -46,7 +46,7 @@ pub const CATALOG: &[LintSpec] = &[
         id: "AD04",
         slug: "thread-spawn",
         default_severity: Severity::Deny,
-        summary: "thread or process spawning (thread::spawn/scope/JoinHandle, process::Command) outside crates/exec — all parallelism goes through the deterministic execution backends",
+        summary: "thread or process spawning (thread::spawn/scope/JoinHandle, process::Command) outside crates/exec — all parallelism goes through its deterministic par_map",
     },
     LintSpec {
         id: "AP01",
@@ -82,13 +82,7 @@ pub const CATALOG: &[LintSpec] = &[
         id: "AS01",
         slug: "determinism-taint",
         default_severity: Severity::Deny,
-        summary: "a public function on a committed surface (report rendering, bundle writing, wire codecs) transitively reaches a wallclock/entropy/spawn source — the finding carries the full call chain",
-    },
-    LintSpec {
-        id: "AS02",
-        slug: "wire-schema-drift",
-        default_severity: Severity::Deny,
-        summary: "every field of a wire-paired struct must appear in both its encode and decode codec functions — a field missing from either silently drops data on the wire",
+        summary: "a public function on a committed surface (report rendering, bundle writing) transitively reaches a wallclock/entropy/spawn source — the finding carries the full call chain",
     },
     LintSpec {
         id: "AS03",
@@ -154,7 +148,6 @@ const OBS_METHODS: &[&str] = &[
     "shard",
     "section",
     "time",
-    "volatile",
     "volatile_max",
 ];
 /// Free functions whose first string argument is an observability name.
@@ -407,90 +400,6 @@ pub fn check_fault_name(
                 "fault name {name:?}: `{suffix}` is neither a ledger aggregate nor a channel label declared in crates/fault"
             ),
         );
-    }
-}
-
-/// AS02: every field of each configured wire-paired struct must appear (as
-/// an identifier or string literal) in the bodies of both its encode and
-/// decode functions. Findings land on the field's declaration line in the
-/// struct file so `analyzer:allow` escapes can sit next to the field.
-pub fn as02_findings(
-    summaries: &[crate::symbols::FileSummary],
-    config: &Config,
-    out: &mut Vec<Finding>,
-) {
-    if config.wire_pairs.is_empty() {
-        return;
-    }
-    let struct_file = summaries.iter().find(|s| s.rel == config.struct_file);
-    let wire_file = summaries.iter().find(|s| s.rel == config.wire_file);
-    let mut push = |path: &str, line: u32, col: u32, message: String| {
-        out.push(Finding {
-            lint: "AS02",
-            severity: Severity::Deny,
-            path: path.to_string(),
-            line,
-            col,
-            snippet: String::new(),
-            message,
-        });
-    };
-    let (Some(sf), Some(wf)) = (struct_file, wire_file) else {
-        let missing = if struct_file.is_none() {
-            &config.struct_file
-        } else {
-            &config.wire_file
-        };
-        push(
-            missing,
-            0,
-            0,
-            format!(
-                "AS02 is configured but `{missing}` was not scanned — check [lints.AS02] paths"
-            ),
-        );
-        return;
-    };
-    for pair in &config.wire_pairs {
-        let Some(st) = sf.structs.iter().find(|s| s.name == pair.struct_name) else {
-            push(
-                &sf.rel,
-                0,
-                0,
-                format!(
-                    "wire-paired struct `{}` not found in {} — check [lints.AS02] pairs",
-                    pair.struct_name, sf.rel
-                ),
-            );
-            continue;
-        };
-        for (role, fn_name) in [("encode", &pair.encode_fn), ("decode", &pair.decode_fn)] {
-            let Some(f) = wf.fns.iter().find(|f| &f.name == fn_name) else {
-                push(
-                    &wf.rel,
-                    0,
-                    0,
-                    format!(
-                        "{role} fn `{fn_name}` for struct `{}` not found in {} — check [lints.AS02] pairs",
-                        pair.struct_name, wf.rel
-                    ),
-                );
-                continue;
-            };
-            for field in &st.fields {
-                if !f.idents.contains(&field.name) {
-                    push(
-                        &sf.rel,
-                        field.line,
-                        field.col,
-                        format!(
-                            "field `{}::{}` never appears in {role} fn `{fn_name}` ({}) — it would silently drop on the wire",
-                            pair.struct_name, field.name, wf.rel
-                        ),
-                    );
-                }
-            }
-        }
     }
 }
 

@@ -4,8 +4,7 @@
 //! per-file lints: a brace-stack scan tracks `impl`/`trait` blocks and
 //! (possibly nested) `fn` bodies, and records for every function its call
 //! sites, its determinism taint sources (wallclock/entropy/spawn tokens)
-//! and its definition site. Struct declarations keep per-field lines for
-//! the wire-schema lint, and `dotted.lowercase`-shaped string literals are
+//! and its definition site. `dotted.lowercase`-shaped string literals are
 //! collected for the registry-liveness lint.
 //!
 //! A [`FileSummary`] is everything the semantic pass needs from a file.
@@ -70,9 +69,6 @@ pub struct FnSym {
     pub calls: Vec<CallRef>,
     /// Taint sources in the body.
     pub sources: Vec<SourceHit>,
-    /// Distinct identifier and string-literal texts in the body — collected
-    /// only for configured wire codec functions (AS02).
-    pub idents: BTreeSet<String>,
 }
 
 impl FnSym {
@@ -83,28 +79,6 @@ impl FnSym {
             None => self.name.clone(),
         }
     }
-}
-
-/// One named field of a struct declaration.
-#[derive(Debug, Clone)]
-pub struct FieldSym {
-    /// Field name.
-    pub name: String,
-    /// 1-based line of the field name.
-    pub line: u32,
-    /// 1-based column of the field name.
-    pub col: u32,
-}
-
-/// A struct declaration with named fields.
-#[derive(Debug, Clone)]
-pub struct StructSym {
-    /// Struct name.
-    pub name: String,
-    /// 1-based line of the name token.
-    pub line: u32,
-    /// The named fields, in declaration order.
-    pub fields: Vec<FieldSym>,
 }
 
 /// Everything the semantic pass needs from one file.
@@ -118,8 +92,6 @@ pub struct FileSummary {
     pub is_bin: bool,
     /// Functions, in source order.
     pub fns: Vec<FnSym>,
-    /// Struct declarations with named fields.
-    pub structs: Vec<StructSym>,
     /// `dotted.lowercase`-shaped string literals in non-test code — the
     /// liveness witnesses for AS03.
     pub shaped_literals: BTreeSet<String>,
@@ -217,15 +189,9 @@ fn fn_is_pub(toks: &[Tok], fn_kw: usize) -> bool {
     false
 }
 
-/// Build the [`FileSummary`] of one lexed file. `wire_fns` names the
-/// functions whose body identifiers AS02 needs; `findings` are the raw
+/// Build the [`FileSummary`] of one lexed file. `findings` are the raw
 /// per-file lint findings already computed for this file.
-pub fn summarize(
-    ctx: &FileCtx,
-    lexed: &Lexed,
-    wire_fns: &BTreeSet<String>,
-    findings: Vec<Finding>,
-) -> FileSummary {
+pub fn summarize(ctx: &FileCtx, lexed: &Lexed, findings: Vec<Finding>) -> FileSummary {
     let toks = &lexed.toks;
     let mut sum = FileSummary {
         rel: ctx.rel_path.clone(),
@@ -308,20 +274,8 @@ pub fn summarize(
                                 is_test: n.test,
                                 calls: Vec::new(),
                                 sources: Vec::new(),
-                                idents: BTreeSet::new(),
                             });
                             pending_fn = Some(sum.fns.len() - 1);
-                        }
-                    }
-                    "struct" if at_item_position(toks, i) => {
-                        if let Some(n) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) {
-                            let mut st = StructSym {
-                                name: n.text.clone(),
-                                line: n.line,
-                                fields: Vec::new(),
-                            };
-                            scan_struct_fields(toks, i + 2, &mut st);
-                            sum.structs.push(st);
                         }
                     }
                     _ => {
@@ -330,28 +284,9 @@ pub fn summarize(
                         }
                     }
                 }
-                if !t.test && fn_stack.last().is_some() {
-                    let in_wire = fn_stack
-                        .iter()
-                        .any(|&(idx, _)| wire_fns.contains(&sum.fns[idx].name));
-                    if in_wire {
-                        for &(idx, _) in &fn_stack {
-                            if wire_fns.contains(&sum.fns[idx].name) {
-                                sum.fns[idx].idents.insert(t.text.clone());
-                            }
-                        }
-                    }
-                }
             }
-            TokKind::Str => {
-                if !t.test && lints::is_dotted_lowercase(&t.text) {
-                    sum.shaped_literals.insert(t.text.clone());
-                }
-                for &(idx, _) in &fn_stack {
-                    if wire_fns.contains(&sum.fns[idx].name) {
-                        sum.fns[idx].idents.insert(t.text.clone());
-                    }
-                }
+            TokKind::Str if !t.test && lints::is_dotted_lowercase(&t.text) => {
+                sum.shaped_literals.insert(t.text.clone());
             }
             _ => {}
         }
@@ -417,63 +352,6 @@ fn scan_body_ident(
     }
 }
 
-/// After `struct Name`, collect named fields if a `{` body follows (skips
-/// tuple and unit structs). `j` points just past the name token.
-fn scan_struct_fields(toks: &[Tok], mut j: usize, st: &mut StructSym) {
-    // Skip generics/where up to the body opener, stopping at `;` or `(`.
-    let mut angle = 0i32;
-    while let Some(t) = toks.get(j) {
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "(" | ";" if angle <= 0 => return,
-                "{" if angle <= 0 => break,
-                _ => {}
-            }
-        }
-        j += 1;
-    }
-    let mut depth = 0usize;
-    while let Some(t) = toks.get(j) {
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return;
-                    }
-                }
-                _ => {}
-            }
-        }
-        // A field: `ident :` (not `::`) at body depth 1, preceded by a
-        // field separator, visibility or attribute close.
-        if depth == 1
-            && t.kind == TokKind::Ident
-            && next_punct_is(toks, j, ":")
-            && toks.get(j + 2).map(|n| n.text.as_str()) != Some(":")
-        {
-            let prev_ok = match j.checked_sub(1).and_then(|p| toks.get(p)) {
-                Some(p) => {
-                    (p.kind == TokKind::Punct && matches!(p.text.as_str(), "{" | "," | ")" | "]"))
-                        || (p.kind == TokKind::Ident && p.text == "pub")
-                }
-                None => false,
-            };
-            if prev_ok {
-                st.fields.push(FieldSym {
-                    name: t.text.clone(),
-                    line: t.line,
-                    col: t.col,
-                });
-            }
-        }
-        j += 1;
-    }
-}
-
 fn next_punct_is(toks: &[Tok], i: usize, p: &str) -> bool {
     toks.get(i + 1)
         .is_some_and(|t| t.kind == TokKind::Punct && t.text == p)
@@ -504,8 +382,7 @@ mod tests {
             crate_name: "demo".to_string(),
             is_bin: false,
         };
-        let wire: BTreeSet<String> = ["enc".to_string()].into_iter().collect();
-        summarize(&ctx, &lexed, &wire, Vec::new())
+        summarize(&ctx, &lexed, Vec::new())
     }
 
     #[test]
@@ -563,30 +440,11 @@ mod tests {
     }
 
     #[test]
-    fn struct_fields_with_lines() {
-        let s = summarize_src(
-            "pub struct Shard {\n    pub alpha: u64,\n    beta: Vec<std::string::String>,\n    #[doc(hidden)]\n    pub gamma: u64,\n}\npub struct Unit;\npub struct Tuple(u64);\n",
-        );
-        assert_eq!(s.structs.len(), 3);
-        let fields: Vec<(&str, u32)> = s.structs[0]
-            .fields
-            .iter()
-            .map(|f| (f.name.as_str(), f.line))
-            .collect();
-        assert_eq!(fields, vec![("alpha", 2), ("beta", 3), ("gamma", 5)]);
-        assert!(s.structs[1].fields.is_empty());
-        assert!(s.structs[2].fields.is_empty());
-    }
-
-    #[test]
-    fn wire_fn_idents_and_shaped_literals() {
+    fn shaped_literals_are_collected() {
         let s = summarize_src(
             "pub fn enc(c: &C) -> String { let x = c.seed; push(\"seed\"); x.to_string() }\n\
              pub fn other() { emit(\"crawl.bids\"); }\n",
         );
-        assert!(s.fns[0].idents.contains("seed"));
-        assert!(s.fns[0].idents.contains("c"));
-        assert!(s.fns[1].idents.is_empty(), "only wire fns collect idents");
         assert!(s.shaped_literals.contains("crawl.bids"));
         assert!(s.shaped_literals.contains("seed"));
     }

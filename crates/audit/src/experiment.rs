@@ -44,15 +44,13 @@ use alexa_adtech::{
     Auction, BrowserProfile, Crawler, StreamingService, SyncGraph, Transcriber, WebEcosystem,
     Website,
 };
-use alexa_exec::{
-    par_map, BackendChoice, BackendStats, ProcessBackend, ShardOutcome, ShardSpec, ThreadBackend,
-};
+use alexa_exec::par_map;
 use alexa_fault::{
     retry, Coverage, CoverageReport, FaultChannel, FaultLedger, FaultPlane, FaultProfile,
     RetryBudget, RetryOutcome, RetryPolicy,
 };
 use alexa_net::{AvsTap, Capture, OrgMap, RouterTap, TapStats};
-use alexa_obs::{Histogram, Json, Recorder, ShardLog};
+use alexa_obs::{Recorder, ShardLog};
 use alexa_platform::storepage::{parse_invocation, parse_sample_utterances, render_store_page};
 use alexa_platform::{
     AlexaCloud, AvsEcho, DeviceError, DsarExport, DsarPhase, EchoDevice, Marketplace, SkillCategory,
@@ -105,20 +103,7 @@ pub struct AuditConfig {
     /// Worker threads for the sharded engine: `None` = one per hardware
     /// thread, `Some(1)` = fully sequential. The produced [`Observations`]
     /// are byte-identical for every value.
-    // analyzer:allow(AS02) -- engine knob, deliberately not serialized: a replayed run must not pin the recording host's parallelism
     pub jobs: Option<usize>,
-    /// Execution backend for the persona / AVS shard fan-out (DESIGN.md
-    /// §15). The produced [`Observations`] are byte-identical for every
-    /// backend under `none`/`flaky` fault profiles.
-    // analyzer:allow(AS02) -- engine knob, deliberately not serialized: the backend is a host property, not part of the experiment identity
-    pub backend: alexa_exec::BackendChoice,
-    /// Command line for spawning one `process`-backend worker (e.g.
-    /// `["repro", "--shard-worker"]`). Ignored by the other backends.
-    // analyzer:allow(AS02) -- engine knob, deliberately not serialized: worker command lines are host paths, not experiment identity
-    pub worker_cmd: Vec<String>,
-    /// Per-shard wall-clock timeout for `process`-backend workers.
-    // analyzer:allow(AS02) -- engine knob, deliberately not serialized: timeouts tune the host scheduler, not the experiment identity
-    pub worker_timeout_ms: u64,
 }
 
 impl AuditConfig {
@@ -136,9 +121,6 @@ impl AuditConfig {
             defense: DefenseMode::None,
             fault: FaultProfile::none(),
             jobs: None,
-            backend: alexa_exec::BackendChoice::Thread,
-            worker_cmd: Vec::new(),
-            worker_timeout_ms: 30_000,
         }
     }
 
@@ -156,9 +138,6 @@ impl AuditConfig {
             defense: DefenseMode::None,
             fault: FaultProfile::none(),
             jobs: None,
-            backend: alexa_exec::BackendChoice::Thread,
-            worker_cmd: Vec::new(),
-            worker_timeout_ms: 30_000,
         }
     }
 
@@ -177,24 +156,6 @@ impl AuditConfig {
     /// The same configuration with an explicit worker-thread count.
     pub fn with_jobs(mut self, jobs: Option<usize>) -> AuditConfig {
         self.jobs = jobs;
-        self
-    }
-
-    /// The same configuration with an explicit execution backend.
-    pub fn with_backend(mut self, backend: alexa_exec::BackendChoice) -> AuditConfig {
-        self.backend = backend;
-        self
-    }
-
-    /// The same configuration with a `process`-backend worker command.
-    pub fn with_worker_cmd(mut self, cmd: Vec<String>) -> AuditConfig {
-        self.worker_cmd = cmd;
-        self
-    }
-
-    /// The same configuration with a `process`-backend shard timeout.
-    pub fn with_worker_timeout_ms(mut self, ms: u64) -> AuditConfig {
-        self.worker_timeout_ms = ms;
         self
     }
 }
@@ -279,75 +240,12 @@ pub(crate) struct PersonaShard {
     pub(crate) visits: Coverage,
 }
 
-impl PersonaShard {
-    /// The degraded stand-in for a persona shard whose worker was lost
-    /// (crash, timeout, malformed reply): planned work is
-    /// accounted as expected-but-unobserved, the ledger records one loss
-    /// and opens the breaker, so the run reports reduced coverage and
-    /// exits 3 instead of panicking.
-    pub(crate) fn lost(config: &AuditConfig, persona: Persona) -> PersonaShard {
-        let mut out = PersonaShard::default();
-        if persona.has_echo() {
-            out.router_captures = Some(Vec::new());
-        }
-        if persona.category().is_some() {
-            out.installs.expected = config.skills_per_category as u64;
-        }
-        out.visits.expected =
-            ((config.pre_iterations + config.post_iterations) * config.crawl_sites) as u64;
-        out.ledger.losses = 1;
-        out.ledger.degraded = true;
-        out
-    }
-}
-
 /// Everything one AVS-category shard produces.
 pub(crate) struct AvsShard {
     pub(crate) captures: Vec<Capture>,
     pub(crate) ledger: FaultLedger,
     /// Skills whose plaintext pass completed: observed / planned.
     pub(crate) skills: Coverage,
-}
-
-/// The allocation-plane summary of one shard's [`ShardLog`] window, as it
-/// crosses the `process`-backend wire (DESIGN.md §16).
-///
-/// Span-level alloc deltas travel inside the wire-encoded log itself; the
-/// shard-level window (counts, bytes, windowed peak, size histogram) is not
-/// part of the span tree, so it rides this sidecar and is re-installed on
-/// the decoded log via [`ShardLog::set_alloc`] before submission.
-pub(crate) struct ShardAlloc {
-    pub(crate) count: u64,
-    pub(crate) bytes: u64,
-    pub(crate) peak_bytes: u64,
-    pub(crate) sizes: Histogram,
-}
-
-impl ShardAlloc {
-    /// Capture a sealed log's shard-level allocation window.
-    pub(crate) fn of(log: &ShardLog) -> ShardAlloc {
-        ShardAlloc {
-            count: log.alloc_count(),
-            bytes: log.alloc_bytes(),
-            peak_bytes: log.alloc_peak_bytes(),
-            sizes: log.alloc_sizes().clone(),
-        }
-    }
-}
-
-impl AvsShard {
-    /// The degraded stand-in for a lost AVS-category shard (see
-    /// [`PersonaShard::lost`]).
-    pub(crate) fn lost(config: &AuditConfig) -> AvsShard {
-        let mut ledger = FaultLedger::new();
-        ledger.losses = 1;
-        ledger.degraded = true;
-        AvsShard {
-            captures: Vec::new(),
-            ledger,
-            skills: Coverage::new(0, config.skills_per_category as u64),
-        }
-    }
 }
 
 /// Fold a retried device operation into a shard ledger.
@@ -396,9 +294,7 @@ pub(crate) fn run_persona_shard(
     log: &mut ShardLog,
 ) -> PersonaShard {
     // Open the shard's allocation window here — not at log creation — so it
-    // covers exactly the shard body and none of the caller's staging work
-    // (a worker allocates `Persona::all()` and the site list between
-    // creating the log and entering this function).
+    // covers exactly the shard body and none of the caller's staging work.
     log.alloc_open();
     let mut out = PersonaShard::default();
     let account = persona.account();
@@ -791,153 +687,22 @@ pub(crate) fn run_avs_shard(
     }
 }
 
-/// Surface a backend's pool statistics through the recorder's
-/// volatile channel: visible in the human report, deliberately absent from
-/// the run-ledger bundle (schedule- and machine-dependent numbers must never
-/// change committed bytes).
-fn record_backend_stats(rec: &Recorder, stats: &BackendStats) {
-    rec.volatile("backend.shards", stats.shards);
-    rec.volatile("backend.committed", stats.committed);
-    rec.volatile("backend.lost", stats.lost);
-    rec.volatile("worker.spawned", stats.workers_spawned);
-    rec.volatile("worker.respawned", stats.workers_respawned);
-    rec.volatile("worker.timeouts", stats.timeouts);
-    rec.volatile("worker.crashes", stats.crashes);
-    rec.volatile("worker.malformed", stats.malformed);
-}
-
-/// Decode one `process`-backend worker reply: the wire-encoded shard plus
-/// the worker-side [`ShardLog`], which is submitted to the parent recorder
-/// so the merged report looks the same as an in-process run.
-fn decode_worker_reply<T>(
-    rec: &Recorder,
-    payload: &str,
-    decode: &impl Fn(&Json) -> Option<T>,
-) -> Option<T> {
-    let doc = Json::parse(payload).ok()?;
-    let shard = decode(doc.get("shard")?)?;
-    if let Some(mut log) = doc.get("log").and_then(ShardLog::from_wire_json) {
-        // The shard-level allocation window travels beside the log (span
-        // deltas travel inside it); re-install it so the merged report and
-        // memory ledger match an in-process run byte for byte.
-        if let Some(alloc) = doc
-            .get("alloc")
-            .and_then(crate::wire::shard_alloc_from_json)
-        {
-            log.set_alloc(alloc.count, alloc.bytes, alloc.peak_bytes, alloc.sizes);
-        }
-        rec.submit(log);
-    }
-    // Aggregate deltas the worker's leaf libraries (crawler) recorded while
-    // running this shard; merging them keeps metrics.json byte-identical to
-    // an in-process run.
-    if let Some(Json::Obj(aggregates)) = doc.get("agg") {
-        for (name, delta) in aggregates {
-            let field = |key: &str| match delta.get(key) {
-                Some(Json::Int(n)) => *n,
-                _ => 0,
-            };
-            rec.merge_aggregate(name, field("count"), field("calls"));
-        }
-    }
-    Some(shard)
-}
-
-/// Distribute one shard group through the configured execution backend
-/// (DESIGN.md §15).
-///
-/// * `thread` — shards run in-process with `par_map` semantics and hand
-///   their typed results over directly; nothing crosses a wire, so the
-///   pre-backend pipeline is reproduced byte for byte.
-/// * `process` — each shard is dispatched to a `worker_cmd` child process
-///   as a wire-encoded [`ShardSpec`]; replies carry the encoded shard plus
-///   its worker-side [`ShardLog`]. Crashed, hung or garbled workers degrade
-///   the shard.
-///
-/// Whatever the backend, results are committed in structural-index order by
-/// the ordered committer, and a lost shard becomes `lost(index)` — a
-/// degraded placeholder whose ledger records the loss, so the run completes
-/// with reduced coverage (exit 3) instead of panicking.
+/// Run one shard group on `config.jobs` workers: each shard fills its own
+/// [`ShardLog`] under its fixed structural index and submits it, and the
+/// results come back in label order whatever the schedule.
 fn fan_out<T: Send>(
     config: &AuditConfig,
     rec: &Recorder,
     group: &str,
     labels: &[String],
-    run_local: &(impl Fn(usize, &mut ShardLog) -> T + Sync),
-    decode: &impl Fn(&Json) -> Option<T>,
-    lost: &impl Fn(usize) -> T,
+    run: &(impl Fn(usize, &mut ShardLog) -> T + Sync),
 ) -> Vec<T> {
-    let n = labels.len();
-    // Every spec carries the same rendered config document: workers key
-    // their memoized world on the payload string, so one worker serving many
-    // shards rebuilds the marketplace and web ecosystem exactly once.
-    let payload = crate::wire::config_to_json(config).render();
-    let specs: Vec<ShardSpec> = labels
-        .iter()
-        .enumerate()
-        .map(|(index, label)| ShardSpec {
-            group: group.to_string(),
-            index,
-            label: label.clone(),
-            payload: payload.clone(),
-        })
-        .collect();
-    match config.backend {
-        BackendChoice::Thread => {
-            // In-process results skip the wire entirely: each shard parks
-            // its typed output in a slot keyed by structural index.
-            let slots: Vec<std::sync::Mutex<Option<T>>> =
-                (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-            let exec = |spec: &ShardSpec| -> Result<String, String> {
-                let mut log = rec.shard(group, spec.index, &spec.label);
-                let shard = run_local(spec.index, &mut log);
-                rec.submit(log);
-                if let Some(slot) = slots.get(spec.index) {
-                    *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(shard);
-                }
-                Ok(String::new())
-            };
-            match ThreadBackend.run(config.jobs, specs, &exec) {
-                Ok(run) => {
-                    record_backend_stats(rec, &run.stats);
-                    slots
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, slot)| {
-                            slot.into_inner()
-                                .unwrap_or_else(|p| p.into_inner())
-                                .unwrap_or_else(|| lost(i))
-                        })
-                        .collect()
-                }
-                Err(_) => (0..n).map(lost).collect(),
-            }
-        }
-        BackendChoice::Process => {
-            let backend = ProcessBackend {
-                worker_cmd: config.worker_cmd.clone(),
-                timeout_ms: config.worker_timeout_ms,
-                max_respawns: 8,
-            };
-            match backend.run(config.jobs, specs) {
-                Ok(run) => {
-                    record_backend_stats(rec, &run.stats);
-                    run.outcomes
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, outcome)| match outcome {
-                            ShardOutcome::Done(res) => {
-                                decode_worker_reply(rec, &res.payload, decode)
-                                    .unwrap_or_else(|| lost(i))
-                            }
-                            ShardOutcome::Lost { .. } => lost(i),
-                        })
-                        .collect()
-                }
-                Err(_) => (0..n).map(lost).collect(),
-            }
-        }
-    }
+    par_map(config.jobs, labels.iter().collect(), |i, label| {
+        let mut log = rec.shard(group, i, label);
+        let shard = run(i, &mut log);
+        rec.submit(log);
+        shard
+    })
 }
 
 /// The experiment driver.
@@ -999,15 +764,9 @@ impl AuditRun {
                 .iter()
                 .map(|cat| cat.label().to_string())
                 .collect();
-            fan_out(
-                config,
-                rec,
-                "avs",
-                &labels,
-                &|ci, log| run_avs_shard(config, &market, &plane, ci, SkillCategory::ALL[ci], log),
-                &crate::wire::avs_shard_from_json,
-                &|_| AvsShard::lost(config),
-            )
+            fan_out(config, rec, "avs", &labels, &|ci, log| {
+                run_avs_shard(config, &market, &plane, ci, SkillCategory::ALL[ci], log)
+            })
         });
         let mut coverage = CoverageReport::new(config.fault.name());
         for (cat, shard) in SkillCategory::ALL.iter().zip(avs_shards) {
@@ -1032,26 +791,18 @@ impl AuditRun {
         let personas = Persona::all();
         let shards = rec.stage("persona.shards", || {
             let labels: Vec<String> = personas.iter().map(|p| p.name()).collect();
-            fan_out(
-                config,
-                rec,
-                "persona",
-                &labels,
-                &|i, log| {
-                    run_persona_shard(
-                        config,
-                        &market,
-                        &crawler,
-                        &sites,
-                        &plane,
-                        personas[i],
-                        i,
-                        log,
-                    )
-                },
-                &crate::wire::persona_shard_from_json,
-                &|i| PersonaShard::lost(config, personas[i]),
-            )
+            fan_out(config, rec, "persona", &labels, &|i, log| {
+                run_persona_shard(
+                    config,
+                    &market,
+                    &crawler,
+                    &sites,
+                    &plane,
+                    personas[i],
+                    i,
+                    log,
+                )
+            })
         });
 
         // Merge in fixed persona order (par_map preserves input order).

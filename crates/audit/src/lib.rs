@@ -44,8 +44,6 @@ pub mod observations;
 pub mod persona;
 pub mod report;
 pub mod table;
-pub(crate) mod wire;
-pub mod worker;
 
 pub use experiment::{AuditConfig, AuditRun, DefenseMode};
 pub use index::AnalysisIndex;

@@ -13,9 +13,6 @@
 //! repro --run-dir run-a all        # self-describing run-ledger bundle
 //! repro --fault-profile flaky all  # run under a fault-plane preset
 //! repro --fault-rate 0.2 all       # uniform fault rate on every channel
-//! repro --backend process all      # shard fan-out via child processes
-//! repro --worker-timeout-ms 5000 --backend process all  # per-shard timeout
-//! repro --shard-worker             # (internal) process-backend worker loop
 //! repro --bench             # time a paper-scale run, write BENCH_audit.json
 //! repro --list              # list artifact names
 //! repro campaign plan.json  # execute a declarative experiment plan
@@ -34,19 +31,13 @@
 //! bundles with the `obs-diff` tool. `--mem-out` exports the same
 //! deterministic memory document standalone: per-stage and per-shard
 //! allocation counts and bytes plus size histograms, byte-identical across
-//! `--jobs` values and backends (OS peak RSS stays on the volatile channel
-//! of the metrics document, never here).
+//! `--jobs` values (OS peak RSS stays on the volatile channel of the metrics
+//! document, never here).
 //!
 //! `repro campaign PLAN [--out DIR]` executes a declarative experiment plan
-//! (seeds × faults × defenses × jobs × backends, with repeats) into a
+//! (seeds × faults × defenses × jobs, with repeats) into a
 //! campaign directory of cell bundles plus derived analysis tables, resuming
 //! over cells that are already complete — see `alexa_bench::campaign`.
-//!
-//! `--backend thread|process` selects the shard execution backend
-//! (DESIGN.md §15); both produce byte-identical output for a
-//! given `(seed, fault profile)`. `--shard-worker` is the internal child
-//! entry point the `process` backend spawns — one wire-encoded shard spec
-//! per stdin line, one reply per stdout line.
 //!
 //! Any unknown artifact name or flag is a hard error (exit 2) — including
 //! alongside `all` — so a typo in a CI invocation can never pass green.
@@ -260,7 +251,6 @@ fn usage(code: i32) -> ! {
         "usage: repro [--seed N] [--jobs N] [--trace] [--metrics-out PATH] \
          [--mem-out PATH] [--trace-out PATH] [--profile-out PATH] [--run-dir DIR] \
          [--fault-profile none|flaky|degraded|hostile] [--fault-rate R] \
-         [--backend thread|process] [--worker-timeout-ms N] \
          <artifact>... | all | --bench | --list"
     );
     eprintln!("       repro campaign PLAN [--out DIR]");
@@ -327,8 +317,6 @@ struct Cli {
     profile_out: Option<String>,
     run_dir: Option<String>,
     fault: FaultProfile,
-    backend: alexa_exec::BackendChoice,
-    worker_timeout_ms: u64,
     bench: bool,
     list: bool,
     all: bool,
@@ -350,8 +338,6 @@ fn parse_cli() -> Cli {
         profile_out: None,
         run_dir: None,
         fault: FaultProfile::none(),
-        backend: alexa_exec::BackendChoice::Thread,
-        worker_timeout_ms: 30_000,
         bench: false,
         list: false,
         all: false,
@@ -412,22 +398,6 @@ fn parse_cli() -> Cli {
                 }
                 cli.fault = FaultProfile::uniform(rate);
             }
-            "--backend" => {
-                cli.backend = value(&mut args, "--backend").parse().unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                })
-            }
-            "--worker-timeout-ms" => {
-                cli.worker_timeout_ms = value(&mut args, "--worker-timeout-ms")
-                    .parse()
-                    .ok()
-                    .filter(|ms| *ms > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --worker-timeout-ms expects a positive integer");
-                        std::process::exit(2);
-                    })
-            }
             "--bench" => cli.bench = true,
             "--list" => cli.list = true,
             "--help" | "-h" => usage(0),
@@ -454,12 +424,6 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("campaign") {
         run_campaign_cli(&argv[1..]);
-    }
-    // The process-backend worker loop: wire-encoded shard specs on stdin,
-    // replies on stdout. Dispatched before the flag parser because it shares
-    // no grammar with the artifact CLI.
-    if argv.first().map(String::as_str) == Some("--shard-worker") {
-        std::process::exit(alexa_audit::worker::run_shard_worker());
     }
 
     let cli = parse_cli();
@@ -506,14 +470,9 @@ fn main() {
     if cli.fault.is_active() {
         eprintln!("fault profile: {}", cli.fault.name());
     }
-    let mut config = AuditConfig::paper(cli.seed)
+    let config = AuditConfig::paper(cli.seed)
         .with_faults(cli.fault.clone())
-        .with_jobs(cli.jobs)
-        .with_backend(cli.backend)
-        .with_worker_timeout_ms(cli.worker_timeout_ms);
-    if cli.backend == alexa_exec::BackendChoice::Process {
-        config = config.with_worker_cmd(alexa_bench::campaign::default_worker_cmd());
-    }
+        .with_jobs(cli.jobs);
     let obs = AuditRun::execute_with(config, &rec);
     // Under an active fault profile the coverage block leads stdout, so any
     // artifact subset still reports what the run actually observed. It is

@@ -27,7 +27,6 @@
 //!   defense efficacy against the undefended baseline).
 
 use alexa_audit::{AuditConfig, AuditRun, DefenseMode};
-use alexa_exec::BackendChoice;
 use alexa_fault::FaultProfile;
 use alexa_obs::bundle::{
     check_run_dir, write_bundle, BundleSpec, CampaignCell, RunDirConflict, RunDirState,
@@ -247,22 +246,6 @@ pub fn resolve_defense(spec: &str) -> Option<DefenseMode> {
     }
 }
 
-/// The execution backend a plan backend variant names.
-pub fn resolve_backend(spec: &str) -> Option<BackendChoice> {
-    spec.parse().ok()
-}
-
-/// The default `process`-backend worker command: this executable re-invoked
-/// with `--shard-worker`. Correct when the campaign runs inside `repro`;
-/// other hosts (tests) pass an explicit command to [`run_campaign_with`].
-pub fn default_worker_cmd() -> Vec<String> {
-    std::env::current_exe()
-        .ok()
-        .and_then(|p| p.to_str().map(str::to_string))
-        .map(|exe| vec![exe, "--shard-worker".to_string()])
-        .unwrap_or_default()
-}
-
 /// The default campaign directory for a plan: `campaigns/<name>` under the
 /// current working directory.
 pub fn default_campaign_dir(plan: &Plan) -> PathBuf {
@@ -347,18 +330,6 @@ pub fn run_campaign(
     out_dir: Option<&Path>,
     rec: &Recorder,
 ) -> Result<CampaignSummary, CampaignError> {
-    run_campaign_with(plan_path, out_dir, rec, &default_worker_cmd())
-}
-
-/// [`run_campaign`] with an explicit `process`-backend worker command
-/// (needed by hosts whose own executable is not `repro`, e.g. test
-/// binaries).
-pub fn run_campaign_with(
-    plan_path: &Path,
-    out_dir: Option<&Path>,
-    rec: &Recorder,
-    worker_cmd: &[String],
-) -> Result<CampaignSummary, CampaignError> {
     let plan = rec.stage("campaign.plan", || -> Result<Plan, CampaignError> {
         let src =
             std::fs::read_to_string(plan_path).map_err(|e| CampaignError::PlanUnreadable {
@@ -398,7 +369,7 @@ pub fn run_campaign_with(
     // Execute (or skip) every cell instance, in plan order.
     let coords = plan.cells();
     let statuses = rec.stage("campaign.cells", || {
-        execute_cells(&plan, &plan_hash, &coords, &dir, plan_path, rec, worker_cmd)
+        execute_cells(&plan, &plan_hash, &coords, &dir, plan_path, rec)
     })?;
 
     // Load every cell back through the obsdiff loader: executed and skipped
@@ -467,9 +438,20 @@ pub fn run_campaign_with(
     })
 }
 
+/// [`run_campaign`] under the four-argument signature the benchmark
+/// harness (`benchmark/src/trace.rs`) calls; the trailing argument is
+/// ignored.
+pub fn run_campaign_with(
+    plan_path: &Path,
+    out_dir: Option<&Path>,
+    rec: &Recorder,
+    _unused: &[String],
+) -> Result<CampaignSummary, CampaignError> {
+    run_campaign(plan_path, out_dir, rec)
+}
+
 /// Execute or skip every cell of the matrix, in plan order. Each entry
 /// pairs the status with the cell's OS peak RSS in kB (executed cells only).
-#[allow(clippy::too_many_arguments)]
 fn execute_cells(
     plan: &Plan,
     plan_hash: &str,
@@ -477,22 +459,19 @@ fn execute_cells(
     dir: &Path,
     plan_path: &Path,
     rec: &Recorder,
-    worker_cmd: &[String],
 ) -> Result<Vec<(CellStatus, Option<u64>)>, CampaignError> {
     let mut statuses = Vec::with_capacity(coords.len());
     for (i, coord) in coords.iter().enumerate() {
         let key = coord.key();
         // The plan parser validated every variant; a failed resolution here
         // means the schema's pinned catalog drifted from the crates.
-        let (Some(fault), Some(defense), Some(backend)) = (
-            resolve_fault(&coord.fault),
-            resolve_defense(&coord.defense),
-            resolve_backend(&coord.backend),
-        ) else {
+        let (Some(fault), Some(defense)) =
+            (resolve_fault(&coord.fault), resolve_defense(&coord.defense))
+        else {
             return Err(CampaignError::Plan {
                 path: plan_path.to_path_buf(),
                 error: PlanError::Field {
-                    field: "faults/defenses/backends".into(),
+                    field: "faults/defenses".into(),
                     problem: format!("variant of cell {key} resolves to no known profile"),
                 },
             });
@@ -517,9 +496,7 @@ fn execute_cells(
         }
         .with_faults(fault.clone())
         .with_defense(defense)
-        .with_jobs(Some(coord.jobs))
-        .with_backend(backend)
-        .with_worker_cmd(worker_cmd.to_vec());
+        .with_jobs(Some(coord.jobs));
         let obs = AuditRun::execute_with(config, &cell_rec);
         let mut spec = cell_spec(plan_hash, coord, &fault, obs.digest());
         spec.coverage = Some(obs.coverage.to_json());
@@ -910,7 +887,7 @@ fn defense_md(plan: &Plan, reps: &[(&CellCoord, &LoadedBundle)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alexa_obs::campaign::{BACKENDS, DEFENSE_MODES, FAULT_PRESETS};
+    use alexa_obs::campaign::{DEFENSE_MODES, FAULT_PRESETS};
 
     #[test]
     fn plan_fault_catalog_matches_fault_crate() {
@@ -935,18 +912,6 @@ mod tests {
         assert_eq!(resolve_defense("firewall"), Some(DefenseMode::Firewall));
         assert_eq!(resolve_defense("text-only"), Some(DefenseMode::TextOnly));
         assert!(resolve_defense("tinfoil").is_none());
-    }
-
-    #[test]
-    fn plan_backend_catalog_matches_exec_crate() {
-        // The plan schema pins the backend names (obs sits below the exec
-        // crate); every pinned name must resolve and round-trip its label.
-        for name in BACKENDS {
-            let backend = resolve_backend(name).expect("backend resolves");
-            assert_eq!(backend.label(), *name);
-        }
-        assert_eq!(BACKENDS.len(), BackendChoice::ALL.len());
-        assert!(resolve_backend("quantum").is_none());
     }
 
     #[test]
@@ -1020,7 +985,7 @@ mod tests {
             reference: reference.clone(),
             divergent: divergent.clone(),
         };
-        match run_campaign_with(&plan_path, Some(&dir), &Recorder::disabled(), &[]) {
+        match run_campaign(&plan_path, Some(&dir), &Recorder::disabled()) {
             Err(CampaignError::DeterminismBreak(d)) => assert_eq!(d, expected),
             other => panic!("expected a determinism break, got {other:?}"),
         }

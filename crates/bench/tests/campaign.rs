@@ -84,7 +84,7 @@ fn run_campaign(plan: &Path, out_dir: &Path) -> Output {
 #[test]
 fn plan_parse_errors_are_typed_and_exit_2() {
     let dir = scratch("parse-errors");
-    let cases: [(&str, &str, &[&str]); 4] = [
+    let cases: [(&str, &str, &[&str]); 5] = [
         (
             "syntax.json",
             r#"{"schema": 1, "name": "x", "#,
@@ -105,6 +105,11 @@ fn plan_parse_errors_are_typed_and_exit_2() {
             r#"{"schema": 1, "name": "x", "seeds": []}"#,
             &["plan field", "seeds"],
         ),
+        (
+            "backends.json",
+            r#"{"schema": 1, "name": "x", "seeds": [7], "backends": ["thread"]}"#,
+            &["plan field \"backends\"", "unknown field"],
+        ),
     ];
     for (file, body, expected) in cases {
         let plan = dir.join(file);
@@ -119,6 +124,17 @@ fn plan_parse_errors_are_typed_and_exit_2() {
             );
         }
     }
+    // There is one execution path: a backend flag is a typo, not a choice.
+    let out = repro()
+        .args(["--backend", "thread", "all"])
+        .output()
+        .expect("run repro");
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("unknown flag \"--backend\""),
+        "{}",
+        stderr(&out)
+    );
 }
 
 #[test]

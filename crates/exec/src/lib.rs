@@ -13,24 +13,11 @@
 //! closure itself is deterministic per item. The closure receives the item
 //! index, which callers use to derive per-item seeds (`seed ^ index`-style).
 //!
-//! Built on `std::thread::scope` only — no external dependency — because the
+//! Built on `std::thread::scope` only — no dependency at all — because the
 //! build must work fully offline.
-//!
-//! Beyond the in-process map, the [`backend`] module generalizes the same
-//! contract to two interchangeable execution substrates (a thread pool and a
-//! child process pool), with an ordered [`Committer`] preserving the
-//! byte-identical-output guarantee.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
-
-pub mod backend;
-
-pub use backend::{
-    decode_reply, encode_reply, BackendChoice, BackendParseError, BackendRun, BackendStats,
-    CommitError, Committer, ExecFn, ProcessBackend, ShardOutcome, ShardResult, ShardSpec,
-    ThreadBackend,
-};
 
 /// Lock a mutex, recovering from poisoning.
 ///
@@ -49,43 +36,22 @@ fn hardware_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// THE worker-count policy: every backend and fan-out resolves its `jobs`
-/// knob through this one function, so process-pool sizing can never drift
-/// from thread-pool sizing.
+/// Resolve a `jobs` knob to a concrete worker count.
 ///
 /// `None` means "all cores" ([`std::thread::available_parallelism`], falling
-/// back to 1 if unknown); `Some(n)` is clamped to at least 1. When
-/// `clamp_to_hardware` is set the result is additionally capped at the
-/// host's hardware threads: a CPU-bound *thread* fan-out cannot benefit from
-/// more workers than cores (on a single-core host `--jobs 8` spawns eight
-/// threads contending for one core and measurably *slows* the pass), while
-/// a *process* pool is sized by the caller's request alone — true
-/// parallelism across processes is exactly what it exists to provide, even
-/// on a 1-thread CI runner. Worker count is a pure throughput knob either
-/// way: the committed output is worker-count-independent, so neither branch
-/// can change bytes.
-pub fn job_policy(jobs: Option<usize>, clamp_to_hardware: bool) -> usize {
-    let requested = match jobs {
-        Some(n) => n.max(1),
-        None => hardware_threads(),
-    };
-    if clamp_to_hardware {
-        requested.min(hardware_threads())
-    } else {
-        requested
-    }
-}
-
-/// Resolve a `jobs` knob to a concrete worker count: [`job_policy`] without
-/// the hardware clamp.
+/// back to 1 if unknown); `Some(n)` is clamped to at least 1. Worker count is
+/// a pure throughput knob: committed output is worker-count-independent.
 pub fn effective_jobs(jobs: Option<usize>) -> usize {
-    job_policy(jobs, false)
+    jobs.map_or_else(hardware_threads, |n| n.max(1))
 }
 
-/// Resolve a `jobs` knob for a thread-spawning fan-out: [`job_policy`] with
-/// the hardware clamp.
+/// [`effective_jobs`] capped at the host's hardware threads.
+///
+/// A CPU-bound fan-out cannot benefit from more workers than cores: on a
+/// single-core host `--jobs 8` spawns eight threads contending for one core
+/// and measurably *slows* the pass.
 pub fn clamped_jobs(jobs: Option<usize>) -> usize {
-    job_policy(jobs, true)
+    effective_jobs(jobs).min(hardware_threads())
 }
 
 /// Map `f` over `items` with up to `effective_jobs(jobs)` worker threads,

@@ -1,6 +1,5 @@
 //! Fault channels and named fault profiles.
 
-use alexa_obs::Json;
 use std::fmt;
 use std::str::FromStr;
 
@@ -49,15 +48,6 @@ impl FaultChannel {
             FaultChannel::BidLoss => "bid_loss",
             FaultChannel::PolicyDownload => "policy_download",
         }
-    }
-
-    /// The channel with this stable label, if any — the inverse of
-    /// [`FaultChannel::label`], used when decoding ledgers off the wire.
-    pub fn from_label(label: &str) -> Option<FaultChannel> {
-        FaultChannel::ALL
-            .iter()
-            .copied()
-            .find(|c| c.label() == label)
     }
 
     pub(crate) fn index(&self) -> usize {
@@ -186,51 +176,6 @@ impl FaultProfile {
     pub fn is_active(&self) -> bool {
         self.rates.iter().any(|&r| r > 0.0)
     }
-
-    /// Encode the profile for the shard wire format (DESIGN.md §15).
-    ///
-    /// Rates travel as IEEE-754 bit-hex strings, not JSON floats: the
-    /// in-tree [`Json`] renderer prints floats with `{:.3}`, which would be
-    /// lossy, and a process-backend worker must rebuild a plane whose
-    /// decisions are bit-identical to the parent's.
-    pub fn to_wire_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".into(), Json::Str(self.name.clone())),
-            (
-                "rates".into(),
-                Json::Arr(
-                    self.rates
-                        .iter()
-                        .map(|r| Json::Str(format!("{:016x}", r.to_bits())))
-                        .collect(),
-                ),
-            ),
-            ("retry_budget".into(), Json::Int(self.retry_budget as u64)),
-        ])
-    }
-
-    /// Decode a profile from the shard wire format; `None` on any shape or
-    /// encoding mismatch (the caller treats that as a malformed shard).
-    pub fn from_wire_json(j: &Json) -> Option<FaultProfile> {
-        let name = j.get("name")?.as_str()?.to_string();
-        let rate_values = match j.get("rates")? {
-            Json::Arr(items) => items,
-            _ => return None,
-        };
-        if rate_values.len() != FaultChannel::ALL.len() {
-            return None;
-        }
-        let mut rates = [0.0; 7];
-        for (slot, v) in rates.iter_mut().zip(rate_values) {
-            *slot = f64::from_bits(u64::from_str_radix(v.as_str()?, 16).ok()?);
-        }
-        let retry_budget = j.get("retry_budget")?.as_u64()?;
-        Some(FaultProfile {
-            name,
-            rates,
-            retry_budget: u32::try_from(retry_budget).ok()?,
-        })
-    }
 }
 
 impl FromStr for FaultProfile {
@@ -310,47 +255,5 @@ mod tests {
     fn channel_labels_const_matches_label_method() {
         let from_method: Vec<&str> = FaultChannel::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(CHANNEL_LABELS, from_method.as_slice());
-    }
-
-    #[test]
-    fn from_label_inverts_label() {
-        for ch in FaultChannel::ALL {
-            assert_eq!(FaultChannel::from_label(ch.label()), Some(ch));
-        }
-        assert_eq!(FaultChannel::from_label("gremlins"), None);
-    }
-
-    #[test]
-    fn wire_codec_round_trips_bit_exactly() {
-        for profile in [
-            FaultProfile::none(),
-            FaultProfile::flaky(),
-            FaultProfile::degraded(),
-            FaultProfile::hostile(),
-            FaultProfile::uniform(0.123456789),
-        ] {
-            let wire = profile.to_wire_json().render();
-            let parsed = Json::parse(&wire).expect("wire json parses");
-            let back = FaultProfile::from_wire_json(&parsed).expect("wire json decodes");
-            assert_eq!(back, profile, "{} did not round-trip", profile.name());
-            for ch in FaultChannel::ALL {
-                assert_eq!(back.rate(ch).to_bits(), profile.rate(ch).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn wire_codec_rejects_malformed_payloads() {
-        let good = FaultProfile::flaky().to_wire_json().render();
-        let parsed = Json::parse(&good).unwrap();
-        assert!(FaultProfile::from_wire_json(&parsed).is_some());
-        for bad in [
-            r#"{"name": "x", "retry_budget": 1}"#,
-            r#"{"name": "x", "rates": ["zz"], "retry_budget": 1}"#,
-            r#"{"name": "x", "rates": [], "retry_budget": 1}"#,
-        ] {
-            let j = Json::parse(bad).unwrap();
-            assert!(FaultProfile::from_wire_json(&j).is_none(), "{bad}");
-        }
     }
 }

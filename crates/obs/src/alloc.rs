@@ -9,8 +9,7 @@
 //! it when the work ends; the deltas land in the shard log and merge by
 //! `(group, structural index)` exactly like spans. Because every shard's
 //! allocation sequence is a pure function of its input, the deltas are
-//! byte-identical across `--jobs` values and across the thread and process
-//! backends.
+//! byte-identical across `--jobs` values.
 //!
 //! Two rules keep that true:
 //!
@@ -95,9 +94,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 /// The installed global allocator: every binary and test in the workspace
-/// links `alexa-obs`, so parent processes and `--shard-worker` children
-/// meter allocations identically — a precondition for thread-vs-process
-/// byte parity of the committed counters.
+/// links `alexa-obs`, so every process meters allocations identically.
 #[global_allocator]
 static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
 

@@ -49,10 +49,6 @@ pub const FAULT_PRESETS: &[&str] = &["none", "flaky", "degraded", "hostile"];
 /// `DefenseMode`; same layering note as [`FAULT_PRESETS`]).
 pub const DEFENSE_MODES: &[&str] = &["none", "firewall", "text-only"];
 
-/// The execution backends a plan may name (mirrors `alexa-exec`'s
-/// `BackendChoice`; same layering note as [`FAULT_PRESETS`]).
-pub const BACKENDS: &[&str] = &["thread", "process"];
-
 /// Problem scale of a plan's cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
@@ -89,12 +85,7 @@ pub struct Plan {
     pub defenses: Vec<String>,
     /// Worker counts, in plan order.
     pub jobs: Vec<usize>,
-    /// Execution backends, in plan order (`thread`, `process`). Like jobs
-    /// and repeats, the backend is an *instance*
-    /// coordinate: every backend must reproduce the cell identity's bytes.
-    pub backends: Vec<String>,
-    /// How many times each `(seed, fault, defense, jobs, backend)` cell
-    /// repeats.
+    /// How many times each `(seed, fault, defense, jobs)` cell repeats.
     pub repeats: u32,
 }
 
@@ -143,8 +134,6 @@ pub struct CellCoord {
     pub defense: String,
     /// Worker count the cell executes with.
     pub jobs: usize,
-    /// Execution backend the cell executes with.
-    pub backend: String,
     /// Repeat index, `0..plan.repeats`.
     pub repeat: u32,
 }
@@ -165,17 +154,8 @@ impl CellCoord {
     }
 
     /// The cell's directory key under `cells/`, e.g. `s7-fflaky-dnone-j4-r0`.
-    ///
-    /// The default `thread` backend is keyed exactly as before the backend
-    /// axis existed (resumability of old campaign directories); other
-    /// backends append a `-b` token, e.g. `s7-fflaky-dnone-j4-r0-bprocess`.
     pub fn key(&self) -> String {
-        let mut key = format!("{}-j{}-r{}", self.id(), self.jobs, self.repeat);
-        if self.backend != "thread" {
-            key.push_str("-b");
-            key.push_str(&key_token(&self.backend));
-        }
-        key
+        format!("{}-j{}-r{}", self.id(), self.jobs, self.repeat)
     }
 }
 
@@ -216,7 +196,7 @@ impl Plan {
             problem: "plan must be a JSON object".into(),
         })?;
         const KNOWN: &[&str] = &[
-            "schema", "name", "scale", "seeds", "faults", "defenses", "jobs", "backends", "repeats",
+            "schema", "name", "scale", "seeds", "faults", "defenses", "jobs", "repeats",
         ];
         for (key, _) in fields {
             if !KNOWN.contains(&key.as_str()) {
@@ -270,11 +250,6 @@ impl Plan {
                 .filter(|n| (1..=512).contains(n))
                 .map(|n| n as usize)
         })?;
-        let backends = optional_axis(&doc, "backends", vec!["thread".to_string()], |v| {
-            v.as_str()
-                .filter(|s| BACKENDS.contains(s))
-                .map(str::to_string)
-        })?;
         let repeats = match doc.get("repeats") {
             None => 1,
             Some(v) => v
@@ -290,7 +265,6 @@ impl Plan {
             faults,
             defenses,
             jobs,
-            backends,
             repeats,
         })
     }
@@ -320,10 +294,6 @@ impl Plan {
                 "jobs".into(),
                 Json::Arr(self.jobs.iter().map(|j| Json::Int(*j as u64)).collect()),
             ),
-            (
-                "backends".into(),
-                Json::Arr(self.backends.iter().map(|b| Json::Str(b.clone())).collect()),
-            ),
             ("repeats".into(), Json::Int(self.repeats as u64)),
         ])
     }
@@ -341,25 +311,21 @@ impl Plan {
     }
 
     /// Every cell instance of the matrix, in deterministic plan order:
-    /// seeds × faults × defenses × jobs × backends × repeats, outermost
-    /// first.
+    /// seeds × faults × defenses × jobs × repeats, outermost first.
     pub fn cells(&self) -> Vec<CellCoord> {
         let mut out = Vec::new();
         for &seed in &self.seeds {
             for fault in &self.faults {
                 for defense in &self.defenses {
                     for &jobs in &self.jobs {
-                        for backend in &self.backends {
-                            for repeat in 0..self.repeats {
-                                out.push(CellCoord {
-                                    seed,
-                                    fault: fault.clone(),
-                                    defense: defense.clone(),
-                                    jobs,
-                                    backend: backend.clone(),
-                                    repeat,
-                                });
-                            }
+                        for repeat in 0..self.repeats {
+                            out.push(CellCoord {
+                                seed,
+                                fault: fault.clone(),
+                                defense: defense.clone(),
+                                jobs,
+                                repeat,
+                            });
                         }
                     }
                 }
@@ -459,7 +425,6 @@ pub fn campaign_manifest(plan: &Plan, cells: &[CellRecord]) -> Json {
                 ("fault".into(), Json::Str(c.coord.fault.clone())),
                 ("defense".into(), Json::Str(c.coord.defense.clone())),
                 ("jobs".into(), Json::Int(c.coord.jobs as u64)),
-                ("backend".into(), Json::Str(c.coord.backend.clone())),
                 ("repeat".into(), Json::Int(c.coord.repeat as u64)),
                 ("digest".into(), Json::Str(c.digest.clone())),
                 ("degraded".into(), Json::Bool(c.degraded)),
@@ -497,7 +462,6 @@ mod tests {
         assert_eq!(plan.faults, vec!["none", "flaky"]);
         assert_eq!(plan.defenses, vec!["none"]);
         assert_eq!(plan.jobs, vec![1, 4]);
-        assert_eq!(plan.backends, vec!["thread"]);
         assert_eq!(plan.repeats, 1);
     }
 
@@ -530,31 +494,9 @@ mod tests {
             fault: "uniform:0.25".into(),
             defense: "text-only".into(),
             jobs: 2,
-            backend: "thread".into(),
             repeat: 1,
         };
         assert_eq!(cell.key(), "s3-funiform0.25-dtextonly-j2-r1");
-    }
-
-    #[test]
-    fn backend_axis_keys_and_enumerates() {
-        // Thread cells keep the pre-backend key shape; the process backend
-        // gets an explicit suffix. Identity never mentions the backend: both
-        // must reproduce the same bytes.
-        let src = r#"{
-            "schema": 1, "name": "b", "seeds": [7],
-            "backends": ["thread", "process"]
-        }"#;
-        let plan = Plan::parse(src).expect("valid plan");
-        assert_eq!(plan.backends, vec!["thread", "process"]);
-        let keys: Vec<String> = plan.cells().iter().map(CellCoord::key).collect();
-        assert_eq!(
-            keys,
-            vec!["s7-fnone-dnone-j1-r0", "s7-fnone-dnone-j1-r0-bprocess"]
-        );
-        for cell in plan.cells() {
-            assert_eq!(cell.id(), "s7-fnone-dnone");
-        }
     }
 
     #[test]
@@ -609,16 +551,9 @@ mod tests {
                 "{\"schema\": 1, \"name\": \"x\", \"seeds\": [1], \"jobs\": [0]}",
                 "jobs[0]",
             ),
+            // An execution-backend axis is rejected, never silently dropped.
             (
-                "{\"schema\": 1, \"name\": \"x\", \"seeds\": [1], \"backends\": [\"quantum\"]}",
-                "backends[0]",
-            ),
-            (
-                "{\"schema\": 1, \"name\": \"x\", \"seeds\": [1], \"backends\": [\"mock-remote\"]}",
-                "backends[0]",
-            ),
-            (
-                "{\"schema\": 1, \"name\": \"x\", \"seeds\": [1], \"backends\": []}",
+                "{\"schema\": 1, \"name\": \"x\", \"seeds\": [1], \"backends\": [\"thread\"]}",
                 "backends",
             ),
             (

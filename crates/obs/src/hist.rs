@@ -68,14 +68,6 @@ impl Histogram {
         }
     }
 
-    /// Record `n` occurrences of `v` at once — the decode half of a sparse
-    /// wire round trip (`v` is a bucket's exact lower bound).
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if let Some(c) = self.counts.get_mut(Self::bucket_of(v)) {
-            *c += n;
-        }
-    }
-
     /// Add another histogram's counts into this one, bucket by bucket.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
@@ -238,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_since_and_record_n_round_trip() {
+    fn merge_and_since_are_bucket_wise() {
         let mut base = Histogram::new();
         for v in [1, 8, 9, 300] {
             base.record(v);
@@ -251,12 +243,6 @@ mod tests {
         assert_eq!(delta.sparse(), vec![(8, 16, 1), (2048, 4096, 1)]);
         // since() saturates instead of underflowing.
         assert_eq!(base.since(&grown).total(), 0);
-        // Sparse encode -> record_n decode reproduces the histogram.
-        let mut decoded = Histogram::new();
-        for (lo, _hi, count) in grown.sparse() {
-            decoded.record_n(lo, count);
-        }
-        assert_eq!(decoded, grown);
         // merge adds bucket-wise.
         let mut merged = base.clone();
         merged.merge(&delta);

@@ -20,9 +20,6 @@ pub const REGISTRY: &[&str] = &[
     "avs",                       // shard group: AVS catalogue passes
     "avs.pass",                  // stage: AVS skill-store sweep
     "avs.skills",                // coverage section: skills seen via AVS
-    "backend.committed",         // volatile: shards committed with a result
-    "backend.lost",              // volatile: shards lost to the failure taxonomy
-    "backend.shards",            // volatile: shards offered to a backend
     "boot",                      // span: device boot + profile setup
     "campaign.cells",            // stage: execute every plan cell
     "campaign.plan",             // stage: plan load + parse + conflict checks
@@ -79,11 +76,6 @@ pub const REGISTRY: &[&str] = &[
     "tap.flows",                 // counter: flows seen by the network tap
     "tap.sessions",              // counter: TLS sessions seen by the tap
     "web.ecosystem",             // stage: web ad-ecosystem construction
-    "worker.crashes",            // volatile: worker crashes (exit / dead pipe / EOF)
-    "worker.malformed",          // volatile: protocol violations from workers
-    "worker.respawned",          // volatile: workers replaced after a failure
-    "worker.spawned",            // volatile: workers started for the initial pool
-    "worker.timeouts",           // volatile: per-shard timeouts that killed a worker
 ];
 
 /// Whether `name` is a sanctioned observability name.

@@ -4,7 +4,7 @@
 //! [`pause`](crate::alloc::pause) guard: which thread first inserts an
 //! aggregate name or extends the stage vector is a schedule artifact, and
 //! metering it would break the byte-parity of the committed allocation
-//! counters across `--jobs` values and backends (DESIGN.md §16).
+//! counters across `--jobs` values (DESIGN.md §15).
 
 use crate::alloc;
 use crate::report::{Aggregate, Report, ShardReport, StageRec};
@@ -24,10 +24,9 @@ struct Inner {
     open_stages: Vec<usize>,
     shards: BTreeMap<(String, usize), ShardReport>,
     aggregates: BTreeMap<String, Aggregate>,
-    /// Schedule-dependent substrate counters (`backend.*` / `worker.*`):
-    /// respawns, timeouts, crashes. Diagnostic only — surfaced by the
-    /// human-facing report views and **never** by the run-ledger surfaces,
-    /// because worker weather must not change committed bytes.
+    /// Machine-dependent gauges (`mem.peak_rss_kb`). Diagnostic only —
+    /// surfaced by the human-facing report views and **never** by the
+    /// run-ledger surfaces, because they must not change committed bytes.
     volatile: BTreeMap<String, u64>,
 }
 
@@ -242,50 +241,16 @@ impl Recorder {
         out
     }
 
-    /// Merge an aggregate delta harvested from another recorder.
+    /// Raise a name-keyed **volatile** gauge to at least `v`.
     ///
-    /// The process backend's child workers record leaf-library aggregates
-    /// (crawler visits, bootstrap resamples) into their own recorder; the
-    /// parent merges the per-shard `(count, calls)` deltas shipped in each
-    /// reply so `metrics.json` is byte-identical to an in-process run.
-    /// `total_us` is deliberately not merged: wall clock is excluded from
-    /// every deterministic surface, and cross-process timing would only
-    /// add noise to the schedule-dependent ones.
-    pub fn merge_aggregate(&self, name: &str, count: u64, calls: u64) {
-        if !self.enabled || (count == 0 && calls == 0) {
-            return;
-        }
-        let _quiet = alloc::pause();
-        let mut g = self.locked();
-        let a = g.aggregates.entry(name.to_string()).or_default();
-        a.count += count;
-        a.calls += calls;
-    }
-
-    /// Add `n` to a name-keyed **volatile** counter.
-    ///
-    /// Volatile counters record how the execution substrate behaved (worker
-    /// respawns, timeouts, crashes) rather than what the pipeline
-    /// computed. They show up in [`Report::render_tree`] and
-    /// [`Report::to_json`] but are excluded from every run-ledger surface,
-    /// so they may legitimately differ between byte-identical runs.
+    /// Volatile values record how this machine behaved (peak RSS) rather
+    /// than what the pipeline computed. They show up in
+    /// [`Report::render_tree`] and [`Report::to_json`] but are excluded from
+    /// every run-ledger surface, so they may legitimately differ between
+    /// byte-identical runs.
     ///
     /// [`Report::render_tree`]: crate::Report::render_tree
     /// [`Report::to_json`]: crate::Report::to_json
-    pub fn volatile(&self, name: &str, n: u64) {
-        if !self.enabled || n == 0 {
-            return;
-        }
-        let _quiet = alloc::pause();
-        let mut g = self.locked();
-        *g.volatile.entry(name.to_string()).or_insert(0) += n;
-    }
-
-    /// Raise a name-keyed **volatile** gauge to at least `v`.
-    ///
-    /// The max-merging sibling of [`Recorder::volatile`], for high-water
-    /// marks (peak RSS) where summing across samples would be meaningless.
-    /// Same channel, same rules: human views only, never a ledger surface.
     pub fn volatile_max(&self, name: &str, v: u64) {
         if !self.enabled || v == 0 {
             return;
@@ -446,7 +411,7 @@ mod tests {
         log.add("c", 1);
         rec.submit(log);
         rec.time("t", || ());
-        rec.volatile("worker.crashes", 1);
+        rec.volatile_max("mem.peak_rss_kb", 1);
         let r = rec.report();
         assert!(r.stages.is_empty() && r.shards.is_empty() && r.aggregates.is_empty());
         assert!(r.volatile.is_empty());
@@ -496,17 +461,6 @@ mod tests {
         rec.volatile_max("mem.peak_rss_kb", 300);
         rec.volatile_max("mem.peak_rss_kb", 0);
         assert_eq!(rec.report().volatile["mem.peak_rss_kb"], 700);
-    }
-
-    #[test]
-    fn volatile_counters_sum_and_skip_zero() {
-        let rec = Recorder::new();
-        rec.volatile("worker.timeouts", 2);
-        rec.volatile("worker.timeouts", 3);
-        rec.volatile("backend.shards", 0);
-        let r = rec.report();
-        assert_eq!(r.volatile["worker.timeouts"], 5);
-        assert!(!r.volatile.contains_key("backend.shards"));
     }
 
     #[test]

@@ -94,12 +94,11 @@ pub struct Report {
     pub shards: Vec<ShardReport>,
     /// Name-keyed aggregates.
     pub aggregates: BTreeMap<String, Aggregate>,
-    /// Schedule-dependent substrate counters (`backend.*` / `worker.*`):
-    /// worker respawns, timeouts, crashes. Shown by the
+    /// Machine-dependent gauges (`mem.peak_rss_kb`). Shown by the
     /// human-facing views ([`Report::render_tree`], [`Report::to_json`])
     /// and deliberately **absent** from the run-ledger surfaces
     /// ([`Report::ledger_trace_json`], [`Report::ledger_metrics_json`]),
-    /// so worker weather can never change committed bytes.
+    /// so they can never change committed bytes.
     pub volatile: BTreeMap<String, u64>,
 }
 
@@ -232,7 +231,7 @@ impl Report {
             }
         }
         if !self.volatile.is_empty() {
-            out.push_str("volatile (substrate counters, not part of the ledger):\n");
+            out.push_str("volatile (machine gauges, not part of the ledger):\n");
             for (name, v) in &self.volatile {
                 let _ = writeln!(out, "  {name:<34} {v}");
             }
@@ -568,7 +567,7 @@ impl Report {
     ///
     /// Everything here derives from the thread-local allocation meter,
     /// which counts the workload's own allocation requests: byte-identical
-    /// across `--jobs` values and backends for a fixed seed. OS-level RSS
+    /// across `--jobs` values for a fixed seed. OS-level RSS
     /// is deliberately absent — it lives on the volatile channel only.
     pub fn ledger_memory_json(&self) -> Json {
         let stage_alloc = self
@@ -640,7 +639,7 @@ mod tests {
             }
         });
         rec.count("crawler.bids", 7);
-        rec.volatile("worker.respawned", 2);
+        rec.volatile_max("mem.peak_rss_kb", u64::MAX);
         rec.report()
     }
 
@@ -655,7 +654,7 @@ mod tests {
         assert!(tree.contains("crawler.bids"));
         assert!(tree.contains("wu"));
         assert!(tree.contains("volatile"));
-        assert!(tree.contains("worker.respawned"));
+        assert!(tree.contains("mem.peak_rss_kb"));
     }
 
     #[test]
@@ -668,7 +667,7 @@ mod tests {
         assert!(j.contains("\"crawler.bids\""));
         assert!(j.contains("\"work\": 13"));
         assert!(j.contains("\"volatile\""));
-        assert!(j.contains("\"worker.respawned\": 2"));
+        assert!(j.contains(&format!("\"mem.peak_rss_kb\": {}", u64::MAX)));
     }
 
     #[test]
@@ -738,15 +737,15 @@ mod tests {
         assert!(memory.contains("\"stage_alloc\""));
         assert!(memory.contains("\"size_histograms\""));
         assert!(memory.contains("\"alloc_peak_bytes\""));
-        // Volatile substrate counters must never reach a ledger surface:
-        // the sample report carries one, and no document may mention it
-        // (or the section) at all. The same goes for every wall-clock and
-        // OS-level number — peak RSS is volatile by definition.
+        // Volatile gauges must never reach a ledger surface: the sample
+        // report carries one, and no document may mention it (or the
+        // section) at all. The same goes for every wall-clock and OS-level
+        // number — peak RSS is volatile by definition.
         for doc in [&trace, &metrics, &memory] {
             assert!(!doc.contains("volatile"), "ledger leaked volatile section");
             assert!(
-                !doc.contains("worker.respawned"),
-                "ledger leaked a substrate counter"
+                !doc.contains("mem.peak_rss_kb"),
+                "ledger leaked a volatile gauge"
             );
             assert!(!doc.contains("\"ms\""), "ledger leaked wall clock");
             assert!(!doc.contains("rss"), "ledger leaked OS-level RSS");

@@ -2,7 +2,6 @@
 
 use crate::alloc;
 use crate::hist::Histogram;
-use crate::json::Json;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -193,116 +192,6 @@ impl ShardLog {
         self.alloc_peak = alloc::window_peak();
         self.alloc_sizes = alloc::size_histogram().since(&sizes_at_open);
     }
-
-    /// Heap allocations performed inside the sealed window.
-    pub fn alloc_count(&self) -> u64 {
-        self.alloc_count
-    }
-
-    /// Heap bytes requested inside the sealed window.
-    pub fn alloc_bytes(&self) -> u64 {
-        self.alloc_bytes
-    }
-
-    /// Peak net-live bytes reached inside the sealed window.
-    pub fn alloc_peak_bytes(&self) -> u64 {
-        self.alloc_peak
-    }
-
-    /// Log2 histogram of allocation sizes inside the sealed window.
-    pub fn alloc_sizes(&self) -> &Histogram {
-        &self.alloc_sizes
-    }
-
-    /// Install externally measured allocation deltas — the decode half of a
-    /// wire round trip, where the window ran in another process.
-    pub fn set_alloc(&mut self, count: u64, bytes: u64, peak_bytes: u64, sizes: Histogram) {
-        self.alloc_count = count;
-        self.alloc_bytes = bytes;
-        self.alloc_peak = peak_bytes;
-        self.alloc_sizes = sizes;
-    }
-
-    /// Serialize the log for the worker wire protocol (DESIGN.md §15).
-    ///
-    /// Everything structural crosses the wire: spans (including their
-    /// wall-clock fields — real numbers from the worker's clock), counters
-    /// and the virtual work clock. A decoded log gets a fresh `origin`, so
-    /// the parent's `total_us` measures parent-side wall time; every
-    /// deterministic surface is work-unit-based and survives the round trip
-    /// bit-exactly.
-    pub fn to_wire_json(&self) -> Json {
-        let spans = self
-            .spans
-            .iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(s.name.clone())),
-                    ("depth".into(), Json::Int(s.depth as u64)),
-                    ("start_us".into(), Json::Int(s.start_us)),
-                    ("dur_us".into(), Json::Int(s.dur_us)),
-                    ("start_wu".into(), Json::Int(s.start_wu)),
-                    ("dur_wu".into(), Json::Int(s.dur_wu)),
-                    ("alloc_count".into(), Json::Int(s.alloc_count)),
-                    ("alloc_bytes".into(), Json::Int(s.alloc_bytes)),
-                ])
-            })
-            .collect();
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::Int(*v)))
-            .collect();
-        Json::Obj(vec![
-            ("group".into(), Json::Str(self.group.clone())),
-            ("index".into(), Json::Int(self.index as u64)),
-            ("label".into(), Json::Str(self.label.clone())),
-            ("spans".into(), Json::Arr(spans)),
-            ("counters".into(), Json::Obj(counters)),
-            ("vclock".into(), Json::Int(self.vclock)),
-        ])
-    }
-
-    /// Decode a wire document produced by [`ShardLog::to_wire_json`].
-    ///
-    /// The decoded log is enabled and closed (depth 0): it is meant to be
-    /// submitted to a [`Recorder`](crate::Recorder), not written to further.
-    pub fn from_wire_json(j: &Json) -> Option<ShardLog> {
-        let str_field = |k: &str| j.get(k).and_then(Json::as_str).map(str::to_string);
-        let mut spans = Vec::new();
-        for sp in j.get("spans")?.as_arr()? {
-            spans.push(SpanRec {
-                name: sp.get("name")?.as_str()?.to_string(),
-                depth: sp.get("depth")?.as_u64()? as usize,
-                start_us: sp.get("start_us")?.as_u64()?,
-                dur_us: sp.get("dur_us")?.as_u64()?,
-                start_wu: sp.get("start_wu")?.as_u64()?,
-                dur_wu: sp.get("dur_wu")?.as_u64()?,
-                alloc_count: sp.get("alloc_count")?.as_u64()?,
-                alloc_bytes: sp.get("alloc_bytes")?.as_u64()?,
-            });
-        }
-        let mut counters = BTreeMap::new();
-        for (k, v) in j.get("counters")?.as_obj()? {
-            counters.insert(k.clone(), v.as_u64()?);
-        }
-        Some(ShardLog {
-            group: str_field("group")?,
-            index: j.get("index")?.as_u64()? as usize,
-            label: str_field("label")?,
-            origin: Instant::now(),
-            spans,
-            counters,
-            vclock: j.get("vclock")?.as_u64()?,
-            alloc_count: 0,
-            alloc_bytes: 0,
-            alloc_peak: 0,
-            alloc_sizes: Histogram::new(),
-            depth: 0,
-            enabled: true,
-            window: None,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -376,42 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_codec_round_trips_structure() {
-        let mut log = ShardLog::new("persona", 3, "Connected Car", true);
-        log.span("install", |log| {
-            log.add("tap.flows", 7);
-            log.work(12);
-            log.span("retry", |log| log.work(5));
-        });
-        log.work(2);
-        let decoded = ShardLog::from_wire_json(&log.to_wire_json()).unwrap();
-        assert_eq!(decoded.group, log.group);
-        assert_eq!(decoded.index, log.index);
-        assert_eq!(decoded.label, log.label);
-        assert_eq!(decoded.spans, log.spans);
-        assert_eq!(decoded.counters, log.counters);
-        assert_eq!(decoded.work_total(), log.work_total());
-        assert!(decoded.is_enabled());
-        // The render also survives a parse through the strict JSON parser.
-        let rendered = log.to_wire_json().render();
-        let reparsed = Json::parse(&rendered).unwrap();
-        assert_eq!(
-            ShardLog::from_wire_json(&reparsed).unwrap().spans,
-            log.spans
-        );
-    }
-
-    #[test]
-    fn wire_codec_rejects_malformed_documents() {
-        assert!(ShardLog::from_wire_json(&Json::Null).is_none());
-        assert!(ShardLog::from_wire_json(&Json::Obj(vec![(
-            "group".into(),
-            Json::Str("g".into())
-        )]))
-        .is_none());
-    }
-
-    #[test]
     fn alloc_window_measures_shard_deltas_deterministically() {
         let run = || {
             let mut log = ShardLog::new("g", 0, "l", true);
@@ -428,36 +281,24 @@ mod tests {
         };
         let a = run();
         let b = run();
-        assert!(a.alloc_count() > 0);
-        assert!(a.alloc_bytes() > 0);
-        assert!(a.alloc_peak_bytes() > 0);
-        assert!(a.alloc_sizes().total() > 0);
+        assert!(a.alloc_count > 0);
+        assert!(a.alloc_bytes > 0);
+        assert!(a.alloc_peak > 0);
+        assert!(a.alloc_sizes.total() > 0);
         // Identical structural work => identical deltas, wherever in the
         // thread's history the window opened.
-        assert_eq!(a.alloc_count(), b.alloc_count());
-        assert_eq!(a.alloc_bytes(), b.alloc_bytes());
-        assert_eq!(a.alloc_sizes(), b.alloc_sizes());
+        assert_eq!(a.alloc_count, b.alloc_count);
+        assert_eq!(a.alloc_bytes, b.alloc_bytes);
+        assert_eq!(a.alloc_sizes, b.alloc_sizes);
         // The span saw the same allocations the window did (plus nothing
         // outside it happened here).
         assert!(a.spans[0].alloc_count > 0);
-        assert!(a.spans[0].alloc_count <= a.alloc_count());
+        assert!(a.spans[0].alloc_count <= a.alloc_count);
         // Sealing twice changes nothing.
         let mut sealed = a;
-        let (c, by) = (sealed.alloc_count(), sealed.alloc_bytes());
+        let (c, by) = (sealed.alloc_count, sealed.alloc_bytes);
         sealed.alloc_seal();
-        assert_eq!((sealed.alloc_count(), sealed.alloc_bytes()), (c, by));
-    }
-
-    #[test]
-    fn set_alloc_installs_decoded_deltas() {
-        let mut log = ShardLog::new("g", 1, "l", true);
-        let mut sizes = Histogram::new();
-        sizes.record_n(64, 5);
-        log.set_alloc(5, 320, 1024, sizes.clone());
-        assert_eq!(log.alloc_count(), 5);
-        assert_eq!(log.alloc_bytes(), 320);
-        assert_eq!(log.alloc_peak_bytes(), 1024);
-        assert_eq!(log.alloc_sizes(), &sizes);
+        assert_eq!((sealed.alloc_count, sealed.alloc_bytes), (c, by));
     }
 
     #[test]

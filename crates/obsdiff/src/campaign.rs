@@ -10,8 +10,8 @@
 //! 2. Every listed cell bundle loads, and its bundle manifest records the
 //!    campaign's plan hash, the cell's identity, and the digest the
 //!    campaign manifest claims.
-//! 3. Instances of one cell identity (differing only in `jobs`, `backend`
-//!    or `repeat`) are byte-identical, file by file ([`verify_instances`],
+//! 3. Instances of one cell identity (differing only in `jobs` or
+//!    `repeat`) are byte-identical, file by file ([`verify_instances`],
 //!    the same check the runner applies) — each differing file is a
 //!    determinism violation.
 

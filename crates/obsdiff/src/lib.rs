@@ -15,8 +15,8 @@
 //! * `obs-diff campaign DIR` re-verifies a campaign directory written by
 //!   `repro campaign` from nothing but its files: every listed cell bundle
 //!   loads, records the campaign's plan hash / cell identity / digest, and
-//!   instances of one identity are byte-identical across `jobs`, `backend`
-//!   and `repeat`.
+//!   instances of one identity are byte-identical across `jobs` and
+//!   `repeat`.
 //!
 //! Everything here only *reads* observability artifacts; nothing feeds back
 //! into a run, so the determinism contract is untouched.
