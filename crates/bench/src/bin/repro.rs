@@ -55,7 +55,7 @@
 //!   coverage block) is still fully rendered and deterministic.
 
 use alexa_audit::{AuditConfig, AuditRun, Observations};
-use alexa_bench::{campaign, render_all, ARTIFACTS};
+use alexa_bench::{campaign, defended_measurements, render_all, render_artifacts, ARTIFACTS};
 use alexa_fault::FaultProfile;
 use alexa_obs::bundle::BundleSpec;
 use alexa_obs::{Json, Recorder};
@@ -466,10 +466,13 @@ fn main() {
         cli.artifacts.iter().map(String::as_str).collect()
     };
 
-    eprintln!("running paper-scale audit (seed {}) ...", cli.seed);
     if cli.fault.is_active() {
         eprintln!("fault profile: {}", cli.fault.name());
     }
+    // The defended runs (faults only) go first and are dropped one by one,
+    // so the baseline reuses their memory instead of adding to it.
+    let defended = defended_measurements(&wanted, cli.seed, cli.jobs, &cli.fault, &rec);
+    eprintln!("running paper-scale audit (seed {}) ...", cli.seed);
     let config = AuditConfig::paper(cli.seed)
         .with_faults(cli.fault.clone())
         .with_jobs(cli.jobs);
@@ -480,7 +483,7 @@ fn main() {
     if cli.fault.is_active() {
         println!("{}", obs.coverage.render());
     }
-    for artifact in render_all(&obs, &wanted, cli.seed, cli.jobs, &cli.fault, &rec) {
+    for artifact in render_artifacts(&obs, &wanted, cli.jobs, defended, &rec) {
         println!("{artifact}");
     }
     emit_observability(&rec, &cli, &obs);

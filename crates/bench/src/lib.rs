@@ -40,47 +40,72 @@ const DEFENSES: [(&str, DefenseMode); 2] = [
     ("on-device transcription (text-only)", DefenseMode::TextOnly),
 ];
 
-/// Compare the baseline against each of [`DEFENSES`]. Fault-free,
-/// `derive.defended` is the defense-lens pass and `index.defended` computes
-/// the (defense-invariant) bid uplift once. Tap faults key off post-defense
-/// sequence numbers, so under an active fault profile `derive.defended`
-/// re-executes both defended runs for real and `index.defended` indexes and
-/// measures them.
-fn defense_reports(
-    ix: &AnalysisIndex,
+/// One defended run's observables: its [`defense::Measurement`] and its
+/// [`defense::bid_uplift`].
+pub type Defended = (defense::Measurement, f64);
+
+/// Execute each of [`DEFENSES`] for real, one at a time, when `wanted`
+/// includes `defenses` and a fault profile is active. `None` otherwise:
+/// fault-free, the defense lens reads the baseline index instead. Tap
+/// faults key off post-defense sequence numbers, so the lens is not exact
+/// under faults.
+///
+/// The whole pass is the `derive.defended` stage. Each run is executed,
+/// indexed, measured and dropped before the next one starts, so at most one
+/// defended run is alive at a time. `repro` calls this *before* the
+/// baseline run, so the baseline reuses the memory the defended runs freed.
+pub fn defended_measurements(
+    wanted: &[&str],
     seed: u64,
     jobs: Option<usize>,
     fault: &FaultProfile,
     rec: &Recorder,
-) -> Vec<defense::DefenseReport> {
-    let none = DefenseMode::None;
-    let (base, defended) = if fault.is_active() {
-        eprintln!("running defended audits (firewall, text-only) ...");
-        let runs = rec.stage("derive.defended", || {
-            DEFENSES.map(|(_, mode)| {
-                let config = AuditConfig::paper(seed).with_defense(mode);
-                AuditRun::execute(config.with_faults(fault.clone()).with_jobs(jobs))
-            })
-        });
-        rec.stage("index.defended", || {
-            let defended = runs.each_ref().map(|obs| {
-                let dix = AnalysisIndex::build(obs);
-                (defense::measure(&dix, none), defense::bid_uplift(&dix))
-            });
+) -> Option<[Defended; 2]> {
+    if !fault.is_active() || !wanted.contains(&"defenses") {
+        return None;
+    }
+    eprintln!("running defended audits (firewall, text-only) ...");
+    Some(rec.stage("derive.defended", || {
+        DEFENSES.map(|(_, mode)| {
+            let config = AuditConfig::paper(seed).with_defense(mode);
+            let obs = AuditRun::execute(config.with_faults(fault.clone()).with_jobs(jobs));
+            let dix = AnalysisIndex::build(&obs);
             (
-                (defense::measure(ix, none), defense::bid_uplift(ix)),
-                defended,
+                defense::measure(&dix, DefenseMode::None),
+                defense::bid_uplift(&dix),
             )
         })
-    } else {
-        let (base, lensed) = rec.stage("derive.defended", || {
-            let lensed = DEFENSES.map(|(_, mode)| defense::measure(ix, mode));
-            (defense::measure(ix, none), lensed)
-        });
-        rec.stage("index.defended", || {
-            let uplift = defense::bid_uplift(ix);
-            ((base, uplift), lensed.map(|m| (m, uplift)))
-        })
+    }))
+}
+
+/// Compare the baseline against each of [`DEFENSES`]. `defended` is what
+/// [`defended_measurements`] returned for this run. Under faults it holds
+/// the executed runs, and `index.defended` measures the baseline only.
+/// Fault-free, `derive.defended` is the defense-lens pass and
+/// `index.defended` computes the (defense-invariant) bid uplift once.
+fn defense_reports(
+    ix: &AnalysisIndex,
+    defended: Option<[Defended; 2]>,
+    rec: &Recorder,
+) -> Vec<defense::DefenseReport> {
+    let none = DefenseMode::None;
+    let (base, defended) = match defended {
+        Some(defended) => {
+            let base = rec.stage("index.defended", || {
+                (defense::measure(ix, none), defense::bid_uplift(ix))
+            });
+            (base, defended)
+        }
+        None => {
+            let (base, lensed) = rec.stage("derive.defended", || {
+                let lensed = DEFENSES.map(|(_, mode)| defense::measure(ix, mode));
+                (defense::measure(ix, none), lensed)
+            });
+            rec.stage("index.defended", || {
+                let uplift = defense::bid_uplift(ix);
+                ((base, uplift), lensed.map(|m| (m, uplift)))
+            })
+        }
     };
     let pairs = DEFENSES.iter().zip(defended);
     pairs
@@ -88,13 +113,11 @@ fn defense_reports(
         .collect()
 }
 
-/// Render the wanted artifacts concurrently, returning them in input order.
-/// Each artifact render is its own observability shard.
-///
-/// The shared [`AnalysisIndex`] is built exactly once (its own `index.build`
-/// stage) and every artifact streams from it; the fan-out is clamped to the
-/// host's hardware threads because oversubscribing a CPU-bound render pass
-/// only adds contention (bytes are jobs-independent either way).
+/// Render the wanted artifacts concurrently, returning them in input order:
+/// [`defended_measurements`], then [`render_artifacts`]. Under faults the
+/// defended runs therefore execute while `obs` is alive; `repro` calls
+/// [`defended_measurements`] before it executes the baseline instead, so
+/// the two never overlap.
 pub fn render_all(
     obs: &Observations,
     wanted: &[&str],
@@ -103,12 +126,31 @@ pub fn render_all(
     fault: &FaultProfile,
     rec: &Recorder,
 ) -> Vec<String> {
+    let defended = defended_measurements(wanted, seed, jobs, fault, rec);
+    render_artifacts(obs, wanted, jobs, defended, rec)
+}
+
+/// Render the wanted artifacts concurrently, returning them in input order.
+/// Each artifact render is its own observability shard. `defended` is what
+/// [`defended_measurements`] returned for this run.
+///
+/// The shared [`AnalysisIndex`] is built exactly once (its own `index.build`
+/// stage) and every artifact streams from it; the fan-out is clamped to the
+/// host's hardware threads because oversubscribing a CPU-bound render pass
+/// only adds contention (bytes are jobs-independent either way).
+pub fn render_artifacts(
+    obs: &Observations,
+    wanted: &[&str],
+    jobs: Option<usize>,
+    defended: Option<[Defended; 2]>,
+    rec: &Recorder,
+) -> Vec<String> {
     let ix = rec.stage("index.build", || AnalysisIndex::build(obs));
     // The `defenses` comparisons are analysis input, not rendering, so they
     // get their own top-level stages and `render.all` stays a pure stream.
     let reports = wanted
         .contains(&"defenses")
-        .then(|| defense_reports(&ix, seed, jobs, fault, rec));
+        .then(|| defense_reports(&ix, defended, rec));
     rec.stage("render.all", || {
         let render_jobs = Some(alexa_exec::clamped_jobs(jobs));
         alexa_exec::par_map(render_jobs, wanted.to_vec(), |i, artifact| {

@@ -4,8 +4,10 @@
 //!   `derive.defended` and `index.defended` stages must still be recorded,
 //!   because the traced benchmark fails an item when either is missing;
 //! * **faulted** — tap faults key off post-defense sequence numbers, so the
-//!   defended runs are re-executed for real. The section is pinned byte for
-//!   byte to a golden so that path can never drift silently.
+//!   defended runs are executed for real, one at a time, in the
+//!   `derive.defended` stage, and `index.defended` measures the baseline.
+//!   The section is pinned byte for byte to a golden so that path can never
+//!   drift silently, and each stage must be recorded exactly once.
 //!
 //! Regenerate the golden after an *intentional* output change with
 //! `BLESS=1 cargo test -p alexa-bench --test defenses`.
@@ -37,20 +39,23 @@ fn fault_free_render_records_both_defense_stages() {
 #[test]
 fn flaky_defenses_section_matches_golden() {
     let fault = FaultProfile::flaky();
-    let obs = AuditRun::execute(
+    let rec = Recorder::new();
+    let obs = AuditRun::execute_with(
         AuditConfig::paper(7)
             .with_faults(fault.clone())
             .with_jobs(Some(2)),
+        &rec,
     );
-    let got = render_all(
-        &obs,
-        &["defenses"],
-        7,
-        Some(2),
-        &fault,
-        &Recorder::disabled(),
-    )
-    .concat();
+    let got = render_all(&obs, &["defenses"], 7, Some(2), &fault, &rec).concat();
+
+    let report = rec.report();
+    for stage in ["derive.defended", "index.defended"] {
+        let recorded = report.stages.iter().filter(|s| s.name == stage).count();
+        assert_eq!(
+            recorded, 1,
+            "stage {stage} recorded {recorded} times under faults"
+        );
+    }
 
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

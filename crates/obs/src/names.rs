@@ -39,7 +39,7 @@ pub const REGISTRY: &[&str] = &[
     "crawler.syncs",             // aggregate: cookie syncs observed
     "crawler.visit",             // aggregate timer: one crawl visit
     "crawler.visits",            // aggregate: crawl visits completed
-    "derive.defended",           // stage: defense lens (faults: two defended re-executions)
+    "derive.defended",           // stage: defense lens (faults: defended runs one by one, first)
     "dsar.after_install",        // span: DSAR export after installs
     "dsar.after_interaction1",   // span: DSAR export after first interaction round
     "dsar.after_interaction2",   // span: DSAR export after second interaction round
@@ -49,7 +49,7 @@ pub const REGISTRY: &[&str] = &[
     "fault.losses",              // counter: permanent losses after retry budget
     "fault.retries",             // counter: retries consumed by faults
     "index.build",               // stage: shared analysis-index construction
-    "index.defended",            // stage: bid uplift (faults: index + measure the defended runs)
+    "index.defended",            // stage: bid uplift (faults: measure the baseline only)
     "install",                   // span: skill installation round
     "install.failed",            // counter: installs that failed permanently
     "interact",                  // span: skill interaction round

@@ -4,8 +4,16 @@
 //! `repro --bench` appends one JSON line per run to `BENCH_audit.json`, so
 //! after the CI bench job the file holds the committed baseline entries
 //! followed by the fresh ones. The gate compares each fresh entry against
-//! the latest committed entry with the same `(seed, jobs)` pair and fails
-//! when `total_ms` regressed beyond the threshold or a stage vanished.
+//! the latest committed entries with the same key and fails when `total_ms`
+//! regressed beyond the threshold, a stage vanished or a gated stage
+//! allocates more.
+//!
+//! Wall time depends on the machine, so time is compared only against an
+//! entry with the same `(seed, jobs, hardware_threads)`. When there is none,
+//! the entry lands in [`GateReport::incomparable`] instead of being compared
+//! with another machine's figure. Allocation bytes, rendered bytes and the
+//! stage set do not depend on the machine, so they are compared against the
+//! latest entry with the same `(seed, jobs)`.
 
 use alexa_obs::{Json, JsonParseError};
 use std::fmt;
@@ -102,6 +110,10 @@ pub struct GateReport {
     /// Labels of entry pairs whose `rendered_bytes` differ — output bytes
     /// changed, which a perf PR must never do.
     pub byte_mismatches: Vec<String>,
+    /// Labels of fresh entries with no comparable baseline: a committed
+    /// entry shares their `(seed, jobs)` but none their hardware threads,
+    /// so their wall time is recorded, not gated.
+    pub incomparable: Vec<String>,
     /// The wall-clock threshold the gate ran with.
     pub threshold: f64,
     /// The per-stage allocation-bytes threshold (`--max-alloc-regress`).
@@ -155,6 +167,15 @@ impl GateReport {
                 Json::Arr(self.failures.iter().map(|s| Json::Str(s.clone())).collect()),
             ),
             (
+                "no_comparable_baseline".to_string(),
+                Json::Arr(
+                    self.incomparable
+                        .iter()
+                        .map(|s| Json::Str(s.clone()))
+                        .collect(),
+                ),
+            ),
+            (
                 "rendered_bytes_mismatches".to_string(),
                 Json::Arr(
                     self.byte_mismatches
@@ -193,20 +214,22 @@ fn load_entries(path: &Path) -> Result<Vec<Json>, GateError> {
     Ok(entries)
 }
 
-/// The `(seed, jobs)` identity of a bench entry; absent or null fields
-/// compare as `None`, mirroring the Python `entry.get(...)` semantics.
-type BenchKey = (Option<u64>, Option<u64>);
+/// The `(seed, jobs, hardware_threads)` identity of a bench entry; absent
+/// or null fields compare as `None`, mirroring the Python `entry.get(...)`
+/// semantics.
+type BenchKey = (Option<u64>, Option<u64>, Option<u64>);
 
 fn key(entry: &Json) -> BenchKey {
-    (
-        entry.get("seed").and_then(Json::as_u64),
-        entry.get("jobs").and_then(Json::as_u64),
-    )
+    let field = |name| entry.get(name).and_then(Json::as_u64);
+    (field("seed"), field("jobs"), field("hardware_threads"))
 }
 
+/// `seed=.. jobs=..`, plus `hardware_threads=..` when the entry records it.
 fn label(k: BenchKey) -> String {
     let fmt = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |n| n.to_string());
-    format!("seed={} jobs={}", fmt(k.0), fmt(k.1))
+    let hw =
+        k.2.map_or_else(String::new, |n| format!(" hardware_threads={n}"));
+    format!("seed={} jobs={}{hw}", fmt(k.0), fmt(k.1))
 }
 
 /// The entry's `total_ms`, or the typed error naming the offending side.
@@ -225,10 +248,11 @@ fn total_ms(entry: &Json, path: &Path, what: &'static str) -> Result<f64, GateEr
 }
 
 /// Run the gate: compare the fresh entries of `candidate` (everything past
-/// the length of `baseline`) against the latest committed entry per
-/// `(seed, jobs)` key. `threshold` is the maximum tolerated fractional
-/// `total_ms` growth (0.25 = +25%); `alloc_threshold` is the maximum
-/// tolerated fractional growth of a gated stage's allocated bytes
+/// the length of `baseline`) against the latest committed entries with the
+/// same key (see the module docs for which key gates what). `threshold` is
+/// the maximum tolerated fractional `total_ms` growth (0.25 = +25%);
+/// `alloc_threshold` is the maximum tolerated fractional growth of a gated
+/// stage's allocated bytes
 /// (`stage_alloc` in the bench entries — deterministic, so a tight gate
 /// holds without flake).
 pub fn run_gate(
@@ -243,17 +267,8 @@ pub fn run_gate(
         return Err(GateError::NoFreshEntries);
     }
     let fresh = &cand_entries[base_entries.len()..];
-
-    // Latest committed entry per (seed, jobs) wins.
-    let mut committed: Vec<(BenchKey, &Json)> = Vec::new();
-    for entry in &base_entries {
-        let k = key(entry);
-        if let Some(slot) = committed.iter_mut().find(|(ck, _)| *ck == k) {
-            slot.1 = entry;
-        } else {
-            committed.push((k, entry));
-        }
-    }
+    // The latest committed entry whose key satisfies `same` wins.
+    let latest = |same: &dyn Fn(BenchKey) -> bool| base_entries.iter().rev().find(|e| same(key(e)));
 
     let mut report = GateReport {
         threshold,
@@ -263,27 +278,15 @@ pub fn run_gate(
     for entry in fresh {
         let k = key(entry);
         let lbl = label(k);
-        let Some((_, base)) = committed.iter().find(|(ck, _)| *ck == k) else {
+        let Some(base) = latest(&|ck| (ck.0, ck.1) == (k.0, k.1)) else {
             let ms = total_ms(entry, candidate, "fresh")?;
             report.log.push(format!(
                 "{lbl}: no committed baseline, recording {ms} ms (not gated)"
             ));
             continue;
         };
-        let entry_total = total_ms(entry, candidate, "fresh")?;
-        let base_total = total_ms(base, baseline, "baseline")?;
-        let ratio = if base_total == 0.0 {
-            f64::INFINITY
-        } else {
-            entry_total / base_total
-        };
-        let regressed = ratio > 1.0 + threshold;
-        report.log.push(format!(
-            "{lbl}: {base_total} ms -> {entry_total} ms ({:+.1}% vs baseline) {}",
-            (ratio - 1.0) * 100.0,
-            if regressed { "REGRESSION" } else { "ok" }
-        ));
-        // Stage-level context for both, and the vanished-stage check.
+        // Per-stage wall times, for the time gate and the vanished-stage
+        // check.
         let stages = |e: &Json| -> Vec<(String, f64)> {
             e.get("stages")
                 .and_then(Json::as_obj)
@@ -297,8 +300,31 @@ pub fn run_gate(
         };
         let entry_stages = stages(entry);
         let base_stages = stages(base);
+        let entry_total = total_ms(entry, candidate, "fresh")?;
+        let timed = latest(&|ck| ck == k);
+        let mut regressed = false;
+        if let Some(timed) = timed {
+            let base_total = total_ms(timed, baseline, "baseline")?;
+            let ratio = if base_total == 0.0 {
+                f64::INFINITY
+            } else {
+                entry_total / base_total
+            };
+            regressed = ratio > 1.0 + threshold;
+            report.log.push(format!(
+                "{lbl}: {base_total} ms -> {entry_total} ms ({:+.1}% vs baseline) {}",
+                (ratio - 1.0) * 100.0,
+                if regressed { "REGRESSION" } else { "ok" }
+            ));
+        } else {
+            report.log.push(format!(
+                "{lbl}: no comparable baseline (no committed entry from the same hardware threads), recording {entry_total} ms (time not gated)"
+            ));
+            report.incomparable.push(lbl.clone());
+        }
+        let timed_stages = timed.map(stages).unwrap_or_default();
         for (stage, ms) in &entry_stages {
-            if let Some((_, base_ms)) = base_stages.iter().find(|(n, _)| n == stage) {
+            if let Some((_, base_ms)) = timed_stages.iter().find(|(n, _)| n == stage) {
                 // Gated stages regress the whole gate on their own: the
                 // render path must not quietly reabsorb the wall time the
                 // shared index bought back.
@@ -381,7 +407,7 @@ pub fn run_gate(
             (None, None) => {}
             (half, _) => {
                 let (path, what, e) = if half.is_none() {
-                    (baseline, "baseline", *base)
+                    (baseline, "baseline", base)
                 } else {
                     (candidate, "fresh", entry)
                 };

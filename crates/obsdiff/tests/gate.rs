@@ -377,3 +377,69 @@ fn entries_without_stage_alloc_are_tolerated() {
     let report = run_gate(&baseline, &candidate, 0.25, 0.10).expect("gate runs");
     assert!(report.passed());
 }
+
+/// A bench entry stamped with the hardware threads it ran on, carrying a
+/// gated stage's wall time and allocation bytes.
+fn entry_on(hw: u64, total_ms: u64, render_alloc: u64) -> String {
+    format!(
+        "{{\"seed\": 7, \"jobs\": 1, \"hardware_threads\": {hw}, \"total_ms\": {total_ms}, \
+         \"stages\": {{\"render.all\": {total_ms}}}, \
+         \"stage_alloc\": {{\"render.all\": {render_alloc}}}}}\n"
+    )
+}
+
+#[test]
+fn time_compares_only_entries_from_the_same_hardware_threads() {
+    // The later committed entry comes from another machine: a fresh entry
+    // from the first machine is timed against its own, not the latest one.
+    let base = format!("{}{}", entry_on(1, 1000, 500), entry_on(2, 100, 500));
+    let cand = format!("{base}{}", entry_on(1, 1100, 500));
+    let baseline = bench_file("hw-same-base", &base);
+    let candidate = bench_file("hw-same-cand", &cand);
+    let report = run_gate(&baseline, &candidate, 0.25, 0.10).expect("gate runs");
+    assert!(report.passed(), "{:?}", report.failures);
+    assert!(report.incomparable.is_empty());
+    assert!(report.render_human().contains("1000 ms -> 1100 ms"));
+}
+
+#[test]
+fn fresh_entry_from_other_hardware_threads_is_incomparable_for_time() {
+    // Ten times slower, but on a machine with no committed entry: the time
+    // is reported incomparable rather than judged.
+    let base = entry_on(2, 100, 500);
+    let cand = format!("{base}{}", entry_on(4, 1000, 500));
+    let baseline = bench_file("hw-other-base", &base);
+    let candidate = bench_file("hw-other-cand", &cand);
+    let report = run_gate(&baseline, &candidate, 0.25, 0.10).expect("gate runs");
+    assert!(report.passed(), "{:?}", report.failures);
+    assert_eq!(
+        report.incomparable,
+        vec!["seed=7 jobs=1 hardware_threads=4".to_string()]
+    );
+    assert!(report.render_human().contains("no comparable baseline"));
+    let parsed = alexa_obs::Json::parse(&report.to_json().render()).expect("parses");
+    assert_eq!(
+        parsed
+            .get("no_comparable_baseline")
+            .and_then(alexa_obs::Json::as_arr)
+            .map(<[alexa_obs::Json]>::len),
+        Some(1)
+    );
+}
+
+#[test]
+fn alloc_regression_from_other_hardware_threads_still_fails() {
+    // Allocation bytes do not depend on the machine: an incomparable time
+    // does not let a +20% gated-stage allocation through.
+    let base = entry_on(2, 100, 1_000_000);
+    let cand = format!("{base}{}", entry_on(4, 100, 1_200_000));
+    let baseline = bench_file("hw-alloc-base", &base);
+    let candidate = bench_file("hw-alloc-cand", &cand);
+    let report = run_gate(&baseline, &candidate, 0.25, 0.10).expect("gate runs");
+    assert!(!report.passed());
+    assert_eq!(
+        report.failures,
+        vec!["seed=7 jobs=1 hardware_threads=4 (stage render.all alloc +20.0%)".to_string()]
+    );
+    assert_eq!(report.incomparable.len(), 1);
+}
