@@ -18,7 +18,7 @@ use crate::analysis::{bids, traffic};
 use crate::experiment::DefenseMode;
 use crate::index::AnalysisIndex;
 use crate::persona::Persona;
-use alexa_net::{DataType, Firewall, Verdict};
+use alexa_net::{DataType, Firewall, Packet, Verdict};
 use std::fmt::Write as _;
 
 /// The defense-sensitive traffic observables of one run.
@@ -42,6 +42,12 @@ pub struct Measurement {
 /// firewall becomes one [`Firewall`] verdict per distinct host, text-only a
 /// voice → text remap. Oracle tests hold this equal to measuring a
 /// genuinely re-executed defended run.
+///
+/// Under faults the firewall lens is the one exception: tap faults key off
+/// a packet's sequence number within its session, which the firewall
+/// shifts. There the firewall comes from the shadow tap of
+/// [`crate::AuditRun::execute_with_firewall_shadow`] instead. Text-only
+/// changes no packet count and stays exact.
 pub fn measure(ix: &AnalysisIndex, lens: DefenseMode) -> Measurement {
     let fw = Firewall::new();
     let blocked = |d: &alexa_net::Domain| {
@@ -51,26 +57,39 @@ pub fn measure(ix: &AnalysisIndex, lens: DefenseMode) -> Measurement {
     let keep = |h: u32| !host_blocked[h as usize];
 
     let t3 = traffic::table3(ix, keep);
-    let mut m = Measurement {
+    let avs = ix.obs.avs_captures.iter().flat_map(|c| &c.packets);
+    let (voice_flows, text_flows) = voice_text(
+        avs.filter(|p| !blocked(&p.remote)),
+        lens == DefenseMode::TextOnly,
+    );
+    Measurement {
         ad_tracking_share: traffic::table2(ix, keep).total_ad_tracking,
         ad_tracking_domains: t3.rows.iter().map(|r| r.1).sum(),
         functional_domains: t3.rows.iter().map(|r| r.2).sum(),
-        voice_flows: 0,
-        text_flows: 0,
-    };
-    for cap in &ix.obs.avs_captures {
-        for p in cap.packets.iter().filter(|p| !blocked(&p.remote)) {
-            for r in p.payload.records().unwrap_or_default() {
-                match r.data_type {
-                    DataType::VoiceRecording if lens == DefenseMode::TextOnly => m.text_flows += 1,
-                    DataType::VoiceRecording => m.voice_flows += 1,
-                    DataType::TextCommand => m.text_flows += 1,
-                    _ => {}
-                }
+        voice_flows,
+        text_flows,
+    }
+}
+
+/// The voice-recording and text-command records in `packets`, as
+/// `(voice, text)`; `text_only` counts each voice recording as the text
+/// command it would have been transcribed to.
+pub(crate) fn voice_text<'p>(
+    packets: impl Iterator<Item = &'p Packet>,
+    text_only: bool,
+) -> (usize, usize) {
+    let (mut voice, mut text) = (0, 0);
+    for p in packets {
+        for r in p.payload.records().unwrap_or_default() {
+            match r.data_type {
+                DataType::VoiceRecording if text_only => text += 1,
+                DataType::VoiceRecording => voice += 1,
+                DataType::TextCommand => text += 1,
+                _ => {}
             }
         }
     }
-    m
+    (voice, text)
 }
 
 /// Median CPM uplift of the strongest interest persona over vanilla
@@ -164,6 +183,8 @@ mod tests {
     use super::*;
     use crate::observations::Observations;
     use crate::{AuditConfig, AuditRun};
+    use alexa_fault::FaultProfile;
+    use alexa_obs::Recorder;
     use std::sync::OnceLock;
 
     fn baseline() -> &'static AnalysisIndex<'static> {
@@ -233,30 +254,69 @@ mod tests {
         assert!(s.contains("bid uplift"));
     }
 
-    /// The equivalence the repro pipeline relies on: the baseline read
-    /// through `mode`'s lens is exactly what a re-executed run sees, and the
+    /// The equivalence the repro pipeline relies on: what it derives for
+    /// `mode` — the baseline read through `mode`'s lens, or under faults the
+    /// firewall shadow — is exactly what a re-executed run sees, and the
     /// defense does not move the uplift by a single bit.
-    fn assert_lens_matches_executed_run(mode: DefenseMode) {
+    fn assert_lens_matches_executed_run(mode: DefenseMode, seed: u64, fault: &FaultProfile) {
+        let config = AuditConfig::small(seed).with_faults(fault.clone());
+        let case = format!("{mode:?}, seed {seed}, {}", fault.name());
+        let (obs, shadow) =
+            AuditRun::execute_with_firewall_shadow(config.clone(), &Recorder::disabled());
+        assert_eq!(shadow.is_some(), fault.is_active(), "{case}: shadow");
+        let base = AnalysisIndex::build(&obs);
+        let derived = match (mode, shadow) {
+            (DefenseMode::Firewall, Some(firewall)) => firewall,
+            _ => measure(&base, mode),
+        };
+        let run = AuditRun::execute(config.with_defense(mode));
+        let executed = AnalysisIndex::build(&run);
         assert_eq!(
-            fields(measure(baseline(), mode)),
-            fields(measure(executed(mode), DefenseMode::None)),
-            "{mode:?}"
+            fields(derived),
+            fields(measure(&executed, DefenseMode::None)),
+            "{case}"
         );
         assert_eq!(
-            bid_uplift(executed(mode)).to_bits(),
-            bid_uplift(baseline()).to_bits(),
-            "{mode:?}"
+            bid_uplift(&executed).to_bits(),
+            bid_uplift(&base).to_bits(),
+            "{case}: uplift"
         );
+    }
+
+    /// Seeds × fault profiles of the faulted oracle cases.
+    fn faulted_cases() -> impl Iterator<Item = (u64, FaultProfile)> {
+        [7, 2222].into_iter().flat_map(|seed| {
+            [
+                FaultProfile::flaky(),
+                FaultProfile::degraded(),
+                FaultProfile::hostile(),
+            ]
+            .map(|fault| (seed, fault))
+        })
     }
 
     #[test]
     fn derived_firewall_matches_executed_run() {
-        assert_lens_matches_executed_run(DefenseMode::Firewall);
+        assert_lens_matches_executed_run(DefenseMode::Firewall, 2222, &FaultProfile::none());
     }
 
     #[test]
     fn derived_text_only_matches_executed_run() {
-        assert_lens_matches_executed_run(DefenseMode::TextOnly);
+        assert_lens_matches_executed_run(DefenseMode::TextOnly, 2222, &FaultProfile::none());
+    }
+
+    #[test]
+    fn firewall_shadow_matches_executed_run_under_faults() {
+        for (seed, fault) in faulted_cases() {
+            assert_lens_matches_executed_run(DefenseMode::Firewall, seed, &fault);
+        }
+    }
+
+    #[test]
+    fn derived_text_only_matches_executed_run_under_faults() {
+        for (seed, fault) in faulted_cases() {
+            assert_lens_matches_executed_run(DefenseMode::TextOnly, seed, &fault);
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! This is the one table mapping the CLI/report artifact vocabulary
 //! (`table1` ... `liars`) to the analysis functions, shared by the full
 //! report and the `repro` binary. The `defenses` artifact is *not* here: it
-//! needs its own defended audit runs, which only the binary orchestrates.
+//! pairs the baseline with defended measurements, which under faults take
+//! the firewall shadow of `AuditRun::execute_with_firewall_shadow`, so the
+//! bench crate orchestrates it.
 
 use crate::analysis::{audio, bids, creatives, partners, policy, profiling, significance, traffic};
 use crate::index::AnalysisIndex;

@@ -37,6 +37,8 @@
 //! fully sequential `Some(1)`. The determinism regression tests enforce this
 //! by hashing complete runs ([`Observations::digest`]).
 
+use crate::analysis::defense::{self, voice_text, Measurement};
+use crate::index::AnalysisIndex;
 use crate::observations::{Observations, SkillMeta};
 use crate::persona::Persona;
 use alexa_adtech::bidding::{standard_roster, SeasonModel, UserState};
@@ -49,7 +51,7 @@ use alexa_fault::{
     retry, Coverage, CoverageReport, FaultChannel, FaultLedger, FaultPlane, FaultProfile,
     RetryBudget, RetryOutcome, RetryPolicy,
 };
-use alexa_net::{AvsTap, Capture, OrgMap, RouterTap, TapStats};
+use alexa_net::{AvsTap, Capture, OrgMap, Packet, Payload, Record, RouterTap, TapStats, Verdict};
 use alexa_obs::{Recorder, ShardLog};
 use alexa_platform::storepage::{parse_invocation, parse_sample_utterances, render_store_page};
 use alexa_platform::{
@@ -208,6 +210,108 @@ impl Defense {
     }
 }
 
+/// What a shard does with either vantage point's tap.
+trait Tap {
+    fn start(&mut self, label: String);
+    fn observe_batch(&mut self, packets: Vec<Packet>);
+    fn stop(&mut self);
+    /// The copy of an offered payload that a shadow of this tap records:
+    /// no more than its measurement reads.
+    fn shadow_payload(payload: &Payload) -> Payload;
+}
+
+impl Tap for RouterTap {
+    fn start(&mut self, label: String) {
+        RouterTap::start(self, label);
+    }
+    fn observe_batch(&mut self, packets: Vec<Packet>) {
+        RouterTap::observe_batch(self, packets);
+    }
+    fn stop(&mut self) {
+        RouterTap::stop(self);
+    }
+    /// Encrypted already, as the router records it.
+    fn shadow_payload(payload: &Payload) -> Payload {
+        payload.encrypt()
+    }
+}
+
+impl Tap for AvsTap {
+    fn start(&mut self, label: String) {
+        AvsTap::start(self, label);
+    }
+    fn observe_batch(&mut self, packets: Vec<Packet>) {
+        AvsTap::observe_batch(self, packets);
+    }
+    fn stop(&mut self) {
+        AvsTap::stop(self);
+    }
+    /// Record types only: tap faults act on record positions, never values.
+    fn shadow_payload(payload: &Payload) -> Payload {
+        match payload {
+            Payload::Plain(records) => Payload::Plain(
+                records
+                    .iter()
+                    .map(|r| Record::new(r.data_type, ""))
+                    .collect(),
+            ),
+            encrypted => encrypted.clone(),
+        }
+    }
+}
+
+/// A shard's tap plus an optional *firewall shadow*: a second tap on the
+/// same fault plane that only sees what an A&T firewall forwards of each
+/// batch. Tap faults key off a packet's sequence number within its session,
+/// which the firewall shifts, so the shadow records exactly what the tap of
+/// an executed `Firewall` run records, without executing that run.
+struct ShadowedTap<T> {
+    tap: T,
+    shadow: Option<(alexa_net::Firewall, T)>,
+}
+
+impl<T: Tap> ShadowedTap<T> {
+    /// `make` builds each tap; the shadow exists only when `shadow` is set.
+    fn new(shadow: bool, make: impl Fn() -> T) -> ShadowedTap<T> {
+        ShadowedTap {
+            tap: make(),
+            shadow: shadow.then(|| (alexa_net::Firewall::new(), make())),
+        }
+    }
+
+    fn start(&mut self, label: &str) {
+        self.tap.start(label.to_string());
+        if let Some((_, shadow)) = &mut self.shadow {
+            shadow.start(label.to_string());
+        }
+    }
+
+    /// Observe one offered batch on the tap, and its forwarded part on the
+    /// shadow.
+    fn observe_batch(&mut self, packets: Vec<Packet>) {
+        if let Some((fw, shadow)) = &mut self.shadow {
+            let allowed = packets.iter().filter(|p| fw.judge(p) == Verdict::Allow);
+            shadow.observe_batch(
+                allowed
+                    .map(|p| Packet {
+                        remote: p.remote.clone(),
+                        payload: T::shadow_payload(&p.payload),
+                        ..*p
+                    })
+                    .collect(),
+            );
+        }
+        self.tap.observe_batch(packets);
+    }
+
+    fn stop(&mut self) {
+        self.tap.stop();
+        if let Some((_, shadow)) = &mut self.shadow {
+            shadow.stop();
+        }
+    }
+}
+
 /// The three personas that run audio-ad sessions (§3.3), in the fixed order
 /// their session seeds are derived from.
 const AUDIO_PERSONAS: [Persona; 3] = [
@@ -222,6 +326,9 @@ const AUDIO_PERSONAS: [Persona; 3] = [
 pub(crate) struct PersonaShard {
     /// Router-tap captures (`Some` for Echo personas, even when empty).
     pub(crate) router_captures: Option<Vec<Capture>>,
+    /// The firewall shadow's router captures (Echo personas of a shadowed
+    /// run only).
+    pub(crate) shadow_captures: Option<Vec<Capture>>,
     /// Skills whose install failed.
     pub(crate) failed_installs: Vec<String>,
     /// DSAR exports, one per request phase (Echo personas only).
@@ -243,6 +350,8 @@ pub(crate) struct PersonaShard {
 /// Everything one AVS-category shard produces.
 pub(crate) struct AvsShard {
     pub(crate) captures: Vec<Capture>,
+    /// The firewall shadow's (voice, text) record counts, when shadowed.
+    pub(crate) shadow_flows: Option<(usize, usize)>,
     pub(crate) ledger: FaultLedger,
     /// Skills whose plaintext pass completed: observed / planned.
     pub(crate) skills: Coverage,
@@ -291,6 +400,7 @@ pub(crate) fn run_persona_shard(
     plane: &FaultPlane,
     persona: Persona,
     all_index: usize,
+    shadow: bool,
     log: &mut ShardLog,
 ) -> PersonaShard {
     // Open the shard's allocation window here — not at log creation — so it
@@ -315,7 +425,7 @@ pub(crate) fn run_persona_shard(
             d.set_fault_plane(plane.clone());
             d
         });
-        let tap = RouterTap::with_faults(plane.clone());
+        let tap = ShadowedTap::new(shadow, || RouterTap::with_faults(plane.clone()));
         let profile = BrowserProfile::fresh(&persona.name(), all_index as u8 + 1, Some(&account));
         (device, tap, profile)
     });
@@ -326,7 +436,7 @@ pub(crate) fn run_persona_shard(
             for skill in market.top_skills(cat, config.skills_per_category) {
                 out.installs.expected += 1;
                 l.work(1); // one install attempt
-                tap.start(skill.id.0.clone());
+                tap.start(&skill.id.0);
                 let key = format!("{account}/install/{}", skill.id.0);
                 let attempt = retry(
                     &rpolicy,
@@ -387,7 +497,7 @@ pub(crate) fn run_persona_shard(
                 if !device.has_skill(&skill.id) {
                     continue; // failed install
                 }
-                tap.start(skill.id.0.clone());
+                tap.start(&skill.id.0);
                 for utterance in scraped_script(skill)
                     .iter()
                     .take(config.utterances_per_skill)
@@ -465,8 +575,13 @@ pub(crate) fn run_persona_shard(
         });
     }
 
-    let tap_stats = tap.stats();
-    out.router_captures = persona.has_echo().then(|| tap.into_captures());
+    let tap_stats = tap.tap.stats();
+    let shadow = tap.shadow.map(|(_, shadow)| shadow.into_captures());
+    let captures = tap.tap.into_captures();
+    if persona.has_echo() {
+        out.router_captures = Some(captures);
+        out.shadow_captures = shadow;
+    }
 
     // ---- Audio-ad sessions (§3.3: two interest personas + vanilla) -------
     if let Some(pi) = AUDIO_PERSONAS.iter().position(|p| *p == persona) {
@@ -607,6 +722,7 @@ pub(crate) fn run_avs_shard(
     plane: &FaultPlane,
     cat_index: usize,
     cat: SkillCategory,
+    shadow: bool,
     log: &mut ShardLog,
 ) -> AvsShard {
     log.alloc_open(); // see run_persona_shard: window == shard body only
@@ -616,7 +732,7 @@ pub(crate) fn run_avs_shard(
         config.seed ^ 0xa5a5 ^ ((cat_index as u64 + 1) << 32),
     );
     avs.set_fault_plane(plane.clone());
-    let mut tap = AvsTap::with_faults(plane.clone());
+    let mut tap = ShadowedTap::new(shadow, || AvsTap::with_faults(plane.clone()));
     let mut defense = Defense::new(config.defense);
     let rpolicy = RetryPolicy::standard();
     let mut budget = RetryBudget::new(plane.profile().retry_budget());
@@ -626,7 +742,7 @@ pub(crate) fn run_avs_shard(
         for skill in market.top_skills(cat, config.skills_per_category) {
             skills_cov.expected += 1;
             l.work(1); // one plaintext-pass skill
-            tap.start(skill.id.0.clone());
+            tap.start(&skill.id.0);
             let key = format!("avs/{}/install", skill.id.0);
             let attempt = retry(
                 &rpolicy,
@@ -668,7 +784,7 @@ pub(crate) fn run_avs_shard(
             tap.stop();
         }
     });
-    let stats = tap.stats();
+    let stats = tap.tap.stats();
     log.add("tap.sessions", stats.sessions as u64);
     log.add("tap.flows", stats.packets as u64);
     log.add("tap.bytes", stats.bytes as u64);
@@ -679,9 +795,17 @@ pub(crate) fn run_avs_shard(
         log.add("fault.retries", ledger.retries);
         log.add("fault.losses", ledger.losses);
     }
+    // Reduced here, so no plaintext copy outlives the shard.
+    let shadow_flows = tap.shadow.take().map(|(_, shadow)| {
+        voice_text(
+            shadow.into_captures().iter().flat_map(|c| &c.packets),
+            false,
+        )
+    });
     log.alloc_seal();
     AvsShard {
-        captures: tap.into_captures(),
+        captures: tap.tap.into_captures(),
+        shadow_flows,
         ledger,
         skills: skills_cov,
     }
@@ -727,10 +851,39 @@ impl AuditRun {
     /// [`Observations`] — and its digest — are identical to an untraced run
     /// (enforced by `crates/audit/tests/observability.rs`).
     pub fn execute_with(config: AuditConfig, rec: &Recorder) -> Observations {
+        Self::run(config, false, rec).0
+    }
+
+    /// [`AuditRun::execute_with`], plus the `Firewall` run's
+    /// [`Measurement`] when faults make the defense lens inexact.
+    ///
+    /// Tap faults key off a packet's sequence number within its capture
+    /// session, and a firewall shifts those numbers, so under an active fault
+    /// profile the baseline index cannot tell what a firewalled tap would
+    /// have recorded. Each persona and AVS shard then also feeds its offered
+    /// batches to a *firewall shadow* tap, and the `merge` stage measures
+    /// the shadows. Everything upstream of a tap is defense-independent, so
+    /// the measurement equals that of an executed `Firewall` run. `Some`
+    /// only when the fault plane is active and `config.defense` is `None`;
+    /// otherwise this is exactly `execute_with`. The [`Observations`] are
+    /// the same either way.
+    pub fn execute_with_firewall_shadow(
+        config: AuditConfig,
+        rec: &Recorder,
+    ) -> (Observations, Option<Measurement>) {
+        Self::run(config, true, rec)
+    }
+
+    fn run(
+        config: AuditConfig,
+        shadow: bool,
+        rec: &Recorder,
+    ) -> (Observations, Option<Measurement>) {
         let config = &config;
         // The fault plane's seed is derived from (not equal to) the master
         // seed so fault decisions never correlate with simulation draws.
         let plane = FaultPlane::new(config.seed ^ 0xfa417, config.fault.clone());
+        let shadow = shadow && plane.is_active() && config.defense == DefenseMode::None;
         let market = rec.stage("marketplace", || Marketplace::generate(config.seed));
         let mut orgs = OrgMap::new();
         market.register_orgs(&mut orgs);
@@ -765,14 +918,19 @@ impl AuditRun {
                 .map(|cat| cat.label().to_string())
                 .collect();
             fan_out(config, rec, "avs", &labels, &|ci, log| {
-                run_avs_shard(config, &market, &plane, ci, SkillCategory::ALL[ci], log)
+                let cat = SkillCategory::ALL[ci];
+                run_avs_shard(config, &market, &plane, ci, cat, shadow, log)
             })
         });
         let mut coverage = CoverageReport::new(config.fault.name());
+        let mut shadow_flows = (0, 0);
         for (cat, shard) in SkillCategory::ALL.iter().zip(avs_shards) {
             coverage.section("avs.skills").merge(shard.skills);
             coverage.merge_ledger(&format!("avs/{}", cat.label()), &shard.ledger);
             obs.avs_captures.extend(shard.captures);
+            if let Some((voice, text)) = shard.shadow_flows {
+                shadow_flows = (shadow_flows.0 + voice, shadow_flows.1 + text);
+            }
         }
 
         // ---- Shared read-only web + ad ecosystem -------------------------
@@ -800,17 +958,22 @@ impl AuditRun {
                     &plane,
                     personas[i],
                     i,
+                    shadow,
                     log,
                 )
             })
         });
 
         // Merge in fixed persona order (par_map preserves input order).
-        rec.stage("merge", || {
+        let firewall = rec.stage("merge", || {
+            let mut shadow_captures = std::collections::BTreeMap::new();
             for (persona, shard) in Persona::all().into_iter().zip(shards) {
                 let name = persona.name();
                 if let Some(captures) = shard.router_captures {
                     obs.router_captures.insert(name.clone(), captures);
+                }
+                if let Some(captures) = shard.shadow_captures {
+                    shadow_captures.insert(name.clone(), captures);
                 }
                 if !shard.failed_installs.is_empty() {
                     obs.failed_installs
@@ -830,6 +993,7 @@ impl AuditRun {
                 coverage.section("crawl.visits").merge(shard.visits);
                 coverage.merge_ledger(&name, &shard.ledger);
             }
+            shadow.then(|| measure_shadow(&mut obs, shadow_captures, shadow_flows))
         });
 
         // ---- Policy download ---------------------------------------------
@@ -867,8 +1031,30 @@ impl AuditRun {
         }
         obs.coverage = coverage;
 
-        obs
+        (obs, firewall)
     }
+}
+
+/// Measure a firewall shadow: its router captures indexed against the
+/// baseline's catalog and org map (moved over and back, not cloned), plus
+/// the AVS shadows' `(voice, text)` record counts. Equal, field for field,
+/// to [`defense::measure`] of an executed `Firewall` run.
+fn measure_shadow(
+    obs: &mut Observations,
+    router_captures: std::collections::BTreeMap<String, Vec<Capture>>,
+    (voice, text): (usize, usize),
+) -> Measurement {
+    let traffic = Observations {
+        router_captures,
+        catalog: std::mem::take(&mut obs.catalog),
+        orgs: std::mem::take(&mut obs.orgs),
+        ..Observations::default()
+    };
+    let mut m = defense::measure(&AnalysisIndex::build(&traffic), DefenseMode::None);
+    (m.voice_flows, m.text_flows) = (voice, text);
+    obs.catalog = traffic.catalog;
+    obs.orgs = traffic.orgs;
+    m
 }
 
 /// The interaction script for a skill, scraped from its marketplace store

@@ -139,3 +139,43 @@ fn fault_counters_reach_the_recorder() {
         .sum();
     assert!(shard_faults > 0, "per-shard fault counters missing");
 }
+
+/// The firewall shadow only watches: a shadowed run's observations and
+/// coverage are those of a plain run, and fault-free it never starts.
+#[test]
+fn firewall_shadow_leaves_the_run_unchanged() {
+    for seed in [7, 2222] {
+        for fault in [
+            FaultProfile::none(),
+            FaultProfile::flaky(),
+            FaultProfile::degraded(),
+            FaultProfile::hostile(),
+        ] {
+            let cfg = AuditConfig::small(seed).with_faults(fault.clone());
+            let (shadowed, firewall) =
+                AuditRun::execute_with_firewall_shadow(cfg.clone(), &Recorder::disabled());
+            let plain = AuditRun::execute(cfg);
+            let case = format!("seed {seed}, {}", fault.name());
+            assert_eq!(firewall.is_some(), fault.is_active(), "{case}");
+            assert_eq!(shadowed.digest(), plain.digest(), "{case}");
+            assert_eq!(shadowed.coverage, plain.coverage, "{case}");
+        }
+    }
+}
+
+/// Like the observations, the shadow's measurement is the same for every
+/// worker count, bit for bit.
+#[test]
+fn firewall_shadow_is_jobs_independent() {
+    for fault in [FaultProfile::flaky(), FaultProfile::hostile()] {
+        let shadow = |jobs| {
+            let cfg = AuditConfig::small(7)
+                .with_faults(fault.clone())
+                .with_jobs(Some(jobs));
+            let (_, firewall) = AuditRun::execute_with_firewall_shadow(cfg, &Recorder::disabled());
+            let m = firewall.expect("faulted runs measure a shadow");
+            (m.ad_tracking_share.to_bits(), m)
+        };
+        assert_eq!(shadow(1), shadow(4), "{}: jobs 1 vs 4", fault.name());
+    }
+}

@@ -55,7 +55,7 @@
 //!   coverage block) is still fully rendered and deterministic.
 
 use alexa_audit::{AuditConfig, AuditRun, Observations};
-use alexa_bench::{campaign, defended_measurements, render_all, render_artifacts, ARTIFACTS};
+use alexa_bench::{campaign, render_all, render_artifacts, ARTIFACTS};
 use alexa_fault::FaultProfile;
 use alexa_obs::bundle::BundleSpec;
 use alexa_obs::{Json, Recorder};
@@ -469,21 +469,24 @@ fn main() {
     if cli.fault.is_active() {
         eprintln!("fault profile: {}", cli.fault.name());
     }
-    // The defended runs (faults only) go first and are dropped one by one,
-    // so the baseline reuses their memory instead of adding to it.
-    let defended = defended_measurements(&wanted, cli.seed, cli.jobs, &cli.fault, &rec);
     eprintln!("running paper-scale audit (seed {}) ...", cli.seed);
     let config = AuditConfig::paper(cli.seed)
         .with_faults(cli.fault.clone())
         .with_jobs(cli.jobs);
-    let obs = AuditRun::execute_with(config, &rec);
+    // Under faults the `defenses` firewall row comes from a shadow tap in
+    // this one run; fault-free, the shadow never starts.
+    let (obs, firewall) = if wanted.contains(&"defenses") {
+        AuditRun::execute_with_firewall_shadow(config, &rec)
+    } else {
+        (AuditRun::execute_with(config, &rec), None)
+    };
     // Under an active fault profile the coverage block leads stdout, so any
     // artifact subset still reports what the run actually observed. It is
     // deterministic (counts only), keeping jobs-diff CI byte-exact.
     if cli.fault.is_active() {
         println!("{}", obs.coverage.render());
     }
-    for artifact in render_artifacts(&obs, &wanted, cli.jobs, defended, &rec) {
+    for artifact in render_artifacts(&obs, &wanted, cli.jobs, firewall, &rec) {
         println!("{artifact}");
     }
     emit_observability(&rec, &cli, &obs);

@@ -6,7 +6,8 @@
 //!   and figure of the paper's evaluation from a fresh paper-scale audit
 //!   run (`repro all`, or `repro table5`, `repro figure3`, …); the
 //!   `defenses` artifact reads defended runs through the defense lens
-//!   (DESIGN.md §13) unless a fault profile forces real re-executions;
+//!   (DESIGN.md §13), and under a fault profile takes its firewall row from
+//!   a shadow tap inside the one baseline run;
 //! * the **criterion benches** (`benches/`) — performance characterization
 //!   of the framework's hot paths (auction, capture pipeline, statistics,
 //!   PoliCheck matching, catalog generation, end-to-end run) plus the
@@ -40,84 +41,38 @@ const DEFENSES: [(&str, DefenseMode); 2] = [
     ("on-device transcription (text-only)", DefenseMode::TextOnly),
 ];
 
-/// One defended run's observables: its [`defense::Measurement`] and its
-/// [`defense::bid_uplift`].
-pub type Defended = (defense::Measurement, f64);
-
-/// Execute each of [`DEFENSES`] for real, one at a time, when `wanted`
-/// includes `defenses` and a fault profile is active. `None` otherwise:
-/// fault-free, the defense lens reads the baseline index instead. Tap
-/// faults key off post-defense sequence numbers, so the lens is not exact
-/// under faults.
-///
-/// The whole pass is the `derive.defended` stage. Each run is executed,
-/// indexed, measured and dropped before the next one starts, so at most one
-/// defended run is alive at a time. `repro` calls this *before* the
-/// baseline run, so the baseline reuses the memory the defended runs freed.
-pub fn defended_measurements(
-    wanted: &[&str],
-    seed: u64,
-    jobs: Option<usize>,
-    fault: &FaultProfile,
-    rec: &Recorder,
-) -> Option<[Defended; 2]> {
-    if !fault.is_active() || !wanted.contains(&"defenses") {
-        return None;
-    }
-    eprintln!("running defended audits (firewall, text-only) ...");
-    Some(rec.stage("derive.defended", || {
-        DEFENSES.map(|(_, mode)| {
-            let config = AuditConfig::paper(seed).with_defense(mode);
-            let obs = AuditRun::execute(config.with_faults(fault.clone()).with_jobs(jobs));
-            let dix = AnalysisIndex::build(&obs);
-            (
-                defense::measure(&dix, DefenseMode::None),
-                defense::bid_uplift(&dix),
-            )
-        })
-    }))
-}
-
-/// Compare the baseline against each of [`DEFENSES`]. `defended` is what
-/// [`defended_measurements`] returned for this run. Under faults it holds
-/// the executed runs, and `index.defended` measures the baseline only.
-/// Fault-free, `derive.defended` is the defense-lens pass and
-/// `index.defended` computes the (defense-invariant) bid uplift once.
+/// Compare the baseline against each of [`DEFENSES`]. `shadow` yields the
+/// firewall shadow's measurement when the run had one (faults); every other
+/// defended measurement reads the baseline through the defense lens. The
+/// lens is the `derive.defended` stage, and `index.defended` computes the
+/// bid uplift, which no defense moves, once.
 fn defense_reports(
     ix: &AnalysisIndex,
-    defended: Option<[Defended; 2]>,
+    shadow: impl FnOnce() -> Option<defense::Measurement>,
     rec: &Recorder,
 ) -> Vec<defense::DefenseReport> {
-    let none = DefenseMode::None;
-    let (base, defended) = match defended {
-        Some(defended) => {
-            let base = rec.stage("index.defended", || {
-                (defense::measure(ix, none), defense::bid_uplift(ix))
-            });
-            (base, defended)
-        }
-        None => {
-            let (base, lensed) = rec.stage("derive.defended", || {
-                let lensed = DEFENSES.map(|(_, mode)| defense::measure(ix, mode));
-                (defense::measure(ix, none), lensed)
-            });
-            rec.stage("index.defended", || {
-                let uplift = defense::bid_uplift(ix);
-                ((base, uplift), lensed.map(|m| (m, uplift)))
-            })
-        }
-    };
+    let (base, defended) = rec.stage("derive.defended", || {
+        let shadow = shadow();
+        let defended = DEFENSES.map(|(_, mode)| match (mode, shadow) {
+            (DefenseMode::Firewall, Some(firewall)) => firewall,
+            _ => defense::measure(ix, mode),
+        });
+        (defense::measure(ix, DefenseMode::None), defended)
+    });
+    let uplift = rec.stage("index.defended", || defense::bid_uplift(ix));
     let pairs = DEFENSES.iter().zip(defended);
     pairs
-        .map(|((name, _), (m, uplift))| defense::compare(name, base.0, m, (base.1, uplift)))
+        .map(|((name, _), m)| defense::compare(name, base, m, (uplift, uplift)))
         .collect()
 }
 
 /// Render the wanted artifacts concurrently, returning them in input order:
-/// [`defended_measurements`], then [`render_artifacts`]. Under faults the
-/// defended runs therefore execute while `obs` is alive; `repro` calls
-/// [`defended_measurements`] before it executes the baseline instead, so
-/// the two never overlap.
+/// [`render_artifacts`] for a run executed without a firewall shadow.
+/// `obs` is an undefended run of `AuditConfig::paper(seed)` under `fault`.
+/// Under faults, when `defenses` is wanted, `derive.defended` executes one
+/// shadowed baseline for the firewall row; `repro` executes its baseline
+/// with [`AuditRun::execute_with_firewall_shadow`] instead and never pays
+/// for a second execution.
 pub fn render_all(
     obs: &Observations,
     wanted: &[&str],
@@ -126,13 +81,20 @@ pub fn render_all(
     fault: &FaultProfile,
     rec: &Recorder,
 ) -> Vec<String> {
-    let defended = defended_measurements(wanted, seed, jobs, fault, rec);
-    render_artifacts(obs, wanted, jobs, defended, rec)
+    let shadow = || {
+        if !fault.is_active() {
+            return None;
+        }
+        let config = AuditConfig::paper(seed).with_faults(fault.clone());
+        AuditRun::execute_with_firewall_shadow(config.with_jobs(jobs), &Recorder::disabled()).1
+    };
+    render_with(obs, wanted, jobs, shadow, rec)
 }
 
 /// Render the wanted artifacts concurrently, returning them in input order.
-/// Each artifact render is its own observability shard. `defended` is what
-/// [`defended_measurements`] returned for this run.
+/// Each artifact render is its own observability shard. `firewall` is the
+/// firewall shadow's measurement that
+/// [`AuditRun::execute_with_firewall_shadow`] returned with `obs`.
 ///
 /// The shared [`AnalysisIndex`] is built exactly once (its own `index.build`
 /// stage) and every artifact streams from it; the fan-out is clamped to the
@@ -142,7 +104,19 @@ pub fn render_artifacts(
     obs: &Observations,
     wanted: &[&str],
     jobs: Option<usize>,
-    defended: Option<[Defended; 2]>,
+    firewall: Option<defense::Measurement>,
+    rec: &Recorder,
+) -> Vec<String> {
+    render_with(obs, wanted, jobs, || firewall, rec)
+}
+
+/// [`render_artifacts`], with the firewall shadow's measurement produced
+/// on demand inside `derive.defended`.
+fn render_with(
+    obs: &Observations,
+    wanted: &[&str],
+    jobs: Option<usize>,
+    shadow: impl FnOnce() -> Option<defense::Measurement>,
     rec: &Recorder,
 ) -> Vec<String> {
     let ix = rec.stage("index.build", || AnalysisIndex::build(obs));
@@ -150,7 +124,7 @@ pub fn render_artifacts(
     // get their own top-level stages and `render.all` stays a pure stream.
     let reports = wanted
         .contains(&"defenses")
-        .then(|| defense_reports(&ix, defended, rec));
+        .then(|| defense_reports(&ix, shadow, rec));
     rec.stage("render.all", || {
         let render_jobs = Some(alexa_exec::clamped_jobs(jobs));
         alexa_exec::par_map(render_jobs, wanted.to_vec(), |i, artifact| {

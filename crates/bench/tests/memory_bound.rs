@@ -1,9 +1,7 @@
-//! Under a fault profile the `defenses` artifact executes both defended
-//! audits for real. `repro` runs them one at a time and before the
-//! baseline, so the memory they free is reused by the baseline and a
-//! faulted `all` peaks close to a fault-free one. A pass that held both
-//! defended runs next to the baseline would peak at over twice the
-//! fault-free run and fail here.
+//! Under a fault profile the `defenses` artifact takes its firewall row from
+//! a shadow tap inside the one baseline run, so a faulted `all` peaks close
+//! to a fault-free one. A shadow that kept full plaintext copies, or any
+//! defended run held next to the baseline, would show here.
 
 use alexa_obs::Json;
 use std::process::{Command, Stdio};

@@ -39,7 +39,7 @@ pub const REGISTRY: &[&str] = &[
     "crawler.syncs",             // aggregate: cookie syncs observed
     "crawler.visit",             // aggregate timer: one crawl visit
     "crawler.visits",            // aggregate: crawl visits completed
-    "derive.defended",           // stage: defense lens (faults: defended runs one by one, first)
+    "derive.defended",           // stage: defense lens (faults: firewall row from the shadow)
     "dsar.after_install",        // span: DSAR export after installs
     "dsar.after_interaction1",   // span: DSAR export after first interaction round
     "dsar.after_interaction2",   // span: DSAR export after second interaction round
@@ -49,13 +49,13 @@ pub const REGISTRY: &[&str] = &[
     "fault.losses",              // counter: permanent losses after retry budget
     "fault.retries",             // counter: retries consumed by faults
     "index.build",               // stage: shared analysis-index construction
-    "index.defended",            // stage: bid uplift (faults: measure the baseline only)
+    "index.defended",            // stage: bid uplift, once
     "install",                   // span: skill installation round
     "install.failed",            // counter: installs that failed permanently
     "interact",                  // span: skill interaction round
     "marketplace",               // stage: marketplace generation
     "mem.peak_rss_kb",           // volatile: process peak RSS (VmHWM), schedule-dependent
-    "merge",                     // stage: deterministic shard merge
+    "merge",                     // stage: deterministic shard merge (+ firewall shadow measure)
     "persona",                   // shard group: per-persona pipeline shards
     "persona.shards",            // stage: per-persona experiment shards
     "policy.documents",          // counter: policy documents downloaded
