@@ -250,7 +250,10 @@ impl Bidder {
     /// are RNG-free, so hoisting them out of the per-bid path (once per slot
     /// and once per user respectively) leaves the values — and every RNG
     /// draw — bit-identical to the unbatched path.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the hoisted per-slot and per-user factors are passed in separately"
+    )]
     pub fn bid_in_context(
         &self,
         slot: &AdSlot,

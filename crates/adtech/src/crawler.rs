@@ -278,7 +278,10 @@ impl Crawler {
 
 /// Move a scratch buffer's contents into an exactly sized vector, keeping
 /// the buffer's capacity for the next visit.
-#[allow(clippy::drain_collect)] // `mem::take` would hand the capacity away
+#[expect(
+    clippy::drain_collect,
+    reason = "`mem::take` would hand the capacity away"
+)]
 pub(crate) fn drain_exact<T>(scratch: &mut Vec<T>) -> Vec<T> {
     scratch.drain(..).collect()
 }

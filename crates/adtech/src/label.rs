@@ -21,12 +21,18 @@
 //! values and across repeated runs in one process.
 
 use std::collections::hash_map::DefaultHasher;
-// analyzer:allow(AD03) -- lookup-only intern table; it is never iterated, so no order reaches an output
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only intern table; it is never iterated, so no order reaches an output"
+)]
 use std::collections::HashSet;
 use std::hash::BuildHasherDefault;
 use std::sync::RwLock;
 
-// analyzer:allow(AD03) -- lookup-only intern table; never iterated
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only intern table; never iterated"
+)]
 type Table = HashSet<&'static str, BuildHasherDefault<DefaultHasher>>;
 
 static LABELS: RwLock<Table> = RwLock::new(Table::with_hasher(BuildHasherDefault::new()));

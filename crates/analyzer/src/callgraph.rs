@@ -25,9 +25,9 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::config::Config;
-use crate::findings::{Finding, Severity};
+use crate::findings::Finding;
 use crate::symbols::{CallKind, FileSummary, FnSym};
+use crate::Config;
 
 /// A global function id: (summary index, fn index).
 type Gid = (usize, usize);
@@ -37,8 +37,6 @@ pub struct CallGraph<'a> {
     summaries: &'a [FileSummary],
     /// Flat list of every function, in (file, declaration) order.
     fns: Vec<Gid>,
-    /// Flat index of each Gid (inverse of `fns`).
-    index_of: BTreeMap<Gid, usize>,
     /// Free functions by name.
     free_by_name: BTreeMap<&'a str, Vec<usize>>,
     /// Impl/trait functions by (type, name).
@@ -47,39 +45,12 @@ pub struct CallGraph<'a> {
     methods_by_name: BTreeMap<&'a str, Vec<usize>>,
 }
 
-/// One step of an AS01 witness chain.
-#[derive(Debug, Clone)]
-pub struct ChainStep {
-    /// Display name (`Type::name` or `name`).
-    pub name: String,
-    /// File of the definition.
-    pub file: String,
-    /// Line of the definition.
-    pub line: u32,
-}
-
-/// The taint verdict for one entry function.
-#[derive(Debug, Clone)]
-pub struct Taint {
-    /// The call chain from the entry function to the tainted leaf.
-    pub chain: Vec<ChainStep>,
-    /// Source class at the leaf (`wallclock`/`entropy`/`spawn`).
-    pub source_kind: String,
-    /// The source token text.
-    pub source_token: String,
-    /// File holding the source token.
-    pub source_file: String,
-    /// Line of the source token.
-    pub source_line: u32,
-}
-
 impl<'a> CallGraph<'a> {
     /// Index every non-test function of every summary.
     pub fn build(summaries: &'a [FileSummary]) -> CallGraph<'a> {
         let mut g = CallGraph {
             summaries,
             fns: Vec::new(),
-            index_of: BTreeMap::new(),
             free_by_name: BTreeMap::new(),
             typed: BTreeMap::new(),
             methods_by_name: BTreeMap::new(),
@@ -91,7 +62,6 @@ impl<'a> CallGraph<'a> {
                 }
                 let id = g.fns.len();
                 g.fns.push((si, fi));
-                g.index_of.insert((si, fi), id);
                 match &f.qual {
                     None => g.free_by_name.entry(&f.name).or_default().push(id),
                     Some(q) => {
@@ -239,33 +209,31 @@ impl<'a> CallGraph<'a> {
         next
     }
 
-    /// The witness chain for a tainted function, or `None` if untainted.
-    fn chain_of(&self, id: usize, next: &[Option<(usize, u32)>]) -> Option<Taint> {
+    /// The taint verdict for a function, or `None` if untainted: the
+    /// source it reaches and the witness chain down to it, as a message.
+    fn taint_of(&self, id: usize, next: &[Option<(usize, u32)>]) -> Option<String> {
         next[id]?;
-        let mut chain = Vec::new();
+        let mut hops = Vec::new();
         let mut cur = id;
         loop {
             let sym = self.sym(cur);
-            let file = self.file_of(cur);
-            chain.push(ChainStep {
-                name: sym.display_name(),
-                file: file.rel.clone(),
-                line: sym.line,
-            });
+            let file = &self.file_of(cur).rel;
+            hops.push(format!("{} ({file}:{})", sym.display_name(), sym.line));
             match next[cur] {
                 Some((callee, _)) if callee != cur => cur = callee,
                 _ => break,
             }
         }
-        let leaf = self.sym(cur);
-        let src = leaf.sources.first()?;
-        Some(Taint {
-            chain,
-            source_kind: src.kind.clone(),
-            source_token: src.token.clone(),
-            source_file: self.file_of(cur).rel.clone(),
-            source_line: src.line,
-        })
+        let src = self.sym(cur).sources.first()?;
+        Some(format!(
+            "{} source `{}` ({}:{}); call chain: {} -> `{}`",
+            src.kind,
+            src.token,
+            self.file_of(cur).rel,
+            src.line,
+            hops.join(" -> "),
+            src.token,
+        ))
     }
 }
 
@@ -374,12 +342,9 @@ fn crate_hint_matches(q: &str, crate_name: &str) -> bool {
 }
 
 /// Run AS01 over the summaries: flag every public non-test function defined
-/// under a configured entry path that transitively reaches a taint source,
-/// with the full call chain in the message.
+/// under one of the config's entry paths that transitively reaches a taint
+/// source, with the full call chain in the message.
 pub fn as01_findings(summaries: &[FileSummary], config: &Config, out: &mut Vec<Finding>) {
-    if config.entry_paths.is_empty() {
-        return;
-    }
     let g = CallGraph::build(summaries);
     let next = g.propagate();
     for (id, &(si, fi)) in g.fns.iter().enumerate() {
@@ -393,32 +358,13 @@ pub fn as01_findings(summaries: &[FileSummary], config: &Config, out: &mut Vec<F
         {
             continue;
         }
-        let Some(taint) = g.chain_of(id, &next) else {
-            continue;
-        };
-        let hops: Vec<String> = taint
-            .chain
-            .iter()
-            .map(|c| format!("{} ({}:{})", c.name, c.file, c.line))
-            .collect();
-        out.push(Finding {
-            lint: "AS01",
-            severity: Severity::Deny,
-            path: s.rel.clone(),
-            line: f.line,
-            col: f.col,
-            snippet: String::new(),
-            message: format!(
-                "committed-surface fn `{}` transitively reaches {} source `{}` ({}:{}); call chain: {} -> `{}`",
-                f.name,
-                taint.source_kind,
-                taint.source_token,
-                taint.source_file,
-                taint.source_line,
-                hops.join(" -> "),
-                taint.source_token,
-            ),
-        });
+        if let Some(taint) = g.taint_of(id, &next) {
+            let message = format!(
+                "committed-surface fn `{}` transitively reaches {taint}",
+                f.name
+            );
+            out.push(Finding::new("AS01", &s.rel, f.line, f.col, message));
+        }
     }
 }
 
@@ -435,13 +381,13 @@ mod tests {
             crate_name: crate_name.to_string(),
             is_bin: false,
         };
-        summarize(&ctx, &lex(src), Vec::new())
+        summarize(&ctx, &lex(src))
     }
 
     fn config(entry: &str) -> Config {
-        let mut cfg = Config::default();
-        cfg.entry_paths.insert(entry.to_string());
-        cfg
+        Config {
+            entry_paths: vec![entry.to_string()],
+        }
     }
 
     #[test]

@@ -1,53 +1,16 @@
-//! Finding records, severities and the JSON emitter.
+//! Finding records and the JSON emitter.
 //!
 //! The JSON writer is hand-rolled (the analyzer is dependency-free by
 //! design) and deterministic: findings are emitted in (path, line, lint)
 //! order, so two runs over the same tree produce byte-identical output —
 //! the same contract the audit pipeline itself honours.
 
-use std::fmt;
-
-/// How a lint's findings gate the build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Advisory: reported, never affects the exit code, never baselined.
-    Warn,
-    /// Gating: new findings (beyond the baseline) fail the run.
-    Deny,
-}
-
-impl Severity {
-    /// Lowercase label used in output and config.
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Warn => "warn",
-            Severity::Deny => "deny",
-        }
-    }
-
-    /// Parse a config value.
-    pub fn parse(s: &str) -> Option<Severity> {
-        match s {
-            "warn" => Some(Severity::Warn),
-            "deny" => Some(Severity::Deny),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// One lint finding at one site.
+/// One lint finding at one site. Every lint gates: any finding fails the
+/// run.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Lint id (see [`crate::lints::CATALOG`]).
     pub lint: &'static str,
-    /// Resolved severity.
-    pub severity: Severity,
     /// Repo-relative path, forward slashes.
     pub path: String,
     /// 1-based line.
@@ -61,43 +24,26 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// A finding with its snippet still empty (the driver fills it in from
+    /// the file's source).
+    pub fn new(lint: &'static str, path: &str, line: u32, col: u32, message: String) -> Finding {
+        Finding {
+            lint,
+            path: path.to_string(),
+            line,
+            col,
+            snippet: String::new(),
+            message,
+        }
+    }
+
     /// The canonical one-line human rendering: `path:line:col: [id] message`
     /// — the `path:line:col` prefix is what editors and CI annotations parse.
     pub fn render_human(&self) -> String {
         format!(
-            "{}:{}:{}: [{}/{}] {}",
-            self.path, self.line, self.col, self.lint, self.severity, self.message
+            "{}:{}:{}: [{}] {}",
+            self.path, self.line, self.col, self.lint, self.message
         )
-    }
-}
-
-/// A baseline mismatch: the checked-in expectation no longer matches.
-#[derive(Debug, Clone)]
-pub struct BaselineDrift {
-    /// Lint id.
-    pub lint: String,
-    /// File the entry covers.
-    pub path: String,
-    /// Count recorded in analyzer.toml.
-    pub expected: usize,
-    /// Count actually found.
-    pub actual: usize,
-}
-
-impl BaselineDrift {
-    /// Human rendering with the action to take.
-    pub fn render_human(&self) -> String {
-        if self.actual > self.expected {
-            format!(
-                "{}: [{}] {} finding(s), baseline allows {} — fix the new site(s) or add an analyzer:allow escape",
-                self.path, self.lint, self.actual, self.expected
-            )
-        } else {
-            format!(
-                "{}: [{}] baseline is stale: expects {}, found {} — ratchet analyzer.toml down (run with --write-baseline)",
-                self.path, self.lint, self.expected, self.actual
-            )
-        }
     }
 }
 
@@ -118,40 +64,21 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Render the full findings report as deterministic JSON.
-pub fn render_json(
-    findings: &[Finding],
-    drift: &[BaselineDrift],
-    baselined: usize,
-    clean: bool,
-) -> String {
+/// Render the findings report as deterministic JSON.
+pub fn render_json(findings: &[Finding]) -> String {
     let mut out = String::from("{\n");
-    out.push_str(&format!("  \"clean\": {clean},\n"));
-    out.push_str(&format!("  \"baselined\": {baselined},\n"));
+    out.push_str(&format!("  \"clean\": {},\n", findings.is_empty()));
     out.push_str("  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"lint\": \"{}\", \"severity\": \"{}\", \"path\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\", \"snippet\": \"{}\"}}{}\n",
+            "    {{\"lint\": \"{}\", \"path\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\", \"snippet\": \"{}\"}}{}\n",
             f.lint,
-            f.severity,
             json_escape(&f.path),
             f.line,
             f.col,
             json_escape(&f.message),
             json_escape(&f.snippet),
             if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"baseline_drift\": [\n");
-    for (i, d) in drift.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"lint\": \"{}\", \"path\": \"{}\", \"expected\": {}, \"actual\": {}}}{}\n",
-            json_escape(&d.lint),
-            json_escape(&d.path),
-            d.expected,
-            d.actual,
-            if i + 1 < drift.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -170,7 +97,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_clean_json() {
-        let s = render_json(&[], &[], 0, true);
+        let s = render_json(&[]);
         assert!(s.contains("\"clean\": true"));
         assert!(s.contains("\"findings\": [\n  ]"));
     }

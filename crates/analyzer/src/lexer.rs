@@ -12,11 +12,9 @@
 //!   data, not a panic site — and raw strings (`r#"…"#`) are handled;
 //! * lifetimes (`'a`) are distinguished from char literals (`'a'`);
 //! * tokens under `#[cfg(test)]` items are flagged so test-only code can be
-//!   exempted from the library-code lints;
+//!   exempted from the lints;
 //! * `// analyzer:allow(LINT) -- reason` escape comments are collected with
 //!   the lines they govern.
-
-use std::collections::BTreeMap;
 
 /// Token classification — only as fine-grained as the lints need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +55,6 @@ pub struct AllowDirective {
     pub col: u32,
     /// Whether a ` -- reason` trailer was present and non-empty.
     pub has_reason: bool,
-    /// Set by the lint driver when the directive suppresses a finding.
-    pub used: bool,
 }
 
 /// The result of lexing one file.
@@ -68,40 +64,11 @@ pub struct Lexed {
     pub toks: Vec<Tok>,
     /// Escape directives found in line comments.
     pub allows: Vec<AllowDirective>,
-    /// Raw source lines, for finding snippets.
-    pub lines: Vec<String>,
 }
 
-impl Lexed {
-    /// Lint ids allowed on `line` (a directive covers its own line and the
-    /// next line, so both trailing and standalone comments work).
-    pub fn allowed_on(&self, line: u32) -> BTreeMap<&str, usize> {
-        let mut out = BTreeMap::new();
-        for (i, a) in self.allows.iter().enumerate() {
-            if a.line == line || a.line + 1 == line {
-                for l in &a.lints {
-                    out.entry(l.as_str()).or_insert(i);
-                }
-            }
-        }
-        out
-    }
-
-    /// The trimmed source text of a 1-based line, for human findings.
-    pub fn snippet(&self, line: u32) -> &str {
-        self.lines
-            .get(line as usize - 1)
-            .map(|s| s.trim())
-            .unwrap_or("")
-    }
-}
-
-/// Lex `src` into tokens, directives and lines.
+/// Lex `src` into tokens and escape directives.
 pub fn lex(src: &str) -> Lexed {
-    let mut out = Lexed {
-        lines: src.lines().map(str::to_string).collect(),
-        ..Lexed::default()
-    };
+    let mut out = Lexed::default();
     let b: Vec<char> = src.chars().collect();
     let n = b.len();
     let mut i = 0;
@@ -417,7 +384,6 @@ fn scan_allow(comment: &str, line: u32, col: u32, out: &mut Vec<AllowDirective>)
             line,
             col,
             has_reason: false,
-            used: false,
         });
         return;
     };
@@ -436,7 +402,6 @@ fn scan_allow(comment: &str, line: u32, col: u32, out: &mut Vec<AllowDirective>)
         line,
         col,
         has_reason,
-        used: false,
     });
 }
 
@@ -505,7 +470,8 @@ fn mark_cfg_test(toks: &mut [Tok]) {
 }
 
 /// If `i` points at `#` opening an attribute, return (index past the closing
-/// `]`, attribute-is-a-test-cfg).
+/// `]`, attribute-is-a-test-cfg). An unterminated attribute runs to the end
+/// of the file, so a later `#` never rescans the same tail.
 fn attr_span(toks: &[Tok], i: usize) -> Option<(usize, bool)> {
     let mut j = i + 1;
     // Inner attribute `#![…]`.
@@ -539,7 +505,7 @@ fn attr_span(toks: &[Tok], i: usize) -> Option<(usize, bool)> {
         }
         j += 1;
     }
-    None
+    Some((toks.len(), false))
 }
 
 #[cfg(test)]
@@ -626,19 +592,18 @@ mod tests {
 
     #[test]
     fn allow_directives_parse() {
-        let src = "// analyzer:allow(AP02, AD01) -- invariant holds\nx.unwrap();\n// analyzer:allow(AP01)\ny();";
+        let src = "// analyzer:allow(AS01, AD02) -- invariant holds\nx.unwrap();\n// analyzer:allow(AS01)\ny();";
         let l = lex(src);
         assert_eq!(l.allows.len(), 2);
-        assert_eq!(l.allows[0].lints, vec!["AP02", "AD01"]);
+        assert_eq!(l.allows[0].lints, vec!["AS01", "AD02"]);
         assert!(l.allows[0].has_reason);
         assert!(!l.allows[1].has_reason);
-        assert!(l.allowed_on(2).contains_key("AP02"));
-        assert!(!l.allowed_on(2).contains_key("AP01"));
+        assert_eq!((l.allows[1].line, l.allows[1].col), (3, 1));
     }
 
     #[test]
     fn doc_comments_never_act_as_escapes() {
-        let src = "/// use `// analyzer:allow(AP02) -- why` to escape\n//! analyzer:allow(AD01) -- docs\nfn f() {}";
+        let src = "/// use `// analyzer:allow(AS01) -- why` to escape\n//! analyzer:allow(AD02) -- docs\nfn f() {}";
         let l = lex(src);
         assert!(l.allows.is_empty());
     }

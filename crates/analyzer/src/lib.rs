@@ -1,18 +1,16 @@
-//! `alexa-analyzer` — a workspace-wide determinism, panic-safety and
-//! observability-naming lint pass.
+//! `alexa-analyzer` — the workspace checks that clippy cannot do.
 //!
 //! The reproduction's core invariants (fixed seed ⇒ byte-identical reports
-//! for any worker count or fault profile; no panics in library crates;
-//! schedule-independent trace names) are enforced *dynamically* by the
-//! digest test matrix — which only catches violations on exercised paths,
-//! minutes after they land. This crate enforces them *statically*, in under
-//! a second, over every line of the workspace:
+//! for any worker count or fault profile; schedule-independent trace names)
+//! are enforced *dynamically* by the digest test matrix — which only
+//! catches violations on exercised paths, minutes after they land. The
+//! generic halves of the contract (no wall clocks, no unordered
+//! collections, no spawning outside `crates/exec`, no panics) are clippy
+//! lints configured in the workspace `[lints]` table and `clippy.toml`.
+//! This crate enforces the rest *statically*, in under a second, over every
+//! line of the workspace:
 //!
-//! * **D-lints** (`AD0x`) — determinism: no wall clocks, no ambient
-//!   entropy, no unordered collections in report-rendering crates, no
-//!   thread spawning outside the deterministic execution engine.
-//! * **P-lints** (`AP0x`) — panic safety: no `unwrap`/`expect`/`panic!` in
-//!   non-test library code; typed `Result`s instead.
+//! * **AD02** — determinism: no ambient entropy; all randomness is seeded.
 //! * **O-lints** (`AO0x`) — observability naming: span/stage/counter names
 //!   must be `dotted.lowercase` and declared in the single-source registry,
 //!   and `fault.*` names must match declared fault channels.
@@ -21,10 +19,8 @@
 //!   taint from committed surfaces (AS01), registry liveness (AS03) and the
 //!   exit-code contract (AS04).
 //!
-//! Pre-existing findings live in a checked-in `analyzer.toml` **baseline**
-//! that works as a ratchet: any *new* finding fails, and any baseline entry
-//! that no longer matches reality fails too, so the debt can only shrink.
-//! Individual sites carry `// analyzer:allow(LINT) -- reason` escapes.
+//! Individual sites carry `// analyzer:allow(LINT) -- reason` escapes,
+//! which are themselves linted (AX01/AX02).
 //!
 //! The checks are lexical (a hand-rolled comment/string/cfg-aware lexer in
 //! [`lexer`]), not type-aware: that is exactly enough for these contracts,
@@ -34,18 +30,13 @@
 #![warn(missing_docs)]
 
 pub mod callgraph;
-pub mod config;
 pub mod findings;
-pub mod fix;
 pub mod lexer;
 pub mod lints;
 pub mod registry;
-pub mod sarif;
 pub mod symbols;
 
-pub use config::{BaselineEntry, Config, ConfigError};
-pub use findings::{BaselineDrift, Finding, Severity};
-pub use fix::FixOutcome;
+pub use findings::Finding;
 pub use lints::{FileCtx, LintSpec, CATALOG};
 pub use registry::Registry;
 pub use symbols::FileSummary;
@@ -53,43 +44,50 @@ pub use symbols::FileSummary;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+/// This workspace's committed surfaces: everything whose bytes land in the
+/// report bundle. Public functions here must not transitively reach a wall
+/// clock, ambient entropy or a spawn (AS01, DESIGN.md §11).
+pub const ENTRY_PATHS: &[&str] = &[
+    "crates/audit/src/analysis/",
+    "crates/audit/src/report.rs",
+    "crates/audit/src/artifacts.rs",
+];
+
+/// What one analysis checks that depends on the tree: the AS01 committed
+/// surfaces. [`Config::workspace`] is this repository's setting.
+#[derive(Debug, Clone)]
+pub struct Config {
+    /// Repo-relative path prefixes of the committed surfaces.
+    pub entry_paths: Vec<String>,
+}
+
+impl Config {
+    /// The setting for this workspace: [`ENTRY_PATHS`].
+    pub fn workspace() -> Config {
+        Config {
+            entry_paths: ENTRY_PATHS.iter().map(|p| p.to_string()).collect(),
+        }
+    }
+}
+
 /// The outcome of one analysis run.
 #[derive(Debug, Default)]
 pub struct AnalysisReport {
-    /// Deny findings *not* covered by the baseline, in (path, line) order.
-    pub new_findings: Vec<Finding>,
-    /// Warn findings (advisory, never gate).
-    pub warnings: Vec<Finding>,
-    /// Baseline entries whose counts no longer match.
-    pub drift: Vec<BaselineDrift>,
-    /// How many deny findings the baseline absorbed.
-    pub baselined: usize,
+    /// Every finding, in (path, line, lint) order.
+    pub findings: Vec<Finding>,
     /// Files scanned.
     pub files_scanned: usize,
-    /// The actual per-(lint, path) deny counts — input for `--write-baseline`.
-    pub counts: BTreeMap<(String, String), usize>,
 }
 
 impl AnalysisReport {
-    /// Whether the gate passes: no new findings, no baseline drift.
+    /// Whether the gate passes: no findings.
     pub fn clean(&self) -> bool {
-        self.new_findings.is_empty() && self.drift.is_empty()
-    }
-
-    /// The ratcheted baseline that matches current reality.
-    pub fn fresh_baseline(&self) -> Vec<BaselineEntry> {
-        self.counts
-            .iter()
-            .map(|((lint, path), &count)| BaselineEntry {
-                lint: lint.clone(),
-                path: path.clone(),
-                count,
-            })
-            .collect()
+        self.findings.is_empty()
     }
 }
 
-/// A fatal analysis error (I/O, config) — reported as one line, exit 2.
+/// A fatal analysis error (an unreadable source or name registry) —
+/// reported as one line, exit 2.
 #[derive(Debug)]
 pub struct AnalyzerError {
     /// One-line description.
@@ -104,30 +102,14 @@ impl std::fmt::Display for AnalyzerError {
 
 impl std::error::Error for AnalyzerError {}
 
-impl From<ConfigError> for AnalyzerError {
-    fn from(e: ConfigError) -> Self {
-        AnalyzerError {
-            message: e.to_string(),
-        }
-    }
-}
-
-impl From<registry::RegistryError> for AnalyzerError {
-    fn from(e: registry::RegistryError) -> Self {
-        AnalyzerError {
-            message: e.to_string(),
-        }
-    }
-}
-
 /// Path components whose subtrees are never linted: generated output and
-/// test/bench/example code (the P/D contracts govern library code; analyzer
-/// fixtures live under `tests/` and *must* stay unscanned).
+/// test/bench/example code (analyzer fixtures live under `tests/` and
+/// *must* stay unscanned).
 const SKIP_DIRS: &[&str] = &["target", "tests", "benches", "examples", "fixtures", ".git"];
 
 /// Analyze the workspace under `root`: per-file lexical lints, then the
 /// cross-file semantic lints over the combined summary set, then one unified
-/// escape / severity / baseline-ratchet pass over every finding.
+/// escape pass over every finding.
 pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerError> {
     let reg = Registry::load(root)?;
     let mut files = Vec::new();
@@ -138,7 +120,9 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
 
     let mut report = AnalysisReport::default();
     let mut summaries: Vec<FileSummary> = Vec::new();
-    // Raw line content per file, for snippet backfill on semantic findings.
+    // Per-file lint findings, parallel to `summaries`.
+    let mut per_file: Vec<Vec<Finding>> = Vec::new();
+    // Raw line content per file, for the findings' snippets.
     let mut file_lines: BTreeMap<String, Vec<String>> = BTreeMap::new();
 
     for path in files {
@@ -150,8 +134,9 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
         let lexed = lexer::lex(&src);
         let ctx = classify(&rel);
         let mut raw = Vec::new();
-        lints::run_lints(&lexed, &ctx, config, &reg, &mut raw);
-        summaries.push(symbols::summarize(&ctx, &lexed, raw));
+        lints::run_lints(&lexed, &ctx, &reg, &mut raw);
+        per_file.push(raw);
+        summaries.push(symbols::summarize(&ctx, &lexed));
         file_lines.insert(rel, src.lines().map(str::to_string).collect());
     }
 
@@ -161,15 +146,13 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
         // Registry self-check: every declared obs name must be well-shaped,
         // and declared fault.* names must match the fault crate's channels.
         let mut push = |lint: &'static str, line: u32, col: u32, message: String| {
-            semantic.push(Finding {
+            semantic.push(Finding::new(
                 lint,
-                severity: Severity::Deny,
-                path: registry::OBS_NAMES_PATH.to_string(),
+                registry::OBS_NAMES_PATH,
                 line,
                 col,
-                snippet: String::new(),
                 message,
-            });
+            ));
         };
         if !lints::is_dotted_lowercase(&entry.name) {
             push(
@@ -191,9 +174,8 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
 
     // Unified escape pass: per-file raw findings and semantic findings on
     // that file share the file's `analyzer:allow` directives.
-    let mut all_findings: Vec<Finding> = Vec::new();
-    for s in &summaries {
-        let mut raw = s.findings.clone();
+    let findings = &mut report.findings;
+    for (s, mut raw) in summaries.iter().zip(per_file) {
         if let Some(extra) = sem_by_path.remove(&s.rel) {
             raw.extend(extra);
         }
@@ -208,99 +190,39 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
         });
         // Escape hygiene: escapes must carry a reason and must fire.
         for (i, a) in s.allows.iter().enumerate() {
-            if !a.has_reason {
-                raw.push(Finding {
-                    lint: "AX02",
-                    severity: Severity::Deny,
-                    path: s.rel.clone(),
-                    line: a.line,
-                    col: a.col,
-                    snippet: String::new(),
-                    message: "analyzer:allow without a `-- reason` trailer".to_string(),
-                });
+            let (lint, message) = if !a.has_reason {
+                (
+                    "AX02",
+                    "analyzer:allow without a `-- reason` trailer".to_string(),
+                )
             } else if !used[i] {
-                raw.push(Finding {
-                    lint: "AX01",
-                    severity: Severity::Deny, // resolved below
-                    path: s.rel.clone(),
-                    line: a.line,
-                    col: a.col,
-                    snippet: String::new(),
-                    message: format!(
+                (
+                    "AX01",
+                    format!(
                         "analyzer:allow({}) suppresses no finding — delete it",
                         a.lints.join(", ")
                     ),
-                });
-            }
+                )
+            } else {
+                continue;
+            };
+            raw.push(Finding::new(lint, &s.rel, a.line, a.col, message));
         }
-        all_findings.extend(raw);
+        findings.extend(raw);
     }
     // Semantic findings on paths without a summary cannot be escaped —
     // they pass through directly.
     for (_, extra) in sem_by_path {
-        all_findings.extend(extra);
+        findings.extend(extra);
     }
 
-    // Snippet backfill for findings constructed without file content.
-    for f in &mut all_findings {
-        if f.snippet.is_empty() && f.line >= 1 {
-            if let Some(lines) = file_lines.get(&f.path) {
-                if let Some(l) = lines.get(f.line as usize - 1) {
-                    f.snippet = l.trim().to_string();
-                }
-            }
+    for f in findings.iter_mut() {
+        let line = (f.line as usize).checked_sub(1);
+        if let Some(l) = line.and_then(|i| file_lines.get(&f.path)?.get(i)) {
+            f.snippet = l.trim().to_string();
         }
     }
-
-    // Resolve severities, split warn/deny, apply the baseline ratchet.
-    all_findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
-    let mut deny_by_key: BTreeMap<(String, String), Vec<Finding>> = BTreeMap::new();
-    for mut f in all_findings {
-        f.severity = config.severity_of(f.lint);
-        match f.severity {
-            Severity::Warn => report.warnings.push(f),
-            Severity::Deny => deny_by_key
-                .entry((f.lint.to_string(), f.path.clone()))
-                .or_default()
-                .push(f),
-        }
-    }
-
-    for ((lint, path), group) in &deny_by_key {
-        report
-            .counts
-            .insert((lint.clone(), path.clone()), group.len());
-        let allowed = config.baseline_count(lint, path);
-        if group.len() == allowed {
-            report.baselined += group.len();
-        } else {
-            report.drift.push(BaselineDrift {
-                lint: lint.clone(),
-                path: path.clone(),
-                expected: allowed,
-                actual: group.len(),
-            });
-            if group.len() > allowed {
-                // Surface the individual sites so the CI log carries
-                // file:line for the new finding(s).
-                report.new_findings.extend(group.iter().cloned());
-            }
-        }
-    }
-    // Baseline entries for files that now have zero findings (or vanished).
-    for b in &config.baseline {
-        if !deny_by_key.contains_key(&(b.lint.clone(), b.path.clone())) {
-            report.drift.push(BaselineDrift {
-                lint: b.lint.clone(),
-                path: b.path.clone(),
-                expected: b.count,
-                actual: 0,
-            });
-        }
-    }
-    report
-        .drift
-        .sort_by(|a, b| (&a.path, &a.lint).cmp(&(&b.path, &b.lint)));
+    findings.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
     Ok(report)
 }
 
@@ -317,17 +239,6 @@ fn allowed_on(allows: &[lexer::AllowDirective], line: u32) -> BTreeMap<&str, usi
         }
     }
     out
-}
-
-/// Load `analyzer.toml` from `root` and run [`analyze`].
-pub fn analyze_with_default_config(root: &Path) -> Result<(Config, AnalysisReport), AnalyzerError> {
-    let cfg_path = root.join("analyzer.toml");
-    let src = std::fs::read_to_string(&cfg_path).map_err(|e| AnalyzerError {
-        message: format!("cannot read {}: {e}", cfg_path.display()),
-    })?;
-    let config = Config::parse(&src)?;
-    let report = analyze(root, &config)?;
-    Ok((config, report))
 }
 
 /// Recursively collect `.rs` files, skipping [`SKIP_DIRS`] subtrees.
@@ -353,7 +264,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Repo-relative path with forward slashes (stable across platforms, so
-/// baselines and golden files are portable).
+/// findings and golden files are portable).
 fn rel_path(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
@@ -398,15 +309,14 @@ mod tests {
     #[test]
     fn allowed_on_covers_own_and_next_line() {
         let allows = vec![lexer::AllowDirective {
-            lints: vec!["AP02".to_string()],
+            lints: vec!["AS01".to_string()],
             line: 4,
             col: 1,
             has_reason: true,
-            used: false,
         }];
-        assert!(allowed_on(&allows, 4).contains_key("AP02"));
-        assert!(allowed_on(&allows, 5).contains_key("AP02"));
-        assert!(!allowed_on(&allows, 6).contains_key("AP02"));
-        assert!(!allowed_on(&allows, 3).contains_key("AP02"));
+        assert!(allowed_on(&allows, 4).contains_key("AS01"));
+        assert!(allowed_on(&allows, 5).contains_key("AS01"));
+        assert!(!allowed_on(&allows, 6).contains_key("AS01"));
+        assert!(!allowed_on(&allows, 3).contains_key("AS01"));
     }
 }

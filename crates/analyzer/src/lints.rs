@@ -2,118 +2,69 @@
 //!
 //! `CATALOG` is the **single source of truth** for the lint inventory: the
 //! CLI's `--list-lints`, the JSON findings, and the DESIGN.md §11 catalog
-//! (held in sync by a test) are all derived from it.
+//! (held in sync by a test) are all derived from it. The generic
+//! determinism and panic-safety lints live in clippy (the workspace
+//! `[lints]` table and `clippy.toml`); these are the checks clippy cannot
+//! do.
 
-use crate::config::Config;
-use crate::findings::{Finding, Severity};
+use crate::findings::Finding;
 use crate::lexer::{Lexed, Tok, TokKind};
 use crate::registry::Registry;
 
 /// One lint's identity and documentation.
 #[derive(Debug, Clone, Copy)]
 pub struct LintSpec {
-    /// Stable id, used in baselines and `analyzer:allow(...)` escapes.
+    /// Stable id, used in `analyzer:allow(...)` escapes.
     pub id: &'static str,
     /// Human slug.
     pub slug: &'static str,
-    /// Default severity (config can override).
-    pub default_severity: Severity,
     /// One-line doc, shared verbatim by `--list-lints` and DESIGN.md.
     pub summary: &'static str,
 }
 
-/// Every lint the analyzer knows, in report order.
+/// Every lint the analyzer knows, in report order. Every one gates.
 pub const CATALOG: &[LintSpec] = &[
-    LintSpec {
-        id: "AD01",
-        slug: "wallclock",
-        default_severity: Severity::Deny,
-        summary: "wall-clock time source (Instant/SystemTime/UNIX_EPOCH) outside the sanctioned timing crates",
-    },
     LintSpec {
         id: "AD02",
         slug: "entropy",
-        default_severity: Severity::Deny,
         summary: "ambient entropy (thread_rng/from_entropy/OsRng/getrandom) — all randomness must come from an explicit seed",
-    },
-    LintSpec {
-        id: "AD03",
-        slug: "unordered-collection",
-        default_severity: Severity::Deny,
-        summary: "HashMap/HashSet in a crate that feeds reports or traces — iteration order would leak schedule noise; use BTreeMap/BTreeSet or sort before emitting",
-    },
-    LintSpec {
-        id: "AD04",
-        slug: "thread-spawn",
-        default_severity: Severity::Deny,
-        summary: "thread or process spawning (thread::spawn/scope/JoinHandle, process::Command) outside crates/exec — all parallelism goes through its deterministic par_map",
-    },
-    LintSpec {
-        id: "AP01",
-        slug: "panic-macro",
-        default_severity: Severity::Deny,
-        summary: "panic!/unreachable!/todo!/unimplemented! in non-test library code — return a typed error instead",
-    },
-    LintSpec {
-        id: "AP02",
-        slug: "unwrap",
-        default_severity: Severity::Deny,
-        summary: ".unwrap()/.expect() in non-test library code — propagate a typed Result or recover",
-    },
-    LintSpec {
-        id: "AP03",
-        slug: "index-unguarded",
-        default_severity: Severity::Warn,
-        summary: "slice/collection indexing in non-test library code — a heuristic nudge toward .get(); advisory only",
     },
     LintSpec {
         id: "AO01",
         slug: "obs-name",
-        default_severity: Severity::Deny,
         summary: "observability span/stage/counter names must be dotted.lowercase and declared in the crates/obs names registry",
     },
     LintSpec {
         id: "AO02",
         slug: "fault-name",
-        default_severity: Severity::Deny,
         summary: "fault.* observability names must match a declared fault channel label or ledger aggregate from crates/fault",
     },
     LintSpec {
         id: "AS01",
         slug: "determinism-taint",
-        default_severity: Severity::Deny,
         summary: "a public function on a committed surface (report rendering, bundle writing) transitively reaches a wallclock/entropy/spawn source — the finding carries the full call chain",
     },
     LintSpec {
         id: "AS03",
         slug: "registry-liveness",
-        default_severity: Severity::Deny,
         summary: "every name declared in the crates/obs names registry must have at least one call site emitting it — dead registry entries are unchecked debt (the dual of AO01)",
     },
     LintSpec {
         id: "AS04",
         slug: "exit-code-contract",
-        default_severity: Severity::Deny,
-        summary: "process::exit/ExitCode literals in bin crates must stay inside the documented exit-code contract (default 0/2/3)",
+        summary: "process::exit/ExitCode literals in bin crates must stay inside the documented exit-code contract (0/1/2/3)",
     },
     LintSpec {
         id: "AX01",
         slug: "stale-allow",
-        default_severity: Severity::Warn,
         summary: "an analyzer:allow escape that suppresses no finding — delete it",
     },
     LintSpec {
         id: "AX02",
         slug: "malformed-allow",
-        default_severity: Severity::Deny,
         summary: "an analyzer:allow escape without a `-- reason` trailer — every escape must record why",
     },
 ];
-
-/// Look up a lint by id.
-pub fn spec(id: &str) -> Option<&'static LintSpec> {
-    CATALOG.iter().find(|s| s.id == id)
-}
 
 /// Per-file context, derived from the path.
 #[derive(Debug, Clone)]
@@ -126,19 +77,11 @@ pub struct FileCtx {
     pub is_bin: bool,
 }
 
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-const UNWRAP_METHODS: &[&str] = &["unwrap", "expect"];
-/// Wall-clock token shapes — shared by AD01 and the AS01 taint source set.
-pub const WALLCLOCK_IDENTS: &[&str] = &["Instant", "SystemTime", "UNIX_EPOCH"];
 /// Ambient-entropy token shapes — shared by AD02 and the AS01 source set.
 pub const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng", "getrandom"];
-const UNORDERED_IDENTS: &[&str] = &["HashMap", "HashSet"];
-/// Keywords that can legally precede `[` without it being an index
-/// expression (`let [a, b] = …`, `return [x]`, `match […]`, …).
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "let", "return", "match", "if", "else", "in", "mut", "ref", "move", "as", "break", "continue",
-    "yield", "box", "dyn", "impl", "where", "for", "while", "loop", "fn", "const", "static",
-];
+/// The documented exit-code contract (README "Exit codes"): 0 clean,
+/// 1 findings or I/O failure, 2 usage or malformed input, 3 degraded.
+const EXIT_CODES: &[&str] = &["0", "1", "2", "3"];
 /// Methods whose first string argument is an observability name.
 const OBS_METHODS: &[&str] = &[
     "span",
@@ -153,165 +96,64 @@ const OBS_METHODS: &[&str] = &[
 /// Free functions whose first string argument is an observability name.
 const OBS_FUNCTIONS: &[&str] = &["agg_time", "agg_count"];
 
-/// Run every lint over one lexed file, appending raw findings (escape
-/// directives and baselines are applied by the driver).
-pub fn run_lints(
-    lexed: &Lexed,
-    ctx: &FileCtx,
-    config: &Config,
-    registry: &Registry,
-    out: &mut Vec<Finding>,
-) {
+/// Run every per-file lint over one lexed file, appending raw findings
+/// (escape directives are applied by the driver).
+pub fn run_lints(lexed: &Lexed, ctx: &FileCtx, registry: &Registry, out: &mut Vec<Finding>) {
     let toks = &lexed.toks;
     let mut push = |id: &'static str, line: u32, col: u32, message: String| {
-        out.push(Finding {
-            lint: id,
-            severity: Severity::Deny, // resolved later by the driver
-            path: ctx.rel_path.clone(),
-            line,
-            col,
-            snippet: lexed.snippet(line).to_string(),
-            message,
-        });
+        out.push(Finding::new(id, &ctx.rel_path, line, col, message));
     };
 
-    let plints_apply = !ctx.is_bin && !config.panic_exempt.contains(&ctx.crate_name);
-    let ordered_crate = config.ordered_crates.contains(&ctx.crate_name);
-    let wallclock_ok = config.wallclock_allow.contains(&ctx.crate_name);
-    let threads_ok = config.thread_allow.contains(&ctx.crate_name);
-    let exit_codes = if ctx.is_bin {
-        config.allowed_exit_codes()
-    } else {
-        Default::default()
-    };
-
+    // End of the last exit call's argument scan: a nested exit call lies
+    // inside it and is already covered.
+    let mut exit_scanned = 0;
     for (i, t) in toks.iter().enumerate() {
-        if t.test {
+        if t.test || t.kind != TokKind::Ident {
             continue;
         }
-        match t.kind {
-            TokKind::Ident => {
-                let name = t.text.as_str();
-                // AD01 — wall-clock sources.
-                if !wallclock_ok && WALLCLOCK_IDENTS.contains(&name) {
-                    push(
-                        "AD01",
-                        t.line,
-                        t.col,
-                        format!("wall-clock type `{name}` in crate `{}`", ctx.crate_name),
-                    );
-                }
-                // AD02 — ambient entropy, everywhere.
-                if ENTROPY_IDENTS.contains(&name) {
-                    push(
-                        "AD02",
-                        t.line,
-                        t.col,
-                        format!("ambient entropy source `{name}`"),
-                    );
-                }
-                // AD03 — unordered collections in report/trace crates.
-                if ordered_crate && UNORDERED_IDENTS.contains(&name) {
-                    push(
-                        "AD03",
-                        t.line,
-                        t.col,
-                        format!("`{name}` in ordered-output crate `{}`", ctx.crate_name),
-                    );
-                }
-                // AD04 — thread or process spawning outside the exec engine.
-                if !threads_ok
-                    && (name == "JoinHandle"
-                        || (matches!(name, "spawn" | "scope")
-                            && prev_is(toks, i, "::")
-                            && prev_ident_is(toks, i, "thread"))
-                        || (name == "Command"
-                            && prev_is(toks, i, "::")
-                            && prev_ident_is(toks, i, "process")))
-                {
-                    push(
-                        "AD04",
-                        t.line,
-                        t.col,
-                        format!("parallelism primitive `{name}` outside crates/exec"),
-                    );
-                }
-                // AP01 — panic macros in library code.
-                if plints_apply && PANIC_MACROS.contains(&name) && next_is(toks, i, "!") {
-                    push("AP01", t.line, t.col, format!("`{name}!` in library code"));
-                }
-                // AP02 — .unwrap()/.expect() in library code.
-                if plints_apply
-                    && UNWRAP_METHODS.contains(&name)
-                    && prev_is(toks, i, ".")
-                    && next_is(toks, i, "(")
-                {
-                    push(
-                        "AP02",
-                        t.line,
-                        t.col,
-                        format!("`.{name}()` in library code"),
-                    );
-                }
-                // AS04 — exit-status literals outside the documented
-                // contract, in bin targets only.
-                if ctx.is_bin
-                    && next_is(toks, i, "(")
-                    && ((name == "exit"
-                        && prev_is(toks, i, "::")
-                        && prev_ident_is(toks, i, "process"))
-                        || (name == "from"
-                            && prev_is(toks, i, "::")
-                            && prev_ident_is(toks, i, "ExitCode")))
-                {
-                    check_exit_literals(toks, i + 2, &exit_codes, &mut push);
-                }
-                // AO01 — registered observability names, via free functions
-                // (agg_time/agg_count) or recorder/log methods.
-                let obs_call = (OBS_FUNCTIONS.contains(&name)
-                    || (OBS_METHODS.contains(&name) && prev_is(toks, i, ".")))
-                    && next_is(toks, i, "(");
-                if obs_call {
-                    check_obs_name(toks, i + 2, registry, &mut push);
-                }
-            }
-            TokKind::Punct if t.text == "[" && plints_apply => {
-                // AP03 — index expression heuristic: `expr[` where expr ends
-                // in an identifier, `]` or `)`.
-                if let Some(prev) = prev_sig(toks, i) {
-                    let is_index = match prev.kind {
-                        TokKind::Ident => !NON_INDEX_KEYWORDS.contains(&prev.text.as_str()),
-                        TokKind::Punct => prev.text == "]" || prev.text == ")",
-                        _ => false,
-                    };
-                    if is_index {
-                        push(
-                            "AP03",
-                            t.line,
-                            t.col,
-                            "index expression — prefer .get() on fallible paths".to_string(),
-                        );
-                    }
-                }
-            }
-            _ => {}
+        let name = t.text.as_str();
+        // AD02 — ambient entropy, everywhere.
+        if ENTROPY_IDENTS.contains(&name) {
+            push(
+                "AD02",
+                t.line,
+                t.col,
+                format!("ambient entropy source `{name}`"),
+            );
+        }
+        // AS04 — exit-status literals outside the documented contract, in
+        // bin targets only.
+        if ctx.is_bin
+            && i >= exit_scanned
+            && next_is(toks, i, "(")
+            && ((name == "exit" && prev_is(toks, i, "::") && prev_ident_is(toks, i, "process"))
+                || (name == "from" && prev_is(toks, i, "::") && prev_ident_is(toks, i, "ExitCode")))
+        {
+            exit_scanned = check_exit_literals(toks, i + 2, &mut push);
+        }
+        // AO01 — registered observability names, via free functions
+        // (agg_time/agg_count) or recorder/log methods.
+        let obs_call = (OBS_FUNCTIONS.contains(&name)
+            || (OBS_METHODS.contains(&name) && prev_is(toks, i, ".")))
+            && next_is(toks, i, "(");
+        if obs_call {
+            check_obs_name(toks, i + 2, registry, &mut push);
         }
     }
 }
 
 /// AS04: scan the argument tokens of an exit call (starting at the token
-/// after the opening paren) for integer literals outside the allowed set.
-/// Non-literal arguments (variables, helper calls) are out of lexical reach.
+/// after the opening paren) for integer literals outside [`EXIT_CODES`],
+/// and return the index past the closing paren. Non-literal arguments
+/// (variables, helper calls) are out of lexical reach.
 fn check_exit_literals(
     toks: &[Tok],
     mut j: usize,
-    allowed: &std::collections::BTreeSet<String>,
     push: &mut impl FnMut(&'static str, u32, u32, String),
-) {
+) -> usize {
     let mut depth = 1usize;
-    let allowed_list: Vec<&str> = allowed.iter().map(String::as_str).collect();
     while depth > 0 {
-        let Some(t) = toks.get(j) else { return };
+        let Some(t) = toks.get(j) else { return j };
         match t.kind {
             TokKind::Punct if t.text == "(" => depth += 1,
             TokKind::Punct if t.text == ")" => depth -= 1,
@@ -325,7 +167,7 @@ fn check_exit_literals(
                     .collect();
                 if !digits.is_empty()
                     && t.text.starts_with(|c: char| c.is_ascii_digit())
-                    && !allowed.contains(&digits)
+                    && !EXIT_CODES.contains(&digits.as_str())
                 {
                     push(
                         "AS04",
@@ -333,7 +175,7 @@ fn check_exit_literals(
                         t.col,
                         format!(
                             "exit status `{digits}` is outside the documented exit-code contract (allowed: {})",
-                            allowed_list.join("/")
+                            EXIT_CODES.join("/")
                         ),
                     );
                 }
@@ -342,6 +184,7 @@ fn check_exit_literals(
         }
         j += 1;
     }
+    j
 }
 
 /// Validate a string literal at token index `j` as an observability name
@@ -423,18 +266,17 @@ pub fn as03_findings(
     }
     for entry in &registry.obs_names {
         if !live.contains(entry.name.as_str()) {
-            out.push(Finding {
-                lint: "AS03",
-                severity: Severity::Deny,
-                path: crate::registry::OBS_NAMES_PATH.to_string(),
-                line: entry.line,
-                col: entry.col,
-                snippet: String::new(),
-                message: format!(
-                    "registry name {:?} has no emitting call site anywhere in the workspace — dead entry",
-                    entry.name
-                ),
-            });
+            let message = format!(
+                "registry name {:?} has no emitting call site anywhere in the workspace — dead entry",
+                entry.name
+            );
+            out.push(Finding::new(
+                "AS03",
+                crate::registry::OBS_NAMES_PATH,
+                entry.line,
+                entry.col,
+                message,
+            ));
         }
     }
 }
@@ -453,15 +295,6 @@ pub fn is_dotted_lowercase(name: &str) -> bool {
             && (!lead_alpha || s.starts_with(|c: char| c.is_ascii_lowercase()))
     };
     seg_ok(first, true) && segments.all(|s| seg_ok(s, false))
-}
-
-/// Previous significant token before index `i`.
-fn prev_sig(toks: &[Tok], i: usize) -> Option<&Tok> {
-    if i == 0 {
-        None
-    } else {
-        toks.get(i - 1)
-    }
 }
 
 fn prev_is(toks: &[Tok], i: usize, punct: &str) -> bool {

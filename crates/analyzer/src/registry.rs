@@ -10,6 +10,7 @@
 //! the exact entry and per-line `analyzer:allow` escapes work there too.
 
 use crate::lexer::{lex, TokKind};
+use crate::AnalyzerError;
 
 /// One registry entry with its declaration site.
 #[derive(Debug, Clone)]
@@ -39,22 +40,6 @@ impl Registry {
     }
 }
 
-/// A registry that could not be loaded — a configuration error, reported
-/// with a one-line message and no findings.
-#[derive(Debug, Clone)]
-pub struct RegistryError {
-    /// What went wrong, with the path involved.
-    pub message: String,
-}
-
-impl std::fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for RegistryError {}
-
 /// Relative path of the obs name registry.
 pub const OBS_NAMES_PATH: &str = "crates/obs/src/names.rs";
 /// Relative path of the fault channel declarations.
@@ -62,7 +47,7 @@ pub const FAULT_CHANNELS_PATH: &str = "crates/fault/src/profile.rs";
 
 impl Registry {
     /// Load both registries from a workspace root.
-    pub fn load(root: &std::path::Path) -> Result<Registry, RegistryError> {
+    pub fn load(root: &std::path::Path) -> Result<Registry, AnalyzerError> {
         let obs_names = extract_const_strings(root, OBS_NAMES_PATH, "REGISTRY")?;
         let fault_channels = extract_const_strings(root, FAULT_CHANNELS_PATH, "CHANNEL_LABELS")?
             .into_iter()
@@ -81,9 +66,9 @@ fn extract_const_strings(
     root: &std::path::Path,
     rel: &str,
     name: &str,
-) -> Result<Vec<RegistryEntry>, RegistryError> {
+) -> Result<Vec<RegistryEntry>, AnalyzerError> {
     let path = root.join(rel);
-    let src = std::fs::read_to_string(&path).map_err(|e| RegistryError {
+    let src = std::fs::read_to_string(&path).map_err(|e| AnalyzerError {
         message: format!("cannot read name registry {rel}: {e}"),
     })?;
     let lexed = lex(&src);
@@ -91,7 +76,7 @@ fn extract_const_strings(
     let start = toks
         .iter()
         .position(|t| t.kind == TokKind::Ident && t.text == name)
-        .ok_or_else(|| RegistryError {
+        .ok_or_else(|| AnalyzerError {
             message: format!("{rel}: no `{name}` const found — the registry moved?"),
         })?;
     let mut out = Vec::new();
@@ -107,7 +92,7 @@ fn extract_const_strings(
         }
     }
     if out.is_empty() {
-        return Err(RegistryError {
+        return Err(AnalyzerError {
             message: format!("{rel}: `{name}` declares no names"),
         });
     }

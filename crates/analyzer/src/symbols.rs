@@ -11,7 +11,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::findings::Finding;
 use crate::lexer::{AllowDirective, Lexed, Tok, TokKind};
 use crate::lints::{self, FileCtx};
 
@@ -88,19 +87,17 @@ pub struct FileSummary {
     pub rel: String,
     /// Crate directory name under `crates/`.
     pub crate_name: String,
-    /// Binary target (`src/main.rs` or `src/bin/*`).
-    pub is_bin: bool,
     /// Functions, in source order.
     pub fns: Vec<FnSym>,
     /// `dotted.lowercase`-shaped string literals in non-test code — the
     /// liveness witnesses for AS03.
     pub shaped_literals: BTreeSet<String>,
-    /// Raw per-file lint findings, *before* escape directives are applied
-    /// (per-file and semantic findings share one escape pass).
-    pub findings: Vec<Finding>,
     /// Escape directives found in the file.
     pub allows: Vec<AllowDirective>,
 }
+
+/// Wall-clock token shapes, an AS01 taint source.
+const WALLCLOCK_IDENTS: &[&str] = &["Instant", "SystemTime", "UNIX_EPOCH"];
 
 /// Keywords that can precede `(` without being a call.
 const NON_CALL_KEYWORDS: &[&str] = &[
@@ -189,15 +186,12 @@ fn fn_is_pub(toks: &[Tok], fn_kw: usize) -> bool {
     false
 }
 
-/// Build the [`FileSummary`] of one lexed file. `findings` are the raw
-/// per-file lint findings already computed for this file.
-pub fn summarize(ctx: &FileCtx, lexed: &Lexed, findings: Vec<Finding>) -> FileSummary {
+/// Build the [`FileSummary`] of one lexed file.
+pub fn summarize(ctx: &FileCtx, lexed: &Lexed) -> FileSummary {
     let toks = &lexed.toks;
     let mut sum = FileSummary {
         rel: ctx.rel_path.clone(),
         crate_name: ctx.crate_name.clone(),
-        is_bin: ctx.is_bin,
-        findings,
         allows: lexed.allows.clone(),
         ..FileSummary::default()
     };
@@ -307,9 +301,9 @@ fn scan_body_ident(
     let t = &toks[i];
     let name = t.text.as_str();
 
-    // Taint sources (the same token shapes AD01/AD02/AD04 match, but
-    // unconditioned: sanctioned crates are exactly where the sources live).
-    let source_kind = if lints::WALLCLOCK_IDENTS.contains(&name) {
+    // Taint sources, in every crate: the sanctioned timing and spawning
+    // crates are exactly where the sources live.
+    let source_kind = if WALLCLOCK_IDENTS.contains(&name) {
         Some("wallclock")
     } else if lints::ENTROPY_IDENTS.contains(&name) {
         Some("entropy")
@@ -382,7 +376,7 @@ mod tests {
             crate_name: "demo".to_string(),
             is_bin: false,
         };
-        summarize(&ctx, &lexed, Vec::new())
+        summarize(&ctx, &lexed)
     }
 
     #[test]

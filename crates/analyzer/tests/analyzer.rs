@@ -1,9 +1,19 @@
 //! Integration tests: the fixture workspace against its golden report, the
-//! ratchet semantics, the real workspace gate, and the DESIGN.md lint-catalog
-//! drift check.
+//! real workspace gate (the analyzer's lints and clippy's), the CLI's error
+//! exits, and the DESIGN.md lint-catalog drift check.
+//!
+//! Regenerate the fixture golden after an *intentional* change with
+//! `BLESS=1 cargo test -p alexa-analyzer --test analyzer`.
 
-use alexa_analyzer::{analyze, findings, BaselineEntry, Config, CATALOG};
+#![expect(
+    clippy::disallowed_types,
+    clippy::expect_used,
+    reason = "the tests drive cargo and the analyzer binary as child processes, and their helpers fail the test by panicking"
+)]
+
+use alexa_analyzer::{analyze, findings, Config, Finding, CATALOG};
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws")
@@ -17,147 +27,49 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// The fixture's committed surface (AS01).
 fn fixture_config() -> Config {
-    let src = std::fs::read_to_string(fixture_root().join("analyzer.toml")).expect("fixture toml");
-    Config::parse(&src).expect("fixture config parses")
+    Config {
+        entry_paths: vec!["crates/demo/src/render.rs".to_string()],
+    }
 }
 
-/// Render a report exactly like `--format json` does.
-fn report_json(report: &alexa_analyzer::AnalysisReport) -> String {
-    let mut all: Vec<findings::Finding> = report.new_findings.clone();
-    all.extend(report.warnings.iter().cloned());
-    all.sort_by(|a, b| (&a.path, a.line, a.lint).cmp(&(&b.path, b.line, b.lint)));
-    findings::render_json(&all, &report.drift, report.baselined, report.clean())
+fn fixture_findings() -> Vec<Finding> {
+    let report = analyze(&fixture_root(), &fixture_config()).expect("fixture analyzes");
+    assert_eq!(report.files_scanned, 6);
+    report.findings
 }
 
 #[test]
 fn fixture_findings_match_golden_json() {
-    let report = analyze(&fixture_root(), &fixture_config()).expect("fixture analyzes");
-    let expected = include_str!("fixtures/expected.json");
+    let actual = findings::render_json(&fixture_findings());
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/expected.json");
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(&golden, &actual).expect("write the fixture golden");
+    }
+    let expected = std::fs::read_to_string(&golden).expect("read the fixture golden");
     assert_eq!(
-        report_json(&report),
-        expected,
+        actual, expected,
         "fixture report drifted from tests/fixtures/expected.json — if the \
-         change is intentional, regenerate the golden with --format json"
+         change is intentional, rerun with BLESS=1"
     );
 }
 
 #[test]
 fn fixture_counts_are_what_the_golden_encodes() {
-    let report = analyze(&fixture_root(), &fixture_config()).expect("fixture analyzes");
-    assert!(!report.clean());
-    assert_eq!(report.files_scanned, 7);
-    assert_eq!(report.baselined, 1, "baselined.rs unwrap is covered");
-    assert_eq!(report.warnings.len(), 2, "AP03 + AX01 are advisory");
-    // Every deny lint fires at least once in the fixture tree.
-    for id in [
-        "AD01", "AD02", "AD03", "AD04", "AP01", "AP02", "AO01", "AO02", "AS01", "AS03", "AS04",
-        "AX02",
-    ] {
+    let all = fixture_findings();
+    for spec in CATALOG {
         assert!(
-            report.new_findings.iter().any(|f| f.lint == id),
-            "fixture should produce a {id} finding"
+            all.iter().any(|f| f.lint == spec.id),
+            "fixture should produce a {} finding",
+            spec.id
         );
     }
 }
 
 #[test]
-fn ratchet_exact_match_is_clean_and_silent() {
-    let mut cfg = fixture_config();
-    let report = analyze(&fixture_root(), &cfg).expect("analyze");
-    // Rebuild the baseline from the observed counts: the next run must be
-    // clean, with every deny finding absorbed and no drift.
-    cfg.baseline = report.fresh_baseline();
-    let again = analyze(&fixture_root(), &cfg).expect("analyze");
-    assert!(
-        again.clean(),
-        "exact baseline must gate nothing: {:?}",
-        again.drift
-    );
-    assert!(again.new_findings.is_empty());
-    assert!(again.drift.is_empty());
-    assert_eq!(again.warnings.len(), 2, "warnings are never baselined");
-}
-
-#[test]
-fn ratchet_flags_new_findings_beyond_the_baseline() {
-    let mut cfg = fixture_config();
-    let report = analyze(&fixture_root(), &cfg).expect("analyze");
-    let mut baseline = report.fresh_baseline();
-    // Pretend one AP02 site in lib.rs was not there when the baseline was
-    // recorded: the run must fail and surface the site.
-    let entry = baseline
-        .iter_mut()
-        .find(|b| b.lint == "AP02" && b.path == "crates/demo/src/lib.rs")
-        .expect("lib.rs AP02 entry");
-    entry.count -= 1;
-    cfg.baseline = baseline;
-    let again = analyze(&fixture_root(), &cfg).expect("analyze");
-    assert!(!again.clean());
-    assert!(again
-        .new_findings
-        .iter()
-        .any(|f| f.lint == "AP02" && f.path == "crates/demo/src/lib.rs"));
-    assert!(again
-        .drift
-        .iter()
-        .any(|d| d.lint == "AP02" && d.actual > d.expected));
-}
-
-#[test]
-fn ratchet_flags_stale_baseline_entries() {
-    let mut cfg = fixture_config();
-    let report = analyze(&fixture_root(), &cfg).expect("analyze");
-    let mut baseline = report.fresh_baseline();
-    // An entry for a file with no findings at all must fail as stale.
-    baseline.push(BaselineEntry {
-        lint: "AP01".to_string(),
-        path: "crates/demo/src/vanished.rs".to_string(),
-        count: 2,
-    });
-    cfg.baseline = baseline;
-    let again = analyze(&fixture_root(), &cfg).expect("analyze");
-    assert!(!again.clean(), "stale entries must fail the run");
-    assert!(again
-        .drift
-        .iter()
-        .any(|d| d.path == "crates/demo/src/vanished.rs" && d.expected == 2 && d.actual == 0));
-    // Stale-only failures introduce no new findings.
-    assert!(again.new_findings.is_empty());
-}
-
-#[test]
-fn workspace_is_clean() {
-    // The real workspace, under the checked-in analyzer.toml, must pass —
-    // this is the same gate CI runs.
-    let root = workspace_root();
-    let (_, report) =
-        alexa_analyzer::analyze_with_default_config(&root).expect("workspace analyzes");
-    let mut complaints = String::new();
-    for f in &report.new_findings {
-        complaints.push_str(&f.render_human());
-        complaints.push('\n');
-    }
-    for d in &report.drift {
-        complaints.push_str(&d.render_human());
-        complaints.push('\n');
-    }
-    assert!(report.clean(), "workspace lint gate failed:\n{complaints}");
-    assert!(
-        report.files_scanned > 50,
-        "walker found only {} files",
-        report.files_scanned
-    );
-}
-
-#[test]
 fn semantic_lints_skip_the_near_misses() {
-    let report = analyze(&fixture_root(), &fixture_config()).expect("fixture analyzes");
-    let all: Vec<&findings::Finding> = report
-        .new_findings
-        .iter()
-        .chain(report.warnings.iter())
-        .collect();
+    let all = fixture_findings();
     // AS01: the clean render surface is not tainted, and the finding for
     // the tainted one carries the full cross-file call chain.
     assert!(!all
@@ -181,10 +93,101 @@ fn semantic_lints_skip_the_near_misses() {
             .iter()
             .any(|f| f.lint == "AS03" && f.message.contains(dead)));
     }
-    // AS04: the documented status 3 passes, only 7 is flagged.
+    // AS04: the documented statuses 1 and 3 pass, and so does the library
+    // exit; only 7 is flagged.
     let as04: Vec<_> = all.iter().filter(|f| f.lint == "AS04").collect();
-    assert_eq!(as04.len(), 1);
+    assert_eq!(as04.len(), 1, "{as04:?}");
     assert!(as04[0].message.contains('7'));
+}
+
+#[test]
+fn workspace_is_clean() {
+    // The analyzer's own lints over the real workspace.
+    let root = workspace_root();
+    let report = analyze(&root, &Config::workspace()).expect("workspace analyzes");
+    let complaints: String = report
+        .findings
+        .iter()
+        .map(|f| f.render_human() + "\n")
+        .collect();
+    assert!(report.clean(), "workspace lint gate failed:\n{complaints}");
+    assert!(
+        report.files_scanned > 50,
+        "walker found only {} files",
+        report.files_scanned
+    );
+
+    // The lints handed to clippy: the command CI's `Clippy` step runs. A
+    // missing clippy fails the gate; it never skips it.
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let out = Command::new(cargo)
+        .current_dir(&root)
+        .args(["clippy", "--offline", "--workspace", "--all-targets"])
+        .args(["--target-dir", "target/clippy-gate", "--", "-D", "warnings"])
+        .output()
+        .expect("cannot start cargo");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !stderr.contains("no such command"),
+        "`cargo clippy` is not installed, and the lint gate needs it \
+         (`rustup component add clippy`):\n{stderr}"
+    );
+    assert!(out.status.success(), "clippy lint gate failed:\n{stderr}");
+}
+
+/// Run the analyzer binary with `args`: (exit code, stderr).
+fn run_cli(args: &[&std::ffi::OsStr]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_alexa-analyzer"))
+        .args(args)
+        .output()
+        .expect("run alexa-analyzer");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn unreadable_workspace_exits_2_with_one_line_error() {
+    let scratch = Path::new(env!("CARGO_TARGET_TMPDIR")).join("analyzer-cli");
+    let _ = std::fs::remove_dir_all(&scratch);
+
+    // No name registry at all.
+    let empty = scratch.join("empty");
+    std::fs::create_dir_all(&empty).expect("mkdir");
+    let (code, err) = run_cli(&["--root".as_ref(), empty.as_os_str()]);
+    assert_eq!(code, Some(2), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(
+        err.starts_with("error: ") && err.contains("names.rs"),
+        "{err}"
+    );
+
+    // Registries in place, but one source is not UTF-8.
+    let ws = scratch.join("ws");
+    for rel in ["crates/obs/src/names.rs", "crates/fault/src/profile.rs"] {
+        let to = ws.join(rel);
+        std::fs::create_dir_all(to.parent().expect("parent")).expect("mkdir");
+        std::fs::copy(fixture_root().join(rel), &to).expect("copy registry");
+    }
+    std::fs::write(ws.join("crates/obs/src/bad.rs"), b"fn f() {}\n\xff\xfe\n").expect("write");
+    let (code, err) = run_cli(&["--root".as_ref(), ws.as_os_str()]);
+    assert_eq!(code, Some(2), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(
+        err.starts_with("error: ") && err.contains("bad.rs"),
+        "{err}"
+    );
+}
+
+#[test]
+fn retired_flags_are_usage_errors() {
+    for flag in ["--config", "--fix", "--write-baseline"] {
+        let (code, err) = run_cli(&[flag.as_ref()]);
+        assert_eq!(code, Some(2), "{flag}: {err}");
+    }
+    let (code, err) = run_cli(&["--format".as_ref(), "sarif".as_ref()]);
+    assert_eq!(code, Some(2), "{err}");
 }
 
 #[test]

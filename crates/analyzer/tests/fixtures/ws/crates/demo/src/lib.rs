@@ -1,56 +1,20 @@
 //! Fixture library: one deliberate violation (or near-miss) per lint.
 
-use std::collections::HashMap;
-
-pub fn wallclock() -> std::time::Instant {
-    std::time::Instant::now()
-}
-
 pub fn entropy() -> u64 {
     thread_rng()
 }
 
-pub fn unordered() -> HashMap<u32, u32> {
-    HashMap::new()
+pub fn escaped() -> u64 {
+    // analyzer:allow(AD02) -- fixture: the escape is documented here
+    thread_rng()
 }
 
-pub fn threads() {
-    std::thread::spawn(|| {});
+pub fn reasonless() -> u64 {
+    // analyzer:allow(AD02)
+    thread_rng()
 }
 
-pub fn processes() {
-    std::process::Command::new("x");
-}
-
-pub fn process_near_miss() {
-    // `Command` without a `process::` path is someone else's type, and
-    // `process::exit` is not a spawn — neither may trip AD04.
-    let _c = Command::default();
-    std::process::exit(0);
-}
-
-pub fn panics(v: &[u32]) -> u32 {
-    if v.is_empty() {
-        panic!("boom");
-    }
-    v[0]
-}
-
-pub fn unwraps(v: Option<u32>) -> u32 {
-    v.unwrap()
-}
-
-pub fn escaped(v: Option<u32>) -> u32 {
-    // analyzer:allow(AP02) -- fixture: the invariant is documented here
-    v.expect("escaped site")
-}
-
-pub fn reasonless(v: Option<u32>) -> u32 {
-    // analyzer:allow(AP02)
-    v.unwrap()
-}
-
-// analyzer:allow(AD01) -- stale: nothing on these lines reads a clock
+// analyzer:allow(AD02) -- stale: nothing on these lines draws entropy
 pub fn stale_escape() {}
 
 pub fn obs_names(rec: &Recorder) {
@@ -69,19 +33,18 @@ pub fn live_names(rec: &Recorder) {
 }
 
 pub fn near_misses() {
-    // Instant and thread_rng in a comment are data, not findings.
-    let _s = "Instant::now() and thread_rng() and panic!";
-    let _r = r#"HashMap in a raw string"#;
+    // thread_rng in a comment is data, not a finding.
+    let _s = "thread_rng() and OsRng";
+    let _r = r#"getrandom in a raw string"#;
+    // AS04 checks binaries only: a library exit is not an exit-code site.
+    std::process::exit(9);
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn test_code_is_exempt() {
-        let v: Vec<u32> = vec![1];
-        let _ = v[0];
-        let _ = Some(1).unwrap();
-        let _ = std::time::Instant::now();
-        panic!("fine in tests");
+        let _ = thread_rng();
+        rec.count("Not-Registered", 1);
     }
 }

@@ -1,6 +1,6 @@
-//! Wallclock reader for the fixture workspace. The `obs` crate is
-//! AD01-allowed (volatile timings are its job), so the `Instant` here is
-//! not a per-file finding — but AS01 taint still flows through it.
+//! Wallclock reader for the fixture workspace. No per-file lint flags a
+//! clock (clippy's `disallowed_types` does that in the real workspace), but
+//! AS01 taint still flows through it.
 
 pub fn read() -> std::time::Instant {
     std::time::Instant::now()

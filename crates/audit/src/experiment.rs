@@ -391,7 +391,10 @@ fn absorb_tap(ledger: &mut FaultLedger, stats: &TapStats) {
 /// `log` is the shard's private event log (span taxonomy in DESIGN.md §9).
 /// Recording never reads or advances any RNG, so the produced shard is
 /// byte-identical whether the log is enabled or not.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the shard's shared inputs are borrowed one by one from the run"
+)]
 pub(crate) fn run_persona_shard(
     config: &AuditConfig,
     market: &Marketplace,
@@ -656,7 +659,10 @@ pub(crate) fn run_persona_shard(
 /// `crawl_timeout` channel fires, and surviving visits pass through the
 /// crawler's bid-loss filter. Each attempted visit advances the shard's
 /// virtual work clock by one unit.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one crawl window borrows the shard's state piece by piece"
+)]
 fn crawl_window(
     config: &AuditConfig,
     crawler: &Crawler,

@@ -29,7 +29,10 @@ use crate::persona::Persona;
 use alexa_adtech::{AudioAdExtractor, StreamingService};
 use alexa_net::{DataType, FilterList, OrgClass, TrafficPurpose};
 use alexa_policy::FlowExtractor;
-// analyzer:allow(AD03) -- Hash collections here back address-keyed memo maps that are only probed, never iterated; nothing ordered is derived from them
+#[expect(
+    clippy::disallowed_types,
+    reason = "Hash collections here back address-keyed memo maps that are only probed, never iterated; nothing ordered is derived from them"
+)]
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::ops::Range;
 
@@ -66,9 +69,15 @@ impl std::hash::Hasher for AddrHasher {
     }
 }
 
-// analyzer:allow(AD03) -- lookup-only memo keyed by label address; iteration order never reaches an output
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only memo keyed by label address; iteration order never reaches an output"
+)]
 type AddrMap<V> = HashMap<(usize, usize), V, std::hash::BuildHasherDefault<AddrHasher>>;
-// analyzer:allow(AD03) -- lookup-only dedup set keyed by label address; never iterated
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only dedup set keyed by label address; never iterated"
+)]
 type AddrSet = HashSet<(usize, usize), std::hash::BuildHasherDefault<AddrHasher>>;
 
 /// An interned label: index into the run's [`Interner`].

@@ -9,6 +9,11 @@
 //! the *value* differences between variants are printed once at startup so
 //! the ablation results are visible alongside the timings.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "bench setup outside the timed closures; a failure should abort the bench"
+)]
+
 use alexa_audit::analysis::bids::{common_slots, pooled_bids, slot_means};
 use alexa_audit::{AnalysisIndex, Persona};
 use alexa_bench::shared_paper_ix;

@@ -1,6 +1,11 @@
 //! Capture-pipeline throughput: packet generation for a skill session and
 //! the two-tap observation path (router opacification vs AVS plaintext).
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "bench setup outside the timed closures; a failure should abort the bench"
+)]
+
 use alexa_net::{AvsTap, RouterTap};
 use alexa_platform::cloud::InteractionKind;
 use alexa_platform::{AlexaCloud, Marketplace};

@@ -61,7 +61,6 @@ use alexa_obs::bundle::BundleSpec;
 use alexa_obs::{Json, Recorder};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Write `body` to `path`, with `-` streaming to stderr. File write errors
 /// are fatal (exit 1): a CI artifact silently missing is worse than a loud
@@ -71,26 +70,35 @@ fn write_output(path: &str, what: &str, body: &str) {
         eprint!("{body}");
         return;
     }
+    write_or_exit(path, what, body);
+    eprintln!("{what} written to {path}");
+}
+
+/// Write `body` to the file `path`; a failure is fatal (exit 1).
+fn write_or_exit(path: &str, what: &str, body: &str) {
     if let Err(e) = std::fs::write(path, body) {
         eprintln!("error: cannot write {what} to {path:?}: {e}");
-        std::process::exit(1); // analyzer:allow(AS04) -- fatal I/O failure, deliberately distinct from the documented run statuses
+        std::process::exit(1);
     }
-    eprintln!("{what} written to {path}");
 }
 
 /// `--bench`: time the paper-scale execute plus a full `repro all` rendering
 /// pass and append the data point — with the recorder's per-stage breakdown
 /// — to `BENCH_audit.json` at the repo root. Returns the observations so the
 /// observability surfaces (`--run-dir`, ...) can describe the benched run.
+#[expect(
+    clippy::disallowed_types,
+    reason = "--bench times the run; the timings go to BENCH_audit.json, never into a report"
+)]
 fn run_bench(seed: u64, jobs: Option<usize>, rec: &Recorder) -> Observations {
     let workers = alexa_exec::effective_jobs(jobs);
     eprintln!("benchmarking paper-scale audit (seed {seed}, {workers} worker(s)) ...");
 
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     let obs = AuditRun::execute_with(AuditConfig::paper(seed).with_jobs(jobs), rec);
     let execute_ms = t0.elapsed().as_millis() as u64;
 
-    let t1 = Instant::now();
+    let t1 = std::time::Instant::now();
     let rendered = render_all(&obs, ARTIFACTS, seed, jobs, &FaultProfile::none(), rec);
     let render_ms = t1.elapsed().as_millis() as u64;
     let rendered_bytes: usize = rendered.iter().map(String::len).sum();
@@ -151,7 +159,7 @@ fn run_bench(seed: u64, jobs: Option<usize>, rec: &Recorder) -> Observations {
     let mut log = std::fs::read_to_string(path).unwrap_or_default();
     log.push_str(&entry);
     log.push('\n');
-    std::fs::write(path, log).expect("write BENCH_audit.json");
+    write_or_exit(path, "BENCH_audit.json", &log);
     eprintln!("execute: {execute_ms} ms, render all: {render_ms} ms");
     println!("{entry}");
     obs
@@ -213,7 +221,7 @@ fn emit_observability(rec: &Recorder, cli: &Cli, obs: &Observations) {
         spec.coverage = Some(obs.coverage.to_json());
         if let Err(e) = alexa_obs::bundle::write_bundle(Path::new(dir), &spec, &report) {
             eprintln!("error: cannot write run bundle to {dir:?}: {e}");
-            std::process::exit(1); // analyzer:allow(AS04) -- fatal I/O failure, deliberately distinct from the documented run statuses
+            std::process::exit(1);
         }
         eprintln!("run bundle written to {dir}");
     }

@@ -140,7 +140,10 @@ fn render_with(
                         buf.push('\n');
                         units + text_only.render_into(&mut buf)
                     }
-                    // analyzer:allow(AP02) -- every caller passes names from ARTIFACTS; repro rejects unknowns at parse time (exit 2)
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "every caller passes names from ARTIFACTS; repro rejects unknowns at parse time (exit 2)"
+                    )]
                     _ => artifacts::render_into(&ix, artifact, &mut buf).expect("artifact known"),
                 };
                 log.work(units as u64);

@@ -10,6 +10,13 @@
 //! Regenerate the table goldens after an *intentional* output change with
 //! `BLESS=1 cargo test -p alexa-bench --test campaign`.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "the tests drive the repro binary as a child process, and their helpers fail the test by panicking"
+)]
+
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};

@@ -13,6 +13,11 @@
 //! Regenerate the golden after an *intentional* output change with
 //! `BLESS=1 cargo test -p alexa-bench --test defenses`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the tests drive the repro binary as a child process"
+)]
+
 use alexa_audit::{AuditConfig, AuditRun};
 use alexa_bench::{render_all, render_artifacts, ARTIFACTS};
 use alexa_fault::FaultProfile;

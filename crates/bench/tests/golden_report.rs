@@ -9,6 +9,11 @@
 //! Regenerate the goldens after an *intentional* output change with
 //! `BLESS=1 cargo test -p alexa-bench --test golden_report`.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test by panicking"
+)]
+
 use alexa_audit::{AuditConfig, AuditRun};
 use alexa_bench::{render_all, ARTIFACTS};
 use alexa_fault::FaultProfile;

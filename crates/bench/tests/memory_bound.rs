@@ -3,6 +3,12 @@
 //! to a fault-free one. A shadow that kept full plaintext copies, or any
 //! defended run held next to the baseline, would show here.
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::expect_used,
+    reason = "the tests drive the repro binary as a child process, and their helpers fail the test by panicking"
+)]
+
 use alexa_obs::Json;
 use std::process::{Command, Stdio};
 

@@ -13,6 +13,11 @@
 //! [`Bencher::iter_batched`], [`BatchSize`], [`BenchmarkId`], [`black_box`],
 //! and the [`criterion_group!`] / [`criterion_main!`] macros.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a benchmark harness measures wall time by design"
+)]
+
 use std::time::{Duration, Instant};
 
 /// Opaque value laundering to keep the optimiser from deleting benched work.

@@ -86,6 +86,10 @@ where
     let cursor = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(n));
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this is the one sanctioned spawn site: every parallel stage in the workspace goes through par_map"
+    )]
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -93,7 +97,10 @@ where
                 if i >= n {
                     break;
                 }
-                // analyzer:allow(AP02) -- atomic cursor hands each slot to exactly one worker
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the atomic cursor hands each slot to exactly one worker"
+                )]
                 let item = locked(&slots[i]).take().expect("slot taken twice");
                 let out = f(i, item);
                 locked(&results).push((i, out));

@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn distinct_names_get_distinct_ips() {
         let mut t = DnsTable::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for i in 0..500 {
             let name = format!("host{i}.example.com");
             assert!(seen.insert(t.resolve(&d(&name))), "collision for {name}");

@@ -217,7 +217,7 @@ mod tests {
 
     #[test]
     fn all_lists_every_variant_once() {
-        let set: std::collections::HashSet<_> = DataType::ALL.iter().collect();
+        let set: std::collections::BTreeSet<_> = DataType::ALL.iter().collect();
         assert_eq!(set.len(), 9);
     }
 

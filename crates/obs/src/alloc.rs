@@ -61,7 +61,7 @@ thread_local! {
 /// accounting itself never allocates.
 pub struct CountingAlloc;
 
-#[allow(unsafe_code)] // the GlobalAlloc contract is inherently unsafe
+#[expect(unsafe_code, reason = "the GlobalAlloc contract is inherently unsafe")]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);

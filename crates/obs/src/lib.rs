@@ -41,7 +41,7 @@
 //! `Observations`: the observable bundle in `alexa-audit`.
 
 // `deny`, not `forbid`: the allocation meter's `GlobalAlloc` impl in
-// `alloc` is the single sanctioned `#[allow(unsafe_code)]` escape.
+// `alloc` is the single sanctioned `#[expect(unsafe_code)]` escape.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -6,6 +6,11 @@
 //! metering it would break the byte-parity of the committed allocation
 //! counters across `--jobs` values (DESIGN.md §15).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the recorder measures wall time by design; durations stay on the volatile channel and never reach committed bytes"
+)]
+
 use crate::alloc;
 use crate::report::{Aggregate, Report, ShardReport, StageRec};
 use crate::shard::ShardLog;

@@ -120,7 +120,10 @@ impl Report {
     /// Two runs of the same pipeline — at any worker counts — must produce
     /// equal structures; the tests enforce this. Work units are part of the
     /// structure because the virtual clock is deterministic by construction.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "a plain tuple keeps the structure comparable with `==`"
+    )]
     pub fn structure(
         &self,
     ) -> (

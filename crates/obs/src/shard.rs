@@ -1,5 +1,10 @@
 //! Per-shard event logs: spans and counters owned by one unit of work.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "shard logs measure wall time by design; durations stay on the volatile channel and never reach committed bytes"
+)]
+
 use crate::alloc;
 use crate::hist::Histogram;
 use std::collections::BTreeMap;

@@ -116,7 +116,7 @@ fn cmd_diff(args: &[String]) -> ! {
         Format::Human => print!("{}", report.render_human()),
         Format::Json => println!("{}", report.to_json().render()),
     }
-    std::process::exit(if report.clean() { 0 } else { 1 }); // analyzer:allow(AS04) -- diff gate exit: this bin's contract is 0 clean / 1 drift / 2 error
+    std::process::exit(if report.clean() { 0 } else { 1 });
 }
 
 fn cmd_gate(args: &[String]) -> ! {
@@ -161,7 +161,7 @@ fn cmd_gate(args: &[String]) -> ! {
                 Format::Human => print!("{}", report.render_human()),
                 Format::Json => println!("{}", report.to_json().render()),
             }
-            std::process::exit(if report.passed() { 0 } else { 1 }); // analyzer:allow(AS04) -- diff gate exit: this bin's contract is 0 clean / 1 drift / 2 error
+            std::process::exit(if report.passed() { 0 } else { 1 });
         }
         Err(e) => {
             eprintln!("error: {e}");
@@ -194,7 +194,7 @@ fn cmd_campaign(args: &[String]) -> ! {
                 Format::Human => print!("{}", check.render_human()),
                 Format::Json => println!("{}", check.to_json().render()),
             }
-            std::process::exit(if check.clean() { 0 } else { 1 }); // analyzer:allow(AS04) -- diff gate exit: this bin's contract is 0 clean / 1 drift / 2 error
+            std::process::exit(if check.clean() { 0 } else { 1 });
         }
         Err(e) => {
             eprintln!("error: {e}");

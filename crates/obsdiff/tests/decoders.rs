@@ -8,6 +8,11 @@
 //! of the wrong JSON type. No mutation may panic, and every rejection must be
 //! a typed error whose reported position lies inside the input.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test by panicking"
+)]
+
 use alexa_audit::{AuditConfig, AuditRun};
 use alexa_obs::bundle::{
     write_bundle, BundleSpec, MANIFEST_FILE, MEMORY_FILE, METRICS_FILE, PROFILE_FILE, TRACE_FILE,

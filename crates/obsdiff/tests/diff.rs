@@ -1,6 +1,11 @@
 //! Bundle diff engine: synthetic pairs covering the verdict space, plus a
 //! real-audit round-trip.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test by panicking"
+)]
+
 use alexa_audit::{AuditConfig, AuditRun};
 use alexa_obs::bundle::{write_bundle, BundleSpec, MANIFEST_FILE};
 use alexa_obs::{Json, Recorder};

@@ -1,6 +1,11 @@
 //! Bench gate semantics: one test per verdict and per typed failure mode of
 //! the retired `ci/bench_gate.py`.
 
+#![expect(
+    clippy::expect_used,
+    reason = "test helpers fail the test by panicking"
+)]
+
 use alexa_obsdiff::{run_gate, GateError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

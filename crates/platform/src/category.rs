@@ -82,15 +82,15 @@ mod tests {
 
     #[test]
     fn nine_distinct_categories() {
-        let set: std::collections::HashSet<_> = SkillCategory::ALL.iter().collect();
+        let set: std::collections::BTreeSet<_> = SkillCategory::ALL.iter().collect();
         assert_eq!(set.len(), 9);
     }
 
     #[test]
     fn labels_and_slugs_are_unique() {
-        let labels: std::collections::HashSet<_> =
+        let labels: std::collections::BTreeSet<_> =
             SkillCategory::ALL.iter().map(|c| c.label()).collect();
-        let slugs: std::collections::HashSet<_> =
+        let slugs: std::collections::BTreeSet<_> =
             SkillCategory::ALL.iter().map(|c| c.slug()).collect();
         assert_eq!(labels.len(), 9);
         assert_eq!(slugs.len(), 9);

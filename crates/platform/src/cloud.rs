@@ -116,7 +116,10 @@ pub struct AlexaCloud {
     /// names are hit by every session, and `Domain::parse` re-validates
     /// the name each time. Both steps are pure functions of the name, so
     /// caching them is invisible to the generated traffic.
-    // analyzer:allow(AD03) -- lookup-only cache of a pure function; iteration order never reaches an output
+    #[expect(
+        clippy::disallowed_types,
+        reason = "lookup-only cache of a pure function; iteration order never reaches an output"
+    )]
     endpoints: std::collections::HashMap<String, (Domain, std::net::Ipv4Addr)>,
 }
 
@@ -127,7 +130,10 @@ impl AlexaCloud {
             dns: DnsTable::new(),
             profiler: Profiler::new(),
             clock_ms: 0,
-            // analyzer:allow(AD03) -- lookup-only cache, see the field's rationale
+            #[expect(
+                clippy::disallowed_types,
+                reason = "lookup-only cache, see the field's rationale"
+            )]
             endpoints: std::collections::HashMap::new(),
         }
     }

@@ -21,6 +21,13 @@
 //! the failing case directly. Generation is deterministic per test name, so a
 //! red test stays red until the code changes.
 
+#![expect(
+    clippy::panic,
+    clippy::expect_used,
+    clippy::disallowed_types,
+    reason = "a proptest stand-in: panicking is how it reports a bad strategy, and `hash_set` mirrors proptest's HashSet API"
+)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -6,6 +6,11 @@
 //! cargo run --release --example bid_forensics
 //! ```
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "an example reads best as straight-line code; a missing row is a bug worth a panic"
+)]
+
 use alexa_audit::analysis::{bids, partners, significance};
 use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun};
 

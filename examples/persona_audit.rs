@@ -5,6 +5,11 @@
 //! cargo run --release --example persona_audit -- "Fashion & Style"
 //! ```
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "an example reads best as straight-line code; a missing row is a bug worth a panic"
+)]
+
 use alexa_audit::analysis::{bids, creatives, significance, traffic};
 use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, Persona};
 use alexa_platform::SkillCategory;

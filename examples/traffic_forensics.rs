@@ -9,6 +9,11 @@
 //! cargo run --release --example traffic_forensics
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example reads best as straight-line code; a failed trace round trip is a bug worth a panic"
+)]
+
 use alexa_audit::{AuditConfig, AuditRun};
 use alexa_net::flowstats::{aggregate, top_by_bytes};
 use alexa_net::{read_trace, write_trace, FilterList, OrgMap};
