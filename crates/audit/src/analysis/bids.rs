@@ -15,7 +15,9 @@
 use crate::index::AnalysisIndex;
 use crate::persona::Persona;
 use crate::table::{f3, TextTable};
-use alexa_stats::{bootstrap_median_ci, five_number_summary, mean, median, BootstrapCi, Summary};
+use alexa_stats::{
+    bootstrap_median_ci, five_number_summary_in_place, mean, median_in_place, BootstrapCi, Summary,
+};
 use std::fmt::Write as _;
 use std::ops::Range;
 
@@ -65,12 +67,11 @@ pub fn table5(ix: &AnalysisIndex) -> Table5 {
     let rows = personas
         .iter()
         .map(|&p| {
-            let bids = ix.pooled_bids(p, &ix.obs.post_window(), &slots);
-            (
-                p.name(),
-                median(&bids).unwrap_or(0.0),
-                mean(&bids).unwrap_or(0.0),
-            )
+            let mut bids = ix.pooled_bids(p, &ix.obs.post_window(), &slots);
+            // The mean sums in observation order, before the median's
+            // selection reorders the series.
+            let avg = mean(&bids).unwrap_or(0.0);
+            (p.name(), median_in_place(&mut bids).unwrap_or(0.0), avg)
         })
         .collect();
     Table5 {
@@ -243,8 +244,8 @@ pub fn figure3(ix: &AnalysisIndex) -> Figure3 {
     ] {
         let slots = ix.common_slots(&personas, &window);
         for &p in &personas {
-            let bids = ix.pooled_bids(p, &window, &slots);
-            if let Some(s) = five_number_summary(&bids) {
+            let mut bids = ix.pooled_bids(p, &window, &slots);
+            if let Some(s) = five_number_summary_in_place(&mut bids) {
                 out.push((p.name(), s));
             }
         }
@@ -322,8 +323,8 @@ pub fn figure7(ix: &AnalysisIndex) -> Figure7 {
     let series = ordered
         .into_iter()
         .filter_map(|p| {
-            let bids = ix.pooled_bids(p, &ix.obs.post_window(), &slots);
-            five_number_summary(&bids).map(|s| (p.name(), s))
+            let mut bids = ix.pooled_bids(p, &ix.obs.post_window(), &slots);
+            five_number_summary_in_place(&mut bids).map(|s| (p.name(), s))
         })
         .collect();
     Figure7 { series }

@@ -15,7 +15,7 @@ use crate::index::AnalysisIndex;
 use crate::observations::Observations;
 use crate::persona::Persona;
 use crate::table::{f3, TextTable};
-use alexa_stats::{five_number_summary, mean, median, Summary};
+use alexa_stats::{five_number_summary_in_place, mean, median_in_place, Summary};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 pub const AMAZON_AD_ENDPOINT: &str = "amazon-adsystem.com";
 
 /// Recovered cookie-sync structure.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncAnalysis {
     /// Advertisers observed pushing their cookie to Amazon.
     pub amazon_partners: BTreeSet<String>,
@@ -92,12 +92,16 @@ pub fn table10(ix: &AnalysisIndex) -> Table10 {
                     }
                 }
             }
+            // Means sum in observation order, before the medians' selection
+            // reorders the series.
+            let partner_mean = mean(&partner_bids).unwrap_or(0.0);
+            let other_mean = mean(&other_bids).unwrap_or(0.0);
             (
                 p.name(),
-                median(&partner_bids).unwrap_or(0.0),
-                mean(&partner_bids).unwrap_or(0.0),
-                median(&other_bids).unwrap_or(0.0),
-                mean(&other_bids).unwrap_or(0.0),
+                median_in_place(&mut partner_bids).unwrap_or(0.0),
+                partner_mean,
+                median_in_place(&mut other_bids).unwrap_or(0.0),
+                other_mean,
             )
         })
         .collect();
@@ -159,7 +163,7 @@ pub fn figure6(ix: &AnalysisIndex) -> Figure6 {
     let slots = ix.common_slots(&personas, &window);
     let mut series = Vec::new();
     for &p in &personas {
-        let bids: Vec<f64> = ix
+        let mut bids: Vec<f64> = ix
             .bids_of(p)
             .map(|pb| {
                 pb.bids
@@ -173,7 +177,7 @@ pub fn figure6(ix: &AnalysisIndex) -> Figure6 {
                     .collect()
             })
             .unwrap_or_default();
-        if let Some(s) = five_number_summary(&bids) {
+        if let Some(s) = five_number_summary_in_place(&mut bids) {
             series.push((p.name(), s));
         }
     }

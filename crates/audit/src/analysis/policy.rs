@@ -23,7 +23,7 @@
 use crate::index::AnalysisIndex;
 use crate::table::TextTable;
 use alexa_net::DataType;
-use alexa_policy::{DisclosureClass, EntityOntology, PoliCheck};
+use alexa_policy::DisclosureClass;
 use alexa_stats::PrfScores;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -46,13 +46,12 @@ pub struct PolicyStats {
 /// Compute §7.1's availability statistics.
 pub fn policy_stats(ix: &AnalysisIndex) -> PolicyStats {
     let obs = ix.obs;
-    let with_link = obs.catalog.iter().filter(|m| m.policy_link).count();
-    let docs: Vec<&alexa_policy::PolicyDoc> = obs.policies.values().flatten().collect();
+    let policies = || ix.policies.values();
     PolicyStats {
-        with_link,
-        retrievable: docs.len(),
-        mention_platform: docs.iter().filter(|d| d.mentions_platform()).count(),
-        link_platform_policy: docs.iter().filter(|d| d.links_platform_policy()).count(),
+        with_link: obs.catalog.iter().filter(|m| m.policy_link).count(),
+        retrievable: policies().count(),
+        mention_platform: policies().filter(|p| p.mentions_platform).count(),
+        link_platform_policy: policies().filter(|p| p.links_platform_policy).count(),
         total: obs.catalog.len(),
     }
 }
@@ -91,39 +90,54 @@ pub struct Table13 {
     pub incorrect: BTreeMap<DataType, usize>,
 }
 
+/// Every skill data-type flow the AVS captures show, with its disclosure
+/// class: the one classification pass behind Table 13 (with and without
+/// the platform policy) and the incorrect-flow list, so they cannot
+/// disagree. `DeviceMetric` is platform telemetry, not skill data, and is
+/// never a skill's flow.
+fn data_type_flows<'i>(
+    ix: &'i AnalysisIndex,
+) -> impl Iterator<Item = (&'i str, DataType, DisclosureClass)> + 'i {
+    ix.types_per_skill
+        .iter()
+        .flat_map(move |(skill_id, types)| {
+            let policy = ix.policy_of(skill_id);
+            types
+                .iter()
+                .filter(|&&dt| dt != DataType::DeviceMetric)
+                .map(move |&dt| {
+                    let class = ix.policheck.classify_data_type(policy, dt);
+                    (skill_id.as_str(), dt, class)
+                })
+        })
+}
+
 /// Compute Table 13 from the index's AVS data-type map.
 ///
 /// `include_platform_policy` reruns the analysis with Amazon's policy
 /// consulted (§7.2.2).
 pub fn table13(ix: &AnalysisIndex, include_platform_policy: bool) -> Table13 {
-    let checker = if include_platform_policy {
-        PoliCheck::with_platform_policy()
-    } else {
-        PoliCheck::new()
-    };
     let mut rows: BTreeMap<DataType, (usize, usize, usize, usize)> = BTreeMap::new();
     let mut incorrect: BTreeMap<DataType, usize> = BTreeMap::new();
-    for (skill_id, types) in &ix.types_per_skill {
-        let doc = ix.obs.policies.get(skill_id).and_then(Option::as_ref);
-        for &dt in types {
-            if dt == DataType::DeviceMetric {
-                continue; // platform telemetry; Table 13 tracks skill data
+    for (_, dt, class) in data_type_flows(ix) {
+        let class = if include_platform_policy {
+            class.min(ix.policheck.platform_data_type(dt))
+        } else {
+            class
+        };
+        let row = rows.entry(dt).or_insert((0, 0, 0, 0));
+        match class {
+            DisclosureClass::Clear => row.0 += 1,
+            DisclosureClass::Vague => row.1 += 1,
+            // The paper's Table 13 uses four classes; denials are
+            // tracked separately and folded into "omitted" for the
+            // paper-format rendering.
+            DisclosureClass::Incorrect => {
+                row.2 += 1;
+                *incorrect.entry(dt).or_insert(0) += 1;
             }
-            let class = checker.classify_data_type(doc, dt);
-            let row = rows.entry(dt).or_insert((0, 0, 0, 0));
-            match class {
-                DisclosureClass::Clear => row.0 += 1,
-                DisclosureClass::Vague => row.1 += 1,
-                // The paper's Table 13 uses four classes; denials are
-                // tracked separately and folded into "omitted" for the
-                // paper-format rendering.
-                DisclosureClass::Incorrect => {
-                    row.2 += 1;
-                    *incorrect.entry(dt).or_insert(0) += 1;
-                }
-                DisclosureClass::Omitted => row.2 += 1,
-                DisclosureClass::NoPolicy => row.3 += 1,
-            }
+            DisclosureClass::Omitted => row.2 += 1,
+            DisclosureClass::NoPolicy => row.3 += 1,
         }
     }
     Table13 { rows, incorrect }
@@ -135,20 +149,15 @@ pub fn table13(ix: &AnalysisIndex, include_platform_policy: bool) -> Table13 {
 /// "incorrect" class exists for — the strongest form of policy
 /// inconsistency the audit can demonstrate.
 pub fn incorrect_flows(ix: &AnalysisIndex) -> Vec<(String, DataType)> {
-    let checker = PoliCheck::new();
-    let mut out: Vec<(&str, DataType)> = Vec::new();
-    for (skill_id, types) in &ix.types_per_skill {
-        let doc = ix.obs.policies.get(skill_id).and_then(Option::as_ref);
-        for &dt in types {
-            if checker.classify_data_type(doc, dt) == DisclosureClass::Incorrect {
-                let name = ix
-                    .skill_meta(skill_id)
-                    .map(|m| m.name.as_str())
-                    .unwrap_or(skill_id);
-                out.push((name, dt));
-            }
-        }
-    }
+    let mut out: Vec<(&str, DataType)> = data_type_flows(ix)
+        .filter(|&(_, _, class)| class == DisclosureClass::Incorrect)
+        .map(|(skill_id, dt, _)| {
+            let name = ix
+                .skill_meta(skill_id)
+                .map_or(skill_id, |m| m.name.as_str());
+            (name, dt)
+        })
+        .collect();
     out.sort();
     out.into_iter().map(|(n, dt)| (n.to_string(), dt)).collect()
 }
@@ -174,9 +183,6 @@ impl Table13 {
             &["Category", "Data type", "Clr.", "Vag.", "Omi.", "No Pol."],
         );
         for dt in DataType::ALL {
-            if dt == DataType::DeviceMetric {
-                continue;
-            }
             let (c, v, o, n) = self.get(dt);
             if c + v + o + n == 0 {
                 continue;
@@ -211,8 +217,7 @@ pub struct Table14 {
 /// Compute Table 14 from the index's flow table (one merged pass over the
 /// router captures of all personas).
 pub fn table14(ix: &AnalysisIndex) -> Table14 {
-    let checker = PoliCheck::new();
-    let ontology = EntityOntology::new();
+    let checker = &ix.policheck;
 
     // Per skill, the set of contacted endpoint organizations (the paper's
     // WHOIS fallback is pre-resolved in `HostInfo::org_or_reg`).
@@ -226,20 +231,21 @@ pub fn table14(ix: &AnalysisIndex) -> Table14 {
 
     let mut per_org: BTreeMap<&str, BTreeMap<&str, DisclosureClass>> = BTreeMap::new();
     for (skill_id, orgs) in &orgs_per_skill {
-        let doc = ix.obs.policies.get(*skill_id).and_then(Option::as_ref);
+        let policy = ix.policy_of(skill_id);
         let name = ix
             .skill_meta(skill_id)
             .map(|m| m.name.as_str())
             .unwrap_or(skill_id);
         for org in orgs {
-            let class = checker.classify_endpoint(doc, org);
+            let class = checker.classify_endpoint(policy, org);
             per_org.entry(org).or_default().insert(name, class);
         }
     }
     let rows = per_org
         .into_iter()
         .map(|(org, per_skill)| {
-            let cats = ontology
+            let cats = checker
+                .entities()
                 .categories_of(org)
                 .into_iter()
                 .map(|c| c.label().to_string())

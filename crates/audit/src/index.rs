@@ -28,7 +28,7 @@ use crate::observations::{Observations, SkillMeta};
 use crate::persona::Persona;
 use alexa_adtech::{AudioAdExtractor, StreamingService};
 use alexa_net::{DataType, FilterList, OrgClass, TrafficPurpose};
-use alexa_policy::FlowExtractor;
+use alexa_policy::{CompiledPolicy, FlowExtractor, PoliCheck};
 #[expect(
     clippy::disallowed_types,
     reason = "Hash collections here back address-keyed memo maps that are only probed, never iterated; nothing ordered is derived from them"
@@ -74,11 +74,34 @@ impl std::hash::Hasher for AddrHasher {
     reason = "lookup-only memo keyed by label address; iteration order never reaches an output"
 )]
 type AddrMap<V> = HashMap<(usize, usize), V, std::hash::BuildHasherDefault<AddrHasher>>;
+
 #[expect(
     clippy::disallowed_types,
-    reason = "lookup-only dedup set keyed by label address; never iterated"
+    reason = "lookup-only dedup set of sync edges keyed by label addresses; never iterated"
 )]
-type AddrSet = HashSet<(usize, usize), std::hash::BuildHasherDefault<AddrHasher>>;
+type EdgeSet = HashSet<((usize, usize), (usize, usize)), std::hash::BuildHasherDefault<AddrHasher>>;
+
+/// The cookie-sync structure of a set of `(from, to)` sync edges: Amazon's
+/// partners push to [`AMAZON_AD_ENDPOINT`], and their downstream parties are
+/// every non-Amazon organization a partner pushes to. Duplicate edges (equal
+/// labels at different addresses) change nothing.
+fn sync_from_edges(edges: &[(&str, &str)]) -> SyncAnalysis {
+    let amazon_partners: BTreeSet<String> = edges
+        .iter()
+        .filter(|(_, to)| *to == AMAZON_AD_ENDPOINT)
+        .map(|(from, _)| from.to_string())
+        .collect();
+    let downstream_parties = edges
+        .iter()
+        .filter(|(from, to)| *to != AMAZON_AD_ENDPOINT && amazon_partners.contains(*from))
+        .map(|(_, to)| to.to_string())
+        .collect();
+    SyncAnalysis {
+        amazon_syncs_out: edges.iter().any(|(from, _)| *from == AMAZON_AD_ENDPOINT),
+        amazon_partners,
+        downstream_parties,
+    }
+}
 
 /// An interned label: index into the run's [`Interner`].
 pub type Sym = u32;
@@ -222,6 +245,10 @@ pub struct AnalysisIndex<'a> {
     pub audio_ads: BTreeMap<(String, StreamingService), Vec<String>>,
     /// Data types observed per skill in the AVS plaintext captures.
     pub types_per_skill: BTreeMap<String, BTreeSet<DataType>>,
+    /// Every downloaded policy, compiled once, by skill id.
+    pub policies: BTreeMap<&'a str, CompiledPolicy>,
+    /// The one PoliCheck analyzer every policy artifact classifies with.
+    pub policheck: PoliCheck,
     /// `Amazon Technologies, Inc.` as a symbol.
     pub amazon: Sym,
     meta_by_id: BTreeMap<&'a str, &'a SkillMeta>,
@@ -244,16 +271,31 @@ impl<'a> AnalysisIndex<'a> {
         let meta_by_id: BTreeMap<&str, &SkillMeta> =
             obs.catalog.iter().map(|m| (m.id.as_str(), m)).collect();
 
+        // Packet counts per (persona, skill label, endpoint): one pass over
+        // the router captures, merging a skill's sessions.
+        type PerLabel<'o> = BTreeMap<&'o str, BTreeMap<&'o alexa_net::Domain, u32>>;
+        let merged: Vec<(&String, PerLabel)> = obs
+            .router_captures
+            .iter()
+            .map(|(persona, caps)| {
+                let mut per_label: PerLabel = BTreeMap::new();
+                for cap in caps {
+                    let entry = per_label.entry(cap.label.as_str()).or_default();
+                    for p in &cap.packets {
+                        *entry.entry(&p.remote).or_insert(0) += 1;
+                    }
+                }
+                (persona, per_label)
+            })
+            .collect();
+
         // Host table: every distinct endpoint across all router captures,
         // in lexicographic order (so host-id order == host-string order).
-        let mut host_set: BTreeSet<&alexa_net::Domain> = BTreeSet::new();
-        for caps in obs.router_captures.values() {
-            for cap in caps {
-                for p in &cap.packets {
-                    host_set.insert(&p.remote);
-                }
-            }
-        }
+        let host_set: BTreeSet<&alexa_net::Domain> = merged
+            .iter()
+            .flat_map(|(_, per_label)| per_label.values())
+            .flat_map(|per_host| per_host.keys().copied())
+            .collect();
         let mut hosts = Vec::with_capacity(host_set.len());
         let mut host_ids: BTreeMap<&str, u32> = BTreeMap::new();
         for d in &host_set {
@@ -273,33 +315,25 @@ impl<'a> AnalysisIndex<'a> {
             });
         }
 
-        // Flow groups: merge captures per (persona, skill), keeping only
-        // skills that produced traffic — exactly the legacy
-        // `skill_traffic` view, but with counts instead of cloned strings.
+        // Flow groups, keeping only skills that produced traffic — exactly
+        // the legacy `skill_traffic` view, but with counts instead of cloned
+        // strings.
         let mut flows: Vec<SkillFlows> = Vec::new();
         let mut host_counts = Vec::new();
         let mut persona_flows = Vec::new();
-        for (persona, caps) in &obs.router_captures {
+        for (persona, per_label) in merged {
             let persona_sym = symbols.intern(persona);
             let flows_start = flows.len() as u32;
-            let mut merged: BTreeMap<&str, BTreeMap<u32, u32>> = BTreeMap::new();
-            for cap in caps {
-                let entry = merged.entry(cap.label.as_str()).or_default();
-                for p in &cap.packets {
-                    *entry.entry(host_ids[p.remote.as_str()]).or_insert(0) += 1;
-                }
-            }
-            for (label, per_host) in merged {
+            for (label, per_host) in per_label {
                 let packets: u32 = per_host.values().sum();
                 if packets == 0 {
                     continue;
                 }
                 let start = host_counts.len() as u32;
-                host_counts.extend(
-                    per_host
-                        .into_iter()
-                        .map(|(host, packets)| HostCount { host, packets }),
-                );
+                host_counts.extend(per_host.into_iter().map(|(d, packets)| HostCount {
+                    host: host_ids[d.as_str()],
+                    packets,
+                }));
                 let meta = meta_by_id.get(label).copied();
                 let skill = symbols.intern(label);
                 flows.push(SkillFlows {
@@ -317,88 +351,49 @@ impl<'a> AnalysisIndex<'a> {
             persona_flows.push((persona_sym, flows_start..flows.len() as u32));
         }
 
-        // Cookie-sync structure (one pass for partners, one for their
-        // downstream propagation — same two passes the legacy analysis ran
-        // per artifact).
-        let mut partners = BTreeSet::new();
-        let mut amazon_out = false;
-        let mut is_amazon: AddrMap<bool> = AddrMap::default();
-        let mut partner_seen: AddrSet = AddrSet::default();
+        // Cookie-sync structure: one pass collects the distinct (from, to)
+        // edges by label address; partners and their downstream parties are
+        // set computations over those few edges.
+        let mut edge_seen: EdgeSet = EdgeSet::default();
+        let mut edges: Vec<(&str, &str)> = Vec::new();
         for visits in obs.crawl.values() {
             for v in visits {
                 for s in &v.syncs {
-                    if *is_amazon
-                        .entry(label_key(s.from_org))
-                        .or_insert_with(|| s.from_org == AMAZON_AD_ENDPOINT)
-                    {
-                        amazon_out = true;
-                    }
-                    if *is_amazon
-                        .entry(label_key(s.to_org))
-                        .or_insert_with(|| s.to_org == AMAZON_AD_ENDPOINT)
-                        && partner_seen.insert(label_key(s.from_org))
-                    {
-                        partners.insert(s.from_org.to_string());
+                    if edge_seen.insert((label_key(s.from_org), label_key(s.to_org))) {
+                        edges.push((s.from_org, s.to_org));
                     }
                 }
             }
         }
-        let mut downstream = BTreeSet::new();
-        let mut is_partner: AddrMap<bool> = AddrMap::default();
-        let mut down_seen: AddrSet = AddrSet::default();
-        for visits in obs.crawl.values() {
-            for v in visits {
-                for s in &v.syncs {
-                    if *is_partner
-                        .entry(label_key(s.from_org))
-                        .or_insert_with(|| partners.contains(s.from_org))
-                        && !*is_amazon
-                            .entry(label_key(s.to_org))
-                            .or_insert_with(|| s.to_org == AMAZON_AD_ENDPOINT)
-                        && down_seen.insert(label_key(s.to_org))
-                    {
-                        downstream.insert(s.to_org.to_string());
-                    }
-                }
-            }
-        }
-        let sync = SyncAnalysis {
-            amazon_partners: partners,
-            amazon_syncs_out: amazon_out,
-            downstream_parties: downstream,
-        };
+        let sync = sync_from_edges(&edges);
 
-        // Slot table, then dense per-persona bid rows in visit order.
-        let mut slot_set: BTreeSet<&str> = BTreeSet::new();
-        let mut slot_ptr_seen: AddrSet = AddrSet::default();
-        for visits in obs.crawl.values() {
-            for v in visits {
-                for b in &v.bids {
-                    if slot_ptr_seen.insert(label_key(b.slot_id)) {
-                        slot_set.insert(b.slot_id);
-                    }
-                }
-            }
-        }
-        let slots: Vec<Sym> = slot_set.iter().map(|s| symbols.intern(s)).collect();
-        let slot_ids: BTreeMap<&str, u32> = slot_set
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, i as u32))
-            .collect();
-        let mut persona_bids = Vec::with_capacity(obs.crawl.len());
+        // Dense per-persona bid rows in visit order, in one pass. Slots get
+        // provisional ids in first-seen order; once every slot is known they
+        // are remapped to their rank in the lexicographic slot table (equal
+        // labels at different addresses share one id).
         let mut slot_of: AddrMap<u32> = AddrMap::default();
+        let mut slot_labels: Vec<&str> = Vec::new();
         let mut bidder_partner: AddrMap<bool> = AddrMap::default();
-        for (persona, visits) in &obs.crawl {
-            let persona_sym = symbols.intern(persona);
-            let mut bids = Vec::new();
+        let mut persona_bids = Vec::with_capacity(obs.crawl.len());
+        for visits in obs.crawl.values() {
+            let mut bids = Vec::with_capacity(visits.iter().map(|v| v.bids.len()).sum());
+            // A visit's bids run slot by slot, so the previous bid's slot id
+            // usually answers without a lookup.
+            let mut last: Option<((usize, usize), u32)> = None;
             for v in visits {
                 for b in &v.bids {
+                    let key = label_key(b.slot_id);
+                    let slot = match last {
+                        Some((k, slot)) if k == key => slot,
+                        _ => *slot_of.entry(key).or_insert_with(|| {
+                            slot_labels.push(b.slot_id);
+                            slot_labels.len() as u32 - 1
+                        }),
+                    };
+                    last = Some((key, slot));
                     bids.push(BidRow {
                         iteration: v.iteration as u32,
-                        slot: *slot_of
-                            .entry(label_key(b.slot_id))
-                            .or_insert_with(|| slot_ids[b.slot_id]),
+                        slot,
                         partner: *bidder_partner
                             .entry(label_key(b.bidder))
                             .or_insert_with(|| sync.amazon_partners.contains(b.bidder)),
@@ -406,11 +401,25 @@ impl<'a> AnalysisIndex<'a> {
                     });
                 }
             }
-            persona_bids.push(PersonaBids {
-                persona: persona_sym,
-                bids,
-            });
+            persona_bids.push(bids);
         }
+        let slot_set: BTreeSet<&str> = slot_labels.iter().copied().collect();
+        let slots: Vec<Sym> = slot_set.iter().map(|s| symbols.intern(s)).collect();
+        let rank: BTreeMap<&str, u32> = slot_set.into_iter().zip(0..).collect();
+        let remap: Vec<u32> = slot_labels.iter().map(|l| rank[l]).collect();
+        let persona_bids: Vec<PersonaBids> = obs
+            .crawl
+            .keys()
+            .zip(persona_bids)
+            .map(|(persona, mut bids)| {
+                bids.iter_mut()
+                    .for_each(|b| b.slot = remap[b.slot as usize]);
+                PersonaBids {
+                    persona: symbols.intern(persona),
+                    bids,
+                }
+            })
+            .collect();
 
         // Shared extraction passes for the audio and policy artifacts.
         let extractor = AudioAdExtractor::new();
@@ -422,6 +431,11 @@ impl<'a> AnalysisIndex<'a> {
             })
             .collect();
         let types_per_skill = FlowExtractor::new().data_types(&obs.avs_captures);
+        let policies = obs
+            .policies
+            .iter()
+            .filter_map(|(id, doc)| Some((id.as_str(), CompiledPolicy::compile(doc.as_ref()?))))
+            .collect();
 
         AnalysisIndex {
             obs,
@@ -436,6 +450,8 @@ impl<'a> AnalysisIndex<'a> {
             sync,
             audio_ads,
             types_per_skill,
+            policies,
+            policheck: PoliCheck::new(),
             amazon,
             meta_by_id,
             slot_masks: std::sync::Mutex::new(Vec::new()),
@@ -480,6 +496,11 @@ impl<'a> AnalysisIndex<'a> {
     /// `Observations::skill_meta` is a linear scan).
     pub fn skill_meta(&self, id: &str) -> Option<&'a SkillMeta> {
         self.meta_by_id.get(id).copied()
+    }
+
+    /// A skill's compiled policy, if one was downloaded.
+    pub fn policy_of(&self, skill_id: &str) -> Option<&CompiledPolicy> {
+        self.policies.get(skill_id)
     }
 
     /// The dense bid table of a persona, if it crawled.
@@ -547,11 +568,17 @@ impl<'a> AnalysisIndex<'a> {
         let Some(pb) = self.bids_of(persona) else {
             return Vec::new();
         };
-        pb.bids
-            .iter()
-            .filter(|b| window.contains(&(b.iteration as usize)) && mask[b.slot as usize])
-            .map(|b| b.cpm)
-            .collect()
+        let kept = || {
+            pb.bids
+                .iter()
+                .filter(|b| window.contains(&(b.iteration as usize)) && mask[b.slot as usize])
+        };
+        // Counting first sizes the series exactly: these series are the
+        // render pass's largest allocations, and growing one by doubling
+        // allocates two to four times its size.
+        let mut out = Vec::with_capacity(kept().count());
+        out.extend(kept().map(|b| b.cpm));
+        out
     }
 
     /// Per-slot mean CPM over the masked slots (slot order — the

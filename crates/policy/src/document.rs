@@ -21,25 +21,36 @@ impl PolicyDoc {
 
     /// Split the text into trimmed, non-empty sentences.
     pub fn sentences(&self) -> impl Iterator<Item = &str> {
-        self.text
-            .split(['.', '!', '?'])
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
+        sentences(&self.text)
     }
 
     /// Whether the text mentions the platform (Amazon or Alexa) at all —
     /// the §7.1 statistic (129 of 188 policies do not).
     pub fn mentions_platform(&self) -> bool {
-        let lower = self.text.to_ascii_lowercase();
-        lower.contains("amazon") || lower.contains("alexa")
+        mentions_platform(&self.text.to_ascii_lowercase())
     }
 
     /// Whether the text links to Amazon's own privacy policy.
     pub fn links_platform_policy(&self) -> bool {
-        self.text
-            .to_ascii_lowercase()
-            .contains("amazon.com/privacy")
+        links_platform_policy(&self.text.to_ascii_lowercase())
     }
+}
+
+/// Split `text` at `.`, `!` and `?` into trimmed, non-empty sentences.
+pub(crate) fn sentences(text: &str) -> impl Iterator<Item = &str> {
+    text.split(['.', '!', '?'])
+        .map(str::trim)
+        .filter(|s| !s.is_empty())
+}
+
+/// [`PolicyDoc::mentions_platform`] of already lower-cased text.
+pub(crate) fn mentions_platform(lower: &str) -> bool {
+    lower.contains("amazon") || lower.contains("alexa")
+}
+
+/// [`PolicyDoc::links_platform_policy`] of already lower-cased text.
+pub(crate) fn links_platform_policy(lower: &str) -> bool {
+    lower.contains("amazon.com/privacy")
 }
 
 #[cfg(test)]

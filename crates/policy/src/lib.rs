@@ -35,5 +35,5 @@ pub use extractor::{DataFlow, FlowExtractor};
 pub use fetcher::{FetchError, PolicyFetcher};
 pub use generator::PolicyGenerator;
 pub use ontology::{DataOntology, EntityOntology, OntologyCategory};
-pub use policheck::{DisclosureClass, PoliCheck};
+pub use policheck::{CompiledPolicy, DisclosureClass, PoliCheck};
 pub use validate::validate_against_ground_truth;

@@ -10,7 +10,7 @@
 //! off-lexicon quirks keep the agreement below 100%.
 
 use crate::generator::PolicyGenerator;
-use crate::policheck::{DisclosureClass, PoliCheck};
+use crate::policheck::{CompiledPolicy, DisclosureClass, PoliCheck};
 use alexa_platform::{DisclosureLevel, Skill};
 use alexa_stats::ConfusionMatrix;
 
@@ -43,13 +43,16 @@ pub fn validate_against_ground_truth(skills: &[&Skill]) -> ConfusionMatrix {
     let mut matrix = ConfusionMatrix::new();
 
     for skill in skills {
-        let doc = generator.render(skill);
+        let policy = generator
+            .render(skill)
+            .map(|doc| CompiledPolicy::compile(&doc));
+        let policy = policy.as_ref();
         for (&dt, &truth) in &skill.policy.data_disclosures {
-            let predicted = policheck.classify_data_type(doc.as_ref(), dt);
+            let predicted = policheck.classify_data_type(policy, dt);
             matrix.record(level_label(truth), class_label(predicted));
         }
         for (org, &truth) in &skill.policy.endpoint_disclosures {
-            let predicted = policheck.classify_endpoint(doc.as_ref(), org);
+            let predicted = policheck.classify_endpoint(policy, org);
             matrix.record(level_label(truth), class_label(predicted));
         }
     }

@@ -43,7 +43,10 @@ pub mod rank;
 pub use bootstrap::{bootstrap_ci, bootstrap_mean_ci, bootstrap_median_ci, BootstrapCi};
 pub use classify::{ConfusionMatrix, PrfScores};
 pub use correction::{benjamini_hochberg, holm_bonferroni, significant_after};
-pub use descriptive::{five_number_summary, mean, median, quantile, stddev, variance, Summary};
+pub use descriptive::{
+    five_number_summary, five_number_summary_in_place, mean, median, median_in_place, quantile,
+    stddev, variance, Summary,
+};
 pub use effect::{rank_biserial, EffectMagnitude};
 pub use error::StatsError;
 pub use mannwhitney::{

@@ -49,6 +49,31 @@ proptest! {
     }
 
     #[test]
+    fn summary_equals_stable_sort_reference(
+        xs in prop::collection::vec(
+            // -8 stands in for -0.0, so signed-zero ties occur.
+            (-8i32..8).prop_map(|v| if v == -8 { -0.0 } else { f64::from(v) * 0.25 }),
+            1..64,
+        ),
+    ) {
+        // The in-place summary sorts by integer keys; it must return the
+        // bits a stable `total_cmp` sort of a copy gives, ties included.
+        let mut sorted = xs.clone();
+        sorted.sort_by(f64::total_cmp);
+        let q = |p| alexa_stats::descriptive::quantile_sorted(&sorted, p);
+        let (min, max) = (sorted[0], sorted[sorted.len() - 1]);
+        let want = [min, q(0.25), q(0.5), q(0.75), max, mean(&sorted).unwrap()];
+        let mut owned = xs.clone();
+        let s = alexa_stats::five_number_summary_in_place(&mut owned).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&owned), bits(&sorted));
+        prop_assert_eq!(
+            [s.min, s.q1, s.median, s.q3, s.max, s.mean].map(f64::to_bits),
+            want.map(f64::to_bits)
+        );
+    }
+
+    #[test]
     fn summary_is_ordered(xs in sample(64)) {
         let s = five_number_summary(&xs).unwrap();
         prop_assert!(s.min <= s.q1 && s.q1 <= s.median && s.median <= s.q3 && s.q3 <= s.max);

@@ -6,9 +6,13 @@
 //! tests (a full 450-skill, 31-iteration run), so everything shares one
 //! execution.
 
+use alexa_adtech::{Bid, SyncObservation, VisitRecord};
+use alexa_audit::analysis::partners::{SyncAnalysis, AMAZON_AD_ENDPOINT};
 use alexa_audit::analysis::{audio, bids, partners, policy, profiling, significance, traffic};
-use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, Observations};
+use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, Observations, Persona};
 use alexa_platform::SkillCategory;
+use alexa_stats::{five_number_summary, mean, median, Summary};
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 fn obs() -> &'static Observations {
@@ -299,4 +303,194 @@ fn paper_validation_f1() {
         v.macro_avg.recall < v.macro_avg.precision,
         "quirks should cost recall"
     );
+}
+
+/// The cookie-sync structure by a naive two-pass scan of the raw crawl:
+/// partners first, then everything they push onward.
+fn naive_sync(obs: &Observations) -> SyncAnalysis {
+    let syncs = || obs.crawl.values().flatten().flat_map(|v| &v.syncs);
+    let amazon_partners: BTreeSet<String> = syncs()
+        .filter(|s| s.to_org == AMAZON_AD_ENDPOINT)
+        .map(|s| s.from_org.to_string())
+        .collect();
+    let downstream_parties = syncs()
+        .filter(|s| amazon_partners.contains(s.from_org) && s.to_org != AMAZON_AD_ENDPOINT)
+        .map(|s| s.to_org.to_string())
+        .collect();
+    SyncAnalysis {
+        amazon_syncs_out: syncs().any(|s| s.from_org == AMAZON_AD_ENDPOINT),
+        amazon_partners,
+        downstream_parties,
+    }
+}
+
+#[test]
+fn index_sync_matches_naive_scan() {
+    assert_eq!(ix().sync, naive_sync(obs()));
+}
+
+#[test]
+fn index_dedupes_labels_that_skip_the_interner() {
+    // Hand-built records whose labels are separate leaked copies of equal
+    // text: address-keyed memos must still group them by text.
+    fn leak(s: &str) -> &'static str {
+        Box::leak(s.to_string().into_boxed_str())
+    }
+    let sync = |from: &str, to: &str| SyncObservation {
+        from_org: leak(from),
+        to_org: leak(to),
+        user_id: leak("u"),
+    };
+    let bid = |bidder: &str, slot: &str, cpm| Bid {
+        bidder: leak(bidder),
+        slot_id: leak(slot),
+        cpm,
+    };
+    let visit = |iteration, syncs, bids| VisitRecord {
+        iteration,
+        syncs,
+        bids,
+        ..VisitRecord::default()
+    };
+    let mut obs = Observations::default();
+    obs.crawl.insert(
+        Persona::Vanilla.name(),
+        vec![
+            visit(
+                0,
+                vec![
+                    sync("a.example", AMAZON_AD_ENDPOINT),
+                    sync("a.example", "x.example"),
+                    sync("b.example", "y.example"),
+                ],
+                vec![bid("a.example", "s#2", 1.0), bid("b.example", "s#1", 2.0)],
+            ),
+            visit(
+                1,
+                vec![
+                    sync("a.example", "x.example"),
+                    sync("a.example", AMAZON_AD_ENDPOINT),
+                ],
+                vec![bid("a.example", "s#1", 3.0), bid("a.example", "s#1", 4.0)],
+            ),
+        ],
+    );
+    obs.crawl.insert(
+        Persona::WebHealth.name(),
+        vec![visit(
+            0,
+            vec![
+                sync(AMAZON_AD_ENDPOINT, "z.example"),
+                sync("a.example", AMAZON_AD_ENDPOINT),
+            ],
+            vec![bid("b.example", "s#2", 5.0)],
+        )],
+    );
+    let ix = AnalysisIndex::build(&obs);
+    let want = naive_sync(&obs);
+    assert_eq!(ix.sync, want);
+    assert_eq!(want.amazon_partners.len(), 1);
+    assert_eq!(want.downstream_parties.len(), 1);
+    assert!(want.amazon_syncs_out);
+
+    // Two distinct slot texts, ids in lexicographic order.
+    let slots: Vec<&str> = ix.slots.iter().map(|&s| ix.str_of(s)).collect();
+    assert_eq!(slots, ["s#1", "s#2"]);
+    let rows = |p: Persona| {
+        ix.bids_of(p)
+            .unwrap()
+            .bids
+            .iter()
+            .map(|b| (b.iteration, b.slot, b.partner, b.cpm))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        rows(Persona::Vanilla),
+        [
+            (0, 1, true, 1.0),
+            (0, 0, false, 2.0),
+            (1, 0, true, 3.0),
+            (1, 0, true, 4.0)
+        ]
+    );
+    assert_eq!(rows(Persona::WebHealth), [(0, 1, false, 5.0)]);
+}
+
+fn summary_bits(s: &Summary) -> [u64; 7] {
+    let n = s.n as u64;
+    [
+        n,
+        s.min.to_bits(),
+        s.q1.to_bits(),
+        s.median.to_bits(),
+        s.q3.to_bits(),
+        s.max.to_bits(),
+        s.mean.to_bits(),
+    ]
+}
+
+#[test]
+fn bid_summaries_are_bit_identical_to_copying_stats() {
+    let (i, o) = (ix(), obs());
+    // Each rendered series must hold, bit for bit, the summaries the
+    // copying `five_number_summary` gives for each persona's series.
+    let assert_summaries = |series: &[(String, Summary)], want: &dyn Fn(Persona) -> Vec<f64>| {
+        for (name, got) in series {
+            let p = Persona::all()
+                .into_iter()
+                .find(|p| p.name() == *name)
+                .unwrap();
+            let expected = five_number_summary(&want(p)).unwrap();
+            assert_eq!(summary_bits(got), summary_bits(&expected), "{name}");
+        }
+    };
+    let echo = Persona::echo_personas();
+    let post = o.post_window();
+    let pooled = |personas: &[Persona], window: std::ops::Range<usize>| {
+        let mask = i.common_slots(personas, &window);
+        move |p: Persona| i.pooled_bids(p, &window, &mask)
+    };
+
+    let f3 = bids::figure3(i);
+    assert_summaries(&f3.without_interaction, &pooled(&echo, o.pre_window()));
+    assert_summaries(&f3.with_interaction, &pooled(&echo, post.clone()));
+    let f7 = bids::figure7(i);
+    assert_eq!(f7.series.len(), Persona::all().len());
+    assert_summaries(&f7.series, &pooled(&Persona::all(), post.clone()));
+
+    // Table 10 and Figure 6 split the common-slot bids by partner flag.
+    let mask = i.common_slots(&echo, &post);
+    let split = |p: Persona, partner: bool| -> Vec<f64> {
+        i.bids_of(p)
+            .unwrap()
+            .bids
+            .iter()
+            .filter(|b| post.contains(&(b.iteration as usize)) && mask[b.slot as usize])
+            .filter(|b| b.partner == partner)
+            .map(|b| b.cpm)
+            .collect()
+    };
+    assert_summaries(&partners::figure6(i).series, &|p| split(p, true));
+
+    let bits = |x: Option<f64>| x.unwrap_or(0.0).to_bits();
+    let t5 = bids::table5(i);
+    let t10 = partners::table10(i);
+    for &p in &echo {
+        let series = pooled(&echo, post.clone())(p);
+        let (med, avg) = t5.get(&p.name()).unwrap();
+        assert_eq!(med.to_bits(), bits(median(&series)), "{p}");
+        assert_eq!(avg.to_bits(), bits(mean(&series)), "{p}");
+        let (pm, pa, nm, na) = t10.get(&p.name()).unwrap();
+        let (yes, no) = (split(p, true), split(p, false));
+        assert_eq!(
+            [pm, pa, nm, na].map(f64::to_bits),
+            [
+                bits(median(&yes)),
+                bits(mean(&yes)),
+                bits(median(&no)),
+                bits(mean(&no))
+            ],
+            "{p}"
+        );
+    }
 }
