@@ -10,14 +10,13 @@
 //! the window — because bid values vary per slot and not every slot loads
 //! for every persona. Slot sets are represented as dense masks over the
 //! [`AnalysisIndex`]'s interned slot table; all pooling preserves the
-//! original observation order (the seeded bootstrap resamples by index).
+//! original observation order (Tables 5 and 10 take the observation-order
+//! mean, so summation order fixes the output bits).
 
 use crate::index::AnalysisIndex;
 use crate::persona::Persona;
 use crate::table::{f3, TextTable};
-use alexa_stats::{
-    bootstrap_median_ci, five_number_summary_in_place, mean, median_in_place, BootstrapCi, Summary,
-};
+use alexa_stats::{five_number_summary_in_place, mean, median_in_place, Summary};
 use std::fmt::Write as _;
 use std::ops::Range;
 
@@ -109,54 +108,6 @@ impl Table5 {
         self.render_into(&mut out);
         out
     }
-}
-
-/// Bootstrap 95% confidence intervals for Table 5's per-persona median CPM
-/// (seeded percentile bootstrap, 1000 resamples) — the robustness companion
-/// the paper's point estimates lack.
-// analyzer:allow(AS01) -- the bootstrap fans out via exec's order-preserving par_map; results merge in input order, so committed bytes are schedule-independent
-pub fn table5_median_cis(ix: &AnalysisIndex) -> Vec<(String, BootstrapCi)> {
-    let personas = Persona::echo_personas();
-    let slots = ix.common_slots(&personas, &ix.obs.post_window());
-    personas
-        .iter()
-        .filter_map(|&p| {
-            let mut sample = ix.pooled_bids(p, &ix.obs.post_window(), &slots);
-            // Deterministic thinning keeps the bootstrap tractable on large
-            // bid corpora without biasing the median.
-            if sample.len() > 4000 {
-                let stride = sample.len() / 4000 + 1;
-                sample = sample.into_iter().step_by(stride).collect();
-            }
-            bootstrap_median_ci(&sample, 500, 0.95, ix.obs.seed ^ 0xc1)
-                .ok()
-                .map(|ci| (p.name(), ci))
-        })
-        .collect()
-}
-
-/// Stream the Table 5 medians with their bootstrap intervals into `out`;
-/// returns render work units.
-pub fn render_table5_cis_into(cis: &[(String, BootstrapCi)], out: &mut String) -> usize {
-    let mut t = TextTable::new(
-        "Table 5 medians with bootstrap 95% CIs",
-        &["Persona", "Median", "CI low", "CI high"],
-    );
-    for (p, ci) in cis {
-        t.row()
-            .cell(p)
-            .cell(f3(ci.estimate))
-            .cell(f3(ci.lo))
-            .cell(f3(ci.hi));
-    }
-    t.render_into(out)
-}
-
-/// Render the Table 5 medians with their bootstrap intervals.
-pub fn render_table5_cis(cis: &[(String, BootstrapCi)]) -> String {
-    let mut out = String::new();
-    render_table5_cis_into(cis, &mut out);
-    out
 }
 
 /// Table 6: mean CPM in the crawls closest to the interaction boundary —
@@ -413,7 +364,8 @@ mod tests {
                 .filter(|b| in_mask.contains(b.slot_id))
                 .map(|b| b.cpm)
                 .collect();
-            // Bit-exact (order included): the bootstrap resamples by index.
+            // Bit-exact (order included): Tables 5 and 10 take the
+            // observation-order mean, so summation order fixes the bits.
             assert_eq!(naive, i.pooled_bids(p, &window, &mask), "{p}");
         }
     }
@@ -511,27 +463,5 @@ mod tests {
         let s = t5.render();
         assert!(s.contains("Vanilla"));
         assert!(s.contains("Fashion & Style"));
-    }
-
-    #[test]
-    fn bootstrap_cis_separate_strong_personas_from_vanilla() {
-        let cis = table5_median_cis(ix());
-        assert_eq!(cis.len(), 10);
-        let get = |name: &str| {
-            cis.iter()
-                .find(|(p, _)| p == name)
-                .map(|(_, c)| *c)
-                .unwrap()
-        };
-        let vanilla = get("Vanilla");
-        let pets = get("Pets & Animals");
-        // The strongest persona's median CI sits entirely above vanilla's.
-        assert!(pets.lo > vanilla.hi, "pets {pets:?} vs vanilla {vanilla:?}");
-        // Intervals bracket their estimates.
-        for (p, ci) in &cis {
-            assert!(ci.lo <= ci.estimate && ci.estimate <= ci.hi, "{p}");
-        }
-        let rendered = render_table5_cis(&cis);
-        assert!(rendered.contains("CI low"));
     }
 }

@@ -1,16 +1,25 @@
 //! Artifact-name dispatch: stream any named report artifact from the shared
 //! [`AnalysisIndex`] into a caller-owned buffer.
 //!
-//! This is the one table mapping the CLI/report artifact vocabulary
-//! (`table1` ... `liars`) to the analysis functions, shared by the full
-//! report and the `repro` binary. The `defenses` artifact is *not* here: it
-//! pairs the baseline with defended measurements, which under faults take
-//! the firewall shadow of `AuditRun::execute_with_firewall_shadow`, so the
-//! bench crate orchestrates it.
+//! This is the one table mapping the artifact vocabulary ([`ARTIFACTS`]) to
+//! the analysis functions. [`render_into`] covers every name but
+//! `defenses`: that artifact pairs the baseline with defended measurements,
+//! which under faults take the firewall shadow of
+//! `AuditRun::execute_with_firewall_shadow`, so the bench crate
+//! orchestrates it.
 
 use crate::analysis::{audio, bids, creatives, partners, policy, profiling, significance, traffic};
 use crate::index::AnalysisIndex;
 use std::fmt::Write as _;
+
+/// Every report artifact, in paper order — `repro all` renders exactly this
+/// list. The last, `defenses`, is bench-orchestrated (see the module docs);
+/// [`render_into`] renders all the others.
+pub const ARTIFACTS: &[&str] = &[
+    "table1", "table2", "table3", "table4", "figure2", "table5", "table6", "figure3", "table7",
+    "table8", "table9", "figure5", "sync", "table10", "figure6", "table11", "figure7", "table12",
+    "stats71", "table13", "table13p", "table14", "validate", "liars", "defenses",
+];
 
 /// Stream one named artifact into `out`.
 ///
@@ -74,15 +83,9 @@ mod tests {
     use super::*;
     use crate::analysis::test_support::ix;
 
-    const NAMES: &[&str] = &[
-        "table1", "table2", "table3", "table4", "figure2", "table5", "table6", "figure3", "table7",
-        "table8", "table9", "figure5", "sync", "table10", "figure6", "table11", "figure7",
-        "table12", "stats71", "table13", "table13p", "table14", "validate", "liars",
-    ];
-
     #[test]
     fn every_artifact_renders_nonempty_with_positive_work() {
-        for name in NAMES {
+        for name in ARTIFACTS.iter().filter(|&&a| a != "defenses") {
             let mut out = String::new();
             let work = render_into(ix(), name, &mut out).expect(name);
             assert!(!out.is_empty(), "{name}: empty render");

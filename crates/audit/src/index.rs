@@ -202,7 +202,8 @@ pub struct BidRow {
 }
 
 /// All bids one persona received, in visit order (the order every legacy
-/// scan produced — the bootstrap resampler depends on it).
+/// scan produced — Tables 5 and 10 take the observation-order mean, so
+/// summation order fixes the output bits).
 #[derive(Debug, Clone)]
 pub struct PersonaBids {
     /// Persona name.

@@ -42,7 +42,6 @@ pub mod experiment;
 pub mod index;
 pub mod observations;
 pub mod persona;
-pub mod report;
 pub mod table;
 
 pub use experiment::{AuditConfig, AuditRun, DefenseMode};

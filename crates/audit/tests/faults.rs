@@ -3,8 +3,8 @@
 //! rate. These are the robustness counterparts of `tests/determinism.rs`.
 
 use alexa_audit::analysis::defense;
-use alexa_audit::report::full_report;
-use alexa_audit::{AuditConfig, AuditRun, DefenseMode};
+use alexa_audit::artifacts::{self, ARTIFACTS};
+use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, DefenseMode};
 use alexa_fault::FaultProfile;
 use alexa_obs::Recorder;
 
@@ -84,9 +84,9 @@ fn coverage_decreases_monotonically_with_severity() {
     );
 }
 
-/// At a 100% fault rate nothing survives — and nothing panics. The report
-/// still renders end to end, carries the coverage block, and the
-/// significance tables refuse (rather than run on) the empty samples.
+/// At a 100% fault rate nothing survives — and nothing panics. The coverage
+/// block and every artifact still render, and the significance tables
+/// refuse (rather than run on) the empty samples.
 #[test]
 fn analysis_never_panics_at_total_fault_rate() {
     let cfg = AuditConfig::small(2222).with_faults(FaultProfile::uniform(1.0));
@@ -94,14 +94,17 @@ fn analysis_never_panics_at_total_fault_rate() {
     assert!(obs.coverage.is_degraded());
     assert_eq!(obs.coverage.sections["skill.installs"].observed, 0);
 
-    let report = full_report(&obs);
+    let obs_ix = AnalysisIndex::build(&obs);
+    let mut report = obs.coverage.render();
+    for name in ARTIFACTS.iter().filter(|&&a| a != "defenses") {
+        artifacts::render_into(&obs_ix, name, &mut report).expect(name);
+    }
     assert!(report.contains("DEGRADED (valid, reduced coverage)"));
     assert!(report.contains("insufficient samples"));
 
     // The §8.1 defense comparison must also survive empty observations.
     let defended = AuditRun::execute(cfg.with_defense(DefenseMode::Firewall));
-    let obs_ix = alexa_audit::AnalysisIndex::build(&obs);
-    let defended_ix = alexa_audit::AnalysisIndex::build(&defended);
+    let defended_ix = AnalysisIndex::build(&defended);
     let comparison = defense::compare(
         "firewall under total faults",
         defense::measure(&obs_ix, DefenseMode::None),

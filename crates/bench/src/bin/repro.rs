@@ -55,7 +55,7 @@
 //!   coverage block) is still fully rendered and deterministic.
 
 use alexa_audit::{AuditConfig, AuditRun, Observations};
-use alexa_bench::{campaign, render_all, render_artifacts, ARTIFACTS};
+use alexa_bench::{campaign, render_artifacts, ARTIFACTS};
 use alexa_fault::FaultProfile;
 use alexa_obs::bundle::BundleSpec;
 use alexa_obs::{Json, Recorder};
@@ -99,7 +99,7 @@ fn run_bench(seed: u64, jobs: Option<usize>, rec: &Recorder) -> Observations {
     let execute_ms = t0.elapsed().as_millis() as u64;
 
     let t1 = std::time::Instant::now();
-    let rendered = render_all(&obs, ARTIFACTS, seed, jobs, &FaultProfile::none(), rec);
+    let rendered = render_artifacts(&obs, ARTIFACTS, jobs, None, rec);
     let render_ms = t1.elapsed().as_millis() as u64;
     let rendered_bytes: usize = rendered.iter().map(String::len).sum();
 

@@ -24,13 +24,9 @@ use alexa_fault::FaultProfile;
 use alexa_obs::Recorder;
 use std::sync::OnceLock;
 
-/// Every artifact `repro` can render, in paper order — `repro all` renders
-/// exactly this list.
-pub const ARTIFACTS: &[&str] = &[
-    "table1", "table2", "table3", "table4", "figure2", "table5", "table6", "figure3", "table7",
-    "table8", "table9", "figure5", "sync", "table10", "figure6", "table11", "figure7", "table12",
-    "stats71", "table13", "table13p", "table14", "validate", "liars", "defenses",
-];
+// The artifact vocabulary lives beside its dispatch table in the audit
+// crate; harnesses name it `alexa_bench::ARTIFACTS`.
+pub use alexa_audit::artifacts::ARTIFACTS;
 
 /// The `defenses` artifact's comparisons, in render order.
 const DEFENSES: [(&str, DefenseMode); 2] = [
@@ -70,9 +66,13 @@ fn defense_reports(
 /// [`render_artifacts`] for a run executed without a firewall shadow.
 /// `obs` is an undefended run of `AuditConfig::paper(seed)` under `fault`.
 /// Under faults, when `defenses` is wanted, `derive.defended` executes one
-/// shadowed baseline for the firewall row; `repro` executes its baseline
-/// with [`AuditRun::execute_with_firewall_shadow`] instead and never pays
-/// for a second execution.
+/// shadowed baseline for the firewall row.
+///
+/// `repro` never calls this: it renders through [`render_artifacts`] in
+/// every mode, executing a faulted baseline with
+/// [`AuditRun::execute_with_firewall_shadow`] so no second execution is
+/// paid. `render_all` remains for the benchmark harness and the golden and
+/// defenses tests, which hold only the observations.
 pub fn render_all(
     obs: &Observations,
     wanted: &[&str],

@@ -1,11 +1,12 @@
 //! Deterministic parallel execution for the audit engine.
 //!
 //! The audit pipeline is embarrassingly parallel (13 independent persona
-//! shards, independent bootstrap resamples, independent artifact renders),
-//! but the repository's core invariant is that a fixed seed produces
-//! byte-identical output. This crate provides the one primitive that squares
-//! the two: an **order-preserving parallel map** whose result is a pure
-//! function of its inputs — never of thread scheduling or worker count.
+//! shards, independent permutation-test chunks, independent artifact
+//! renders), but the repository's core invariant is that a fixed seed
+//! produces byte-identical output. This crate provides the one primitive
+//! that squares the two: an **order-preserving parallel map** whose result
+//! is a pure function of its inputs — never of thread scheduling or worker
+//! count.
 //!
 //! Work items are pulled off a shared counter by scoped worker threads and
 //! results are reassembled in input order, so `par_map(Some(1), ..)` and

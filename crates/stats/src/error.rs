@@ -13,28 +13,16 @@ use std::fmt;
 pub enum StatsError {
     /// An input sample was empty.
     EmptySample,
-    /// A bootstrap was requested with zero resamples.
-    ZeroResamples,
     /// A permutation test was requested with zero permutations.
     ZeroPermutations,
-    /// A confidence level outside the open interval (0, 1): a 0% interval
-    /// is degenerate and a 100% interval is unbounded.
-    InvalidLevel(f64),
 }
 
 impl fmt::Display for StatsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StatsError::EmptySample => write!(f, "empty sample"),
-            StatsError::ZeroResamples => write!(f, "bootstrap needs at least one resample"),
             StatsError::ZeroPermutations => {
                 write!(f, "permutation test needs at least one permutation")
-            }
-            StatsError::InvalidLevel(l) => {
-                write!(
-                    f,
-                    "confidence level {l} is outside the open interval (0, 1)"
-                )
             }
         }
     }
@@ -49,6 +37,8 @@ mod tests {
     #[test]
     fn messages_are_specific() {
         assert_eq!(StatsError::EmptySample.to_string(), "empty sample");
-        assert!(StatsError::InvalidLevel(1.5).to_string().contains("1.5"));
+        assert!(StatsError::ZeroPermutations
+            .to_string()
+            .contains("at least one permutation"));
     }
 }

@@ -17,20 +17,18 @@
 //!   precision, recall and F1, used to validate the PoliCheck reimplementation
 //!   exactly as the paper does in §7.2.3.
 //!
-//! * **Bootstrap intervals** ([`bootstrap`]) and **multiple-testing
-//!   corrections** ([`correction`]) — robustness machinery for the audit's
-//!   ablations (the paper reports raw p-values over 9 + 27 simultaneous
-//!   tests).
+//! * **Multiple-testing corrections** ([`correction`]) — Holm and
+//!   Benjamini–Hochberg, robustness machinery for the audit's ablations
+//!   (the paper reports raw p-values over 9 + 27 simultaneous tests).
 //!
-//! All functions are deterministic; the bootstrap draws its resamples from
-//! an explicit seed. Degenerate inputs (empty samples, zero resamples,
-//! out-of-range levels) surface as typed [`StatsError`]s — library code
-//! never panics.
+//! All functions are deterministic; the permutation test draws its
+//! permutations from an explicit seed. Degenerate inputs (empty samples,
+//! zero permutations) surface as typed [`StatsError`]s — library code never
+//! panics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bootstrap;
 pub mod classify;
 pub mod correction;
 pub mod descriptive;
@@ -40,7 +38,6 @@ pub mod mannwhitney;
 pub mod normal;
 pub mod rank;
 
-pub use bootstrap::{bootstrap_ci, bootstrap_mean_ci, bootstrap_median_ci, BootstrapCi};
 pub use classify::{ConfusionMatrix, PrfScores};
 pub use correction::{benjamini_hochberg, holm_bonferroni, significant_after};
 pub use descriptive::{

@@ -4,6 +4,7 @@
 use alexa_audit::analysis::{
     audio, bids, creatives, partners, policy, profiling, significance, traffic,
 };
+use alexa_audit::artifacts::{self, ARTIFACTS};
 use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, Observations, Persona};
 use std::sync::OnceLock;
 
@@ -212,8 +213,11 @@ fn avs_captures_are_amazon_only() {
 }
 
 #[test]
-fn full_report_renders() {
-    let report = alexa_audit::report::full_report(obs());
+fn artifact_report_renders() {
+    let mut report = obs().coverage.render();
+    for name in ARTIFACTS.iter().filter(|&&a| a != "defenses") {
+        artifacts::render_into(ix(), name, &mut report).expect(name);
+    }
     assert!(report.len() > 2_000);
     assert!(report.contains("Table 14"));
 }
