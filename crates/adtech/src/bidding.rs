@@ -21,6 +21,7 @@
 //!   pattern matches Table 5/7 (six personas significantly above vanilla,
 //!   Smart Home / Wine & Beverages / Health & Fitness not).
 
+use alexa_fault::Fnv1a;
 use alexa_platform::SkillCategory;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -172,27 +173,12 @@ fn lognormal(rng: &mut StdRng, median: f64, sigma: f64) -> f64 {
     median * (sigma * z).exp()
 }
 
-/// FNV-1a over the concatenation of `parts`, for deterministic
-/// per-(bidder, persona) knowledge draws. Streaming the parts through the
-/// accumulator is byte-equivalent to hashing `format!`-joined strings but
-/// allocates nothing — this runs on every quoted bid.
-fn fnv_parts(parts: &[&str]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for part in parts {
-        for b in part.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
-
 /// Deterministic log-normal contextual factor for a (slot, persona) pair:
 /// the same slot is consistently more or less valuable for a given
 /// audience, across all iterations and bidders.
 fn contextual_factor(slot_id: &str, persona: &str, sigma: f64) -> f64 {
-    let h1 = fnv_parts(&["ctx1|", slot_id, "|", persona]);
-    let h2 = fnv_parts(&["ctx2|", slot_id, "|", persona]);
+    let h1 = Fnv1a::hash_parts(&["ctx1|", slot_id, "|", persona]);
+    let h2 = Fnv1a::hash_parts(&["ctx2|", slot_id, "|", persona]);
     let u1 = ((h1 % 0xFFFF_FFFF) as f64 + 1.0) / (0xFFFF_FFFFu64 as f64 + 2.0);
     let u2 = (h2 % 0xFFFF_FFFF) as f64 / 0xFFFF_FFFFu64 as f64;
     let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
@@ -212,7 +198,7 @@ impl Bidder {
         if self.is_partner {
             return true;
         }
-        let h = fnv_parts(&[self.org, "|", &user.persona]);
+        let h = Fnv1a::hash_parts(&[self.org, "|", &user.persona]);
         (h % 10_000) as f64 / 10_000.0 < self.downstream_reach
     }
 
@@ -220,7 +206,7 @@ impl Bidder {
     /// reached the bidder (standard third-party tracking; deterministic per
     /// (bidder, persona)).
     pub fn web_reached(&self, persona: &str) -> bool {
-        let h = fnv_parts(&["web|", self.org, "|", persona]);
+        let h = Fnv1a::hash_parts(&["web|", self.org, "|", persona]);
         (h % 10_000) as f64 / 10_000.0 < 0.85
     }
 

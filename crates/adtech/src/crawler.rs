@@ -19,7 +19,7 @@ use crate::label::intern;
 use crate::sync::{SyncGraph, AMAZON_AD_ORG};
 use crate::website::Website;
 use crate::Creative;
-use alexa_fault::{FaultChannel, FaultPlane};
+use alexa_fault::{FaultChannel, FaultPlane, Fnv1a};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -163,13 +163,15 @@ impl Crawler {
         let mut lost = 0u64;
         if self.fault.is_active() {
             let before = record.bids.len();
-            let persona = profile.persona.clone();
-            let domain = site.domain.as_str();
-            let mut idx = 0usize;
+            // `{persona}/{domain}/{iteration}/` once, then the bid index.
+            let visit = self.fault.key(FaultChannel::BidLoss).str(&profile.persona);
+            let visit = visit.byte(b'/').str(site.domain.as_str()).byte(b'/');
+            let visit = visit.u64(iteration as u64).byte(b'/');
+            let mut idx = 0u64;
             record.bids.retain(|_| {
-                let key = format!("{persona}/{domain}/{iteration}/{idx}");
+                let key = visit.u64(idx);
                 idx += 1;
-                !self.fault.fires(FaultChannel::BidLoss, &key)
+                !self.fault.fires_at(key)
             });
             lost = (before - record.bids.len()) as u64;
             alexa_obs::agg_count("fault.bid_loss", lost);
@@ -203,11 +205,10 @@ impl Crawler {
         seed: u64,
     ) -> VisitRecord {
         // Per-(site, persona, iteration) deterministic randomness.
-        let mut h: u64 = seed ^ 0xc7a41;
-        for b in site.domain.as_str().bytes().chain(profile.persona.bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        let h = Fnv1a::with_state(seed ^ 0xc7a41)
+            .str(site.domain.as_str())
+            .str(&profile.persona)
+            .finish();
         let mut rng = StdRng::seed_from_u64(h.wrapping_add(iteration as u64));
 
         let mut record = VisitRecord {

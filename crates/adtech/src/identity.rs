@@ -7,6 +7,7 @@
 
 use crate::bidding::Bid;
 use crate::crawler::SyncObservation;
+use alexa_fault::Fnv1a;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -70,16 +71,7 @@ impl BrowserProfile {
         if let Some(&c) = self.jar.get(org) {
             return c;
         }
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in self
-            .persona
-            .bytes()
-            .chain(b":".iter().copied())
-            .chain(org.bytes())
-        {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        let h = Fnv1a::hash_parts(&[&self.persona, ":", org]);
         let c = Cookie {
             org: crate::label::intern(org),
             value: crate::label::intern(&format!("uid-{h:016x}")),

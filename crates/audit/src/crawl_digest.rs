@@ -1,0 +1,358 @@
+//! The typed walk that hashes `Observations::crawl` for the digest.
+//!
+//! The digest is FNV-1a over the derived-`Debug` text of the observations.
+//! `crawl` is about nine tenths of that text (31.7 MB at seed 7), and
+//! pushing it through `core::fmt` costs about twice what hashing the same
+//! bytes does. This walk emits exactly the bytes the derived `Debug` of
+//! `BTreeMap<String, Vec<VisitRecord>>` prints, straight into the hasher:
+//!
+//! * constant fragments (`Bid { bidder: "`, `", slot_id: "`, …) are
+//!   applied with [`Fnv1a::jump`], O(1) each;
+//! * strings are hashed raw, with the check for bytes `Debug` would
+//!   escape fused into the hashing loop, falling back to the `{:?}` bytes
+//!   for the rare string that needs escaping;
+//! * `usize` is hashed as decimal; `f64` goes through core's `{:?}`.
+//!
+//! Every record is destructured exhaustively, so a field added to
+//! `VisitRecord`, `Bid`, `Creative` or `SyncObservation` stops this module
+//! compiling until the walk learns it; the drift-guard tests below compare
+//! the walk with `format!("{:?}")` byte for byte.
+
+use alexa_adtech::{Bid, Creative, SyncObservation, VisitRecord};
+use alexa_fault::{Fnv1a, FnvJump};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+static VISIT_SITE: FnvJump = FnvJump::new("VisitRecord { site: \"");
+static VISIT_ITERATION: FnvJump = FnvJump::new("\", iteration: ");
+static VISIT_BIDS: FnvJump = FnvJump::new(", bids: [");
+static BID_FIRST: FnvJump = FnvJump::new("Bid { bidder: \"");
+static BID_NEXT: FnvJump = FnvJump::new(", Bid { bidder: \"");
+static BID_SLOT_ID: FnvJump = FnvJump::new("\", slot_id: \"");
+static BID_CPM: FnvJump = FnvJump::new("\", cpm: ");
+static STRUCT_CLOSE: FnvJump = FnvJump::new(" }");
+static VISIT_CREATIVES: FnvJump = FnvJump::new("], creatives: [");
+static CREATIVE_FIRST: FnvJump = FnvJump::new("Creative { advertiser: \"");
+static CREATIVE_NEXT: FnvJump = FnvJump::new(", Creative { advertiser: \"");
+static CREATIVE_PRODUCT: FnvJump = FnvJump::new("\", product: \"");
+static QUOTED_CLOSE: FnvJump = FnvJump::new("\" }");
+static VISIT_SYNCS: FnvJump = FnvJump::new("], syncs: [");
+static SYNC_FIRST: FnvJump = FnvJump::new("SyncObservation { from_org: \"");
+static SYNC_NEXT: FnvJump = FnvJump::new(", SyncObservation { from_org: \"");
+static SYNC_TO_ORG: FnvJump = FnvJump::new("\", to_org: \"");
+static SYNC_USER_ID: FnvJump = FnvJump::new("\", user_id: \"");
+static VISIT_CLOSE: FnvJump = FnvJump::new("] }");
+
+/// Hash the `Debug` text of the crawl map: `{"persona": [VisitRecord { … },
+/// …], …}`.
+pub(crate) fn hash_crawl(h: &mut Fnv1a, crawl: &BTreeMap<String, Vec<VisitRecord>>) {
+    h.byte(b'{');
+    for (i, (persona, visits)) in crawl.iter().enumerate() {
+        if i > 0 {
+            h.str(", ");
+        }
+        h.byte(b'"');
+        str_body(h, persona);
+        h.str("\": [");
+        for (j, visit) in visits.iter().enumerate() {
+            if j > 0 {
+                h.str(", ");
+            }
+            hash_visit(h, visit);
+        }
+        h.byte(b']');
+    }
+    h.byte(b'}');
+}
+
+/// One visit, exactly as `{:?}` prints it.
+fn hash_visit(h: &mut Fnv1a, visit: &VisitRecord) {
+    let VisitRecord {
+        site,
+        iteration,
+        bids,
+        creatives,
+        syncs,
+    } = visit;
+    h.jump(&VISIT_SITE);
+    str_body(h, site);
+    h.jump(&VISIT_ITERATION);
+    h.u64(*iteration as u64);
+    h.jump(&VISIT_BIDS);
+    for (i, bid) in bids.iter().enumerate() {
+        let Bid {
+            bidder,
+            slot_id,
+            cpm,
+        } = bid;
+        h.jump(if i == 0 { &BID_FIRST } else { &BID_NEXT });
+        str_body(h, bidder);
+        h.jump(&BID_SLOT_ID);
+        str_body(h, slot_id);
+        h.jump(&BID_CPM);
+        // Fnv1a's fmt::Write never fails.
+        let _ = write!(h, "{cpm:?}");
+        h.jump(&STRUCT_CLOSE);
+    }
+    h.jump(&VISIT_CREATIVES);
+    for (i, creative) in creatives.iter().enumerate() {
+        let Creative {
+            advertiser,
+            product,
+        } = creative;
+        h.jump(if i == 0 {
+            &CREATIVE_FIRST
+        } else {
+            &CREATIVE_NEXT
+        });
+        str_body(h, advertiser);
+        h.jump(&CREATIVE_PRODUCT);
+        str_body(h, product);
+        h.jump(&QUOTED_CLOSE);
+    }
+    h.jump(&VISIT_SYNCS);
+    for (i, sync) in syncs.iter().enumerate() {
+        let SyncObservation {
+            from_org,
+            to_org,
+            user_id,
+        } = sync;
+        h.jump(if i == 0 { &SYNC_FIRST } else { &SYNC_NEXT });
+        str_body(h, from_org);
+        h.jump(&SYNC_TO_ORG);
+        str_body(h, to_org);
+        h.jump(&SYNC_USER_ID);
+        str_body(h, user_id);
+        h.jump(&QUOTED_CLOSE);
+    }
+    h.jump(&VISIT_CLOSE);
+}
+
+/// Hash what `{:?}` prints for `s` between its quotes. The fast path hashes
+/// the raw bytes; it bails out on the first byte `<str as Debug>` might
+/// escape (the same test core's own fast path uses) and hashes core's
+/// `{:?}` output instead.
+fn str_body(h: &mut Fnv1a, s: &str) {
+    let mut fast = *h;
+    for &b in s.as_bytes() {
+        if !(0x20..=0x7e).contains(&b) || b == b'"' || b == b'\\' {
+            let quoted = format!("{s:?}");
+            let body = quoted
+                .strip_prefix('"')
+                .and_then(|q| q.strip_suffix('"'))
+                .unwrap_or(&quoted);
+            h.str(body);
+            return;
+        }
+        fast.byte(b);
+    }
+    *h = fast;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The reference: FNV-1a over the `Debug` text itself.
+    fn debug_hash(crawl: &BTreeMap<String, Vec<VisitRecord>>) -> u64 {
+        let mut h = Fnv1a::new();
+        h.str(&format!("{crawl:?}"));
+        h.finish()
+    }
+
+    fn walk_hash(crawl: &BTreeMap<String, Vec<VisitRecord>>) -> u64 {
+        let mut h = Fnv1a::new();
+        hash_crawl(&mut h, crawl);
+        h.finish()
+    }
+
+    /// Strings that exercise every escape class `Debug` knows: quotes,
+    /// backslashes, control characters, DEL, printable and non-printable
+    /// non-ASCII, grapheme extenders, plus the empty string.
+    const STRINGS: &[&str] = &[
+        "",
+        "example.com",
+        "slot-3",
+        "say \"hi\"",
+        "back\\slash",
+        "tab\there",
+        "line\nbreak\r",
+        "nul\u{0}byte",
+        "del\u{7f}",
+        "caf\u{e9}",
+        "\u{6f22}\u{5b57}",
+        "\u{301}leading combining mark",
+        "zero\u{200b}width",
+        "soft\u{ad}hyphen",
+        "it's",
+        "emoji \u{1f600}",
+    ];
+
+    /// `f64`s whose `Debug` switches notation or spells a special value.
+    const FLOATS: &[f64] = &[
+        0.0,
+        -0.0,
+        1.0,
+        0.30000000000000004,
+        2.47,
+        1e-5,
+        1e-4,
+        1e16,
+        1e15,
+        5e-324,
+        2.2250738585072014e-308 / 3.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+    ];
+
+    /// A tiny deterministic generator (SplitMix64) for record shapes.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn str(&mut self) -> &'static str {
+            STRINGS[self.below(STRINGS.len())]
+        }
+
+        fn visit(&mut self) -> VisitRecord {
+            let bids = (0..self.below(4))
+                .map(|_| Bid {
+                    bidder: self.str(),
+                    slot_id: self.str(),
+                    cpm: FLOATS[self.below(FLOATS.len())],
+                })
+                .collect();
+            let creatives = (0..self.below(3))
+                .map(|_| Creative {
+                    advertiser: self.str().to_string(),
+                    product: self.str().to_string(),
+                })
+                .collect();
+            let syncs = (0..self.below(3))
+                .map(|_| SyncObservation {
+                    from_org: self.str(),
+                    to_org: self.str(),
+                    user_id: self.str(),
+                })
+                .collect();
+            VisitRecord {
+                site: self.str().to_string(),
+                iteration: self.below(40) * self.below(1000),
+                bids,
+                creatives,
+                syncs,
+            }
+        }
+    }
+
+    #[test]
+    fn empty_map_and_empty_lists_match_debug() {
+        let mut crawl = BTreeMap::new();
+        assert_eq!(walk_hash(&crawl), debug_hash(&crawl));
+        crawl.insert("Vanilla".to_string(), Vec::new());
+        assert_eq!(walk_hash(&crawl), debug_hash(&crawl));
+        crawl.insert("Web \"Health\"".to_string(), vec![VisitRecord::default()]);
+        assert_eq!(walk_hash(&crawl), debug_hash(&crawl));
+    }
+
+    #[test]
+    fn every_float_and_string_matches_debug() {
+        let visits: Vec<VisitRecord> = FLOATS
+            .iter()
+            .zip(STRINGS.iter().cycle())
+            .map(|(&cpm, &s)| VisitRecord {
+                site: s.to_string(),
+                iteration: usize::MAX,
+                bids: vec![Bid {
+                    bidder: s,
+                    slot_id: s,
+                    cpm,
+                }],
+                ..VisitRecord::default()
+            })
+            .collect();
+        let crawl = BTreeMap::from([("p".to_string(), visits)]);
+        assert_eq!(walk_hash(&crawl), debug_hash(&crawl));
+    }
+
+    #[test]
+    fn generated_crawls_match_debug() {
+        for seed in 0..200 {
+            let mut g = Gen(seed);
+            let mut crawl = BTreeMap::new();
+            for _ in 0..g.below(4) {
+                let visits = (0..g.below(5)).map(|_| g.visit()).collect();
+                crawl.insert(g.str().to_string(), visits);
+            }
+            assert_eq!(walk_hash(&crawl), debug_hash(&crawl), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn the_walk_is_sensitive_to_every_field() {
+        let base = VisitRecord {
+            site: "a.com".into(),
+            iteration: 3,
+            bids: vec![Bid {
+                bidder: "b",
+                slot_id: "s",
+                cpm: 1.5,
+            }],
+            creatives: vec![Creative {
+                advertiser: "ad".into(),
+                product: "p".into(),
+            }],
+            syncs: vec![SyncObservation {
+                from_org: "f",
+                to_org: "t",
+                user_id: "u",
+            }],
+        };
+        let hash =
+            |v: &VisitRecord| walk_hash(&BTreeMap::from([("p".to_string(), vec![v.clone()])]));
+        let mut seen = vec![hash(&base)];
+        let mut mutants = Vec::new();
+        let mut m = base.clone();
+        m.site.push('x');
+        mutants.push(m);
+        let mut m = base.clone();
+        m.iteration += 1;
+        mutants.push(m);
+        let mut m = base.clone();
+        m.bids[0].bidder = "c";
+        mutants.push(m);
+        let mut m = base.clone();
+        m.bids[0].slot_id = "t";
+        mutants.push(m);
+        let mut m = base.clone();
+        m.bids[0].cpm = 1.25;
+        mutants.push(m);
+        let mut m = base.clone();
+        m.creatives[0].product.push('x');
+        mutants.push(m);
+        let mut m = base.clone();
+        m.syncs[0].user_id = "v";
+        mutants.push(m);
+        let mut m = base.clone();
+        m.bids.clear();
+        mutants.push(m);
+        for m in &mutants {
+            let h = hash(m);
+            assert!(!seen.contains(&h), "mutant {m:?} collides");
+            seen.push(h);
+        }
+    }
+}

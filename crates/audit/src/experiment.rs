@@ -693,13 +693,14 @@ fn crawl_window(
                 persona.name(),
                 site.domain.as_str()
             );
+            let timeout = plane.key(FaultChannel::CrawlTimeout).str(&key).byte(b'#');
             let attempt = retry(
                 rpolicy,
                 budget,
                 config.seed,
                 &key,
                 |n| {
-                    if plane.fires(FaultChannel::CrawlTimeout, &format!("{key}#{n}")) {
+                    if plane.fires_at(timeout.u64(n.into())) {
                         Err(())
                     } else {
                         Ok(crawler.visit_with_faults(site, profile, &user, iteration, config.seed))

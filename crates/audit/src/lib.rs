@@ -38,6 +38,7 @@
 
 pub mod analysis;
 pub mod artifacts;
+mod crawl_digest;
 pub mod experiment;
 pub mod index;
 pub mod observations;

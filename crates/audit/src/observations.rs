@@ -9,7 +9,7 @@
 
 use crate::persona::Persona;
 use alexa_adtech::{StreamingService, VisitRecord};
-use alexa_fault::CoverageReport;
+use alexa_fault::{CoverageReport, Fnv1a};
 use alexa_net::{Capture, OrgMap};
 use alexa_platform::{DsarExport, DsarPhase, SkillCategory};
 use alexa_policy::PolicyDoc;
@@ -112,37 +112,33 @@ impl Observations {
     /// engine's core invariant: for a fixed config, sequential and parallel
     /// execution are byte-identical.
     ///
+    /// The value is FNV-1a over the text
+    /// `"{seed}|{pre}|{post}|{router:?}|{avs:?}|{crawl:?}|{audio:?}|…"`.
     /// All fields except `orgs` are `Vec`s or `BTreeMap`s, whose `Debug`
     /// rendering is already canonical; `orgs` is backed by a `HashMap` and
-    /// is hashed through its sorted-entries view instead.
+    /// is hashed through its sorted-entries view instead. The text is
+    /// never materialized: every field but `crawl` streams its `Debug`
+    /// output into the hasher, and `crawl` — about nine tenths of the
+    /// bytes — is hashed by a typed walk over the visit records that emits
+    /// the same bytes without going through `core::fmt` for every field.
     pub fn digest(&self) -> u64 {
         use std::fmt::Write as _;
 
-        /// Streams formatted text straight into an FNV-1a accumulator, so
-        /// the canonical rendering is never materialized.
-        struct FnvWriter(u64);
-
-        impl std::fmt::Write for FnvWriter {
-            fn write_str(&mut self, s: &str) -> std::fmt::Result {
-                for b in s.bytes() {
-                    self.0 ^= b as u64;
-                    self.0 = self.0.wrapping_mul(0x100000001b3);
-                }
-                Ok(())
-            }
-        }
-
-        let mut w = FnvWriter(0xcbf29ce484222325);
-        // FnvWriter::write_str never fails; the Results are discardable.
+        let mut w = Fnv1a::new();
+        // Fnv1a's fmt::Write never fails; the Results are discardable.
         let _ = write!(
             w,
-            "{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            "{}|{}|{}|{:?}|{:?}|",
             self.seed,
             self.pre_iterations,
             self.post_iterations,
             self.router_captures,
             self.avs_captures,
-            self.crawl,
+        );
+        crate::crawl_digest::hash_crawl(&mut w, &self.crawl);
+        let _ = write!(
+            w,
+            "|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
             self.audio,
             self.dsar,
             self.policies,
@@ -157,7 +153,7 @@ impl Observations {
         if self.coverage.profile != "none" {
             let _ = write!(w, "|{:?}", self.coverage);
         }
-        w.0
+        w.finish()
     }
 }
 

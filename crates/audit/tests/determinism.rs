@@ -48,3 +48,39 @@ fn worker_count_is_invisible_in_the_output() {
         traffic::table1(&parallel_ix).render()
     );
 }
+
+/// The seed-7 paper-scale digests the benchmark's `campaign` workload
+/// checks (`benchmark/reference.json`, cells `s7-f*-d*`). The digest's
+/// value is part of every run bundle's identity, so its implementation may
+/// change only if these stay put.
+#[test]
+fn paper_scale_seed_7_digests_are_pinned() {
+    use alexa_audit::DefenseMode;
+    use alexa_fault::FaultProfile;
+    let cells = [
+        (
+            FaultProfile::none(),
+            DefenseMode::None,
+            0x94b0c84975bd88bd_u64,
+        ),
+        (
+            FaultProfile::none(),
+            DefenseMode::Firewall,
+            0xf8b05fcfe682792a,
+        ),
+        (FaultProfile::flaky(), DefenseMode::None, 0x31cbd33345face75),
+        (
+            FaultProfile::flaky(),
+            DefenseMode::Firewall,
+            0xf7cdfc0b7fcd7827,
+        ),
+    ];
+    for (fault, defense, want) in cells {
+        let label = format!("{} / {defense:?}", fault.name());
+        let config = AuditConfig::paper(7)
+            .with_faults(fault)
+            .with_defense(defense);
+        let got = AuditRun::execute(config).digest();
+        assert_eq!(got, want, "{label}: {got:016x} != {want:016x}");
+    }
+}

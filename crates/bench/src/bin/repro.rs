@@ -14,6 +14,7 @@
 //! repro --fault-profile flaky all  # run under a fault-plane preset
 //! repro --fault-rate 0.2 all       # uniform fault rate on every channel
 //! repro --bench             # time a paper-scale run, write BENCH_audit.json
+//! repro --bench --fault-profile flaky  # the same, under a fault profile
 //! repro --list              # list artifact names
 //! repro campaign plan.json  # execute a declarative experiment plan
 //! ```
@@ -83,23 +84,33 @@ fn write_or_exit(path: &str, what: &str, body: &str) {
 }
 
 /// `--bench`: time the paper-scale execute plus a full `repro all` rendering
-/// pass and append the data point — with the recorder's per-stage breakdown
-/// — to `BENCH_audit.json` at the repo root. Returns the observations so the
-/// observability surfaces (`--run-dir`, ...) can describe the benched run.
+/// pass under `fault` and append the data point — with the recorder's
+/// per-stage breakdown — to `BENCH_audit.json` at the repo root. The entry
+/// records its fault profile, which keys it in `obs-diff gate`. Returns the
+/// observations so the observability surfaces (`--run-dir`, ...) can
+/// describe the benched run.
 #[expect(
     clippy::disallowed_types,
     reason = "--bench times the run; the timings go to BENCH_audit.json, never into a report"
 )]
-fn run_bench(seed: u64, jobs: Option<usize>, rec: &Recorder) -> Observations {
+fn run_bench(seed: u64, jobs: Option<usize>, fault: &FaultProfile, rec: &Recorder) -> Observations {
     let workers = alexa_exec::effective_jobs(jobs);
-    eprintln!("benchmarking paper-scale audit (seed {seed}, {workers} worker(s)) ...");
+    eprintln!(
+        "benchmarking paper-scale audit (seed {seed}, {workers} worker(s), fault profile {}) ...",
+        fault.name()
+    );
 
+    // The same execution `repro all` makes: under faults the `defenses`
+    // firewall row comes from the shadow tap of this one run.
     let t0 = std::time::Instant::now();
-    let obs = AuditRun::execute_with(AuditConfig::paper(seed).with_jobs(jobs), rec);
+    let config = AuditConfig::paper(seed)
+        .with_faults(fault.clone())
+        .with_jobs(jobs);
+    let (obs, firewall) = AuditRun::execute_with_firewall_shadow(config, rec);
     let execute_ms = t0.elapsed().as_millis() as u64;
 
     let t1 = std::time::Instant::now();
-    let rendered = render_artifacts(&obs, ARTIFACTS, jobs, None, rec);
+    let rendered = render_artifacts(&obs, ARTIFACTS, jobs, firewall, rec);
     let render_ms = t1.elapsed().as_millis() as u64;
     let rendered_bytes: usize = rendered.iter().map(String::len).sum();
 
@@ -136,6 +147,7 @@ fn run_bench(seed: u64, jobs: Option<usize>, rec: &Recorder) -> Observations {
             "jobs".into(),
             jobs.map_or(Json::Null, |n| Json::Int(n as u64)),
         ),
+        ("fault_profile".into(), Json::Str(fault.name().to_string())),
         (
             "hardware_threads".into(),
             Json::Int(
@@ -460,7 +472,7 @@ fn main() {
     alexa_obs::install_global(rec.clone());
 
     if cli.bench {
-        let obs = run_bench(cli.seed, cli.jobs, &rec);
+        let obs = run_bench(cli.seed, cli.jobs, &cli.fault, &rec);
         emit_observability(&rec, &cli, &obs);
         std::process::exit(0); // without teardown, see the end of `main`
     }

@@ -23,24 +23,16 @@
 //!    leaks into observables.
 
 mod coverage;
+mod fnv;
 mod plane;
 mod profile;
 mod retry;
 
 pub use coverage::{Coverage, CoverageReport, FaultLedger};
-pub use plane::FaultPlane;
+pub use fnv::{Fnv1a, FnvJump};
+pub use plane::{FaultKey, FaultPlane};
 pub use profile::{FaultChannel, FaultProfile, ProfileParseError, CHANNEL_LABELS};
 pub use retry::{retry, RetryBudget, RetryOutcome, RetryPolicy};
-
-/// FNV-1a over a byte string, the repo's standard structural hash.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// SplitMix64 finalizer: decorrelates structurally-close keys (adjacent
 /// packet indices, consecutive attempts) so per-channel rates hold locally,

@@ -1,7 +1,8 @@
 //! The stateless fault oracle.
 
+use crate::fnv::Fnv1a;
 use crate::profile::{FaultChannel, FaultProfile};
-use crate::{fnv1a, unit};
+use crate::unit;
 
 /// A deterministic fault oracle: pure function of `(seed, profile, channel,
 /// structural key)`.
@@ -11,17 +12,73 @@ use crate::{fnv1a, unit};
 /// consulted in any order without affecting determinism. With the `none`
 /// profile every query answers "no fault" and the pipeline is bit-identical
 /// to one that never consulted the plane.
+///
+/// A decision hashes the byte stream `{seed}\u{1f}{channel label}\u{1f}{key}`
+/// with FNV-1a. The stream is never materialized: the per-channel prefix is
+/// hashed once when the plane is built, and callers append their key parts
+/// to a [`FaultKey`] (or pass a whole key to [`FaultPlane::fires`]).
 #[derive(Debug, Clone)]
 pub struct FaultPlane {
-    seed: u64,
     profile: FaultProfile,
+    /// `{seed}\u{1f}{label}\u{1f}` hashed, per channel in
+    /// [`FaultChannel::ALL`] order.
+    prefixes: [Fnv1a; 7],
+}
+
+/// A structural fault key under construction: a channel plus the hash of
+/// the decision stream so far.
+///
+/// Keys are built by appending parts, so a site that decides many items
+/// under one fixed prefix (a tap session's packets, a visit's bids) hashes
+/// the prefix once and copies the state per item:
+///
+/// ```
+/// use alexa_fault::{FaultChannel, FaultPlane, FaultProfile};
+///
+/// let plane = FaultPlane::new(7, FaultProfile::hostile());
+/// let session = plane.key(FaultChannel::PacketDrop).str("skill-12");
+/// let streamed = plane.fires_at(session.byte(b'/').u64(3));
+/// assert_eq!(streamed, plane.fires(FaultChannel::PacketDrop, "skill-12/3"));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct FaultKey {
+    channel: FaultChannel,
+    hash: Fnv1a,
+}
+
+impl FaultKey {
+    /// Append a string part.
+    #[must_use]
+    pub fn str(mut self, part: &str) -> FaultKey {
+        self.hash.str(part);
+        self
+    }
+
+    /// Append one byte (a separator such as `/` or `#`).
+    #[must_use]
+    pub fn byte(mut self, b: u8) -> FaultKey {
+        self.hash.byte(b);
+        self
+    }
+
+    /// Append an integer in decimal (the bytes `{n}` formats).
+    #[must_use]
+    pub fn u64(mut self, n: u64) -> FaultKey {
+        self.hash.u64(n);
+        self
+    }
 }
 
 impl FaultPlane {
     /// A plane for one run. The seed should be derived from the audit seed
     /// so fault placement varies with it.
     pub fn new(seed: u64, profile: FaultProfile) -> FaultPlane {
-        FaultPlane { seed, profile }
+        let prefixes = FaultChannel::ALL.map(|channel| {
+            let mut h = Fnv1a::new();
+            h.u64(seed).byte(0x1f).str(channel.label()).byte(0x1f);
+            h
+        });
+        FaultPlane { profile, prefixes }
     }
 
     /// A plane that never fires (the `none` profile).
@@ -39,10 +96,12 @@ impl FaultPlane {
         self.profile.is_active()
     }
 
-    /// A unit-interval sample for `(channel, key)`, stable across calls.
-    fn sample(&self, channel: FaultChannel, key: &str) -> f64 {
-        let h = fnv1a(format!("{}\u{1f}{}\u{1f}{}", self.seed, channel.label(), key).as_bytes());
-        unit(h)
+    /// An empty key on `channel`, ready for its structural parts.
+    pub fn key(&self, channel: FaultChannel) -> FaultKey {
+        FaultKey {
+            channel,
+            hash: self.prefixes[channel.index()],
+        }
     }
 
     /// Does the fault on `channel` fire for this structural `key`?
@@ -54,24 +113,37 @@ impl FaultPlane {
     /// `r`, which is what makes coverage decrease monotonically across
     /// profile tiers.
     pub fn fires(&self, channel: FaultChannel, key: &str) -> bool {
-        let rate = self.profile.rate(channel);
+        self.fires_at(self.key(channel).str(key))
+    }
+
+    /// [`FaultPlane::fires`] for a key built part by part.
+    pub fn fires_at(&self, key: FaultKey) -> bool {
+        let rate = self.profile.rate(key.channel);
         if rate <= 0.0 {
             return false;
         }
         if rate >= 1.0 {
             return true;
         }
-        self.sample(channel, key) < rate
+        unit(key.hash.finish()) < rate
     }
 
     /// Truncated length for a flow of `len` units when [`FaultChannel::FlowTruncation`]
     /// fires: a deterministic cut keeping 25–75% of the flow (at least one
     /// unit of a non-empty flow, so a truncated flow is still observed).
     pub fn truncated_len(&self, key: &str, len: usize) -> usize {
+        self.truncated_len_at(self.key(FaultChannel::FlowTruncation).str(key), len)
+    }
+
+    /// [`FaultPlane::truncated_len`] for the flow-truncation key that fired,
+    /// as passed to [`FaultPlane::fires_at`]. The cut is sampled from the
+    /// same key extended by `/cut`.
+    pub fn truncated_len_at(&self, key: FaultKey, len: usize) -> usize {
+        debug_assert_eq!(key.channel, FaultChannel::FlowTruncation);
         if len == 0 {
             return 0;
         }
-        let keep = 0.25 + 0.5 * self.sample(FaultChannel::FlowTruncation, &format!("{key}/cut"));
+        let keep = 0.25 + 0.5 * unit(key.str("/cut").hash.finish());
         ((len as f64 * keep) as usize).max(1)
     }
 }

@@ -1,6 +1,6 @@
 //! Seeded-backoff retry engine with per-shard budgets.
 
-use crate::unit;
+use crate::{unit, Fnv1a};
 
 /// Retry schedule for one class of operation.
 ///
@@ -53,9 +53,16 @@ impl RetryPolicy {
             (self.base_delay_ms.saturating_mul(1u64 << step)).min(self.max_delay_ms)
         };
         let j = self.jitter.clamp(0.0, 1.0);
-        let u = unit(crate::fnv1a(
-            format!("{seed}\u{1f}backoff\u{1f}{key}\u{1f}{attempt}").as_bytes(),
-        ));
+        // The jitter sample hashes `{seed}\u{1f}backoff\u{1f}{key}\u{1f}{attempt}`.
+        let mut h = Fnv1a::new();
+        h.u64(seed)
+            .byte(0x1f)
+            .str("backoff")
+            .byte(0x1f)
+            .str(key)
+            .byte(0x1f)
+            .u64(attempt.into());
+        let u = unit(h.finish());
         let jittered = exp as f64 * (1.0 + j * u);
         (jittered as u64).min(self.max_delay_ms)
     }

@@ -16,7 +16,7 @@
 
 use crate::domain::Domain;
 use crate::packet::{Direction, Packet, Payload};
-use alexa_fault::{FaultChannel, FaultPlane};
+use alexa_fault::{FaultChannel, FaultKey, FaultPlane};
 use std::net::Ipv4Addr;
 
 /// One flow observation from the router vantage point: everything `tcpdump`
@@ -99,36 +99,58 @@ impl TapStats {
 /// Per-session fault bookkeeping shared by both taps: a monotone packet
 /// sequence number makes the structural key `label/seq`, so fault placement
 /// depends only on what the packet *is* within its session, never on
-/// scheduling.
+/// scheduling. The session label is hashed into both channels' keys once,
+/// at [`TapFaults::start`]; each packet appends only `/seq`.
 #[derive(Debug)]
 struct TapFaults {
     plane: FaultPlane,
-    seq: usize,
+    seq: u64,
+    /// `(packet-drop, flow-truncation)` keys holding the session label,
+    /// set only while the plane is active.
+    session: Option<(FaultKey, FaultKey)>,
 }
 
 impl Default for TapFaults {
     fn default() -> TapFaults {
-        TapFaults {
-            plane: FaultPlane::disabled(),
-            seq: 0,
-        }
+        TapFaults::new(FaultPlane::disabled())
     }
 }
 
 impl TapFaults {
-    /// Decide the fate of the next packet in the session labelled `label`.
-    /// Advances the sequence number for every offered packet, so drops keep
-    /// downstream keys stable.
-    fn admit(&mut self, label: &str) -> PacketFate {
-        if !self.plane.is_active() {
-            return PacketFate::Keep;
+    fn new(plane: FaultPlane) -> TapFaults {
+        TapFaults {
+            plane,
+            seq: 0,
+            session: None,
         }
-        let key = format!("{label}/{seq}", seq = self.seq);
+    }
+
+    /// Open the fault keys of the session labelled `label`.
+    fn start(&mut self, label: &str) {
+        self.seq = 0;
+        if self.plane.is_active() {
+            self.session = Some((
+                self.plane.key(FaultChannel::PacketDrop).str(label),
+                self.plane.key(FaultChannel::FlowTruncation).str(label),
+            ));
+        }
+    }
+
+    /// Decide the fate of the next packet in the session. Advances the
+    /// sequence number for every offered packet, so drops keep downstream
+    /// keys stable.
+    fn admit(&mut self) -> PacketFate {
+        let Some((drop, cut)) = self.session else {
+            return PacketFate::Keep;
+        };
+        let seq = self.seq;
         self.seq += 1;
-        if self.plane.fires(FaultChannel::PacketDrop, &key) {
-            PacketFate::Drop
-        } else if self.plane.fires(FaultChannel::FlowTruncation, &key) {
-            PacketFate::Truncate(key)
+        if self.plane.fires_at(drop.byte(b'/').u64(seq)) {
+            return PacketFate::Drop;
+        }
+        let cut = cut.byte(b'/').u64(seq);
+        if self.plane.fires_at(cut) {
+            PacketFate::Truncate(cut)
         } else {
             PacketFate::Keep
         }
@@ -138,7 +160,9 @@ impl TapFaults {
 enum PacketFate {
     Keep,
     Drop,
-    Truncate(String),
+    /// Truncated: the flow-truncation key that fired, which also samples
+    /// the cut.
+    Truncate(FaultKey),
 }
 
 /// The RPi router tap: records every packet, encrypted view only.
@@ -160,7 +184,7 @@ impl RouterTap {
     /// truncation. With an inactive plane this is exactly [`RouterTap::new`].
     pub fn with_faults(plane: FaultPlane) -> RouterTap {
         RouterTap {
-            faults: TapFaults { plane, seq: 0 },
+            faults: TapFaults::new(plane),
             ..RouterTap::default()
         }
     }
@@ -171,8 +195,9 @@ impl RouterTap {
     pub fn start(&mut self, label: impl Into<String>) {
         self.stop();
         self.stats.sessions += 1;
-        self.faults.seq = 0;
-        self.session = Some(Capture::new(label));
+        let capture = Capture::new(label);
+        self.faults.start(&capture.label);
+        self.session = Some(capture);
     }
 
     /// Observe one packet. No-op unless a session is active. The payload is
@@ -204,7 +229,7 @@ impl RouterTap {
         };
         p.payload = p.payload.encrypt();
         if self.faults.plane.is_active() {
-            match self.faults.admit(&session.label) {
+            match self.faults.admit() {
                 PacketFate::Drop => {
                     self.stats.dropped += 1;
                     return;
@@ -212,7 +237,7 @@ impl RouterTap {
                 PacketFate::Truncate(key) => {
                     if let Payload::Encrypted { len } = p.payload {
                         p.payload = Payload::Encrypted {
-                            len: self.faults.plane.truncated_len(&key, len),
+                            len: self.faults.plane.truncated_len_at(key, len),
                         };
                     }
                     self.stats.truncated += 1;
@@ -287,7 +312,7 @@ impl AvsTap {
     /// truncation. With an inactive plane this is exactly [`AvsTap::new`].
     pub fn with_faults(plane: FaultPlane) -> AvsTap {
         AvsTap {
-            faults: TapFaults { plane, seq: 0 },
+            faults: TapFaults::new(plane),
             ..AvsTap::default()
         }
     }
@@ -296,8 +321,9 @@ impl AvsTap {
     pub fn start(&mut self, label: impl Into<String>) {
         self.stop();
         self.stats.sessions += 1;
-        self.faults.seq = 0;
-        self.session = Some(Capture::new(label));
+        let capture = Capture::new(label);
+        self.faults.start(&capture.label);
+        self.session = Some(capture);
     }
 
     /// Observe one packet with full plaintext visibility.
@@ -337,7 +363,7 @@ impl AvsTap {
             return;
         };
         if self.faults.plane.is_active() {
-            match self.faults.admit(&session.label) {
+            match self.faults.admit() {
                 PacketFate::Drop => {
                     self.stats.dropped += 1;
                     return;
@@ -345,11 +371,11 @@ impl AvsTap {
                 PacketFate::Truncate(key) => {
                     match &mut p.payload {
                         Payload::Plain(records) => {
-                            let keep = self.faults.plane.truncated_len(&key, records.len());
+                            let keep = self.faults.plane.truncated_len_at(key, records.len());
                             records.truncate(keep);
                         }
                         Payload::Encrypted { len } => {
-                            *len = self.faults.plane.truncated_len(&key, *len);
+                            *len = self.faults.plane.truncated_len_at(key, *len);
                         }
                     }
                     self.stats.truncated += 1;

@@ -7,6 +7,7 @@
 //! resolved exactly like the paper does.
 
 use crate::domain::Domain;
+use alexa_fault::Fnv1a;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -37,12 +38,7 @@ impl DnsTable {
         if let Some(&ip) = self.forward.get(domain) {
             return ip;
         }
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in domain.as_str().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        let mut candidate = h;
+        let mut candidate = Fnv1a::hash_parts(&[domain.as_str()]);
         let ip = loop {
             let ip = Ipv4Addr::new(
                 10,

@@ -222,7 +222,7 @@ impl Recorder {
         }
         let _quiet = alloc::pause();
         let mut g = self.locked();
-        g.aggregates.entry(name.to_string()).or_default().count += n;
+        update_aggregate(&mut g.aggregates, name, |a| a.count += n);
     }
 
     /// Time `f` into a name-keyed aggregate (one call, its duration added).
@@ -240,9 +240,10 @@ impl Recorder {
         let elapsed_us = start.elapsed().as_micros() as u64;
         let _quiet = alloc::pause();
         let mut g = self.locked();
-        let a = g.aggregates.entry(name.to_string()).or_default();
-        a.calls += 1;
-        a.total_us += elapsed_us;
+        update_aggregate(&mut g.aggregates, name, |a| {
+            a.calls += 1;
+            a.total_us += elapsed_us;
+        });
         out
     }
 
@@ -320,6 +321,19 @@ pub fn agg_time<R>(name: &str, f: impl FnOnce() -> R) -> R {
     match global() {
         Some(rec) => rec.time(name, f),
         None => f(),
+    }
+}
+
+/// Apply `f` to the aggregate called `name`, allocating its key only on
+/// the first call: the hot instrumentation points hit existing names.
+fn update_aggregate(
+    aggregates: &mut BTreeMap<String, Aggregate>,
+    name: &str,
+    f: impl FnOnce(&mut Aggregate),
+) {
+    match aggregates.get_mut(name) {
+        Some(a) => f(a),
+        None => f(aggregates.entry(name.to_string()).or_default()),
     }
 }
 

@@ -9,11 +9,14 @@
 //! allocates more.
 //!
 //! Wall time depends on the machine, so time is compared only against an
-//! entry with the same `(seed, jobs, hardware_threads)`. When there is none,
-//! the entry lands in [`GateReport::incomparable`] instead of being compared
-//! with another machine's figure. Allocation bytes, rendered bytes and the
-//! stage set do not depend on the machine, so they are compared against the
-//! latest entry with the same `(seed, jobs)`.
+//! entry with the same `(seed, jobs, fault_profile, hardware_threads)`. When
+//! there is none, the entry lands in [`GateReport::incomparable`] instead of
+//! being compared with another machine's figure. Allocation bytes, rendered
+//! bytes and the stage set do not depend on the machine, so they are
+//! compared against the latest entry with the same `(seed, jobs,
+//! fault_profile)`. An entry without `fault_profile` predates the field and
+//! was fault-free, so it counts as `"none"`: a faulted run is never
+//! compared with a fault-free baseline.
 
 use alexa_obs::{Json, JsonParseError};
 use std::fmt;
@@ -111,8 +114,8 @@ pub struct GateReport {
     /// changed, which a perf PR must never do.
     pub byte_mismatches: Vec<String>,
     /// Labels of fresh entries with no comparable baseline: a committed
-    /// entry shares their `(seed, jobs)` but none their hardware threads,
-    /// so their wall time is recorded, not gated.
+    /// entry shares their `(seed, jobs, fault_profile)` but none their
+    /// hardware threads, so their wall time is recorded, not gated.
     pub incomparable: Vec<String>,
     /// The wall-clock threshold the gate ran with.
     pub threshold: f64,
@@ -214,22 +217,52 @@ fn load_entries(path: &Path) -> Result<Vec<Json>, GateError> {
     Ok(entries)
 }
 
-/// The `(seed, jobs, hardware_threads)` identity of a bench entry; absent
-/// or null fields compare as `None`, mirroring the Python `entry.get(...)`
-/// semantics.
-type BenchKey = (Option<u64>, Option<u64>, Option<u64>);
+/// The identity of a bench entry: `(seed, jobs, hardware_threads)`, where
+/// absent or null fields compare as `None` (mirroring the Python
+/// `entry.get(...)` semantics), and the fault profile, absent meaning
+/// `"none"`.
+#[derive(Debug, Clone, PartialEq)]
+struct BenchKey {
+    seed: Option<u64>,
+    jobs: Option<u64>,
+    hardware_threads: Option<u64>,
+    fault: String,
+}
+
+impl BenchKey {
+    /// Same run identity, on any machine.
+    fn same_run(&self, other: &BenchKey) -> bool {
+        (self.seed, self.jobs, &self.fault) == (other.seed, other.jobs, &other.fault)
+    }
+}
 
 fn key(entry: &Json) -> BenchKey {
     let field = |name| entry.get(name).and_then(Json::as_u64);
-    (field("seed"), field("jobs"), field("hardware_threads"))
+    BenchKey {
+        seed: field("seed"),
+        jobs: field("jobs"),
+        hardware_threads: field("hardware_threads"),
+        fault: entry
+            .get("fault_profile")
+            .and_then(Json::as_str)
+            .unwrap_or("none")
+            .to_string(),
+    }
 }
 
-/// `seed=.. jobs=..`, plus `hardware_threads=..` when the entry records it.
-fn label(k: BenchKey) -> String {
+/// `seed=.. jobs=..`, plus `fault=..` for a faulted entry and
+/// `hardware_threads=..` when the entry records it.
+fn label(k: &BenchKey) -> String {
     let fmt = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |n| n.to_string());
-    let hw =
-        k.2.map_or_else(String::new, |n| format!(" hardware_threads={n}"));
-    format!("seed={} jobs={}{hw}", fmt(k.0), fmt(k.1))
+    let fault = if k.fault == "none" {
+        String::new()
+    } else {
+        format!(" fault={}", k.fault)
+    };
+    let hw = k
+        .hardware_threads
+        .map_or_else(String::new, |n| format!(" hardware_threads={n}"));
+    format!("seed={} jobs={}{fault}{hw}", fmt(k.seed), fmt(k.jobs))
 }
 
 /// The entry's `total_ms`, or the typed error naming the offending side.
@@ -268,7 +301,8 @@ pub fn run_gate(
     }
     let fresh = &cand_entries[base_entries.len()..];
     // The latest committed entry whose key satisfies `same` wins.
-    let latest = |same: &dyn Fn(BenchKey) -> bool| base_entries.iter().rev().find(|e| same(key(e)));
+    let latest =
+        |same: &dyn Fn(&BenchKey) -> bool| base_entries.iter().rev().find(|e| same(&key(e)));
 
     let mut report = GateReport {
         threshold,
@@ -277,8 +311,8 @@ pub fn run_gate(
     };
     for entry in fresh {
         let k = key(entry);
-        let lbl = label(k);
-        let Some(base) = latest(&|ck| (ck.0, ck.1) == (k.0, k.1)) else {
+        let lbl = label(&k);
+        let Some(base) = latest(&|ck| ck.same_run(&k)) else {
             let ms = total_ms(entry, candidate, "fresh")?;
             report.log.push(format!(
                 "{lbl}: no committed baseline, recording {ms} ms (not gated)"
@@ -301,7 +335,7 @@ pub fn run_gate(
         let entry_stages = stages(entry);
         let base_stages = stages(base);
         let entry_total = total_ms(entry, candidate, "fresh")?;
-        let timed = latest(&|ck| ck == k);
+        let timed = latest(&|ck| *ck == k);
         let mut regressed = false;
         if let Some(timed) = timed {
             let base_total = total_ms(timed, baseline, "baseline")?;

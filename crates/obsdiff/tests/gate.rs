@@ -448,3 +448,83 @@ fn alloc_regression_from_other_hardware_threads_still_fails() {
     );
     assert_eq!(report.incomparable.len(), 1);
 }
+
+/// A bench entry under a fault profile; `None` writes no `fault_profile`
+/// field, as entries from before the field did.
+fn entry_under(fault: Option<&str>, total_ms: u64, persona_alloc: u64) -> String {
+    let fault = fault.map_or_else(String::new, |f| format!("\"fault_profile\": \"{f}\", "));
+    format!(
+        "{{\"seed\": 7, \"jobs\": 1, {fault}\"hardware_threads\": 2, \
+         \"total_ms\": {total_ms}, \"stages\": {{\"persona.shards\": {total_ms}}}, \
+         \"stage_alloc\": {{\"persona.shards\": {persona_alloc}}}}}\n"
+    )
+}
+
+#[test]
+fn faulted_entry_is_never_compared_with_a_fault_free_baseline() {
+    // Only fault-free baselines, one without the field (absent = "none")
+    // and one explicit: a flaky entry twice as slow with half again the
+    // allocation has no baseline, so nothing about it is judged.
+    let base = format!(
+        "{}{}",
+        entry_under(None, 100, 1_000_000),
+        entry_under(Some("none"), 100, 1_000_000)
+    );
+    let cand = format!("{base}{}", entry_under(Some("flaky"), 200, 1_500_000));
+    let baseline = bench_file("fault-none-base", &base);
+    let candidate = bench_file("fault-none-cand", &cand);
+    let report = run_gate(&baseline, &candidate, 0.25, 0.10).expect("gate runs");
+    assert!(report.passed(), "{:?}", report.failures);
+    assert!(report
+        .render_human()
+        .contains("seed=7 jobs=1 fault=flaky hardware_threads=2: no committed baseline"));
+}
+
+#[test]
+fn faulted_entries_gate_against_their_own_profile() {
+    // The latest committed entry is fault-free and fast; the flaky entry is
+    // timed and alloc-gated against the older flaky one.
+    let base = format!(
+        "{}{}",
+        entry_under(Some("flaky"), 200, 1_000_000),
+        entry_under(Some("none"), 100, 500_000)
+    );
+    let baseline = bench_file("fault-own-base", &base);
+    let ok = format!("{base}{}", entry_under(Some("flaky"), 210, 1_000_000));
+    let report =
+        run_gate(&baseline, &bench_file("fault-own-ok", &ok), 0.25, 0.10).expect("gate runs");
+    assert!(report.passed(), "{:?}", report.failures);
+    assert!(report.render_human().contains("200 ms -> 210 ms"));
+
+    let slow = format!("{base}{}", entry_under(Some("flaky"), 300, 1_200_000));
+    let report =
+        run_gate(&baseline, &bench_file("fault-own-slow", &slow), 0.25, 0.10).expect("gate runs");
+    assert!(!report.passed());
+    assert!(report
+        .failures
+        .iter()
+        .any(|f| f.contains("fault=flaky") && f.contains("persona.shards alloc +20.0%")));
+}
+
+#[test]
+fn absent_fault_profile_gates_as_none() {
+    // A fresh fault-free entry recording the field matches an old entry
+    // without it, and is not compared with the flaky entry committed later.
+    let base = format!(
+        "{}{}",
+        entry_under(None, 100, 500),
+        entry_under(Some("flaky"), 400, 500)
+    );
+    let cand = format!("{base}{}", entry_under(Some("none"), 150, 500));
+    let baseline = bench_file("fault-absent-base", &base);
+    let candidate = bench_file("fault-absent-cand", &cand);
+    let report = run_gate(&baseline, &candidate, 0.25, 0.10).expect("gate runs");
+    assert_eq!(
+        report.failures,
+        vec![
+            "seed=7 jobs=1 hardware_threads=2 (stage persona.shards +50.0%)".to_string(),
+            "seed=7 jobs=1 hardware_threads=2".to_string()
+        ]
+    );
+    assert!(report.render_human().contains("100 ms -> 150 ms"));
+}

@@ -24,6 +24,7 @@
 
 use crate::profiler::Profiler;
 use crate::skill::Skill;
+use alexa_fault::Fnv1a;
 use alexa_net::{DataType, DnsTable, Domain, Packet, Payload, Record};
 
 /// Amazon's organization name (shared with `alexa-net`'s [`alexa_net::OrgMap`]).
@@ -76,32 +77,9 @@ pub enum InteractionKind {
     Uninstall,
 }
 
-/// FNV-1a hash used for all deterministic per-skill decisions.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// FNV-1a over the concatenation of `parts` — byte-equivalent to hashing
-/// the `format!`-joined string, but allocation-free on the session path.
-fn fnv_parts(parts: &[&str]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for part in parts {
-        for b in part.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
-
 /// A deterministic pseudo-Bernoulli draw from a skill id and a salt.
 fn skill_chance(skill_id: &str, salt: &str, p: f64) -> bool {
-    let h = fnv_parts(&[skill_id, ":", salt]);
+    let h = Fnv1a::hash_parts(&[skill_id, ":", salt]);
     (h % 10_000) as f64 / 10_000.0 < p
 }
 
@@ -237,8 +215,9 @@ impl AlexaCloud {
                     self.profiler.record_interaction(account, skill, text);
                 }
                 // Voice upstream: recording + identifiers to an AVS endpoint.
-                let avs_host = AMAZON_SUBDOMAINS
-                    [(fnv_parts(&[sid, ":", text]) % AMAZON_SUBDOMAINS.len() as u64) as usize];
+                let avs_host = AMAZON_SUBDOMAINS[(Fnv1a::hash_parts(&[sid, ":", text])
+                    % AMAZON_SUBDOMAINS.len() as u64)
+                    as usize];
                 let mut records = vec![Record::new(DataType::VoiceRecording, text.clone())];
                 if to_skill && skill.collects_type(DataType::CustomerId) {
                     records.push(Record::new(DataType::CustomerId, customer_id));
@@ -276,8 +255,8 @@ impl AlexaCloud {
                     self.push_out(&mut packets, "api.amazonalexa.com", vec![rec]);
                 }
                 if skill_chance(sid, "cloudfront", 144.0 / 446.0) {
-                    let host =
-                        CLOUDFRONT_HOSTS[(fnv(sid) % CLOUDFRONT_HOSTS.len() as u64) as usize];
+                    let host = CLOUDFRONT_HOSTS
+                        [(Fnv1a::hash_parts(&[sid]) % CLOUDFRONT_HOSTS.len() as u64) as usize];
                     self.push_in(&mut packets, host, 16_384);
                 }
                 if skill_chance(sid, "metrics", 123.0 / 446.0) {
@@ -288,7 +267,8 @@ impl AlexaCloud {
                     );
                 }
                 if skill_chance(sid, "aws", 52.0 / 446.0) {
-                    let host = AWS_HOSTS[(fnv(sid) % AWS_HOSTS.len() as u64) as usize];
+                    let host =
+                        AWS_HOSTS[(Fnv1a::hash_parts(&[sid]) % AWS_HOSTS.len() as u64) as usize];
                     self.push_in(&mut packets, host, 4_096);
                 }
                 if skill_chance(sid, "arteries", 7.0 / 446.0) {

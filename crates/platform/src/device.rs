@@ -16,7 +16,7 @@
 use crate::cloud::{AlexaCloud, InteractionKind};
 use crate::skill::{Skill, SkillId};
 use crate::voice::{RoutedIntent, VoicePipeline};
-use alexa_fault::{FaultChannel, FaultPlane};
+use alexa_fault::{FaultChannel, FaultPlane, Fnv1a};
 use alexa_net::Packet;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -78,21 +78,17 @@ struct DeviceCore {
     pipeline: VoicePipeline,
     avs: bool,
     fault: FaultPlane,
-    /// Per-(skill, operation) call counts: each call gets a fresh fault
+    /// Per-(operation, skill) call counts: each call gets a fresh fault
     /// decision, so a retried operation can succeed. Only populated when
     /// the plane is active.
-    fault_attempts: BTreeMap<(String, &'static str), u32>,
+    fault_attempts: BTreeMap<&'static str, BTreeMap<String, u32>>,
 }
 
 impl DeviceCore {
     fn new(account: &str, seed: u64, avs: bool) -> DeviceCore {
         // Customer IDs look like Amazon's directed IDs; derived from the
         // account so captures can be correlated per persona.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in account.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        let h = Fnv1a::hash_parts(&[account]);
         DeviceCore {
             account: account.to_string(),
             customer_id: format!("amzn1.account.{h:016X}"),
@@ -111,16 +107,21 @@ impl DeviceCore {
         if !self.fault.is_active() {
             return false;
         }
-        let n = {
-            let n = self
-                .fault_attempts
-                .entry((skill.0.clone(), op))
-                .or_insert(0);
-            *n += 1;
-            *n
+        let calls = self.fault_attempts.entry(op).or_default();
+        let n = match calls.get_mut(skill.0.as_str()) {
+            Some(n) => {
+                *n += 1;
+                *n
+            }
+            None => {
+                calls.insert(skill.0.clone(), 1);
+                1
+            }
         };
-        let key = format!("{}/{}/{op}#{n}", self.account, skill.0);
-        self.fault.fires(channel, &key)
+        // `{account}/{skill}/{op}#{n}`
+        let key = self.fault.key(channel).str(&self.account).byte(b'/');
+        let key = key.str(&skill.0).byte(b'/').str(op).byte(b'#');
+        self.fault.fires_at(key.u64(n.into()))
     }
 
     fn install(

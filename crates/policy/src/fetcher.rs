@@ -73,16 +73,15 @@ impl PolicyFetcher {
         }
         let mut budget = RetryBudget::new(self.policy.max_attempts.max(1) - 1);
         let key = format!("policy/{}", skill.id.0);
+        let download = self.plane.key(FaultChannel::PolicyDownload);
+        let download = download.str(&key).byte(b'#');
         let mut out = retry(
             &self.policy,
             &mut budget,
             self.seed,
             &key,
             |attempt| {
-                if self
-                    .plane
-                    .fires(FaultChannel::PolicyDownload, &format!("{key}#{attempt}"))
-                {
+                if self.plane.fires_at(download.u64(attempt.into())) {
                     Err(FetchError::Timeout { attempts: attempt })
                 } else {
                     Ok(self.generator.render(skill))

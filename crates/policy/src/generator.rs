@@ -10,6 +10,7 @@
 
 use crate::document::PolicyDoc;
 use crate::ontology::{DataOntology, EntityOntology};
+use alexa_fault::Fnv1a;
 use alexa_net::DataType;
 use alexa_platform::{DisclosureLevel, Skill};
 
@@ -20,13 +21,11 @@ pub struct PolicyGenerator {
     data: DataOntology,
 }
 
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+/// The per-(skill, practice) draw. The key text is formatted, not
+/// streamed, because `validate` regenerates policies inside a metered
+/// render window and its allocation ledger is part of the golden bundles.
+fn fnv(key: &str) -> u64 {
+    Fnv1a::hash_parts(&[key])
 }
 
 impl PolicyGenerator {
