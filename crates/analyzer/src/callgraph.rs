@@ -483,9 +483,9 @@ mod tests {
             // A workspace `iter` that reads the clock: linking `.iter()` to
             // it would taint every slice iteration in the workspace.
             file(
-                "crates/bencher/src/lib.rs",
-                "bencher",
-                "impl Bencher { pub fn iter(&self) { let _ = Instant::now(); } }\n",
+                "crates/timer/src/lib.rs",
+                "timer",
+                "impl Timer { pub fn iter(&self) { let _ = Instant::now(); } }\n",
             ),
         ];
         let mut out = Vec::new();

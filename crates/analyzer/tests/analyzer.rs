@@ -117,8 +117,8 @@ fn workspace_is_clean() {
         report.files_scanned
     );
 
-    // The lints handed to clippy: the command CI's `Clippy` step runs. A
-    // missing clippy fails the gate; it never skips it.
+    // The lints handed to clippy. CI runs clippy only here, through its
+    // `cargo test` step. A missing clippy fails the gate; it never skips it.
     let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
     let out = Command::new(cargo)
         .current_dir(&root)

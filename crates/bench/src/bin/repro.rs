@@ -42,6 +42,8 @@
 //!
 //! Any unknown artifact name or flag is a hard error (exit 2) — including
 //! alongside `all` — so a typo in a CI invocation can never pass green.
+//! So is `--bench` next to artifact names or `all`: it always runs every
+//! artifact, so the names would be silently ignored.
 //!
 //! # Exit codes
 //!
@@ -49,8 +51,9 @@
 //!   degradation is recorded per cell in `campaign.json`).
 //! * `1` — I/O failure, or a campaign determinism violation (instances of
 //!   one cell identity differ byte-wise).
-//! * `2` — usage error (unknown flag/artifact, bad value, invalid plan,
-//!   `--run-dir` pointing at a foreign directory).
+//! * `2` — usage error (unknown flag/artifact, bad value, `--bench` with
+//!   artifact names, invalid plan, `--run-dir` pointing at a foreign
+//!   directory).
 //! * `3` — **degraded but valid**: injected faults cost observations after
 //!   retry, or a shard's retry budget exhausted. The report (with its
 //!   coverage block) is still fully rendered and deterministic.
@@ -434,6 +437,10 @@ fn parse_cli() -> Cli {
                 cli.artifacts.push(artifact.to_string());
             }
         }
+    }
+    if cli.bench && (cli.all || !cli.artifacts.is_empty()) {
+        eprintln!("error: --bench runs every artifact and takes no artifact names");
+        usage(2);
     }
     cli
 }

@@ -1,17 +1,13 @@
-//! Benchmark and reproduction harness.
+//! Reproduction harness: the **`repro` binary** (`src/bin/repro.rs`).
 //!
-//! Two deliverables live here:
-//!
-//! * the **`repro` binary** (`src/bin/repro.rs`) — regenerates every table
-//!   and figure of the paper's evaluation from a fresh paper-scale audit
-//!   run (`repro all`, or `repro table5`, `repro figure3`, …); the
-//!   `defenses` artifact reads defended runs through the defense lens
-//!   (DESIGN.md §13), and under a fault profile takes its firewall row from
-//!   a shadow tap inside the one baseline run;
-//! * the **criterion benches** (`benches/`) — performance characterization
-//!   of the framework's hot paths (auction, capture pipeline, statistics,
-//!   PoliCheck matching, catalog generation, end-to-end run) plus the
-//!   ablation studies called out in DESIGN.md §6.
+//! `repro` regenerates every table and figure of the paper's evaluation
+//! from a fresh paper-scale audit run (`repro all`, or `repro table5`,
+//! `repro figure3`, …); the `defenses` artifact reads defended runs through
+//! the defense lens (DESIGN.md §13), and under a fault profile takes its
+//! firewall row from a shadow tap inside the one baseline run. Its timings
+//! are the run ledger's stages and shards: `repro --bench` appends them to
+//! `BENCH_audit.json`, and `obs-diff gate` holds them. The [`campaign`]
+//! module executes a declarative experiment plan (`repro campaign`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +18,6 @@ use alexa_audit::analysis::defense;
 use alexa_audit::{artifacts, AnalysisIndex, AuditConfig, AuditRun, DefenseMode, Observations};
 use alexa_fault::FaultProfile;
 use alexa_obs::Recorder;
-use std::sync::OnceLock;
 
 // The artifact vocabulary lives beside its dispatch table in the audit
 // crate; harnesses name it `alexa_bench::ARTIFACTS`.
@@ -155,24 +150,4 @@ fn render_with(
             rendered
         })
     })
-}
-
-/// A shared paper-scale run for benches that only *read* observations
-/// (computed once per process).
-pub fn shared_paper_run() -> &'static Observations {
-    static OBS: OnceLock<Observations> = OnceLock::new();
-    OBS.get_or_init(|| AuditRun::execute(AuditConfig::paper(7)))
-}
-
-/// The shared paper-scale run's [`AnalysisIndex`] (built once per process),
-/// for benches exercising the index-backed analysis paths.
-pub fn shared_paper_ix() -> &'static AnalysisIndex<'static> {
-    static IX: OnceLock<AnalysisIndex<'static>> = OnceLock::new();
-    IX.get_or_init(|| AnalysisIndex::build(shared_paper_run()))
-}
-
-/// A shared reduced run for cheaper benches.
-pub fn shared_small_run() -> &'static Observations {
-    static OBS: OnceLock<Observations> = OnceLock::new();
-    OBS.get_or_init(|| AuditRun::execute(AuditConfig::small(7)))
 }

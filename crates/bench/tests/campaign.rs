@@ -1,6 +1,7 @@
 //! End-to-end tests of `repro campaign`: plan parsing at the CLI boundary,
-//! resume semantics, crash recovery, the `--run-dir` overwrite guard, and
-//! golden-pinned analysis tables for the committed CI smoke plan.
+//! resume semantics, crash recovery, the `--run-dir` overwrite guard, the
+//! `--bench` argument check, and golden-pinned analysis tables for the
+//! committed CI smoke plan.
 //!
 //! Every campaign here runs as a **subprocess** of the real `repro` binary
 //! (`CARGO_BIN_EXE_repro`): cells install a fresh global recorder, so two
@@ -255,6 +256,25 @@ fn changed_plan_in_existing_campaign_dir_exits_2() {
         "{}",
         stderr(&out)
     );
+}
+
+/// `--bench` always benches every artifact, so artifact names beside it are
+/// a usage error, rejected before a `BENCH_audit.json` entry is appended.
+#[test]
+fn bench_with_artifact_names_exits_2_and_appends_nothing() {
+    let log = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json");
+    let len = || std::fs::metadata(log).map(|m| m.len()).ok();
+    let before = len();
+    for names in [&["table1"][..], &["all"], &["table1", "figure3"]] {
+        let out = repro()
+            .args(["--seed", "7", "--bench"])
+            .args(names)
+            .output()
+            .expect("run repro");
+        assert_eq!(out.status.code(), Some(2), "{names:?}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{names:?}: {}", stdout(&out));
+    }
+    assert_eq!(len(), before, "BENCH_audit.json changed");
 }
 
 #[test]

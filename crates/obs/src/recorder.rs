@@ -374,7 +374,14 @@ mod tests {
             }
         }
         let (a, b) = (order_a.report(), order_b.report());
-        assert_eq!(a.structure(), b.structure());
+        assert_eq!(
+            a.ledger_trace_json().render(),
+            b.ledger_trace_json().render()
+        );
+        assert_eq!(
+            a.ledger_metrics_json().render(),
+            b.ledger_metrics_json().render()
+        );
         assert_eq!(a.shards.len(), 3);
         assert_eq!(a.shards[0].label, "p0");
         assert_eq!(a.shards[2].counters["flows"], 30);

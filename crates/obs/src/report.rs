@@ -113,59 +113,6 @@ impl Report {
         self.stages.iter().find(|s| s.name == name)
     }
 
-    /// Everything except wall-clock numbers: stage names/depths/work, shard
-    /// keys, labels, work totals, span shapes (with work durations), counter
-    /// values, and aggregate counts/calls.
-    ///
-    /// Two runs of the same pipeline — at any worker counts — must produce
-    /// equal structures; the tests enforce this. Work units are part of the
-    /// structure because the virtual clock is deterministic by construction.
-    #[expect(
-        clippy::type_complexity,
-        reason = "a plain tuple keeps the structure comparable with `==`"
-    )]
-    pub fn structure(
-        &self,
-    ) -> (
-        Vec<(String, usize, u64)>,
-        Vec<(
-            String,
-            usize,
-            String,
-            u64,
-            Vec<(String, usize, u64)>,
-            BTreeMap<String, u64>,
-        )>,
-        Vec<(String, u64, u64)>,
-    ) {
-        (
-            self.stages
-                .iter()
-                .map(|s| (s.name.clone(), s.depth, s.work))
-                .collect(),
-            self.shards
-                .iter()
-                .map(|s| {
-                    (
-                        s.group.clone(),
-                        s.index,
-                        s.label.clone(),
-                        s.work,
-                        s.spans
-                            .iter()
-                            .map(|p| (p.name.clone(), p.depth, p.dur_wu))
-                            .collect(),
-                        s.counters.clone(),
-                    )
-                })
-                .collect(),
-            self.aggregates
-                .iter()
-                .map(|(k, a)| (k.clone(), a.count, a.calls))
-                .collect(),
-        )
-    }
-
     /// Human-readable span tree (the `repro --trace` output).
     ///
     /// Structure and work units are deterministic; the millisecond figures

@@ -165,11 +165,6 @@ impl PoliCheck {
         &self.entities
     }
 
-    /// Mutable access to the entity ontology (to register ecosystem orgs).
-    pub fn entities_mut(&mut self) -> &mut EntityOntology {
-        &mut self.entities
-    }
-
     /// Classify the disclosure of a contacted endpoint organization in a
     /// skill's policy (`None`: the skill has no retrievable policy).
     pub fn classify_endpoint(&self, policy: Option<&CompiledPolicy>, org: &str) -> DisclosureClass {

@@ -11,7 +11,9 @@ use alexa_audit::analysis::partners::{SyncAnalysis, AMAZON_AD_ENDPOINT};
 use alexa_audit::analysis::{audio, bids, partners, policy, profiling, significance, traffic};
 use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, Observations, Persona};
 use alexa_platform::SkillCategory;
-use alexa_stats::{five_number_summary, mean, median, Summary};
+use alexa_stats::{
+    five_number_summary, mann_whitney_u, mean, median, Alternative, MwuMethod, Summary,
+};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
@@ -162,6 +164,77 @@ fn paper_table7_significance_split() {
         weak_sig <= 1,
         "weak categories unexpectedly significant: {sig:?}"
     );
+}
+
+/// The §3.3 / Table 7 design choices, ablated on the shared paper run
+/// (DESIGN.md §6): the common-slot filter against pooling every slot,
+/// slot-mean samples against pooled-bid samples, and the post-interaction
+/// crawl budget. Prints one `[ablation]` line per comparison.
+#[test]
+fn paper_table7_ablations() {
+    let i = ix();
+    let echo = Persona::echo_personas();
+    let post = i.obs.post_window();
+    let fashion = Persona::Interest(SkillCategory::FashionStyle);
+    let greater = |t: &[f64], v: &[f64]| {
+        mann_whitney_u(t, v, Alternative::Greater, MwuMethod::Asymptotic).unwrap()
+    };
+    let slot_test = |window: std::ops::Range<usize>, mask: &[bool]| {
+        let t = bids::slot_means(i, fashion, window.clone(), mask);
+        greater(&t, &bids::slot_means(i, Persona::Vanilla, window, mask))
+    };
+
+    // The no-filter control: every slot in the index's slot universe.
+    let common = bids::common_slots(i, &echo, post.clone());
+    let every = vec![true; i.slots.len()];
+    let (filtered, unfiltered) = (
+        slot_test(post.clone(), &common),
+        slot_test(post.clone(), &every),
+    );
+    let n_slots = i.slot_count(&common);
+    eprintln!(
+        "[ablation] common-slot filter: p={:.4} r={:.3} ({n_slots} slots) | no filter: p={:.4} r={:.3} ({} slots)",
+        filtered.p_value,
+        filtered.effect_size,
+        unfiltered.p_value,
+        unfiltered.effect_size,
+        i.slot_count(&every),
+    );
+    // Simulated slots load reliably: the filter keeps every indexed slot.
+    assert_eq!(n_slots, i.slots.len());
+
+    let pooled_t = bids::pooled_bids(i, fashion, post.clone(), &common);
+    let pooled = greater(
+        &pooled_t,
+        &bids::pooled_bids(i, Persona::Vanilla, post, &common),
+    );
+    eprintln!(
+        "[ablation] slot-mean sample: p={:.4} (n={n_slots}) | pooled-bid sample: p={:.6} (n={})",
+        filtered.p_value,
+        pooled.p_value,
+        pooled_t.len(),
+    );
+    // Pooling every bid inflates n by two orders of magnitude and shrinks
+    // p: the inflation EXPERIMENTS.md deviation 3 avoids.
+    assert!(
+        pooled_t.len() > 100 * n_slots,
+        "pooled n={}",
+        pooled_t.len()
+    );
+    assert!(pooled.p_value <= filtered.p_value);
+
+    // Crawl budget: how many post-interaction iterations does the Table 7
+    // inference need?
+    let o = i.obs;
+    for k in [3usize, 10, 25] {
+        let w = o.pre_iterations..(o.pre_iterations + k.min(o.post_iterations));
+        let r = slot_test(w.clone(), &bids::common_slots(i, &echo, w));
+        eprintln!(
+            "[ablation] crawl budget {k:>2} post iterations: p={:.4} r={:.3}",
+            r.p_value, r.effect_size
+        );
+        assert!(r.p_value < 0.05, "{k} post iterations: p={}", r.p_value);
+    }
 }
 
 #[test]
