@@ -18,7 +18,7 @@
 //! defines them; only the untyped method-call edge is sacrificed.
 //!
 //! Taint then flows *backwards*: every function whose body holds a
-//! wallclock/entropy/spawn token is a seed, and a breadth-first pass over
+//! wallclock/spawn token is a seed, and a breadth-first pass over
 //! reverse call edges marks every transitive caller, remembering the next
 //! hop so each finding can print its full witness chain down to the source
 //! token.
@@ -379,7 +379,6 @@ mod tests {
         let ctx = FileCtx {
             rel_path: rel.to_string(),
             crate_name: crate_name.to_string(),
-            is_bin: false,
         };
         summarize(&ctx, &lex(src))
     }

@@ -10,21 +10,19 @@
 //! This crate enforces the rest *statically*, in under a second, over every
 //! line of the workspace:
 //!
-//! * **AD02** — determinism: no ambient entropy; all randomness is seeded.
 //! * **O-lints** (`AO0x`) — observability naming: span/stage/counter names
 //!   must be `dotted.lowercase` and declared in the single-source registry,
 //!   and `fault.*` names must match declared fault channels.
 //! * **S-lints** (`AS0x`) — cross-file *semantic* checks over a lexical
 //!   symbol index and call graph ([`symbols`], [`callgraph`]): determinism
-//!   taint from committed surfaces (AS01), registry liveness (AS03) and the
-//!   exit-code contract (AS04).
+//!   taint from committed surfaces (AS01) and registry liveness (AS03).
 //!
 //! Individual sites carry `// analyzer:allow(LINT) -- reason` escapes,
 //! which are themselves linted (AX01/AX02).
 //!
 //! The checks are lexical (a hand-rolled comment/string/cfg-aware lexer in
 //! [`lexer`]), not type-aware: that is exactly enough for these contracts,
-//! with zero dependencies and sub-second latency. See DESIGN.md §11.
+//! with no third-party dependencies and sub-second latency. See DESIGN.md §11.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +44,7 @@ use std::path::{Path, PathBuf};
 
 /// This workspace's committed surfaces: everything whose bytes land in the
 /// report bundle. Public functions here must not transitively reach a wall
-/// clock, ambient entropy or a spawn (AS01, DESIGN.md §11).
+/// clock or a spawn (AS01, DESIGN.md §11).
 pub const ENTRY_PATHS: &[&str] = &[
     "crates/audit/src/analysis/",
     "crates/audit/src/artifacts.rs",
@@ -281,11 +279,9 @@ fn classify(rel: &str) -> FileCtx {
     } else {
         String::new()
     };
-    let is_bin = rel.ends_with("src/main.rs") || rel.contains("/src/bin/");
     FileCtx {
         rel_path: rel.to_string(),
         crate_name,
-        is_bin,
     }
 }
 
@@ -294,15 +290,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classify_extracts_crate_and_bin() {
-        let c = classify("crates/stats/src/mannwhitney.rs");
-        assert_eq!(c.crate_name, "stats");
-        assert!(!c.is_bin);
-        let b = classify("crates/bench/src/bin/repro.rs");
-        assert_eq!(b.crate_name, "bench");
-        assert!(b.is_bin);
-        let m = classify("crates/analyzer/src/main.rs");
-        assert!(m.is_bin);
+    fn classify_extracts_crate() {
+        assert_eq!(
+            classify("crates/stats/src/mannwhitney.rs").crate_name,
+            "stats"
+        );
+        assert_eq!(
+            classify("crates/bench/src/bin/repro.rs").crate_name,
+            "bench"
+        );
+        assert_eq!(classify("examples/quickstart.rs").crate_name, "");
     }
 
     #[test]

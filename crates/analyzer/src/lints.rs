@@ -10,6 +10,7 @@
 use crate::findings::Finding;
 use crate::lexer::{Lexed, Tok, TokKind};
 use crate::registry::Registry;
+use crate::symbols::{next_punct_is, prev_punct_is};
 
 /// One lint's identity and documentation.
 #[derive(Debug, Clone, Copy)]
@@ -25,11 +26,6 @@ pub struct LintSpec {
 /// Every lint the analyzer knows, in report order. Every one gates.
 pub const CATALOG: &[LintSpec] = &[
     LintSpec {
-        id: "AD02",
-        slug: "entropy",
-        summary: "ambient entropy (thread_rng/from_entropy/OsRng/getrandom) — all randomness must come from an explicit seed",
-    },
-    LintSpec {
         id: "AO01",
         slug: "obs-name",
         summary: "observability span/stage/counter names must be dotted.lowercase and declared in the crates/obs names registry",
@@ -42,17 +38,12 @@ pub const CATALOG: &[LintSpec] = &[
     LintSpec {
         id: "AS01",
         slug: "determinism-taint",
-        summary: "a public function on a committed surface (report rendering, bundle writing) transitively reaches a wallclock/entropy/spawn source — the finding carries the full call chain",
+        summary: "a public function on a committed surface (report rendering, bundle writing) transitively reaches a wallclock/spawn source — the finding carries the full call chain",
     },
     LintSpec {
         id: "AS03",
         slug: "registry-liveness",
         summary: "every name declared in the crates/obs names registry must have at least one call site emitting it — dead registry entries are unchecked debt (the dual of AO01)",
-    },
-    LintSpec {
-        id: "AS04",
-        slug: "exit-code-contract",
-        summary: "process::exit/ExitCode literals in bin crates must stay inside the documented exit-code contract (0/1/2/3)",
     },
     LintSpec {
         id: "AX01",
@@ -73,15 +64,8 @@ pub struct FileCtx {
     pub rel_path: String,
     /// The crate directory name under `crates/` (e.g. `stats`).
     pub crate_name: String,
-    /// `src/bin/*` or `src/main.rs` — a binary target.
-    pub is_bin: bool,
 }
 
-/// Ambient-entropy token shapes — shared by AD02 and the AS01 source set.
-pub const ENTROPY_IDENTS: &[&str] = &["thread_rng", "from_entropy", "OsRng", "getrandom"];
-/// The documented exit-code contract (README "Exit codes"): 0 clean,
-/// 1 findings or I/O failure, 2 usage or malformed input, 3 degraded.
-const EXIT_CODES: &[&str] = &["0", "1", "2", "3"];
 /// Methods whose first string argument is an observability name.
 const OBS_METHODS: &[&str] = &[
     "span",
@@ -104,87 +88,20 @@ pub fn run_lints(lexed: &Lexed, ctx: &FileCtx, registry: &Registry, out: &mut Ve
         out.push(Finding::new(id, &ctx.rel_path, line, col, message));
     };
 
-    // End of the last exit call's argument scan: a nested exit call lies
-    // inside it and is already covered.
-    let mut exit_scanned = 0;
     for (i, t) in toks.iter().enumerate() {
         if t.test || t.kind != TokKind::Ident {
             continue;
         }
         let name = t.text.as_str();
-        // AD02 — ambient entropy, everywhere.
-        if ENTROPY_IDENTS.contains(&name) {
-            push(
-                "AD02",
-                t.line,
-                t.col,
-                format!("ambient entropy source `{name}`"),
-            );
-        }
-        // AS04 — exit-status literals outside the documented contract, in
-        // bin targets only.
-        if ctx.is_bin
-            && i >= exit_scanned
-            && next_is(toks, i, "(")
-            && ((name == "exit" && prev_is(toks, i, "::") && prev_ident_is(toks, i, "process"))
-                || (name == "from" && prev_is(toks, i, "::") && prev_ident_is(toks, i, "ExitCode")))
-        {
-            exit_scanned = check_exit_literals(toks, i + 2, &mut push);
-        }
         // AO01 — registered observability names, via free functions
         // (agg_time/agg_count) or recorder/log methods.
         let obs_call = (OBS_FUNCTIONS.contains(&name)
-            || (OBS_METHODS.contains(&name) && prev_is(toks, i, ".")))
-            && next_is(toks, i, "(");
+            || (OBS_METHODS.contains(&name) && prev_punct_is(toks, i, ".")))
+            && next_punct_is(toks, i, "(");
         if obs_call {
             check_obs_name(toks, i + 2, registry, &mut push);
         }
     }
-}
-
-/// AS04: scan the argument tokens of an exit call (starting at the token
-/// after the opening paren) for integer literals outside [`EXIT_CODES`],
-/// and return the index past the closing paren. Non-literal arguments
-/// (variables, helper calls) are out of lexical reach.
-fn check_exit_literals(
-    toks: &[Tok],
-    mut j: usize,
-    push: &mut impl FnMut(&'static str, u32, u32, String),
-) -> usize {
-    let mut depth = 1usize;
-    while depth > 0 {
-        let Some(t) = toks.get(j) else { return j };
-        match t.kind {
-            TokKind::Punct if t.text == "(" => depth += 1,
-            TokKind::Punct if t.text == ")" => depth -= 1,
-            TokKind::Other => {
-                // Keep the leading digits: `1u8` and `1_0` normalize.
-                let digits: String = t
-                    .text
-                    .chars()
-                    .take_while(|c| c.is_ascii_digit() || *c == '_')
-                    .filter(|c| c.is_ascii_digit())
-                    .collect();
-                if !digits.is_empty()
-                    && t.text.starts_with(|c: char| c.is_ascii_digit())
-                    && !EXIT_CODES.contains(&digits.as_str())
-                {
-                    push(
-                        "AS04",
-                        t.line,
-                        t.col,
-                        format!(
-                            "exit status `{digits}` is outside the documented exit-code contract (allowed: {})",
-                            EXIT_CODES.join("/")
-                        ),
-                    );
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    j
 }
 
 /// Validate a string literal at token index `j` as an observability name
@@ -295,32 +212,6 @@ pub fn is_dotted_lowercase(name: &str) -> bool {
             && (!lead_alpha || s.starts_with(|c: char| c.is_ascii_lowercase()))
     };
     seg_ok(first, true) && segments.all(|s| seg_ok(s, false))
-}
-
-fn prev_is(toks: &[Tok], i: usize, punct: &str) -> bool {
-    // `::` is lexed as two single-char puncts; match the immediately
-    // preceding one(s).
-    if punct == "::" {
-        i >= 2
-            && toks[i - 1].kind == TokKind::Punct
-            && toks[i - 1].text == ":"
-            && toks[i - 2].kind == TokKind::Punct
-            && toks[i - 2].text == ":"
-    } else {
-        i >= 1 && toks[i - 1].kind == TokKind::Punct && toks[i - 1].text == punct
-    }
-}
-
-/// Whether the identifier before a `::` chain ending at `i` equals `name`
-/// (`thread :: spawn` → for i at `spawn`, checks `thread`).
-fn prev_ident_is(toks: &[Tok], i: usize, name: &str) -> bool {
-    i >= 3 && toks[i - 3].kind == TokKind::Ident && toks[i - 3].text == name
-}
-
-fn next_is(toks: &[Tok], i: usize, punct: &str) -> bool {
-    toks.get(i + 1)
-        .map(|t| t.kind == TokKind::Punct && t.text == punct)
-        .unwrap_or(false)
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
 //! `alexa-analyzer` CLI — run the workspace lint pass. See
 //! `crates/analyzer/src/lib.rs` and DESIGN.md §11.
 //!
-//! Exit codes: `0` clean, `1` findings, `2` usage error or an unreadable
-//! workspace (a source file or a name registry).
+//! Exit codes (`alexa_obs::Exit`): `0` clean, `1` findings or an
+//! unwritable `--out` file, `2` usage error or an unreadable workspace (a
+//! source file or a name registry).
 
 use std::path::PathBuf;
-use std::process::ExitCode;
 
 use alexa_analyzer::{analyze, findings, Config, CATALOG};
+use alexa_obs::Exit;
 
 const USAGE: &str = "\
 alexa-analyzer — determinism & observability lints for the audit workspace
@@ -52,7 +53,7 @@ fn parse_cli() -> Result<Cli, String> {
             "--list-lints" => cli.list_lints = true,
             "-h" | "--help" => {
                 print!("{USAGE}");
-                std::process::exit(0);
+                Exit::Clean.exit();
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -71,26 +72,26 @@ fn list_lints() {
     }
 }
 
-fn main() -> ExitCode {
+fn main() {
     let cli = match parse_cli() {
         Ok(cli) => cli,
         Err(msg) => {
             eprintln!("error: {msg}");
             eprint!("{USAGE}");
-            return ExitCode::from(2);
+            Exit::Usage.exit();
         }
     };
 
     if cli.list_lints {
         list_lints();
-        return ExitCode::SUCCESS;
+        return;
     }
 
     let report = match analyze(&cli.root, &Config::workspace()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::from(2);
+            Exit::Usage.exit();
         }
     };
 
@@ -114,13 +115,11 @@ fn main() -> ExitCode {
     if let Some(path) = &cli.out {
         if let Err(e) = std::fs::write(path, &rendered) {
             eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
+            Exit::Findings.exit();
         }
     }
 
-    if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
+    if !report.clean() {
+        Exit::Findings.exit();
     }
 }

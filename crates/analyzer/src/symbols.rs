@@ -3,7 +3,7 @@
 //! The extraction is lexical, built on the same token stream as the
 //! per-file lints: a brace-stack scan tracks `impl`/`trait` blocks and
 //! (possibly nested) `fn` bodies, and records for every function its call
-//! sites, its determinism taint sources (wallclock/entropy/spawn tokens)
+//! sites, its determinism taint sources (wallclock/spawn tokens)
 //! and its definition site. `dotted.lowercase`-shaped string literals are
 //! collected for the registry-liveness lint.
 //!
@@ -41,7 +41,7 @@ pub struct CallRef {
 /// A determinism taint source inside a function body.
 #[derive(Debug, Clone)]
 pub struct SourceHit {
-    /// Source class: `wallclock`, `entropy` or `spawn`.
+    /// Source class: `wallclock` or `spawn`.
     pub kind: String,
     /// The offending token text.
     pub token: String,
@@ -305,8 +305,6 @@ fn scan_body_ident(
     // crates are exactly where the sources live.
     let source_kind = if WALLCLOCK_IDENTS.contains(&name) {
         Some("wallclock")
-    } else if lints::ENTROPY_IDENTS.contains(&name) {
-        Some("entropy")
     } else if name == "JoinHandle"
         || (matches!(name, "spawn" | "scope") && prev_path_ident_is(toks, i, "thread"))
         || (name == "Command" && prev_path_ident_is(toks, i, "process"))
@@ -346,12 +344,12 @@ fn scan_body_ident(
     }
 }
 
-fn next_punct_is(toks: &[Tok], i: usize, p: &str) -> bool {
+pub(crate) fn next_punct_is(toks: &[Tok], i: usize, p: &str) -> bool {
     toks.get(i + 1)
         .is_some_and(|t| t.kind == TokKind::Punct && t.text == p)
 }
 
-fn prev_punct_is(toks: &[Tok], i: usize, p: &str) -> bool {
+pub(crate) fn prev_punct_is(toks: &[Tok], i: usize, p: &str) -> bool {
     i >= 1 && toks[i - 1].kind == TokKind::Punct && toks[i - 1].text == p
 }
 
@@ -374,7 +372,6 @@ mod tests {
         let ctx = FileCtx {
             rel_path: "crates/demo/src/lib.rs".to_string(),
             crate_name: "demo".to_string(),
-            is_bin: false,
         };
         summarize(&ctx, &lexed)
     }

@@ -36,7 +36,7 @@ fn fixture_config() -> Config {
 
 fn fixture_findings() -> Vec<Finding> {
     let report = analyze(&fixture_root(), &fixture_config()).expect("fixture analyzes");
-    assert_eq!(report.files_scanned, 6);
+    assert_eq!(report.files_scanned, 5);
     report.findings
 }
 
@@ -93,11 +93,6 @@ fn semantic_lints_skip_the_near_misses() {
             .iter()
             .any(|f| f.lint == "AS03" && f.message.contains(dead)));
     }
-    // AS04: the documented statuses 1 and 3 pass, and so does the library
-    // exit; only 7 is flagged.
-    let as04: Vec<_> = all.iter().filter(|f| f.lint == "AS04").collect();
-    assert_eq!(as04.len(), 1, "{as04:?}");
-    assert!(as04[0].message.contains('7'));
 }
 
 #[test]
@@ -178,6 +173,21 @@ fn unreadable_workspace_exits_2_with_one_line_error() {
         err.starts_with("error: ") && err.contains("bad.rs"),
         "{err}"
     );
+}
+
+#[test]
+fn unwritable_out_file_exits_1() {
+    // An I/O failure, not a usage error: the clean workspace still exits 1.
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("analyzer-cli-missing/dir/x.json");
+    let root = workspace_root();
+    let (code, err) = run_cli(&[
+        "--root".as_ref(),
+        root.as_os_str(),
+        "--out".as_ref(),
+        out.as_os_str(),
+    ]);
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.starts_with("error: cannot write"), "{err}");
 }
 
 #[test]

@@ -1,20 +1,16 @@
 //! Fixture library: one deliberate violation (or near-miss) per lint.
 
-pub fn entropy() -> u64 {
-    thread_rng()
+pub fn escaped(rec: &Recorder) {
+    // analyzer:allow(AO01) -- fixture: the escape is documented here
+    rec.count("escaped.unregistered", 1);
 }
 
-pub fn escaped() -> u64 {
-    // analyzer:allow(AD02) -- fixture: the escape is documented here
-    thread_rng()
+pub fn reasonless(rec: &Recorder) {
+    // analyzer:allow(AO01)
+    rec.count("reasonless.unregistered", 1);
 }
 
-pub fn reasonless() -> u64 {
-    // analyzer:allow(AD02)
-    thread_rng()
-}
-
-// analyzer:allow(AD02) -- stale: nothing on these lines draws entropy
+// analyzer:allow(AO01) -- stale: nothing on these lines emits a name
 pub fn stale_escape() {}
 
 pub fn obs_names(rec: &Recorder) {
@@ -33,18 +29,15 @@ pub fn live_names(rec: &Recorder) {
 }
 
 pub fn near_misses() {
-    // thread_rng in a comment is data, not a finding.
-    let _s = "thread_rng() and OsRng";
-    let _r = r#"getrandom in a raw string"#;
-    // AS04 checks binaries only: a library exit is not an exit-code site.
-    std::process::exit(9);
+    // rec.count("Commented-Out", 1) in a comment is data, not a finding.
+    let _s = "rec.count(\"In-A-String\", 1)";
+    let _r = r#"rec.count("In-A-Raw-String", 1)"#;
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn test_code_is_exempt() {
-        let _ = thread_rng();
         rec.count("Not-Registered", 1);
     }
 }

@@ -36,6 +36,14 @@ pub fn threads() {
     let _ = std::process::Command::new("true").status();
 }
 
+pub fn exits(n: u8) {
+    let _ = std::hash::RandomState::new();
+    let _ = std::process::ExitCode::from(7);
+    if n == 7 {
+        std::process::exit(7);
+    }
+}
+
 pub fn panics(n: u8) -> u8 {
     match n {
         0 => panic!("zero"),
@@ -65,12 +73,15 @@ const BANNED_TYPES: &[&str] = &[
     "std::collections::HashSet",
     "std::thread::JoinHandle",
     "std::process::Command",
+    "std::process::ExitCode",
+    "std::hash::RandomState",
 ];
 const BANNED_METHODS: &[&str] = &[
     "std::time::SystemTime::elapsed",
     "std::thread::spawn",
     "std::thread::scope",
     "std::thread::Builder::spawn",
+    "std::process::exit",
 ];
 /// The other lints, each violated once above.
 const LINTS: &[&str] = &[

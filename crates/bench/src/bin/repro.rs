@@ -6,10 +6,7 @@
 //! repro --seed 11 table7    # different seed
 //! repro --jobs 4 all        # cap the engine's worker threads
 //! repro --trace all         # human-readable span tree on stderr
-//! repro --metrics-out m.json all   # JSON metrics export
-//! repro --mem-out mem.json all     # deterministic allocation-plane export
-//! repro --trace-out t.txt all      # span tree to a file (- = stderr)
-//! repro --profile-out p.folded all # folded-stack work profile
+//! repro --metrics-out m.json all   # JSON metrics export (- = stderr)
 //! repro --run-dir run-a all        # self-describing run-ledger bundle
 //! repro --fault-profile flaky all  # run under a fault-plane preset
 //! repro --fault-rate 0.2 all       # uniform fault rate on every channel
@@ -23,37 +20,39 @@
 //! determinism invariant); `--jobs 1` is the sequential reference. The
 //! observability flags never change stdout: the trace goes to stderr and the
 //! metrics to their own file, so traced and untraced runs stay diffable.
-//! Every output flag accepts `-` to stream to **stderr** instead of a file,
-//! keeping stdout byte-exact either way.
+//! `--metrics-out -` streams to **stderr** instead of a file, keeping
+//! stdout byte-exact either way.
 //!
 //! `--run-dir DIR` writes a five-file run-ledger bundle (manifest, metrics,
 //! trace, memory, folded profile — see `alexa_obs::bundle`) whose bytes
 //! depend only on `(seed, fault profile)`, never on `--jobs`; compare
-//! bundles with the `obs-diff` tool. `--mem-out` exports the same
-//! deterministic memory document standalone: per-stage and per-shard
-//! allocation counts and bytes plus size histograms, byte-identical across
-//! `--jobs` values (OS peak RSS stays on the volatile channel of the metrics
-//! document, never here).
+//! bundles with the `obs-diff` tool. Its `memory.json` is the deterministic
+//! allocation plane: per-stage and per-shard allocation counts and bytes
+//! plus size histograms (OS peak RSS stays on the volatile channel of the
+//! metrics document, never there), and `profile.folded` is the folded-stack
+//! work profile.
 //!
 //! `repro campaign PLAN [--out DIR]` executes a declarative experiment plan
 //! (seeds × faults × defenses × jobs, with repeats) into a
 //! campaign directory of cell bundles plus derived analysis tables, resuming
 //! over cells that are already complete — see `alexa_bench::campaign`.
 //!
-//! Any unknown artifact name or flag is a hard error (exit 2) — including
+//! Any unknown artifact name or flag is a usage error (exit 2) — including
 //! alongside `all` — so a typo in a CI invocation can never pass green.
-//! So is `--bench` next to artifact names or `all`: it always runs every
-//! artifact, so the names would be silently ignored.
+//! So are `--bench` and `--list` next to artifact names or `all`: they
+//! take none, so the names would be silently ignored.
 //!
 //! # Exit codes
+//!
+//! One variant of `alexa_obs::Exit` each:
 //!
 //! * `0` — complete run (campaigns: including when some cells degraded —
 //!   degradation is recorded per cell in `campaign.json`).
 //! * `1` — I/O failure, or a campaign determinism violation (instances of
 //!   one cell identity differ byte-wise).
-//! * `2` — usage error (unknown flag/artifact, bad value, `--bench` with
-//!   artifact names, invalid plan, `--run-dir` pointing at a foreign
-//!   directory).
+//! * `2` — usage error (unknown flag/artifact, bad value, `--bench` or
+//!   `--list` with artifact names, invalid plan, `--run-dir` pointing at a
+//!   foreign directory).
 //! * `3` — **degraded but valid**: injected faults cost observations after
 //!   retry, or a shard's retry budget exhausted. The report (with its
 //!   coverage block) is still fully rendered and deterministic.
@@ -62,13 +61,13 @@ use alexa_audit::{AuditConfig, AuditRun, Observations};
 use alexa_bench::{campaign, render_artifacts, ARTIFACTS};
 use alexa_fault::FaultProfile;
 use alexa_obs::bundle::BundleSpec;
-use alexa_obs::{Json, Recorder};
+use alexa_obs::{Exit, Json, Recorder};
 use std::path::Path;
 use std::sync::Arc;
 
 /// Write `body` to `path`, with `-` streaming to stderr. File write errors
-/// are fatal (exit 1): a CI artifact silently missing is worse than a loud
-/// failure.
+/// are fatal ([`Exit::Findings`]): a CI artifact silently missing is worse
+/// than a loud failure.
 fn write_output(path: &str, what: &str, body: &str) {
     if path == "-" {
         eprint!("{body}");
@@ -78,11 +77,11 @@ fn write_output(path: &str, what: &str, body: &str) {
     eprintln!("{what} written to {path}");
 }
 
-/// Write `body` to the file `path`; a failure is fatal (exit 1).
+/// Write `body` to the file `path`; a failure is fatal ([`Exit::Findings`]).
 fn write_or_exit(path: &str, what: &str, body: &str) {
     if let Err(e) = std::fs::write(path, body) {
         eprintln!("error: cannot write {what} to {path:?}: {e}");
-        std::process::exit(1);
+        Exit::Findings.exit();
     }
 }
 
@@ -181,8 +180,8 @@ fn run_bench(seed: u64, jobs: Option<usize>, fault: &FaultProfile, rec: &Recorde
 }
 
 /// Write every observability surface the flags asked for: the stderr trace,
-/// `--trace-out` / `--metrics-out` / `--profile-out` documents (each taking
-/// `-` for stderr) and the `--run-dir` run-ledger bundle.
+/// the `--metrics-out` document (`-` for stderr) and the `--run-dir`
+/// run-ledger bundle.
 fn emit_observability(rec: &Recorder, cli: &Cli, obs: &Observations) {
     if !rec.is_enabled() {
         return;
@@ -190,12 +189,6 @@ fn emit_observability(rec: &Recorder, cli: &Cli, obs: &Observations) {
     let report = rec.report();
     if cli.trace {
         eprint!("{}", report.render_tree());
-    }
-    if let Some(path) = cli.trace_out.as_deref() {
-        write_output(path, "trace", &report.render_tree());
-    }
-    if let Some(path) = cli.profile_out.as_deref() {
-        write_output(path, "profile", &report.folded_profile());
     }
     if let Some(path) = cli.metrics_out.as_deref() {
         let cov = &obs.coverage;
@@ -221,22 +214,13 @@ fn emit_observability(rec: &Recorder, cli: &Cli, obs: &Observations) {
         }
         write_output(path, "metrics", &(Json::Obj(fields).render() + "\n"));
     }
-    if let Some(path) = cli.mem_out.as_deref() {
-        // Same document as the bundle's memory.json: the deterministic
-        // allocation plane only — OS RSS stays on the volatile channel.
-        write_output(
-            path,
-            "memory",
-            &(report.ledger_memory_json().render() + "\n"),
-        );
-    }
     if let Some(dir) = cli.run_dir.as_deref() {
         let mut spec = run_dir_spec(cli);
         spec.observations_digest = obs.digest();
         spec.coverage = Some(obs.coverage.to_json());
         if let Err(e) = alexa_obs::bundle::write_bundle(Path::new(dir), &spec, &report) {
             eprintln!("error: cannot write run bundle to {dir:?}: {e}");
-            std::process::exit(1);
+            Exit::Findings.exit();
         }
         eprintln!("run bundle written to {dir}");
     }
@@ -256,7 +240,7 @@ fn run_dir_spec(cli: &Cli) -> BundleSpec {
 }
 
 /// Refuse a `--run-dir` target that is non-empty and not this experiment's
-/// bundle (exit 2) — checked *before* the run so hours of execution can
+/// bundle ([`Exit::Usage`]) — checked *before* the run so hours of execution can
 /// never end by destroying foreign data. The same predicate drives the
 /// campaign runner's resume detection.
 fn guard_run_dir(cli: &Cli) {
@@ -265,21 +249,20 @@ fn guard_run_dir(cli: &Cli) {
     };
     if let Err(conflict) = alexa_obs::bundle::check_run_dir(Path::new(dir), &run_dir_spec(cli)) {
         eprintln!("error: {conflict}");
-        std::process::exit(2);
+        Exit::Usage.exit();
     }
 }
 
-fn usage(code: i32) -> ! {
+fn usage(code: Exit) -> ! {
     eprintln!(
-        "usage: repro [--seed N] [--jobs N] [--trace] [--metrics-out PATH] \
-         [--mem-out PATH] [--trace-out PATH] [--profile-out PATH] [--run-dir DIR] \
+        "usage: repro [--seed N] [--jobs N] [--trace] [--metrics-out PATH] [--run-dir DIR] \
          [--fault-profile none|flaky|degraded|hostile] [--fault-rate R] \
          <artifact>... | all | --bench | --list"
     );
     eprintln!("       repro campaign PLAN [--out DIR]");
-    eprintln!("output PATHs accept '-' to stream to stderr");
+    eprintln!("--metrics-out PATH accepts '-' to stream to stderr");
     eprintln!("artifacts: {}", ARTIFACTS.join(" "));
-    std::process::exit(code);
+    code.exit();
 }
 
 /// `repro campaign PLAN [--out DIR]` — execute a declarative experiment
@@ -295,18 +278,18 @@ fn run_campaign_cli(args: &[String]) -> ! {
                 Some(dir) => out = Some(dir.clone()),
                 None => {
                     eprintln!("error: --out expects a directory");
-                    std::process::exit(2);
+                    Exit::Usage.exit();
                 }
             },
-            "--help" | "-h" => usage(0),
+            "--help" | "-h" => usage(Exit::Clean),
             flag if flag.starts_with('-') => {
                 eprintln!("error: unknown campaign flag {flag:?}");
-                usage(2);
+                usage(Exit::Usage);
             }
             path => {
                 if plan.is_some() {
                     eprintln!("error: campaign expects exactly one plan file");
-                    usage(2);
+                    usage(Exit::Usage);
                 }
                 plan = Some(path.to_string());
             }
@@ -314,18 +297,18 @@ fn run_campaign_cli(args: &[String]) -> ! {
     }
     let Some(plan) = plan else {
         eprintln!("error: campaign expects a plan file");
-        usage(2);
+        usage(Exit::Usage);
     };
     let rec = Arc::new(Recorder::new());
     alexa_obs::install_global(rec.clone());
     match campaign::run_campaign(Path::new(&plan), out.as_deref().map(Path::new), &rec) {
         Ok(summary) => {
             print!("{}", summary.render());
-            std::process::exit(0);
+            Exit::Clean.exit();
         }
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(e.exit_code());
+            e.exit_code().exit();
         }
     }
 }
@@ -335,9 +318,6 @@ struct Cli {
     jobs: Option<usize>,
     trace: bool,
     metrics_out: Option<String>,
-    mem_out: Option<String>,
-    trace_out: Option<String>,
-    profile_out: Option<String>,
     run_dir: Option<String>,
     fault: FaultProfile,
     bench: bool,
@@ -348,7 +328,7 @@ struct Cli {
 
 /// Parse and *fully validate* the command line: every artifact name is
 /// checked against the known list (even when `all` is also present) and
-/// unknown flags are rejected, so a typo exits 2 instead of silently
+/// unknown flags are rejected, so a typo is a usage error instead of silently
 /// rendering nothing.
 fn parse_cli() -> Cli {
     let mut cli = Cli {
@@ -356,9 +336,6 @@ fn parse_cli() -> Cli {
         jobs: None,
         trace: false,
         metrics_out: None,
-        mem_out: None,
-        trace_out: None,
-        profile_out: None,
         run_dir: None,
         fault: FaultProfile::none(),
         bench: false,
@@ -370,7 +347,7 @@ fn parse_cli() -> Cli {
     let value = |args: &mut std::iter::Peekable<std::iter::Skip<std::env::Args>>, flag: &str| {
         args.next().unwrap_or_else(|| {
             eprintln!("error: {flag} expects a value");
-            std::process::exit(2);
+            Exit::Usage.exit();
         })
     };
     while let Some(arg) = args.next() {
@@ -378,25 +355,22 @@ fn parse_cli() -> Cli {
             "--seed" => {
                 cli.seed = value(&mut args, "--seed").parse().unwrap_or_else(|_| {
                     eprintln!("error: --seed expects an integer");
-                    std::process::exit(2);
+                    Exit::Usage.exit();
                 })
             }
             "--jobs" => {
                 cli.jobs = Some(value(&mut args, "--jobs").parse().unwrap_or_else(|_| {
                     eprintln!("error: --jobs expects an integer");
-                    std::process::exit(2);
+                    Exit::Usage.exit();
                 }))
             }
             "--trace" => cli.trace = true,
             "--metrics-out" => cli.metrics_out = Some(value(&mut args, "--metrics-out")),
-            "--mem-out" => cli.mem_out = Some(value(&mut args, "--mem-out")),
-            "--trace-out" => cli.trace_out = Some(value(&mut args, "--trace-out")),
-            "--profile-out" => cli.profile_out = Some(value(&mut args, "--profile-out")),
             "--run-dir" => {
                 let dir = value(&mut args, "--run-dir");
                 if dir == "-" {
                     eprintln!("error: --run-dir expects a directory, not '-'");
-                    std::process::exit(2);
+                    Exit::Usage.exit();
                 }
                 cli.run_dir = Some(dir);
             }
@@ -405,7 +379,7 @@ fn parse_cli() -> Cli {
                     .parse()
                     .unwrap_or_else(|e| {
                         eprintln!("error: {e}");
-                        std::process::exit(2);
+                        Exit::Usage.exit();
                     })
             }
             "--fault-rate" => {
@@ -413,34 +387,39 @@ fn parse_cli() -> Cli {
                     .parse()
                     .unwrap_or_else(|_| {
                         eprintln!("error: --fault-rate expects a number in [0, 1]");
-                        std::process::exit(2);
+                        Exit::Usage.exit();
                     });
                 if !(0.0..=1.0).contains(&rate) {
                     eprintln!("error: --fault-rate expects a number in [0, 1]");
-                    std::process::exit(2);
+                    Exit::Usage.exit();
                 }
                 cli.fault = FaultProfile::uniform(rate);
             }
             "--bench" => cli.bench = true,
             "--list" => cli.list = true,
-            "--help" | "-h" => usage(0),
+            "--help" | "-h" => usage(Exit::Clean),
             "all" => cli.all = true,
             flag if flag.starts_with('-') => {
                 eprintln!("error: unknown flag {flag:?}");
-                usage(2);
+                usage(Exit::Usage);
             }
             artifact => {
                 if !ARTIFACTS.contains(&artifact) {
                     eprintln!("error: unknown artifact {artifact:?} (try --list)");
-                    std::process::exit(2);
+                    Exit::Usage.exit();
                 }
                 cli.artifacts.push(artifact.to_string());
             }
         }
     }
-    if cli.bench && (cli.all || !cli.artifacts.is_empty()) {
+    let named = cli.all || !cli.artifacts.is_empty();
+    if cli.bench && named {
         eprintln!("error: --bench runs every artifact and takes no artifact names");
-        usage(2);
+        usage(Exit::Usage);
+    }
+    if cli.list && named {
+        eprintln!("error: --list lists every artifact and takes no artifact names");
+        usage(Exit::Usage);
     }
     cli
 }
@@ -464,13 +443,7 @@ fn main() {
 
     // The recorder: enabled whenever any observability surface is on, and
     // installed globally so leaf libraries (stats, crawler) feed it too.
-    let observing = cli.trace
-        || cli.metrics_out.is_some()
-        || cli.mem_out.is_some()
-        || cli.trace_out.is_some()
-        || cli.profile_out.is_some()
-        || cli.run_dir.is_some()
-        || cli.bench;
+    let observing = cli.trace || cli.metrics_out.is_some() || cli.run_dir.is_some() || cli.bench;
     let rec = Arc::new(if observing {
         Recorder::new()
     } else {
@@ -481,10 +454,10 @@ fn main() {
     if cli.bench {
         let obs = run_bench(cli.seed, cli.jobs, &cli.fault, &rec);
         emit_observability(&rec, &cli, &obs);
-        std::process::exit(0); // without teardown, see the end of `main`
+        Exit::Clean.exit(); // without teardown, see the end of `main`
     }
     if cli.artifacts.is_empty() && !cli.all {
-        usage(2);
+        usage(Exit::Usage);
     }
 
     let wanted: Vec<&str> = if cli.all {
@@ -517,13 +490,13 @@ fn main() {
         println!("{artifact}");
     }
     emit_observability(&rec, &cli, &obs);
-    let degraded = obs.coverage.is_degraded();
-    if degraded {
-        eprintln!("run degraded: injected faults cost observations (exit 3)");
-    }
     // Exit without dropping what `main` still holds. The observation graph
     // is hundreds of thousands of small allocations (~30 MB at paper scale);
     // the OS reclaims it at once, so freeing it piece by piece first only
-    // costs time. `process::exit` still flushes stdout.
-    std::process::exit(if degraded { 3 } else { 0 });
+    // costs time. `Exit::exit` still flushes stdout.
+    if obs.coverage.is_degraded() {
+        eprintln!("run degraded: injected faults cost observations (exit 3)");
+        Exit::Degraded.exit();
+    }
+    Exit::Clean.exit();
 }

@@ -36,7 +36,7 @@ use alexa_obs::campaign::{
     campaign_manifest, uniform_fault_rate, CellCoord, CellRecord, Plan, PlanError, Scale,
     CAMPAIGN_FILE, CELLS_DIR, TABLES_DIR,
 };
-use alexa_obs::{install_global, Json, Recorder};
+use alexa_obs::{install_global, Exit, Json, Recorder};
 use alexa_obsdiff::{load_bundle, verify_instances, InstanceDivergence, LoadedBundle};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -133,15 +133,16 @@ impl fmt::Display for CampaignError {
 impl std::error::Error for CampaignError {}
 
 impl CampaignError {
-    /// The `repro` exit code this failure maps to: 2 for usage-shaped
-    /// errors (bad plan, foreign directory), 1 for everything else.
-    pub fn exit_code(&self) -> i32 {
+    /// The `repro` exit status this failure maps to: [`Exit::Usage`] for
+    /// usage-shaped errors (bad plan, foreign directory),
+    /// [`Exit::Findings`] for everything else.
+    pub fn exit_code(&self) -> Exit {
         match self {
             CampaignError::PlanUnreadable { .. }
             | CampaignError::Plan { .. }
             | CampaignError::PlanChanged { .. }
-            | CampaignError::CellConflict(_) => 2,
-            _ => 1,
+            | CampaignError::CellConflict(_) => Exit::Usage,
+            _ => Exit::Findings,
         }
     }
 }
@@ -929,14 +930,14 @@ mod tests {
             path: PathBuf::from("p.json"),
             error: PlanError::SchemaMismatch { found: 9 },
         };
-        assert_eq!(usage.exit_code(), 2);
+        assert_eq!(usage.exit_code(), Exit::Usage);
         let violation = CampaignError::DeterminismBreak(InstanceDivergence {
             id: "s7-fnone-dnone".into(),
             file: METRICS_FILE,
             reference: "s7-fnone-dnone-j1-r0".into(),
             divergent: "s7-fnone-dnone-j4-r0".into(),
         });
-        assert_eq!(violation.exit_code(), 1);
+        assert_eq!(violation.exit_code(), Exit::Findings);
         assert!(violation.to_string().contains("byte-identical"));
     }
 

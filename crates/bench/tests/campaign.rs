@@ -1,7 +1,7 @@
 //! End-to-end tests of `repro campaign`: plan parsing at the CLI boundary,
 //! resume semantics, crash recovery, the `--run-dir` overwrite guard, the
-//! `--bench` argument check, and golden-pinned analysis tables for the
-//! committed CI smoke plan.
+//! `--bench` and `--list` argument checks, and golden-pinned analysis tables
+//! for the committed CI smoke plan.
 //!
 //! Every campaign here runs as a **subprocess** of the real `repro` binary
 //! (`CARGO_BIN_EXE_repro`): cells install a fresh global recorder, so two
@@ -133,16 +133,18 @@ fn plan_parse_errors_are_typed_and_exit_2() {
         }
     }
     // There is one execution path: a backend flag is a typo, not a choice.
-    let out = repro()
-        .args(["--backend", "thread", "all"])
-        .output()
-        .expect("run repro");
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(
-        stderr(&out).contains("unknown flag \"--backend\""),
-        "{}",
-        stderr(&out)
-    );
+    // Nor is there a standalone memory, profile or trace file: `--run-dir`
+    // writes memory.json and profile.folded, and `--trace` prints the tree.
+    for flag in ["--backend", "--mem-out", "--profile-out", "--trace-out"] {
+        let out = repro()
+            .args([flag, "x", "all"])
+            .output()
+            .expect("run repro");
+        assert_eq!(out.status.code(), Some(2), "{flag}: {}", stderr(&out));
+        let unknown = format!("unknown flag {flag:?}");
+        assert!(stderr(&out).contains(&unknown), "{}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{flag}: {}", stdout(&out));
+    }
 }
 
 #[test]
@@ -275,6 +277,22 @@ fn bench_with_artifact_names_exits_2_and_appends_nothing() {
         assert!(stdout(&out).is_empty(), "{names:?}: {}", stdout(&out));
     }
     assert_eq!(len(), before, "BENCH_audit.json changed");
+}
+
+#[test]
+fn list_with_artifact_names_exits_2() {
+    let out = repro().arg("--list").output().expect("run repro");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    assert_eq!(stdout(&out), alexa_bench::ARTIFACTS.join("\n") + "\n");
+    for names in [&["table1"][..], &["all"], &["table1", "figure3"]] {
+        let out = repro()
+            .arg("--list")
+            .args(names)
+            .output()
+            .expect("run repro");
+        assert_eq!(out.status.code(), Some(2), "{names:?}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{names:?}: {}", stdout(&out));
+    }
 }
 
 #[test]

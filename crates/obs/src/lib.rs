@@ -30,6 +30,8 @@
 //!   and percentiles are nearest-rank integers ([`Summary`]). Bundles from
 //!   different worker counts are byte-identical and diffable with the
 //!   `obs-diff` tool.
+//! * [`Exit`] — the exit-code contract (0 clean, 1 findings, 2 usage,
+//!   3 degraded) that every binary ends through.
 //!
 //! **Determinism contract.** Recording never reads or advances any RNG,
 //! never influences control flow of the instrumented code, and the disabled
@@ -48,6 +50,7 @@
 pub mod alloc;
 pub mod bundle;
 pub mod campaign;
+mod exit;
 mod hist;
 mod json;
 pub mod names;
@@ -56,6 +59,7 @@ mod report;
 mod shard;
 
 pub use alloc::{peak_rss_kb, AllocSnapshot};
+pub use exit::Exit;
 pub use hist::{percentile, Histogram, Summary};
 pub use json::{Json, JsonParseError};
 pub use recorder::{agg_count, agg_time, global, install_global, Recorder};

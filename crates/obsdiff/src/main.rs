@@ -13,20 +13,23 @@
 //!
 //! # Exit codes
 //!
+//! The first three variants of `alexa_obs::Exit`:
+//!
 //! * `0` — bundles equivalent / gate passed.
 //! * `1` — drift or regression found / gate failed.
 //! * `2` — usage error, unreadable or malformed input.
 
+use alexa_obs::Exit;
 use alexa_obsdiff::{check_campaign, diff_bundles, load_bundle, run_gate, DiffOptions};
 use std::path::Path;
 
-fn usage(code: i32) -> ! {
+fn usage(code: Exit) -> ! {
     eprintln!(
         "usage: obs-diff diff BASELINE_DIR CANDIDATE_DIR [--max-regress PCT] [--max-alloc-regress PCT] [--format human|json]\n\
                 obs-diff gate --baseline FILE --candidate FILE [--max-regress PCT] [--max-alloc-regress PCT] [--format human|json]\n\
                 obs-diff campaign CAMPAIGN_DIR [--format human|json]"
     );
-    std::process::exit(code);
+    code.exit();
 }
 
 /// Output format of either subcommand.
@@ -42,7 +45,7 @@ fn parse_format(value: &str) -> Format {
         "json" => Format::Json,
         other => {
             eprintln!("error: unknown format {other:?} (expected human or json)");
-            std::process::exit(2);
+            Exit::Usage.exit();
         }
     }
 }
@@ -50,11 +53,11 @@ fn parse_format(value: &str) -> Format {
 fn parse_pct(flag: &str, value: &str) -> f64 {
     let pct: f64 = value.parse().unwrap_or_else(|_| {
         eprintln!("error: {flag} expects a percentage (e.g. 25)");
-        std::process::exit(2);
+        Exit::Usage.exit();
     });
     if !(0.0..=1000.0).contains(&pct) {
         eprintln!("error: {flag} expects a percentage in [0, 1000]");
-        std::process::exit(2);
+        Exit::Usage.exit();
     }
     pct
 }
@@ -62,16 +65,16 @@ fn parse_pct(flag: &str, value: &str) -> f64 {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
-        usage(2);
+        usage(Exit::Usage);
     };
     match command.as_str() {
         "diff" => cmd_diff(&args[1..]),
         "gate" => cmd_gate(&args[1..]),
         "campaign" => cmd_campaign(&args[1..]),
-        "--help" | "-h" => usage(0),
+        "--help" | "-h" => usage(Exit::Clean),
         other => {
             eprintln!("error: unknown command {other:?}");
-            usage(2);
+            usage(Exit::Usage);
         }
     }
 }
@@ -95,19 +98,19 @@ fn cmd_diff(args: &[String]) -> ! {
             "--format" => format = parse_format(&value(&mut it, "--format")),
             flag if flag.starts_with('-') => {
                 eprintln!("error: unknown flag {flag:?}");
-                usage(2);
+                usage(Exit::Usage);
             }
             dir => dirs.push(dir),
         }
     }
     let [a, b] = dirs.as_slice() else {
         eprintln!("error: diff expects exactly two bundle directories");
-        usage(2);
+        usage(Exit::Usage);
     };
     let load = |dir: &str| {
         load_bundle(Path::new(dir)).unwrap_or_else(|e| {
             eprintln!("error: {e}");
-            std::process::exit(2);
+            Exit::Usage.exit();
         })
     };
     let (bundle_a, bundle_b) = (load(a), load(b));
@@ -116,7 +119,7 @@ fn cmd_diff(args: &[String]) -> ! {
         Format::Human => print!("{}", report.render_human()),
         Format::Json => println!("{}", report.to_json().render()),
     }
-    std::process::exit(if report.clean() { 0 } else { 1 });
+    finish(report.clean())
 }
 
 fn cmd_gate(args: &[String]) -> ! {
@@ -142,13 +145,13 @@ fn cmd_gate(args: &[String]) -> ! {
             "--format" => format = parse_format(&value(&mut it, "--format")),
             other => {
                 eprintln!("error: unknown argument {other:?}");
-                usage(2);
+                usage(Exit::Usage);
             }
         }
     }
     let (Some(baseline), Some(candidate)) = (baseline, candidate) else {
         eprintln!("error: gate requires --baseline and --candidate");
-        usage(2);
+        usage(Exit::Usage);
     };
     match run_gate(
         Path::new(&baseline),
@@ -161,11 +164,11 @@ fn cmd_gate(args: &[String]) -> ! {
                 Format::Human => print!("{}", report.render_human()),
                 Format::Json => println!("{}", report.to_json().render()),
             }
-            std::process::exit(if report.passed() { 0 } else { 1 });
+            finish(report.passed())
         }
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(2);
+            Exit::Usage.exit();
         }
     }
 }
@@ -179,14 +182,14 @@ fn cmd_campaign(args: &[String]) -> ! {
             "--format" => format = parse_format(&value(&mut it, "--format")),
             flag if flag.starts_with('-') => {
                 eprintln!("error: unknown flag {flag:?}");
-                usage(2);
+                usage(Exit::Usage);
             }
             dir => dirs.push(dir),
         }
     }
     let [dir] = dirs.as_slice() else {
         eprintln!("error: campaign expects exactly one campaign directory");
-        usage(2);
+        usage(Exit::Usage);
     };
     match check_campaign(Path::new(dir)) {
         Ok(check) => {
@@ -194,19 +197,27 @@ fn cmd_campaign(args: &[String]) -> ! {
                 Format::Human => print!("{}", check.render_human()),
                 Format::Json => println!("{}", check.to_json().render()),
             }
-            std::process::exit(if check.clean() { 0 } else { 1 });
+            finish(check.clean())
         }
         Err(e) => {
             eprintln!("error: {e}");
-            std::process::exit(2);
+            Exit::Usage.exit();
         }
     }
 }
 
-/// The next argument as a flag value, or exit 2.
+/// Exit clean, or with findings.
+fn finish(clean: bool) -> ! {
+    if clean {
+        Exit::Clean.exit();
+    }
+    Exit::Findings.exit()
+}
+
+/// The next argument as a flag value, or a usage error.
 fn value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> String {
     it.next().cloned().unwrap_or_else(|| {
         eprintln!("error: {flag} expects a value");
-        std::process::exit(2);
+        Exit::Usage.exit();
     })
 }

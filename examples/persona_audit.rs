@@ -12,6 +12,7 @@
 
 use alexa_audit::analysis::{bids, creatives, significance, traffic};
 use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, Persona};
+use alexa_obs::Exit;
 use alexa_platform::SkillCategory;
 
 fn main() {
@@ -23,7 +24,7 @@ fn main() {
         for c in SkillCategory::ALL {
             eprintln!("  {}", c.label());
         }
-        std::process::exit(1);
+        Exit::Usage.exit();
     };
     let persona = Persona::Interest(*category);
 
