@@ -67,6 +67,10 @@ pub fn len() -> usize {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the process id makes a label no other test interns"
+)]
 mod tests {
     use super::*;
 

@@ -592,10 +592,10 @@ mod tests {
 
     #[test]
     fn allow_directives_parse() {
-        let src = "// analyzer:allow(AS01, AO01) -- invariant holds\nx.unwrap();\n// analyzer:allow(AS01)\ny();";
+        let src = "// analyzer:allow(AO01, AO02) -- invariant holds\nx.unwrap();\n// analyzer:allow(AO01)\ny();";
         let l = lex(src);
         assert_eq!(l.allows.len(), 2);
-        assert_eq!(l.allows[0].lints, vec!["AS01", "AO01"]);
+        assert_eq!(l.allows[0].lints, vec!["AO01", "AO02"]);
         assert!(l.allows[0].has_reason);
         assert!(!l.allows[1].has_reason);
         assert_eq!((l.allows[1].line, l.allows[1].col), (3, 1));
@@ -603,7 +603,7 @@ mod tests {
 
     #[test]
     fn doc_comments_never_act_as_escapes() {
-        let src = "/// use `// analyzer:allow(AS01) -- why` to escape\n//! analyzer:allow(AO01) -- docs\nfn f() {}";
+        let src = "/// use `// analyzer:allow(AO01) -- why` to escape\n//! analyzer:allow(AO02) -- docs\nfn f() {}";
         let l = lex(src);
         assert!(l.allows.is_empty());
     }

@@ -1,21 +1,19 @@
 //! `alexa-analyzer` — the workspace checks that clippy cannot do.
 //!
-//! The reproduction's core invariants (fixed seed ⇒ byte-identical reports
-//! for any worker count or fault profile; schedule-independent trace names)
-//! are enforced *dynamically* by the digest test matrix — which only
-//! catches violations on exercised paths, minutes after they land. The
-//! generic halves of the contract (no wall clocks, no unordered
-//! collections, no spawning outside `crates/exec`, no panics) are clippy
-//! lints configured in the workspace `[lints]` table and `clippy.toml`.
-//! This crate enforces the rest *statically*, in under a second, over every
-//! line of the workspace:
+//! The reproduction's core invariant (fixed seed ⇒ byte-identical reports
+//! for any worker count, fault profile or observability setting) is held
+//! by clippy and by tests: clippy's `disallowed_types`/`disallowed_methods`
+//! confine wall clocks, unordered collections and spawns to the crates that
+//! own them (the workspace `[lints]` table and `clippy.toml`), and the
+//! byte-identity tests pin `repro`'s stdout, bundles and digests to
+//! committed goldens. This crate checks, in under a second over every line
+//! of the workspace, what neither can see:
 //!
 //! * **O-lints** (`AO0x`) — observability naming: span/stage/counter names
 //!   must be `dotted.lowercase` and declared in the single-source registry,
 //!   and `fault.*` names must match declared fault channels.
-//! * **S-lints** (`AS0x`) — cross-file *semantic* checks over a lexical
-//!   symbol index and call graph ([`symbols`], [`callgraph`]): determinism
-//!   taint from committed surfaces (AS01) and registry liveness (AS03).
+//! * **AS03** — registry liveness: every registry name needs at least one
+//!   emitting string literal somewhere in non-test code.
 //!
 //! Individual sites carry `// analyzer:allow(LINT) -- reason` escapes,
 //! which are themselves linted (AX01/AX02).
@@ -27,45 +25,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callgraph;
 pub mod findings;
 pub mod lexer;
 pub mod lints;
 pub mod registry;
-pub mod symbols;
 
 pub use findings::Finding;
 pub use lints::{FileCtx, LintSpec, CATALOG};
 pub use registry::Registry;
-pub use symbols::FileSummary;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-
-/// This workspace's committed surfaces: everything whose bytes land in the
-/// report bundle. Public functions here must not transitively reach a wall
-/// clock or a spawn (AS01, DESIGN.md §11).
-pub const ENTRY_PATHS: &[&str] = &[
-    "crates/audit/src/analysis/",
-    "crates/audit/src/artifacts.rs",
-];
-
-/// What one analysis checks that depends on the tree: the AS01 committed
-/// surfaces. [`Config::workspace`] is this repository's setting.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Repo-relative path prefixes of the committed surfaces.
-    pub entry_paths: Vec<String>,
-}
-
-impl Config {
-    /// The setting for this workspace: [`ENTRY_PATHS`].
-    pub fn workspace() -> Config {
-        Config {
-            entry_paths: ENTRY_PATHS.iter().map(|p| p.to_string()).collect(),
-        }
-    }
-}
 
 /// The outcome of one analysis run.
 #[derive(Debug, Default)]
@@ -105,9 +75,9 @@ impl std::error::Error for AnalyzerError {}
 const SKIP_DIRS: &[&str] = &["target", "tests", "benches", "examples", "fixtures", ".git"];
 
 /// Analyze the workspace under `root`: per-file lexical lints, then the
-/// cross-file semantic lints over the combined summary set, then one unified
-/// escape pass over every finding.
-pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerError> {
+/// registry checks (its self-check and AS03 liveness over the literals of
+/// every scanned file), then one escape pass over every finding.
+pub fn analyze(root: &Path) -> Result<AnalysisReport, AnalyzerError> {
     let reg = Registry::load(root)?;
     let mut files = Vec::new();
     collect_rs_files(&root.join("crates"), &mut files).map_err(|e| AnalyzerError {
@@ -116,11 +86,12 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
     files.sort();
 
     let mut report = AnalysisReport::default();
-    let mut summaries: Vec<FileSummary> = Vec::new();
-    // Per-file lint findings, parallel to `summaries`.
-    let mut per_file: Vec<Vec<Finding>> = Vec::new();
+    // Per file: its path, escape directives and raw findings.
+    let mut scanned: Vec<(String, Vec<lexer::AllowDirective>, Vec<Finding>)> = Vec::new();
     // Raw line content per file, for the findings' snippets.
     let mut file_lines: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    // Shaped literals outside the registry file: AS03's emitting sites.
+    let mut live: BTreeSet<String> = BTreeSet::new();
 
     for path in files {
         let rel = rel_path(root, &path);
@@ -129,21 +100,22 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
         })?;
         report.files_scanned += 1;
         let lexed = lexer::lex(&src);
-        let ctx = classify(&rel);
         let mut raw = Vec::new();
-        lints::run_lints(&lexed, &ctx, &reg, &mut raw);
-        per_file.push(raw);
-        summaries.push(symbols::summarize(&ctx, &lexed));
-        file_lines.insert(rel, src.lines().map(str::to_string).collect());
+        lints::run_lints(&lexed, &classify(&rel), &reg, &mut raw);
+        if rel != registry::OBS_NAMES_PATH {
+            live.extend(lints::shaped_literals(&lexed).map(str::to_string));
+        }
+        file_lines.insert(rel.clone(), src.lines().map(str::to_string).collect());
+        scanned.push((rel, lexed.allows, raw));
     }
 
-    // Cross-file semantic phase over the full summary set.
-    let mut semantic: Vec<Finding> = Vec::new();
+    // Registry checks; every finding lands on the registry file.
+    let mut at_registry: Vec<Finding> = Vec::new();
     for entry in &reg.obs_names {
         // Registry self-check: every declared obs name must be well-shaped,
         // and declared fault.* names must match the fault crate's channels.
         let mut push = |lint: &'static str, line: u32, col: u32, message: String| {
-            semantic.push(Finding::new(
+            at_registry.push(Finding::new(
                 lint,
                 registry::OBS_NAMES_PATH,
                 line,
@@ -161,24 +133,18 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
         }
         lints::check_fault_name(&entry.name, &reg, entry.line, entry.col, &mut push);
     }
-    callgraph::as01_findings(&summaries, config, &mut semantic);
-    lints::as03_findings(&summaries, &reg, &mut semantic);
+    lints::as03_findings(&live, &reg, &mut at_registry);
 
-    let mut sem_by_path: BTreeMap<String, Vec<Finding>> = BTreeMap::new();
-    for f in semantic {
-        sem_by_path.entry(f.path.clone()).or_default().push(f);
-    }
-
-    // Unified escape pass: per-file raw findings and semantic findings on
-    // that file share the file's `analyzer:allow` directives.
+    // Escape pass: a file's raw findings, and the registry findings on the
+    // registry file, share the file's `analyzer:allow` directives.
     let findings = &mut report.findings;
-    for (s, mut raw) in summaries.iter().zip(per_file) {
-        if let Some(extra) = sem_by_path.remove(&s.rel) {
-            raw.extend(extra);
+    for (rel, allows, mut raw) in scanned {
+        if rel == registry::OBS_NAMES_PATH {
+            raw.append(&mut at_registry);
         }
-        let mut used = vec![false; s.allows.len()];
+        let mut used = vec![false; allows.len()];
         raw.retain(|f| {
-            if let Some(&idx) = allowed_on(&s.allows, f.line).get(f.lint) {
+            if let Some(&idx) = allowed_on(&allows, f.line).get(f.lint) {
                 used[idx] = true;
                 false
             } else {
@@ -186,7 +152,7 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
             }
         });
         // Escape hygiene: escapes must carry a reason and must fire.
-        for (i, a) in s.allows.iter().enumerate() {
+        for (i, a) in allows.iter().enumerate() {
             let (lint, message) = if !a.has_reason {
                 (
                     "AX02",
@@ -203,14 +169,9 @@ pub fn analyze(root: &Path, config: &Config) -> Result<AnalysisReport, AnalyzerE
             } else {
                 continue;
             };
-            raw.push(Finding::new(lint, &s.rel, a.line, a.col, message));
+            raw.push(Finding::new(lint, &rel, a.line, a.col, message));
         }
         findings.extend(raw);
-    }
-    // Semantic findings on paths without a summary cannot be escaped —
-    // they pass through directly.
-    for (_, extra) in sem_by_path {
-        findings.extend(extra);
     }
 
     for f in findings.iter_mut() {
@@ -303,31 +264,16 @@ mod tests {
     }
 
     #[test]
-    fn entry_paths_match_scanned_files() {
-        // A stale prefix would turn AS01 off for its surface without a word.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let mut files = Vec::new();
-        collect_rs_files(&root.join("crates"), &mut files).unwrap();
-        let scanned: Vec<String> = files.iter().map(|p| rel_path(&root, p)).collect();
-        for prefix in ENTRY_PATHS {
-            assert!(
-                scanned.iter().any(|f| f.starts_with(prefix)),
-                "ENTRY_PATHS prefix {prefix:?} matches no scanned file"
-            );
-        }
-    }
-
-    #[test]
     fn allowed_on_covers_own_and_next_line() {
         let allows = vec![lexer::AllowDirective {
-            lints: vec!["AS01".to_string()],
+            lints: vec!["AO01".to_string()],
             line: 4,
             col: 1,
             has_reason: true,
         }];
-        assert!(allowed_on(&allows, 4).contains_key("AS01"));
-        assert!(allowed_on(&allows, 5).contains_key("AS01"));
-        assert!(!allowed_on(&allows, 6).contains_key("AS01"));
-        assert!(!allowed_on(&allows, 3).contains_key("AS01"));
+        assert!(allowed_on(&allows, 4).contains_key("AO01"));
+        assert!(allowed_on(&allows, 5).contains_key("AO01"));
+        assert!(!allowed_on(&allows, 6).contains_key("AO01"));
+        assert!(!allowed_on(&allows, 3).contains_key("AO01"));
     }
 }

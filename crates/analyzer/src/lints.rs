@@ -7,10 +7,11 @@
 //! `[lints]` table and `clippy.toml`); these are the checks clippy cannot
 //! do.
 
+use std::collections::BTreeSet;
+
 use crate::findings::Finding;
 use crate::lexer::{Lexed, Tok, TokKind};
 use crate::registry::Registry;
-use crate::symbols::{next_punct_is, prev_punct_is};
 
 /// One lint's identity and documentation.
 #[derive(Debug, Clone, Copy)]
@@ -34,11 +35,6 @@ pub const CATALOG: &[LintSpec] = &[
         id: "AO02",
         slug: "fault-name",
         summary: "fault.* observability names must match a declared fault channel label or ledger aggregate from crates/fault",
-    },
-    LintSpec {
-        id: "AS01",
-        slug: "determinism-taint",
-        summary: "a public function on a committed surface (report rendering, bundle writing) transitively reaches a wallclock/spawn source — the finding carries the full call chain",
     },
     LintSpec {
         id: "AS03",
@@ -163,26 +159,26 @@ pub fn check_fault_name(
     }
 }
 
+/// The `dotted.lowercase`-shaped string literals of one file's non-test
+/// code: the potential emitting sites AS03 counts.
+pub fn shaped_literals(lexed: &Lexed) -> impl Iterator<Item = &str> {
+    lexed
+        .toks
+        .iter()
+        .filter(|t| t.kind == TokKind::Str && !t.test && is_dotted_lowercase(&t.text))
+        .map(|t| t.text.as_str())
+}
+
 /// AS03: every declared obs registry name needs at least one potential
 /// emitting site — a string literal with that exact text anywhere in
-/// non-test workspace code outside the registry file itself. The loose
-/// literal match (rather than call-argument position) tolerates names
-/// routed through helpers and multi-line calls; it only misses names built
-/// by concatenation, which AO01 already discourages.
-pub fn as03_findings(
-    summaries: &[crate::symbols::FileSummary],
-    registry: &Registry,
-    out: &mut Vec<Finding>,
-) {
-    let mut live: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-    for s in summaries {
-        if s.rel == crate::registry::OBS_NAMES_PATH {
-            continue;
-        }
-        live.extend(s.shaped_literals.iter().map(String::as_str));
-    }
+/// non-test workspace code outside the registry file itself (`live`, the
+/// union of [`shaped_literals`] over those files). The loose literal match
+/// (rather than call-argument position) tolerates names routed through
+/// helpers and multi-line calls; it only misses names built by
+/// concatenation, which AO01 already discourages.
+pub fn as03_findings(live: &BTreeSet<String>, registry: &Registry, out: &mut Vec<Finding>) {
     for entry in &registry.obs_names {
-        if !live.contains(entry.name.as_str()) {
+        if !live.contains(&entry.name) {
             let message = format!(
                 "registry name {:?} has no emitting call site anywhere in the workspace — dead entry",
                 entry.name
@@ -214,6 +210,15 @@ pub fn is_dotted_lowercase(name: &str) -> bool {
     seg_ok(first, true) && segments.all(|s| seg_ok(s, false))
 }
 
+fn next_punct_is(toks: &[Tok], i: usize, p: &str) -> bool {
+    toks.get(i + 1)
+        .is_some_and(|t| t.kind == TokKind::Punct && t.text == p)
+}
+
+fn prev_punct_is(toks: &[Tok], i: usize, p: &str) -> bool {
+    i >= 1 && toks[i - 1].kind == TokKind::Punct && toks[i - 1].text == p
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,6 +231,17 @@ mod tests {
             assert!(s.id.len() == 4, "{}", s.id);
             assert!(!s.summary.is_empty());
         }
+    }
+
+    #[test]
+    fn shaped_literals_are_collected() {
+        let lexed = crate::lexer::lex(
+            "pub fn enc(c: &C) -> String { let x = c.seed; push(\"seed\"); x.to_string() }\n\
+             pub fn other() { emit(\"crawl.bids\"); emit(\"Not-Shaped\"); }\n\
+             #[cfg(test)]\nmod tests { fn t() { emit(\"test.only\"); } }\n",
+        );
+        let got: Vec<&str> = shaped_literals(&lexed).collect();
+        assert_eq!(got, vec!["seed", "crawl.bids"]);
     }
 
     #[test]

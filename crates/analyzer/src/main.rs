@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 
-use alexa_analyzer::{analyze, findings, Config, CATALOG};
+use alexa_analyzer::{analyze, findings, CATALOG};
 use alexa_obs::Exit;
 
 const USAGE: &str = "\
@@ -87,7 +87,7 @@ fn main() {
         return;
     }
 
-    let report = match analyze(&cli.root, &Config::workspace()) {
+    let report = match analyze(&cli.root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");

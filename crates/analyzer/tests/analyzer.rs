@@ -11,7 +11,7 @@
     reason = "the tests drive cargo and the analyzer binary as child processes, and their helpers fail the test by panicking"
 )]
 
-use alexa_analyzer::{analyze, findings, Config, Finding, CATALOG};
+use alexa_analyzer::{analyze, findings, Finding, CATALOG};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -27,16 +27,9 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// The fixture's committed surface (AS01).
-fn fixture_config() -> Config {
-    Config {
-        entry_paths: vec!["crates/demo/src/render.rs".to_string()],
-    }
-}
-
 fn fixture_findings() -> Vec<Finding> {
-    let report = analyze(&fixture_root(), &fixture_config()).expect("fixture analyzes");
-    assert_eq!(report.files_scanned, 5);
+    let report = analyze(&fixture_root()).expect("fixture analyzes");
+    assert_eq!(report.files_scanned, 3);
     report.findings
 }
 
@@ -70,18 +63,6 @@ fn fixture_counts_are_what_the_golden_encodes() {
 #[test]
 fn semantic_lints_skip_the_near_misses() {
     let all = fixture_findings();
-    // AS01: the clean render surface is not tainted, and the finding for
-    // the tainted one carries the full cross-file call chain.
-    assert!(!all
-        .iter()
-        .any(|f| f.lint == "AS01" && f.message.contains("render_static")));
-    let taint = all
-        .iter()
-        .find(|f| f.lint == "AS01")
-        .expect("render_report taint finding");
-    for hop in ["render_report", "stamp", "read", "clock.rs"] {
-        assert!(taint.message.contains(hop), "chain misses {hop}");
-    }
     // AS03: live names stay quiet; both dead entries are named.
     for live in ["\"boot\"", "\"render.bytes\"", "\"fault.injected\""] {
         assert!(!all
@@ -99,7 +80,7 @@ fn semantic_lints_skip_the_near_misses() {
 fn workspace_is_clean() {
     // The analyzer's own lints over the real workspace.
     let root = workspace_root();
-    let report = analyze(&root, &Config::workspace()).expect("workspace analyzes");
+    let report = analyze(&root).expect("workspace analyzes");
     let complaints: String = report
         .findings
         .iter()

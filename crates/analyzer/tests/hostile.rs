@@ -1,14 +1,13 @@
 //! Hostile input through the analyzer's per-file pipeline: truncated and
 //! bit-flipped copies of real workspace sources, and pathologically deep
-//! nesting, go through `lex` → `run_lints` → `symbols::summarize` without a
-//! panic.
+//! nesting, go through `lex` → `run_lints` without a panic.
 
 #![expect(
     clippy::expect_used,
     reason = "a fixture registry that fails to load should fail the test"
 )]
 
-use alexa_analyzer::{lexer, lints, symbols, FileCtx, Registry};
+use alexa_analyzer::{lexer, lints, FileCtx, Registry};
 use proptest::prelude::*;
 use std::path::Path;
 use std::sync::OnceLock;
@@ -18,7 +17,7 @@ use std::sync::OnceLock;
 /// and `#[cfg(test)]` modules.
 const SOURCES: &[&str] = &[
     include_str!("../src/lexer.rs"),
-    include_str!("../src/symbols.rs"),
+    include_str!("../src/lints.rs"),
     include_str!("../../bench/src/bin/repro.rs"),
     include_str!("../../obs/src/names.rs"),
     include_str!("fixtures/ws/crates/demo/src/lib.rs"),
@@ -41,7 +40,6 @@ fn check(src: &str) {
     let lexed = lexer::lex(src);
     let mut raw = Vec::new();
     lints::run_lints(&lexed, &ctx, registry(), &mut raw);
-    symbols::summarize(&ctx, &lexed);
 }
 
 /// `src` cut to `cut` bytes with the given bits flipped, read back lossily.
@@ -85,7 +83,6 @@ fn deep_nesting_never_panics() {
         ("", "}", ""),
         ("", "#[", ""),
         ("#[cfg(test)]", "{", "}"),
-        ("impl T ", "{fn f()", "}"),
     ] {
         check(&(prefix.to_string() + &open.repeat(DEPTH) + &close.repeat(DEPTH)));
     }

@@ -44,6 +44,10 @@ pub fn exits(n: u8) {
     }
 }
 
+pub fn ambient() -> u32 {
+    std::process::id()
+}
+
 pub fn panics(n: u8) -> u8 {
     match n {
         0 => panic!("zero"),
@@ -82,6 +86,7 @@ const BANNED_METHODS: &[&str] = &[
     "std::thread::scope",
     "std::thread::Builder::spawn",
     "std::process::exit",
+    "std::process::id",
 ];
 /// The other lints, each violated once above.
 const LINTS: &[&str] = &[

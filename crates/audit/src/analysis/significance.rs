@@ -47,7 +47,6 @@ pub struct Table7 {
 }
 
 /// Compute Table 7.
-// analyzer:allow(AS01) -- mann_whitney_u's wall time feeds volatile duration aggregates only; obsdiff excludes durations from committed bytes
 pub fn table7(ix: &AnalysisIndex) -> Table7 {
     let personas = Persona::echo_personas();
     let window = ix.obs.post_window();
@@ -163,7 +162,6 @@ pub struct Table11 {
 }
 
 /// Compute Table 11.
-// analyzer:allow(AS01) -- mann_whitney_u's wall time feeds volatile duration aggregates only; obsdiff excludes durations from committed bytes
 pub fn table11(ix: &AnalysisIndex) -> Table11 {
     let everyone = Persona::all();
     let window = ix.obs.post_window();

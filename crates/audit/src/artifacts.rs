@@ -25,7 +25,6 @@ pub const ARTIFACTS: &[&str] = &[
 ///
 /// Returns the artifact's render work units, or `None` for an unknown name
 /// (including `defenses` — see the module docs).
-// analyzer:allow(AS01) -- taint is table7/table11's timing instrumentation; durations are volatile aggregates, never part of the committed bytes
 pub fn render_into(ix: &AnalysisIndex, artifact: &str, out: &mut String) -> Option<usize> {
     Some(match artifact {
         "table1" => traffic::table1(ix).render_into(out),

@@ -40,7 +40,8 @@
 //! Any unknown artifact name or flag is a usage error (exit 2) — including
 //! alongside `all` — so a typo in a CI invocation can never pass green.
 //! So are `--bench` and `--list` next to artifact names or `all`: they
-//! take none, so the names would be silently ignored.
+//! take none, so the names would be silently ignored. `--bench` and
+//! `--list` together are one too: the list would silently skip the bench.
 //!
 //! # Exit codes
 //!
@@ -51,8 +52,8 @@
 //! * `1` — I/O failure, or a campaign determinism violation (instances of
 //!   one cell identity differ byte-wise).
 //! * `2` — usage error (unknown flag/artifact, bad value, `--bench` or
-//!   `--list` with artifact names, invalid plan, `--run-dir` pointing at a
-//!   foreign directory).
+//!   `--list` with artifact names or with each other, invalid plan,
+//!   `--run-dir` pointing at a foreign directory).
 //! * `3` — **degraded but valid**: injected faults cost observations after
 //!   retry, or a shard's retry budget exhausted. The report (with its
 //!   coverage block) is still fully rendered and deterministic.
@@ -417,8 +418,8 @@ fn parse_cli() -> Cli {
         eprintln!("error: --bench runs every artifact and takes no artifact names");
         usage(Exit::Usage);
     }
-    if cli.list && named {
-        eprintln!("error: --list lists every artifact and takes no artifact names");
+    if cli.list && (named || cli.bench) {
+        eprintln!("error: --list lists every artifact and takes no artifact names or --bench");
         usage(Exit::Usage);
     }
     cli

@@ -886,6 +886,10 @@ fn defense_md(plan: &Plan, reps: &[(&CellCoord, &LoadedBundle)]) -> String {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the process id keeps scratch directories of concurrent test runs apart"
+)]
 mod tests {
     use super::*;
     use alexa_obs::campaign::{DEFENSE_MODES, FAULT_PRESETS};

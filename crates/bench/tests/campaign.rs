@@ -12,10 +12,11 @@
 //! `BLESS=1 cargo test -p alexa-bench --test campaign`.
 
 #![expect(
+    clippy::disallowed_methods,
     clippy::disallowed_types,
     clippy::expect_used,
     clippy::unwrap_used,
-    reason = "the tests drive the repro binary as a child process, and their helpers fail the test by panicking"
+    reason = "the tests drive the repro binary as a child process in scratch paths that carry the process id, and their helpers fail the test by panicking"
 )]
 
 use std::collections::BTreeMap;
@@ -279,12 +280,22 @@ fn bench_with_artifact_names_exits_2_and_appends_nothing() {
     assert_eq!(len(), before, "BENCH_audit.json changed");
 }
 
+/// `--list` takes no artifact names, and never pairs with `--bench`: that
+/// pair must not print the list in place of a bench, nor append an entry.
 #[test]
 fn list_with_artifact_names_exits_2() {
     let out = repro().arg("--list").output().expect("run repro");
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     assert_eq!(stdout(&out), alexa_bench::ARTIFACTS.join("\n") + "\n");
-    for names in [&["table1"][..], &["all"], &["table1", "figure3"]] {
+    let log = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json");
+    let len = || std::fs::metadata(log).map(|m| m.len()).ok();
+    let before = len();
+    for names in [
+        &["table1"][..],
+        &["all"],
+        &["table1", "figure3"],
+        &["--bench"],
+    ] {
         let out = repro()
             .arg("--list")
             .args(names)
@@ -293,6 +304,7 @@ fn list_with_artifact_names_exits_2() {
         assert_eq!(out.status.code(), Some(2), "{names:?}: {}", stderr(&out));
         assert!(stdout(&out).is_empty(), "{names:?}: {}", stdout(&out));
     }
+    assert_eq!(len(), before, "BENCH_audit.json changed");
 }
 
 #[test]

@@ -14,8 +14,9 @@
 //! `BLESS=1 cargo test -p alexa-bench --test defenses`.
 
 #![expect(
+    clippy::disallowed_methods,
     clippy::disallowed_types,
-    reason = "the tests drive the repro binary as a child process"
+    reason = "the tests drive the repro binary as a child process, writing to a scratch path that carries the process id"
 )]
 
 use alexa_audit::{AuditConfig, AuditRun};

@@ -6,18 +6,25 @@
 //! count. Each seed's full report is pinned to a committed golden file and
 //! additionally rendered at `--jobs 1/4/8` for byte-equality.
 //!
+//! Those renders run unobserved (a disabled recorder, no global one). The
+//! observed path — the real `repro` binary with `--trace`, so the recorder
+//! is enabled, installed globally and timing every leaf library — is pinned
+//! to the same golden: wall time may reach the recorder, never stdout.
+//!
 //! Regenerate the goldens after an *intentional* output change with
 //! `BLESS=1 cargo test -p alexa-bench --test golden_report`.
 
 #![expect(
+    clippy::disallowed_types,
     clippy::expect_used,
-    reason = "test helpers fail the test by panicking"
+    reason = "one test drives the repro binary as a child process, and test helpers fail the test by panicking"
 )]
 
 use alexa_audit::{AuditConfig, AuditRun};
 use alexa_bench::{render_all, ARTIFACTS};
 use alexa_fault::FaultProfile;
 use alexa_obs::Recorder;
+use std::process::{Command, Stdio};
 
 /// What `repro --seed N all` writes to stdout: every artifact in paper
 /// order, each followed by the `println!` newline.
@@ -89,6 +96,24 @@ fn report_seed2222_matches_golden_across_jobs() {
             env!("CARGO_MANIFEST_DIR"),
             "/tests/golden/report_seed2222.txt"
         ),
+    );
+}
+
+/// The observed path: `repro --trace` times every stage and leaf library
+/// (Mann–Whitney tests, crawler visits) on the global recorder with the
+/// real clock, and its stdout must still be the unobserved golden.
+#[test]
+fn traced_repro_stdout_matches_golden() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--seed", "7", "--jobs", "8", "--trace", "all"])
+        .stderr(Stdio::null())
+        .output()
+        .expect("run repro");
+    assert_eq!(out.status.code(), Some(0));
+    assert!(
+        out.stdout == include_bytes!("golden/report_seed7.txt"),
+        "traced `repro --seed 7 --jobs 8 all` stdout drifted from \
+         tests/golden/report_seed7.txt"
     );
 }
 

@@ -4,9 +4,10 @@
 //! defended run held next to the baseline, would show here.
 
 #![expect(
+    clippy::disallowed_methods,
     clippy::disallowed_types,
     clippy::expect_used,
-    reason = "the tests drive the repro binary as a child process, and their helpers fail the test by panicking"
+    reason = "the tests drive the repro binary as a child process in a scratch path that carries the process id, and their helpers fail the test by panicking"
 )]
 
 use alexa_obs::Json;

@@ -106,8 +106,9 @@ fn meter_alloc(size: usize) {
     ALLOC_COUNT.with(|c| c.set(c.get() + 1));
     ALLOC_BYTES.with(|c| c.set(c.get() + size as u64));
     SIZE_BUCKETS.with(|b| {
-        let cell = &b[Histogram::bucket_of(size as u64)];
-        cell.set(cell.get() + 1);
+        if let Some(cell) = b.get(Histogram::bucket_of(size as u64)) {
+            cell.set(cell.get() + 1);
+        }
     });
     WINDOW_NET.with(|n| {
         let net = n.get() + size as i64;
@@ -128,8 +129,9 @@ fn meter_realloc(old_size: usize, new_size: usize) {
     ALLOC_COUNT.with(|c| c.set(c.get() + 1));
     ALLOC_BYTES.with(|c| c.set(c.get() + new_size as u64));
     SIZE_BUCKETS.with(|b| {
-        let cell = &b[Histogram::bucket_of(new_size as u64)];
-        cell.set(cell.get() + 1);
+        if let Some(cell) = b.get(Histogram::bucket_of(new_size as u64)) {
+            cell.set(cell.get() + 1);
+        }
     });
     WINDOW_NET.with(|n| {
         let net = n.get() + new_size as i64 - old_size as i64;

@@ -264,6 +264,10 @@ pub fn write_bundle(dir: &Path, spec: &BundleSpec, report: &Report) -> io::Resul
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the process id keeps scratch directories of concurrent test runs apart"
+)]
 mod tests {
     use super::*;
     use crate::Recorder;

@@ -79,8 +79,9 @@ impl Histogram {
     /// bucket) — the delta a monotone meter accumulated over a window.
     pub fn since(&self, earlier: &Histogram) -> Histogram {
         let mut counts = [0u64; BUCKETS];
-        for (i, c) in counts.iter_mut().enumerate() {
-            *c = self.counts[i].saturating_sub(earlier.counts[i]);
+        let pairs = self.counts.iter().zip(&earlier.counts);
+        for (c, (now, before)) in counts.iter_mut().zip(pairs) {
+            *c = now.saturating_sub(*before);
         }
         Histogram { counts }
     }

@@ -207,7 +207,8 @@ impl<'a> Parser<'a> {
     }
 
     fn eat(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        let rest = self.bytes.get(self.pos..);
+        if rest.is_some_and(|r| r.starts_with(lit.as_bytes())) {
             self.pos += lit.len();
             true
         } else {

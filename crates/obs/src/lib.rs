@@ -45,6 +45,7 @@
 // `deny`, not `forbid`: the allocation meter's `GlobalAlloc` impl in
 // `alloc` is the single sanctioned `#[expect(unsafe_code)]` escape.
 #![deny(unsafe_code)]
+#![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 
 pub mod alloc;

@@ -315,6 +315,10 @@ pub fn check_campaign(dir: &Path) -> Result<CampaignCheck, CampaignCheckError> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the process id keeps scratch directories of concurrent test runs apart"
+)]
 mod tests {
     use super::*;
 

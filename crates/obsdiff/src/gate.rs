@@ -296,10 +296,10 @@ pub fn run_gate(
 ) -> Result<GateReport, GateError> {
     let base_entries = load_entries(baseline)?;
     let cand_entries = load_entries(candidate)?;
-    if cand_entries.len() <= base_entries.len() {
-        return Err(GateError::NoFreshEntries);
-    }
-    let fresh = &cand_entries[base_entries.len()..];
+    let fresh = match cand_entries.get(base_entries.len()..) {
+        Some(fresh) if !fresh.is_empty() => fresh,
+        _ => return Err(GateError::NoFreshEntries),
+    };
     // The latest committed entry whose key satisfies `same` wins.
     let latest =
         |same: &dyn Fn(&BenchKey) -> bool| base_entries.iter().rev().find(|e| same(&key(e)));

@@ -22,6 +22,7 @@
 //! into a run, so the determinism contract is untouched.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 
 pub mod bundle;

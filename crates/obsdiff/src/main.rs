@@ -19,6 +19,8 @@
 //! * `1` — drift or regression found / gate failed.
 //! * `2` — usage error, unreadable or malformed input.
 
+#![deny(clippy::indexing_slicing)]
+
 use alexa_obs::Exit;
 use alexa_obsdiff::{check_campaign, diff_bundles, load_bundle, run_gate, DiffOptions};
 use std::path::Path;
@@ -64,13 +66,13 @@ fn parse_pct(flag: &str, value: &str) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let Some((command, rest)) = args.split_first() else {
         usage(Exit::Usage);
     };
     match command.as_str() {
-        "diff" => cmd_diff(&args[1..]),
-        "gate" => cmd_gate(&args[1..]),
-        "campaign" => cmd_campaign(&args[1..]),
+        "diff" => cmd_diff(rest),
+        "gate" => cmd_gate(rest),
+        "campaign" => cmd_campaign(rest),
         "--help" | "-h" => usage(Exit::Clean),
         other => {
             eprintln!("error: unknown command {other:?}");

@@ -9,8 +9,9 @@
 //! a typed error whose reported position lies inside the input.
 
 #![expect(
+    clippy::disallowed_methods,
     clippy::expect_used,
-    reason = "test helpers fail the test by panicking"
+    reason = "scratch paths carry the process id, and test helpers fail the test by panicking"
 )]
 
 use alexa_audit::{AuditConfig, AuditRun};

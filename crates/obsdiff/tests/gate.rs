@@ -2,8 +2,9 @@
 //! the retired `ci/bench_gate.py`.
 
 #![expect(
+    clippy::disallowed_methods,
     clippy::expect_used,
-    reason = "test helpers fail the test by panicking"
+    reason = "scratch paths carry the process id, and test helpers fail the test by panicking"
 )]
 
 use alexa_obsdiff::{run_gate, GateError};
