@@ -360,10 +360,15 @@ fn parse_cli() -> Cli {
                 })
             }
             "--jobs" => {
-                cli.jobs = Some(value(&mut args, "--jobs").parse().unwrap_or_else(|_| {
-                    eprintln!("error: --jobs expects an integer");
-                    Exit::Usage.exit();
-                }))
+                // Zero workers is invalid here as in a plan's `jobs` axis,
+                // not a silent alias of one.
+                match value(&mut args, "--jobs").parse() {
+                    Ok(n) if n > 0 => cli.jobs = Some(n),
+                    _ => {
+                        eprintln!("error: --jobs expects a positive integer");
+                        Exit::Usage.exit();
+                    }
+                }
             }
             "--trace" => cli.trace = true,
             "--metrics-out" => cli.metrics_out = Some(value(&mut args, "--metrics-out")),

@@ -146,6 +146,14 @@ fn plan_parse_errors_are_typed_and_exit_2() {
         assert!(stderr(&out).contains(&unknown), "{}", stderr(&out));
         assert!(stdout(&out).is_empty(), "{flag}: {}", stdout(&out));
     }
+    // Zero workers is rejected on the command line as in a plan's jobs axis.
+    let out = repro()
+        .args(["--jobs", "0", "table1"])
+        .output()
+        .expect("run repro");
+    assert_eq!(out.status.code(), Some(2), "--jobs 0: {}", stderr(&out));
+    assert!(stderr(&out).contains("--jobs expects a positive integer"));
+    assert!(stdout(&out).is_empty(), "--jobs 0: {}", stdout(&out));
 }
 
 #[test]

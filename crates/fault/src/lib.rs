@@ -31,7 +31,7 @@ mod retry;
 pub use coverage::{Coverage, CoverageReport, FaultLedger};
 pub use fnv::{Fnv1a, FnvJump};
 pub use plane::{FaultKey, FaultPlane};
-pub use profile::{FaultChannel, FaultProfile, ProfileParseError, CHANNEL_LABELS};
+pub use profile::{FaultChannel, FaultProfile, ProfileParseError};
 pub use retry::{retry, RetryBudget, RetryOutcome, RetryPolicy};
 
 /// SplitMix64 finalizer: decorrelates structurally-close keys (adjacent

@@ -9,8 +9,8 @@
 pub enum Exit {
     /// A complete run with nothing to report.
     Clean = 0,
-    /// Findings (drift, a failed gate, analyzer findings), a campaign
-    /// determinism break, or an I/O failure.
+    /// Findings (drift, a failed gate), a campaign determinism break, or an
+    /// I/O failure.
     Findings = 1,
     /// A usage error or malformed input: unknown flag or artifact, bad
     /// value, invalid plan or bundle.

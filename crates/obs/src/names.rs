@@ -2,9 +2,12 @@
 //!
 //! Every span, stage, counter, shard group, coverage section and global
 //! aggregate name used anywhere in the workspace must appear here, in
-//! `dotted.lowercase` form. `alexa-analyzer` extracts this constant
-//! lexically and fails CI when a call site uses a name that is missing or
-//! mis-shaped (lint AO01), so the registry cannot drift from the code.
+//! `dotted.lowercase` form. The `obs_names` test (`crates/bench/tests/`)
+//! runs `repro all` under three fault profiles plus a small campaign and
+//! fails when a name those runs emit is missing here, when a `fault.*` name
+//! names no fault channel, or when an entry here is emitted by none of them
+//! (one commented exception aside), so the registry cannot drift from the
+//! code.
 //!
 //! Keep the list sorted — a unit test enforces it, which keeps merges
 //! conflict-free and diffs reviewable.
@@ -67,9 +70,7 @@ pub const REGISTRY: &[&str] = &[
     "skill.installs",          // coverage section: skill install coverage
     "skill.interactions",      // coverage section: skill interaction coverage
     "skills",                  // span: skill catalogue resolution
-    "stats.mann_whitney_permutation", // aggregate timer: permutation MWU test
     "stats.mann_whitney_u",    // aggregate timer: Mann-Whitney U test
-    "stats.mwu.permutations",  // aggregate: MWU permutations drawn
     "tap.bytes",               // counter: bytes seen by the network tap
     "tap.flows",               // counter: flows seen by the network tap
     "tap.sessions",            // counter: TLS sessions seen by the tap
@@ -116,7 +117,7 @@ mod tests {
     #[test]
     fn lookup_works() {
         assert!(is_registered("boot"));
-        assert!(is_registered("stats.mwu.permutations"));
+        assert!(is_registered("stats.mann_whitney_u"));
         assert!(!is_registered("render-all"));
         assert!(!is_registered("mystery"));
     }

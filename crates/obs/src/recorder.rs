@@ -227,8 +227,8 @@ impl Recorder {
 
     /// Time `f` into a name-keyed aggregate (one call, its duration added).
     ///
-    /// This is the instrumentation point for leaf libraries (MWU tests and
-    /// permutations, crawler visits) where per-call spans would be noise:
+    /// This is the instrumentation point for leaf libraries (MWU tests,
+    /// crawler visits) where per-call spans would be noise:
     /// totals are order-independent sums, so the aggregate is deterministic
     /// in everything but wall time.
     pub fn time<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {

@@ -210,6 +210,11 @@ pub fn mann_whitney_permutation(
     permutations: usize,
     seed: u64,
 ) -> Result<MwuResult, StatsError> {
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+
+    const CHUNK: usize = 512;
+
     let n1 = x.len();
     let n2 = y.len();
     if n1 == 0 || n2 == 0 {
@@ -218,73 +223,49 @@ pub fn mann_whitney_permutation(
     if permutations == 0 {
         return Err(StatsError::ZeroPermutations);
     }
-    alexa_obs::agg_count("stats.mwu.permutations", permutations as u64);
-    return Ok(alexa_obs::agg_time(
-        "stats.mann_whitney_permutation",
-        || permutation_uninstrumented(x, y, alternative, permutations, seed),
-    ));
+    let mut pooled: Vec<f64> = Vec::with_capacity(n1 + n2);
+    pooled.extend_from_slice(x);
+    pooled.extend_from_slice(y);
+    let u_of = |sample: &[f64]| {
+        let ranks = midranks(sample);
+        let r1: f64 = ranks[..n1].iter().sum();
+        r1 - (n1 * (n1 + 1)) as f64 / 2.0
+    };
+    let u1 = u_of(&pooled);
+    let u2 = (n1 * n2) as f64 - u1;
+    let mu = (n1 * n2) as f64 / 2.0;
 
-    /// The permutation loop itself; timing/counting happens above.
-    fn permutation_uninstrumented(
-        x: &[f64],
-        y: &[f64],
-        alternative: Alternative,
-        permutations: usize,
-        seed: u64,
-    ) -> MwuResult {
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
-
-        const CHUNK: usize = 512;
-
-        let n1 = x.len();
-        let n2 = y.len();
-
-        let mut pooled: Vec<f64> = Vec::with_capacity(n1 + n2);
-        pooled.extend_from_slice(x);
-        pooled.extend_from_slice(y);
-        let u_of = |sample: &[f64]| {
-            let ranks = midranks(sample);
-            let r1: f64 = ranks[..n1].iter().sum();
-            r1 - (n1 * (n1 + 1)) as f64 / 2.0
-        };
-        let u1 = u_of(&pooled);
-        let u2 = (n1 * n2) as f64 - u1;
-        let mu = (n1 * n2) as f64 / 2.0;
-
-        let chunks: Vec<usize> = (0..permutations.div_ceil(CHUNK)).collect();
-        let extreme_counts = alexa_exec::par_map(None, chunks, |c, _| {
-            let mut rng =
-                rand::rngs::StdRng::seed_from_u64(seed ^ 0x6d77755f ^ ((c as u64 + 1) << 24));
-            let count = CHUNK.min(permutations - c * CHUNK);
-            let mut shuffled = pooled.clone();
-            let mut extreme = 0usize;
-            for _ in 0..count {
-                shuffled.shuffle(&mut rng);
-                let u = u_of(&shuffled);
-                let hit = match alternative {
-                    Alternative::Greater => u >= u1,
-                    Alternative::Less => u <= u1,
-                    Alternative::TwoSided => (u - mu).abs() >= (u1 - mu).abs(),
-                };
-                if hit {
-                    extreme += 1;
-                }
+    let chunks: Vec<usize> = (0..permutations.div_ceil(CHUNK)).collect();
+    let extreme_counts = alexa_exec::par_map(None, chunks, |c, _| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x6d77755f ^ ((c as u64 + 1) << 24));
+        let count = CHUNK.min(permutations - c * CHUNK);
+        let mut shuffled = pooled.clone();
+        let mut extreme = 0usize;
+        for _ in 0..count {
+            shuffled.shuffle(&mut rng);
+            let u = u_of(&shuffled);
+            let hit = match alternative {
+                Alternative::Greater => u >= u1,
+                Alternative::Less => u <= u1,
+                Alternative::TwoSided => (u - mu).abs() >= (u1 - mu).abs(),
+            };
+            if hit {
+                extreme += 1;
             }
-            extreme
-        });
-        let extreme: usize = extreme_counts.into_iter().sum();
-        let p_value = (extreme + 1) as f64 / (permutations + 1) as f64;
-
-        MwuResult {
-            u1,
-            u2,
-            p_value: p_value.min(1.0),
-            effect_size: 2.0 * u1 / (n1 * n2) as f64 - 1.0,
-            z: None,
-            method_used: MwuMethod::Permutation,
         }
-    }
+        extreme
+    });
+    let extreme: usize = extreme_counts.into_iter().sum();
+    let p_value = (extreme + 1) as f64 / (permutations + 1) as f64;
+
+    Ok(MwuResult {
+        u1,
+        u2,
+        p_value: p_value.min(1.0),
+        effect_size: 2.0 * u1 / (n1 * n2) as f64 - 1.0,
+        z: None,
+        method_used: MwuMethod::Permutation,
+    })
 }
 
 /// Exact p-value by enumerating the tie-free null distribution of U.
