@@ -89,11 +89,14 @@ impl AdServer {
         // Generic background ads: 1–3 per page.
         let n = rng.gen_range(1..=3);
         for _ in 0..n {
-            let (adv, prod) = GENERIC_CAMPAIGNS[rng.gen_range(0..GENERIC_CAMPAIGNS.len())];
-            out.push(Creative {
-                advertiser: adv.into(),
-                product: prod.into(),
-            });
+            if let Some(&(adv, prod)) =
+                GENERIC_CAMPAIGNS.get(rng.gen_range(0..GENERIC_CAMPAIGNS.len()))
+            {
+                out.push(Creative {
+                    advertiser: adv.into(),
+                    product: prod.into(),
+                });
+            }
         }
         // Vendor campaigns reach everyone (broad targeting).
         for &(adv, prod, weight) in VENDOR_CAMPAIGNS {

@@ -182,13 +182,14 @@ pub fn simulate_session(
     };
     let mut ads_placed = 0usize;
     for i in 0..songs {
+        let title = SONG_TITLES.get(rng.gen_range(0..SONG_TITLES.len()));
         events.push(AudioEvent::Song(
-            SONG_TITLES[rng.gen_range(0..SONG_TITLES.len())].to_string(),
+            title.copied().unwrap_or_default().to_string(),
         ));
         if ads_placed < target && every != usize::MAX && (i + 1) % every.max(1) == 0 {
             // Weighted brand choice.
             let mut pick = rng.gen_range(0.0..total_w);
-            let mut brand = pool[pool.len() - 1].0;
+            let mut brand = pool.last().map_or("", |row| row.0);
             for row in pool {
                 let w = persona_weight(row, persona);
                 if pick < w {

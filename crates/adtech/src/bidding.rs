@@ -21,6 +21,7 @@
 //!   pattern matches Table 5/7 (six personas significantly above vanilla,
 //!   Smart Home / Wine & Beverages / Health & Fitness not).
 
+use crate::label::Label;
 use alexa_fault::Fnv1a;
 use alexa_platform::SkillCategory;
 use rand::rngs::StdRng;
@@ -31,9 +32,9 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdSlot {
     /// Globally unique slot identifier (`site#position`), an interned
-    /// [`label`](crate::label): the hundreds of thousands of bids quoting
-    /// the slot copy a pointer, not the id.
-    pub id: &'static str,
+    /// [`Label`]: the hundreds of thousands of bids quoting the slot copy a
+    /// 4-byte id, not the text.
+    pub id: Label,
     /// Publisher site hosting the slot.
     pub site: String,
     /// Quality multiplier (viewability, position). Shared across personas.
@@ -44,9 +45,9 @@ pub struct AdSlot {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Bid {
     /// Bidder organization (registrable domain, interned).
-    pub bidder: &'static str,
+    pub bidder: Label,
     /// Slot the bid targets (interned).
-    pub slot_id: &'static str,
+    pub slot_id: Label,
     /// Bid value in CPM (cost per mille), USD.
     pub cpm: f64,
 }
@@ -153,7 +154,7 @@ pub fn category_targeting(cat: SkillCategory) -> (f64, f64) {
 #[derive(Debug, Clone)]
 pub struct Bidder {
     /// Bidder organization (registrable domain, interned).
-    pub org: &'static str,
+    pub org: Label,
     /// Whether the org cookie-syncs with Amazon (receives Echo segments).
     pub is_partner: bool,
     /// Probability a non-partner learned the segments via downstream syncs.
@@ -198,7 +199,7 @@ impl Bidder {
         if self.is_partner {
             return true;
         }
-        let h = Fnv1a::hash_parts(&[self.org, "|", &user.persona]);
+        let h = Fnv1a::hash_parts(&[self.org.as_str(), "|", &user.persona]);
         (h % 10_000) as f64 / 10_000.0 < self.downstream_reach
     }
 
@@ -206,7 +207,7 @@ impl Bidder {
     /// reached the bidder (standard third-party tracking; deterministic per
     /// (bidder, persona)).
     pub fn web_reached(&self, persona: &str) -> bool {
-        let h = Fnv1a::hash_parts(&["web|", self.org, "|", persona]);
+        let h = Fnv1a::hash_parts(&["web|", self.org.as_str(), "|", persona]);
         (h % 10_000) as f64 / 10_000.0 < 0.85
     }
 
@@ -322,13 +323,13 @@ impl SlotContext {
             .map(|(median_u, ctx_sigma)| {
                 (
                     median_u,
-                    contextual_factor(slot.id, &user.persona, ctx_sigma),
+                    contextual_factor(slot.id.as_str(), &user.persona, ctx_sigma),
                 )
             });
         let web = if user.web_segments.is_empty() {
             None
         } else {
-            Some(contextual_factor(slot.id, &user.persona, 0.35))
+            Some(contextual_factor(slot.id.as_str(), &user.persona, 0.35))
         };
         SlotContext { echo, web }
     }
@@ -418,7 +419,7 @@ pub fn standard_roster(partners: &[String]) -> Vec<Bidder> {
     // sync but do not quote client-side header bids.
     for org in partners.iter().take(15) {
         out.push(Bidder {
-            org: crate::label::intern(org),
+            org: Label::intern(org),
             is_partner: true,
             downstream_reach: 0.0,
             base_median_cpm: 0.030,
@@ -427,7 +428,7 @@ pub fn standard_roster(partners: &[String]) -> Vec<Bidder> {
     }
     for i in 0..15 {
         out.push(Bidder {
-            org: crate::label::intern(&format!("indieads{:02}.com", i + 1)),
+            org: Label::intern(&format!("indieads{:02}.com", i + 1)),
             is_partner: false,
             downstream_reach: 0.55,
             base_median_cpm: 0.030,
@@ -444,7 +445,7 @@ mod tests {
 
     fn slot() -> AdSlot {
         AdSlot {
-            id: "site#1",
+            id: Label::intern("site#1"),
             site: "site".into(),
             quality: 1.0,
         }
@@ -452,7 +453,7 @@ mod tests {
 
     fn partner() -> Bidder {
         Bidder {
-            org: "criteo.com",
+            org: Label::intern("criteo.com"),
             is_partner: true,
             downstream_reach: 0.0,
             base_median_cpm: 0.03,
@@ -491,7 +492,7 @@ mod tests {
         let mut log_ratio = 0.0;
         for i in 0..8 {
             let s = AdSlot {
-                id: crate::label::intern(&format!("site#{i}")),
+                id: Label::intern(&format!("site#{i}")),
                 site: "site".into(),
                 quality: 1.0,
             };
@@ -561,12 +562,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let user = UserState::blank("x");
         let cheap = AdSlot {
-            id: "a",
+            id: Label::intern("a"),
             site: "s".into(),
             quality: 0.5,
         };
         let pricey = AdSlot {
-            id: "b",
+            id: Label::intern("b"),
             site: "s".into(),
             quality: 2.0,
         };
@@ -588,7 +589,7 @@ mod tests {
         let mut raised = 0;
         for i in 0..6 {
             let np = Bidder {
-                org: crate::label::intern(&format!("indieads{i:02}.com")),
+                org: Label::intern(&format!("indieads{i:02}.com")),
                 is_partner: false,
                 downstream_reach: 0.0,
                 ..partner()

@@ -15,7 +15,7 @@
 use crate::adserver::AdServer;
 use crate::bidding::{Auction, Bid, UserState, UserView};
 use crate::identity::BrowserProfile;
-use crate::label::intern;
+use crate::label::Label;
 use crate::sync::{SyncGraph, AMAZON_AD_ORG};
 use crate::website::Website;
 use crate::Creative;
@@ -25,16 +25,16 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// A cookie-sync redirect observed in crawl traffic. Every field is an
-/// interned [`label`](crate::label): the same few hundred orgs and cookie
-/// values appear in tens of thousands of sync events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// interned [`Label`]: the same few hundred orgs and cookie values appear
+/// in tens of thousands of sync events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncObservation {
     /// Organization initiating the sync (sends its cookie).
-    pub from_org: &'static str,
+    pub from_org: Label,
     /// Organization receiving the identifier.
-    pub to_org: &'static str,
+    pub to_org: Label,
     /// The user identifier embedded in the redirect URL.
-    pub user_id: &'static str,
+    pub user_id: Label,
 }
 
 /// Everything recorded during one page visit.
@@ -73,33 +73,33 @@ pub struct Crawler {
 #[derive(Debug)]
 struct SyncPlan {
     /// Partner bidders, in roster order: `(org, downstream orgs)`.
-    partner_bidders: Vec<(&'static str, Vec<&'static str>)>,
+    partner_bidders: Vec<(Label, Vec<Label>)>,
     /// Non-bidding sync partners, in partner-list order.
-    trackers: Vec<(&'static str, Vec<&'static str>)>,
+    trackers: Vec<(Label, Vec<Label>)>,
     /// Amazon's ad endpoint, the hub every sync points at.
-    amazon: &'static str,
+    amazon: Label,
 }
 
 impl SyncPlan {
     fn build(auction: &Auction, graph: &SyncGraph) -> SyncPlan {
         let labels =
-            |orgs: &[String]| -> Vec<&'static str> { orgs.iter().map(|d| intern(d)).collect() };
+            |orgs: &[String]| -> Vec<Label> { orgs.iter().map(|d| Label::intern(d)).collect() };
         let partner_bidders = auction
             .bidders
             .iter()
-            .filter(|b| graph.is_partner(b.org))
-            .map(|b| (b.org, labels(graph.downstream_of(b.org))))
+            .filter(|b| graph.is_partner(b.org.as_str()))
+            .map(|b| (b.org, labels(graph.downstream_of(b.org.as_str()))))
             .collect();
         let trackers = graph
             .partners()
             .iter()
-            .filter(|p| !auction.bidders.iter().any(|b| b.org == p.as_str()))
-            .map(|p| (intern(p), labels(graph.downstream_of(p))))
+            .filter(|p| !auction.bidders.iter().any(|b| b.org.as_str() == p.as_str()))
+            .map(|p| (Label::intern(p), labels(graph.downstream_of(p))))
             .collect();
         SyncPlan {
             partner_bidders,
             trackers,
-            amazon: intern(AMAZON_AD_ORG),
+            amazon: Label::intern(AMAZON_AD_ORG),
         }
     }
 }
@@ -251,7 +251,7 @@ impl Crawler {
         ] {
             for &(org, ref downstream) in plan {
                 if rng.gen_bool(rate) {
-                    let user_id = profile.cookie(org).value;
+                    let user_id = profile.cookie(org.as_str()).value;
                     syncs.push(SyncObservation {
                         from_org: org,
                         to_org: self.sync_plan.amazon,
@@ -301,6 +301,14 @@ mod tests {
             season: SeasonModel::default(),
         };
         (Crawler::new(auction, graph), WebEcosystem::generate(1, 700))
+    }
+
+    #[test]
+    fn records_hold_labels_as_ids() {
+        // A paper-scale crawl holds about 195k bids and 108k sync events.
+        assert_eq!(std::mem::size_of::<Bid>(), 16);
+        assert_eq!(std::mem::size_of::<SyncObservation>(), 12);
+        assert_eq!(std::mem::size_of::<crate::Cookie>(), 8);
     }
 
     #[test]
@@ -395,8 +403,12 @@ mod tests {
         for site in web.prebid_sites(30) {
             let rec = crawler.visit(site, &mut profile, &user, 5, 42);
             for s in &rec.syncs {
-                assert_ne!(s.from_org, AMAZON_AD_ORG, "Amazon must never sync out");
-                if s.to_org == AMAZON_AD_ORG {
+                assert_ne!(
+                    s.from_org.as_str(),
+                    AMAZON_AD_ORG,
+                    "Amazon must never sync out"
+                );
+                if s.to_org.as_str() == AMAZON_AD_ORG {
                     saw_amazon_sync = true;
                 }
             }
@@ -412,7 +424,7 @@ mod tests {
         for site in web.prebid_sites(10) {
             let rec = crawler.visit(site, &mut profile, &user, 5, 42);
             for s in &rec.syncs {
-                assert_eq!(s.user_id, profile.cookie(s.from_org).value);
+                assert_eq!(s.user_id, profile.cookie(s.from_org.as_str()).value);
             }
         }
     }
@@ -427,8 +439,8 @@ mod tests {
             for site in web.prebid_sites(200) {
                 let rec = crawler.visit(site, &mut profile, &user, iteration, 42);
                 for s in rec.syncs {
-                    if s.to_org == AMAZON_AD_ORG {
-                        partners.insert(s.from_org);
+                    if s.to_org.as_str() == AMAZON_AD_ORG {
+                        partners.insert(s.from_org.as_str());
                     }
                 }
             }

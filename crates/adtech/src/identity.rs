@@ -7,6 +7,7 @@
 
 use crate::bidding::Bid;
 use crate::crawler::SyncObservation;
+use crate::label::Label;
 use alexa_fault::Fnv1a;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -15,11 +16,11 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cookie {
     /// Organization (registrable domain) owning the cookie, interned.
-    pub org: &'static str,
+    pub org: Label,
     /// Opaque identifier value, interned: the same identifier appears in
     /// every sync event the cookie participates in, so copying it must not
     /// copy the string.
-    pub value: &'static str,
+    pub value: Label,
 }
 
 /// A persona's browser profile: cookie jar, login state, and source IP.
@@ -73,10 +74,10 @@ impl BrowserProfile {
         }
         let h = Fnv1a::hash_parts(&[&self.persona, ":", org]);
         let c = Cookie {
-            org: crate::label::intern(org),
-            value: crate::label::intern(&format!("uid-{h:016x}")),
+            org: Label::intern(org),
+            value: Label::intern(&format!("uid-{h:016x}")),
         };
-        self.jar.insert(c.org, c);
+        self.jar.insert(c.org.as_str(), c);
         c
     }
 

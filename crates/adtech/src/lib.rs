@@ -20,7 +20,7 @@
 //! * [`adserver`] — display-creative inventory, including the specific
 //!   personalized ads the paper observed (Table 8);
 //! * [`label`] — the process-wide interner behind every crawl label (slot
-//!   ids, orgs, cookie values), so records copy pointers, not strings;
+//!   ids, orgs, cookie values), so records carry 4-byte ids, not strings;
 //! * [`audio`] — streaming sessions on Amazon Music / Spotify / Pandora with
 //!   inserted audio ads, a noisy transcriber, and ad extraction (§5.4).
 //!
@@ -30,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::indexing_slicing)]
 
 pub mod adserver;
 pub mod audio;
@@ -46,5 +47,6 @@ pub use audio::{AudioAdExtractor, AudioEvent, StreamingService, StreamingSession
 pub use bidding::{AdSlot, Auction, Bid, Bidder, SeasonModel, UserState};
 pub use crawler::{Crawler, SyncObservation, VisitRecord};
 pub use identity::{BrowserProfile, Cookie};
+pub use label::Label;
 pub use sync::SyncGraph;
 pub use website::{WebEcosystem, Website};

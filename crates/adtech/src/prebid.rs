@@ -9,6 +9,7 @@
 //! where the object simply is not present.
 
 use crate::bidding::{Auction, Bid, UserState, UserView};
+use crate::label::Label;
 use crate::website::Website;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,7 +57,7 @@ impl<'a> PrebidPage<'a> {
     }
 
     /// `pbjs.adUnits`: the slot ids configured on the page.
-    pub fn ad_units(&self) -> Vec<&'static str> {
+    pub fn ad_units(&self) -> Vec<Label> {
         self.site.slots.iter().map(|s| s.id).collect()
     }
 
@@ -78,7 +79,7 @@ impl<'a> PrebidPage<'a> {
         loaded: F,
     ) -> usize
     where
-        F: FnMut(&str) -> bool,
+        F: FnMut(Label) -> bool,
     {
         let view = self.auction.user_view(user);
         self.request_bids_with_view(user, &view, iteration, seed, loaded)
@@ -96,7 +97,7 @@ impl<'a> PrebidPage<'a> {
         mut loaded: F,
     ) -> usize
     where
-        F: FnMut(&str) -> bool,
+        F: FnMut(Label) -> bool,
     {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x70626a73);
         let before = self.responses.len();
@@ -176,7 +177,7 @@ mod tests {
         let n = page.request_bids(&UserState::blank("t"), 10, 42, |_| true);
         assert!(n > 0);
         assert_eq!(page.get_bid_responses().len(), n);
-        let units: Vec<&str> = page
+        let units: Vec<Label> = page
             .get_bid_responses()
             .chunk_by(|a, b| a.slot_id == b.slot_id)
             .map(|unit| unit[0].slot_id)

@@ -74,14 +74,18 @@ impl SyncGraph {
             } else {
                 rng.gen_range(0..partners.len())
             };
-            downstream[k % partners.len()].1.push(d.clone());
+            if let Some((_, orgs)) = downstream.get_mut(k % partners.len()) {
+                orgs.push(d.clone());
+            }
         }
         // Extra edges: downstream orgs shared by several partners.
         for _ in 0..120 {
             let p = rng.gen_range(0..partners.len());
-            let d = pool[rng.gen_range(0..pool.len())].clone();
-            if !downstream[p].1.contains(&d) {
-                downstream[p].1.push(d);
+            let d = rng.gen_range(0..pool.len());
+            if let (Some((_, orgs)), Some(d)) = (downstream.get_mut(p), pool.get(d)) {
+                if !orgs.contains(d) {
+                    orgs.push(d.clone());
+                }
             }
         }
         SyncGraph {

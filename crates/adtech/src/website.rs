@@ -6,7 +6,7 @@
 //! ~35% prebid adoption and 2–5 ad slots per prebid site.
 
 use crate::bidding::AdSlot;
-use crate::label;
+use crate::label::Label;
 use alexa_net::Domain;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,16 +49,18 @@ impl WebEcosystem {
             // never on the seed. One buffer serves all five ids: only the
             // position digit changes.
             let mut id = format!("{name}#slot0");
-            let slot_ids: [&'static str; MAX_SLOTS] = std::array::from_fn(|i| {
+            let slot_ids: [Label; MAX_SLOTS] = std::array::from_fn(|i| {
                 id.pop();
                 id.push(char::from(b'0' + i as u8));
-                label::intern(&id)
+                Label::intern(&id)
             });
             let prebid = rng.gen_bool(0.35);
             let slots = if prebid {
                 let n_slots = rng.gen_range(2..=MAX_SLOTS);
-                (0..n_slots)
-                    .map(|i| {
+                slot_ids
+                    .iter()
+                    .take(n_slots)
+                    .map(|&id| {
                         // Slot quality: log-normal around 1 with σ ≈ 0.9 so
                         // slot heterogeneity dominates within-persona bid
                         // spread (the paper controls for it by comparing
@@ -67,7 +69,7 @@ impl WebEcosystem {
                         let u2: f64 = rng.gen_range(0.0..1.0);
                         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
                         AdSlot {
-                            id: slot_ids[i],
+                            id,
                             site: name.clone(),
                             quality: (0.9 * z).exp(),
                         }
@@ -146,7 +148,7 @@ mod tests {
         let mut ids: Vec<&str> = web
             .all()
             .iter()
-            .flat_map(|w| w.slots.iter().map(|s| s.id))
+            .flat_map(|w| w.slots.iter().map(|s| s.id.as_str()))
             .collect();
         let before = ids.len();
         ids.sort();
@@ -162,7 +164,9 @@ mod tests {
             let web = WebEcosystem::generate(seed, 700);
             for w in web.all().iter().filter(|w| w.prebid) {
                 assert!(
-                    w.slots.windows(2).all(|p| p[0].id < p[1].id),
+                    w.slots
+                        .windows(2)
+                        .all(|p| p[0].id.as_str() < p[1].id.as_str()),
                     "{}: slot ids out of order",
                     w.domain.as_str()
                 );

@@ -1,7 +1,7 @@
 //! Property-based tests for the ad-tech substrate.
 
 use alexa_adtech::bidding::{standard_roster, SeasonModel, UserState};
-use alexa_adtech::{audio, AdSlot, Auction, StreamingService, SyncGraph};
+use alexa_adtech::{audio, AdSlot, Auction, Label, StreamingService, SyncGraph};
 use alexa_platform::SkillCategory;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -26,7 +26,7 @@ proptest! {
             bidders: standard_roster(graph.partners()),
             season: SeasonModel::default(),
         };
-        let slot = AdSlot { id: "p#1", site: "p".into(), quality };
+        let slot = AdSlot { id: Label::intern("p#1"), site: "p".into(), quality };
         let mut user = UserState::blank("prop");
         user.amazon_customer = true;
         user.echo_segments.insert(cat);
@@ -34,7 +34,7 @@ proptest! {
         for bid in auction.request_bids(&slot, &user, iteration, &mut rng) {
             prop_assert!(bid.cpm.is_finite());
             prop_assert!(bid.cpm > 0.0);
-            prop_assert_eq!(bid.slot_id, "p#1");
+            prop_assert_eq!(bid.slot_id.as_str(), "p#1");
         }
     }
 

@@ -361,7 +361,7 @@ mod tests {
                 .visits_in(p, window.clone())
                 .iter()
                 .flat_map(|v| v.bids.iter())
-                .filter(|b| in_mask.contains(b.slot_id))
+                .filter(|b| in_mask.contains(b.slot_id.as_str()))
                 .map(|b| b.cpm)
                 .collect();
             // Bit-exact (order included): Tables 5 and 10 take the

@@ -220,8 +220,8 @@ pub fn partners_per_persona(obs: &Observations) -> BTreeMap<String, usize> {
         let partners: BTreeSet<&str> = visits
             .iter()
             .flat_map(|v| v.syncs.iter())
-            .filter(|s| s.to_org == AMAZON_AD_ENDPOINT)
-            .map(|s| s.from_org)
+            .filter(|s| s.to_org.as_str() == AMAZON_AD_ENDPOINT)
+            .map(|s| s.from_org.as_str())
             .collect();
         out.insert(persona.clone(), partners.len());
     }
@@ -272,7 +272,7 @@ mod tests {
             let naive: Vec<bool> = visits
                 .iter()
                 .flat_map(|v| v.bids.iter())
-                .map(|b| i.sync.amazon_partners.contains(b.bidder))
+                .map(|b| i.sync.amazon_partners.contains(b.bidder.as_str()))
                 .collect();
             let dense: Vec<bool> = pb.bids.iter().map(|b| b.partner).collect();
             assert_eq!(naive, dense, "{persona}");

@@ -8,9 +8,10 @@
 //!
 //! * constant fragments (`Bid { bidder: "`, `", slot_id: "`, …) are
 //!   applied with [`Fnv1a::jump`], O(1) each;
-//! * strings are hashed raw, with the check for bytes `Debug` would
-//!   escape fused into the hashing loop, falling back to the `{:?}` bytes
-//!   for the rare string that needs escaping;
+//! * strings, and the text of each crawl [`Label`](alexa_adtech::Label),
+//!   are hashed raw, with the check for bytes `Debug` would escape fused
+//!   into the hashing loop, falling back to the `{:?}` bytes for the rare
+//!   string that needs escaping;
 //! * `usize` is hashed as decimal; `f64` goes through core's `{:?}`.
 //!
 //! Every record is destructured exhaustively, so a field added to
@@ -18,7 +19,7 @@
 //! compiling until the walk learns it; the drift-guard tests below compare
 //! the walk with `format!("{:?}")` byte for byte.
 
-use alexa_adtech::{Bid, Creative, SyncObservation, VisitRecord};
+use alexa_adtech::{label, Bid, Creative, Label, SyncObservation, VisitRecord};
 use alexa_fault::{Fnv1a, FnvJump};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -43,9 +44,23 @@ static SYNC_TO_ORG: FnvJump = FnvJump::new("\", to_org: \"");
 static SYNC_USER_ID: FnvJump = FnvJump::new("\", user_id: \"");
 static VISIT_CLOSE: FnvJump = FnvJump::new("] }");
 
+/// Label texts by label id, each resolved on first use: a paper-scale
+/// crawl quotes about 4.4k distinct labels some 700k times.
+struct Texts(Vec<Option<&'static str>>);
+
+impl Texts {
+    fn of(&mut self, l: Label) -> &'static str {
+        match self.0.get_mut(l.id()) {
+            Some(slot) => slot.get_or_insert_with(|| l.as_str()),
+            None => l.as_str(),
+        }
+    }
+}
+
 /// Hash the `Debug` text of the crawl map: `{"persona": [VisitRecord { … },
 /// …], …}`.
 pub(crate) fn hash_crawl(h: &mut Fnv1a, crawl: &BTreeMap<String, Vec<VisitRecord>>) {
+    let mut texts = Texts(vec![None; label::len()]);
     h.byte(b'{');
     for (i, (persona, visits)) in crawl.iter().enumerate() {
         if i > 0 {
@@ -58,7 +73,7 @@ pub(crate) fn hash_crawl(h: &mut Fnv1a, crawl: &BTreeMap<String, Vec<VisitRecord
             if j > 0 {
                 h.str(", ");
             }
-            hash_visit(h, visit);
+            hash_visit(h, &mut texts, visit);
         }
         h.byte(b']');
     }
@@ -66,7 +81,7 @@ pub(crate) fn hash_crawl(h: &mut Fnv1a, crawl: &BTreeMap<String, Vec<VisitRecord
 }
 
 /// One visit, exactly as `{:?}` prints it.
-fn hash_visit(h: &mut Fnv1a, visit: &VisitRecord) {
+fn hash_visit(h: &mut Fnv1a, texts: &mut Texts, visit: &VisitRecord) {
     let VisitRecord {
         site,
         iteration,
@@ -86,9 +101,9 @@ fn hash_visit(h: &mut Fnv1a, visit: &VisitRecord) {
             cpm,
         } = bid;
         h.jump(if i == 0 { &BID_FIRST } else { &BID_NEXT });
-        str_body(h, bidder);
+        str_body(h, texts.of(*bidder));
         h.jump(&BID_SLOT_ID);
-        str_body(h, slot_id);
+        str_body(h, texts.of(*slot_id));
         h.jump(&BID_CPM);
         // Fnv1a's fmt::Write never fails.
         let _ = write!(h, "{cpm:?}");
@@ -118,11 +133,11 @@ fn hash_visit(h: &mut Fnv1a, visit: &VisitRecord) {
             user_id,
         } = sync;
         h.jump(if i == 0 { &SYNC_FIRST } else { &SYNC_NEXT });
-        str_body(h, from_org);
+        str_body(h, texts.of(*from_org));
         h.jump(&SYNC_TO_ORG);
-        str_body(h, to_org);
+        str_body(h, texts.of(*to_org));
         h.jump(&SYNC_USER_ID);
-        str_body(h, user_id);
+        str_body(h, texts.of(*user_id));
         h.jump(&QUOTED_CLOSE);
     }
     h.jump(&VISIT_CLOSE);
@@ -152,6 +167,7 @@ fn str_body(h: &mut Fnv1a, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alexa_adtech::Label;
 
     /// The reference: FNV-1a over the `Debug` text itself.
     fn debug_hash(crawl: &BTreeMap<String, Vec<VisitRecord>>) -> u64 {
@@ -227,11 +243,15 @@ mod tests {
             STRINGS[self.below(STRINGS.len())]
         }
 
+        fn label(&mut self) -> Label {
+            Label::intern(self.str())
+        }
+
         fn visit(&mut self) -> VisitRecord {
             let bids = (0..self.below(4))
                 .map(|_| Bid {
-                    bidder: self.str(),
-                    slot_id: self.str(),
+                    bidder: self.label(),
+                    slot_id: self.label(),
                     cpm: FLOATS[self.below(FLOATS.len())],
                 })
                 .collect();
@@ -243,9 +263,9 @@ mod tests {
                 .collect();
             let syncs = (0..self.below(3))
                 .map(|_| SyncObservation {
-                    from_org: self.str(),
-                    to_org: self.str(),
-                    user_id: self.str(),
+                    from_org: self.label(),
+                    to_org: self.label(),
+                    user_id: self.label(),
                 })
                 .collect();
             VisitRecord {
@@ -255,6 +275,16 @@ mod tests {
                 creatives,
                 syncs,
             }
+        }
+    }
+
+    #[test]
+    fn labels_debug_print_as_their_text() {
+        for &text in STRINGS {
+            let label = Label::intern(text);
+            assert_eq!(format!("{label:?}"), format!("{:?}", label.as_str()));
+            assert_eq!(label.as_str(), text);
+            assert_eq!(Label::intern(text), label, "equal text, one id");
         }
     }
 
@@ -277,8 +307,8 @@ mod tests {
                 site: s.to_string(),
                 iteration: usize::MAX,
                 bids: vec![Bid {
-                    bidder: s,
-                    slot_id: s,
+                    bidder: Label::intern(s),
+                    slot_id: Label::intern(s),
                     cpm,
                 }],
                 ..VisitRecord::default()
@@ -307,8 +337,8 @@ mod tests {
             site: "a.com".into(),
             iteration: 3,
             bids: vec![Bid {
-                bidder: "b",
-                slot_id: "s",
+                bidder: Label::intern("b"),
+                slot_id: Label::intern("s"),
                 cpm: 1.5,
             }],
             creatives: vec![Creative {
@@ -316,9 +346,9 @@ mod tests {
                 product: "p".into(),
             }],
             syncs: vec![SyncObservation {
-                from_org: "f",
-                to_org: "t",
-                user_id: "u",
+                from_org: Label::intern("f"),
+                to_org: Label::intern("t"),
+                user_id: Label::intern("u"),
             }],
         };
         let hash =
@@ -332,10 +362,10 @@ mod tests {
         m.iteration += 1;
         mutants.push(m);
         let mut m = base.clone();
-        m.bids[0].bidder = "c";
+        m.bids[0].bidder = Label::intern("c");
         mutants.push(m);
         let mut m = base.clone();
-        m.bids[0].slot_id = "t";
+        m.bids[0].slot_id = Label::intern("t");
         mutants.push(m);
         let mut m = base.clone();
         m.bids[0].cpm = 1.25;
@@ -344,7 +374,7 @@ mod tests {
         m.creatives[0].product.push('x');
         mutants.push(m);
         let mut m = base.clone();
-        m.syncs[0].user_id = "v";
+        m.syncs[0].user_id = Label::intern("v");
         mutants.push(m);
         let mut m = base.clone();
         m.bids.clear();

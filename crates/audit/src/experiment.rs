@@ -440,12 +440,11 @@ pub(crate) fn run_persona_shard(
                 out.installs.expected += 1;
                 l.work(1); // one install attempt
                 tap.start(&skill.id.0);
-                let key = format!("{account}/install/{}", skill.id.0);
                 let attempt = retry(
                     &rpolicy,
                     &mut budget,
                     config.seed,
-                    &key,
+                    || format!("{account}/install/{}", skill.id.0),
                     |_| device.install(&mut cloud, skill),
                     DeviceError::is_transient,
                 );
@@ -508,12 +507,11 @@ pub(crate) fn run_persona_shard(
                     out.interactions.expected += 1;
                     l.work(1); // one replayed utterance
                     let spoken = format!("Alexa, {utterance}");
-                    let key = format!("{account}/interact/{}/{utterance}", skill.id.0);
                     let attempt = retry(
                         &rpolicy,
                         &mut budget,
                         config.seed,
-                        &key,
+                        || format!("{account}/interact/{}/{utterance}", skill.id.0),
                         |_| device.interact(&mut cloud, skill, &spoken),
                         DeviceError::is_transient,
                     );
@@ -698,7 +696,7 @@ fn crawl_window(
                 rpolicy,
                 budget,
                 config.seed,
-                &key,
+                || key.clone(),
                 |n| {
                     if plane.fires_at(timeout.u64(n.into())) {
                         Err(())
@@ -750,12 +748,11 @@ pub(crate) fn run_avs_shard(
             skills_cov.expected += 1;
             l.work(1); // one plaintext-pass skill
             tap.start(&skill.id.0);
-            let key = format!("avs/{}/install", skill.id.0);
             let attempt = retry(
                 &rpolicy,
                 &mut budget,
                 config.seed,
-                &key,
+                || format!("avs/{}/install", skill.id.0),
                 |_| avs.install(&mut cloud, skill),
                 DeviceError::is_transient,
             );
@@ -769,12 +766,11 @@ pub(crate) fn run_avs_shard(
                     .take(config.utterances_per_skill)
                 {
                     let spoken = format!("Alexa, {utterance}");
-                    let key = format!("avs/{}/interact/{utterance}", skill.id.0);
                     let attempt = retry(
                         &rpolicy,
                         &mut budget,
                         config.seed,
-                        &key,
+                        || format!("avs/{}/interact/{utterance}", skill.id.0),
                         |_| avs.interact(&mut cloud, skill, &spoken),
                         DeviceError::is_transient,
                     );

@@ -14,8 +14,10 @@
 //! * per-(persona, skill) flow aggregates ([`SkillFlows`]) with per-host
 //!   packet counts, in the exact iteration order the legacy per-artifact
 //!   scans produced;
-//! * per-persona dense bid rows ([`BidRow`]) with slot ids and the
-//!   partner-bidder classification pre-resolved;
+//! * per-persona dense bid rows ([`BidRow`], 16 bytes) with slot ids and
+//!   the partner-bidder classification pre-resolved, through tables
+//!   indexed by crawl label id ([`alexa_adtech::Label`]) rather than hash
+//!   probes;
 //! * the recovered cookie-sync structure, extracted audio ads, and the
 //!   AVS data-type map — each shared by several artifacts.
 //!
@@ -26,81 +28,71 @@
 use crate::analysis::partners::{SyncAnalysis, AMAZON_AD_ENDPOINT};
 use crate::observations::{Observations, SkillMeta};
 use crate::persona::Persona;
-use alexa_adtech::{AudioAdExtractor, StreamingService};
+use alexa_adtech::{label, AudioAdExtractor, Label, StreamingService, VisitRecord};
 use alexa_net::{DataType, FilterList, OrgClass, TrafficPurpose};
 use alexa_policy::{CompiledPolicy, FlowExtractor, PoliCheck};
-#[expect(
-    clippy::disallowed_types,
-    reason = "Hash collections here back address-keyed memo maps that are only probed, never iterated; nothing ordered is derived from them"
-)]
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-/// Identity key of a crawl label: its address and length.
-///
-/// The crawl's org, bidder and slot labels are interned
-/// (`alexa_adtech::label`), so equal text shares one address and memoizing
-/// a per-label computation by address computes it exactly once per distinct
-/// label, replacing hundreds of thousands of string-keyed tree lookups with
-/// hash hits. A label that bypassed the interner (a hand-built record)
-/// merely recomputes the same value, so results stay a pure function of the
-/// text.
-#[inline]
-fn label_key(s: &str) -> (usize, usize) {
-    (s.as_ptr() as usize, s.len())
+/// Marks crawl labels in a table indexed by [`Label::id`], remembering
+/// each label the first time it is marked.
+struct LabelMarks {
+    marked: Vec<bool>,
+    labels: Vec<Label>,
 }
 
-/// Fibonacci-multiply hasher for the address keys above — the default
-/// SipHash costs more than the lookups it replaces.
-#[derive(Default)]
-struct AddrHasher(u64);
-
-impl std::hash::Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+impl LabelMarks {
+    /// A table covering every label interned so far.
+    fn new() -> LabelMarks {
+        LabelMarks {
+            marked: vec![false; label::len()],
+            labels: Vec::new(),
         }
     }
-    fn write_usize(&mut self, n: usize) {
-        self.0 = (self.0.rotate_left(29) ^ n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+
+    fn mark(&mut self, l: Label) {
+        if !std::mem::replace(&mut self.marked[l.id()], true) {
+            self.labels.push(l);
+        }
+    }
+
+    fn contains(&self, l: Label) -> bool {
+        self.marked[l.id()]
+    }
+
+    /// The marked labels' texts.
+    fn texts(&self) -> BTreeSet<String> {
+        self.labels.iter().map(|l| l.as_str().to_string()).collect()
     }
 }
 
-#[expect(
-    clippy::disallowed_types,
-    reason = "lookup-only memo keyed by label address; iteration order never reaches an output"
-)]
-type AddrMap<V> = HashMap<(usize, usize), V, std::hash::BuildHasherDefault<AddrHasher>>;
-
-#[expect(
-    clippy::disallowed_types,
-    reason = "lookup-only dedup set of sync edges keyed by label addresses; never iterated"
-)]
-type EdgeSet = HashSet<((usize, usize), (usize, usize)), std::hash::BuildHasherDefault<AddrHasher>>;
-
-/// The cookie-sync structure of a set of `(from, to)` sync edges: Amazon's
-/// partners push to [`AMAZON_AD_ENDPOINT`], and their downstream parties are
-/// every non-Amazon organization a partner pushes to. Duplicate edges (equal
-/// labels at different addresses) change nothing.
-fn sync_from_edges(edges: &[(&str, &str)]) -> SyncAnalysis {
-    let amazon_partners: BTreeSet<String> = edges
-        .iter()
-        .filter(|(_, to)| *to == AMAZON_AD_ENDPOINT)
-        .map(|(from, _)| from.to_string())
-        .collect();
-    let downstream_parties = edges
-        .iter()
-        .filter(|(from, to)| *to != AMAZON_AD_ENDPOINT && amazon_partners.contains(*from))
-        .map(|(_, to)| to.to_string())
-        .collect();
-    SyncAnalysis {
-        amazon_syncs_out: edges.iter().any(|(from, _)| *from == AMAZON_AD_ENDPOINT),
-        amazon_partners,
-        downstream_parties,
+/// The crawl's cookie-sync structure: Amazon's partners push to
+/// [`AMAZON_AD_ENDPOINT`], and their downstream parties are every
+/// non-Amazon organization a partner pushes to. Two passes over the sync
+/// events mark label ids; the partner marks also classify the bidders.
+fn sync_structure(crawl: &BTreeMap<String, Vec<VisitRecord>>) -> (SyncAnalysis, LabelMarks) {
+    let amazon = Label::intern(AMAZON_AD_ENDPOINT);
+    let syncs = || crawl.values().flatten().flat_map(|v| &v.syncs);
+    let mut partners = LabelMarks::new();
+    let mut amazon_syncs_out = false;
+    for s in syncs() {
+        if s.to_org == amazon {
+            partners.mark(s.from_org);
+        }
+        amazon_syncs_out |= s.from_org == amazon;
     }
+    let mut downstream = LabelMarks::new();
+    for s in syncs() {
+        if s.to_org != amazon && partners.contains(s.from_org) {
+            downstream.mark(s.to_org);
+        }
+    }
+    let sync = SyncAnalysis {
+        amazon_syncs_out,
+        amazon_partners: partners.texts(),
+        downstream_parties: downstream.texts(),
+    };
+    (sync, partners)
 }
 
 /// An interned label: index into the run's [`Interner`].
@@ -188,11 +180,11 @@ pub struct SkillFlows {
     pub hosts: Range<u32>,
 }
 
-/// One observed bid in dense form.
+/// One observed bid in dense form (16 bytes).
 #[derive(Debug, Clone, Copy)]
 pub struct BidRow {
     /// Crawl iteration the bid was observed in.
-    pub iteration: u32,
+    pub iteration: u16,
     /// Index into [`AnalysisIndex::slots`].
     pub slot: u32,
     /// Whether the bidder is one of Amazon's cookie-sync partners.
@@ -352,69 +344,44 @@ impl<'a> AnalysisIndex<'a> {
             persona_flows.push((persona_sym, flows_start..flows.len() as u32));
         }
 
-        // Cookie-sync structure: one pass collects the distinct (from, to)
-        // edges by label address; partners and their downstream parties are
-        // set computations over those few edges.
-        let mut edge_seen: EdgeSet = EdgeSet::default();
-        let mut edges: Vec<(&str, &str)> = Vec::new();
-        for visits in obs.crawl.values() {
-            for v in visits {
-                for s in &v.syncs {
-                    if edge_seen.insert((label_key(s.from_org), label_key(s.to_org))) {
-                        edges.push((s.from_org, s.to_org));
-                    }
-                }
-            }
-        }
-        let sync = sync_from_edges(&edges);
+        let (sync, partners) = sync_structure(&obs.crawl);
 
-        // Dense per-persona bid rows in visit order, in one pass. Slots get
-        // provisional ids in first-seen order; once every slot is known they
-        // are remapped to their rank in the lexicographic slot table (equal
-        // labels at different addresses share one id).
-        let mut slot_of: AddrMap<u32> = AddrMap::default();
-        let mut slot_labels: Vec<&str> = Vec::new();
-        let mut bidder_partner: AddrMap<bool> = AddrMap::default();
-        let mut persona_bids = Vec::with_capacity(obs.crawl.len());
-        for visits in obs.crawl.values() {
-            let mut bids = Vec::with_capacity(visits.iter().map(|v| v.bids.len()).sum());
-            // A visit's bids run slot by slot, so the previous bid's slot id
-            // usually answers without a lookup.
-            let mut last: Option<((usize, usize), u32)> = None;
-            for v in visits {
-                for b in &v.bids {
-                    let key = label_key(b.slot_id);
-                    let slot = match last {
-                        Some((k, slot)) if k == key => slot,
-                        _ => *slot_of.entry(key).or_insert_with(|| {
-                            slot_labels.push(b.slot_id);
-                            slot_labels.len() as u32 - 1
-                        }),
-                    };
-                    last = Some((key, slot));
-                    bids.push(BidRow {
-                        iteration: v.iteration as u32,
-                        slot,
-                        partner: *bidder_partner
-                            .entry(label_key(b.bidder))
-                            .or_insert_with(|| sync.amazon_partners.contains(b.bidder)),
-                        cpm: b.cpm,
-                    });
-                }
-            }
-            persona_bids.push(bids);
+        // The slot table: the distinct slot labels in text order, and each
+        // slot label's rank in it, indexed by label id.
+        let bids = || obs.crawl.values().flatten().flat_map(|v| &v.bids);
+        let mut seen = LabelMarks::new();
+        bids().for_each(|b| seen.mark(b.slot_id));
+        let mut slot_labels = seen.labels;
+        slot_labels.sort_unstable_by_key(|l| l.as_str());
+        let mut slot_rank = vec![0u32; seen.marked.len()];
+        for (rank, l) in (0..).zip(&slot_labels) {
+            slot_rank[l.id()] = rank;
         }
-        let slot_set: BTreeSet<&str> = slot_labels.iter().copied().collect();
-        let slots: Vec<Sym> = slot_set.iter().map(|s| symbols.intern(s)).collect();
-        let rank: BTreeMap<&str, u32> = slot_set.into_iter().zip(0..).collect();
-        let remap: Vec<u32> = slot_labels.iter().map(|l| rank[l]).collect();
+        let slots: Vec<Sym> = slot_labels
+            .iter()
+            .map(|l| symbols.intern(l.as_str()))
+            .collect();
+
+        // Dense per-persona bid rows in visit order.
         let persona_bids: Vec<PersonaBids> = obs
             .crawl
-            .keys()
-            .zip(persona_bids)
-            .map(|(persona, mut bids)| {
-                bids.iter_mut()
-                    .for_each(|b| b.slot = remap[b.slot as usize]);
+            .iter()
+            .map(|(persona, visits)| {
+                let mut bids = Vec::with_capacity(visits.iter().map(|v| v.bids.len()).sum());
+                for v in visits {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "iterations come from AuditConfig, a few dozen per run; 65,536 would crawl every persona's sites that many times"
+                    )]
+                    let iteration =
+                        u16::try_from(v.iteration).expect("crawl iteration fits in u16");
+                    bids.extend(v.bids.iter().map(|b| BidRow {
+                        iteration,
+                        slot: slot_rank[b.slot_id.id()],
+                        partner: partners.contains(b.bidder),
+                        cpm: b.cpm,
+                    }));
+                }
                 PersonaBids {
                     persona: symbols.intern(persona),
                     bids,
@@ -622,11 +589,16 @@ mod tests {
     }
 
     #[test]
+    fn bid_rows_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<BidRow>(), 16);
+    }
+
+    #[test]
     fn slot_mask_miss_and_hit_charge_the_same_bytes() {
         use alexa_adtech::{Bid, VisitRecord};
         let bid = |slot_id| Bid {
-            bidder: "b.example",
-            slot_id,
+            bidder: Label::intern("b.example"),
+            slot_id: Label::intern(slot_id),
             cpm: 1.0,
         };
         let mut obs = Observations::default();

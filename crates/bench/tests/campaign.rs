@@ -12,11 +12,10 @@
 //! `BLESS=1 cargo test -p alexa-bench --test campaign`.
 
 #![expect(
-    clippy::disallowed_methods,
     clippy::disallowed_types,
     clippy::expect_used,
     clippy::unwrap_used,
-    reason = "the tests drive the repro binary as a child process in scratch paths that carry the process id, and their helpers fail the test by panicking"
+    reason = "the tests drive the repro binary as a child process, and their helpers fail the test by panicking"
 )]
 
 use std::collections::BTreeMap;
@@ -30,9 +29,10 @@ fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
-/// A fresh scratch directory unique to this test invocation.
+/// A fresh scratch directory for one test, under cargo's per-target temp
+/// dir so repeated runs reuse it.
 fn scratch(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("alexa-campaign-{}-{test}", std::process::id()));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("campaign-{test}"));
     if dir.exists() {
         std::fs::remove_dir_all(&dir).expect("clear scratch dir");
     }

@@ -14,15 +14,15 @@
 //! `BLESS=1 cargo test -p alexa-bench --test defenses`.
 
 #![expect(
-    clippy::disallowed_methods,
     clippy::disallowed_types,
-    reason = "the tests drive the repro binary as a child process, writing to a scratch path that carries the process id"
+    reason = "the tests drive the repro binary as a child process"
 )]
 
 use alexa_audit::{AuditConfig, AuditRun};
 use alexa_bench::{render_all, render_artifacts, ARTIFACTS};
 use alexa_fault::FaultProfile;
 use alexa_obs::{Json, Recorder};
+use std::path::Path;
 use std::process::{Command, Stdio};
 
 #[test]
@@ -102,8 +102,7 @@ fn flaky_defenses_section_matches_golden() {
 /// re-executed defended run would feed the global recorder, but no shard.
 #[test]
 fn faulted_repro_all_executes_once() {
-    let metrics =
-        std::env::temp_dir().join(format!("repro-execute-once-{}.json", std::process::id()));
+    let metrics = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro-execute-once.json");
     let status = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["--seed", "7", "--fault-profile", "flaky", "--metrics-out"])
         .arg(&metrics)

@@ -4,22 +4,20 @@
 //! defended run held next to the baseline, would show here.
 
 #![expect(
-    clippy::disallowed_methods,
     clippy::disallowed_types,
     clippy::expect_used,
-    reason = "the tests drive the repro binary as a child process in a scratch path that carries the process id, and their helpers fail the test by panicking"
+    reason = "the tests drive the repro binary as a child process, and their helpers fail the test by panicking"
 )]
 
 use alexa_obs::Json;
+use std::path::Path;
 use std::process::{Command, Stdio};
 
 /// The largest stage `peak_rss_kb` of `repro --seed 7 [extra] all`, from
 /// its `--metrics-out` file.
 fn peak_rss_kb(extra: &[&str], tag: &str) -> u64 {
-    let metrics = std::env::temp_dir().join(format!(
-        "repro-memory-bound-{}-{tag}.json",
-        std::process::id()
-    ));
+    let metrics =
+        Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("repro-memory-bound-{tag}.json"));
     let status = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["--seed", "7", "--jobs", "1", "--metrics-out"])
         .arg(&metrics)

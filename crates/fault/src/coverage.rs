@@ -300,7 +300,7 @@ mod tests {
             &RetryPolicy::standard(),
             &mut budget,
             1,
-            "a",
+            || "a".into(),
             |attempt| if attempt < 2 { Err(()) } else { Ok(()) },
             |_| true,
         );
@@ -308,7 +308,7 @@ mod tests {
             &RetryPolicy::standard(),
             &mut budget,
             1,
-            "b",
+            || "b".into(),
             |_| Err::<(), _>(()),
             |_| true,
         );

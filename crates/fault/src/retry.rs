@@ -140,15 +140,18 @@ impl<T, E> RetryOutcome<T, E> {
 /// structural fault keys so each attempt gets an independent fault
 /// decision). `retryable` gates which errors are worth retrying —
 /// permanent failures (e.g. a skill that genuinely fails to load) return
-/// immediately without touching the budget.
+/// immediately without touching the budget. `key` names the operation for
+/// the backoff jitter; it is built only if a retry happens, so an
+/// operation that succeeds first time formats nothing.
 pub fn retry<T, E>(
     policy: &RetryPolicy,
     budget: &mut RetryBudget,
     seed: u64,
-    key: &str,
+    key: impl FnOnce() -> String,
     mut op: impl FnMut(u32) -> Result<T, E>,
     mut retryable: impl FnMut(&E) -> bool,
 ) -> RetryOutcome<T, E> {
+    let key = std::cell::LazyCell::new(key);
     let max = policy.max_attempts.max(1);
     let mut backoff_ms = 0u64;
     let mut attempt = 1u32;
@@ -182,7 +185,7 @@ pub fn retry<T, E>(
                         budget_denied: true,
                     };
                 }
-                backoff_ms += policy.backoff_ms(seed, key, attempt);
+                backoff_ms += policy.backoff_ms(seed, &key, attempt);
                 attempt += 1;
             }
         }
@@ -200,7 +203,7 @@ mod tests {
             &RetryPolicy::standard(),
             &mut budget,
             7,
-            "k",
+            || "k".into(),
             |_| Ok::<_, ()>(42),
             |_| true,
         );
@@ -217,7 +220,7 @@ mod tests {
             &RetryPolicy::standard(),
             &mut budget,
             7,
-            "k",
+            || "k".into(),
             |attempt| {
                 calls += 1;
                 if attempt < 3 {
@@ -235,13 +238,38 @@ mod tests {
     }
 
     #[test]
+    fn the_key_is_built_only_for_a_retry() {
+        let built = std::cell::Cell::new(0);
+        let key = || {
+            built.set(built.get() + 1);
+            "k".to_string()
+        };
+        let mut budget = RetryBudget::new(10);
+        let policy = RetryPolicy::standard();
+        retry(&policy, &mut budget, 7, key, |_| Ok::<_, ()>(()), |_| true);
+        assert_eq!(built.get(), 0, "a first-try success formats no key");
+        let out = retry(
+            &policy,
+            &mut budget,
+            7,
+            key,
+            |attempt| if attempt < 4 { Err(()) } else { Ok(()) },
+            |_| true,
+        );
+        assert_eq!(out.retries, 3);
+        assert_eq!(built.get(), 1, "three retries build the key once");
+        let want: u64 = (1..4).map(|a| policy.backoff_ms(7, "k", a)).sum();
+        assert_eq!(out.backoff_ms, want);
+    }
+
+    #[test]
     fn permanent_errors_do_not_retry() {
         let mut budget = RetryBudget::new(10);
         let out = retry(
             &RetryPolicy::standard(),
             &mut budget,
             7,
-            "k",
+            || "k".into(),
             |_| Err::<(), _>("permanent"),
             |_| false,
         );
@@ -257,7 +285,7 @@ mod tests {
             &RetryPolicy::standard(),
             &mut budget,
             7,
-            "k",
+            || "k".into(),
             |_| Err::<(), _>("transient"),
             |_| true,
         );
@@ -270,7 +298,7 @@ mod tests {
             &RetryPolicy::standard(),
             &mut budget,
             7,
-            "k2",
+            || "k2".into(),
             |_| Err::<(), _>("transient"),
             |_| true,
         );

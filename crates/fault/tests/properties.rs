@@ -123,7 +123,7 @@ proptest! {
                 &p,
                 &mut budget,
                 9,
-                &format!("op{op}"),
+                || format!("op{op}"),
                 |_| Err::<(), ()>(()),
                 |_| true,
             );
@@ -133,7 +133,7 @@ proptest! {
         prop_assert_eq!(budget.remaining(), 0);
         prop_assert_eq!(budget.exhausted(), total > 0);
         // Once dry, a further failing op gets no retries and is denied.
-        let out = retry(&p, &mut budget, 9, "after", |_| Err::<(), ()>(()), |_| true);
+        let out = retry(&p, &mut budget, 9, || "after".into(), |_| Err::<(), ()>(()), |_| true);
         prop_assert_eq!(out.attempts, 1);
         prop_assert!(out.budget_denied);
     }
@@ -166,7 +166,7 @@ proptest! {
     fn no_backoff_without_retries(seed in 0u64..u64::MAX, key in "[a-z]{1,8}") {
         let p = RetryPolicy::standard();
         let mut budget = RetryBudget::new(0);
-        let out = retry(&p, &mut budget, seed, &key, |_| Err::<(), ()>(()), |_| true);
+        let out = retry(&p, &mut budget, seed, || key, |_| Err::<(), ()>(()), |_| true);
         prop_assert_eq!(out.retries, 0);
         prop_assert_eq!(out.backoff_ms, 0);
     }

@@ -9,9 +9,8 @@
 //! a typed error whose reported position lies inside the input.
 
 #![expect(
-    clippy::disallowed_methods,
     clippy::expect_used,
-    reason = "scratch paths carry the process id, and test helpers fail the test by panicking"
+    reason = "test helpers fail the test by panicking"
 )]
 
 use alexa_audit::{AuditConfig, AuditRun};
@@ -22,7 +21,7 @@ use alexa_obs::campaign::{Plan, PlanError};
 use alexa_obs::Recorder;
 use alexa_obsdiff::{diff_bundles, load_bundle, BundleError, DiffOptions, LoadedBundle};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 const SMOKE_PLAN: &str = include_str!("../../../ci/plans/smoke.json");
@@ -192,9 +191,9 @@ fn pristine() -> &'static (Vec<Vec<u8>>, LoadedBundle) {
     })
 }
 
-/// An empty scratch directory private to this test process.
+/// An empty scratch directory for one tag.
 fn case_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("obsdiff-mutation-{tag}-{}", std::process::id()));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("obsdiff-mutation-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

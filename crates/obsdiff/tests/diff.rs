@@ -2,9 +2,8 @@
 //! real-audit round-trip.
 
 #![expect(
-    clippy::disallowed_methods,
     clippy::expect_used,
-    reason = "scratch paths carry the process id, and test helpers fail the test by panicking"
+    reason = "test helpers fail the test by panicking"
 )]
 
 use alexa_audit::{AuditConfig, AuditRun};
@@ -12,16 +11,10 @@ use alexa_obs::bundle::{write_bundle, BundleSpec, MANIFEST_FILE};
 use alexa_obs::{Json, Recorder};
 use alexa_obsdiff::{diff_bundles, load_bundle, BundleError, DiffOptions, Severity};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
-
+/// An empty scratch directory for one tag (tags are unique per call site).
 fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "obsdiff-test-{}-{tag}-{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("obsdiff-diff-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -2,21 +2,19 @@
 //! the retired `ci/bench_gate.py`.
 
 #![expect(
-    clippy::disallowed_methods,
     clippy::expect_used,
-    reason = "scratch paths carry the process id, and test helpers fail the test by panicking"
+    reason = "test helpers fail the test by panicking"
 )]
 
 use alexa_obsdiff::{run_gate, GateError};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static FILE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn bench_file(tag: &str, content: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "obsdiff-gate-{}-{tag}-{}.json",
-        std::process::id(),
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!(
+        "obsdiff-gate-{tag}-{}.json",
         FILE_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::write(&path, content).expect("write bench file");
@@ -99,7 +97,8 @@ fn latest_committed_entry_per_key_wins() {
 #[test]
 fn unreadable_file_is_a_typed_error() {
     let cand = bench_file("unread-cand", &entry(7, "null", 1000, ""));
-    let missing = std::env::temp_dir().join("obsdiff-gate-definitely-absent.json");
+    let missing =
+        Path::new(env!("CARGO_TARGET_TMPDIR")).join("obsdiff-gate-definitely-absent.json");
     match run_gate(&missing, &cand, 0.25, 0.10) {
         Err(GateError::Unreadable { path, .. }) => assert_eq!(path, missing),
         other => panic!("expected Unreadable, got {other:?}"),

@@ -79,7 +79,7 @@ impl PolicyFetcher {
             &self.policy,
             &mut budget,
             self.seed,
-            &key,
+            || key.clone(),
             |attempt| {
                 if self.plane.fires_at(download.u64(attempt.into())) {
                     Err(FetchError::Timeout { attempts: attempt })

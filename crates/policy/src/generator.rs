@@ -21,11 +21,13 @@ pub struct PolicyGenerator {
     data: DataOntology,
 }
 
-/// The per-(skill, practice) draw. The key text is formatted, not
-/// streamed, because `validate` regenerates policies inside a metered
-/// render window and its allocation ledger is part of the golden bundles.
-fn fnv(key: &str) -> u64 {
-    Fnv1a::hash_parts(&[key])
+/// The per-(skill, practice) draw: FNV-1a of the key text, streamed into
+/// the hasher without building a `String`.
+fn draw(key: std::fmt::Arguments) -> u64 {
+    let mut h = Fnv1a::new();
+    // Fnv1a's fmt::Write never fails.
+    let _ = std::fmt::Write::write_fmt(&mut h, key);
+    h.finish()
 }
 
 impl PolicyGenerator {
@@ -61,7 +63,7 @@ impl PolicyGenerator {
         }
 
         for (&dt, &level) in &skill.policy.data_disclosures {
-            let key = fnv(&format!("{}|data|{dt:?}", skill.id.0));
+            let key = draw(format_args!("{}|data|{dt:?}", skill.id.0));
             match level {
                 DisclosureLevel::Clear => {
                     if key.is_multiple_of(13) {
@@ -94,7 +96,7 @@ impl PolicyGenerator {
         }
 
         for (org, &level) in &skill.policy.endpoint_disclosures {
-            let key = fnv(&format!("{}|ep|{org}", skill.id.0));
+            let key = draw(format_args!("{}|ep|{org}", skill.id.0));
             match level {
                 DisclosureLevel::Clear => {
                     push(&format!(

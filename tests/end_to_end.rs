@@ -6,7 +6,7 @@
 //! tests (a full 450-skill, 31-iteration run), so everything shares one
 //! execution.
 
-use alexa_adtech::{Bid, SyncObservation, VisitRecord};
+use alexa_adtech::{Bid, Label, SyncObservation, VisitRecord};
 use alexa_audit::analysis::partners::{SyncAnalysis, AMAZON_AD_ENDPOINT};
 use alexa_audit::analysis::{audio, bids, partners, policy, profiling, significance, traffic};
 use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, Observations, Persona};
@@ -383,15 +383,17 @@ fn paper_validation_f1() {
 fn naive_sync(obs: &Observations) -> SyncAnalysis {
     let syncs = || obs.crawl.values().flatten().flat_map(|v| &v.syncs);
     let amazon_partners: BTreeSet<String> = syncs()
-        .filter(|s| s.to_org == AMAZON_AD_ENDPOINT)
+        .filter(|s| s.to_org.as_str() == AMAZON_AD_ENDPOINT)
         .map(|s| s.from_org.to_string())
         .collect();
     let downstream_parties = syncs()
-        .filter(|s| amazon_partners.contains(s.from_org) && s.to_org != AMAZON_AD_ENDPOINT)
+        .filter(|s| {
+            amazon_partners.contains(s.from_org.as_str()) && s.to_org.as_str() != AMAZON_AD_ENDPOINT
+        })
         .map(|s| s.to_org.to_string())
         .collect();
     SyncAnalysis {
-        amazon_syncs_out: syncs().any(|s| s.from_org == AMAZON_AD_ENDPOINT),
+        amazon_syncs_out: syncs().any(|s| s.from_org.as_str() == AMAZON_AD_ENDPOINT),
         amazon_partners,
         downstream_parties,
     }
@@ -403,22 +405,25 @@ fn index_sync_matches_naive_scan() {
 }
 
 #[test]
-fn index_dedupes_labels_that_skip_the_interner() {
-    // Hand-built records whose labels are separate leaked copies of equal
-    // text: address-keyed memos must still group them by text.
-    fn leak(s: &str) -> &'static str {
-        Box::leak(s.to_string().into_boxed_str())
-    }
+fn index_orders_hand_built_labels_by_text() {
+    // Hand-built records, their labels interned in an order that is not
+    // text order: the sync structure must match a naive text scan, and slot
+    // ids must rank by text, not by label id.
+    let label = Label::intern;
     let sync = |from: &str, to: &str| SyncObservation {
-        from_org: leak(from),
-        to_org: leak(to),
-        user_id: leak("u"),
+        from_org: label(from),
+        to_org: label(to),
+        user_id: label("u"),
     };
     let bid = |bidder: &str, slot: &str, cpm| Bid {
-        bidder: leak(bidder),
-        slot_id: leak(slot),
+        bidder: label(bidder),
+        slot_id: label(slot),
         cpm,
     };
+    assert!(
+        label("s#2").id() < label("s#1").id(),
+        "ids must disagree with text order"
+    );
     let visit = |iteration, syncs, bids| VisitRecord {
         iteration,
         syncs,

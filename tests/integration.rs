@@ -229,7 +229,7 @@ fn persona_isolation_distinct_cookies() {
     for p in [Persona::Vanilla, Persona::WebHealth] {
         let ids = obs().crawl[&p.name()]
             .iter()
-            .flat_map(|v| v.syncs.iter().map(|s| s.user_id))
+            .flat_map(|v| v.syncs.iter().map(|s| s.user_id.as_str()))
             .collect();
         ids_by_persona.push(ids);
     }
