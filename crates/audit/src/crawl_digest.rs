@@ -8,11 +8,19 @@
 //!
 //! * constant fragments (`Bid { bidder: "`, `", slot_id: "`, …) are
 //!   applied with [`Fnv1a::jump`], O(1) each;
-//! * strings, and the text of each crawl [`Label`](alexa_adtech::Label),
-//!   are hashed raw, with the check for bytes `Debug` would escape fused
-//!   into the hashing loop, falling back to the `{:?}` bytes for the rare
-//!   string that needs escaping;
-//! * `usize` is hashed as decimal; `f64` goes through core's `{:?}`.
+//! * each crawl [`Label`] is a constant string too, so its quoted body is
+//!   applied as a jump built on the label's first quote (from the escaped
+//!   body when `Debug` escapes it). A seed-7 crawl quotes about 900
+//!   distinct labels some 700k times; the tables (2 KiB each) live only as
+//!   long as one digest;
+//! * other strings are hashed raw, with the check for bytes `Debug` would
+//!   escape fused into the hashing loop, falling back to the `{:?}` bytes
+//!   for the rare string that needs escaping;
+//! * `usize` is hashed as decimal and the bid CPMs through
+//!   [`Fnv1a::f64_debug`], which writes core's `{:?}` bytes itself.
+//!
+//! What is left is the byte-serial chain over the site names and the CPM
+//! digits, plus one jump per fragment and label.
 //!
 //! Every record is destructured exhaustively, so a field added to
 //! `VisitRecord`, `Bid`, `Creative` or `SyncObservation` stops this module
@@ -22,8 +30,8 @@
 use alexa_adtech::{label, Bid, Creative, Label, SyncObservation, VisitRecord};
 use alexa_fault::{Fnv1a, FnvJump};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
+pub(crate) static LIST_SEP: FnvJump = FnvJump::new(", ");
 static VISIT_SITE: FnvJump = FnvJump::new("VisitRecord { site: \"");
 static VISIT_ITERATION: FnvJump = FnvJump::new("\", iteration: ");
 static VISIT_BIDS: FnvJump = FnvJump::new(", bids: [");
@@ -36,44 +44,56 @@ static VISIT_CREATIVES: FnvJump = FnvJump::new("], creatives: [");
 static CREATIVE_FIRST: FnvJump = FnvJump::new("Creative { advertiser: \"");
 static CREATIVE_NEXT: FnvJump = FnvJump::new(", Creative { advertiser: \"");
 static CREATIVE_PRODUCT: FnvJump = FnvJump::new("\", product: \"");
-static QUOTED_CLOSE: FnvJump = FnvJump::new("\" }");
+pub(crate) static QUOTED_CLOSE: FnvJump = FnvJump::new("\" }");
 static VISIT_SYNCS: FnvJump = FnvJump::new("], syncs: [");
 static SYNC_FIRST: FnvJump = FnvJump::new("SyncObservation { from_org: \"");
 static SYNC_NEXT: FnvJump = FnvJump::new(", SyncObservation { from_org: \"");
 static SYNC_TO_ORG: FnvJump = FnvJump::new("\", to_org: \"");
 static SYNC_USER_ID: FnvJump = FnvJump::new("\", user_id: \"");
-static VISIT_CLOSE: FnvJump = FnvJump::new("] }");
+pub(crate) static LIST_STRUCT_CLOSE: FnvJump = FnvJump::new("] }");
 
-/// Label texts by label id, each resolved on first use: a paper-scale
-/// crawl quotes about 4.4k distinct labels some 700k times.
-struct Texts(Vec<Option<&'static str>>);
+/// One jump per label id, each built on the label's first quote and all
+/// dropped with the digest.
+struct LabelJumps(Vec<Option<Box<FnvJump>>>);
 
-impl Texts {
-    fn of(&mut self, l: Label) -> &'static str {
+impl LabelJumps {
+    /// Append the label's text as `Debug` prints it between its quotes.
+    fn hash(&mut self, h: &mut Fnv1a, l: Label) {
         match self.0.get_mut(l.id()) {
-            Some(slot) => slot.get_or_insert_with(|| l.as_str()),
-            None => l.as_str(),
+            Some(slot) => {
+                h.jump(slot.get_or_insert_with(|| Box::new(body_jump(l.as_str()))));
+            }
+            None => str_body(h, l.as_str()),
         }
+    }
+}
+
+/// The jump over what `{:?}` prints for `s` between its quotes.
+fn body_jump(s: &str) -> FnvJump {
+    if s.bytes().all(plain) {
+        FnvJump::new(s)
+    } else {
+        FnvJump::new(&escaped_body(s))
     }
 }
 
 /// Hash the `Debug` text of the crawl map: `{"persona": [VisitRecord { … },
 /// …], …}`.
 pub(crate) fn hash_crawl(h: &mut Fnv1a, crawl: &BTreeMap<String, Vec<VisitRecord>>) {
-    let mut texts = Texts(vec![None; label::len()]);
+    let mut labels = LabelJumps((0..label::len()).map(|_| None).collect());
     h.byte(b'{');
     for (i, (persona, visits)) in crawl.iter().enumerate() {
         if i > 0 {
-            h.str(", ");
+            h.jump(&LIST_SEP);
         }
         h.byte(b'"');
         str_body(h, persona);
         h.str("\": [");
         for (j, visit) in visits.iter().enumerate() {
             if j > 0 {
-                h.str(", ");
+                h.jump(&LIST_SEP);
             }
-            hash_visit(h, &mut texts, visit);
+            hash_visit(h, &mut labels, visit);
         }
         h.byte(b']');
     }
@@ -81,7 +101,7 @@ pub(crate) fn hash_crawl(h: &mut Fnv1a, crawl: &BTreeMap<String, Vec<VisitRecord
 }
 
 /// One visit, exactly as `{:?}` prints it.
-fn hash_visit(h: &mut Fnv1a, texts: &mut Texts, visit: &VisitRecord) {
+fn hash_visit(h: &mut Fnv1a, labels: &mut LabelJumps, visit: &VisitRecord) {
     let VisitRecord {
         site,
         iteration,
@@ -101,12 +121,11 @@ fn hash_visit(h: &mut Fnv1a, texts: &mut Texts, visit: &VisitRecord) {
             cpm,
         } = bid;
         h.jump(if i == 0 { &BID_FIRST } else { &BID_NEXT });
-        str_body(h, texts.of(*bidder));
+        labels.hash(h, *bidder);
         h.jump(&BID_SLOT_ID);
-        str_body(h, texts.of(*slot_id));
+        labels.hash(h, *slot_id);
         h.jump(&BID_CPM);
-        // Fnv1a's fmt::Write never fails.
-        let _ = write!(h, "{cpm:?}");
+        h.f64_debug(*cpm);
         h.jump(&STRUCT_CLOSE);
     }
     h.jump(&VISIT_CREATIVES);
@@ -133,35 +152,44 @@ fn hash_visit(h: &mut Fnv1a, texts: &mut Texts, visit: &VisitRecord) {
             user_id,
         } = sync;
         h.jump(if i == 0 { &SYNC_FIRST } else { &SYNC_NEXT });
-        str_body(h, texts.of(*from_org));
+        labels.hash(h, *from_org);
         h.jump(&SYNC_TO_ORG);
-        str_body(h, texts.of(*to_org));
+        labels.hash(h, *to_org);
         h.jump(&SYNC_USER_ID);
-        str_body(h, texts.of(*user_id));
+        labels.hash(h, *user_id);
         h.jump(&QUOTED_CLOSE);
     }
-    h.jump(&VISIT_CLOSE);
+    h.jump(&LIST_STRUCT_CLOSE);
 }
 
 /// Hash what `{:?}` prints for `s` between its quotes. The fast path hashes
 /// the raw bytes; it bails out on the first byte `<str as Debug>` might
 /// escape (the same test core's own fast path uses) and hashes core's
 /// `{:?}` output instead.
-fn str_body(h: &mut Fnv1a, s: &str) {
+pub(crate) fn str_body(h: &mut Fnv1a, s: &str) {
     let mut fast = *h;
     for &b in s.as_bytes() {
-        if !(0x20..=0x7e).contains(&b) || b == b'"' || b == b'\\' {
-            let quoted = format!("{s:?}");
-            let body = quoted
-                .strip_prefix('"')
-                .and_then(|q| q.strip_suffix('"'))
-                .unwrap_or(&quoted);
-            h.str(body);
+        if !plain(b) {
+            h.str(&escaped_body(s));
             return;
         }
         fast.byte(b);
     }
     *h = fast;
+}
+
+/// Whether `<str as Debug>` prints `b` as itself for certain.
+fn plain(b: u8) -> bool {
+    (0x20..=0x7e).contains(&b) && b != b'"' && b != b'\\'
+}
+
+/// What `{:?}` prints for `s` between its quotes.
+fn escaped_body(s: &str) -> String {
+    let quoted = format!("{s:?}");
+    match quoted.strip_prefix('"').and_then(|q| q.strip_suffix('"')) {
+        Some(body) => body.to_string(),
+        None => quoted,
+    }
 }
 
 #[cfg(test)]

@@ -38,6 +38,7 @@
 
 pub mod analysis;
 pub mod artifacts;
+mod capture_digest;
 mod crawl_digest;
 pub mod experiment;
 pub mod index;

@@ -117,10 +117,11 @@ impl Observations {
     /// All fields except `orgs` are `Vec`s or `BTreeMap`s, whose `Debug`
     /// rendering is already canonical; `orgs` is backed by a `HashMap` and
     /// is hashed through its sorted-entries view instead. The text is
-    /// never materialized: every field but `crawl` streams its `Debug`
-    /// output into the hasher, and `crawl` — about nine tenths of the
-    /// bytes — is hashed by a typed walk over the visit records that emits
-    /// the same bytes without going through `core::fmt` for every field.
+    /// never materialized. The captures and `crawl`, 99% of its
+    /// bytes, are hashed by typed walks over the records that emit the same
+    /// bytes without `core::fmt`: constant fragments and crawl labels as
+    /// O(1) jumps, bid CPMs through an in-tree shortest-float writer. The
+    /// remaining fields stream their `Debug` output into the hasher.
     pub fn digest(&self) -> u64 {
         use std::fmt::Write as _;
 
@@ -128,13 +129,13 @@ impl Observations {
         // Fnv1a's fmt::Write never fails; the Results are discardable.
         let _ = write!(
             w,
-            "{}|{}|{}|{:?}|{:?}|",
-            self.seed,
-            self.pre_iterations,
-            self.post_iterations,
-            self.router_captures,
-            self.avs_captures,
+            "{}|{}|{}|",
+            self.seed, self.pre_iterations, self.post_iterations,
         );
+        crate::capture_digest::hash_capture_map(&mut w, &self.router_captures);
+        w.byte(b'|');
+        crate::capture_digest::hash_captures(&mut w, &self.avs_captures);
+        w.byte(b'|');
         crate::crawl_digest::hash_crawl(&mut w, &self.crawl);
         let _ = write!(
             w,

@@ -3,7 +3,8 @@
 //! sharded parallel engine must be undetectable from the output.
 
 use alexa_audit::analysis::{bids, traffic};
-use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun};
+use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, DefenseMode};
+use alexa_fault::FaultProfile;
 
 #[test]
 fn repeated_runs_hash_identically() {
@@ -49,38 +50,59 @@ fn worker_count_is_invisible_in_the_output() {
     );
 }
 
+/// Execute each `(fault, defense)` cell of `seed` at paper scale and
+/// compare its digest with the pinned value.
+fn assert_digests(seed: u64, cells: Vec<(FaultProfile, DefenseMode, u64)>) {
+    for (fault, defense, want) in cells {
+        let label = format!("seed {seed}, {} / {defense:?}", fault.name());
+        let config = AuditConfig::paper(seed)
+            .with_faults(fault)
+            .with_defense(defense);
+        let got = AuditRun::execute(config).digest();
+        assert_eq!(got, want, "{label}: {got:016x} != {want:016x}");
+    }
+}
+
 /// The seed-7 paper-scale digests the benchmark's `campaign` workload
 /// checks (`benchmark/reference.json`, cells `s7-f*-d*`). The digest's
 /// value is part of every run bundle's identity, so its implementation may
 /// change only if these stay put.
 #[test]
 fn paper_scale_seed_7_digests_are_pinned() {
-    use alexa_audit::DefenseMode;
-    use alexa_fault::FaultProfile;
-    let cells = [
-        (
-            FaultProfile::none(),
-            DefenseMode::None,
-            0x94b0c84975bd88bd_u64,
-        ),
-        (
-            FaultProfile::none(),
-            DefenseMode::Firewall,
-            0xf8b05fcfe682792a,
-        ),
-        (FaultProfile::flaky(), DefenseMode::None, 0x31cbd33345face75),
-        (
-            FaultProfile::flaky(),
-            DefenseMode::Firewall,
-            0xf7cdfc0b7fcd7827,
-        ),
-    ];
-    for (fault, defense, want) in cells {
-        let label = format!("{} / {defense:?}", fault.name());
-        let config = AuditConfig::paper(7)
-            .with_faults(fault)
-            .with_defense(defense);
-        let got = AuditRun::execute(config).digest();
-        assert_eq!(got, want, "{label}: {got:016x} != {want:016x}");
-    }
+    assert_digests(
+        7,
+        vec![
+            (FaultProfile::none(), DefenseMode::None, 0x94b0c84975bd88bd),
+            (
+                FaultProfile::none(),
+                DefenseMode::Firewall,
+                0xf8b05fcfe682792a,
+            ),
+            (FaultProfile::flaky(), DefenseMode::None, 0x31cbd33345face75),
+            (
+                FaultProfile::flaky(),
+                DefenseMode::Firewall,
+                0xf7cdfc0b7fcd7827,
+            ),
+        ],
+    );
+}
+
+/// Two of seed 8's cells, the benchmark's second `campaign` item
+/// (`benchmark/reference.json`, `s8-fnone-dnone` and
+/// `s8-fflaky-dfirewall`). Each seed draws different bid CPMs, so a slip
+/// in the digest's float writer on a value seed 7 lacks fails here too.
+#[test]
+fn paper_scale_seed_8_digests_are_pinned() {
+    assert_digests(
+        8,
+        vec![
+            (FaultProfile::none(), DefenseMode::None, 0x54303618443df2b6),
+            (
+                FaultProfile::flaky(),
+                DefenseMode::Firewall,
+                0xf5f1df448d2e52af,
+            ),
+        ],
+    );
 }

@@ -499,7 +499,10 @@ fn execute_cells(
         .with_defense(defense)
         .with_jobs(Some(coord.jobs));
         let obs = AuditRun::execute_with(config, &cell_rec);
-        let mut spec = cell_spec(plan_hash, coord, &fault, obs.digest());
+        // The digest runs on this thread after the execution; its span sits
+        // on the campaign's log, so the cell's bundle does not see it.
+        let digest = log.span("digest", |_| obs.digest());
+        let mut spec = cell_spec(plan_hash, coord, &fault, digest);
         spec.coverage = Some(obs.coverage.to_json());
         let report = cell_rec.report();
         write_bundle(&cell_dir, &spec, &report).map_err(|e| io_err(&cell_dir, e))?;

@@ -100,20 +100,39 @@ impl Fnv1a {
     /// Append `n` in decimal, exactly the bytes `{n}` formats.
     pub fn u64(&mut self, mut n: u64) -> &mut Fnv1a {
         let mut digits = [0u8; 20];
-        let mut start = digits.len();
-        loop {
-            start -= 1;
-            digits[start] = b'0' + (n % 10) as u8;
+        let mut len = 0;
+        for slot in digits.iter_mut().rev() {
+            *slot = b'0' + (n % 10) as u8;
             n /= 10;
+            len += 1;
             if n == 0 {
                 break;
             }
         }
-        self.bytes(&digits[start..])
+        self.bytes(digits.get(digits.len() - len..).unwrap_or_default())
+    }
+
+    /// Append `x` exactly as `{x:?}` formats it.
+    ///
+    /// Values with `1e-4 ≤ |x| < 1e16`, the plain-decimal range, are written
+    /// by an in-tree shortest round-trip writer (see `shortest.rs`) at a
+    /// fraction of `core::fmt`'s cost; every other value goes through core.
+    pub fn f64_debug(&mut self, x: f64) -> &mut Fnv1a {
+        if !crate::shortest::write_debug(x, &mut |piece| {
+            self.bytes(piece);
+        }) {
+            // Fnv1a's fmt::Write never fails.
+            let _ = fmt::Write::write_fmt(self, format_args!("{x:?}"));
+        }
+        self
     }
 
     /// Append a constant fragment in O(1) (see the module docs).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`h & 0xff` < 256, the length of `add`"
+    )]
     pub fn jump(&mut self, fragment: &FnvJump) -> &mut Fnv1a {
         self.0 = self
             .0
@@ -132,9 +151,11 @@ impl fmt::Write for Fnv1a {
     }
 }
 
-/// A constant fragment compiled for [`Fnv1a::jump`]: `P^n` and the 256
-/// low-byte corrections `C_s`. Build it in a `static` so the 2 KiB table
-/// exists once.
+/// A fragment compiled for [`Fnv1a::jump`]: `P^n` and the 256 low-byte
+/// corrections `C_s`. A constant fragment belongs in a `static`, so its
+/// 2 KiB table exists once. Building a table at run time costs about as
+/// much as hashing the fragment a hundred times byte by byte, so it pays
+/// off for a string that is hashed far more often than that.
 #[derive(Debug)]
 pub struct FnvJump {
     mul: u64,
@@ -142,26 +163,48 @@ pub struct FnvJump {
 }
 
 impl FnvJump {
-    /// Tabulate `fragment`.
+    /// Tabulate `fragment`: run the byte loop from each of the 256 low
+    /// bytes. The loops run eight at a time, side by side, so at run time
+    /// they keep the multiplier busy instead of waiting on each other.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "const fn: `j` < LANES and `base + j` < 256, the lengths of `lanes` and `add`"
+    )]
     pub const fn new(fragment: &str) -> FnvJump {
+        const LANES: usize = 8;
         let bytes = fragment.as_bytes();
         let mut mul = 1u64;
-        let mut i = 0;
-        while i < bytes.len() {
+        let mut rest = bytes;
+        while let [_, tail @ ..] = rest {
             mul = mul.wrapping_mul(PRIME);
-            i += 1;
+            rest = tail;
         }
         let mut add = [0u64; 256];
-        let mut low = 0;
-        while low < 256 {
-            let mut h = low as u64;
-            let mut i = 0;
-            while i < bytes.len() {
-                h = (h ^ bytes[i] as u64).wrapping_mul(PRIME);
-                i += 1;
+        let mut base = 0;
+        while base < 256 {
+            let mut lanes = [0u64; LANES];
+            let mut j = 0;
+            while j < LANES {
+                lanes[j] = (base + j) as u64;
+                j += 1;
             }
-            add[low] = h.wrapping_sub((low as u64).wrapping_mul(mul));
-            low += 1;
+            let mut rest = bytes;
+            while let [b, tail @ ..] = rest {
+                let mut j = 0;
+                while j < LANES {
+                    lanes[j] = (lanes[j] ^ *b as u64).wrapping_mul(PRIME);
+                    j += 1;
+                }
+                rest = tail;
+            }
+            // `lanes[j]` is FNV-1a(low, fragment) = low·P^n + C_s[low].
+            let mut j = 0;
+            while j < LANES {
+                let low = base + j;
+                add[low] = lanes[j].wrapping_sub((low as u64).wrapping_mul(mul));
+                j += 1;
+            }
+            base += LANES;
         }
         FnvJump { mul, add }
     }
@@ -228,6 +271,14 @@ mod tests {
             let mut h = Fnv1a::with_state(state);
             h.jump(&EMPTY);
             assert_eq!(h.finish(), state);
+            // Tables built at run time, as the digest builds label jumps.
+            for len in [1, 7, 8, 9, 40] {
+                let text = "caf\u{e9}-0123456789".repeat(3);
+                let fragment = &text[..len];
+                let mut h = Fnv1a::with_state(state);
+                h.jump(&FnvJump::new(fragment));
+                assert_eq!(h.finish(), loop_hash(state, fragment.as_bytes()));
+            }
         }
     }
 }

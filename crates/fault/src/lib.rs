@@ -22,11 +22,14 @@
 //!    but never slept, so fault-heavy runs stay fast and wall-clock never
 //!    leaks into observables.
 
+#![deny(clippy::indexing_slicing)]
+
 mod coverage;
 mod fnv;
 mod plane;
 mod profile;
 mod retry;
+mod shortest;
 
 pub use coverage::{Coverage, CoverageReport, FaultLedger};
 pub use fnv::{Fnv1a, FnvJump};

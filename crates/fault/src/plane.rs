@@ -97,6 +97,10 @@ impl FaultPlane {
     }
 
     /// An empty key on `channel`, ready for its structural parts.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`index()` is a position in FaultChannel::ALL, one prefix per entry"
+    )]
     pub fn key(&self, channel: FaultChannel) -> FaultKey {
         FaultKey {
             channel,

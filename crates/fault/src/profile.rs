@@ -151,6 +151,10 @@ impl FaultProfile {
     }
 
     /// The injection rate for one channel, in `[0, 1]`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`index()` is a position in FaultChannel::ALL, one rate per entry"
+    )]
     pub fn rate(&self, channel: FaultChannel) -> f64 {
         self.rates[channel.index()]
     }

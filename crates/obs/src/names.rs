@@ -43,6 +43,7 @@ pub const REGISTRY: &[&str] = &[
     "crawler.visit",           // aggregate timer: one crawl visit
     "crawler.visits",          // aggregate: crawl visits completed
     "derive.defended",         // stage: defense lens (faults: firewall row from the shadow)
+    "digest",                  // span: a campaign cell's observations digest
     "dsar.after_install",      // span: DSAR export after installs
     "dsar.after_interaction1", // span: DSAR export after first interaction round
     "dsar.after_interaction2", // span: DSAR export after second interaction round
