@@ -100,9 +100,10 @@ fn every_shard_accumulates_work_and_attributes_it_to_its_stage() {
     assert!(hists.contains_key("avs:skills"));
 }
 
-/// The run-ledger bundle surfaces — trace, metrics, folded profile — must be
-/// **byte-identical** across worker counts, not merely structurally equal:
-/// they are built exclusively from the deterministic virtual work clock.
+/// The run-ledger bundle documents — trace and memory — and the folded
+/// profile derived from them must be **byte-identical** across worker
+/// counts, not merely structurally equal: they are built exclusively from
+/// the deterministic virtual work clock and the allocation meter.
 #[test]
 fn ledger_surfaces_are_byte_identical_across_worker_counts() {
     let surfaces = |jobs: usize| {
@@ -111,20 +112,17 @@ fn ledger_surfaces_are_byte_identical_across_worker_counts() {
         let report = rec.report();
         (
             report.ledger_trace_json().render(),
-            report.ledger_metrics_json().render(),
+            report.ledger_memory_json().render(),
             report.folded_profile(),
         )
     };
-    let (trace1, metrics1, profile1) = surfaces(1);
-    let (trace4, metrics4, profile4) = surfaces(4);
+    let (trace1, memory1, profile1) = surfaces(1);
+    let (trace4, memory4, profile4) = surfaces(4);
     assert_eq!(trace1, trace4, "trace.json differs across worker counts");
-    assert_eq!(
-        metrics1, metrics4,
-        "metrics.json differs across worker counts"
-    );
+    assert_eq!(memory1, memory4, "memory.json differs across worker counts");
     assert_eq!(
         profile1, profile4,
-        "profile.folded differs across worker counts"
+        "the folded profile differs across worker counts"
     );
 }
 

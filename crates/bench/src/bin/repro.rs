@@ -23,14 +23,16 @@
 //! `--metrics-out -` streams to **stderr** instead of a file, keeping
 //! stdout byte-exact either way.
 //!
-//! `--run-dir DIR` writes a five-file run-ledger bundle (manifest, metrics,
-//! trace, memory, folded profile — see `alexa_obs::bundle`) whose bytes
-//! depend only on `(seed, fault profile)`, never on `--jobs`; compare
-//! bundles with the `obs-diff` tool. Its `memory.json` is the deterministic
-//! allocation plane: per-stage and per-shard allocation counts and bytes
-//! plus size histograms (OS peak RSS stays on the volatile channel of the
-//! metrics document, never there), and `profile.folded` is the folded-stack
-//! work profile.
+//! `--run-dir DIR` writes a three-file run-ledger bundle (manifest, trace,
+//! memory — see `alexa_obs::bundle`) whose bytes depend only on `(seed,
+//! fault profile)`, never on `--jobs`; compare bundles with the `obs-diff`
+//! tool, which derives every other view (counter totals, summaries,
+//! histograms, the folded-stack work profile via `obs-diff profile`) from
+//! the decoded ledger. Its `memory.json` is the deterministic allocation
+//! plane: per-stage and per-shard allocation counts and bytes plus size
+//! histograms (OS peak RSS stays on the volatile channel of the metrics
+//! document, never there). An existing bundle of another run identity or
+//! of an older bundle schema is refused (exit 2), never overwritten.
 //!
 //! `repro campaign PLAN [--out DIR]` executes a declarative experiment plan
 //! (seeds × faults × defenses × jobs, with repeats) into a

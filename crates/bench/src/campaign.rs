@@ -10,9 +10,9 @@
 //!   tables/<table>.{jsonl,md}      # analysis tables derived from the cells
 //! ```
 //!
-//! * **Resume.** A cell whose directory holds a complete bundle (all four
-//!   files load) with a manifest recording this plan's hash and the cell's
-//!   identity is skipped. Re-invoking a finished campaign executes nothing;
+//! * **Resume.** A cell whose directory holds a complete bundle (it loads)
+//!   with a manifest recording this bundle schema, this plan's hash and the
+//!   cell's identity is skipped. Re-invoking a finished campaign executes nothing;
 //!   a crash mid-campaign resumes at the first incomplete cell, and the
 //!   finished directory is byte-identical to a fresh run's (the campaign
 //!   manifest and tables record no execution status or timing).
@@ -29,8 +29,7 @@
 use alexa_audit::{AuditConfig, AuditRun, DefenseMode};
 use alexa_fault::FaultProfile;
 use alexa_obs::bundle::{
-    check_run_dir, write_bundle, BundleSpec, CampaignCell, RunDirConflict, RunDirState,
-    MANIFEST_FILE, MEMORY_FILE, METRICS_FILE, PROFILE_FILE, TRACE_FILE,
+    check_run_dir, write_bundle, BundleSpec, CampaignCell, RunDirConflict, RunDirState, FILES,
 };
 use alexa_obs::campaign::{
     campaign_manifest, uniform_fault_rate, CellCoord, CellRecord, Plan, PlanError, Scale,
@@ -38,6 +37,7 @@ use alexa_obs::campaign::{
 };
 use alexa_obs::{install_global, Exit, Json, Recorder};
 use alexa_obsdiff::{load_bundle, verify_instances, InstanceDivergence, LoadedBundle};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -301,23 +301,14 @@ fn cell_is_complete(dir: &Path, spec: &BundleSpec) -> Result<bool, CampaignError
     }
 }
 
-/// Whether every entry of `dir` is one of the five bundle file names.
+/// Whether every entry of `dir` is one of the bundle file names.
 fn bundle_files_only(dir: &Path) -> bool {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return false;
     };
-    entries.flatten().all(|e| {
-        e.file_name().to_str().is_some_and(|n| {
-            [
-                MANIFEST_FILE,
-                METRICS_FILE,
-                MEMORY_FILE,
-                PROFILE_FILE,
-                TRACE_FILE,
-            ]
-            .contains(&n)
-        })
-    })
+    entries
+        .flatten()
+        .all(|e| e.file_name().to_str().is_some_and(|n| FILES.contains(&n)))
 }
 
 /// Execute `plan_path` into `out_dir` (default [`default_campaign_dir`]),
@@ -538,14 +529,25 @@ fn bundle_degraded(bundle: &LoadedBundle) -> bool {
 // Analysis tables
 // ---------------------------------------------------------------------------
 
-/// A metrics counter total of a loaded bundle (0 when absent).
-fn counter(bundle: &LoadedBundle, name: &str) -> u64 {
-    bundle
-        .metrics
-        .get("counters")
-        .and_then(|c| c.get(name))
-        .and_then(Json::as_u64)
-        .unwrap_or(0)
+/// The representative cell of one identity: its coordinates, its bundle,
+/// and the bundle's counter totals, derived once.
+struct Rep<'a> {
+    coord: &'a CellCoord,
+    bundle: &'a LoadedBundle,
+    counters: BTreeMap<String, u64>,
+}
+
+impl Rep<'_> {
+    /// Whether this is the identity `(seed, fault, defense)`.
+    fn is(&self, seed: u64, fault: &str, defense: &str) -> bool {
+        let c = self.coord;
+        (c.seed, c.fault.as_str(), c.defense.as_str()) == (seed, fault, defense)
+    }
+
+    /// A counter total (0 when absent).
+    fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
 }
 
 /// Percentage `part / whole`, `None` for an empty denominator.
@@ -567,17 +569,48 @@ fn pct_md(v: Option<f64>) -> String {
 /// [`verify_instances`] before tables are derived), so the first instance
 /// speaks for all of them and the tables are independent of the plan's
 /// `jobs` and `repeats` axes.
-fn representatives(loaded: &[(CellCoord, LoadedBundle)]) -> Vec<(&CellCoord, &LoadedBundle)> {
+fn representatives(loaded: &[(CellCoord, LoadedBundle)]) -> Vec<Rep<'_>> {
     let mut seen: Vec<String> = Vec::new();
     let mut out = Vec::new();
     for (coord, bundle) in loaded {
         let id = coord.id();
         if !seen.contains(&id) {
             seen.push(id);
-            out.push((coord, bundle));
+            let counters = bundle.report.counter_totals();
+            out.push(Rep {
+                coord,
+                bundle,
+                counters,
+            });
         }
     }
     out
+}
+
+/// One table row: its columns in order, as JSONL keys and values.
+type Row = Vec<(&'static str, Json)>;
+
+/// Render `rows` as JSONL (one object per row) and as markdown (`head` —
+/// title, prose and column header — then one line per row, percentages to
+/// one decimal and an absent one as `—`).
+fn render_table(head: &str, rows: Vec<Row>) -> (String, String) {
+    let (mut jsonl, mut md) = (String::new(), head.to_string());
+    for row in rows {
+        let cells: Vec<String> = row
+            .iter()
+            .map(|(_, v)| match v {
+                Json::Str(s) => s.clone(),
+                Json::Float(p) => pct_md(Some(*p)),
+                Json::Null => pct_md(None),
+                other => other.render(),
+            })
+            .collect();
+        md.push_str(&format!("| {} |\n", cells.join(" | ")));
+        let fields = row.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+        jsonl.push_str(&Json::Obj(fields).render());
+        jsonl.push('\n');
+    }
+    (jsonl, md)
 }
 
 /// Derive every table: `(name, jsonl body, markdown body)` in [`TABLES`]
@@ -587,127 +620,73 @@ fn derive_tables(
     loaded: &[(CellCoord, LoadedBundle)],
 ) -> Vec<(&'static str, String, String)> {
     let reps = representatives(loaded);
-    vec![
-        ("bids_by_fault", bids_jsonl(&reps), bids_md(&reps)),
-        (
-            "coverage_by_fault",
-            coverage_jsonl(&reps),
-            coverage_md(&reps),
-        ),
-        (
-            "defense_efficacy",
-            defense_jsonl(plan, &reps),
-            defense_md(plan, &reps),
-        ),
-    ]
+    let tables = [
+        (BIDS_HEAD, bids_rows(&reps)),
+        (COVERAGE_HEAD, coverage_rows(&reps)),
+        (DEFENSE_HEAD, defense_rows(plan, &reps)),
+    ];
+    let rendered = tables
+        .into_iter()
+        .map(|(head, rows)| render_table(head, rows));
+    TABLES
+        .iter()
+        .zip(rendered)
+        .map(|(name, (jsonl, md))| (*name, jsonl, md))
+        .collect()
 }
 
 /// The fault-free identity at `(seed, defense)`, if the plan includes one.
-fn baseline_for<'a>(
-    reps: &[(&CellCoord, &'a LoadedBundle)],
-    seed: u64,
-    defense: &str,
-) -> Option<&'a LoadedBundle> {
-    reps.iter()
-        .find(|(c, _)| c.seed == seed && c.fault == "none" && c.defense == defense)
-        .map(|(_, b)| *b)
+fn baseline_for<'a>(reps: &'a [Rep<'a>], seed: u64, defense: &str) -> Option<&'a Rep<'a>> {
+    reps.iter().find(|r| r.is(seed, "none", defense))
 }
 
 /// The undefended identity at `(seed, fault)`, if the plan includes one.
-fn undefended_for<'a>(
-    reps: &[(&CellCoord, &'a LoadedBundle)],
-    seed: u64,
-    fault: &str,
-) -> Option<&'a LoadedBundle> {
-    reps.iter()
-        .find(|(c, _)| c.seed == seed && c.fault == fault && c.defense == "none")
-        .map(|(_, b)| *b)
+fn undefended_for<'a>(reps: &'a [Rep<'a>], seed: u64, fault: &str) -> Option<&'a Rep<'a>> {
+    reps.iter().find(|r| r.is(seed, fault, "none"))
 }
+
+const BIDS_HEAD: &str = "# Observation volume by fault variant\n\n\
+    Bid retention compares each cell's captured bids against the same\n\
+    seed's fault-free cell at the same defense (100% = nothing lost).\n\n\
+    | fault | seed | defense | visits | bids | creatives | syncs | flows | bid retention % |\n\
+    |---|---|---|---|---|---|---|---|---|\n";
 
 /// Rows of the `bids_by_fault` table: observation volume per identity, with
 /// bid retention relative to the same `(seed, defense)`'s fault-free cell.
-fn bids_rows(reps: &[(&CellCoord, &LoadedBundle)]) -> Vec<(CellCoord, [u64; 5], Option<f64>)> {
+fn bids_rows(reps: &[Rep<'_>]) -> Vec<Row> {
     reps.iter()
-        .map(|(coord, bundle)| {
-            let counts = [
-                counter(bundle, "crawl.visits"),
-                counter(bundle, "crawl.bids"),
-                counter(bundle, "crawl.creatives"),
-                counter(bundle, "crawl.syncs"),
-                counter(bundle, "tap.flows"),
-            ];
+        .map(|rep| {
+            let (coord, bids) = (rep.coord, rep.counter("crawl.bids"));
             let retention = baseline_for(reps, coord.seed, &coord.defense)
-                .and_then(|base| pct(counts[1], counter(base, "crawl.bids")));
-            ((*coord).clone(), counts, retention)
+                .and_then(|base| pct(bids, base.counter("crawl.bids")));
+            vec![
+                ("fault", Json::Str(coord.fault.clone())),
+                ("seed", Json::Int(coord.seed)),
+                ("defense", Json::Str(coord.defense.clone())),
+                ("visits", Json::Int(rep.counter("crawl.visits"))),
+                ("bids", Json::Int(bids)),
+                ("creatives", Json::Int(rep.counter("crawl.creatives"))),
+                ("syncs", Json::Int(rep.counter("crawl.syncs"))),
+                ("flows", Json::Int(rep.counter("tap.flows"))),
+                ("bid_retention_pct", pct_json(retention)),
+            ]
         })
         .collect()
 }
 
-fn bids_jsonl(reps: &[(&CellCoord, &LoadedBundle)]) -> String {
-    let mut out = String::new();
-    for (coord, counts, retention) in bids_rows(reps) {
-        let row = Json::Obj(vec![
-            ("fault".into(), Json::Str(coord.fault.clone())),
-            ("seed".into(), Json::Int(coord.seed)),
-            ("defense".into(), Json::Str(coord.defense.clone())),
-            ("visits".into(), Json::Int(counts[0])),
-            ("bids".into(), Json::Int(counts[1])),
-            ("creatives".into(), Json::Int(counts[2])),
-            ("syncs".into(), Json::Int(counts[3])),
-            ("flows".into(), Json::Int(counts[4])),
-            ("bid_retention_pct".into(), pct_json(retention)),
-        ]);
-        out.push_str(&row.render());
-        out.push('\n');
-    }
-    out
-}
-
-fn bids_md(reps: &[(&CellCoord, &LoadedBundle)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(
-        "# Observation volume by fault variant\n\n\
-         Bid retention compares each cell's captured bids against the same\n\
-         seed's fault-free cell at the same defense (100% = nothing lost).\n\n\
-         | fault | seed | defense | visits | bids | creatives | syncs | flows | bid retention % |\n\
-         |---|---|---|---|---|---|---|---|---|\n",
-    );
-    for (coord, counts, retention) in bids_rows(reps) {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            coord.fault,
-            coord.seed,
-            coord.defense,
-            counts[0],
-            counts[1],
-            counts[2],
-            counts[3],
-            counts[4],
-            pct_md(retention)
-        );
-    }
-    out
-}
-
-/// One row of the `coverage_by_fault` table.
-struct CoverageRow {
-    coord: CellCoord,
-    section: String,
-    observed: u64,
-    expected: u64,
-    injected: u64,
-    retries: u64,
-    losses: u64,
-    degraded: bool,
-}
+const COVERAGE_HEAD: &str = "# Coverage by fault variant\n\n\
+    Observed vs expected observations per pipeline section; `overall`\n\
+    sums the sections. Injected, retries and losses are per cell, not\n\
+    per section.\n\n\
+    | fault | seed | defense | section | observed | expected | coverage % | injected | retries | losses | degraded |\n\
+    |---|---|---|---|---|---|---|---|---|---|---|\n";
 
 /// Rows of the `coverage_by_fault` table: one row per (identity, coverage
 /// section) plus an `overall` row per identity. Injected/retries/losses
 /// are per cell, repeated on every row for self-contained JSONL lines.
-fn coverage_rows(reps: &[(&CellCoord, &LoadedBundle)]) -> Vec<CoverageRow> {
+fn coverage_rows(reps: &[Rep<'_>]) -> Vec<Row> {
     let mut rows = Vec::new();
-    for (coord, bundle) in reps {
+    for Rep { coord, bundle, .. } in reps {
         let Some(cov) = bundle.coverage() else {
             continue;
         };
@@ -717,175 +696,80 @@ fn coverage_rows(reps: &[(&CellCoord, &LoadedBundle)]) -> Vec<CoverageRow> {
             .map_or(0, |channels| {
                 channels.iter().filter_map(|(_, v)| v.as_u64()).sum::<u64>()
             });
-        let retries = cov.get("retries").and_then(Json::as_u64).unwrap_or(0);
-        let losses = cov.get("losses").and_then(Json::as_u64).unwrap_or(0);
-        let degraded = bundle_degraded(bundle);
+        let count = |json: &Json, key| json.get(key).and_then(Json::as_u64).unwrap_or(0);
+        let row = |section: &str, observed, expected| {
+            vec![
+                ("fault", Json::Str(coord.fault.clone())),
+                ("seed", Json::Int(coord.seed)),
+                ("defense", Json::Str(coord.defense.clone())),
+                ("section", Json::Str(section.to_string())),
+                ("observed", Json::Int(observed)),
+                ("expected", Json::Int(expected)),
+                ("coverage_pct", pct_json(pct(observed, expected))),
+                ("injected", Json::Int(injected)),
+                ("retries", Json::Int(count(cov, "retries"))),
+                ("losses", Json::Int(count(cov, "losses"))),
+                ("degraded", Json::Bool(bundle_degraded(bundle))),
+            ]
+        };
         let sections = cov
             .get("sections")
             .and_then(Json::as_obj)
             .unwrap_or_default();
         let (mut total_obs, mut total_exp) = (0, 0);
         for (name, section) in sections {
-            let observed = section.get("observed").and_then(Json::as_u64).unwrap_or(0);
-            let expected = section.get("expected").and_then(Json::as_u64).unwrap_or(0);
+            let (observed, expected) = (count(section, "observed"), count(section, "expected"));
             total_obs += observed;
             total_exp += expected;
-            rows.push(CoverageRow {
-                coord: (*coord).clone(),
-                section: name.clone(),
-                observed,
-                expected,
-                injected,
-                retries,
-                losses,
-                degraded,
-            });
+            rows.push(row(name, observed, expected));
         }
-        rows.push(CoverageRow {
-            coord: (*coord).clone(),
-            section: "overall".to_string(),
-            observed: total_obs,
-            expected: total_exp,
-            injected,
-            retries,
-            losses,
-            degraded,
-        });
+        rows.push(row("overall", total_obs, total_exp));
     }
     rows
 }
 
-fn coverage_jsonl(reps: &[(&CellCoord, &LoadedBundle)]) -> String {
-    let mut out = String::new();
-    for row in coverage_rows(reps) {
-        let doc = Json::Obj(vec![
-            ("fault".into(), Json::Str(row.coord.fault.clone())),
-            ("seed".into(), Json::Int(row.coord.seed)),
-            ("defense".into(), Json::Str(row.coord.defense.clone())),
-            ("section".into(), Json::Str(row.section)),
-            ("observed".into(), Json::Int(row.observed)),
-            ("expected".into(), Json::Int(row.expected)),
-            (
-                "coverage_pct".into(),
-                pct_json(pct(row.observed, row.expected)),
-            ),
-            ("injected".into(), Json::Int(row.injected)),
-            ("retries".into(), Json::Int(row.retries)),
-            ("losses".into(), Json::Int(row.losses)),
-            ("degraded".into(), Json::Bool(row.degraded)),
-        ]);
-        out.push_str(&doc.render());
-        out.push('\n');
-    }
-    out
-}
-
-fn coverage_md(reps: &[(&CellCoord, &LoadedBundle)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(
-        "# Coverage by fault variant\n\n\
-         Observed vs expected observations per pipeline section; `overall`\n\
-         sums the sections. Injected, retries and losses are per cell, not\n\
-         per section.\n\n\
-         | fault | seed | defense | section | observed | expected | coverage % | injected | retries | losses | degraded |\n\
-         |---|---|---|---|---|---|---|---|---|---|---|\n",
-    );
-    for row in coverage_rows(reps) {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            row.coord.fault,
-            row.coord.seed,
-            row.coord.defense,
-            row.section,
-            row.observed,
-            row.expected,
-            pct_md(pct(row.observed, row.expected)),
-            row.injected,
-            row.retries,
-            row.losses,
-            row.degraded
-        );
-    }
-    out
-}
+const DEFENSE_HEAD: &str = "# Defense efficacy\n\n\
+    Reduction of tracking-relevant observation volume per defended\n\
+    cell, relative to the undefended cell at the same (seed, fault).\n\n\
+    | defense | seed | fault | flows | bytes | bids | flow reduction % | byte reduction % | bid reduction % |\n\
+    |---|---|---|---|---|---|---|---|---|\n";
 
 /// Rows of the `defense_efficacy` table: per defended identity, the
 /// reduction in tracking-relevant observation volume against the
 /// undefended cell at the same `(seed, fault)`.
-fn defense_rows(
-    plan: &Plan,
-    reps: &[(&CellCoord, &LoadedBundle)],
-) -> Vec<(CellCoord, [u64; 3], [Option<f64>; 3])> {
+fn defense_rows(plan: &Plan, reps: &[Rep<'_>]) -> Vec<Row> {
     if plan.defenses.iter().all(|d| d == "none") {
         return Vec::new();
     }
     reps.iter()
-        .filter(|(c, _)| c.defense != "none")
-        .map(|(coord, bundle)| {
-            let names = ["tap.flows", "tap.bytes", "crawl.bids"];
-            let counts = [
-                counter(bundle, names[0]),
-                counter(bundle, names[1]),
-                counter(bundle, names[2]),
+        .filter(|rep| rep.coord.defense != "none")
+        .map(|rep| {
+            let coord = rep.coord;
+            let base = undefended_for(reps, coord.seed, &coord.fault);
+            let columns = [
+                ("flows", "tap.flows"),
+                ("bytes", "tap.bytes"),
+                ("bids", "crawl.bids"),
             ];
-            let mut reductions = [None; 3];
-            if let Some(base) = undefended_for(reps, coord.seed, &coord.fault) {
-                for (i, name) in names.iter().enumerate() {
-                    let baseline = counter(base, name);
-                    reductions[i] = pct(baseline.saturating_sub(counts[i]), baseline);
-                }
-            }
-            ((*coord).clone(), counts, reductions)
+            let reductions = [
+                "flow_reduction_pct",
+                "byte_reduction_pct",
+                "bid_reduction_pct",
+            ];
+            let mut row = vec![
+                ("defense", Json::Str(coord.defense.clone())),
+                ("seed", Json::Int(coord.seed)),
+                ("fault", Json::Str(coord.fault.clone())),
+            ];
+            row.extend(columns.map(|(key, name)| (key, Json::Int(rep.counter(name)))));
+            row.extend(columns.iter().zip(reductions).map(|((_, name), key)| {
+                let (count, baseline) = (rep.counter(name), base.map(|b| b.counter(name)));
+                let reduction = baseline.and_then(|b| pct(b.saturating_sub(count), b));
+                (key, pct_json(reduction))
+            }));
+            row
         })
         .collect()
-}
-
-fn defense_jsonl(plan: &Plan, reps: &[(&CellCoord, &LoadedBundle)]) -> String {
-    let mut out = String::new();
-    for (coord, counts, reductions) in defense_rows(plan, reps) {
-        let row = Json::Obj(vec![
-            ("defense".into(), Json::Str(coord.defense.clone())),
-            ("seed".into(), Json::Int(coord.seed)),
-            ("fault".into(), Json::Str(coord.fault.clone())),
-            ("flows".into(), Json::Int(counts[0])),
-            ("bytes".into(), Json::Int(counts[1])),
-            ("bids".into(), Json::Int(counts[2])),
-            ("flow_reduction_pct".into(), pct_json(reductions[0])),
-            ("byte_reduction_pct".into(), pct_json(reductions[1])),
-            ("bid_reduction_pct".into(), pct_json(reductions[2])),
-        ]);
-        out.push_str(&row.render());
-        out.push('\n');
-    }
-    out
-}
-
-fn defense_md(plan: &Plan, reps: &[(&CellCoord, &LoadedBundle)]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from(
-        "# Defense efficacy\n\n\
-         Reduction of tracking-relevant observation volume per defended\n\
-         cell, relative to the undefended cell at the same (seed, fault).\n\n\
-         | defense | seed | fault | flows | bytes | bids | flow reduction % | byte reduction % | bid reduction % |\n\
-         |---|---|---|---|---|---|---|---|---|\n",
-    );
-    for (coord, counts, reductions) in defense_rows(plan, reps) {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            coord.defense,
-            coord.seed,
-            coord.fault,
-            counts[0],
-            counts[1],
-            counts[2],
-            pct_md(reductions[0]),
-            pct_md(reductions[1]),
-            pct_md(reductions[2])
-        );
-    }
-    out
 }
 
 #[cfg(test)]
@@ -895,6 +779,7 @@ fn defense_md(plan: &Plan, reps: &[(&CellCoord, &LoadedBundle)]) -> String {
 )]
 mod tests {
     use super::*;
+    use alexa_obs::bundle::{MEMORY_FILE, TRACE_FILE};
     use alexa_obs::campaign::{DEFENSE_MODES, FAULT_PRESETS};
 
     #[test]
@@ -940,7 +825,7 @@ mod tests {
         assert_eq!(usage.exit_code(), Exit::Usage);
         let violation = CampaignError::DeterminismBreak(InstanceDivergence {
             id: "s7-fnone-dnone".into(),
-            file: METRICS_FILE,
+            file: TRACE_FILE,
             reference: "s7-fnone-dnone-j1-r0".into(),
             divergent: "s7-fnone-dnone-j4-r0".into(),
         });

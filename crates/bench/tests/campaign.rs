@@ -369,6 +369,51 @@ fn run_dir_refuses_bundle_of_a_different_run() {
     assert_eq!(again.status.code(), Some(0), "{}", stderr(&again));
 }
 
+/// A bundle of an older schema is a different run, whatever its identity:
+/// `repro --run-dir` and a campaign resume both refuse it (exit 2, naming
+/// the directory) and leave every byte in place, instead of writing this
+/// schema's files beside the stale ones.
+#[test]
+fn older_schema_bundles_are_refused_and_left_untouched() {
+    let dir = scratch("old-schema");
+    let (run_dir, plan, camp) = (dir.join("run"), write_tiny_plan(&dir), dir.join("camp"));
+    let args = [
+        "--seed",
+        "7",
+        "--run-dir",
+        run_dir.to_str().unwrap(),
+        "table1",
+    ];
+    let run = || repro().args(args).output().expect("run repro");
+    let cell = camp.join("cells").join("s7-fflaky-dnone-j1-r0");
+    for (bundle, again) in [
+        (&run_dir, &run as &dyn Fn() -> Output),
+        (&cell, &|| run_campaign(&plan, &camp)),
+    ] {
+        let first = again();
+        assert_eq!(first.status.code(), Some(0), "{}", stderr(&first));
+        // What an older release leaves behind: a manifest recording schema
+        // 2, and the two files that schema had besides ours.
+        let manifest = bundle.join("manifest.json");
+        let text = std::fs::read_to_string(&manifest).expect("read manifest");
+        let current = format!("\"schema\": {}", alexa_obs::bundle::SCHEMA_VERSION);
+        std::fs::write(&manifest, text.replacen(&current, "\"schema\": 2", 1)).unwrap();
+        std::fs::write(bundle.join("metrics.json"), "{\"schema\": 2}\n").unwrap();
+        std::fs::write(bundle.join("profile.folded"), "persona;Vanilla 1\n").unwrap();
+        let before = snapshot(&dir);
+
+        let refused = again();
+        assert_eq!(refused.status.code(), Some(2), "{}", stderr(&refused));
+        let err = stderr(&refused);
+        assert!(err.contains(&bundle.display().to_string()), "{err}");
+        assert!(
+            err.contains("(schema 2,") && err.contains("refusing"),
+            "{err}"
+        );
+        assert_eq!(before, snapshot(&dir), "{} changed", bundle.display());
+    }
+}
+
 /// The derived analysis tables for the committed CI smoke plan, pinned
 /// byte-for-byte. The plan spans jobs {1, 4}, so a passing run also proves
 /// the tables are independent of worker count.

@@ -1,16 +1,21 @@
 //! Run-ledger bundles: self-describing directories capturing one audit run.
 //!
-//! A bundle is five files written by `repro --run-dir`:
+//! A bundle is three files ([`FILES`]) written by `repro --run-dir`:
 //!
 //! * `manifest.json` — identity: schema version, seed, fault profile, the
 //!   observations digest, and an optional coverage report.
-//! * `metrics.json` — flat deterministic metrics (per-stage work, counter
-//!   totals, aggregate counts, per-group summaries and histograms).
-//! * `trace.json` — the full span tree in work units.
+//! * `trace.json` — the full span tree in work units, the per-shard
+//!   counters, and the aggregates' counts and calls.
 //! * `memory.json` — the deterministic allocation plane: per-stage and
-//!   per-shard allocation deltas, per-group summaries and size histograms
-//!   (schema 2; OS-level RSS is volatile and deliberately absent).
-//! * `profile.folded` — a folded-stack self-time profile (flamegraph input).
+//!   per-shard allocation deltas and per-group size histograms (OS-level
+//!   RSS is volatile and deliberately absent).
+//!
+//! Each fact is stored once. The views a reader wants — per-stage work,
+//! counter totals, work summaries and histograms, the folded-stack profile
+//! (flamegraph input) — are functions of the two
+//! ledger documents: `obs-diff` decodes them with
+//! [`Report::from_ledger`](crate::Report::from_ledger) and derives each
+//! view through the one [`Report`] method that computes it.
 //!
 //! Every byte of every file is a pure function of `(seed, fault profile,
 //! config)`: durations are virtual work units, maps are ordered, and the
@@ -30,19 +35,22 @@ use std::path::{Path, PathBuf};
 ///
 /// History: 1 = four-file bundle (manifest/metrics/trace/profile); 2 =
 /// adds `memory.json` plus allocation-delta fields on trace spans and
-/// metrics aggregates.
-pub const SCHEMA_VERSION: u64 = 2;
+/// metrics aggregates; 3 = three-file bundle (manifest/trace/memory):
+/// `metrics.json` and `profile.folded` are gone, their one new fact (the
+/// aggregates' counts and calls) moves into `trace.json`, and
+/// `memory.json` drops its derived per-group `summaries`.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// File name of the bundle manifest.
 pub const MANIFEST_FILE: &str = "manifest.json";
-/// File name of the deterministic metrics document.
-pub const METRICS_FILE: &str = "metrics.json";
 /// File name of the deterministic trace document.
 pub const TRACE_FILE: &str = "trace.json";
 /// File name of the deterministic memory document.
 pub const MEMORY_FILE: &str = "memory.json";
-/// File name of the folded-stack work profile.
-pub const PROFILE_FILE: &str = "profile.folded";
+
+/// Every file of a bundle, in write order: the manifest, which marks the
+/// bundle complete, comes last.
+pub const FILES: [&str; 3] = [TRACE_FILE, MEMORY_FILE, MANIFEST_FILE];
 
 /// The campaign-cell identity a bundle may carry when it was produced by
 /// `repro campaign` rather than a standalone `repro --run-dir` run.
@@ -120,8 +128,12 @@ impl BundleSpec {
     }
 
     /// Whether `manifest` (a parsed `manifest.json`) records the same run
-    /// identity as this spec: seed, fault profile, defense, and — when
-    /// either side is a campaign cell — plan hash and cell id.
+    /// identity as this spec: bundle schema, seed, fault profile, defense,
+    /// and — when either side is a campaign cell — plan hash and cell id.
+    ///
+    /// The schema is part of the identity because the file set is: writing
+    /// this schema's files over an older bundle would leave the old
+    /// schema's extra files beside them, a directory no loader reads.
     ///
     /// The observations digest is deliberately **not** part of the match:
     /// identity says "this directory holds a bundle of the same
@@ -130,6 +142,7 @@ impl BundleSpec {
     /// evidence. Both `repro --run-dir`'s overwrite guard and the campaign
     /// runner's resume detection build on this one predicate.
     pub fn matches_manifest(&self, manifest: &Json) -> bool {
+        let schema_ok = manifest.get("schema").and_then(Json::as_u64) == Some(SCHEMA_VERSION);
         let seed_ok = manifest.get("seed").and_then(Json::as_u64) == Some(self.seed);
         let fault_ok = manifest.get("fault_profile").and_then(Json::as_str)
             == Some(self.fault_profile.as_str());
@@ -142,7 +155,7 @@ impl BundleSpec {
             }
             _ => false,
         };
-        seed_ok && fault_ok && defense_ok && campaign_ok
+        schema_ok && seed_ok && fault_ok && defense_ok && campaign_ok
     }
 }
 
@@ -220,7 +233,8 @@ pub fn check_run_dir(dir: &Path, spec: &BundleSpec) -> Result<RunDirState, RunDi
         Ok(RunDirState::Matching)
     } else {
         let found = format!(
-            "seed {}, fault profile {:?}, defense {:?}, campaign cell {:?}",
+            "schema {}, seed {}, fault profile {:?}, defense {:?}, campaign cell {:?}",
+            manifest.get("schema").and_then(Json::as_u64).unwrap_or(0),
             manifest.get("seed").and_then(Json::as_u64).unwrap_or(0),
             manifest
                 .get("fault_profile")
@@ -239,28 +253,24 @@ pub fn check_run_dir(dir: &Path, spec: &BundleSpec) -> Result<RunDirState, RunDi
     }
 }
 
-/// Write the five bundle files for one run into `dir` (created if needed).
+/// Write the bundle files ([`FILES`]) for one run into `dir` (created if
+/// needed), each JSON document with a trailing newline.
 ///
-/// JSON documents get a trailing newline; the folded profile is already
-/// newline-terminated per line. The manifest is written **last**: its
-/// presence marks the bundle complete, so a crash mid-write leaves a
-/// directory that loaders and the campaign resume logic treat as partial
-/// (re-executed) rather than done.
+/// The manifest is written **last**: its presence marks the bundle
+/// complete, so a crash mid-write leaves a directory that loaders and the
+/// campaign resume logic treat as partial (re-executed) rather than done.
 pub fn write_bundle(dir: &Path, spec: &BundleSpec, report: &Report) -> io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let mut metrics = report.ledger_metrics_json().render();
-    metrics.push('\n');
-    std::fs::write(dir.join(METRICS_FILE), metrics)?;
-    let mut trace = report.ledger_trace_json().render();
-    trace.push('\n');
-    std::fs::write(dir.join(TRACE_FILE), trace)?;
-    let mut memory = report.ledger_memory_json().render();
-    memory.push('\n');
-    std::fs::write(dir.join(MEMORY_FILE), memory)?;
-    std::fs::write(dir.join(PROFILE_FILE), report.folded_profile())?;
-    let mut manifest = spec.manifest_json().render();
-    manifest.push('\n');
-    std::fs::write(dir.join(MANIFEST_FILE), manifest)
+    for (file, doc) in [
+        (TRACE_FILE, report.ledger_trace_json()),
+        (MEMORY_FILE, report.ledger_memory_json()),
+        (MANIFEST_FILE, spec.manifest_json()),
+    ] {
+        let mut text = doc.render();
+        text.push('\n');
+        std::fs::write(dir.join(file), text)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -385,28 +395,50 @@ mod tests {
         assert!(matches!(err, RunDirConflict::Mismatched { .. }));
         assert!(err.to_string().contains("refusing to overwrite"));
 
+        // An older schema's bundle of the same identity refuses too, and
+        // the message names the directory and the schema it found.
+        let older = spec().manifest_json().render().replacen(
+            &format!("\"schema\": {SCHEMA_VERSION}"),
+            "\"schema\": 2",
+            1,
+        );
+        std::fs::write(base.join(MANIFEST_FILE), older).expect("write old manifest");
+        let err = check_run_dir(&base, &spec()).expect_err("must refuse");
+        let msg = err.to_string();
+        assert!(msg.contains(&base.display().to_string()), "{msg}");
+        assert!(msg.contains("schema 2, seed 7"), "{msg}");
+
         let _ = std::fs::remove_dir_all(&base);
     }
 
     #[test]
     fn write_bundle_writes_manifest_last() {
-        // The completion marker must be the manifest: enumerate the write
-        // order indirectly by writing into a fresh dir and checking that a
-        // manifest-less directory is what a mid-write crash leaves behind.
+        // The completion marker must be the manifest, the last of the files
+        // written: a mid-write crash leaves a manifest-less directory.
         let rec = Recorder::new();
-        let report = rec.report();
-        let dir = std::env::temp_dir().join(format!("obs-order-test-{}", std::process::id()));
+        rec.stage("persona.shards", || {
+            let mut log = rec.shard("persona", 0, "Vanilla");
+            log.alloc_open();
+            log.span("install", |l| l.work(4));
+            log.alloc_seal();
+            rec.submit(log);
+        });
+        let dir = std::env::temp_dir().join(format!("obs-bundle-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        write_bundle(&dir, &spec(), &report).expect("bundle write");
-        // All five present after a clean write.
-        for file in [
-            METRICS_FILE,
-            TRACE_FILE,
-            MEMORY_FILE,
-            PROFILE_FILE,
-            MANIFEST_FILE,
-        ] {
-            assert!(dir.join(file).exists(), "{file} missing");
+        write_bundle(&dir, &spec(), &rec.report()).expect("bundle write");
+        assert_eq!(FILES.last(), Some(&MANIFEST_FILE));
+        // Every bundle file, and nothing else: newline-terminated JSON of
+        // this schema.
+        assert_eq!(
+            std::fs::read_dir(&dir).expect("read dir").count(),
+            FILES.len()
+        );
+        for file in FILES {
+            let body = std::fs::read_to_string(dir.join(file)).expect("bundle file");
+            assert!(body.ends_with('\n'), "{file}");
+            let parsed = Json::parse(body.trim_end()).expect("bundle file parses");
+            let schema = parsed.get("schema").and_then(Json::as_u64);
+            assert_eq!(schema, Some(SCHEMA_VERSION), "{file}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -425,41 +457,5 @@ mod tests {
                 .and_then(Json::as_str),
             Some("flaky")
         );
-    }
-
-    #[test]
-    fn write_bundle_produces_all_five_files() {
-        let rec = Recorder::new();
-        rec.stage("persona.shards", || {
-            let mut log = rec.shard("persona", 0, "Vanilla");
-            log.alloc_open();
-            log.span("install", |l| l.work(4));
-            log.alloc_seal();
-            rec.submit(log);
-        });
-        let report = rec.report();
-        let dir = std::env::temp_dir().join(format!("obs-bundle-test-{}", std::process::id()));
-        write_bundle(&dir, &spec(), &report).expect("bundle write");
-        for file in [
-            MANIFEST_FILE,
-            METRICS_FILE,
-            TRACE_FILE,
-            MEMORY_FILE,
-            PROFILE_FILE,
-        ] {
-            let body = std::fs::read_to_string(dir.join(file)).expect("bundle file");
-            assert!(!body.is_empty(), "{file} must not be empty");
-        }
-        let memory = std::fs::read_to_string(dir.join(MEMORY_FILE)).expect("memory readable");
-        let parsed = Json::parse(memory.trim_end()).expect("memory parses");
-        assert_eq!(
-            parsed.get("schema").and_then(Json::as_u64),
-            Some(SCHEMA_VERSION)
-        );
-        assert!(parsed.get("stage_alloc").is_some());
-        let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).expect("manifest readable");
-        assert!(manifest.ends_with('\n'));
-        Json::parse(manifest.trim_end()).expect("manifest parses");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -148,7 +148,7 @@ pub struct Summary {
     pub p99: u64,
     /// Largest value.
     pub max: u64,
-    /// Sum of all values.
+    /// Sum of all values (saturating at `u64::MAX`).
     pub sum: u64,
 }
 
@@ -164,21 +164,21 @@ impl Summary {
             p90: percentile(&sorted, 90),
             p99: percentile(&sorted, 99),
             max: sorted.last().copied().unwrap_or(0),
-            sum: sorted.iter().sum(),
+            sum: sorted.iter().fold(0, |sum, v| sum.saturating_add(*v)),
         }
     }
 
-    /// JSON export: `{count, min, p50, p90, p99, max, sum}`.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("count".into(), Json::Int(self.count)),
-            ("min".into(), Json::Int(self.min)),
-            ("p50".into(), Json::Int(self.p50)),
-            ("p90".into(), Json::Int(self.p90)),
-            ("p99".into(), Json::Int(self.p99)),
-            ("max".into(), Json::Int(self.max)),
-            ("sum".into(), Json::Int(self.sum)),
-        ])
+    /// The figures by name, in name order.
+    pub fn fields(&self) -> [(&'static str, u64); 7] {
+        [
+            ("count", self.count),
+            ("max", self.max),
+            ("min", self.min),
+            ("p50", self.p50),
+            ("p90", self.p90),
+            ("p99", self.p99),
+            ("sum", self.sum),
+        ]
     }
 }
 
@@ -272,7 +272,6 @@ mod tests {
         assert_eq!(s.p90, 30);
         assert_eq!(s.max, 30);
         assert_eq!(s.sum, 60);
-        let json = s.to_json().render();
-        assert!(json.contains("\"p50\": 20"));
+        assert!(s.fields().contains(&("p50", 20)));
     }
 }

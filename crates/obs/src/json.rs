@@ -77,6 +77,7 @@ impl Json {
     /// else after the value).
     pub fn parse(src: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
+            src,
             bytes: src.as_bytes(),
             pos: 0,
             depth: 0,
@@ -175,6 +176,7 @@ impl std::fmt::Display for JsonParseError {
 pub const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open around `pos`.
@@ -370,21 +372,17 @@ impl<'a> Parser<'a> {
                 }
                 _ if c < 0x20 => return Err(self.err("control character in string")),
                 _ => {
-                    // Re-read the full UTF-8 sequence starting at c.
+                    // Copy the run of plain characters up to the next quote,
+                    // backslash or control byte at once. Those are ASCII, so
+                    // the run starts and ends on char boundaries.
                     let start = self.pos - 1;
-                    let len = utf8_len(c);
-                    let end = start + len;
-                    match self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|b| std::str::from_utf8(b).ok())
-                    {
-                        Some(s) => {
-                            out.push_str(s);
-                            self.pos = end;
-                        }
-                        None => return Err(self.err("invalid UTF-8 in string")),
-                    }
+                    let rest = self.bytes.get(start..).unwrap_or_default();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    out.push_str(self.src.get(start..start + len).unwrap_or_default());
+                    self.pos = start + len;
                 }
             }
         }
@@ -442,16 +440,6 @@ impl<'a> Parser<'a> {
             Ok(x) if x.is_finite() => Ok(Json::Float(x)),
             _ => Err(self.err("invalid number")),
         }
-    }
-}
-
-/// Length of the UTF-8 sequence introduced by its first byte.
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 

@@ -24,12 +24,14 @@
 //!   dependency-free [`Json`] value type (which also parses:
 //!   [`Json::parse`]).
 //! * **Run-ledger bundles** ([`bundle`]) — `repro --run-dir` writes a
-//!   four-file directory (manifest / metrics / trace / folded profile) whose
-//!   every byte is deterministic: durations are virtual **work units**
-//!   ([`ShardLog::work`]), histograms use fixed log2 buckets ([`Histogram`])
-//!   and percentiles are nearest-rank integers ([`Summary`]). Bundles from
-//!   different worker counts are byte-identical and diffable with the
-//!   `obs-diff` tool.
+//!   three-file directory (manifest / trace / memory) whose every byte is
+//!   deterministic: durations are virtual **work units**
+//!   ([`ShardLog::work`]) and histograms use fixed log2 buckets
+//!   ([`Histogram`]). Each fact is stored once; [`Report::from_ledger`]
+//!   decodes the two ledger documents, and every other view (summaries
+//!   with nearest-rank percentiles, [`Summary`]; the folded profile) is
+//!   derived from the decoded report. Bundles from different worker counts
+//!   are byte-identical and diffable with the `obs-diff` tool.
 //! * [`Exit`] — the exit-code contract (0 clean, 1 findings, 2 usage,
 //!   3 degraded) that every binary ends through.
 //!
@@ -54,6 +56,7 @@ pub mod campaign;
 mod exit;
 mod hist;
 mod json;
+mod ledger;
 pub mod names;
 mod recorder;
 mod report;
@@ -63,6 +66,7 @@ pub use alloc::{peak_rss_kb, AllocSnapshot};
 pub use exit::Exit;
 pub use hist::{percentile, Histogram, Summary};
 pub use json::{Json, JsonParseError};
+pub use ledger::LedgerError;
 pub use recorder::{agg_count, agg_time, global, install_global, Recorder};
 pub use report::{Aggregate, Report, ShardReport, StageRec};
 pub use shard::{ShardLog, SpanRec};

@@ -12,6 +12,7 @@
 )]
 
 use crate::alloc;
+use crate::hist::Histogram;
 use crate::report::{Aggregate, Report, ShardReport, StageRec};
 use crate::shard::ShardLog;
 use std::collections::BTreeMap;
@@ -27,7 +28,9 @@ struct Inner {
     /// which stage is open at submit time is structural (the `par_map` runs
     /// inside the stage closure), so the attribution is schedule-independent.
     open_stages: Vec<usize>,
-    shards: BTreeMap<(String, usize), ShardReport>,
+    /// Each shard's report with its window's allocation-size histogram,
+    /// which the report keeps only merged per group.
+    shards: BTreeMap<(String, usize), (ShardReport, Histogram)>,
     aggregates: BTreeMap<String, Aggregate>,
     /// Machine-dependent gauges (`mem.peak_rss_kb`). Diagnostic only —
     /// surfaced by the human-facing report views and **never** by the
@@ -198,20 +201,22 @@ impl Recorder {
         }
         g.shards.insert(
             (log.group.clone(), log.index),
-            ShardReport {
-                group: log.group,
-                index: log.index,
-                label: log.label,
-                stage,
-                total_us,
-                work,
-                alloc_count: log.alloc_count,
-                alloc_bytes: log.alloc_bytes,
-                alloc_peak: log.alloc_peak,
-                alloc_sizes: log.alloc_sizes,
-                spans: log.spans,
-                counters: log.counters,
-            },
+            (
+                ShardReport {
+                    group: log.group,
+                    index: log.index,
+                    label: log.label,
+                    stage,
+                    total_us,
+                    work,
+                    alloc_count: log.alloc_count,
+                    alloc_bytes: log.alloc_bytes,
+                    alloc_peak: log.alloc_peak,
+                    spans: log.spans,
+                    counters: log.counters,
+                },
+                log.alloc_sizes,
+            ),
         );
     }
 
@@ -271,10 +276,18 @@ impl Recorder {
     pub fn report(&self) -> Report {
         let _quiet = alloc::pause();
         let g = self.locked();
+        let mut alloc_sizes: BTreeMap<String, Histogram> = BTreeMap::new();
+        for (shard, sizes) in g.shards.values() {
+            alloc_sizes
+                .entry(shard.group.clone())
+                .or_default()
+                .merge(sizes);
+        }
         Report {
             stages: g.stages.clone(),
-            shards: g.shards.values().cloned().collect(),
+            shards: g.shards.values().map(|(shard, _)| shard.clone()).collect(),
             aggregates: g.aggregates.clone(),
+            alloc_sizes,
             volatile: g.volatile.clone(),
         }
     }
@@ -379,8 +392,8 @@ mod tests {
             b.ledger_trace_json().render()
         );
         assert_eq!(
-            a.ledger_metrics_json().render(),
-            b.ledger_metrics_json().render()
+            a.ledger_memory_json().render(),
+            b.ledger_memory_json().render()
         );
         assert_eq!(a.shards.len(), 3);
         assert_eq!(a.shards[0].label, "p0");
@@ -471,7 +484,8 @@ mod tests {
         // Both shards ran the identical workload: identical deltas.
         assert_eq!(r.shards[0].alloc_count, r.shards[1].alloc_count);
         assert_eq!(r.shards[0].alloc_bytes, r.shards[1].alloc_bytes);
-        assert_eq!(r.shards[0].alloc_sizes, r.shards[1].alloc_sizes);
+        let sizes = r.alloc_sizes["persona"].sparse();
+        assert!(!sizes.is_empty() && sizes.iter().all(|(_, _, n)| n % 2 == 0));
         // Stage close sampled the OS high-water mark (Linux CI boxes).
         if std::path::Path::new("/proc/self/status").exists() {
             assert!(stage.peak_rss_kb > 0);

@@ -1,6 +1,7 @@
 //! Immutable report snapshots: span-tree rendering, JSON export, and the
-//! deterministic run-ledger surfaces (trace/metrics JSON, folded profile,
-//! histograms and percentile summaries in work units).
+//! views derived from the deterministic run ledger (counter totals, folded
+//! profile, histograms and percentile summaries in work units). The ledger
+//! documents themselves are encoded and decoded in `ledger.rs`.
 
 use crate::hist::{Histogram, Summary};
 use crate::json::Json;
@@ -72,8 +73,6 @@ pub struct ShardReport {
     /// Peak net-live bytes reached inside the shard's window (relative to
     /// the window's start — deterministic, unlike OS RSS).
     pub alloc_peak: u64,
-    /// Log2 histogram of the window's allocation sizes.
-    pub alloc_sizes: Histogram,
     /// Closed spans in pre-order.
     pub spans: Vec<SpanRec>,
     /// Final counter values.
@@ -94,10 +93,14 @@ pub struct Report {
     pub shards: Vec<ShardReport>,
     /// Name-keyed aggregates.
     pub aggregates: BTreeMap<String, Aggregate>,
+    /// Per-group allocation-size histograms: every shard window's log2
+    /// size buckets, merged bucket-wise under the group name (one entry per
+    /// group that submitted a shard, empty or not).
+    pub alloc_sizes: BTreeMap<String, Histogram>,
     /// Machine-dependent gauges (`mem.peak_rss_kb`). Shown by the
     /// human-facing views ([`Report::render_tree`], [`Report::to_json`])
     /// and deliberately **absent** from the run-ledger surfaces
-    /// ([`Report::ledger_trace_json`], [`Report::ledger_metrics_json`]),
+    /// ([`Report::ledger_trace_json`], [`Report::ledger_memory_json`]),
     /// so they can never change committed bytes.
     pub volatile: BTreeMap<String, u64>,
 }
@@ -195,7 +198,7 @@ impl Report {
     /// (per-shard wall time, work, spans, counters — persona shards carry
     /// the flow/bid/creative counts), `aggregates`. Wall-clock fields make
     /// this surface schedule-dependent; the deterministic twin is
-    /// [`Report::ledger_metrics_json`].
+    /// [`Report::ledger_trace_json`].
     pub fn to_json(&self) -> Json {
         let ms = |us: u64| Json::Float(us as f64 / 1000.0);
         let stages = self
@@ -275,6 +278,19 @@ impl Report {
         ])
     }
 
+    /// Counter totals: each shard counter summed over every shard
+    /// (saturating, so a decoded ledger cannot overflow it).
+    pub fn counter_totals(&self) -> BTreeMap<String, u64> {
+        let mut totals: BTreeMap<String, u64> = BTreeMap::new();
+        for sh in &self.shards {
+            for (name, v) in &sh.counters {
+                let t = totals.entry(name.clone()).or_default();
+                *t = t.saturating_add(*v);
+            }
+        }
+        totals
+    }
+
     /// Per-group work-unit summaries (p50/p90/p99 over the shard totals of
     /// each group — 13 persona shards, 9 AVS shards, one per artifact).
     pub fn work_summaries(&self) -> BTreeMap<String, Summary> {
@@ -325,8 +341,7 @@ impl Report {
                 .spans
                 .iter()
                 .filter(|s| s.depth == 0)
-                .map(|s| s.dur_wu)
-                .sum();
+                .fold(0, |sum, s| sum.saturating_add(s.dur_wu));
             let root_self = sh.work.saturating_sub(top_level);
             if root_self > 0 {
                 let _ = writeln!(out, "{} {}", root.join(";"), root_self);
@@ -340,7 +355,7 @@ impl Report {
                     Self::pop_folded(&mut out, &root, &mut stack);
                 }
                 if let Some(parent) = stack.last_mut() {
-                    parent.2 += sp.dur_wu;
+                    parent.2 = parent.2.saturating_add(sp.dur_wu);
                 }
                 stack.push((sp.name.clone(), sp.dur_wu, 0));
                 // Look-ahead: a leaf (next span not deeper) closes here.
@@ -374,205 +389,16 @@ impl Report {
             let _ = writeln!(out, "{path} {self_wu}");
         }
     }
-
-    /// The run-ledger trace document (`trace.json`): the full span tree in
-    /// deterministic work units only — no wall clock, so two runs of the
-    /// same `(seed, fault profile)` are byte-identical at any `--jobs`.
-    pub fn ledger_trace_json(&self) -> Json {
-        let stages = self
-            .stages
-            .iter()
-            .map(|s| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(s.name.clone())),
-                    ("depth".into(), Json::Int(s.depth as u64)),
-                    ("work".into(), Json::Int(s.work)),
-                ])
-            })
-            .collect();
-        let shards = self
-            .shards
-            .iter()
-            .map(|sh| {
-                let spans = sh
-                    .spans
-                    .iter()
-                    .map(|sp| {
-                        Json::Obj(vec![
-                            ("name".into(), Json::Str(sp.name.clone())),
-                            ("depth".into(), Json::Int(sp.depth as u64)),
-                            ("start_wu".into(), Json::Int(sp.start_wu)),
-                            ("work".into(), Json::Int(sp.dur_wu)),
-                            ("alloc_count".into(), Json::Int(sp.alloc_count)),
-                            ("alloc_bytes".into(), Json::Int(sp.alloc_bytes)),
-                        ])
-                    })
-                    .collect();
-                let counters = sh
-                    .counters
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::Int(*v)))
-                    .collect();
-                Json::Obj(vec![
-                    ("group".into(), Json::Str(sh.group.clone())),
-                    ("index".into(), Json::Int(sh.index as u64)),
-                    ("label".into(), Json::Str(sh.label.clone())),
-                    ("stage".into(), Json::Str(sh.stage.clone())),
-                    ("work".into(), Json::Int(sh.work)),
-                    ("spans".into(), Json::Arr(spans)),
-                    ("counters".into(), Json::Obj(counters)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("schema".into(), Json::Int(crate::bundle::SCHEMA_VERSION)),
-            ("stages".into(), Json::Arr(stages)),
-            ("shards".into(), Json::Arr(shards)),
-        ])
-    }
-
-    /// The run-ledger metrics document (`metrics.json`): flat deterministic
-    /// metrics — per-stage work, counter totals summed across shards,
-    /// aggregate counts/calls, per-group summaries and histograms.
-    pub fn ledger_metrics_json(&self) -> Json {
-        let stages = self
-            .stages
-            .iter()
-            .map(|s| (s.name.clone(), Json::Int(s.work)))
-            .collect();
-        let mut counter_totals: BTreeMap<String, u64> = BTreeMap::new();
-        for sh in &self.shards {
-            for (name, v) in &sh.counters {
-                *counter_totals.entry(name.clone()).or_default() += v;
-            }
-        }
-        let counters = counter_totals
-            .into_iter()
-            .map(|(k, v)| (k, Json::Int(v)))
-            .collect();
-        let aggregates = self
-            .aggregates
-            .iter()
-            .map(|(name, a)| {
-                (
-                    name.clone(),
-                    Json::Obj(vec![
-                        ("count".into(), Json::Int(a.count)),
-                        ("calls".into(), Json::Int(a.calls)),
-                    ]),
-                )
-            })
-            .collect();
-        let summaries = self
-            .work_summaries()
-            .into_iter()
-            .map(|(g, s)| (g, s.to_json()))
-            .collect();
-        let histograms = self
-            .work_histograms()
-            .into_iter()
-            .map(|(k, h)| (k, h.to_json()))
-            .collect();
-        Json::Obj(vec![
-            ("schema".into(), Json::Int(crate::bundle::SCHEMA_VERSION)),
-            ("stages".into(), Json::Obj(stages)),
-            ("counters".into(), Json::Obj(counters)),
-            ("aggregates".into(), Json::Obj(aggregates)),
-            ("summaries".into(), Json::Obj(summaries)),
-            ("histograms".into(), Json::Obj(histograms)),
-        ])
-    }
-
-    /// Per-group summaries over the shard allocation-byte deltas.
-    pub fn alloc_summaries(&self) -> BTreeMap<String, Summary> {
-        let mut by_group: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        for sh in &self.shards {
-            by_group
-                .entry(sh.group.clone())
-                .or_default()
-                .push(sh.alloc_bytes);
-        }
-        by_group
-            .into_iter()
-            .map(|(g, values)| (g, Summary::of(&values)))
-            .collect()
-    }
-
-    /// Per-group allocation-size histograms: every shard window's log2 size
-    /// buckets, merged bucket-wise under the group name.
-    pub fn alloc_size_histograms(&self) -> BTreeMap<String, Histogram> {
-        let mut hists: BTreeMap<String, Histogram> = BTreeMap::new();
-        for sh in &self.shards {
-            hists
-                .entry(sh.group.clone())
-                .or_default()
-                .merge(&sh.alloc_sizes);
-        }
-        hists
-    }
-
-    /// The run-ledger memory document (`memory.json`): the deterministic
-    /// allocation plane — per-stage attributed counts, per-shard sealed
-    /// windows, per-group summaries and size histograms.
-    ///
-    /// Everything here derives from the thread-local allocation meter,
-    /// which counts the workload's own allocation requests: byte-identical
-    /// across `--jobs` values for a fixed seed. OS-level RSS
-    /// is deliberately absent — it lives on the volatile channel only.
-    pub fn ledger_memory_json(&self) -> Json {
-        let stage_alloc = self
-            .stages
-            .iter()
-            .map(|s| {
-                (
-                    s.name.clone(),
-                    Json::Obj(vec![
-                        ("count".into(), Json::Int(s.alloc_count)),
-                        ("bytes".into(), Json::Int(s.alloc_bytes)),
-                    ]),
-                )
-            })
-            .collect();
-        let shards = self
-            .shards
-            .iter()
-            .map(|sh| {
-                Json::Obj(vec![
-                    ("group".into(), Json::Str(sh.group.clone())),
-                    ("index".into(), Json::Int(sh.index as u64)),
-                    ("label".into(), Json::Str(sh.label.clone())),
-                    ("alloc_count".into(), Json::Int(sh.alloc_count)),
-                    ("alloc_bytes".into(), Json::Int(sh.alloc_bytes)),
-                    ("alloc_peak_bytes".into(), Json::Int(sh.alloc_peak)),
-                ])
-            })
-            .collect();
-        let summaries = self
-            .alloc_summaries()
-            .into_iter()
-            .map(|(g, s)| (g, s.to_json()))
-            .collect();
-        let size_histograms = self
-            .alloc_size_histograms()
-            .into_iter()
-            .map(|(g, h)| (g, h.to_json()))
-            .collect();
-        Json::Obj(vec![
-            ("schema".into(), Json::Int(crate::bundle::SCHEMA_VERSION)),
-            ("stage_alloc".into(), Json::Obj(stage_alloc)),
-            ("shards".into(), Json::Arr(shards)),
-            ("summaries".into(), Json::Obj(summaries)),
-            ("size_histograms".into(), Json::Obj(size_histograms)),
-        ])
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::Recorder;
 
-    fn sample() -> Report {
+    /// Two persona shards under two stages, a counter, an aggregate and a
+    /// volatile gauge.
+    pub(crate) fn sample() -> Report {
         let rec = Recorder::new();
         rec.stage("marketplace", || {});
         rec.stage("persona.shards", || {
@@ -674,16 +500,12 @@ mod tests {
     fn ledger_surfaces_are_work_only() {
         let r = sample();
         let trace = r.ledger_trace_json().render();
-        let metrics = r.ledger_metrics_json().render();
         let memory = r.ledger_memory_json().render();
-        assert!(!trace.contains("\"ms\""), "trace leaked wall clock");
-        assert!(!metrics.contains("\"ms\""), "metrics leaked wall clock");
         assert!(trace.contains("\"start_wu\""));
         assert!(trace.contains("\"alloc_bytes\""));
-        assert!(metrics.contains("\"summaries\""));
-        assert!(metrics.contains("\"histograms\""));
-        assert!(metrics.contains("\"tap.packets\": 24"));
-        assert!(metrics.contains("\"alloc.count\""));
+        assert!(trace.contains("\"tap.packets\": 12"));
+        assert!(trace.contains("\"aggregates\""));
+        assert!(trace.contains("\"alloc.count\""));
         assert!(memory.contains("\"stage_alloc\""));
         assert!(memory.contains("\"size_histograms\""));
         assert!(memory.contains("\"alloc_peak_bytes\""));
@@ -691,7 +513,7 @@ mod tests {
         // report carries one, and no document may mention it (or the
         // section) at all. The same goes for every wall-clock and OS-level
         // number — peak RSS is volatile by definition.
-        for doc in [&trace, &metrics, &memory] {
+        for doc in [&trace, &memory] {
             assert!(!doc.contains("volatile"), "ledger leaked volatile section");
             assert!(
                 !doc.contains("mem.peak_rss_kb"),
@@ -699,15 +521,15 @@ mod tests {
             );
             assert!(!doc.contains("\"ms\""), "ledger leaked wall clock");
             assert!(!doc.contains("rss"), "ledger leaked OS-level RSS");
-        }
-        // All carry the bundle schema version.
-        for doc in [&metrics, &trace, &memory] {
+            // Both carry the bundle schema version.
             let parsed = Json::parse(doc).unwrap();
             assert_eq!(
                 parsed.get("schema").and_then(Json::as_u64),
                 Some(crate::bundle::SCHEMA_VERSION)
             );
         }
+        // The derived views are not stored: counter totals sum the shards.
+        assert_eq!(r.counter_totals()["tap.packets"], 24);
     }
 
     #[test]
@@ -727,8 +549,10 @@ mod tests {
             .map(|s| s.get("alloc_bytes").and_then(Json::as_u64).unwrap())
             .sum();
         assert_eq!(stage_bytes, shard_bytes);
-        let summary = doc.get("summaries").and_then(|s| s.get("persona")).unwrap();
-        assert_eq!(summary.get("count").and_then(Json::as_u64), Some(2));
-        assert_eq!(summary.get("sum").and_then(Json::as_u64), Some(shard_bytes));
+        // Per-group summaries are derived from the shard rows, not stored.
+        assert!(doc.get("summaries").is_none());
+        let sizes = doc.get("size_histograms").and_then(|h| h.get("persona"));
+        assert_eq!(sizes, Some(&r.alloc_sizes["persona"].to_json()));
+        assert!(r.alloc_sizes["persona"].total() > 0);
     }
 }

@@ -1,9 +1,7 @@
 //! Loading run-ledger bundles from disk with typed errors.
 
-use alexa_obs::bundle::{
-    MANIFEST_FILE, MEMORY_FILE, METRICS_FILE, PROFILE_FILE, SCHEMA_VERSION, TRACE_FILE,
-};
-use alexa_obs::{Json, JsonParseError};
+use alexa_obs::bundle::{MANIFEST_FILE, MEMORY_FILE, SCHEMA_VERSION, TRACE_FILE};
+use alexa_obs::{Json, JsonParseError, LedgerError, Report};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -39,6 +37,13 @@ pub enum BundleError {
         /// The version found in the manifest.
         found: u64,
     },
+    /// A ledger document parsed but does not decode into a run report.
+    Ledger {
+        /// The document that failed to decode.
+        path: PathBuf,
+        /// The typed decode failure.
+        error: LedgerError,
+    },
 }
 
 impl fmt::Display for BundleError {
@@ -58,25 +63,23 @@ impl fmt::Display for BundleError {
                 "{}: bundle schema {found} unsupported (this tool reads schema {SCHEMA_VERSION})",
                 path.display()
             ),
+            BundleError::Ledger { path, error } => write!(f, "{}: {error}", path.display()),
         }
     }
 }
 
-/// One run-ledger bundle, fully parsed.
+/// One run-ledger bundle: its manifest and the run report decoded from its
+/// ledger documents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadedBundle {
     /// The directory the bundle was read from.
     pub dir: PathBuf,
     /// `manifest.json`, parsed.
     pub manifest: Json,
-    /// `metrics.json`, parsed.
-    pub metrics: Json,
-    /// `trace.json`, parsed.
-    pub trace: Json,
-    /// `memory.json`, parsed.
-    pub memory: Json,
-    /// `profile.folded`, verbatim.
-    pub profile: String,
+    /// `trace.json` and `memory.json`, decoded ([`Report::from_ledger`]).
+    /// Every derived view (stage work, counter totals, summaries,
+    /// histograms, the folded profile) is a method of it.
+    pub report: Report,
 }
 
 impl LoadedBundle {
@@ -116,7 +119,8 @@ fn read_json(dir: &Path, file: &str) -> Result<Json, BundleError> {
 /// Load and validate a bundle directory written by `repro --run-dir`.
 ///
 /// Validation covers readability, JSON well-formedness, the manifest's
-/// required fields, and the schema version of all four JSON documents.
+/// required fields and schema version, and the decoding of the two ledger
+/// documents into one consistent [`Report`].
 pub fn load_bundle(dir: &Path) -> Result<LoadedBundle, BundleError> {
     let manifest = read_json(dir, MANIFEST_FILE)?;
     let manifest_path = dir.join(MANIFEST_FILE);
@@ -128,42 +132,30 @@ pub fn load_bundle(dir: &Path) -> Result<LoadedBundle, BundleError> {
             });
         }
     }
-    let metrics = read_json(dir, METRICS_FILE)?;
-    let trace = read_json(dir, TRACE_FILE)?;
-    let memory = read_json(dir, MEMORY_FILE)?;
-    for (doc, file) in [
-        (&manifest, MANIFEST_FILE),
-        (&metrics, METRICS_FILE),
-        (&trace, TRACE_FILE),
-        (&memory, MEMORY_FILE),
-    ] {
-        match doc.get("schema").and_then(Json::as_u64) {
-            Some(SCHEMA_VERSION) => {}
-            Some(found) => {
-                return Err(BundleError::SchemaMismatch {
-                    path: dir.join(file),
-                    found,
-                })
-            }
-            None => {
-                return Err(BundleError::MissingField {
-                    path: dir.join(file),
-                    field: "schema",
-                })
-            }
+    match manifest.get("schema").and_then(Json::as_u64) {
+        Some(SCHEMA_VERSION) => {}
+        Some(found) => {
+            return Err(BundleError::SchemaMismatch {
+                path: manifest_path,
+                found,
+            })
+        }
+        None => {
+            return Err(BundleError::MissingField {
+                path: manifest_path,
+                field: "schema",
+            })
         }
     }
-    let profile_path = dir.join(PROFILE_FILE);
-    let profile = std::fs::read_to_string(&profile_path).map_err(|e| BundleError::Unreadable {
-        path: profile_path,
-        error: e.to_string(),
+    let trace = read_json(dir, TRACE_FILE)?;
+    let memory = read_json(dir, MEMORY_FILE)?;
+    let report = Report::from_ledger(&trace, &memory).map_err(|error| BundleError::Ledger {
+        path: dir.join(error.file),
+        error,
     })?;
     Ok(LoadedBundle {
         dir: dir.to_path_buf(),
         manifest,
-        metrics,
-        trace,
-        memory,
-        profile,
+        report,
     })
 }

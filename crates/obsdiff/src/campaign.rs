@@ -16,7 +16,7 @@
 //!    determinism violation.
 
 use crate::bundle::load_bundle;
-use alexa_obs::bundle::{MANIFEST_FILE, MEMORY_FILE, METRICS_FILE, PROFILE_FILE, TRACE_FILE};
+use alexa_obs::bundle::FILES;
 use alexa_obs::campaign::{CAMPAIGN_FILE, CAMPAIGN_SCHEMA_VERSION, CELLS_DIR};
 use alexa_obs::Json;
 use std::collections::{BTreeMap, BTreeSet};
@@ -153,13 +153,6 @@ pub struct InstanceDivergence {
 /// A byte match is the strictest instance check there is: identical bytes
 /// always diff clean.
 pub fn verify_instances(cells_dir: &Path, cells: &[(String, String)]) -> Vec<InstanceDivergence> {
-    const FILES: [&str; 5] = [
-        METRICS_FILE,
-        TRACE_FILE,
-        MEMORY_FILE,
-        PROFILE_FILE,
-        MANIFEST_FILE,
-    ];
     let mut groups: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for (id, key) in cells {
         groups.entry(id).or_default().push(key);

@@ -1,8 +1,8 @@
 //! The bundle diff engine: every way two run ledgers can disagree.
 
 use crate::bundle::LoadedBundle;
-use alexa_obs::Json;
-use std::collections::BTreeMap;
+use alexa_obs::{Json, Report, ShardReport, StageRec};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// How much a difference matters.
@@ -167,12 +167,12 @@ impl DiffReport {
 }
 
 /// Flatten a JSON object of `name -> Int` into an ordered map.
-fn int_map<'a>(doc: &'a Json, key: &str) -> BTreeMap<&'a str, u64> {
+fn int_map(doc: &Json, key: &str) -> BTreeMap<String, u64> {
     let mut out = BTreeMap::new();
     if let Some(fields) = doc.get(key).and_then(Json::as_obj) {
         for (name, v) in fields {
             if let Some(n) = v.as_u64() {
-                out.insert(name.as_str(), n);
+                out.insert(name.clone(), n);
             }
         }
     }
@@ -188,55 +188,106 @@ fn growth_pct(a: u64, b: u64) -> Option<f64> {
     Some((b as f64 - a as f64) / a as f64 * 100.0)
 }
 
+/// Compare two keyed maps in key order: a key only in `a` is a finding of
+/// severity `missing.0` saying `missing.1`, a changed value is whatever
+/// `changed` reports for it, and a key only in `b` is a note saying
+/// `added`.
+fn diff_keyed<V: PartialEq>(
+    report: &mut DiffReport,
+    a: &BTreeMap<String, V>,
+    b: &BTreeMap<String, V>,
+    category: &'static str,
+    missing: (Severity, &str),
+    added: &str,
+    mut changed: impl FnMut(&mut DiffReport, &str, &V, &V),
+) {
+    for (name, av) in a {
+        match b.get(name) {
+            None => report.push(missing.0, category, name, missing.1.to_string()),
+            Some(bv) if bv == av => {}
+            Some(bv) => changed(report, name, av, bv),
+        }
+    }
+    for name in b.keys().filter(|name| !a.contains_key(*name)) {
+        report.push(Severity::Note, category, name, added.to_string());
+    }
+}
+
 /// Compare two `name -> value` maps, reporting removals as regressions,
 /// additions as notes, and value changes as drift — escalating to
 /// regression when growth exceeds the gate percentage (`gate: Some(pct)`;
 /// `None` never escalates).
 fn diff_int_maps(
     report: &mut DiffReport,
-    a: &BTreeMap<&str, u64>,
-    b: &BTreeMap<&str, u64>,
+    (a, b): (BTreeMap<String, u64>, BTreeMap<String, u64>),
     category: &'static str,
     what: &str,
     unit: &str,
     gate: Option<f64>,
 ) {
-    for (name, av) in a {
-        match b.get(name) {
-            None => report.push(
-                Severity::Regression,
-                category,
-                name,
-                format!("{what} present in baseline but missing from candidate"),
-            ),
-            Some(bv) if bv == av => {}
-            Some(bv) => {
-                let beyond = match growth_pct(*av, *bv) {
-                    None => true,
-                    Some(pct) => gate.is_some_and(|max| pct > max),
-                };
-                let sev = if gate.is_some() && beyond {
-                    Severity::Regression
-                } else {
-                    Severity::Drift
-                };
-                let pct = growth_pct(*av, *bv)
-                    .map(|p| format!("{p:+.1}%"))
-                    .unwrap_or_else(|| "from zero".to_string());
-                report.push(sev, category, name, format!("{av} -> {bv} {unit} ({pct})"));
-            }
-        }
-    }
-    for name in b.keys() {
-        if !a.contains_key(name) {
-            report.push(
-                Severity::Note,
-                category,
-                name,
-                format!("{what} only in candidate"),
-            );
-        }
-    }
+    let missing = format!("{what} present in baseline but missing from candidate");
+    let added = format!("{what} only in candidate");
+    let regression = (Severity::Regression, missing.as_str());
+    diff_keyed(
+        report,
+        &a,
+        &b,
+        category,
+        regression,
+        &added,
+        |r, name, av, bv| {
+            let growth = growth_pct(*av, *bv);
+            let beyond = growth.is_none_or(|pct| gate.is_some_and(|max| pct > max));
+            let sev = if gate.is_some() && beyond {
+                Severity::Regression
+            } else {
+                Severity::Drift
+            };
+            let pct = growth.map_or_else(|| "from zero".to_string(), |p| format!("{p:+.1}%"));
+            r.push(sev, category, name, format!("{av} -> {bv} {unit} ({pct})"));
+        },
+    );
+}
+
+/// Compare two histogram maps by shape: a changed one is drift.
+fn diff_shapes<H: PartialEq>(
+    report: &mut DiffReport,
+    (a, b): (&BTreeMap<String, H>, &BTreeMap<String, H>),
+    category: &'static str,
+    what: &str,
+    shifted: &str,
+) {
+    let missing = format!("{what} missing from candidate");
+    let added = format!("{what} only in candidate");
+    let regression = (Severity::Regression, missing.as_str());
+    diff_keyed(
+        report,
+        a,
+        b,
+        category,
+        regression,
+        &added,
+        |r, name, _, _| {
+            r.push(Severity::Drift, category, name, shifted.to_string());
+        },
+    );
+}
+
+/// Per-shard values keyed by `group[index] label`.
+fn shard_values(r: &Report, value: impl Fn(&ShardReport) -> u64) -> BTreeMap<String, u64> {
+    r.shards
+        .iter()
+        .map(|s| (format!("{}[{}] {}", s.group, s.index, s.label), value(s)))
+        .collect()
+}
+
+/// Per-stage values keyed by stage name (a repeated name keeps its last
+/// stage's value).
+fn stage_values(r: &Report, value: impl Fn(&StageRec) -> u64) -> BTreeMap<String, u64> {
+    r.stages
+        .iter()
+        .map(|s| (s.name.clone(), value(s)))
+        .collect()
 }
 
 /// Diff the identity facts in the manifests.
@@ -314,52 +365,46 @@ fn diff_coverage(report: &mut DiffReport, a: &LoadedBundle, b: &LoadedBundle) {
         out
     };
     let (sa, sb) = (sections(ca), sections(cb));
-    for (name, (ao, ae)) in &sa {
-        match sb.get(name) {
-            None => report.push(
-                Severity::Regression,
-                "coverage",
-                name,
-                "section present in baseline but missing from candidate".to_string(),
-            ),
-            Some((bo, be)) => {
-                let ratio = |o: u64, e: u64| if e == 0 { 1.0 } else { o as f64 / e as f64 };
-                let (ra, rb) = (ratio(*ao, *ae), ratio(*bo, *be));
-                if rb < ra {
-                    report.push(
-                        Severity::Regression,
-                        "coverage",
-                        name,
-                        format!(
-                            "{ao}/{ae} ({:.1}%) -> {bo}/{be} ({:.1}%)",
-                            ra * 100.0,
-                            rb * 100.0
-                        ),
-                    );
-                } else if (ao, ae) != (bo, be) {
-                    report.push(
-                        Severity::Drift,
-                        "coverage",
-                        name,
-                        format!("{ao}/{ae} -> {bo}/{be}"),
-                    );
-                }
+    let missing = (
+        Severity::Regression,
+        "section present in baseline but missing from candidate",
+    );
+    let added = "section only in candidate";
+    diff_keyed(
+        report,
+        &sa,
+        &sb,
+        "coverage",
+        missing,
+        added,
+        |r, name, a, b| {
+            let ((ao, ae), (bo, be)) = (a, b);
+            let ratio = |o: u64, e: u64| if e == 0 { 1.0 } else { o as f64 / e as f64 };
+            let (ra, rb) = (ratio(*ao, *ae), ratio(*bo, *be));
+            if rb < ra {
+                r.push(
+                    Severity::Regression,
+                    "coverage",
+                    name,
+                    format!(
+                        "{ao}/{ae} ({:.1}%) -> {bo}/{be} ({:.1}%)",
+                        ra * 100.0,
+                        rb * 100.0
+                    ),
+                );
+            } else {
+                r.push(
+                    Severity::Drift,
+                    "coverage",
+                    name,
+                    format!("{ao}/{ae} -> {bo}/{be}"),
+                );
             }
-        }
-    }
-    for name in sb.keys() {
-        if !sa.contains_key(name) {
-            report.push(
-                Severity::Note,
-                "coverage",
-                name,
-                "section only in candidate".to_string(),
-            );
-        }
-    }
+        },
+    );
     // Fault totals: injected per channel plus retries / losses / backoff.
-    let (ia, ib) = (int_map(ca, "injected"), int_map(cb, "injected"));
-    diff_int_maps(report, &ia, &ib, "fault", "fault channel", "injected", None);
+    let injected = (int_map(ca, "injected"), int_map(cb, "injected"));
+    diff_int_maps(report, injected, "fault", "fault channel", "injected", None);
     for field in ["retries", "backoff_ms", "losses"] {
         let get = |c: &Json| c.get(field).and_then(Json::as_u64).unwrap_or(0);
         let (av, bv) = (get(ca), get(cb));
@@ -402,341 +447,135 @@ fn diff_coverage(report: &mut DiffReport, a: &LoadedBundle, b: &LoadedBundle) {
     }
 }
 
-/// Diff per-group percentile summaries from `metrics.json`.
-fn diff_summaries(report: &mut DiffReport, a: &LoadedBundle, b: &LoadedBundle, opts: &DiffOptions) {
-    let groups = |doc: &Json| -> BTreeMap<String, BTreeMap<&'static str, u64>> {
-        let mut out = BTreeMap::new();
-        if let Some(fields) = doc.get("summaries").and_then(Json::as_obj) {
-            for (group, s) in fields {
-                let mut vals = BTreeMap::new();
-                for key in ["count", "min", "p50", "p90", "p99", "max", "sum"] {
-                    vals.insert(key, s.get(key).and_then(Json::as_u64).unwrap_or(0));
+/// Diff the per-group percentile summaries of shard work.
+fn diff_summaries(report: &mut DiffReport, a: &Report, b: &Report, opts: &DiffOptions) {
+    let missing = (Severity::Regression, "shard group missing from candidate");
+    let added = "shard group only in candidate";
+    let (ga, gb) = (a.work_summaries(), b.work_summaries());
+    diff_keyed(
+        report,
+        &ga,
+        &gb,
+        "summary",
+        missing,
+        added,
+        |r, group, sa, sb| {
+            for ((key, av), (_, bv)) in sa.fields().into_iter().zip(sb.fields()) {
+                if av == bv {
+                    continue;
                 }
-                out.insert(group.clone(), vals);
+                // Percentile growth beyond the threshold gates; anything else
+                // (including shrinkage) is drift worth seeing.
+                let gated = matches!(key, "p50" | "p90" | "p99");
+                let beyond = growth_pct(av, bv).is_none_or(|pct| pct > opts.max_regress_pct);
+                let sev = if gated && beyond {
+                    Severity::Regression
+                } else {
+                    Severity::Drift
+                };
+                let subject = format!("{group}.{key}");
+                r.push(sev, "summary", &subject, format!("{av} -> {bv} work units"));
             }
-        }
-        out
-    };
-    let (ga, gb) = (groups(&a.metrics), groups(&b.metrics));
-    for (group, va) in &ga {
-        let Some(vb) = gb.get(group) else {
-            report.push(
-                Severity::Regression,
-                "summary",
-                group,
-                "shard group missing from candidate".to_string(),
-            );
-            continue;
-        };
-        for (key, av) in va {
-            let bv = vb.get(key).copied().unwrap_or(0);
-            if *av == bv {
-                continue;
-            }
-            // Percentile growth beyond the threshold gates; anything else
-            // (including shrinkage) is drift worth seeing.
-            let gated = matches!(*key, "p50" | "p90" | "p99");
-            let beyond = match growth_pct(*av, bv) {
-                None => true,
-                Some(pct) => pct > opts.max_regress_pct,
-            };
-            let sev = if gated && beyond {
-                Severity::Regression
-            } else {
-                Severity::Drift
-            };
-            let subject = format!("{group}.{key}");
-            report.push(sev, "summary", &subject, format!("{av} -> {bv} work units"));
-        }
-    }
-    for group in gb.keys() {
-        if !ga.contains_key(group) {
-            report.push(
-                Severity::Note,
-                "summary",
-                group,
-                "shard group only in candidate".to_string(),
-            );
-        }
-    }
-}
-
-/// Diff the sparse histograms from `metrics.json` (shape equality only —
-/// magnitude shifts already surface via summaries and stage work).
-fn diff_histograms(report: &mut DiffReport, a: &LoadedBundle, b: &LoadedBundle) {
-    let hists = |doc: &Json| -> BTreeMap<String, String> {
-        let mut out = BTreeMap::new();
-        if let Some(fields) = doc.get("histograms").and_then(Json::as_obj) {
-            for (name, h) in fields {
-                out.insert(name.clone(), h.render());
-            }
-        }
-        out
-    };
-    let (ha, hb) = (hists(&a.metrics), hists(&b.metrics));
-    for (name, va) in &ha {
-        match hb.get(name) {
-            None => report.push(
-                Severity::Regression,
-                "histogram",
-                name,
-                "histogram missing from candidate".to_string(),
-            ),
-            Some(vb) if va == vb => {}
-            Some(_) => report.push(
-                Severity::Drift,
-                "histogram",
-                name,
-                "bucket distribution shifted".to_string(),
-            ),
-        }
-    }
-    for name in hb.keys() {
-        if !ha.contains_key(name) {
-            report.push(
-                Severity::Note,
-                "histogram",
-                name,
-                "histogram only in candidate".to_string(),
-            );
-        }
-    }
-}
-
-/// Diff shard structure and per-shard work from `trace.json`.
-fn diff_shards(report: &mut DiffReport, a: &LoadedBundle, b: &LoadedBundle, opts: &DiffOptions) {
-    let shards = |doc: &Json| -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        if let Some(items) = doc.get("shards").and_then(Json::as_arr) {
-            for s in items {
-                let group = s.get("group").and_then(Json::as_str).unwrap_or("?");
-                let index = s.get("index").and_then(Json::as_u64).unwrap_or(0);
-                let label = s.get("label").and_then(Json::as_str).unwrap_or("?");
-                let work = s.get("work").and_then(Json::as_u64).unwrap_or(0);
-                out.insert(format!("{group}[{index}] {label}"), work);
-            }
-        }
-        out
-    };
-    let (sa, sb) = (shards(&a.trace), shards(&b.trace));
-    let sa_ref: BTreeMap<&str, u64> = sa.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    let sb_ref: BTreeMap<&str, u64> = sb.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    diff_int_maps(
-        report,
-        &sa_ref,
-        &sb_ref,
-        "shard-work",
-        "shard",
-        "work units",
-        Some(opts.max_regress_pct),
+        },
     );
-}
-
-/// Diff the allocation plane from `memory.json`.
-///
-/// Allocated bytes per stage and per shard gate at
-/// [`DiffOptions::max_alloc_regress_pct`]; allocation counts surface as
-/// drift (a count change without a byte change is unusual enough to see,
-/// but bytes are what memory budgets are written in). Size histograms are
-/// shape-compared like the work histograms. The per-group summaries are
-/// derived from the shard values already diffed here, so they are skipped.
-fn diff_memory(report: &mut DiffReport, a: &LoadedBundle, b: &LoadedBundle, opts: &DiffOptions) {
-    let stage_field = |doc: &Json, field: &str| -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        if let Some(fields) = doc.get("stage_alloc").and_then(Json::as_obj) {
-            for (name, v) in fields {
-                out.insert(
-                    name.clone(),
-                    v.get(field).and_then(Json::as_u64).unwrap_or(0),
-                );
-            }
-        }
-        out
-    };
-    fn as_ref(m: &BTreeMap<String, u64>) -> BTreeMap<&str, u64> {
-        m.iter().map(|(k, v)| (k.as_str(), *v)).collect()
-    }
-    let (ba, bb) = (
-        stage_field(&a.memory, "bytes"),
-        stage_field(&b.memory, "bytes"),
-    );
-    diff_int_maps(
-        report,
-        &as_ref(&ba),
-        &as_ref(&bb),
-        "stage-alloc",
-        "stage allocation",
-        "alloc bytes",
-        Some(opts.max_alloc_regress_pct),
-    );
-    let (ca, cb) = (
-        stage_field(&a.memory, "count"),
-        stage_field(&b.memory, "count"),
-    );
-    diff_int_maps(
-        report,
-        &as_ref(&ca),
-        &as_ref(&cb),
-        "stage-alloc-count",
-        "stage allocation count",
-        "allocations",
-        None,
-    );
-    let shard_bytes = |doc: &Json| -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        if let Some(items) = doc.get("shards").and_then(Json::as_arr) {
-            for s in items {
-                let group = s.get("group").and_then(Json::as_str).unwrap_or("?");
-                let index = s.get("index").and_then(Json::as_u64).unwrap_or(0);
-                let label = s.get("label").and_then(Json::as_str).unwrap_or("?");
-                let bytes = s.get("alloc_bytes").and_then(Json::as_u64).unwrap_or(0);
-                out.insert(format!("{group}[{index}] {label}"), bytes);
-            }
-        }
-        out
-    };
-    let (sa, sb) = (shard_bytes(&a.memory), shard_bytes(&b.memory));
-    diff_int_maps(
-        report,
-        &as_ref(&sa),
-        &as_ref(&sb),
-        "shard-alloc",
-        "shard allocation",
-        "alloc bytes",
-        Some(opts.max_alloc_regress_pct),
-    );
-    let hists = |doc: &Json| -> BTreeMap<String, String> {
-        let mut out = BTreeMap::new();
-        if let Some(fields) = doc.get("size_histograms").and_then(Json::as_obj) {
-            for (name, h) in fields {
-                out.insert(name.clone(), h.render());
-            }
-        }
-        out
-    };
-    let (ha, hb) = (hists(&a.memory), hists(&b.memory));
-    for (name, va) in &ha {
-        match hb.get(name) {
-            None => report.push(
-                Severity::Regression,
-                "alloc-sizes",
-                name,
-                "allocation-size histogram missing from candidate".to_string(),
-            ),
-            Some(vb) if va == vb => {}
-            Some(_) => report.push(
-                Severity::Drift,
-                "alloc-sizes",
-                name,
-                "allocation-size distribution shifted".to_string(),
-            ),
-        }
-    }
-    for name in hb.keys() {
-        if !ha.contains_key(name) {
-            report.push(
-                Severity::Note,
-                "alloc-sizes",
-                name,
-                "allocation-size histogram only in candidate".to_string(),
-            );
-        }
-    }
 }
 
 /// Compare two loaded bundles, baseline first.
 ///
-/// The report distinguishes context notes (different seeds), drift (values
-/// differ where equal inputs should agree byte-for-byte) and regressions
+/// Every view compared here is derived from the two decoded reports, the
+/// same [`Report`] method computing it for both sides. The report
+/// distinguishes context notes (different seeds), drift (values differ
+/// where equal inputs should agree byte-for-byte) and regressions
 /// (structure lost, growth beyond `opts.max_regress_pct`, coverage drops,
 /// determinism breaks). Identical bundles produce an empty report.
 pub fn diff_bundles(a: &LoadedBundle, b: &LoadedBundle, opts: &DiffOptions) -> DiffReport {
     let mut report = DiffReport::default();
+    let (ra, rb) = (&a.report, &b.report);
+    let gate = Some(opts.max_regress_pct);
+    let alloc_gate = Some(opts.max_alloc_regress_pct);
     diff_manifests(&mut report, a, b);
-    // Stage work from metrics.json: removed stages and big growth gate.
-    let (stages_a, stages_b) = (int_map(&a.metrics, "stages"), int_map(&b.metrics, "stages"));
-    diff_int_maps(
-        &mut report,
-        &stages_a,
-        &stages_b,
-        "stage-work",
-        "stage",
-        "work units",
-        Some(opts.max_regress_pct),
-    );
+    // Stage work: removed stages and big growth gate.
+    let work = (stage_values(ra, |s| s.work), stage_values(rb, |s| s.work));
+    diff_int_maps(&mut report, work, "stage-work", "stage", "work units", gate);
     // Counter totals (includes fault.* when a fault profile was active).
-    let (counters_a, counters_b) = (
-        int_map(&a.metrics, "counters"),
-        int_map(&b.metrics, "counters"),
+    let counters = (ra.counter_totals(), rb.counter_totals());
+    diff_int_maps(&mut report, counters, "counter", "counter", "", None);
+    // Aggregates: count and calls per name.
+    let missing = (Severity::Drift, "aggregate missing from candidate");
+    let (aa, ab) = (&ra.aggregates, &rb.aggregates);
+    let added = "aggregate only in candidate";
+    diff_keyed(
+        &mut report,
+        aa,
+        ab,
+        "aggregate",
+        missing,
+        added,
+        |r, name, a, b| {
+            let detail = format!(
+                "count {} -> {}, calls {} -> {}",
+                a.count, b.count, a.calls, b.calls
+            );
+            r.push(Severity::Drift, "aggregate", name, detail);
+        },
     );
+    diff_summaries(&mut report, ra, rb, opts);
+    // Work histograms: shape only — magnitude shifts already surface via
+    // the summaries and stage work.
+    let hists = (&ra.work_histograms(), &rb.work_histograms());
+    let shifted = "bucket distribution shifted";
+    diff_shapes(&mut report, hists, "histogram", "histogram", shifted);
+    // Shard structure and per-shard work.
+    let shards = (shard_values(ra, |s| s.work), shard_values(rb, |s| s.work));
     diff_int_maps(
         &mut report,
-        &counters_a,
-        &counters_b,
-        "counter",
-        "counter",
-        "",
-        None,
+        shards,
+        "shard-work",
+        "shard",
+        "work units",
+        gate,
     );
-    // Aggregates: count and calls per name.
-    let aggs = |doc: &Json| -> BTreeMap<String, (u64, u64)> {
-        let mut out = BTreeMap::new();
-        if let Some(fields) = doc.get("aggregates").and_then(Json::as_obj) {
-            for (name, v) in fields {
-                out.insert(
-                    name.clone(),
-                    (
-                        v.get("count").and_then(Json::as_u64).unwrap_or(0),
-                        v.get("calls").and_then(Json::as_u64).unwrap_or(0),
-                    ),
-                );
-            }
-        }
-        out
-    };
-    let (aa, ab) = (aggs(&a.metrics), aggs(&b.metrics));
-    for (name, va) in &aa {
-        match ab.get(name) {
-            None => report.push(
-                Severity::Drift,
-                "aggregate",
-                name,
-                "aggregate missing from candidate".to_string(),
-            ),
-            Some(vb) if va == vb => {}
-            Some((bc, bl)) => report.push(
-                Severity::Drift,
-                "aggregate",
-                name,
-                format!("count {} -> {bc}, calls {} -> {bl}", va.0, va.1),
-            ),
-        }
-    }
-    for name in ab.keys() {
-        if !aa.contains_key(name) {
-            report.push(
-                Severity::Note,
-                "aggregate",
-                name,
-                "aggregate only in candidate".to_string(),
-            );
-        }
-    }
-    diff_summaries(&mut report, a, b, opts);
-    diff_histograms(&mut report, a, b);
-    diff_shards(&mut report, a, b, opts);
-    diff_memory(&mut report, a, b, opts);
+    // The allocation plane (the facts of `memory.json`). Bytes per stage
+    // and per shard gate at `max_alloc_regress_pct`; counts surface as
+    // drift (bytes are what memory budgets are written in); size
+    // histograms compare by shape. Per-group allocation summaries are
+    // functions of the shard values, so they get no category.
+    let bytes = (
+        stage_values(ra, |s| s.alloc_bytes),
+        stage_values(rb, |s| s.alloc_bytes),
+    );
+    let (what, unit) = ("stage allocation", "alloc bytes");
+    diff_int_maps(&mut report, bytes, "stage-alloc", what, unit, alloc_gate);
+    let counts = (
+        stage_values(ra, |s| s.alloc_count),
+        stage_values(rb, |s| s.alloc_count),
+    );
+    let (what, unit) = ("stage allocation count", "allocations");
+    diff_int_maps(&mut report, counts, "stage-alloc-count", what, unit, None);
+    let bytes = (
+        shard_values(ra, |s| s.alloc_bytes),
+        shard_values(rb, |s| s.alloc_bytes),
+    );
+    let (what, unit) = ("shard allocation", "alloc bytes");
+    diff_int_maps(&mut report, bytes, "shard-alloc", what, unit, alloc_gate);
+    let sizes = (&ra.alloc_sizes, &rb.alloc_sizes);
+    let (what, shifted) = (
+        "allocation-size histogram",
+        "allocation-size distribution shifted",
+    );
+    diff_shapes(&mut report, sizes, "alloc-sizes", what, shifted);
     diff_coverage(&mut report, a, b);
     // The folded profile: byte-compare, report the line-level delta size.
-    if a.profile != b.profile {
-        let la: std::collections::BTreeSet<&str> = a.profile.lines().collect();
-        let lb: std::collections::BTreeSet<&str> = b.profile.lines().collect();
+    let (pa, pb) = (ra.folded_profile(), rb.folded_profile());
+    if pa != pb {
+        let la: BTreeSet<&str> = pa.lines().collect();
+        let lb: BTreeSet<&str> = pb.lines().collect();
         let only_a = la.difference(&lb).count();
         let only_b = lb.difference(&la).count();
         report.push(
             Severity::Drift,
             "profile",
-            "profile.folded",
+            "folded_profile",
             format!("{only_a} line(s) only in baseline, {only_b} only in candidate"),
         );
     }

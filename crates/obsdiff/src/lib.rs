@@ -1,14 +1,16 @@
 //! `alexa-obsdiff` — cross-run comparison of run-ledger bundles and the
 //! bench regression gate.
 //!
-//! The `obs-diff` binary has three subcommands:
+//! The `obs-diff` binary has four subcommands:
 //!
 //! * `obs-diff diff A B` loads two run-ledger bundles (directories written
 //!   by `repro --run-dir`, see `alexa_obs::bundle`) and reports every
 //!   difference: per-stage work deltas, counter drift (including `fault.*`),
 //!   aggregate shifts, percentile/histogram movement, coverage regressions,
-//!   and added/removed stages, shards or spans. Two bundles from the same
-//!   `(seed, fault profile)` must diff clean — CI relies on it.
+//!   and added/removed stages, shards or spans — every view derived from
+//!   the bundles' decoded ledgers (`Report::from_ledger`). Two bundles
+//!   from the same `(seed, fault profile)` must diff clean — CI relies on
+//!   it.
 //! * `obs-diff gate --baseline B --candidate C` is the bench regression
 //!   gate over `BENCH_audit.json` (JSON-lines appended by `repro --bench`),
 //!   a typed-error Rust port of the retired `ci/bench_gate.py`.
@@ -17,6 +19,8 @@
 //!   loads, records the campaign's plan hash / cell identity / digest, and
 //!   instances of one identity are byte-identical across `jobs` and
 //!   `repeat`.
+//! * `obs-diff profile DIR` prints the folded-stack work profile
+//!   (flamegraph input) derived from a bundle's trace.
 //!
 //! Everything here only *reads* observability artifacts; nothing feeds back
 //! into a run, so the determinism contract is untouched.

@@ -9,27 +9,31 @@
 //! obs-diff gate ... --max-regress 25        # wall-clock threshold in percent
 //! obs-diff gate ... --max-alloc-regress 10  # per-stage alloc-bytes threshold (%)
 //! obs-diff campaign CAMPAIGN_DIR            # verify a campaign directory
+//! obs-diff profile RUN_DIR                  # folded-stack profile (flamegraph input)
 //! ```
 //!
 //! # Exit codes
 //!
 //! The first three variants of `alexa_obs::Exit`:
 //!
-//! * `0` — bundles equivalent / gate passed.
+//! * `0` — bundles equivalent / gate passed / profile printed.
 //! * `1` — drift or regression found / gate failed.
 //! * `2` — usage error, unreadable or malformed input.
 
 #![deny(clippy::indexing_slicing)]
 
 use alexa_obs::Exit;
-use alexa_obsdiff::{check_campaign, diff_bundles, load_bundle, run_gate, DiffOptions};
+use alexa_obsdiff::{
+    check_campaign, diff_bundles, load_bundle, run_gate, DiffOptions, LoadedBundle,
+};
 use std::path::Path;
 
 fn usage(code: Exit) -> ! {
     eprintln!(
         "usage: obs-diff diff BASELINE_DIR CANDIDATE_DIR [--max-regress PCT] [--max-alloc-regress PCT] [--format human|json]\n\
                 obs-diff gate --baseline FILE --candidate FILE [--max-regress PCT] [--max-alloc-regress PCT] [--format human|json]\n\
-                obs-diff campaign CAMPAIGN_DIR [--format human|json]"
+                obs-diff campaign CAMPAIGN_DIR [--format human|json]\n\
+                obs-diff profile BUNDLE_DIR"
     );
     code.exit();
 }
@@ -73,6 +77,7 @@ fn main() {
         "diff" => cmd_diff(rest),
         "gate" => cmd_gate(rest),
         "campaign" => cmd_campaign(rest),
+        "profile" => cmd_profile(rest),
         "--help" | "-h" => usage(Exit::Clean),
         other => {
             eprintln!("error: unknown command {other:?}");
@@ -108,12 +113,6 @@ fn cmd_diff(args: &[String]) -> ! {
     let [a, b] = dirs.as_slice() else {
         eprintln!("error: diff expects exactly two bundle directories");
         usage(Exit::Usage);
-    };
-    let load = |dir: &str| {
-        load_bundle(Path::new(dir)).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            Exit::Usage.exit();
-        })
     };
     let (bundle_a, bundle_b) = (load(a), load(b));
     let report = diff_bundles(&bundle_a, &bundle_b, &opts);
@@ -206,6 +205,24 @@ fn cmd_campaign(args: &[String]) -> ! {
             Exit::Usage.exit();
         }
     }
+}
+
+/// Print the folded-stack work profile the bundle's trace implies.
+fn cmd_profile(args: &[String]) -> ! {
+    let [dir] = args else {
+        eprintln!("error: profile expects exactly one bundle directory");
+        usage(Exit::Usage);
+    };
+    print!("{}", load(dir).report.folded_profile());
+    Exit::Clean.exit()
+}
+
+/// Load a bundle, or end with a usage error naming what is wrong with it.
+fn load(dir: &str) -> LoadedBundle {
+    load_bundle(Path::new(dir)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        Exit::Usage.exit();
+    })
 }
 
 /// Exit clean, or with findings.

@@ -14,9 +14,7 @@
 )]
 
 use alexa_audit::{AuditConfig, AuditRun};
-use alexa_obs::bundle::{
-    write_bundle, BundleSpec, MANIFEST_FILE, MEMORY_FILE, METRICS_FILE, PROFILE_FILE, TRACE_FILE,
-};
+use alexa_obs::bundle::{write_bundle, BundleSpec, FILES, TRACE_FILE};
 use alexa_obs::campaign::{Plan, PlanError};
 use alexa_obs::Recorder;
 use alexa_obsdiff::{diff_bundles, load_bundle, BundleError, DiffOptions, LoadedBundle};
@@ -25,13 +23,6 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 const SMOKE_PLAN: &str = include_str!("../../../ci/plans/smoke.json");
-const BUNDLE_FILES: [&str; 5] = [
-    MANIFEST_FILE,
-    METRICS_FILE,
-    TRACE_FILE,
-    MEMORY_FILE,
-    PROFILE_FILE,
-];
 
 /// One structured way to break a document.
 #[derive(Debug, Clone, Copy)]
@@ -142,16 +133,7 @@ fn mutate(doc: &[u8], m: Mutation, pick: usize) -> Vec<u8> {
             let huge = HUGE_INTS[pick % HUGE_INTS.len()].as_bytes();
             match numbers.get(pick % numbers.len().max(1)) {
                 Some(&at) => splice(at, value_end(doc, at), huge),
-                // No key-valued number (the folded profile): overwrite the
-                // last count on the first line instead.
-                None => {
-                    let eol = doc.iter().position(|&b| b == b'\n').unwrap_or(doc.len());
-                    let at = doc[..eol]
-                        .iter()
-                        .rposition(|&b| b == b' ')
-                        .map_or(0, |p| p + 1);
-                    splice(at, eol, huge)
-                }
+                None => splice(0, 0, huge),
             }
         }
         Mutation::WrongType => {
@@ -164,7 +146,7 @@ fn mutate(doc: &[u8], m: Mutation, pick: usize) -> Vec<u8> {
     }
 }
 
-/// The files of a small-scale audit bundle (in [`BUNDLE_FILES`] order) and
+/// The files of a small-scale audit bundle (in [`FILES`] order) and
 /// the bundle loaded from them, built once per test process.
 fn pristine() -> &'static (Vec<Vec<u8>>, LoadedBundle) {
     static BASE: OnceLock<(Vec<Vec<u8>>, LoadedBundle)> = OnceLock::new();
@@ -182,7 +164,7 @@ fn pristine() -> &'static (Vec<Vec<u8>>, LoadedBundle) {
         };
         write_bundle(&dir, &spec, &rec.report()).expect("write pristine bundle");
         let loaded = load_bundle(&dir).expect("pristine bundle loads");
-        let files = BUNDLE_FILES
+        let files = FILES
             .iter()
             .map(|name| std::fs::read(dir.join(name)).expect("read pristine file"))
             .collect();
@@ -212,22 +194,24 @@ fn check_plan(src: &[u8]) {
 
 /// Load the pristine bundle with file `target` replaced by `bytes`; diff it
 /// against the pristine one when it loads, and check the rejection is typed
-/// when it does not.
-fn check_bundle(target: usize, bytes: &[u8]) {
+/// when it does not. Returns the load outcome. `tag` names the scratch
+/// directory, one per concurrently running test.
+fn check_bundle(tag: &str, target: usize, bytes: &[u8]) -> Result<LoadedBundle, BundleError> {
     let (files, base) = pristine();
-    let dir = case_dir("case");
+    let dir = case_dir(tag);
     std::fs::create_dir_all(&dir).expect("create case dir");
-    for (i, (name, pristine)) in BUNDLE_FILES.iter().zip(files).enumerate() {
+    for (i, (name, pristine)) in FILES.iter().zip(files).enumerate() {
         let body = if i == target { bytes } else { pristine };
         std::fs::write(dir.join(name), body).expect("write bundle file");
     }
-    let file = BUNDLE_FILES[target];
-    match load_bundle(&dir) {
+    let file = FILES[target];
+    let outcome = load_bundle(&dir);
+    match &outcome {
         Ok(mutated) => {
             let opts = DiffOptions::default();
             for report in [
-                diff_bundles(base, &mutated, &opts),
-                diff_bundles(&mutated, base, &opts),
+                diff_bundles(base, mutated, &opts),
+                diff_bundles(mutated, base, &opts),
             ] {
                 let _ = (report.render_human(), report.to_json().render());
             }
@@ -238,6 +222,7 @@ fn check_bundle(target: usize, bytes: &[u8]) {
         Err(e) => assert!(!e.to_string().is_empty()),
     }
     let _ = std::fs::remove_dir_all(&dir);
+    outcome
 }
 
 proptest! {
@@ -246,14 +231,48 @@ proptest! {
     #[test]
     fn outside_input_decoders_fail_typed_under_mutation(
         m in prop::sample::select(MUTATIONS.to_vec()),
-        target in 0usize..=BUNDLE_FILES.len(),
+        target in 0usize..=FILES.len(),
         pick in 0usize..1_000_000,
     ) {
         let outcome = std::panic::catch_unwind(|| match pristine().0.get(target) {
-            Some(doc) => check_bundle(target, &mutate(doc, m, pick)),
+            Some(doc) => drop(check_bundle("case", target, &mutate(doc, m, pick))),
             None => check_plan(&mutate(SMOKE_PLAN.as_bytes(), m, pick)),
         });
-        let input = BUNDLE_FILES.get(target).copied().unwrap_or("plan");
+        let input = FILES.get(target).copied().unwrap_or("plan");
         prop_assert!(outcome.is_ok(), "{m:?} of {input} (pick {pick}) panicked");
+    }
+}
+
+/// The aggregates that `trace.json` carries since the bundle dropped
+/// `metrics.json`: every mutation confined to that section loads or fails
+/// typed, and a value of the wrong type is always a ledger error.
+#[test]
+fn trace_aggregates_fail_typed_under_mutation() {
+    let (target, doc) = (0, &pristine().0[0]);
+    assert_eq!(FILES[target], TRACE_FILE);
+    let key = b"\"aggregates\": ";
+    let at = doc
+        .windows(key.len())
+        .position(|w| w == key)
+        .expect("aggregates")
+        + key.len();
+    let (head, section) = doc.split_at(at);
+    assert!(
+        value_starts(section).len() > 4,
+        "aggregates hold count/calls rows"
+    );
+    for (m, pick) in MUTATIONS
+        .into_iter()
+        .flat_map(|m| (0..1000).step_by(61).map(move |p| (m, p)))
+    {
+        let mutated = [head, &mutate(section, m, pick)].concat();
+        let outcome = std::panic::catch_unwind(|| check_bundle("aggregates", target, &mutated));
+        let Ok(outcome) = outcome else {
+            panic!("{m:?} of trace.json aggregates (pick {pick}) panicked");
+        };
+        if matches!(m, Mutation::WrongType) {
+            let typed = matches!(outcome, Err(BundleError::Ledger { .. }));
+            assert!(typed, "{m:?} (pick {pick}) of an aggregate: {outcome:?}");
+        }
     }
 }

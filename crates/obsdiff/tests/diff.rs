@@ -7,8 +7,9 @@
 )]
 
 use alexa_audit::{AuditConfig, AuditRun};
-use alexa_obs::bundle::{write_bundle, BundleSpec, MANIFEST_FILE};
-use alexa_obs::{Json, Recorder};
+use alexa_fault::FaultProfile;
+use alexa_obs::bundle::{write_bundle, BundleSpec, FILES, MANIFEST_FILE};
+use alexa_obs::{Json, Recorder, Report};
 use alexa_obsdiff::{diff_bundles, load_bundle, BundleError, DiffOptions, Severity};
 use std::path::{Path, PathBuf};
 
@@ -270,28 +271,12 @@ fn json_report_format_is_parseable_and_complete() {
 #[test]
 fn real_audit_bundle_round_trips_clean_across_worker_counts() {
     let run = |jobs: usize, tag: &str| {
-        let rec = Recorder::new();
-        let obs = AuditRun::execute_with(AuditConfig::small(7).with_jobs(Some(jobs)), &rec);
-        let dir = fresh_dir(tag);
-        let spec = BundleSpec {
-            seed: 7,
-            fault_profile: "none".into(),
-            defense: None,
-            campaign: None,
-            observations_digest: obs.digest(),
-            coverage: Some(obs.coverage.to_json()),
-        };
-        write_bundle(&dir, &spec, &rec.report()).expect("bundle write");
-        dir
+        let config = AuditConfig::small(7).with_jobs(Some(jobs));
+        write_audit(config, 7, &FaultProfile::none(), tag).0
     };
     let (da, db) = (run(1, "real-j1"), run(4, "real-j4"));
     // Byte-identical bundle files across worker counts.
-    for file in [
-        "manifest.json",
-        "metrics.json",
-        "trace.json",
-        "profile.folded",
-    ] {
+    for file in FILES {
         let fa = std::fs::read(da.join(file)).expect("read a");
         let fb = std::fs::read(db.join(file)).expect("read b");
         assert_eq!(fa, fb, "{file} differs between jobs=1 and jobs=4");
@@ -301,4 +286,82 @@ fn real_audit_bundle_round_trips_clean_across_worker_counts() {
     let b = load_bundle(&db).expect("load b");
     let report = diff_bundles(&a, &b, &DiffOptions::default());
     assert!(report.findings.is_empty(), "{:?}", report.findings);
+}
+
+/// Execute `config` traced and write its bundle under `tag`; returns the
+/// directory and the in-process report.
+fn write_audit(
+    config: AuditConfig,
+    seed: u64,
+    fault: &FaultProfile,
+    tag: &str,
+) -> (PathBuf, Report) {
+    let rec = Recorder::new();
+    let obs = AuditRun::execute_with(config.with_faults(fault.clone()), &rec);
+    let dir = fresh_dir(tag);
+    let spec = BundleSpec {
+        seed,
+        fault_profile: fault.name().to_string(),
+        defense: None,
+        campaign: None,
+        observations_digest: obs.digest(),
+        coverage: Some(obs.coverage.to_json()),
+    };
+    let report = rec.report();
+    write_bundle(&dir, &spec, &report).expect("bundle write");
+    (dir, report)
+}
+
+/// A paper-scale bundle decodes back into a report that re-encodes both
+/// ledger documents byte for byte and yields every derived view the
+/// in-process report yields, for two seeds with and without faults; and
+/// `obs-diff profile` prints the folded profile the bundle no longer stores.
+#[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the test drives the obs-diff binary as a child process"
+)]
+fn bundle_round_trips_through_the_ledger_decoder() {
+    let views = |r: &Report| {
+        let stage_work: Vec<_> = r.stages.iter().map(|s| (s.name.clone(), s.work)).collect();
+        let aggs = r.aggregates.iter();
+        let aggregates: Vec<_> = aggs.map(|(n, a)| (n.clone(), a.count, a.calls)).collect();
+        let (summaries, histograms) = (r.work_summaries(), r.work_histograms());
+        let sizes = r.alloc_sizes.clone();
+        let totals = r.counter_totals();
+        (
+            stage_work,
+            totals,
+            aggregates,
+            summaries,
+            histograms,
+            r.folded_profile(),
+            sizes,
+        )
+    };
+    for seed in [7, 1234] {
+        for fault in [FaultProfile::none(), FaultProfile::flaky()] {
+            let case = format!("seed {seed}, {}", fault.name());
+            let tag = format!("roundtrip-{seed}-{}", fault.name());
+            let (dir, report) = write_audit(AuditConfig::paper(seed), seed, &fault, &tag);
+            let decoded = load_bundle(&dir).expect("bundle loads").report;
+            let read = |file: &str| std::fs::read_to_string(dir.join(file)).expect("read");
+            let trace = decoded.ledger_trace_json().render() + "\n";
+            assert_eq!(trace, read("trace.json"), "{case}: trace.json");
+            let memory = decoded.ledger_memory_json().render() + "\n";
+            assert_eq!(memory, read("memory.json"), "{case}: memory.json");
+            assert_eq!(views(&decoded), views(&report), "{case}");
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_obs-diff"))
+                .arg("profile")
+                .arg(&dir)
+                .output()
+                .expect("run obs-diff");
+            assert_eq!(out.status.code(), Some(0), "{case}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                report.folded_profile()
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
