@@ -60,6 +60,8 @@
 //!   retry, or a shard's retry budget exhausted. The report (with its
 //!   coverage block) is still fully rendered and deterministic.
 
+#![deny(clippy::indexing_slicing)]
+
 use alexa_audit::{AuditConfig, AuditRun, Observations};
 use alexa_bench::{campaign, render_artifacts, ARTIFACTS};
 use alexa_fault::FaultProfile;
@@ -436,8 +438,8 @@ fn main() {
     // The campaign subcommand has its own grammar; dispatch before the
     // flag parser so plan paths are never mistaken for artifact names.
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("campaign") {
-        run_campaign_cli(&argv[1..]);
+    if let Some(("campaign", rest)) = argv.split_first().map(|(c, r)| (c.as_str(), r)) {
+        run_campaign_cli(rest);
     }
 
     let cli = parse_cli();

@@ -27,13 +27,13 @@
 //!   defense efficacy against the undefended baseline).
 
 use alexa_audit::{AuditConfig, AuditRun, DefenseMode};
-use alexa_fault::FaultProfile;
+use alexa_fault::{Coverage, CoverageReport, FaultProfile};
 use alexa_obs::bundle::{
     check_run_dir, write_bundle, BundleSpec, CampaignCell, RunDirConflict, RunDirState, FILES,
 };
 use alexa_obs::campaign::{
-    campaign_manifest, uniform_fault_rate, CellCoord, CellRecord, Plan, PlanError, Scale,
-    CAMPAIGN_FILE, CELLS_DIR, TABLES_DIR,
+    campaign_manifest, uniform_fault_rate, CampaignManifest, CellCoord, CellRecord, Plan,
+    PlanError, Scale, CAMPAIGN_FILE, CELLS_DIR, TABLES_DIR,
 };
 use alexa_obs::{install_global, Exit, Json, Recorder};
 use alexa_obsdiff::{load_bundle, verify_instances, InstanceDivergence, LoadedBundle};
@@ -343,12 +343,8 @@ pub fn run_campaign(
     if let Ok(text) = std::fs::read_to_string(&manifest_path) {
         let found = Json::parse(text.trim_end())
             .ok()
-            .and_then(|m| {
-                m.get("plan_hash")
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-            })
-            .unwrap_or_else(|| "unreadable".to_string());
+            .and_then(|m| CampaignManifest::from_json(&m).ok())
+            .map_or_else(|| "unreadable".to_string(), |m| m.plan.hash());
         if found != plan_hash {
             return Err(CampaignError::PlanChanged {
                 dir,
@@ -409,8 +405,11 @@ pub fn run_campaign(
         .zip(&loaded)
         .map(|(coord, (_, bundle))| CellRecord {
             coord: coord.clone(),
-            digest: bundle.observations_digest().unwrap_or("").to_string(),
-            degraded: bundle_degraded(bundle),
+            digest: bundle.manifest.observations_digest,
+            degraded: bundle
+                .coverage
+                .as_ref()
+                .is_some_and(CoverageReport::is_degraded),
         })
         .collect();
     let mut manifest = campaign_manifest(&plan, &records).render();
@@ -509,20 +508,6 @@ fn execute_cells(
         statuses.push((CellStatus::Executed, peak_rss_kb));
     }
     Ok(statuses)
-}
-
-/// Whether a loaded bundle records a degraded run: fault losses survived
-/// the retry budget or a shard's breaker opened.
-fn bundle_degraded(bundle: &LoadedBundle) -> bool {
-    let Some(cov) = bundle.coverage() else {
-        return false;
-    };
-    let losses = cov.get("losses").and_then(Json::as_u64).unwrap_or(0);
-    let degraded_shards = cov
-        .get("degraded_shards")
-        .and_then(Json::as_arr)
-        .map_or(0, <[Json]>::len);
-    losses > 0 || degraded_shards > 0
 }
 
 // ---------------------------------------------------------------------------
@@ -687,43 +672,30 @@ const COVERAGE_HEAD: &str = "# Coverage by fault variant\n\n\
 fn coverage_rows(reps: &[Rep<'_>]) -> Vec<Row> {
     let mut rows = Vec::new();
     for Rep { coord, bundle, .. } in reps {
-        let Some(cov) = bundle.coverage() else {
+        let Some(cov) = &bundle.coverage else {
             continue;
         };
-        let injected = cov
-            .get("injected")
-            .and_then(Json::as_obj)
-            .map_or(0, |channels| {
-                channels.iter().filter_map(|(_, v)| v.as_u64()).sum::<u64>()
-            });
-        let count = |json: &Json, key| json.get(key).and_then(Json::as_u64).unwrap_or(0);
-        let row = |section: &str, observed, expected| {
+        let row = |section: &str, c: Coverage| {
             vec![
                 ("fault", Json::Str(coord.fault.clone())),
                 ("seed", Json::Int(coord.seed)),
                 ("defense", Json::Str(coord.defense.clone())),
                 ("section", Json::Str(section.to_string())),
-                ("observed", Json::Int(observed)),
-                ("expected", Json::Int(expected)),
-                ("coverage_pct", pct_json(pct(observed, expected))),
-                ("injected", Json::Int(injected)),
-                ("retries", Json::Int(count(cov, "retries"))),
-                ("losses", Json::Int(count(cov, "losses"))),
-                ("degraded", Json::Bool(bundle_degraded(bundle))),
+                ("observed", Json::Int(c.observed)),
+                ("expected", Json::Int(c.expected)),
+                ("coverage_pct", pct_json(pct(c.observed, c.expected))),
+                ("injected", Json::Int(cov.total_injected())),
+                ("retries", Json::Int(cov.retries)),
+                ("losses", Json::Int(cov.losses)),
+                ("degraded", Json::Bool(cov.is_degraded())),
             ]
         };
-        let sections = cov
-            .get("sections")
-            .and_then(Json::as_obj)
-            .unwrap_or_default();
-        let (mut total_obs, mut total_exp) = (0, 0);
-        for (name, section) in sections {
-            let (observed, expected) = (count(section, "observed"), count(section, "expected"));
-            total_obs += observed;
-            total_exp += expected;
-            rows.push(row(name, observed, expected));
+        let mut overall = Coverage::default();
+        for (name, section) in &cov.sections {
+            overall.merge(*section);
+            rows.push(row(name, *section));
         }
-        rows.push(row("overall", total_obs, total_exp));
+        rows.push(row("overall", overall));
     }
     rows
 }
@@ -855,7 +827,7 @@ mod tests {
             let bundle = load_bundle(&cell_dir).expect("bundle loads");
             records.push(CellRecord {
                 coord: coord.clone(),
-                digest: bundle.observations_digest().unwrap_or("").to_string(),
+                digest: bundle.manifest.observations_digest,
                 degraded: false,
             });
         }

@@ -10,6 +10,7 @@
 //! module executes a declarative experiment plan (`repro campaign`).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 
 pub mod campaign;

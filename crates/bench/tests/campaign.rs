@@ -367,6 +367,27 @@ fn run_dir_refuses_bundle_of_a_different_run() {
         .output()
         .expect("run repro");
     assert_eq!(again.status.code(), Some(0), "{}", stderr(&again));
+
+    // A manifest that parses but does not decode is refused too, and the
+    // refusal names the field instead of inventing a value for it.
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).expect("read manifest");
+    let mistyped = text.replacen("\"seed\": 7,", "\"seed\": \"7\",", 1);
+    assert_ne!(text, mistyped);
+    std::fs::write(&manifest, &mistyped).expect("write manifest");
+    let refused = repro()
+        .args(["--seed", "7", "--run-dir"])
+        .arg(&dir)
+        .arg("table1")
+        .output()
+        .expect("run repro");
+    assert_eq!(refused.status.code(), Some(2), "{}", stderr(&refused));
+    let err = stderr(&refused);
+    assert!(
+        err.contains("seed: missing or mistyped") && err.contains("refusing"),
+        "{err}"
+    );
+    assert_eq!(std::fs::read_to_string(&manifest).ok(), Some(mistyped));
 }
 
 /// A bundle of an older schema is a different run, whatever its identity:

@@ -17,6 +17,8 @@
 //! Built on `std::thread::scope` only — no dependency at all — because the
 //! build must work fully offline.
 
+#![deny(clippy::indexing_slicing)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -95,14 +97,14 @@ where
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
+                let Some(slot) = slots.get(i) else {
                     break;
-                }
+                };
                 #[expect(
                     clippy::expect_used,
                     reason = "the atomic cursor hands each slot to exactly one worker"
                 )]
-                let item = locked(&slots[i]).take().expect("slot taken twice");
+                let item = locked(slot).take().expect("slot taken twice");
                 let out = f(i, item);
                 locked(&results).push((i, out));
             });

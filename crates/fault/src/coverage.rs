@@ -2,6 +2,8 @@
 
 use crate::profile::FaultChannel;
 use crate::retry::RetryOutcome;
+use alexa_obs::ledger::{count, entries, items, text, Fail};
+use alexa_obs::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -189,43 +191,50 @@ impl CoverageReport {
     /// Every field is a structural count or a fixed name — nothing
     /// schedule- or wall-clock-dependent — so the document honors the same
     /// byte-equality contract as the rest of the bundle.
-    pub fn to_json(&self) -> alexa_obs::Json {
-        use alexa_obs::Json;
-        let sections = self
-            .sections
-            .iter()
-            .map(|(name, cov)| {
-                (
-                    name.clone(),
-                    Json::Obj(vec![
-                        ("observed".to_string(), Json::Int(cov.observed)),
-                        ("expected".to_string(), Json::Int(cov.expected)),
-                    ]),
-                )
-            })
-            .collect();
-        let injected = self
-            .injected
-            .iter()
-            .map(|(label, n)| (label.clone(), Json::Int(*n)))
-            .collect();
+    pub fn to_json(&self) -> Json {
+        let count = |(k, n): (&String, &u64)| (k.clone(), Json::Int(*n));
+        let sections = self.sections.iter().map(|(name, cov)| {
+            let counts = vec![
+                ("observed".into(), Json::Int(cov.observed)),
+                ("expected".into(), Json::Int(cov.expected)),
+            ];
+            (name.clone(), Json::Obj(counts))
+        });
+        let shards = self.degraded_shards.iter().map(|s| Json::Str(s.clone()));
         Json::Obj(vec![
-            ("profile".to_string(), Json::Str(self.profile.clone())),
-            ("sections".to_string(), Json::Obj(sections)),
-            ("injected".to_string(), Json::Obj(injected)),
-            ("retries".to_string(), Json::Int(self.retries)),
-            ("backoff_ms".to_string(), Json::Int(self.backoff_ms)),
-            ("losses".to_string(), Json::Int(self.losses)),
+            ("profile".into(), Json::Str(self.profile.clone())),
+            ("sections".into(), Json::Obj(sections.collect())),
             (
-                "degraded_shards".to_string(),
-                Json::Arr(
-                    self.degraded_shards
-                        .iter()
-                        .map(|s| Json::Str(s.clone()))
-                        .collect(),
-                ),
+                "injected".into(),
+                Json::Obj(self.injected.iter().map(count).collect()),
             ),
+            ("retries".into(), Json::Int(self.retries)),
+            ("backoff_ms".into(), Json::Int(self.backoff_ms)),
+            ("losses".into(), Json::Int(self.losses)),
+            ("degraded_shards".into(), Json::Arr(shards.collect())),
         ])
+    }
+
+    /// Decode [`CoverageReport::to_json`]'s document: its typed inverse, so
+    /// re-encoding the result reproduces the document byte for byte. An
+    /// error names the field, relative to the document.
+    pub fn from_json(json: &Json) -> Result<CoverageReport, Fail> {
+        let a_count = |n: &Json| n.as_u64().ok_or_else(|| ": not a count".to_string());
+        Ok(CoverageReport {
+            profile: text(json, "profile")?,
+            sections: entries(json, "sections", |s| {
+                Ok(Coverage::new(count(s, "observed")?, count(s, "expected")?))
+            })?,
+            injected: entries(json, "injected", a_count)?,
+            retries: count(json, "retries")?,
+            backoff_ms: count(json, "backoff_ms")?,
+            losses: count(json, "losses")?,
+            degraded_shards: items(json, "degraded_shards", |s| {
+                s.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| ": not a string".into())
+            })?,
+        })
     }
 
     /// Human-readable coverage block for the report header.
@@ -365,28 +374,27 @@ mod tests {
         ledger.losses = 2;
         ledger.degraded = true;
         report.merge_ledger("Dating", &ledger);
-        let j = report.to_json();
-        use alexa_obs::Json;
-        assert_eq!(j.get("profile").and_then(Json::as_str), Some("flaky"));
-        assert_eq!(
-            j.get("sections")
-                .and_then(|s| s.get("skill.installs"))
-                .and_then(|s| s.get("observed"))
-                .and_then(Json::as_u64),
-            Some(48)
-        );
-        assert_eq!(
-            j.get("injected")
-                .and_then(|i| i.get("install"))
-                .and_then(Json::as_u64),
-            Some(2)
-        );
-        assert_eq!(j.get("retries").and_then(Json::as_u64), Some(4));
-        assert_eq!(j.get("losses").and_then(Json::as_u64), Some(2));
-        let rendered = j.render();
+        let rendered = report.to_json().render();
         assert!(rendered.contains("\"degraded_shards\": [\"Dating\"]"));
-        // Round-trips through the strict parser.
-        assert!(Json::parse(&rendered).is_ok());
+        // The decoder inverts the encoder, byte for byte.
+        let decoded = CoverageReport::from_json(&Json::parse(&rendered).expect("parses"));
+        assert_eq!(decoded.as_ref(), Ok(&report));
+        assert_eq!(decoded.map(|d| d.to_json().render()), Ok(rendered.clone()));
+        // A field outside the format is an error that names it.
+        for (from, to, field) in [
+            ("\"losses\": 2", "\"losses\": \"lots\"", "losses:"),
+            ("48", "-48", "sections.skill.installs.observed:"),
+            (
+                "\"install\": 2",
+                "\"install\": 2.5",
+                "injected.install: not a count",
+            ),
+            ("[\"Dating\"]", "[7]", "degraded_shards[0]: not a string"),
+        ] {
+            let edited = Json::parse(&rendered.replacen(from, to, 1)).expect("parses");
+            let err = CoverageReport::from_json(&edited).expect_err(to);
+            assert!(err.starts_with(field), "{err}");
+        }
     }
 
     #[test]

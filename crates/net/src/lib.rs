@@ -18,6 +18,7 @@
 //! Pi-hole-style [`FilterList`] for advertising & tracking classification.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 
 pub mod capture;

@@ -91,9 +91,9 @@ fn hex_decode(s: &str) -> Option<String> {
         return None;
     }
     let mut bytes = Vec::with_capacity(s.len() / 2);
-    for chunk in s.as_bytes().chunks(2) {
-        let hi = (chunk[0] as char).to_digit(16)?;
-        let lo = (chunk[1] as char).to_digit(16)?;
+    for pair in s.as_bytes().chunks_exact(2) {
+        let [hi, lo] = pair else { return None };
+        let (hi, lo) = ((*hi as char).to_digit(16)?, (*lo as char).to_digit(16)?);
         bytes.push((hi * 16 + lo) as u8);
     }
     String::from_utf8(bytes).ok()

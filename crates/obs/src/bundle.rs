@@ -17,6 +17,11 @@
 //! [`Report::from_ledger`](crate::Report::from_ledger) and derives each
 //! view through the one [`Report`] method that computes it.
 //!
+//! The manifest decodes beside its encoder ([`BundleSpec::from_manifest`]),
+//! and its [`RunIdentity`] is the one definition of "the same run": the
+//! overwrite guard ([`check_run_dir`]), the campaign resume and `obs-diff`'s
+//! determinism finding all compare it.
+//!
 //! Every byte of every file is a pure function of `(seed, fault profile,
 //! config)`: durations are virtual work units, maps are ordered, and the
 //! manifest deliberately **omits the worker count** — the bundle is the same
@@ -25,6 +30,7 @@
 //! and CI asserts their byte-equality across worker counts.
 
 use crate::json::Json;
+use crate::ledger::{count, digest, field, schema_first, text, under, Fail, ManifestError};
 use crate::report::Report;
 use std::fmt;
 use std::io;
@@ -68,7 +74,7 @@ pub struct CampaignCell {
 }
 
 /// The run-identity facts recorded in a bundle's manifest.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BundleSpec {
     /// Master seed of the run.
     pub seed: u64,
@@ -96,66 +102,106 @@ impl BundleSpec {
     /// bundle is worker-count-independent and recording the count would
     /// break byte-equality across `--jobs` values.
     pub fn manifest_json(&self) -> Json {
+        let text = |s: &String| Json::Str(s.clone());
+        let digest = format!("{:016x}", self.observations_digest);
         let mut fields = vec![
-            ("schema".to_string(), Json::Int(SCHEMA_VERSION)),
-            ("seed".to_string(), Json::Int(self.seed)),
-            (
-                "fault_profile".to_string(),
-                Json::Str(self.fault_profile.clone()),
-            ),
-            (
-                "observations_digest".to_string(),
-                Json::Str(format!("{:016x}", self.observations_digest)),
-            ),
-            ("jobs_independent".to_string(), Json::Bool(true)),
+            ("schema".into(), Json::Int(SCHEMA_VERSION)),
+            ("seed".into(), Json::Int(self.seed)),
+            ("fault_profile".into(), text(&self.fault_profile)),
+            ("observations_digest".into(), Json::Str(digest)),
+            ("jobs_independent".into(), Json::Bool(true)),
         ];
-        if let Some(defense) = &self.defense {
-            fields.push(("defense".to_string(), Json::Str(defense.clone())));
-        }
-        if let Some(cell) = &self.campaign {
-            fields.push((
-                "campaign".to_string(),
-                Json::Obj(vec![
-                    ("plan_hash".to_string(), Json::Str(cell.plan_hash.clone())),
-                    ("cell".to_string(), Json::Str(cell.cell.clone())),
-                ]),
-            ));
-        }
-        if let Some(cov) = &self.coverage {
-            fields.push(("coverage".to_string(), cov.clone()));
-        }
+        fields.extend(self.defense.as_ref().map(|d| ("defense".into(), text(d))));
+        fields.extend(self.campaign.as_ref().map(|cell| {
+            let cell = vec![
+                ("plan_hash".into(), text(&cell.plan_hash)),
+                ("cell".into(), text(&cell.cell)),
+            ];
+            ("campaign".into(), Json::Obj(cell))
+        }));
+        fields.extend(self.coverage.clone().map(|c| ("coverage".into(), c)));
         Json::Obj(fields)
     }
 
-    /// Whether `manifest` (a parsed `manifest.json`) records the same run
-    /// identity as this spec: bundle schema, seed, fault profile, defense,
-    /// and — when either side is a campaign cell — plan hash and cell id.
-    ///
-    /// The schema is part of the identity because the file set is: writing
-    /// this schema's files over an older bundle would leave the old
-    /// schema's extra files beside them, a directory no loader reads.
-    ///
-    /// The observations digest is deliberately **not** part of the match:
-    /// identity says "this directory holds a bundle of the same
-    /// experiment", not "the same bytes" — overwriting a same-identity
-    /// bundle refreshes it, overwriting a different-identity one destroys
-    /// evidence. Both `repro --run-dir`'s overwrite guard and the campaign
-    /// runner's resume detection build on this one predicate.
-    pub fn matches_manifest(&self, manifest: &Json) -> bool {
-        let schema_ok = manifest.get("schema").and_then(Json::as_u64) == Some(SCHEMA_VERSION);
-        let seed_ok = manifest.get("seed").and_then(Json::as_u64) == Some(self.seed);
-        let fault_ok = manifest.get("fault_profile").and_then(Json::as_str)
-            == Some(self.fault_profile.as_str());
-        let defense_ok = manifest.get("defense").and_then(Json::as_str) == self.defense.as_deref();
-        let campaign_ok = match (&self.campaign, manifest.get("campaign")) {
-            (None, None) => true,
-            (Some(cell), Some(found)) => {
-                found.get("plan_hash").and_then(Json::as_str) == Some(cell.plan_hash.as_str())
-                    && found.get("cell").and_then(Json::as_str) == Some(cell.cell.as_str())
-            }
-            _ => false,
+    /// Decode a parsed `manifest.json`: the typed inverse of
+    /// [`BundleSpec::manifest_json`]. The schema is read first; the digest
+    /// must be exactly 16 lowercase hex digits. The coverage report stays a
+    /// JSON object (the fault plane, above this crate, decodes it).
+    pub fn from_manifest(manifest: &Json) -> Result<BundleSpec, ManifestError> {
+        schema_first(manifest, SCHEMA_VERSION)?;
+        decode_manifest(manifest).map_err(ManifestError::Field)
+    }
+
+    /// The run this bundle belongs to.
+    pub fn identity(&self) -> RunIdentity<'_> {
+        RunIdentity {
+            seed: self.seed,
+            fault_profile: &self.fault_profile,
+            defense: self.defense.as_deref(),
+            campaign: self.campaign.as_ref(),
+        }
+    }
+}
+
+/// A manifest past its schema, in the order the encoder writes it.
+fn decode_manifest(m: &Json) -> Result<BundleSpec, Fail> {
+    let (seed, fault_profile) = (count(m, "seed")?, text(m, "fault_profile")?);
+    let observations_digest = digest(m, "observations_digest")?;
+    if !field(m, "jobs_independent", Json::as_bool)? {
+        return Err("jobs_independent: must be true".into());
+    }
+    let defense = m.get("defense").map(|_| text(m, "defense")).transpose()?;
+    let campaign = m.get("campaign").map(|cell| {
+        let decode = |c| {
+            Ok(CampaignCell {
+                plan_hash: text(c, "plan_hash")?,
+                cell: text(c, "cell")?,
+            })
         };
-        schema_ok && seed_ok && fault_ok && defense_ok && campaign_ok
+        decode(cell).map_err(|f| under("campaign", f))
+    });
+    let coverage = m
+        .get("coverage")
+        .map(|_| field(m, "coverage", |c| c.as_obj().is_some().then(|| c.clone())));
+    Ok(BundleSpec {
+        seed,
+        fault_profile,
+        defense,
+        campaign: campaign.transpose()?,
+        observations_digest,
+        coverage: coverage.transpose()?,
+    })
+}
+
+/// What makes two bundles runs of the same experiment: seed, fault
+/// profile, defense and campaign cell (the schema is implied: only this
+/// schema's manifests decode). The digest is not part of it: equal
+/// identities must produce equal digests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunIdentity<'a> {
+    /// Master seed.
+    pub seed: u64,
+    /// Fault profile name.
+    pub fault_profile: &'a str,
+    /// Defense mode, `None` for an undefended run.
+    pub defense: Option<&'a str>,
+    /// Campaign-cell identity, `None` outside a campaign.
+    pub campaign: Option<&'a CampaignCell>,
+}
+
+impl RunIdentity<'_> {
+    /// Each field as `(manifest field, value)`, in manifest order; an
+    /// absent optional field reads `none`.
+    pub fn fields(&self) -> [(&'static str, String); 4] {
+        let campaign = self
+            .campaign
+            .map(|c| format!("cell {} of plan {}", c.cell, c.plan_hash));
+        [
+            ("seed", self.seed.to_string()),
+            ("fault_profile", self.fault_profile.to_string()),
+            ("defense", self.defense.unwrap_or("none").to_string()),
+            ("campaign", campaign.unwrap_or_else(|| "none".into())),
+        ]
     }
 }
 
@@ -164,7 +210,7 @@ impl BundleSpec {
 pub enum RunDirState {
     /// The directory is absent or empty — writing creates a fresh bundle.
     Fresh,
-    /// The directory holds a bundle manifest matching the spec's identity —
+    /// The directory holds a bundle manifest of the spec's run identity —
     /// writing refreshes the same experiment's bundle.
     Matching,
 }
@@ -180,11 +226,12 @@ pub enum RunDirConflict {
         /// Why the manifest could not be read.
         detail: String,
     },
-    /// The directory holds a bundle of a *different* experiment.
+    /// The directory holds a bundle of a *different* run: another
+    /// identity, another schema, or a manifest that does not decode.
     Mismatched {
         /// The directory that was checked.
         dir: PathBuf,
-        /// The identity the existing manifest records.
+        /// What the existing manifest records instead.
         found: String,
     },
 }
@@ -208,11 +255,12 @@ impl fmt::Display for RunDirConflict {
 
 /// Check whether `dir` may receive a bundle for `spec`.
 ///
-/// A missing or empty directory is [`RunDirState::Fresh`]; a directory
-/// whose `manifest.json` matches the spec's identity
-/// ([`BundleSpec::matches_manifest`]) is [`RunDirState::Matching`]; any
-/// other non-empty directory is a conflict — the caller must refuse
-/// rather than silently destroy whatever lives there.
+/// A missing or empty directory is [`RunDirState::Fresh`]; one whose
+/// manifest decodes to the spec's [`RunIdentity`] is
+/// [`RunDirState::Matching`] (overwriting refreshes the same experiment's
+/// bundle). Anything else is a conflict the caller must refuse rather than
+/// destroy evidence — a manifest of another schema too, since writing this
+/// schema's files over it would leave its extra files beside them.
 pub fn check_run_dir(dir: &Path, spec: &BundleSpec) -> Result<RunDirState, RunDirConflict> {
     let Ok(mut entries) = std::fs::read_dir(dir) else {
         return Ok(RunDirState::Fresh); // absent (or unreadable: surfaces on write)
@@ -220,37 +268,29 @@ pub fn check_run_dir(dir: &Path, spec: &BundleSpec) -> Result<RunDirState, RunDi
     if entries.next().is_none() {
         return Ok(RunDirState::Fresh);
     }
-    let manifest_path = dir.join(MANIFEST_FILE);
-    let text = std::fs::read_to_string(&manifest_path).map_err(|e| RunDirConflict::NotABundle {
+    let not_a_bundle = |detail| RunDirConflict::NotABundle {
         dir: dir.to_path_buf(),
-        detail: format!("cannot read {MANIFEST_FILE}: {e}"),
-    })?;
-    let manifest = Json::parse(text.trim_end()).map_err(|e| RunDirConflict::NotABundle {
+        detail,
+    };
+    let text = std::fs::read_to_string(dir.join(MANIFEST_FILE))
+        .map_err(|e| not_a_bundle(format!("cannot read {MANIFEST_FILE}: {e}")))?;
+    let manifest =
+        Json::parse(text.trim_end()).map_err(|e| not_a_bundle(format!("{MANIFEST_FILE}: {e}")))?;
+    let found = match BundleSpec::from_manifest(&manifest) {
+        Ok(found) if found.identity() == spec.identity() => return Ok(RunDirState::Matching),
+        Ok(found) => {
+            let fields = found.identity().fields();
+            fields.map(|(k, v)| format!("{k} {v}")).join(", ")
+        }
+        Err(ManifestError::Schema { found }) => {
+            format!("schema {found}, this tool writes {SCHEMA_VERSION}")
+        }
+        Err(ManifestError::Field(detail)) => format!("{MANIFEST_FILE} does not decode: {detail}"),
+    };
+    Err(RunDirConflict::Mismatched {
         dir: dir.to_path_buf(),
-        detail: format!("{MANIFEST_FILE}: {e}"),
-    })?;
-    if spec.matches_manifest(&manifest) {
-        Ok(RunDirState::Matching)
-    } else {
-        let found = format!(
-            "schema {}, seed {}, fault profile {:?}, defense {:?}, campaign cell {:?}",
-            manifest.get("schema").and_then(Json::as_u64).unwrap_or(0),
-            manifest.get("seed").and_then(Json::as_u64).unwrap_or(0),
-            manifest
-                .get("fault_profile")
-                .and_then(Json::as_str)
-                .unwrap_or("?"),
-            manifest.get("defense").and_then(Json::as_str),
-            manifest
-                .get("campaign")
-                .and_then(|c| c.get("cell"))
-                .and_then(Json::as_str),
-        );
-        Err(RunDirConflict::Mismatched {
-            dir: dir.to_path_buf(),
-            found,
-        })
-    }
+        found,
+    })
 }
 
 /// Write the bundle files ([`FILES`]) for one run into `dir` (created if
@@ -293,21 +333,27 @@ mod tests {
         }
     }
 
+    /// `spec` through its manifest and back: the decoder inverts the
+    /// encoder, and re-encoding reproduces the bytes.
+    fn round_trip(spec: &BundleSpec) -> String {
+        let text = spec.manifest_json().render();
+        let decoded = BundleSpec::from_manifest(&Json::parse(&text).expect("manifest parses"));
+        assert_eq!(decoded.as_ref(), Ok(spec));
+        assert_eq!(
+            decoded.map(|d| d.manifest_json().render()),
+            Ok(text.clone())
+        );
+        text
+    }
+
     #[test]
     fn manifest_is_jobs_free_and_versioned() {
-        let m = spec().manifest_json();
-        assert_eq!(m.get("schema").and_then(Json::as_u64), Some(SCHEMA_VERSION));
-        assert_eq!(m.get("seed").and_then(Json::as_u64), Some(7));
-        assert_eq!(m.get("fault_profile").and_then(Json::as_str), Some("none"));
-        assert_eq!(
-            m.get("observations_digest").and_then(Json::as_str),
-            Some("00000000deadbeef")
-        );
-        assert_eq!(
-            m.get("jobs_independent").and_then(Json::as_bool),
-            Some(true)
-        );
-        assert!(m.get("jobs").is_none(), "manifest must not record --jobs");
+        let text = round_trip(&spec());
+        let head = format!("{{\"schema\": {SCHEMA_VERSION}, \"seed\": 7, ");
+        assert!(text.starts_with(&head), "{text}");
+        assert!(text.contains("\"observations_digest\": \"00000000deadbeef\""));
+        assert!(text.contains("\"jobs_independent\": true"));
+        assert!(!text.contains("jobs\""), "manifest must not record --jobs");
     }
 
     #[test]
@@ -318,18 +364,62 @@ mod tests {
             plan_hash: "abc123".into(),
             cell: "s7-fnone-dfirewall".into(),
         });
-        let m = s.manifest_json();
-        assert_eq!(m.get("defense").and_then(Json::as_str), Some("firewall"));
-        let cell = m.get("campaign").expect("campaign field");
-        assert_eq!(cell.get("plan_hash").and_then(Json::as_str), Some("abc123"));
-        assert_eq!(
-            cell.get("cell").and_then(Json::as_str),
-            Some("s7-fnone-dfirewall")
-        );
+        let text = round_trip(&s);
+        assert!(text.contains("\"cell\": \"s7-fnone-dfirewall\""), "{text}");
         // A plain spec's manifest stays byte-identical to the pre-campaign
         // schema: no defense, no campaign field.
-        let plain = spec().manifest_json().render();
+        let plain = round_trip(&spec());
         assert!(!plain.contains("defense") && !plain.contains("campaign"));
+    }
+
+    #[test]
+    fn manifest_embeds_coverage_when_present() {
+        let mut s = spec();
+        s.coverage = Some(Json::Obj(vec![(
+            "profile".into(),
+            Json::Str("flaky".into()),
+        )]));
+        let text = round_trip(&s);
+        assert!(
+            text.ends_with("\"coverage\": {\"profile\": \"flaky\"}}"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn manifest_decoder_names_the_field_it_refuses() {
+        let text = spec().manifest_json().render();
+        let decode = |from: &str, to: &str| {
+            let edited = text.replacen(from, to, 1);
+            BundleSpec::from_manifest(&Json::parse(&edited).expect("edited manifest parses"))
+        };
+        let schema = format!("\"schema\": {SCHEMA_VERSION}");
+        // The schema is read first, whatever else is wrong.
+        let older = decode(&schema, "\"schema\": 2, \"seed\": \"7\"");
+        assert_eq!(older, Err(ManifestError::Schema { found: 2 }));
+        for (from, to, field) in [
+            ("\"seed\": 7", "\"seed\": \"7\"", "seed:"),
+            ("\"none\"", "3", "fault_profile:"),
+            ("\"00000000deadbeef\"", "\"00\"", "observations_digest:"),
+            (
+                "\"00000000deadbeef\"",
+                "\"00000000DEADBEEF\"",
+                "observations_digest:",
+            ),
+            ("true", "false", "jobs_independent:"),
+            ("true", "true, \"defense\": 1", "defense:"),
+            (
+                "true",
+                "true, \"campaign\": {\"cell\": 1}",
+                "campaign.plan_hash:",
+            ),
+            ("true", "true, \"coverage\": []", "coverage:"),
+        ] {
+            match decode(from, to) {
+                Err(ManifestError::Field(detail)) => assert!(detail.starts_with(field), "{detail}"),
+                other => panic!("{to}: expected a field error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -337,34 +427,29 @@ mod tests {
         let s = spec();
         let mut same = spec();
         same.observations_digest = 0x1234; // different bytes, same experiment
-        assert!(s.matches_manifest(&same.manifest_json()));
-
-        let mut other_seed = spec();
-        other_seed.seed = 8;
-        assert!(!s.matches_manifest(&other_seed.manifest_json()));
-
-        let mut other_fault = spec();
-        other_fault.fault_profile = "flaky".into();
-        assert!(!s.matches_manifest(&other_fault.manifest_json()));
-
-        let mut defended = spec();
-        defended.defense = Some("firewall".into());
-        assert!(!s.matches_manifest(&defended.manifest_json()));
-        assert!(defended.matches_manifest(&defended.manifest_json()));
-
+        assert_eq!(s.identity(), same.identity());
         let mut cell = spec();
         cell.campaign = Some(CampaignCell {
             plan_hash: "aa".into(),
             cell: "s7-fnone-dnone".into(),
         });
-        assert!(!s.matches_manifest(&cell.manifest_json()));
-        assert!(cell.matches_manifest(&cell.manifest_json()));
         let mut other_plan = cell.clone();
         other_plan.campaign = Some(CampaignCell {
             plan_hash: "bb".into(),
             cell: "s7-fnone-dnone".into(),
         });
-        assert!(!cell.matches_manifest(&other_plan.manifest_json()));
+        let (mut other_seed, mut other_fault, mut defended) = (spec(), spec(), spec());
+        other_seed.seed = 8;
+        other_fault.fault_profile = "flaky".into();
+        defended.defense = Some("firewall".into());
+        for other in [&other_seed, &other_fault, &defended, &cell] {
+            assert_ne!(s.identity(), other.identity(), "{:?}", other.identity());
+        }
+        assert_ne!(cell.identity(), other_plan.identity());
+        assert_eq!(
+            defended.identity().fields()[2],
+            ("defense", "firewall".into())
+        );
     }
 
     #[test]
@@ -395,6 +480,14 @@ mod tests {
         assert!(matches!(err, RunDirConflict::Mismatched { .. }));
         assert!(err.to_string().contains("refusing to overwrite"));
 
+        // A manifest that parses but does not decode refuses, naming the
+        // field.
+        let mistyped = spec().manifest_json().render().replacen("7", "\"7\"", 1);
+        std::fs::write(base.join(MANIFEST_FILE), mistyped).expect("write mistyped manifest");
+        let err = check_run_dir(&base, &spec()).expect_err("must refuse");
+        let msg = err.to_string();
+        assert!(msg.contains("decode: seed: missing or mistyped)"), "{msg}");
+
         // An older schema's bundle of the same identity refuses too, and
         // the message names the directory and the schema it found.
         let older = spec().manifest_json().render().replacen(
@@ -406,7 +499,7 @@ mod tests {
         let err = check_run_dir(&base, &spec()).expect_err("must refuse");
         let msg = err.to_string();
         assert!(msg.contains(&base.display().to_string()), "{msg}");
-        assert!(msg.contains("schema 2, seed 7"), "{msg}");
+        assert!(msg.contains("(schema 2, this tool writes"), "{msg}");
 
         let _ = std::fs::remove_dir_all(&base);
     }
@@ -441,21 +534,5 @@ mod tests {
             assert_eq!(schema, Some(SCHEMA_VERSION), "{file}");
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_embeds_coverage_when_present() {
-        let mut s = spec();
-        s.coverage = Some(Json::Obj(vec![(
-            "profile".into(),
-            Json::Str("flaky".into()),
-        )]));
-        let m = s.manifest_json();
-        assert_eq!(
-            m.get("coverage")
-                .and_then(|c| c.get("profile"))
-                .and_then(Json::as_str),
-            Some("flaky")
-        );
     }
 }

@@ -6,8 +6,10 @@
 //! under a campaign directory. This module owns the *schemas*: the plan
 //! parser (strict, typed errors, offsets via [`Json::parse`] for syntax
 //! failures), the deterministic cell enumeration and keying, the plan hash,
-//! and the `campaign.json` manifest shape. Execution lives in `alexa-bench`;
-//! cross-cell comparison in `alexa-obsdiff`.
+//! and the `campaign.json` manifest: its encoder ([`campaign_manifest`]) and,
+//! beside it, its one decoder ([`CampaignManifest::from_json`]), which the
+//! runner's resume and `obs-diff campaign` share. Execution lives in
+//! `alexa-bench`; cross-cell comparison in `alexa-obsdiff`.
 //!
 //! # Cell identity vs cell instance
 //!
@@ -22,6 +24,7 @@
 //! of the determinism contract that CI shell loops used to check.
 
 use crate::json::{Json, JsonParseError};
+use crate::ledger::{digest, field, items, schema_first, Fail, ManifestError};
 use std::fmt;
 
 /// Version of the plan document schema. Bump on any change to the meaning
@@ -190,7 +193,11 @@ impl Plan {
     /// all hard errors, so a typo in a committed CI plan can never
     /// silently shrink a matrix.
     pub fn parse(src: &str) -> Result<Plan, PlanError> {
-        let doc = Json::parse(src).map_err(PlanError::Syntax)?;
+        Plan::from_json(&Json::parse(src).map_err(PlanError::Syntax)?)
+    }
+
+    /// Validate a parsed plan document, as [`Plan::parse`] does.
+    pub fn from_json(doc: &Json) -> Result<Plan, PlanError> {
         let fields = doc.as_obj().ok_or_else(|| PlanError::Field {
             field: "(root)".into(),
             problem: "plan must be a JSON object".into(),
@@ -236,16 +243,16 @@ impl Plan {
                 _ => return Err(field_err("scale", "expected \"paper\" or \"small\"")),
             },
         };
-        let seeds = required_axis(&doc, "seeds", |v| v.as_u64())?;
-        let faults = optional_axis(&doc, "faults", vec!["none".to_string()], |v| {
+        let seeds = required_axis(doc, "seeds", |v| v.as_u64())?;
+        let faults = optional_axis(doc, "faults", vec!["none".to_string()], |v| {
             v.as_str().filter(|s| is_valid_fault(s)).map(str::to_string)
         })?;
-        let defenses = optional_axis(&doc, "defenses", vec!["none".to_string()], |v| {
+        let defenses = optional_axis(doc, "defenses", vec!["none".to_string()], |v| {
             v.as_str()
                 .filter(|s| DEFENSE_MODES.contains(s))
                 .map(str::to_string)
         })?;
-        let jobs = optional_axis(&doc, "jobs", vec![1usize], |v| {
+        let jobs = optional_axis(doc, "jobs", vec![1usize], |v| {
             v.as_u64()
                 .filter(|n| (1..=512).contains(n))
                 .map(|n| n as usize)
@@ -403,8 +410,9 @@ fn axis_items<T: PartialEq>(
 pub struct CellRecord {
     /// The instance coordinates.
     pub coord: CellCoord,
-    /// `Observations::digest()` of the cell's run, fixed-width hex.
-    pub digest: String,
+    /// `Observations::digest()` of the cell's run (fixed-width hex in the
+    /// document).
+    pub digest: u64,
     /// Whether the cell's run was degraded (fault losses survived retry).
     pub degraded: bool,
 }
@@ -426,7 +434,7 @@ pub fn campaign_manifest(plan: &Plan, cells: &[CellRecord]) -> Json {
                 ("defense".into(), Json::Str(c.coord.defense.clone())),
                 ("jobs".into(), Json::Int(c.coord.jobs as u64)),
                 ("repeat".into(), Json::Int(c.coord.repeat as u64)),
-                ("digest".into(), Json::Str(c.digest.clone())),
+                ("digest".into(), Json::Str(format!("{:016x}", c.digest))),
                 ("degraded".into(), Json::Bool(c.degraded)),
             ])
         })
@@ -438,6 +446,58 @@ pub fn campaign_manifest(plan: &Plan, cells: &[CellRecord]) -> Json {
         ("plan".into(), plan.to_json()),
         ("cells".into(), Json::Arr(rows)),
     ])
+}
+
+/// A decoded `campaign.json`: the plan and its cell records.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CampaignManifest {
+    /// The plan the campaign executed.
+    pub plan: Plan,
+    /// One record per cell of the plan, in plan order.
+    pub cells: Vec<CellRecord>,
+}
+
+impl CampaignManifest {
+    /// Decode a parsed `campaign.json`: the typed inverse of
+    /// [`campaign_manifest`]. The schema is read first, then the facts —
+    /// the plan and each cell's digest and degradation — and every other
+    /// field must be what the encoder derives from them (the name, the
+    /// plan hash, the rows' coordinates, keys and ids).
+    pub fn from_json(doc: &Json) -> Result<CampaignManifest, ManifestError> {
+        schema_first(doc, CAMPAIGN_SCHEMA_VERSION)?;
+        decode_campaign(doc).map_err(ManifestError::Field)
+    }
+}
+
+/// A campaign manifest past its schema.
+fn decode_campaign(doc: &Json) -> Result<CampaignManifest, Fail> {
+    let plan = Plan::from_json(field(doc, "plan", Some)?).map_err(|e| match e {
+        PlanError::Field { field, problem } => format!("plan.{field}: {problem}"),
+        other => format!("plan: {other}"),
+    })?;
+    let facts = items(doc, "cells", |row| {
+        Ok((
+            digest(row, "digest")?,
+            field(row, "degraded", Json::as_bool)?,
+        ))
+    })?;
+    let cells = plan.cells().into_iter().zip(facts);
+    let cells: Vec<CellRecord> = cells
+        .map(|(coord, (digest, degraded))| CellRecord {
+            coord,
+            digest,
+            degraded,
+        })
+        .collect();
+    let encoded = campaign_manifest(&plan, &cells);
+    let fields = encoded.as_obj().unwrap_or_default().iter();
+    match fields
+        .map(|(k, v)| (k, doc.get(k) == Some(v)))
+        .find(|(_, same)| !same)
+    {
+        Some((key, _)) => Err(format!("{key}: not what the plan and the cells imply")),
+        None => Ok(CampaignManifest { plan, cells }),
+    }
 }
 
 #[cfg(test)]
@@ -592,30 +652,53 @@ mod tests {
         let cells: Vec<CellRecord> = plan
             .cells()
             .into_iter()
-            .map(|coord| CellRecord {
+            .enumerate()
+            .map(|(i, coord)| CellRecord {
                 coord,
-                digest: "00000000deadbeef".into(),
-                degraded: false,
+                digest: 0xdead_beef << i,
+                degraded: i % 3 == 0,
             })
             .collect();
-        let doc = campaign_manifest(&plan, &cells);
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_u64),
-            Some(CAMPAIGN_SCHEMA_VERSION)
-        );
-        assert_eq!(
-            doc.get("plan_hash").and_then(Json::as_str),
-            Some(plan.hash()).as_deref()
-        );
-        let rows = doc.get("cells").and_then(Json::as_arr).expect("cells");
-        assert_eq!(rows.len(), 8);
-        assert_eq!(
-            rows[0].get("key").and_then(Json::as_str),
-            Some("s7-fnone-dnone-j1-r0")
-        );
+        let text = campaign_manifest(&plan, &cells).render();
+        let decoded = CampaignManifest::from_json(&Json::parse(&text).expect("parses"));
+        let manifest = decoded.expect("decodes");
+        assert_eq!((&manifest.plan, &manifest.cells), (&plan, &cells));
+        assert_eq!(campaign_manifest(&plan, &manifest.cells).render(), text);
+        assert!(text.contains("\"key\": \"s7-fnone-dnone-j1-r0\""));
+        assert!(text.contains("\"digest\": \"00000000deadbeef\""));
         // No execution status anywhere: the manifest must be identical for
         // a fresh run and a fully-skipped resume.
-        let text = doc.render();
         assert!(!text.contains("skipped") && !text.contains("executed"));
+
+        // Schema first, then the facts by field, then what they imply.
+        let decode = |from: &str, to: &str| {
+            let edited = Json::parse(&text.replacen(from, to, 1)).expect("edited parses");
+            CampaignManifest::from_json(&edited)
+        };
+        let older = decode("\"schema\": 1, \"name\"", "\"schema\": 9, \"name\"");
+        assert_eq!(older, Err(ManifestError::Schema { found: 9 }));
+        for (from, to, field) in [
+            ("\"name\": \"smoke\"", "\"name\": \"other\"", "name:"),
+            ("\"plan_hash\": \"", "\"plan_hash\": \"0", "plan_hash:"),
+            ("\"seeds\": [7, 1234]", "\"seeds\": []", "plan.seeds:"),
+            ("\"seed\": 7", "\"seed\": \"7\"", "cells:"),
+            ("-j1-r0\"", "-j9-r0\"", "cells:"),
+            ("\"00000000deadbeef\"", "\"deadbeef\"", "cells[0].digest:"),
+            (
+                "\"degraded\": true",
+                "\"degraded\": 1",
+                "cells[0].degraded:",
+            ),
+            (
+                "\"jobs\": 1, \"repeat\": 0",
+                "\"jobs\": 8, \"repeat\": 0",
+                "cells:",
+            ),
+        ] {
+            match decode(from, to) {
+                Err(ManifestError::Field(detail)) => assert!(detail.starts_with(field), "{detail}"),
+                other => panic!("{to}: expected a field error, got {other:?}"),
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! The run-ledger format: the two deterministic documents a bundle stores
 //! (`trace.json` and `memory.json`), their encoders, and the one decoder
-//! that reads them back into a [`Report`].
+//! that reads them back into a [`Report`] — plus the field readers every
+//! run-document decoder is built on, each naming the field it fails on.
 //!
 //! A bundle stores each fact once. Every other view of a run — per-stage
 //! work, counter totals, work summaries and histograms, the folded profile
@@ -175,19 +176,32 @@ impl Report {
     }
 }
 
+/// Why `manifest.json` or `campaign.json` does not decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ManifestError {
+    /// The document records another schema; nothing else was read.
+    Schema {
+        /// The schema version the document records.
+        found: u64,
+    },
+    /// A field does not decode, e.g. `seed: missing or mistyped`.
+    Field(Fail),
+}
+
 /// Why a value did not decode: `path: problem`, the path relative to the
 /// value (empty when the value itself is wrong).
-type Fail = String;
+pub type Fail = String;
 
 /// `fail` of a value reached from its parent by `step`.
-fn under(step: impl fmt::Display, fail: Fail) -> Fail {
+pub fn under(step: impl fmt::Display, fail: Fail) -> Fail {
     match fail.starts_with([':', '[']) {
         true => format!("{step}{fail}"),
         false => format!("{step}.{fail}"),
     }
 }
 
-fn field<'j, T>(
+/// The field `key`, converted by `as_t`.
+pub(crate) fn field<'j, T>(
     json: &'j Json,
     key: &str,
     as_t: impl FnOnce(&'j Json) -> Option<T>,
@@ -197,11 +211,13 @@ fn field<'j, T>(
         .ok_or_else(|| format!("{key}: missing or mistyped"))
 }
 
-fn count(json: &Json, key: &str) -> Result<u64, Fail> {
+/// The non-negative integer field `key`.
+pub fn count(json: &Json, key: &str) -> Result<u64, Fail> {
     field(json, key, Json::as_u64)
 }
 
-fn text(json: &Json, key: &str) -> Result<String, Fail> {
+/// The string field `key`.
+pub fn text(json: &Json, key: &str) -> Result<String, Fail> {
     field(json, key, |v| v.as_str().map(str::to_string))
 }
 
@@ -209,8 +225,27 @@ fn index(json: &Json, key: &str) -> Result<usize, Fail> {
     field(json, key, |v| usize::try_from(v.as_u64()?).ok())
 }
 
+/// The string field `key` holding a digest as its encoders write it:
+/// exactly 16 lowercase hex digits (`{:016x}`).
+pub(crate) fn digest(json: &Json, key: &str) -> Result<u64, Fail> {
+    let hex = text(json, key)?;
+    let lower = hex.len() == 16 && hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    match u64::from_str_radix(&hex, 16) {
+        Ok(value) if lower => Ok(value),
+        _ => Err(format!("{key}: {hex:?} is not 16 lowercase hex digits")),
+    }
+}
+
+/// Check that `doc` records schema `version`. Decoders read it first.
+pub(crate) fn schema_first(doc: &Json, version: u64) -> Result<(), ManifestError> {
+    match count(doc, "schema").map_err(ManifestError::Field)? {
+        found if found == version => Ok(()),
+        found => Err(ManifestError::Schema { found }),
+    }
+}
+
 /// The array field `key`, each element decoded by `decode`.
-fn items<'j, V>(
+pub fn items<'j, V>(
     json: &'j Json,
     key: &str,
     mut decode: impl FnMut(&'j Json) -> Result<V, Fail>,
@@ -223,7 +258,7 @@ fn items<'j, V>(
 
 /// The object field `key`, each value decoded by `decode`; a repeated key
 /// fails, since no encoder writes one.
-fn entries<'j, V>(
+pub fn entries<'j, V>(
     json: &'j Json,
     key: &str,
     mut decode: impl FnMut(&'j Json) -> Result<V, Fail>,

@@ -28,7 +28,9 @@
 //!   deterministic: durations are virtual **work units**
 //!   ([`ShardLog::work`]) and histograms use fixed log2 buckets
 //!   ([`Histogram`]). Each fact is stored once; [`Report::from_ledger`]
-//!   decodes the two ledger documents, and every other view (summaries
+//!   decodes the two ledger documents and
+//!   [`BundleSpec::from_manifest`](bundle::BundleSpec::from_manifest) the
+//!   manifest, each beside its encoder, and every other view (summaries
 //!   with nearest-rank percentiles, [`Summary`]; the folded profile) is
 //!   derived from the decoded report. Bundles from different worker counts
 //!   are byte-identical and diffable with the `obs-diff` tool.
@@ -56,7 +58,7 @@ pub mod campaign;
 mod exit;
 mod hist;
 mod json;
-mod ledger;
+pub mod ledger;
 pub mod names;
 mod recorder;
 mod report;
@@ -66,7 +68,7 @@ pub use alloc::{peak_rss_kb, AllocSnapshot};
 pub use exit::Exit;
 pub use hist::{percentile, Histogram, Summary};
 pub use json::{Json, JsonParseError};
-pub use ledger::LedgerError;
+pub use ledger::{LedgerError, ManifestError};
 pub use recorder::{agg_count, agg_time, global, install_global, Recorder};
 pub use report::{Aggregate, Report, ShardReport, StageRec};
 pub use shard::{ShardLog, SpanRec};

@@ -1,7 +1,15 @@
 //! Loading run-ledger bundles from disk with typed errors.
+//!
+//! Every file goes through the one decoder beside its encoder: the manifest
+//! through `BundleSpec::from_manifest`, its coverage through
+//! `CoverageReport::from_json`, the ledger documents through
+//! `Report::from_ledger`. A field that parses but does not decode is an
+//! error naming it (`obs-diff` exits 2), never a default.
 
-use alexa_obs::bundle::{MANIFEST_FILE, MEMORY_FILE, SCHEMA_VERSION, TRACE_FILE};
-use alexa_obs::{Json, JsonParseError, LedgerError, Report};
+use alexa_fault::CoverageReport;
+use alexa_obs::bundle::{BundleSpec, MANIFEST_FILE, MEMORY_FILE, SCHEMA_VERSION, TRACE_FILE};
+use alexa_obs::ledger::under;
+use alexa_obs::{Json, JsonParseError, LedgerError, ManifestError, Report};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -23,13 +31,6 @@ pub enum BundleError {
         /// Position and cause of the parse failure.
         error: JsonParseError,
     },
-    /// A required manifest field is absent or has the wrong type.
-    MissingField {
-        /// The file the field was expected in.
-        path: PathBuf,
-        /// The dotted field name.
-        field: &'static str,
-    },
     /// The bundle was written by an incompatible schema version.
     SchemaMismatch {
         /// The manifest that declared the version.
@@ -37,7 +38,8 @@ pub enum BundleError {
         /// The version found in the manifest.
         found: u64,
     },
-    /// A ledger document parsed but does not decode into a run report.
+    /// A bundle document parsed but does not decode: the manifest (its
+    /// coverage included) or a ledger document.
     Ledger {
         /// The document that failed to decode.
         path: PathBuf,
@@ -55,9 +57,6 @@ impl fmt::Display for BundleError {
             BundleError::Malformed { path, error } => {
                 write!(f, "{}: {error}", path.display())
             }
-            BundleError::MissingField { path, field } => {
-                write!(f, "{}: missing or mistyped field {field:?}", path.display())
-            }
             BundleError::SchemaMismatch { path, found } => write!(
                 f,
                 "{}: bundle schema {found} unsupported (this tool reads schema {SCHEMA_VERSION})",
@@ -68,42 +67,21 @@ impl fmt::Display for BundleError {
     }
 }
 
-/// One run-ledger bundle: its manifest and the run report decoded from its
-/// ledger documents.
+/// One run-ledger bundle, decoded: its manifest, its coverage report and
+/// its run report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadedBundle {
-    /// The directory the bundle was read from.
-    pub dir: PathBuf,
-    /// `manifest.json`, parsed.
-    pub manifest: Json,
+    /// `manifest.json`, decoded ([`BundleSpec::from_manifest`]). Its
+    /// coverage is decoded into [`LoadedBundle::coverage`], so
+    /// `manifest.coverage` is `None`.
+    pub manifest: BundleSpec,
+    /// The manifest's coverage report, decoded
+    /// ([`CoverageReport::from_json`]), when the run tracked coverage.
+    pub coverage: Option<CoverageReport>,
     /// `trace.json` and `memory.json`, decoded ([`Report::from_ledger`]).
     /// Every derived view (stage work, counter totals, summaries,
     /// histograms, the folded profile) is a method of it.
     pub report: Report,
-}
-
-impl LoadedBundle {
-    /// The run's master seed.
-    pub fn seed(&self) -> Option<u64> {
-        self.manifest.get("seed").and_then(Json::as_u64)
-    }
-
-    /// The run's fault-profile name.
-    pub fn fault_profile(&self) -> Option<&str> {
-        self.manifest.get("fault_profile").and_then(Json::as_str)
-    }
-
-    /// The run's observations digest (fixed-width hex).
-    pub fn observations_digest(&self) -> Option<&str> {
-        self.manifest
-            .get("observations_digest")
-            .and_then(Json::as_str)
-    }
-
-    /// The embedded coverage report, when the run tracked coverage.
-    pub fn coverage(&self) -> Option<&Json> {
-        self.manifest.get("coverage")
-    }
 }
 
 /// Read one JSON document of a bundle.
@@ -116,37 +94,34 @@ fn read_json(dir: &Path, file: &str) -> Result<Json, BundleError> {
     Json::parse(text.trim_end()).map_err(|error| BundleError::Malformed { path, error })
 }
 
-/// Load and validate a bundle directory written by `repro --run-dir`.
+/// Load and decode a bundle directory written by `repro --run-dir`.
 ///
-/// Validation covers readability, JSON well-formedness, the manifest's
-/// required fields and schema version, and the decoding of the two ledger
-/// documents into one consistent [`Report`].
+/// Every file must be readable and well-formed JSON, and must decode: the
+/// manifest (schema first, then every field, its coverage included) and
+/// the two ledger documents into one consistent [`Report`]. A field that
+/// parses but does not decode is a [`BundleError::Ledger`] naming it.
 pub fn load_bundle(dir: &Path) -> Result<LoadedBundle, BundleError> {
-    let manifest = read_json(dir, MANIFEST_FILE)?;
-    let manifest_path = dir.join(MANIFEST_FILE);
-    for field in ["seed", "fault_profile", "observations_digest"] {
-        if manifest.get(field).is_none() {
-            return Err(BundleError::MissingField {
-                path: manifest_path.clone(),
-                field,
-            });
-        }
-    }
-    match manifest.get("schema").and_then(Json::as_u64) {
-        Some(SCHEMA_VERSION) => {}
-        Some(found) => {
-            return Err(BundleError::SchemaMismatch {
-                path: manifest_path,
-                found,
-            })
-        }
-        None => {
-            return Err(BundleError::MissingField {
-                path: manifest_path,
-                field: "schema",
-            })
-        }
-    }
+    let path = dir.join(MANIFEST_FILE);
+    let undecodable = |detail| BundleError::Ledger {
+        path: path.clone(),
+        error: LedgerError {
+            file: MANIFEST_FILE,
+            detail,
+        },
+    };
+    let manifest = BundleSpec::from_manifest(&read_json(dir, MANIFEST_FILE)?);
+    let mut manifest = manifest.map_err(|e| match e {
+        ManifestError::Schema { found } => BundleError::SchemaMismatch {
+            path: path.clone(),
+            found,
+        },
+        ManifestError::Field(detail) => undecodable(detail),
+    })?;
+    let coverage = manifest
+        .coverage
+        .take()
+        .map(|c| CoverageReport::from_json(&c).map_err(|f| undecodable(under("coverage", f))));
+    let coverage = coverage.transpose()?;
     let trace = read_json(dir, TRACE_FILE)?;
     let memory = read_json(dir, MEMORY_FILE)?;
     let report = Report::from_ledger(&trace, &memory).map_err(|error| BundleError::Ledger {
@@ -154,8 +129,8 @@ pub fn load_bundle(dir: &Path) -> Result<LoadedBundle, BundleError> {
         error,
     })?;
     Ok(LoadedBundle {
-        dir: dir.to_path_buf(),
         manifest,
+        coverage,
         report,
     })
 }

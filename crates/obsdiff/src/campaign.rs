@@ -5,8 +5,9 @@
 //! directory *after the fact*, from nothing but its files — the check CI
 //! runs on a cached or downloaded campaign artifact before trusting it:
 //!
-//! 1. `campaign.json` parses, carries a supported schema, and lists every
-//!    cell with its digest.
+//! 1. `campaign.json` decodes through the one decoder beside its encoder
+//!    (`CampaignManifest::from_json`): a supported schema, a plan whose
+//!    hash and name it records, and every cell of the plan with its digest.
 //! 2. Every listed cell bundle loads, and its bundle manifest records the
 //!    campaign's plan hash, the cell's identity, and the digest the
 //!    campaign manifest claims.
@@ -17,8 +18,8 @@
 
 use crate::bundle::load_bundle;
 use alexa_obs::bundle::FILES;
-use alexa_obs::campaign::{CAMPAIGN_FILE, CAMPAIGN_SCHEMA_VERSION, CELLS_DIR};
-use alexa_obs::Json;
+use alexa_obs::campaign::{CampaignManifest, CAMPAIGN_FILE, CAMPAIGN_SCHEMA_VERSION, CELLS_DIR};
+use alexa_obs::{Json, ManifestError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -180,66 +181,29 @@ pub fn verify_instances(cells_dir: &Path, cells: &[(String, String)]) -> Vec<Ins
     divergences
 }
 
-/// One cell row of `campaign.json`, as this checker needs it.
-struct CellRow {
-    key: String,
-    id: String,
-    digest: String,
-}
-
-fn manifest_str(row: &Json, field: &str) -> Option<String> {
-    row.get(field).and_then(Json::as_str).map(str::to_string)
-}
-
 /// Verify `dir` as a campaign directory. Returns the check outcome (whose
 /// findings list the integrity violations) or an error when the campaign
-/// manifest itself is unusable.
+/// manifest itself is unusable: unreadable, not JSON, or not decodable
+/// ([`CampaignManifest::from_json`]).
 pub fn check_campaign(dir: &Path) -> Result<CampaignCheck, CampaignCheckError> {
-    let manifest_path = dir.join(CAMPAIGN_FILE);
-    let text =
-        std::fs::read_to_string(&manifest_path).map_err(|e| CampaignCheckError::Unreadable {
-            path: manifest_path.clone(),
-            error: e.to_string(),
-        })?;
-    let manifest = Json::parse(text.trim_end()).map_err(|e| CampaignCheckError::Malformed {
-        path: manifest_path.clone(),
-        detail: e.to_string(),
+    let path = dir.join(CAMPAIGN_FILE);
+    let text = std::fs::read_to_string(&path).map_err(|e| CampaignCheckError::Unreadable {
+        path: path.clone(),
+        error: e.to_string(),
     })?;
-    match manifest.get("schema").and_then(Json::as_u64) {
-        Some(CAMPAIGN_SCHEMA_VERSION) => {}
-        Some(found) => {
-            return Err(CampaignCheckError::SchemaMismatch {
-                path: manifest_path,
-                found,
-            })
-        }
-        None => {
-            return Err(CampaignCheckError::Malformed {
-                path: manifest_path,
-                detail: "missing or mistyped field \"schema\"".into(),
-            })
-        }
-    }
-    let missing = |field: &str| CampaignCheckError::Malformed {
-        path: manifest_path.clone(),
-        detail: format!("missing or mistyped field {field:?}"),
+    let malformed = |detail| CampaignCheckError::Malformed {
+        path: path.clone(),
+        detail,
     };
-    let name = manifest_str(&manifest, "name").ok_or_else(|| missing("name"))?;
-    let plan_hash = manifest_str(&manifest, "plan_hash").ok_or_else(|| missing("plan_hash"))?;
-    let rows: Vec<CellRow> = manifest
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| missing("cells"))?
-        .iter()
-        .map(|row| {
-            Some(CellRow {
-                key: manifest_str(row, "key")?,
-                id: manifest_str(row, "id")?,
-                digest: manifest_str(row, "digest")?,
-            })
-        })
-        .collect::<Option<Vec<CellRow>>>()
-        .ok_or_else(|| missing("cells[].key/id/digest"))?;
+    let doc = Json::parse(text.trim_end()).map_err(|e| malformed(e.to_string()))?;
+    let manifest = CampaignManifest::from_json(&doc).map_err(|e| match e {
+        ManifestError::Schema { found } => CampaignCheckError::SchemaMismatch {
+            path: path.clone(),
+            found,
+        },
+        ManifestError::Field(detail) => malformed(detail),
+    })?;
+    let plan_hash = manifest.plan.hash();
 
     let mut findings = Vec::new();
     // Cells whose bundle loads, as `(identity, key)` for the instance check.
@@ -247,41 +211,38 @@ pub fn check_campaign(dir: &Path) -> Result<CampaignCheck, CampaignCheckError> {
 
     // Per-cell integrity: the bundle loads and records what the campaign
     // manifest claims for it.
-    for row in &rows {
-        let cell_dir = dir.join(CELLS_DIR).join(&row.key);
-        let bundle = match load_bundle(&cell_dir) {
+    for row in &manifest.cells {
+        let (key, id) = (row.coord.key(), row.coord.id());
+        let bundle = match load_bundle(&dir.join(CELLS_DIR).join(&key)) {
             Ok(b) => b,
             Err(e) => {
-                findings.push(format!("cell {}: {e}", row.key));
+                findings.push(format!("cell {key}: {e}"));
                 continue;
             }
         };
-        let campaign = bundle.manifest.get("campaign");
-        let recorded_hash = campaign
-            .and_then(|c| c.get("plan_hash"))
-            .and_then(Json::as_str);
-        if recorded_hash != Some(plan_hash.as_str()) {
+        let recorded = bundle.manifest.campaign.as_ref();
+        let recorded_hash = recorded.map_or("none", |c| c.plan_hash.as_str());
+        if recorded_hash != plan_hash {
             findings.push(format!(
-                "cell {}: bundle records plan hash {:?}, campaign manifest says {:?}",
-                row.key, recorded_hash, plan_hash
+                "cell {key}: bundle records plan hash {recorded_hash}, campaign manifest says \
+                 {plan_hash}"
             ));
         }
-        let recorded_id = campaign.and_then(|c| c.get("cell")).and_then(Json::as_str);
-        if recorded_id != Some(row.id.as_str()) {
+        let recorded_id = recorded.map_or("none", |c| c.cell.as_str());
+        if recorded_id != id {
             findings.push(format!(
-                "cell {}: bundle records identity {:?}, campaign manifest says {:?}",
-                row.key, recorded_id, row.id
+                "cell {key}: bundle records identity {recorded_id}, campaign manifest says {id}"
             ));
         }
-        if bundle.observations_digest() != Some(row.digest.as_str()) {
+        let digest = bundle.manifest.observations_digest;
+        if digest != row.digest {
             findings.push(format!(
-                "cell {}: bundle digest {:?} does not match the campaign manifest's {:?}",
-                row.key,
-                bundle.observations_digest(),
+                "cell {key}: bundle digest {digest:016x} does not match the campaign \
+                 manifest's {:016x}",
                 row.digest
             ));
         }
-        loaded.push((row.id.clone(), row.key.clone()));
+        loaded.push((id, key));
     }
 
     // Cross-instance determinism over the cells that loaded (the others
@@ -293,16 +254,13 @@ pub fn check_campaign(dir: &Path) -> Result<CampaignCheck, CampaignCheckError> {
         ));
     }
 
-    let identities = rows
-        .iter()
-        .map(|row| row.id.as_str())
-        .collect::<BTreeSet<_>>()
-        .len();
+    let cells = &manifest.cells;
+    let identities = cells.iter().map(|c| c.coord.id()).collect::<BTreeSet<_>>();
     Ok(CampaignCheck {
-        name,
+        name: manifest.plan.name.clone(),
         plan_hash,
-        cells: rows.len(),
-        identities,
+        cells: cells.len(),
+        identities: identities.len(),
         findings,
     })
 }
@@ -314,6 +272,7 @@ pub fn check_campaign(dir: &Path) -> Result<CampaignCheck, CampaignCheckError> {
 )]
 mod tests {
     use super::*;
+    use alexa_obs::campaign::{campaign_manifest, CellRecord, Plan};
 
     #[test]
     fn missing_campaign_manifest_is_an_error() {
@@ -343,13 +302,14 @@ mod tests {
     fn listed_but_missing_cells_are_findings_not_errors() {
         let dir = std::env::temp_dir().join(format!("obsdiff-camp-cells-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
-        std::fs::write(
-            dir.join(CAMPAIGN_FILE),
-            "{\"schema\": 1, \"name\": \"x\", \"plan_hash\": \"aa\", \"cells\": \
-             [{\"key\": \"s7-fnone-dnone-j1-r0\", \"id\": \"s7-fnone-dnone\", \
-             \"digest\": \"00\"}]}\n",
-        )
-        .expect("write");
+        let plan = Plan::parse(r#"{"schema": 1, "name": "x", "seeds": [7]}"#).expect("plan");
+        let cells = plan.cells().into_iter().map(|coord| CellRecord {
+            coord,
+            digest: 0,
+            degraded: false,
+        });
+        let manifest = campaign_manifest(&plan, &cells.collect::<Vec<_>>()).render();
+        std::fs::write(dir.join(CAMPAIGN_FILE), manifest).expect("write");
         let check = check_campaign(&dir).expect("manifest is well-formed");
         assert!(!check.clean());
         assert_eq!(check.cells, 1);

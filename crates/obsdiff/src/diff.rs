@@ -1,6 +1,7 @@
 //! The bundle diff engine: every way two run ledgers can disagree.
 
 use crate::bundle::LoadedBundle;
+use alexa_obs::bundle::BundleSpec;
 use alexa_obs::{Json, Report, ShardReport, StageRec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -166,19 +167,6 @@ impl DiffReport {
     }
 }
 
-/// Flatten a JSON object of `name -> Int` into an ordered map.
-fn int_map(doc: &Json, key: &str) -> BTreeMap<String, u64> {
-    let mut out = BTreeMap::new();
-    if let Some(fields) = doc.get(key).and_then(Json::as_obj) {
-        for (name, v) in fields {
-            if let Some(n) = v.as_u64() {
-                out.insert(name.clone(), n);
-            }
-        }
-    }
-    out
-}
-
 /// Percentage growth from `a` to `b`; `None` when `a` is zero and `b` grew
 /// (infinite growth — always beyond any threshold).
 fn growth_pct(a: u64, b: u64) -> Option<f64> {
@@ -290,59 +278,40 @@ fn stage_values(r: &Report, value: impl Fn(&StageRec) -> u64) -> BTreeMap<String
         .collect()
 }
 
-/// Diff the identity facts in the manifests.
-fn diff_manifests(report: &mut DiffReport, a: &LoadedBundle, b: &LoadedBundle) {
-    let same_seed = a.seed() == b.seed();
-    let same_profile = a.fault_profile() == b.fault_profile();
-    if !same_seed {
-        report.push(
-            Severity::Note,
-            "manifest",
-            "seed",
-            format!(
-                "{:?} vs {:?} (comparing different runs)",
-                a.seed(),
-                b.seed()
-            ),
-        );
-    }
-    if !same_profile {
-        report.push(
-            Severity::Note,
-            "manifest",
-            "fault_profile",
-            format!("{:?} vs {:?}", a.fault_profile(), b.fault_profile()),
-        );
-    }
-    if a.observations_digest() != b.observations_digest() {
-        if same_seed && same_profile {
-            // Equal inputs must produce equal observations: this is a
-            // determinism break, the strongest finding this tool can make.
-            report.push(
-                Severity::Regression,
-                "determinism",
-                "observations_digest",
-                format!(
-                    "{:?} vs {:?} with identical seed and fault profile",
-                    a.observations_digest(),
-                    b.observations_digest()
-                ),
-            );
-        } else {
-            report.push(
-                Severity::Note,
-                "manifest",
-                "observations_digest",
-                "differs (expected across different runs)".to_string(),
-            );
+/// Diff the manifests' run identities: one note per identity field that
+/// differs. A digest mismatch is a determinism regression exactly when the
+/// identities are equal, and otherwise a note.
+fn diff_manifests(report: &mut DiffReport, a: &BundleSpec, b: &BundleSpec) {
+    let (ia, ib) = (a.identity(), b.identity());
+    for ((field, va), (_, vb)) in ia.fields().into_iter().zip(ib.fields()) {
+        if va != vb {
+            report.push(Severity::Note, "manifest", field, format!("{va} vs {vb}"));
         }
+    }
+    let (da, db) = (a.observations_digest, b.observations_digest);
+    if da == db {
+        return;
+    }
+    if ia == ib {
+        // Equal inputs must produce equal observations: this is a
+        // determinism break, the strongest finding this tool can make.
+        let detail = format!("{da:016x} vs {db:016x} with identical run identity");
+        report.push(
+            Severity::Regression,
+            "determinism",
+            "observations_digest",
+            detail,
+        );
+    } else {
+        let detail = "differs (expected across different runs)".to_string();
+        report.push(Severity::Note, "manifest", "observations_digest", detail);
     }
 }
 
 /// Diff the embedded coverage reports, when present.
 fn diff_coverage(report: &mut DiffReport, a: &LoadedBundle, b: &LoadedBundle) {
-    let (Some(ca), Some(cb)) = (a.coverage(), b.coverage()) else {
-        if a.coverage().is_some() != b.coverage().is_some() {
+    let (Some(ca), Some(cb)) = (&a.coverage, &b.coverage) else {
+        if a.coverage.is_some() != b.coverage.is_some() {
             report.push(
                 Severity::Note,
                 "coverage",
@@ -353,18 +322,6 @@ fn diff_coverage(report: &mut DiffReport, a: &LoadedBundle, b: &LoadedBundle) {
         return;
     };
     // Sections: a drop in the observed/expected ratio is a regression.
-    let sections = |c: &Json| -> BTreeMap<String, (u64, u64)> {
-        let mut out = BTreeMap::new();
-        if let Some(fields) = c.get("sections").and_then(Json::as_obj) {
-            for (name, v) in fields {
-                let observed = v.get("observed").and_then(Json::as_u64).unwrap_or(0);
-                let expected = v.get("expected").and_then(Json::as_u64).unwrap_or(0);
-                out.insert(name.clone(), (observed, expected));
-            }
-        }
-        out
-    };
-    let (sa, sb) = (sections(ca), sections(cb));
     let missing = (
         Severity::Regression,
         "section present in baseline but missing from candidate",
@@ -372,77 +329,49 @@ fn diff_coverage(report: &mut DiffReport, a: &LoadedBundle, b: &LoadedBundle) {
     let added = "section only in candidate";
     diff_keyed(
         report,
-        &sa,
-        &sb,
+        &ca.sections,
+        &cb.sections,
         "coverage",
         missing,
         added,
         |r, name, a, b| {
-            let ((ao, ae), (bo, be)) = (a, b);
-            let ratio = |o: u64, e: u64| if e == 0 { 1.0 } else { o as f64 / e as f64 };
-            let (ra, rb) = (ratio(*ao, *ae), ratio(*bo, *be));
-            if rb < ra {
-                r.push(
+            let (ao, ae, bo, be) = (a.observed, a.expected, b.observed, b.expected);
+            let (pa, pb) = (a.ratio() * 100.0, b.ratio() * 100.0);
+            let (severity, detail) = match b.ratio() < a.ratio() {
+                true => (
                     Severity::Regression,
-                    "coverage",
-                    name,
-                    format!(
-                        "{ao}/{ae} ({:.1}%) -> {bo}/{be} ({:.1}%)",
-                        ra * 100.0,
-                        rb * 100.0
-                    ),
-                );
-            } else {
-                r.push(
-                    Severity::Drift,
-                    "coverage",
-                    name,
-                    format!("{ao}/{ae} -> {bo}/{be}"),
-                );
-            }
+                    format!("{ao}/{ae} ({pa:.1}%) -> {bo}/{be} ({pb:.1}%)"),
+                ),
+                false => (Severity::Drift, format!("{ao}/{ae} -> {bo}/{be}")),
+            };
+            r.push(severity, "coverage", name, detail);
         },
     );
     // Fault totals: injected per channel plus retries / losses / backoff.
-    let injected = (int_map(ca, "injected"), int_map(cb, "injected"));
+    let injected = (ca.injected.clone(), cb.injected.clone());
     diff_int_maps(report, injected, "fault", "fault channel", "injected", None);
-    for field in ["retries", "backoff_ms", "losses"] {
-        let get = |c: &Json| c.get(field).and_then(Json::as_u64).unwrap_or(0);
-        let (av, bv) = (get(ca), get(cb));
+    for (field, av, bv) in [
+        ("retries", ca.retries, cb.retries),
+        ("backoff_ms", ca.backoff_ms, cb.backoff_ms),
+        ("losses", ca.losses, cb.losses),
+    ] {
         if av != bv {
             report.push(Severity::Drift, "fault", field, format!("{av} -> {bv}"));
         }
     }
     // Newly degraded shards are a robustness regression.
-    let degraded = |c: &Json| -> Vec<String> {
-        c.get("degraded_shards")
-            .and_then(Json::as_arr)
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(|v| v.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    let (da, db) = (degraded(ca), degraded(cb));
-    for shard in &db {
-        if !da.contains(shard) {
-            report.push(
-                Severity::Regression,
-                "degraded",
-                shard,
-                "shard newly degraded in candidate".to_string(),
-            );
-        }
-    }
-    for shard in &da {
-        if !db.contains(shard) {
-            report.push(
-                Severity::Note,
-                "degraded",
-                shard,
-                "shard no longer degraded".to_string(),
-            );
+    let (da, db) = (&ca.degraded_shards, &cb.degraded_shards);
+    for (now, before, severity, detail) in [
+        (
+            db,
+            da,
+            Severity::Regression,
+            "shard newly degraded in candidate",
+        ),
+        (da, db, Severity::Note, "shard no longer degraded"),
+    ] {
+        for shard in now.iter().filter(|shard| !before.contains(shard)) {
+            report.push(severity, "degraded", shard, detail.to_string());
         }
     }
 }
@@ -493,7 +422,7 @@ pub fn diff_bundles(a: &LoadedBundle, b: &LoadedBundle, opts: &DiffOptions) -> D
     let (ra, rb) = (&a.report, &b.report);
     let gate = Some(opts.max_regress_pct);
     let alloc_gate = Some(opts.max_alloc_regress_pct);
-    diff_manifests(&mut report, a, b);
+    diff_manifests(&mut report, &a.manifest, &b.manifest);
     // Stage work: removed stages and big growth gate.
     let work = (stage_values(ra, |s| s.work), stage_values(rb, |s| s.work));
     diff_int_maps(&mut report, work, "stage-work", "stage", "work units", gate);

@@ -8,9 +8,10 @@
 //!   difference: per-stage work deltas, counter drift (including `fault.*`),
 //!   aggregate shifts, percentile/histogram movement, coverage regressions,
 //!   and added/removed stages, shards or spans — every view derived from
-//!   the bundles' decoded ledgers (`Report::from_ledger`). Two bundles
-//!   from the same `(seed, fault profile)` must diff clean — CI relies on
-//!   it.
+//!   the bundles' decoded ledgers (`Report::from_ledger`). Two bundles of
+//!   the same run identity (seed, fault profile, defense, campaign cell)
+//!   must diff clean — CI relies on it — and a digest mismatch between
+//!   them is a determinism regression; across identities it is a note.
 //! * `obs-diff gate --baseline B --candidate C` is the bench regression
 //!   gate over `BENCH_audit.json` (JSON-lines appended by `repro --bench`),
 //!   a typed-error Rust port of the retired `ci/bench_gate.py`.

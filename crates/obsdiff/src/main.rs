@@ -18,7 +18,8 @@
 //!
 //! * `0` — bundles equivalent / gate passed / profile printed.
 //! * `1` — drift or regression found / gate failed.
-//! * `2` — usage error, unreadable or malformed input.
+//! * `2` — usage error, unreadable or malformed input (including a bundle
+//!   or campaign manifest field that parses but does not decode).
 
 #![deny(clippy::indexing_slicing)]
 

@@ -14,7 +14,7 @@
 )]
 
 use alexa_audit::{AuditConfig, AuditRun};
-use alexa_obs::bundle::{write_bundle, BundleSpec, FILES, TRACE_FILE};
+use alexa_obs::bundle::{write_bundle, BundleSpec, FILES, MANIFEST_FILE, TRACE_FILE};
 use alexa_obs::campaign::{Plan, PlanError};
 use alexa_obs::Recorder;
 use alexa_obsdiff::{diff_bundles, load_bundle, BundleError, DiffOptions, LoadedBundle};
@@ -273,6 +273,65 @@ fn trace_aggregates_fail_typed_under_mutation() {
         if matches!(m, Mutation::WrongType) {
             let typed = matches!(outcome, Err(BundleError::Ledger { .. }));
             assert!(typed, "{m:?} (pick {pick}) of an aggregate: {outcome:?}");
+        }
+    }
+}
+
+/// The JSON kind of the value whose text starts `value`: a count (what
+/// the decoders read as an integer), another number, or the type its first
+/// byte opens.
+fn kind(value: &[u8]) -> &'static str {
+    match value.first() {
+        Some(b'"') => "string",
+        Some(b'[') => "array",
+        Some(b'{') => "object",
+        Some(b't' | b'f') => "bool",
+        Some(b'n') => "null",
+        _ if value.iter().all(u8::is_ascii_digit) => "count",
+        _ => "number",
+    }
+}
+
+/// `manifest.json`, its coverage included: every mutation confined to it
+/// loads or fails typed, and every value replaced by one of another kind
+/// is a typed load error.
+#[test]
+fn manifest_fails_typed_under_mutation() {
+    let target = FILES
+        .iter()
+        .position(|f| *f == MANIFEST_FILE)
+        .expect("manifest");
+    let doc = &pristine().0[target];
+    assert!(
+        doc.windows(8).any(|w| w == b"\"losses\""),
+        "manifest embeds coverage"
+    );
+    for (m, pick) in MUTATIONS
+        .into_iter()
+        .flat_map(|m| (0..1000).step_by(61).map(move |p| (m, p)))
+    {
+        let mutated = mutate(doc, m, pick);
+        let outcome = std::panic::catch_unwind(|| check_bundle("manifest", target, &mutated));
+        assert!(
+            outcome.is_ok(),
+            "{m:?} of manifest.json (pick {pick}) panicked"
+        );
+    }
+    for at in value_starts(doc) {
+        let (head, rest) = doc.split_at(at);
+        let (value, tail) = rest.split_at(value_end(doc, at) - at);
+        for wrong in WRONG_TYPES.map(str::as_bytes) {
+            let mutated = [head, wrong, tail].concat();
+            let outcome = std::panic::catch_unwind(|| check_bundle("manifest", target, &mutated));
+            let site = String::from_utf8_lossy(&head[head.len().saturating_sub(24)..]);
+            let Ok(outcome) = outcome else {
+                panic!("{site}{} panicked", String::from_utf8_lossy(wrong));
+            };
+            if kind(value) != kind(wrong) {
+                let typed = matches!(outcome, Err(BundleError::Ledger { .. }));
+                let wrong = String::from_utf8_lossy(wrong);
+                assert!(typed, "…{site}{wrong} (was {}): {outcome:?}", kind(value));
+            }
         }
     }
 }

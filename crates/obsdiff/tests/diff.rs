@@ -7,8 +7,8 @@
 )]
 
 use alexa_audit::{AuditConfig, AuditRun};
-use alexa_fault::FaultProfile;
-use alexa_obs::bundle::{write_bundle, BundleSpec, FILES, MANIFEST_FILE};
+use alexa_fault::{CoverageReport, FaultProfile};
+use alexa_obs::bundle::{write_bundle, BundleSpec, FILES, MANIFEST_FILE, SCHEMA_VERSION};
 use alexa_obs::{Json, Recorder, Report};
 use alexa_obsdiff::{diff_bundles, load_bundle, BundleError, DiffOptions, Severity};
 use std::path::{Path, PathBuf};
@@ -141,6 +141,23 @@ fn digest_mismatch_with_equal_seed_is_a_determinism_regression() {
     let d = load_bundle(&dd).expect("load d");
     let cross = diff_bundles(&c, &d, &DiffOptions::default());
     assert!(cross.clean(), "{:?}", cross.findings);
+    // Equal seed and fault profile but another defense: another run, so
+    // the mismatch is a note, beside one note for the defense.
+    let (de, df) = (fresh_dir("det-e"), fresh_dir("det-f"));
+    let mut defended = other.clone();
+    defended.defense = Some("firewall".into());
+    write_bundle(&de, &spec(7), &rec.report()).expect("write e");
+    write_bundle(&df, &defended, &rec.report()).expect("write f");
+    let e = load_bundle(&de).expect("load e");
+    let f = load_bundle(&df).expect("load f");
+    let defense = diff_bundles(&e, &f, &DiffOptions::default());
+    assert!(defense.clean(), "{:?}", defense.findings);
+    let subjects: Vec<&str> = defense
+        .findings
+        .iter()
+        .map(|f| f.subject.as_str())
+        .collect();
+    assert_eq!(subjects, ["defense", "observations_digest"]);
 }
 
 #[test]
@@ -214,14 +231,50 @@ fn missing_bundle_file_is_unreadable() {
 fn manifest_without_required_fields_is_rejected() {
     let dir = fresh_dir("no-seed");
     synthetic(&dir, 7, 100, false);
-    std::fs::write(
-        dir.join(MANIFEST_FILE),
-        "{\"schema\": 1, \"fault_profile\": \"none\", \"observations_digest\": \"00\"}\n",
-    )
-    .expect("rewrite");
-    match load_bundle(&dir) {
-        Err(BundleError::MissingField { field, .. }) => assert_eq!(field, "seed"),
-        other => panic!("expected MissingField, got {other:?}"),
+    let hand_written = |fields: &str| {
+        format!("{{\"schema\": {SCHEMA_VERSION}, {fields}, \"jobs_independent\": true}}\n")
+    };
+    let digest = "\"observations_digest\": \"0000000000000000\"";
+    let mut covered = spec(7);
+    covered.coverage = Some(CoverageReport::new("none").to_json());
+    let covered = covered.manifest_json().render();
+    let cases = [
+        (
+            hand_written(&format!("\"fault_profile\": \"none\", {digest}")),
+            "seed",
+        ),
+        (
+            hand_written(&format!(
+                "\"seed\": \"7\", \"fault_profile\": \"none\", {digest}"
+            )),
+            "seed",
+        ),
+        (
+            hand_written(&format!("\"seed\": 7, \"fault_profile\": 3, {digest}")),
+            "fault_profile",
+        ),
+        (
+            hand_written(
+                "\"seed\": 7, \"fault_profile\": \"none\", \"observations_digest\": \"00\"",
+            ),
+            "observations_digest",
+        ),
+        (
+            covered.replacen("\"losses\": 0", "\"losses\": \"lots\"", 1),
+            "coverage.losses",
+        ),
+    ];
+    for (manifest, field) in cases {
+        std::fs::write(dir.join(MANIFEST_FILE), &manifest).expect("rewrite");
+        match load_bundle(&dir) {
+            Err(BundleError::Ledger { path, error }) => {
+                assert!(path.ends_with(MANIFEST_FILE));
+                assert_eq!(error.file, MANIFEST_FILE);
+                let named = error.detail.strip_prefix(field);
+                assert!(named.is_some_and(|rest| rest.starts_with(':')), "{error}");
+            }
+            other => panic!("{manifest}: expected a typed error naming {field}, got {other:?}"),
+        }
     }
 }
 
@@ -231,7 +284,8 @@ fn future_schema_versions_are_rejected() {
     synthetic(&dir, 7, 100, false);
     std::fs::write(
         dir.join(MANIFEST_FILE),
-        "{\"schema\": 99, \"seed\": 7, \"fault_profile\": \"none\", \"observations_digest\": \"00\"}\n",
+        "{\"schema\": 99, \"seed\": 7, \"fault_profile\": \"none\", \"observations_digest\": \
+         \"0000000000000000\", \"jobs_independent\": true}\n",
     )
     .expect("rewrite");
     match load_bundle(&dir) {

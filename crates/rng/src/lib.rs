@@ -16,6 +16,8 @@
 //! entropy), which is exactly the bit-identical-seed invariant the audit
 //! engine is built on.
 
+#![deny(clippy::indexing_slicing)]
+
 /// Construction of a generator from seed material.
 pub trait SeedableRng: Sized {
     /// Build a generator whose entire stream is a function of `state`.
@@ -184,7 +186,7 @@ pub mod seq {
             if self.is_empty() {
                 None
             } else {
-                Some(&self[(rng.next_u64() % self.len() as u64) as usize])
+                self.get((rng.next_u64() % self.len() as u64) as usize)
             }
         }
     }
