@@ -258,18 +258,17 @@ impl Bidder {
         let base = lognormal(rng, self.base_median_cpm, 1.1);
         let mut uplift = 1.0;
 
-        if let Some((median_u, echo_ctx)) = ctx.echo {
+        if let Some(echo) = ctx.echo {
             if knows_echo {
-                // Downstream knowledge is diluted relative to a direct sync.
                 let strength = if self.is_partner {
-                    median_u
+                    echo.direct
                 } else {
-                    median_u.powf(0.75)
+                    echo.diluted
                 };
                 // Knowing a segment never *lowers* a bid below the
                 // untargeted level: contextual irrelevance just means no
                 // premium.
-                uplift *= (strength * echo_ctx * lognormal(rng, 1.0, 0.3)).max(1.0);
+                uplift *= (strength * echo.factor * lognormal(rng, 1.0, 0.3)).max(1.0);
             } else if user.amazon_customer && self.is_partner {
                 // Knowing only "owns an Echo / shops at Amazon" is worth
                 // little.
@@ -303,11 +302,22 @@ impl Bidder {
 /// per-bidder bid path (they are RNG-free, so precomputing changes nothing).
 #[derive(Debug, Clone, Copy)]
 pub struct SlotContext {
-    /// `(median uplift, contextual factor)` for the user's strongest Echo
-    /// segment, when any exists.
-    echo: Option<(f64, f64)>,
+    /// The user's strongest Echo segment, when any exists.
+    echo: Option<EchoContext>,
     /// Contextual factor for web-browsing interest, when any exists.
     web: Option<f64>,
+}
+
+/// The uplift factors of the user's strongest Echo segment on one slot.
+#[derive(Debug, Clone, Copy)]
+struct EchoContext {
+    /// The segment's median uplift, as a direct-sync partner prices it.
+    direct: f64,
+    /// `direct^0.75`: downstream knowledge is diluted relative to a direct
+    /// sync.
+    diluted: f64,
+    /// The slot's contextual factor for the segment.
+    factor: f64,
 }
 
 impl SlotContext {
@@ -320,11 +330,10 @@ impl SlotContext {
             .iter()
             .map(|&c| category_targeting(c))
             .max_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(median_u, ctx_sigma)| {
-                (
-                    median_u,
-                    contextual_factor(slot.id.as_str(), &user.persona, ctx_sigma),
-                )
+            .map(|(median_u, ctx_sigma)| EchoContext {
+                direct: median_u,
+                diluted: median_u.powf(0.75),
+                factor: contextual_factor(slot.id.as_str(), &user.persona, ctx_sigma),
             });
         let web = if user.web_segments.is_empty() {
             None

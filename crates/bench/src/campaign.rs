@@ -32,10 +32,10 @@ use alexa_obs::bundle::{
     check_run_dir, write_bundle, BundleSpec, CampaignCell, RunDirConflict, RunDirState, FILES,
 };
 use alexa_obs::campaign::{
-    campaign_manifest, uniform_fault_rate, CampaignManifest, CellCoord, CellRecord, Plan,
-    PlanError, Scale, CAMPAIGN_FILE, CELLS_DIR, TABLES_DIR,
+    campaign_manifest, CampaignManifest, CellCoord, CellRecord, Plan, PlanError, Scale,
+    CAMPAIGN_FILE, CAMPAIGN_SCHEMA_VERSION, CELLS_DIR, TABLES_DIR,
 };
-use alexa_obs::{install_global, Exit, Json, Recorder};
+use alexa_obs::{install_global, Exit, Json, ManifestError, Recorder};
 use alexa_obsdiff::{load_bundle, verify_instances, InstanceDivergence, LoadedBundle};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -71,6 +71,15 @@ pub enum CampaignError {
         found: String,
         /// This plan's hash.
         expected: String,
+    },
+    /// The campaign directory's `campaign.json` does not parse or decode
+    /// (usage error — resuming over it would discard what it records).
+    ManifestUndecodable {
+        /// The `campaign.json` path.
+        path: PathBuf,
+        /// The parser's or decoder's error, e.g. `cells[0].degraded:
+        /// missing or mistyped`.
+        detail: String,
     },
     /// A cell directory holds something that is not this cell's bundle
     /// (usage error — the runner refuses to overwrite foreign data).
@@ -113,6 +122,11 @@ impl fmt::Display for CampaignError {
                  use a fresh campaign directory",
                 dir.display()
             ),
+            CampaignError::ManifestUndecodable { path, detail } => write!(
+                f,
+                "{} does not decode ({detail}); refusing to resume over it",
+                path.display()
+            ),
             CampaignError::CellConflict(conflict) => write!(f, "{conflict}"),
             CampaignError::Io { path, error } => {
                 write!(f, "{}: {error}", path.display())
@@ -141,6 +155,7 @@ impl CampaignError {
             CampaignError::PlanUnreadable { .. }
             | CampaignError::Plan { .. }
             | CampaignError::PlanChanged { .. }
+            | CampaignError::ManifestUndecodable { .. }
             | CampaignError::CellConflict(_) => Exit::Usage,
             _ => Exit::Findings,
         }
@@ -164,10 +179,11 @@ pub struct CampaignSummary {
     /// Plan name.
     pub name: String,
     /// Per-instance status, in plan cell order:
-    /// `(key, status, degraded, peak_rss_kb)`. The peak RSS is the OS
-    /// high-water mark sampled while the cell executed — volatile by
-    /// nature, so it lives only here (the status report), never in the
-    /// cell's bundle; `None` for skipped cells.
+    /// `(key, status, degraded, peak_rss_kb)`. The peak RSS is the
+    /// process's OS high-water mark, sampled once the cell's digest and
+    /// bundle are written — volatile by nature, so it lives only here (the
+    /// status report), never in the cell's bundle; `None` for skipped cells
+    /// and where the OS reports none.
     pub cells: Vec<(String, CellStatus, bool, Option<u64>)>,
 }
 
@@ -222,19 +238,6 @@ impl CampaignSummary {
         );
         out
     }
-}
-
-/// The fault profile a plan fault variant names.
-///
-/// Presets resolve through `FaultProfile::from_str`; `uniform:R` through
-/// `FaultProfile::uniform`. The plan parser already validated the spec, so
-/// a `None` here means the plan schema's pinned catalog drifted from the
-/// fault crate (pinned by a sync test below).
-pub fn resolve_fault(spec: &str) -> Option<FaultProfile> {
-    if let Some(rate) = uniform_fault_rate(spec) {
-        return Some(FaultProfile::uniform(rate));
-    }
-    spec.parse().ok()
 }
 
 /// The defense mode a plan defense variant names.
@@ -341,10 +344,23 @@ pub fn run_campaign(
     // to a different experiment and resuming would mix matrices.
     let manifest_path = dir.join(CAMPAIGN_FILE);
     if let Ok(text) = std::fs::read_to_string(&manifest_path) {
+        let decode = |doc: Json| {
+            CampaignManifest::from_json(&doc).map_err(|e| match e {
+                ManifestError::Schema { found } => {
+                    format!("campaign schema {found}, this tool writes {CAMPAIGN_SCHEMA_VERSION}")
+                }
+                ManifestError::Field(detail) => detail,
+            })
+        };
         let found = Json::parse(text.trim_end())
-            .ok()
-            .and_then(|m| CampaignManifest::from_json(&m).ok())
-            .map_or_else(|| "unreadable".to_string(), |m| m.plan.hash());
+            .map_err(|e| e.to_string())
+            .and_then(decode)
+            .map_err(|detail| CampaignError::ManifestUndecodable {
+                path: manifest_path.clone(),
+                detail,
+            })?
+            .plan
+            .hash();
         if found != plan_hash {
             return Err(CampaignError::PlanChanged {
                 dir,
@@ -456,9 +472,10 @@ fn execute_cells(
         let key = coord.key();
         // The plan parser validated every variant; a failed resolution here
         // means the schema's pinned catalog drifted from the crates.
-        let (Some(fault), Some(defense)) =
-            (resolve_fault(&coord.fault), resolve_defense(&coord.defense))
-        else {
+        let (Some(fault), Some(defense)) = (
+            FaultProfile::from_plan_variant(&coord.fault),
+            resolve_defense(&coord.defense),
+        ) else {
             return Err(CampaignError::Plan {
                 path: plan_path.to_path_buf(),
                 error: PlanError::Field {
@@ -494,14 +511,18 @@ fn execute_cells(
         let digest = log.span("digest", |_| obs.digest());
         let mut spec = cell_spec(plan_hash, coord, &fault, digest);
         spec.coverage = Some(obs.coverage.to_json());
-        let report = cell_rec.report();
-        write_bundle(&cell_dir, &spec, &report).map_err(|e| io_err(&cell_dir, e))?;
-        // Surface the cell's OS peak RSS on the campaign's volatile channel
-        // and in the summary — volatile data never enters the bundle.
-        let peak_rss_kb = report.volatile.get("mem.peak_rss_kb").copied();
+        drop(obs);
+        write_bundle(&cell_dir, &spec, &cell_rec.report()).map_err(|e| io_err(&cell_dir, e))?;
+        // Surface the cell's OS peak RSS, sampled once the digest and the
+        // bundle are done, on the campaign's volatile channel and in the
+        // summary — volatile data never enters the bundle.
+        let peak_rss_kb = Some(alexa_obs::peak_rss_kb()).filter(|&kb| kb > 0);
         if let Some(kb) = peak_rss_kb {
             rec.volatile_max("mem.peak_rss_kb", kb);
         }
+        // The cell's heap is free now; hand it back before the next cell,
+        // which may allocate from other threads' arenas (DESIGN.md §15).
+        alexa_obs::release_free_memory();
         log.work(1);
         log.add("cell.executed", 1);
         rec.submit(log);
@@ -760,12 +781,12 @@ mod tests {
         // crate); every pinned name must resolve, and the uniform spec must
         // produce the uniform profile.
         for preset in FAULT_PRESETS {
-            let profile = resolve_fault(preset).expect("preset resolves");
+            let profile = FaultProfile::from_plan_variant(preset).expect("preset resolves");
             assert_eq!(profile.name(), *preset);
         }
-        let uniform = resolve_fault("uniform:0.25").expect("uniform resolves");
+        let uniform = FaultProfile::from_plan_variant("uniform:0.25").expect("uniform resolves");
         assert_eq!(uniform.name(), "uniform(0.25)");
-        assert!(resolve_fault("chaotic").is_none());
+        assert!(FaultProfile::from_plan_variant("chaotic").is_none());
     }
 
     #[test]

@@ -18,9 +18,11 @@
     reason = "the tests drive the repro binary as a child process, and their helpers fail the test by panicking"
 )]
 
+use alexa_obsdiff::check_campaign;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 /// The committed CI smoke plan (2 seeds × {none, flaky} × jobs {1, 4}).
 const SMOKE_PLAN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/plans/smoke.json");
@@ -267,6 +269,80 @@ fn changed_plan_in_existing_campaign_dir_exits_2() {
         "{}",
         stderr(&out)
     );
+}
+
+/// The benchmark's 8-cell campaign shape (seed 7 × {none, flaky} × {none,
+/// firewall} × jobs {1, 2}), run once per test binary. Tests edit copies.
+fn eight_cell_campaign() -> &'static Path {
+    static DIR: OnceLock<PathBuf> = OnceLock::new();
+    DIR.get_or_init(|| {
+        let dir = scratch("eight-cell");
+        let plan = dir.join("plan.json");
+        std::fs::write(
+            &plan,
+            r#"{"schema": 1, "name": "eight", "scale": "paper", "seeds": [7], "faults": ["none", "flaky"], "defenses": ["none", "firewall"], "jobs": [1, 2]}"#,
+        )
+        .expect("write plan");
+        let out = run_campaign(&plan, &dir.join("camp"));
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        dir
+    })
+}
+
+/// A copy of the 8-cell campaign (plan and directory) under a fresh
+/// scratch directory, with the first `"degraded": false` of its
+/// `campaign.json` replaced by `degraded`. Returns the plan, the campaign
+/// directory and the edited manifest text.
+fn eight_cell_copy_with(test: &str, degraded: &str) -> (PathBuf, PathBuf, String) {
+    let dir = scratch(test);
+    for (rel, bytes) in snapshot(eight_cell_campaign()) {
+        let path = dir.join(rel);
+        std::fs::create_dir_all(path.parent().expect("file has a parent")).expect("mkdir");
+        std::fs::write(path, bytes).expect("copy file");
+    }
+    let camp = dir.join("camp");
+    let manifest = camp.join("campaign.json");
+    let text = std::fs::read_to_string(&manifest).expect("read campaign.json");
+    let edited = text.replacen(
+        "\"degraded\": false",
+        &format!("\"degraded\": {degraded}"),
+        1,
+    );
+    assert_ne!(text, edited);
+    std::fs::write(&manifest, &edited).expect("write campaign.json");
+    (dir.join("plan.json"), camp, edited)
+}
+
+/// `campaign.json`'s degraded flag is a claim about the cell's bundle: a
+/// flag that disagrees with the bundle's coverage is a finding naming the
+/// cell (`obs-diff campaign` exits 1 on findings).
+#[test]
+fn flipped_degraded_flag_is_a_campaign_finding() {
+    let pristine = check_campaign(&eight_cell_campaign().join("camp")).expect("checkable");
+    assert!(pristine.clean(), "{}", pristine.render_human());
+
+    let (_, camp, _) = eight_cell_copy_with("degraded-flip", "true");
+    let check = check_campaign(&camp).expect("the edited manifest still decodes");
+    assert_eq!(
+        check.findings,
+        ["cell s7-fnone-dnone-j1-r0: bundle records degraded false, campaign manifest says true"]
+    );
+}
+
+/// A `campaign.json` that parses but does not decode is a usage error that
+/// names the field, not a different plan, and resuming leaves it in place.
+#[test]
+fn undecodable_campaign_manifest_exits_2_naming_the_field() {
+    let (plan, camp, edited) = eight_cell_copy_with("manifest-undecodable", "1");
+    let out = run_campaign(&plan, &camp);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(
+        err.contains("cells[0].degraded: missing or mistyped") && !err.contains("different plan"),
+        "{err}"
+    );
+    let kept = std::fs::read_to_string(camp.join("campaign.json")).ok();
+    assert_eq!(kept, Some(edited));
 }
 
 /// `--bench` always benches every artifact, so artifact names beside it are

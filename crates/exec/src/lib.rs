@@ -8,11 +8,12 @@
 //! is a pure function of its inputs — never of thread scheduling or worker
 //! count.
 //!
-//! Work items are pulled off a shared counter by scoped worker threads and
-//! results are reassembled in input order, so `par_map(Some(1), ..)` and
-//! `par_map(Some(32), ..)` return identical vectors as long as the mapped
-//! closure itself is deterministic per item. The closure receives the item
-//! index, which callers use to derive per-item seeds (`seed ^ index`-style).
+//! Work items are pulled off a shared counter by the calling thread and
+//! `workers − 1` scoped threads, and results are reassembled in input
+//! order, so `par_map(Some(1), ..)` and `par_map(Some(32), ..)` return
+//! identical vectors as long as the mapped closure itself is deterministic
+//! per item. The closure receives the item index, which callers use to
+//! derive per-item seeds (`seed ^ index`-style).
 //!
 //! Built on `std::thread::scope` only — no dependency at all — because the
 //! build must work fully offline.
@@ -60,9 +61,13 @@ pub fn clamped_jobs(jobs: Option<usize>) -> usize {
 /// Map `f` over `items` with up to `effective_jobs(jobs)` worker threads,
 /// returning results **in input order**.
 ///
-/// `f` is called exactly once per item with `(index, item)`. With one worker
-/// (or one item) no threads are spawned and the map runs inline — this is the
-/// sequential reference path the determinism tests compare against.
+/// `f` is called exactly once per item with `(index, item)`. The calling
+/// thread is one of the workers: it spawns `workers − 1` scoped threads and
+/// pulls items off the same cursor as they do, so its allocations come from
+/// the heap arena it already warmed rather than from one more fresh
+/// thread's. With one worker (or one item) no threads are spawned and the
+/// map runs inline — this is the sequential reference path the determinism
+/// tests compare against.
 ///
 /// A panic in any worker propagates to the caller once all workers have
 /// stopped picking up new items.
@@ -89,26 +94,28 @@ where
     let cursor = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(n));
 
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(i) else {
+            break;
+        };
+        #[expect(
+            clippy::expect_used,
+            reason = "the atomic cursor hands each slot to exactly one worker"
+        )]
+        let item = locked(slot).take().expect("slot taken twice");
+        let out = f(i, item);
+        locked(&results).push((i, out));
+    };
     #[expect(
         clippy::disallowed_methods,
         reason = "this is the one sanctioned spawn site: every parallel stage in the workspace goes through par_map"
     )]
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = slots.get(i) else {
-                    break;
-                };
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the atomic cursor hands each slot to exactly one worker"
-                )]
-                let item = locked(slot).take().expect("slot taken twice");
-                let out = f(i, item);
-                locked(&results).push((i, out));
-            });
+        for _ in 1..workers {
+            scope.spawn(work);
         }
+        work();
     });
 
     let mut tagged = results.into_inner().unwrap_or_else(|p| p.into_inner());

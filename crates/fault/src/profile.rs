@@ -1,5 +1,6 @@
 //! Fault channels and named fault profiles.
 
+use alexa_obs::campaign::uniform_fault_rate;
 use std::fmt;
 use std::str::FromStr;
 
@@ -142,6 +143,17 @@ impl FaultProfile {
             name: format!("uniform({r})"),
             rates: [r; 7],
             retry_budget: 32,
+        }
+    }
+
+    /// The profile a campaign plan's fault variant names: a preset, or
+    /// `uniform:R` ([`uniform_fault_rate`]). The plan parser accepts
+    /// exactly the variants that resolve, so `None` means the plan schema's
+    /// pinned catalog drifted from this crate.
+    pub fn from_plan_variant(spec: &str) -> Option<FaultProfile> {
+        match uniform_fault_rate(spec) {
+            Some(rate) => Some(FaultProfile::uniform(rate)),
+            None => spec.parse().ok(),
         }
     }
 

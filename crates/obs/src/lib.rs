@@ -46,8 +46,9 @@
 //!
 //! `Observations`: the observable bundle in `alexa-audit`.
 
-// `deny`, not `forbid`: the allocation meter's `GlobalAlloc` impl in
-// `alloc` is the single sanctioned `#[expect(unsafe_code)]` escape.
+// `deny`, not `forbid`: in `alloc`, the allocation meter's `GlobalAlloc`
+// impl and the glibc `malloc_trim` call are the sanctioned
+// `#[expect(unsafe_code)]` escapes.
 #![deny(unsafe_code)]
 #![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
@@ -64,7 +65,7 @@ mod recorder;
 mod report;
 mod shard;
 
-pub use alloc::{peak_rss_kb, AllocSnapshot};
+pub use alloc::{peak_rss_kb, release_free_memory, AllocSnapshot};
 pub use exit::Exit;
 pub use hist::{percentile, Histogram, Summary};
 pub use json::{Json, JsonParseError};

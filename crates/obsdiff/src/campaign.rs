@@ -9,15 +9,17 @@
 //!    (`CampaignManifest::from_json`): a supported schema, a plan whose
 //!    hash and name it records, and every cell of the plan with its digest.
 //! 2. Every listed cell bundle loads, and its bundle manifest records the
-//!    campaign's plan hash, the cell's identity, and the digest the
-//!    campaign manifest claims.
+//!    run identity the cell's row names (seed, fault profile, defense, the
+//!    campaign's plan hash and the cell's identity), the digest the row
+//!    claims, and coverage that is degraded exactly when the row says so.
 //! 3. Instances of one cell identity (differing only in `jobs` or
 //!    `repeat`) are byte-identical, file by file ([`verify_instances`],
 //!    the same check the runner applies) — each differing file is a
 //!    determinism violation.
 
 use crate::bundle::load_bundle;
-use alexa_obs::bundle::FILES;
+use alexa_fault::{CoverageReport, FaultProfile};
+use alexa_obs::bundle::{CampaignCell, RunIdentity, FILES};
 use alexa_obs::campaign::{CampaignManifest, CAMPAIGN_FILE, CAMPAIGN_SCHEMA_VERSION, CELLS_DIR};
 use alexa_obs::{Json, ManifestError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -220,18 +222,34 @@ pub fn check_campaign(dir: &Path) -> Result<CampaignCheck, CampaignCheckError> {
                 continue;
             }
         };
-        let recorded = bundle.manifest.campaign.as_ref();
-        let recorded_hash = recorded.map_or("none", |c| c.plan_hash.as_str());
-        if recorded_hash != plan_hash {
-            findings.push(format!(
-                "cell {key}: bundle records plan hash {recorded_hash}, campaign manifest says \
-                 {plan_hash}"
-            ));
+        // The bundle's run identity is the one the row's coordinates name.
+        let fault = FaultProfile::from_plan_variant(&row.coord.fault);
+        let cell = CampaignCell {
+            plan_hash: plan_hash.clone(),
+            cell: id.clone(),
+        };
+        let claimed = RunIdentity {
+            seed: row.coord.seed,
+            fault_profile: fault.as_ref().map_or(&row.coord.fault, FaultProfile::name),
+            defense: (row.coord.defense != "none").then_some(&row.coord.defense),
+            campaign: Some(&cell),
+        };
+        let recorded = bundle.manifest.identity().fields();
+        for ((field, found), (_, claim)) in recorded.into_iter().zip(claimed.fields()) {
+            if found != claim {
+                findings.push(format!(
+                    "cell {key}: bundle records {field} {found}, campaign manifest says {claim}"
+                ));
+            }
         }
-        let recorded_id = recorded.map_or("none", |c| c.cell.as_str());
-        if recorded_id != id {
+        let degraded = bundle
+            .coverage
+            .as_ref()
+            .is_some_and(CoverageReport::is_degraded);
+        if degraded != row.degraded {
             findings.push(format!(
-                "cell {key}: bundle records identity {recorded_id}, campaign manifest says {id}"
+                "cell {key}: bundle records degraded {degraded}, campaign manifest says {}",
+                row.degraded
             ));
         }
         let digest = bundle.manifest.observations_digest;
@@ -272,7 +290,9 @@ pub fn check_campaign(dir: &Path) -> Result<CampaignCheck, CampaignCheckError> {
 )]
 mod tests {
     use super::*;
+    use alexa_obs::bundle::{write_bundle, BundleSpec};
     use alexa_obs::campaign::{campaign_manifest, CellRecord, Plan};
+    use alexa_obs::Recorder;
 
     #[test]
     fn missing_campaign_manifest_is_an_error() {
@@ -294,6 +314,46 @@ mod tests {
                 path: dir.join(CAMPAIGN_FILE),
                 found: 99
             }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bundle_of_another_run_identity_is_a_finding() {
+        let dir = std::env::temp_dir().join(format!("obsdiff-camp-ident-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan =
+            Plan::parse(r#"{"schema": 1, "name": "x", "seeds": [7], "defenses": ["firewall"]}"#)
+                .expect("plan");
+        let coord = plan.cells().into_iter().next().expect("one cell");
+        let spec = BundleSpec {
+            seed: 8,
+            fault_profile: "none".into(),
+            defense: None,
+            campaign: Some(CampaignCell {
+                plan_hash: plan.hash(),
+                cell: coord.id(),
+            }),
+            observations_digest: 0,
+            coverage: None,
+        };
+        let cell_dir = dir.join(CELLS_DIR).join(coord.key());
+        write_bundle(&cell_dir, &spec, &Recorder::new().report()).expect("write bundle");
+        let record = CellRecord {
+            coord,
+            digest: 0,
+            degraded: false,
+        };
+        let manifest = campaign_manifest(&plan, &[record]).render();
+        std::fs::write(dir.join(CAMPAIGN_FILE), manifest).expect("write");
+        let check = check_campaign(&dir).expect("manifest is well-formed");
+        assert_eq!(
+            check.findings,
+            [
+                "cell s7-fnone-dfirewall-j1-r0: bundle records seed 8, campaign manifest says 7",
+                "cell s7-fnone-dfirewall-j1-r0: bundle records defense none, campaign manifest \
+                 says firewall",
+            ]
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -30,6 +30,13 @@ fn draw(key: std::fmt::Arguments) -> u64 {
     h.finish()
 }
 
+/// The entry of `options` that the draw `key` selects; `None` when there
+/// are no options.
+fn pick<'a>(options: &[&'a str], key: u64) -> Option<&'a str> {
+    let i = key.checked_rem(options.len() as u64)?;
+    options.get(i as usize).copied()
+}
+
 impl PolicyGenerator {
     /// Create a generator with the built-in ontologies.
     pub fn new() -> PolicyGenerator {
@@ -70,26 +77,22 @@ impl PolicyGenerator {
                         // Off-lexicon quirk: clearly about the data type, but
                         // phrased outside the analyzer's term list.
                         push(&quirky_clear_sentence(dt));
-                    } else {
-                        let terms = self.data.clear_terms(dt);
-                        let term = terms[(key % terms.len() as u64) as usize];
+                    } else if let Some(term) = pick(self.data.clear_terms(dt), key) {
                         push(&format!("We collect your {term} when you use the skill."));
                     }
                 }
                 DisclosureLevel::Vague => {
                     if key.is_multiple_of(10) {
                         push("We may gather certain information to improve our services.");
-                    } else {
-                        let terms = self.data.vague_terms(dt);
-                        let term = terms[(key % terms.len() as u64) as usize];
+                    } else if let Some(term) = pick(self.data.vague_terms(dt), key) {
                         push(&format!("We may collect {term} to improve our services."));
                     }
                 }
                 DisclosureLevel::Denied => {
                     // An outright lie: the flow exists in the traffic.
-                    let terms = self.data.clear_terms(dt);
-                    let term = terms[(key % terms.len() as u64) as usize];
-                    push(&format!("We never collect your {term}."));
+                    if let Some(term) = pick(self.data.clear_terms(dt), key) {
+                        push(&format!("We never collect your {term}."));
+                    }
                 }
                 DisclosureLevel::Omitted => {}
             }
@@ -108,9 +111,7 @@ impl PolicyGenerator {
                         // Off-lexicon quirk: "trusted partners" is not in the
                         // analyzer's vague-phrase lists.
                         push("We may also share information with our trusted partners.");
-                    } else {
-                        let phrases = self.entities.vague_phrases_for(org);
-                        let phrase = phrases[(key % phrases.len() as u64) as usize];
+                    } else if let Some(phrase) = pick(&self.entities.vague_phrases_for(org), key) {
                         push(&format!(
                             "We may share your personal information with {phrase}."
                         ));

@@ -20,6 +20,7 @@
 //! the paper's §7.2.3 validation (micro/macro P/R/F1).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 
 pub mod document;

@@ -231,6 +231,10 @@ impl PoliCheck {
 
     /// How Amazon's own policy discloses a data type. §7.2.2 consults it in
     /// addition to the skill's: the skill's class `.min()` this one.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`platform` holds one entry per `DataType::ALL`, in declaration order"
+    )]
     pub fn platform_data_type(&self, dt: DataType) -> DisclosureClass {
         self.platform[dt as usize]
     }
