@@ -57,7 +57,7 @@ impl std::fmt::Display for StreamingService {
 
 /// The audio-ad experiment's persona axis: two interest personas and the
 /// vanilla control (`None`).
-pub type AudioPersona = Option<SkillCategory>;
+pub(crate) type AudioPersona = Option<SkillCategory>;
 
 /// One event in a streaming session.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,16 +216,6 @@ pub fn simulate_session(
     }
 }
 
-impl StreamingSession {
-    /// Number of ad events in the session (ground truth).
-    pub fn ad_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, AudioEvent::Ad { .. }))
-            .count()
-    }
-}
-
 /// Speech-to-text with a word-error model (the paper transcribed recordings
 /// with Adobe Premiere Pro and then manually cleaned them).
 #[derive(Debug, Clone, Copy)]
@@ -301,13 +291,21 @@ mod tests {
     use super::*;
     use SkillCategory::{ConnectedCar, FashionStyle};
 
+    /// Number of ad events in the session (ground truth).
+    fn ad_count(s: &StreamingSession) -> usize {
+        s.events
+            .iter()
+            .filter(|e| matches!(e, AudioEvent::Ad { .. }))
+            .count()
+    }
+
     #[test]
     fn six_hour_sessions_hit_table9_counts() {
         for service in StreamingService::ALL {
             for persona in [Some(ConnectedCar), Some(FashionStyle), None] {
                 let s = simulate_session(service, persona, 6.0, 1);
                 let want = target_ads_per_6h(service, persona);
-                assert_eq!(s.ad_count(), want, "{service} {persona:?}");
+                assert_eq!(ad_count(&s), want, "{service} {persona:?}");
             }
         }
     }
@@ -317,10 +315,10 @@ mod tests {
         let cc = simulate_session(StreamingService::Spotify, Some(ConnectedCar), 6.0, 2);
         let fs = simulate_session(StreamingService::Spotify, Some(FashionStyle), 6.0, 2);
         assert!(
-            cc.ad_count() * 5 <= fs.ad_count(),
+            ad_count(&cc) * 5 <= ad_count(&fs),
             "{} vs {}",
-            cc.ad_count(),
-            fs.ad_count()
+            ad_count(&cc),
+            ad_count(&fs)
         );
     }
 
@@ -361,7 +359,7 @@ mod tests {
         let s = simulate_session(StreamingService::Pandora, Some(FashionStyle), 6.0, 5);
         let transcripts = Transcriber::default().transcribe(&s, 5);
         let ads = AudioAdExtractor::new().extract(&transcripts);
-        let truth = s.ad_count();
+        let truth = ad_count(&s);
         assert!(
             ads.len() >= truth * 8 / 10,
             "extracted {} of {truth}",

@@ -136,7 +136,7 @@ impl Default for SeasonModel {
 /// uplift — elevated medians but no significance, and (for Health &
 /// Fitness) the occasional enormous bid: the paper saw a 30× outlier there
 /// while its median stayed lowest.
-pub fn category_targeting(cat: SkillCategory) -> (f64, f64) {
+pub(crate) fn category_targeting(cat: SkillCategory) -> (f64, f64) {
     match cat {
         SkillCategory::ConnectedCar => (3.2, 0.25),
         SkillCategory::Dating => (3.5, 0.25),
@@ -211,32 +211,12 @@ impl Bidder {
         (h % 10_000) as f64 / 10_000.0 < 0.85
     }
 
-    /// Quote a bid for a slot, or decline.
-    pub fn bid(
-        &self,
-        slot: &AdSlot,
-        user: &UserState,
-        iteration: usize,
-        season: SeasonModel,
-        rng: &mut StdRng,
-    ) -> Option<Bid> {
-        self.bid_in_context(
-            slot,
-            &SlotContext::new(slot, user),
-            self.knows_echo_segments(user),
-            self.web_reached(&user.persona),
-            user,
-            iteration,
-            season,
-            rng,
-        )
-    }
-
-    /// [`Bidder::bid`] with the deterministic per-(slot, user) contextual
-    /// factors and the per-(bidder, user) knowledge facts precomputed. Both
-    /// are RNG-free, so hoisting them out of the per-bid path (once per slot
-    /// and once per user respectively) leaves the values — and every RNG
-    /// draw — bit-identical to the unbatched path.
+    /// Quote a bid for a slot, or decline, given the deterministic
+    /// per-(slot, user) contextual factors and the per-(bidder, user)
+    /// knowledge facts. Both are RNG-free, so hoisting them out of the
+    /// per-bid path (once per slot and once per user respectively) leaves
+    /// the values — and every RNG draw — bit-identical to computing them
+    /// per bid.
     #[expect(
         clippy::too_many_arguments,
         reason = "the hoisted per-slot and per-user factors are passed in separately"
@@ -382,23 +362,10 @@ impl Auction {
         }
     }
 
-    /// Collect all bids for a slot (the `pbjs.requestBids` analog).
-    pub fn request_bids(
-        &self,
-        slot: &AdSlot,
-        user: &UserState,
-        iteration: usize,
-        rng: &mut StdRng,
-    ) -> Vec<Bid> {
-        let mut bids = Vec::new();
-        self.request_bids_into(slot, &self.user_view(user), user, iteration, rng, &mut bids);
-        bids
-    }
-
-    /// [`Auction::request_bids`] with the user's knowledge facts
-    /// precomputed (the crawler reuses one view across a whole crawl),
-    /// appending the bids to `out` so a caller can collect a whole page's
-    /// bids in one reused buffer.
+    /// Collect all bids for a slot (the `pbjs.requestBids` analog), with the
+    /// user's knowledge facts precomputed (the crawler reuses one view
+    /// across a whole crawl), appending the bids to `out` so a caller can
+    /// collect a whole page's bids in one reused buffer.
     pub fn request_bids_into(
         &self,
         slot: &AdSlot,
@@ -451,6 +418,30 @@ pub fn standard_roster(partners: &[String]) -> Vec<Bidder> {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    impl Bidder {
+        /// The unbatched path: the contextual factors and knowledge facts
+        /// computed per bid, the reference the hoisted path must match.
+        fn bid(
+            &self,
+            slot: &AdSlot,
+            user: &UserState,
+            iteration: usize,
+            season: SeasonModel,
+            rng: &mut StdRng,
+        ) -> Option<Bid> {
+            self.bid_in_context(
+                slot,
+                &SlotContext::new(slot, user),
+                self.knows_echo_segments(user),
+                self.web_reached(&user.persona),
+                user,
+                iteration,
+                season,
+                rng,
+            )
+        }
+    }
 
     fn slot() -> AdSlot {
         AdSlot {

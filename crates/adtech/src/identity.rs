@@ -80,16 +80,6 @@ impl BrowserProfile {
         self.jar.insert(c.org.as_str(), c);
         c
     }
-
-    /// Whether a cookie for the organization exists without minting one.
-    pub fn has_cookie(&self, org: &str) -> bool {
-        self.jar.contains_key(org)
-    }
-
-    /// Number of cookies in the jar.
-    pub fn cookie_count(&self) -> usize {
-        self.jar.len()
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +92,7 @@ mod tests {
         let a = p.cookie("criteo.com");
         let b = p.cookie("criteo.com");
         assert_eq!(a, b);
-        assert_eq!(p.cookie_count(), 1);
+        assert_eq!(p.jar.len(), 1);
     }
 
     #[test]
@@ -123,13 +113,6 @@ mod tests {
         let a = BrowserProfile::fresh("a", 1, None);
         let b = BrowserProfile::fresh("b", 2, None);
         assert_ne!(a.ip, b.ip);
-    }
-
-    #[test]
-    fn has_cookie_does_not_mint() {
-        let p = BrowserProfile::fresh("a", 1, None);
-        assert!(!p.has_cookie("criteo.com"));
-        assert_eq!(p.cookie_count(), 0);
     }
 
     #[test]

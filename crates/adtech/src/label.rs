@@ -120,10 +120,16 @@ impl Label {
             .unwrap_or_default()
     }
 
-    /// The dense id: every label ever interned is below [`len`], so a table
-    /// indexed by `id` and sized by [`len`] covers every label.
+    /// The dense id: every label ever interned is below [`Label::count`],
+    /// so a table indexed by `id` and sized by [`Label::count`] covers
+    /// every label.
     pub fn id(self) -> usize {
         self.0 as usize
+    }
+
+    /// Number of distinct labels interned so far.
+    pub fn count() -> usize {
+        IDS.read().unwrap_or_else(|p| p.into_inner()).len()
     }
 }
 
@@ -139,11 +145,6 @@ impl fmt::Display for Label {
     }
 }
 
-/// Number of distinct labels interned so far.
-pub fn len() -> usize {
-    IDS.read().unwrap_or_else(|p| p.into_inner()).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,7 +156,7 @@ mod tests {
         assert_eq!(a.as_str(), "label-test-1");
         assert_eq!(a, b);
         assert_ne!(a, Label::intern("label-test-2"));
-        assert!(a.id() < len());
+        assert!(a.id() < Label::count());
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! §3.3: the paper identifies header-bidding sites by injecting a script
 //! that calls `pbjs.version`, treats a site as prebid-supported when the
-//! call returns non-null, then collects bids via `pbjs.getBidResponses`
-//! (or `pbjs.requestBids` when no bids arrived yet). This module exposes
-//! the page-side object with exactly that surface, so the crawler's probe
-//! logic works the way the paper's injected script did — including sites
-//! where the object simply is not present.
+//! call returns non-null, then collects bids via `pbjs.requestBids`. This
+//! module models the page-side object the crawler's probe meets: [`probe`]
+//! is the version check (a site without prebid has no `pbjs` object), and
+//! a probed page runs the auction for each of its ad units.
 
 use crate::bidding::{Auction, Bid, UserState, UserView};
 use crate::label::Label;
@@ -14,12 +13,9 @@ use crate::website::Website;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The prebid version string our simulated publishers deploy.
-pub const PREBID_VERSION: &str = "v7.27.0";
-
 /// The page-side `pbjs` object, present only on prebid-enabled sites.
 #[derive(Debug)]
-pub struct PrebidPage<'a> {
+pub(crate) struct PrebidPage<'a> {
     site: &'a Website,
     auction: &'a Auction,
     /// Bids gathered on the page, flat in ad-unit order (empty until an
@@ -33,7 +29,7 @@ pub struct PrebidPage<'a> {
 /// Returns `None` when the site does not run prebid (the injected call
 /// would find no `pbjs` object). Otherwise the page collects its bids into
 /// `responses`, which is cleared first.
-pub fn probe<'a>(
+pub(crate) fn probe<'a>(
     site: &'a Website,
     auction: &'a Auction,
     responses: &'a mut Vec<Bid>,
@@ -51,44 +47,13 @@ pub fn probe<'a>(
 }
 
 impl<'a> PrebidPage<'a> {
-    /// `pbjs.version`.
-    pub fn version(&self) -> &'static str {
-        PREBID_VERSION
-    }
-
-    /// `pbjs.adUnits`: the slot ids configured on the page.
-    pub fn ad_units(&self) -> Vec<Label> {
-        self.site.slots.iter().map(|s| s.id).collect()
-    }
-
-    /// `pbjs.getBidResponses`: bids gathered so far, grouped by ad unit in
-    /// the page's ad-unit order (slot ids ascend within a site).
-    pub fn get_bid_responses(&self) -> &[Bid] {
-        self.responses
-    }
-
     /// `pbjs.requestBids`: run the header-bidding auction for every ad unit
-    /// that loads, appending to the responses. Returns the total number of
-    /// bids received. `loaded` decides per-slot whether the unit rendered
-    /// (the paper's analyses must handle slots that failed to load).
-    pub fn request_bids<F>(
-        &mut self,
-        user: &UserState,
-        iteration: usize,
-        seed: u64,
-        loaded: F,
-    ) -> usize
-    where
-        F: FnMut(Label) -> bool,
-    {
-        let view = self.auction.user_view(user);
-        self.request_bids_with_view(user, &view, iteration, seed, loaded)
-    }
-
-    /// [`PrebidPage::request_bids`] with the roster's knowledge facts about
-    /// the user precomputed (the crawler caches them across a whole crawl —
-    /// they are deterministic per user, so the bids are identical).
-    pub fn request_bids_with_view<F>(
+    /// that loads, appending to the responses. Returns the number of bids
+    /// received. `loaded` decides per-slot whether the unit rendered (the
+    /// paper's analyses must handle slots that failed to load). `view`
+    /// holds the roster's knowledge facts about the user, which the crawler
+    /// computes once per crawl (they are deterministic per user).
+    pub(crate) fn request_bids_with_view<F>(
         &mut self,
         user: &UserState,
         view: &UserView,
@@ -116,17 +81,9 @@ impl<'a> PrebidPage<'a> {
         self.responses.len() - before
     }
 
-    /// `pbjs.getHighestCpmBids`: per ad unit, the winning bid so far.
-    pub fn highest_cpm_bids(&self) -> Vec<&Bid> {
-        self.responses
-            .chunk_by(|a, b| a.slot_id == b.slot_id)
-            .filter_map(|unit| unit.iter().max_by(|a, b| a.cpm.total_cmp(&b.cpm)))
-            .collect()
-    }
-
     /// Move the gathered bids out into an exactly sized vector, leaving the
     /// caller's buffer empty (its capacity stays for the next page).
-    pub fn take_bids(self) -> Vec<Bid> {
+    pub(crate) fn take_bids(self) -> Vec<Bid> {
         crate::crawler::drain_exact(self.responses)
     }
 }
@@ -159,33 +116,22 @@ mod tests {
     }
 
     #[test]
-    fn version_is_non_null_like_the_papers_check() {
-        let (auction, web) = setup();
-        let mut buf = Vec::new();
-        let page = probe(web.prebid_sites(1)[0], &auction, &mut buf).unwrap();
-        assert!(!page.version().is_empty());
-        assert!(page.version().starts_with('v'));
-    }
-
-    #[test]
     fn request_bids_fills_responses() {
         let (auction, web) = setup();
         let site = web.prebid_sites(1)[0];
+        let user = UserState::blank("t");
+        let view = auction.user_view(&user);
         let mut buf = Vec::new();
         let mut page = probe(site, &auction, &mut buf).unwrap();
-        assert!(page.get_bid_responses().is_empty());
-        let n = page.request_bids(&UserState::blank("t"), 10, 42, |_| true);
+        let n = page.request_bids_with_view(&user, &view, 10, 42, |_| true);
         assert!(n > 0);
-        assert_eq!(page.get_bid_responses().len(), n);
-        let units: Vec<Label> = page
-            .get_bid_responses()
-            .chunk_by(|a, b| a.slot_id == b.slot_id)
-            .map(|unit| unit[0].slot_id)
-            .collect();
+        assert_eq!(buf.len(), n);
+        // A second probe starts from an empty buffer, and taking the bids
+        // drains it.
+        let mut page = probe(site, &auction, &mut buf).unwrap();
         assert_eq!(
-            units,
-            page.ad_units(),
-            "every loaded unit collects responses"
+            page.request_bids_with_view(&user, &view, 10, 42, |_| true),
+            n
         );
         assert_eq!(page.take_bids().len(), n);
         assert!(buf.is_empty(), "taking the bids drains the buffer");
@@ -195,37 +141,30 @@ mod tests {
     fn failed_units_collect_nothing() {
         let (auction, web) = setup();
         let site = web.prebid_sites(1)[0];
+        let user = UserState::blank("t");
         let mut buf = Vec::new();
         let mut page = probe(site, &auction, &mut buf).unwrap();
-        let n = page.request_bids(&UserState::blank("t"), 10, 42, |_| false);
+        let n = page.request_bids_with_view(&user, &auction.user_view(&user), 10, 42, |_| false);
         assert_eq!(n, 0);
-        assert!(page.get_bid_responses().is_empty());
-    }
-
-    #[test]
-    fn highest_cpm_bids_are_maxima() {
-        let (auction, web) = setup();
-        let site = web.prebid_sites(1)[0];
-        let mut buf = Vec::new();
-        let mut page = probe(site, &auction, &mut buf).unwrap();
-        page.request_bids(&UserState::blank("t"), 10, 42, |_| true);
-        let winners = page.highest_cpm_bids();
-        assert_eq!(winners.len(), site.slots.len());
-        for winner in winners {
-            assert!(page
-                .get_bid_responses()
-                .iter()
-                .filter(|b| b.slot_id == winner.slot_id)
-                .all(|b| b.cpm <= winner.cpm));
-        }
+        assert!(page.take_bids().is_empty());
     }
 
     #[test]
     fn ad_units_match_site_slots() {
+        // Every loaded ad unit collects responses, grouped in the page's
+        // ad-unit order (the site's slots).
         let (auction, web) = setup();
         let site = web.prebid_sites(1)[0];
+        let user = UserState::blank("t");
         let mut buf = Vec::new();
-        let page = probe(site, &auction, &mut buf).unwrap();
-        assert_eq!(page.ad_units().len(), site.slots.len());
+        let mut page = probe(site, &auction, &mut buf).unwrap();
+        page.request_bids_with_view(&user, &auction.user_view(&user), 10, 42, |_| true);
+        let units: Vec<Label> = page
+            .take_bids()
+            .chunk_by(|a, b| a.slot_id == b.slot_id)
+            .map(|unit| unit[0].slot_id)
+            .collect();
+        let slots: Vec<Label> = site.slots.iter().map(|s| s.id).collect();
+        assert_eq!(units, slots, "every loaded unit collects responses");
     }
 }

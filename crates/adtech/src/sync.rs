@@ -9,10 +9,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
 
 /// Amazon's advertising domain, the hub of all observed syncs.
-pub const AMAZON_AD_ORG: &str = "amazon-adsystem.com";
+pub(crate) const AMAZON_AD_ORG: &str = "amazon-adsystem.com";
 
 /// Real-world advertiser organizations seeding the partner list.
 const NAMED_PARTNERS: &[&str] = &[
@@ -37,10 +36,10 @@ const NAMED_PARTNERS: &[&str] = &[
 ];
 
 /// Number of advertisers syncing with Amazon (paper: 41).
-pub const PARTNER_COUNT: usize = 41;
+pub(crate) const PARTNER_COUNT: usize = 41;
 
 /// Number of downstream third parties partners sync onward with (paper: 247).
-pub const DOWNSTREAM_COUNT: usize = 247;
+const DOWNSTREAM_COUNT: usize = 247;
 
 /// The planted cookie-syncing graph.
 #[derive(Debug, Clone)]
@@ -112,19 +111,20 @@ impl SyncGraph {
             .map(|(_, d)| d.as_slice())
             .unwrap_or(&[])
     }
-
-    /// All downstream third parties, deduplicated.
-    pub fn all_downstream(&self) -> BTreeSet<String> {
-        self.downstream
-            .iter()
-            .flat_map(|(_, d)| d.iter().cloned())
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// All downstream third parties, deduplicated.
+    fn all_downstream(g: &SyncGraph) -> BTreeSet<String> {
+        g.downstream
+            .iter()
+            .flat_map(|(_, d)| d.iter().cloned())
+            .collect()
+    }
 
     #[test]
     fn graph_has_41_partners() {
@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn graph_has_247_downstream() {
         let g = SyncGraph::generate(1);
-        assert_eq!(g.all_downstream().len(), DOWNSTREAM_COUNT);
+        assert_eq!(all_downstream(&g).len(), DOWNSTREAM_COUNT);
     }
 
     #[test]
@@ -157,13 +157,13 @@ mod tests {
         let a = SyncGraph::generate(7);
         let b = SyncGraph::generate(7);
         assert_eq!(a.partners(), b.partners());
-        assert_eq!(a.all_downstream(), b.all_downstream());
+        assert_eq!(all_downstream(&a), all_downstream(&b));
     }
 
     #[test]
     fn downstream_are_not_partners() {
         let g = SyncGraph::generate(3);
-        for d in g.all_downstream() {
+        for d in all_downstream(&g) {
             assert!(!g.is_partner(&d), "{d} is both partner and downstream");
         }
     }

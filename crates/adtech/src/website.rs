@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 
 /// Most header-bidding slots a prebid site carries (one digit, so slot ids
 /// ascend with their position).
-pub const MAX_SLOTS: usize = 5;
+pub(crate) const MAX_SLOTS: usize = 5;
 const _: () = assert!(MAX_SLOTS <= 10);
 
 /// One publisher site.

@@ -33,7 +33,7 @@ pub fn extracted_ads(obs: &Observations) -> BTreeMap<(String, StreamingService),
 /// Table 9: fraction of each service's ads per persona.
 #[derive(Debug, Clone)]
 pub struct Table9 {
-    /// fractions[persona][service] = share of that service's ads.
+    /// `fractions[persona][service]` = share of that service's ads.
     pub fractions: BTreeMap<String, BTreeMap<StreamingService, f64>>,
     /// Total number of extracted ads (the paper's n = 289).
     pub total_ads: usize,
@@ -111,7 +111,7 @@ impl Table9 {
 /// times, like the paper's repetition filter).
 #[derive(Debug, Clone)]
 pub struct Figure5 {
-    /// counts[service][brand][persona] = times heard.
+    /// `counts[service][brand][persona]` = times heard.
     pub counts: BTreeMap<StreamingService, BTreeMap<String, BTreeMap<String, usize>>>,
 }
 

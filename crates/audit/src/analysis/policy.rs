@@ -210,7 +210,7 @@ impl Table13 {
 /// skills contacting them disclose it.
 #[derive(Debug, Clone)]
 pub struct Table14 {
-    /// rows[org] = (ontology category labels, skill name → disclosure).
+    /// `rows[org]` = (ontology category labels, skill name → disclosure).
     pub rows: BTreeMap<String, (Vec<String>, BTreeMap<String, DisclosureClass>)>,
 }
 
@@ -265,7 +265,7 @@ impl Table14 {
     pub fn non_amazon_skills(&self) -> usize {
         let mut skills = BTreeSet::new();
         for (org, (_, per_skill)) in &self.rows {
-            if org != alexa_net::orgmap::AMAZON {
+            if org != alexa_net::AMAZON {
                 skills.extend(per_skill.keys().cloned());
             }
         }
@@ -458,7 +458,7 @@ mod tests {
     #[test]
     fn table14_amazon_contacted_by_everyone() {
         let t14 = table14(ix());
-        let amazon = t14.rows.get(alexa_net::orgmap::AMAZON).expect("amazon row");
+        let amazon = t14.rows.get(alexa_net::AMAZON).expect("amazon row");
         assert!(amazon.0.contains(&"platform provider".to_string()));
         assert!(!amazon.1.is_empty());
     }

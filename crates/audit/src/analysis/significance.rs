@@ -16,7 +16,7 @@ use crate::persona::Persona;
 use crate::table::{f3, TextTable};
 use alexa_platform::SkillCategory;
 use alexa_stats::{
-    benjamini_hochberg, holm_bonferroni, mann_whitney_u, Alternative, EffectMagnitude, MwuMethod,
+    benjamini_hochberg, holm_bonferroni, mann_whitney_u, Alternative, EffectMagnitude,
 };
 use std::fmt::Write as _;
 
@@ -63,12 +63,7 @@ pub fn table7(ix: &AnalysisIndex) -> Table7 {
         }
         // MIN_SAMPLES guards the happy path; a refused test still lands in
         // the skipped rows instead of unwinding the whole table.
-        let Ok(r) = mann_whitney_u(
-            &treated,
-            &vanilla,
-            Alternative::Greater,
-            MwuMethod::Asymptotic,
-        ) else {
+        let Ok(r) = mann_whitney_u(&treated, &vanilla, Alternative::Greater) else {
             skipped.push((cat.label().to_string(), n));
             continue;
         };
@@ -183,7 +178,7 @@ pub fn table11(ix: &AnalysisIndex) -> Table11 {
         let ps: Vec<f64> = web
             .iter()
             .filter_map(|w| {
-                mann_whitney_u(&echo, w, Alternative::TwoSided, MwuMethod::Asymptotic)
+                mann_whitney_u(&echo, w, Alternative::TwoSided)
                     .ok()
                     .map(|r| r.p_value)
             })

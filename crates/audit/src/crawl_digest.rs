@@ -27,7 +27,7 @@
 //! compiling until the walk learns it; the drift-guard tests below compare
 //! the walk with `format!("{:?}")` byte for byte.
 
-use alexa_adtech::{label, Bid, Creative, Label, SyncObservation, VisitRecord};
+use alexa_adtech::{Bid, Creative, Label, SyncObservation, VisitRecord};
 use alexa_fault::{Fnv1a, FnvJump};
 use std::collections::BTreeMap;
 
@@ -80,7 +80,7 @@ fn body_jump(s: &str) -> FnvJump {
 /// Hash the `Debug` text of the crawl map: `{"persona": [VisitRecord { … },
 /// …], …}`.
 pub(crate) fn hash_crawl(h: &mut Fnv1a, crawl: &BTreeMap<String, Vec<VisitRecord>>) {
-    let mut labels = LabelJumps((0..label::len()).map(|_| None).collect());
+    let mut labels = LabelJumps((0..Label::count()).map(|_| None).collect());
     h.byte(b'{');
     for (i, (persona, visits)) in crawl.iter().enumerate() {
         if i > 0 {

@@ -41,10 +41,9 @@ use crate::analysis::defense::{self, voice_text, Measurement};
 use crate::index::AnalysisIndex;
 use crate::observations::{Observations, SkillMeta};
 use crate::persona::Persona;
-use alexa_adtech::bidding::{standard_roster, SeasonModel, UserState};
 use alexa_adtech::{
-    Auction, BrowserProfile, Crawler, StreamingService, SyncGraph, Transcriber, WebEcosystem,
-    Website,
+    simulate_session, standard_roster, Auction, BrowserProfile, Crawler, SeasonModel,
+    StreamingService, SyncGraph, Transcriber, UserState, WebEcosystem, Website,
 };
 use alexa_exec::par_map;
 use alexa_fault::{
@@ -53,7 +52,7 @@ use alexa_fault::{
 };
 use alexa_net::{AvsTap, Capture, OrgMap, Packet, Payload, Record, RouterTap, TapStats, Verdict};
 use alexa_obs::{Recorder, ShardLog};
-use alexa_platform::storepage::{parse_invocation, parse_sample_utterances, render_store_page};
+use alexa_platform::{parse_invocation, parse_sample_utterances, render_store_page};
 use alexa_platform::{
     AlexaCloud, AvsEcho, DeviceError, DsarExport, DsarPhase, EchoDevice, Marketplace, SkillCategory,
 };
@@ -598,12 +597,7 @@ pub(crate) fn run_persona_shard(
             let transcriber = Transcriber::default();
             for (si, service) in StreamingService::ALL.into_iter().enumerate() {
                 let session_seed = config.seed ^ ((pi as u64 + 1) << 8) ^ ((si as u64 + 1) << 16);
-                let session = alexa_adtech::audio::simulate_session(
-                    service,
-                    segment,
-                    config.audio_hours,
-                    session_seed,
-                );
+                let session = simulate_session(service, segment, config.audio_hours, session_seed);
                 let transcripts = transcriber.transcribe(&session, session_seed);
                 l.work(1 + transcripts.len() as u64); // one session + its transcripts
                 out.audio.push((service, transcripts));

@@ -28,7 +28,7 @@
 use crate::analysis::partners::{SyncAnalysis, AMAZON_AD_ENDPOINT};
 use crate::observations::{Observations, SkillMeta};
 use crate::persona::Persona;
-use alexa_adtech::{label, AudioAdExtractor, Label, StreamingService, VisitRecord};
+use alexa_adtech::{AudioAdExtractor, Label, StreamingService, VisitRecord};
 use alexa_net::{DataType, FilterList, OrgClass, TrafficPurpose};
 use alexa_policy::{CompiledPolicy, FlowExtractor, PoliCheck};
 use std::collections::{BTreeMap, BTreeSet};
@@ -45,7 +45,7 @@ impl LabelMarks {
     /// A table covering every label interned so far.
     fn new() -> LabelMarks {
         LabelMarks {
-            marked: vec![false; label::len()],
+            marked: vec![false; Label::count()],
             labels: Vec::new(),
         }
     }
@@ -259,7 +259,7 @@ impl<'a> AnalysisIndex<'a> {
     pub fn build(obs: &'a Observations) -> AnalysisIndex<'a> {
         let fl = FilterList::new();
         let mut symbols = Interner::default();
-        let amazon = symbols.intern(alexa_net::orgmap::AMAZON);
+        let amazon = symbols.intern(alexa_net::AMAZON);
 
         let meta_by_id: BTreeMap<&str, &SkillMeta> =
             obs.catalog.iter().map(|m| (m.id.as_str(), m)).collect();

@@ -1,12 +1,12 @@
 //! The crawl's label interner at paper scale, in a process of its own.
 //!
-//! Crawl labels live in one process-wide table (`alexa_adtech::label`).
+//! Crawl labels live in one process-wide table (`alexa_adtech::Label`).
 //! The first run in a process fills it; later runs reuse it. Neither may
 //! show in the allocation ledger, which must stay a pure function of the
 //! seed, and the vocabulary must not depend on the seed at all. This file
 //! holds a single test so that its first run really meets an empty table.
 
-use alexa_adtech::label;
+use alexa_adtech::Label;
 use alexa_audit::{AuditConfig, AuditRun};
 use alexa_obs::Recorder;
 
@@ -26,7 +26,7 @@ fn run(seed: u64, jobs: usize) -> (Vec<(u64, u64)>, String, usize) {
     (
         aggregates,
         report.ledger_memory_json().render(),
-        label::len(),
+        Label::count(),
     )
 }
 

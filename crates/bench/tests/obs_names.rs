@@ -18,7 +18,7 @@
 use alexa_audit::{AuditConfig, AuditRun};
 use alexa_bench::{campaign, render_artifacts, ARTIFACTS};
 use alexa_fault::{FaultChannel, FaultProfile};
-use alexa_obs::names::{is_registered, REGISTRY};
+use alexa_obs::names::REGISTRY;
 use alexa_obs::{Recorder, Report};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -85,7 +85,10 @@ fn emitted_names_match_the_registry() {
         collect(&rec.report(), &mut names);
     }
 
-    let unregistered: Vec<&String> = names.iter().filter(|n| !is_registered(n)).collect();
+    let unregistered: Vec<&String> = names
+        .iter()
+        .filter(|n| REGISTRY.binary_search(&n.as_str()).is_err())
+        .collect();
     assert!(
         unregistered.is_empty(),
         "emitted names missing from crates/obs/src/names.rs: {unregistered:?}"

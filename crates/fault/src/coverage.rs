@@ -32,11 +32,6 @@ impl Coverage {
         }
     }
 
-    /// Whether every planned unit was observed.
-    pub fn is_complete(&self) -> bool {
-        self.observed >= self.expected
-    }
-
     /// Fold another section's counts into this one.
     pub fn merge(&mut self, other: Coverage) {
         self.observed += other.observed;
@@ -297,8 +292,7 @@ mod tests {
     fn ratio_handles_empty_sections() {
         assert_eq!(Coverage::default().ratio(), 1.0);
         assert_eq!(Coverage::new(3, 4).ratio(), 0.75);
-        assert!(Coverage::new(4, 4).is_complete());
-        assert!(!Coverage::new(3, 4).is_complete());
+        assert_eq!(Coverage::new(4, 4).ratio(), 1.0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Capture taps: the two vantage points of the paper's methodology.
 //!
 //! * [`RouterTap`] — the RPi bridged-AP router. Sees **every** packet the
-//!   device exchanges, but cannot decrypt TLS: each captured [`FlowRecord`]
-//!   carries only endpoint, direction, timing and ciphertext size.
+//!   device exchanges, but cannot decrypt TLS: each captured packet carries
+//!   only endpoint, direction, timing and ciphertext size.
 //! * [`AvsTap`] — the instrumented AVS Device SDK. Logs payloads **before**
 //!   encryption, so captured packets retain their typed records. The AVS
 //!   Echo's limitations are enforced by the device model in
@@ -15,25 +15,8 @@
 //! that attribution.
 
 use crate::domain::Domain;
-use crate::packet::{Direction, Packet, Payload};
+use crate::packet::{Packet, Payload};
 use alexa_fault::{FaultChannel, FaultKey, FaultPlane};
-use std::net::Ipv4Addr;
-
-/// One flow observation from the router vantage point: everything `tcpdump`
-/// can say about an encrypted exchange.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowRecord {
-    /// Milliseconds since the start of the experiment.
-    pub ts_ms: u64,
-    /// Direction relative to the device.
-    pub direction: Direction,
-    /// Remote endpoint name (from DNS packets in the same capture).
-    pub remote: Domain,
-    /// Remote endpoint address.
-    pub remote_ip: Ipv4Addr,
-    /// Ciphertext bytes on the wire.
-    pub bytes: usize,
-}
 
 /// A labelled set of packets recorded by one tap session.
 ///
@@ -54,11 +37,6 @@ impl Capture {
             label: label.into(),
             packets: Vec::new(),
         }
-    }
-
-    /// Total bytes across all packets.
-    pub fn total_bytes(&self) -> usize {
-        self.packets.iter().map(|p| p.payload.wire_len()).sum()
     }
 
     /// Distinct remote endpoints contacted, sorted.
@@ -271,26 +249,6 @@ impl RouterTap {
         self.stop();
         self.finished
     }
-
-    /// Flatten all captures into router-view flow records.
-    pub fn flow_records(&self) -> Vec<(String, FlowRecord)> {
-        let mut out = Vec::new();
-        for c in &self.finished {
-            for p in &c.packets {
-                out.push((
-                    c.label.clone(),
-                    FlowRecord {
-                        ts_ms: p.ts_ms,
-                        direction: p.direction,
-                        remote: p.remote.clone(),
-                        remote_ip: p.remote_ip,
-                        bytes: p.payload.wire_len(),
-                    },
-                ));
-            }
-        }
-        out
-    }
 }
 
 /// The AVS Echo tap: records payloads before encryption.
@@ -415,6 +373,14 @@ impl AvsTap {
 mod tests {
     use super::*;
     use crate::packet::{DataType, Payload, Record};
+    use std::net::Ipv4Addr;
+
+    impl Capture {
+        /// Total bytes across all packets.
+        fn total_bytes(&self) -> usize {
+            self.packets.iter().map(|p| p.payload.wire_len()).sum()
+        }
+    }
 
     fn pkt(ts: u64, name: &str, records: Vec<Record>) -> Packet {
         Packet::outgoing(
@@ -479,23 +445,6 @@ mod tests {
         assert_eq!(caps[0].label, "garmin");
         assert_eq!(caps[1].label, "sonos");
         assert_eq!(caps[0].packets[0].remote.as_str(), "static.garmincdn.com");
-    }
-
-    #[test]
-    fn flow_records_flatten_with_labels() {
-        let mut tap = RouterTap::new();
-        tap.start("a");
-        tap.observe(&pkt(
-            1,
-            "amazon.com",
-            vec![Record::new(DataType::SkillId, "x")],
-        ));
-        tap.observe(&pkt(2, "chtbl.com", vec![]));
-        tap.stop();
-        let flows = tap.flow_records();
-        assert_eq!(flows.len(), 2);
-        assert_eq!(flows[0].0, "a");
-        assert_eq!(flows[1].1.remote.as_str(), "chtbl.com");
     }
 
     #[test]

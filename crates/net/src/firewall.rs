@@ -37,18 +37,6 @@ pub struct FirewallStats {
     pub blocked: usize,
 }
 
-impl FirewallStats {
-    /// Share of traffic that was blocked.
-    pub fn blocked_share(&self) -> f64 {
-        let total = self.allowed + self.blocked;
-        if total == 0 {
-            0.0
-        } else {
-            self.blocked as f64 / total as f64
-        }
-    }
-}
-
 /// A router-resident advertising & tracking firewall.
 ///
 /// ```
@@ -217,11 +205,5 @@ mod tests {
                 blocked: 1
             }
         );
-        assert!((fw.stats().blocked_share() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_share_is_zero() {
-        assert_eq!(FirewallStats::default().blocked_share(), 0.0);
     }
 }

@@ -39,11 +39,6 @@ impl FlowStats {
     pub fn bytes(&self) -> usize {
         self.bytes_out + self.bytes_in
     }
-
-    /// Activity span in milliseconds.
-    pub fn span_ms(&self) -> u64 {
-        self.last_seen_ms.saturating_sub(self.first_seen_ms)
-    }
 }
 
 /// Per-endpoint aggregation over a capture set.
@@ -135,7 +130,6 @@ mod tests {
         assert_eq!(amazon.bytes(), 500);
         assert_eq!(amazon.first_seen_ms, 1);
         assert_eq!(amazon.last_seen_ms, 5);
-        assert_eq!(amazon.span_ms(), 4);
         assert_eq!(stats.len(), 2);
     }
 

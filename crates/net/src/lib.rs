@@ -18,25 +18,26 @@
 //! Pi-hole-style [`FilterList`] for advertising & tracking classification.
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 
-pub mod capture;
-pub mod dns;
-pub mod domain;
-pub mod filterlist;
-pub mod firewall;
-pub mod flowstats;
-pub mod orgmap;
-pub mod packet;
-pub mod trace;
+mod capture;
+mod dns;
+mod domain;
+mod filterlist;
+mod firewall;
+mod flowstats;
+mod orgmap;
+mod packet;
+mod trace;
 
-pub use capture::{AvsTap, Capture, FlowRecord, RouterTap, TapStats};
+pub use capture::{AvsTap, Capture, RouterTap, TapStats};
 pub use dns::DnsTable;
 pub use domain::Domain;
 pub use filterlist::{FilterList, TrafficPurpose};
 pub use firewall::{Firewall, FirewallStats, Verdict};
-pub use flowstats::{aggregate as aggregate_flows, FlowStats};
-pub use orgmap::{OrgClass, OrgMap};
+pub use flowstats::{aggregate as aggregate_flows, top_by_bytes, FlowStats};
+pub use orgmap::{OrgClass, OrgMap, AMAZON};
 pub use packet::{DataType, Direction, Packet, Payload, Record};
 pub use trace::{read_trace, write_trace, TraceError};

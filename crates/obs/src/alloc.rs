@@ -38,6 +38,7 @@
 use crate::hist::{Histogram, BUCKETS};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
     /// Monotone: allocations performed by this thread (unpaused).
@@ -242,26 +243,26 @@ pub fn release_free_memory() {
 }
 
 /// This process's peak resident set size in kilobytes, from the `VmHWM`
-/// line of `/proc/self/status`. Returns 0 when unavailable (non-Linux).
+/// line of `/proc/self/status`. Returns 0 when never available (non-Linux).
+///
+/// The kernel folds the current RSS into its high-water mark lazily, so
+/// two successive `VmHWM` readings can decrease. Every reading goes
+/// through one process-wide running maximum, which makes successive calls
+/// never decrease: stage samples and per-cell figures stay monotone.
 ///
 /// This is an OS-level, schedule-dependent number: it depends on worker
 /// count, allocator behaviour, and what the process did before the call.
 /// It belongs on the volatile channel only — never in a committed surface.
 pub fn peak_rss_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            return rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-        }
-    }
-    0
+    static PEAK_KB: AtomicU64 = AtomicU64::new(0);
+    let hwm = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let rest = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            rest.trim().trim_end_matches("kB").trim().parse().ok()
+        })
+        .unwrap_or(0);
+    PEAK_KB.fetch_max(hwm, Ordering::Relaxed).max(hwm)
 }
 
 #[cfg(test)]
@@ -346,6 +347,21 @@ mod tests {
         // On Linux this must be a real, nonzero reading.
         if std::path::Path::new("/proc/self/status").exists() {
             assert!(peak_rss_kb() > 0);
+        }
+    }
+
+    #[test]
+    fn peak_rss_never_decreases_across_calls() {
+        let mut last = peak_rss_kb();
+        for round in 0..64 {
+            // Grow and free some memory between readings, so the kernel's
+            // high-water mark has something to lag behind.
+            let block = vec![round as u8; 1 << 20];
+            std::hint::black_box(&block);
+            drop(block);
+            let now = peak_rss_kb();
+            assert!(now >= last, "peak rss fell from {last} to {now} kB");
+            last = now;
         }
     }
 }

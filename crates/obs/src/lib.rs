@@ -1,7 +1,7 @@
 //! `alexa-obs` — structured observability for the audit pipeline.
 //!
 //! The reproduction's core invariant is that a fixed seed produces a
-//! byte-identical [`Observations`] record for any worker count. That rules
+//! byte-identical `Observations` record for any worker count. That rules
 //! out any tracing design where the *act of observing* can perturb the run
 //! (global sequence numbers feeding RNGs, interleaved logs merged in arrival
 //! order, ...). This crate provides the observability primitives that stay

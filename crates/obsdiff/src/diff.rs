@@ -78,13 +78,6 @@ impl DiffReport {
         self.findings.iter().all(|f| f.severity == Severity::Note)
     }
 
-    /// Whether any difference reached [`Severity::Regression`].
-    pub fn has_regression(&self) -> bool {
-        self.findings
-            .iter()
-            .any(|f| f.severity == Severity::Regression)
-    }
-
     fn count(&self, sev: Severity) -> usize {
         self.findings.iter().filter(|f| f.severity == sev).count()
     }

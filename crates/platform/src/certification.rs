@@ -82,7 +82,7 @@ pub fn dynamic_review(skill: &Skill, observed_endpoints: &[alexa_net::Domain]) -
     // device-metrics-us-2.amazon.com) are not the skill's doing.
     let at: Vec<String> = observed_endpoints
         .iter()
-        .filter(|d| fl.is_ad_tracking(d) && orgs.org_of(d) != Some(alexa_net::orgmap::AMAZON))
+        .filter(|d| fl.is_ad_tracking(d) && orgs.org_of(d) != Some(alexa_net::AMAZON))
         .map(|d| d.as_str().to_string())
         .collect();
     if !skill.streaming && !at.is_empty() {

@@ -27,9 +27,6 @@ use crate::skill::Skill;
 use alexa_fault::Fnv1a;
 use alexa_net::{DataType, DnsTable, Domain, Packet, Payload, Record};
 
-/// Amazon's organization name (shared with `alexa-net`'s [`alexa_net::OrgMap`]).
-pub const AMAZON_ORG: &str = alexa_net::orgmap::AMAZON;
-
 /// The 11 `amazon.com` voice/infrastructure subdomains of Table 1.
 const AMAZON_SUBDOMAINS: &[&str] = &[
     "avs-alexa-na.amazon.com",
@@ -66,7 +63,7 @@ const AWS_HOSTS: &[&str] = &[
 
 /// Kind of interaction generating a session's traffic.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InteractionKind {
+pub(crate) enum InteractionKind {
     /// Skill installation / enablement (via the web companion app).
     Install,
     /// A voice utterance delivered to the skill (already transcribed).
@@ -121,11 +118,6 @@ impl AlexaCloud {
         self.clock_ms
     }
 
-    /// Advance the simulation clock.
-    pub fn advance(&mut self, ms: u64) {
-        self.clock_ms += ms;
-    }
-
     /// Access the DNS table (for reverse resolution in analyses).
     pub fn dns(&self) -> &DnsTable {
         &self.dns
@@ -169,7 +161,7 @@ impl AlexaCloud {
     /// Amazon-organization endpoints, so skill backends are never contacted.
     /// Device-model constraints (streaming unsupported on AVS) are enforced
     /// by the caller in `device.rs`.
-    pub fn session_traffic(
+    pub(crate) fn session_traffic(
         &mut self,
         account: &str,
         customer_id: &str,
@@ -334,7 +326,9 @@ impl Default for AlexaCloud {
 mod tests {
     use super::*;
     use crate::category::SkillCategory;
+    use crate::marketplace::Marketplace;
     use crate::skill::{PolicySpec, SkillId};
+    use proptest::prelude::*;
 
     fn skill(backends: &[&str], collects: &[DataType]) -> Skill {
         Skill {
@@ -400,7 +394,7 @@ mod tests {
         for p in &pkts {
             assert_eq!(
                 orgs.org_of(&p.remote),
-                Some(AMAZON_ORG),
+                Some(alexa_net::AMAZON),
                 "leaked to {}",
                 p.remote
             );
@@ -478,6 +472,32 @@ mod tests {
             cloud.session_traffic("a", "c", &s, &InteractionKind::Utterance("x".into()), false);
         for w in pkts.windows(2) {
             assert!(w[0].ts_ms < w[1].ts_ms);
+        }
+    }
+
+    proptest! {
+        // Marketplace generation is expensive; keep the case count modest.
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn session_traffic_is_deterministic_and_monotone(seed in 0u64..50_000) {
+            let m = Marketplace::generate(seed);
+            let skill = m.top_skills(SkillCategory::ConnectedCar, 1)[0];
+            let gen = || {
+                AlexaCloud::new().session_traffic(
+                    "acct",
+                    "cid",
+                    skill,
+                    &InteractionKind::Utterance("hello".into()),
+                    false,
+                )
+            };
+            let a = gen();
+            let b = gen();
+            prop_assert_eq!(&a, &b);
+            for w in a.windows(2) {
+                prop_assert!(w[0].ts_ms <= w[1].ts_ms);
+            }
         }
     }
 }

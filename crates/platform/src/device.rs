@@ -380,7 +380,7 @@ mod tests {
         let traffic = avs.interact(&mut cloud, &s, "Alexa, open skill y").unwrap();
         let orgs = alexa_net::OrgMap::new();
         for p in &traffic {
-            assert_eq!(orgs.org_of(&p.remote), Some(alexa_net::orgmap::AMAZON));
+            assert_eq!(orgs.org_of(&p.remote), Some(alexa_net::AMAZON));
         }
     }
 

@@ -812,7 +812,7 @@ pub struct Marketplace {
 }
 
 /// Number of skills installed per category (the paper's top-50).
-pub const SKILLS_PER_CATEGORY: usize = 50;
+const SKILLS_PER_CATEGORY: usize = 50;
 
 impl Marketplace {
     /// Generate the full catalog from a seed. The same seed always yields an
@@ -935,6 +935,8 @@ impl Marketplace {
     }
 
     /// Look up a skill by display name.
+    // Only tests call this today; it carries §4.2's certification-gap
+    // claim (EXPERIMENTS.md) until the claim ledger computes it.
     pub fn by_name(&self, name: &str) -> Option<&Skill> {
         self.skills
             .iter()
@@ -1005,7 +1007,7 @@ fn skill_from_pin(pin: &Pin) -> Skill {
                 ..PolicySpec::none()
             };
             spec.endpoint_disclosures
-                .insert(crate::cloud::AMAZON_ORG.to_string(), amazon);
+                .insert(alexa_net::AMAZON.to_string(), amazon);
             spec
         }
     };
@@ -1199,15 +1201,15 @@ fn assign_data_disclosures(skills: &mut [Skill], rng: &mut StdRng) {
 /// Amazon; Garmin & YouVersion clear about their own orgs; a few skills
 /// vague about third parties, the rest omitted.
 fn assign_endpoint_disclosures(skills: &mut [Skill], rng: &mut StdRng) {
-    use crate::cloud::AMAZON_ORG;
+    use alexa_net::AMAZON;
     // Pinned Platform{..} skills already disclose Amazon. Count them.
     let have_clear = skills
         .iter()
-        .filter(|s| s.policy.endpoint_disclosures.get(AMAZON_ORG) == Some(&DisclosureLevel::Clear))
+        .filter(|s| s.policy.endpoint_disclosures.get(AMAZON) == Some(&DisclosureLevel::Clear))
         .count();
     let have_vague = skills
         .iter()
-        .filter(|s| s.policy.endpoint_disclosures.get(AMAZON_ORG) == Some(&DisclosureLevel::Vague))
+        .filter(|s| s.policy.endpoint_disclosures.get(AMAZON) == Some(&DisclosureLevel::Vague))
         .count();
 
     // Clear Amazon disclosures name Amazon in the rendered text, so they
@@ -1221,7 +1223,7 @@ fn assign_endpoint_disclosures(skills: &mut [Skill], rng: &mut StdRng) {
         .filter(|(_, s)| {
             s.policy.has_document()
                 && s.policy.mentions_platform
-                && !s.policy.endpoint_disclosures.contains_key(AMAZON_ORG)
+                && !s.policy.endpoint_disclosures.contains_key(AMAZON)
         })
         .map(|(i, _)| i)
         .collect();
@@ -1231,14 +1233,14 @@ fn assign_endpoint_disclosures(skills: &mut [Skill], rng: &mut StdRng) {
         skills[i]
             .policy
             .endpoint_disclosures
-            .insert(AMAZON_ORG.to_string(), DisclosureLevel::Clear);
+            .insert(AMAZON.to_string(), DisclosureLevel::Clear);
     }
 
     let mut doc_holders: Vec<usize> = skills
         .iter()
         .enumerate()
         .filter(|(_, s)| {
-            s.policy.has_document() && !s.policy.endpoint_disclosures.contains_key(AMAZON_ORG)
+            s.policy.has_document() && !s.policy.endpoint_disclosures.contains_key(AMAZON)
         })
         .map(|(i, _)| i)
         .collect();
@@ -1253,7 +1255,7 @@ fn assign_endpoint_disclosures(skills: &mut [Skill], rng: &mut StdRng) {
         skills[i]
             .policy
             .endpoint_disclosures
-            .insert(AMAZON_ORG.to_string(), level);
+            .insert(AMAZON.to_string(), level);
     }
 
     // First-party disclosures: Garmin and the YouVersion skills clearly name
@@ -1536,7 +1538,7 @@ mod tests {
         for s in m.all().iter().filter(|s| {
             s.backends.iter().any(|b| {
                 orgs.org_of(b)
-                    .map(|o| o != s.vendor && o != crate::cloud::AMAZON_ORG)
+                    .map(|o| o != s.vendor && o != alexa_net::AMAZON)
                     .unwrap_or(true)
             })
         }) {

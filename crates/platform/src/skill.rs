@@ -139,14 +139,6 @@ impl Skill {
     pub fn has_non_amazon_backend(&self) -> bool {
         !self.backends.is_empty()
     }
-
-    /// Utterances to replay during interaction: the invocation phrase plus
-    /// every sample utterance from the description.
-    pub fn interaction_script(&self) -> Vec<String> {
-        let mut script = vec![format!("open {}", self.invocation)];
-        script.extend(self.sample_utterances.iter().cloned());
-        script
-    }
 }
 
 #[cfg(test)]
@@ -177,14 +169,6 @@ mod tests {
         let s = sample_skill();
         assert!(s.collects_type(DataType::SkillId));
         assert!(!s.collects_type(DataType::AudioPlayerEvent));
-    }
-
-    #[test]
-    fn interaction_script_starts_with_invocation() {
-        let s = sample_skill();
-        let script = s.interaction_script();
-        assert_eq!(script[0], "open test skill");
-        assert_eq!(script.len(), 2);
     }
 
     #[test]

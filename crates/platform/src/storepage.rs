@@ -1,7 +1,7 @@
 //! Skill store pages and their scraping.
 //!
 //! §3.1.1: the paper's Selenium crawler visits each skill's marketplace
-//! page, installs the skill, and "parse[s] skill descriptions to extract
+//! page, installs the skill, and "parse\[s\] skill descriptions to extract
 //! additional invocation utterances provided by the skill developer". This
 //! module renders the store page a skill would have and provides the parser
 //! the audit uses — so the experiment's utterance list comes from the same
@@ -61,12 +61,6 @@ pub fn parse_sample_utterances(page: &str) -> Vec<String> {
         .collect()
 }
 
-/// Whether the store page advertises a privacy-policy link.
-pub fn has_policy_link(page: &str) -> bool {
-    page.lines()
-        .any(|l| l.trim_start().starts_with("Privacy policy:"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,7 +96,9 @@ mod tests {
         assert!(page.contains("# Garmin"));
         assert!(page.contains("2143 customer reviews"));
         assert!(page.contains("Try saying: \"Alexa, where is my car\""));
-        assert!(has_policy_link(&page));
+        assert!(
+            page.contains("\nPrivacy policy: https://garmininternational.example.com/privacy\n")
+        );
     }
 
     #[test]
@@ -117,7 +113,7 @@ mod tests {
     fn page_without_policy_has_no_link() {
         let mut s = skill();
         s.policy = PolicySpec::none();
-        assert!(!has_policy_link(&render_store_page(&s)));
+        assert!(!render_store_page(&s).contains("Privacy policy:"));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub struct VoicePipeline {
 }
 
 /// The wake word recognized by the pipeline.
-pub const WAKE_WORD: &str = "alexa";
+const WAKE_WORD: &str = "alexa";
 
 impl VoicePipeline {
     /// Create a pipeline with the default noise configuration.

@@ -1,4 +1,4 @@
-//! Flow extraction: captures → `<data type, entity>` tuples.
+//! Flow extraction: captures → the halves of `<data type, entity>` tuples.
 //!
 //! PoliCheck consumes data flows. Because of the two-vantage-point setup the
 //! paper extracts the two tuple halves from *different* captures (§7.2):
@@ -8,17 +8,6 @@
 
 use alexa_net::{Capture, DataType, OrgMap};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// One extracted data flow for a skill.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct DataFlow {
-    /// Skill the flow is attributed to (capture label).
-    pub skill: String,
-    /// Receiving organization.
-    pub entity: String,
-    /// Data type, when observable (plaintext captures only).
-    pub data_type: Option<DataType>,
-}
 
 /// Extracts flows from capture sets.
 #[derive(Debug, Default)]
@@ -71,29 +60,6 @@ impl FlowExtractor {
             }
         }
         out
-    }
-
-    /// Full tuples from plaintext captures: `<data type, entity>` per skill.
-    pub fn full_flows(&self, captures: &[Capture], orgs: &OrgMap) -> Vec<DataFlow> {
-        let mut flows = BTreeSet::new();
-        for cap in captures {
-            for packet in &cap.packets {
-                if let Some(records) = packet.payload.records() {
-                    let org = orgs
-                        .org_of(&packet.remote)
-                        .map(str::to_string)
-                        .unwrap_or_else(|| packet.remote.as_str().to_string());
-                    for r in records {
-                        flows.insert(DataFlow {
-                            skill: cap.label.clone(),
-                            entity: org.clone(),
-                            data_type: Some(r.data_type),
-                        });
-                    }
-                }
-            }
-        }
-        flows.into_iter().collect()
     }
 }
 
@@ -170,21 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn full_flows_pair_type_and_entity() {
-        let orgs = OrgMap::new();
-        let captures = vec![cap(
-            "sonos",
-            vec![plain("avs-alexa-na.amazon.com", DataType::VoiceRecording)],
-        )];
-        let flows = FlowExtractor::new().full_flows(&captures, &orgs);
-        assert_eq!(flows.len(), 1);
-        assert_eq!(flows[0].entity, "Amazon Technologies, Inc.");
-        assert_eq!(flows[0].data_type, Some(DataType::VoiceRecording));
-    }
-
-    #[test]
     fn flows_deduplicate() {
-        let orgs = OrgMap::new();
         let captures = vec![cap(
             "s",
             vec![
@@ -192,6 +144,6 @@ mod tests {
                 plain("api.amazon.com", DataType::CustomerId),
             ],
         )];
-        assert_eq!(FlowExtractor::new().full_flows(&captures, &orgs).len(), 1);
+        assert_eq!(FlowExtractor::new().data_types(&captures)["s"].len(), 1);
     }
 }

@@ -1,4 +1,5 @@
-//! Renders English policy text from a skill's planted [`PolicySpec`].
+//! Renders English policy text from a skill's planted
+//! [`PolicySpec`](alexa_platform::PolicySpec).
 //!
 //! The real study downloads policies from the marketplace; our substitute
 //! renders realistic text whose disclosure content is controlled by the

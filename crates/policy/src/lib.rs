@@ -14,25 +14,26 @@
 //!   term, a hypernym, or not at all?
 //!
 //! Because the real marketplace's policy documents are unavailable, the
-//! [`generator`] renders realistic English policy text from each skill's
+//! [`PolicyGenerator`] renders realistic English policy text from each skill's
 //! planted [`alexa_platform::PolicySpec`]; the analyzer sees **only the
-//! text**, and [`validate`] measures recovery against the spec exactly like
+//! text**, and [`validate_against_ground_truth`] measures recovery against the spec exactly like
 //! the paper's §7.2.3 validation (micro/macro P/R/F1).
 
 #![forbid(unsafe_code)]
+#![deny(unreachable_pub)]
 #![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 
-pub mod document;
-pub mod extractor;
-pub mod fetcher;
-pub mod generator;
-pub mod ontology;
-pub mod policheck;
-pub mod validate;
+mod document;
+mod extractor;
+mod fetcher;
+mod generator;
+mod ontology;
+mod policheck;
+mod validate;
 
 pub use document::PolicyDoc;
-pub use extractor::{DataFlow, FlowExtractor};
+pub use extractor::FlowExtractor;
 pub use fetcher::{FetchError, PolicyFetcher};
 pub use generator::PolicyGenerator;
 pub use ontology::{DataOntology, EntityOntology, OntologyCategory};

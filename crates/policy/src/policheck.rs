@@ -178,7 +178,7 @@ impl PoliCheck {
         // Amazon is also clearly disclosed by its informal names — but only
         // in sentences stating a data practice ("works with Amazon Alexa"
         // does not disclose collection).
-        if org == alexa_net::orgmap::AMAZON
+        if org == alexa_net::AMAZON
             && policy
                 .practices()
                 .any(|s| s.contains("amazon") || s.contains("alexa"))
@@ -278,7 +278,7 @@ mod tests {
         let pc = PoliCheck::new();
         let d = doc("The actual recording of your voice command is then sent to the voice partner you have authorized, for example Amazon.");
         assert_eq!(
-            pc.classify_endpoint(Some(&d), alexa_net::orgmap::AMAZON),
+            pc.classify_endpoint(Some(&d), alexa_net::AMAZON),
             DisclosureClass::Clear
         );
     }
@@ -289,7 +289,7 @@ mod tests {
         // Harmony's wording: analytics tool → vague for Amazon (analytic provider).
         let d = doc("Products may send pseudonymous information to an analytics tool.");
         assert_eq!(
-            pc.classify_endpoint(Some(&d), alexa_net::orgmap::AMAZON),
+            pc.classify_endpoint(Some(&d), alexa_net::AMAZON),
             DisclosureClass::Vague
         );
         // Charles Stanley Radio's wording for third parties.
@@ -309,7 +309,7 @@ mod tests {
             DisclosureClass::Vague
         );
         assert_eq!(
-            pc.classify_endpoint(Some(&d), alexa_net::orgmap::AMAZON),
+            pc.classify_endpoint(Some(&d), alexa_net::AMAZON),
             DisclosureClass::Omitted
         );
     }
@@ -436,7 +436,7 @@ mod tests {
                 statements.iter().any(|s| states_practice(s) && pred(s))
             };
             if practice(&|s| s.contains(&org_lower))
-                || (org == alexa_net::orgmap::AMAZON
+                || (org == alexa_net::AMAZON
                     && practice(&|s| s.contains("amazon") || s.contains("alexa")))
             {
                 return DisclosureClass::Clear;
@@ -473,7 +473,7 @@ mod tests {
 
         /// Endpoint class of a raw document, optionally min-merged with
         /// Amazon's raw policy.
-        pub fn endpoint(
+        pub(super) fn endpoint(
             pc: &PoliCheck,
             doc: Option<&PolicyDoc>,
             org: &str,
@@ -493,7 +493,7 @@ mod tests {
 
         /// Data-type class of a raw document, optionally min-merged with
         /// Amazon's raw policy.
-        pub fn data_type(
+        pub(super) fn data_type(
             pc: &PoliCheck,
             doc: Option<&PolicyDoc>,
             dt: DataType,
@@ -549,7 +549,7 @@ mod tests {
                 .iter()
                 .flat_map(|s| s.policy.endpoint_disclosures.keys().map(String::as_str))
                 .collect();
-            orgs.extend([alexa_net::orgmap::AMAZON, "Podtrac Inc", "Unlisted Org LLC"]);
+            orgs.extend([alexa_net::AMAZON, "Podtrac Inc", "Unlisted Org LLC"]);
             let orgs: Vec<&str> = orgs.into_iter().collect();
             let docs: Vec<PolicyDoc> = market
                 .all()
@@ -630,7 +630,7 @@ mod tests {
                 .map(|(fragment, mode, brk)| cased(fragment, *mode) + brk)
                 .collect();
             let orgs = [
-                alexa_net::orgmap::AMAZON,
+                alexa_net::AMAZON,
                 "Podtrac Inc",
                 "Voice Apps LLC",
                 "Unlisted Org LLC",

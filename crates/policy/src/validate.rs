@@ -4,7 +4,8 @@
 //! The paper visually inspected the flows of 100 skills and compared the
 //! manual labels with PoliCheck's output as a multi-class classification,
 //! reporting 87.41% micro-averaged P/R/F1 and 93.96 / 77.85 / 85.15%
-//! macro-averaged. Here the ground truth is each skill's [`PolicySpec`]
+//! macro-averaged. Here the ground truth is each skill's
+//! [`PolicySpec`](alexa_platform::PolicySpec)
 //! (what the generator was told to express); the prediction is what
 //! PoliCheck recovers from the rendered text. The generator's deliberate
 //! off-lexicon quirks keep the agreement below 100%.

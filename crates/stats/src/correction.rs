@@ -10,17 +10,13 @@
 /// input. Adjusted values are clamped to [0, 1] and made monotone.
 pub fn holm_bonferroni(p_values: &[f64]) -> Vec<f64> {
     let m = p_values.len();
-    if m == 0 {
-        return Vec::new();
-    }
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_by(|&a, &b| p_values[a].total_cmp(&p_values[b]));
     let mut adjusted = vec![0.0; m];
     let mut running_max = 0.0f64;
-    for (rank, &idx) in order.iter().enumerate() {
-        let adj = ((m - rank) as f64 * p_values[idx]).min(1.0);
-        running_max = running_max.max(adj);
-        adjusted[idx] = running_max;
+    for (rank, (idx, p)) in ascending(p_values).into_iter().enumerate() {
+        running_max = running_max.max(((m - rank) as f64 * p).min(1.0));
+        if let Some(slot) = adjusted.get_mut(idx) {
+            *slot = running_max;
+        }
     }
     adjusted
 }
@@ -28,30 +24,23 @@ pub fn holm_bonferroni(p_values: &[f64]) -> Vec<f64> {
 /// Benjamini–Hochberg step-up adjusted p-values (FDR), index-aligned.
 pub fn benjamini_hochberg(p_values: &[f64]) -> Vec<f64> {
     let m = p_values.len();
-    if m == 0 {
-        return Vec::new();
-    }
-    let mut order: Vec<usize> = (0..m).collect();
-    order.sort_by(|&a, &b| p_values[a].total_cmp(&p_values[b]));
     let mut adjusted = vec![0.0; m];
     let mut running_min = 1.0f64;
-    for rank in (0..m).rev() {
-        let idx = order[rank];
-        let adj = (m as f64 / (rank + 1) as f64 * p_values[idx]).min(1.0);
-        running_min = running_min.min(adj);
-        adjusted[idx] = running_min;
+    for (rank, (idx, p)) in ascending(p_values).into_iter().enumerate().rev() {
+        running_min = running_min.min((m as f64 / (rank + 1) as f64 * p).min(1.0));
+        if let Some(slot) = adjusted.get_mut(idx) {
+            *slot = running_min;
+        }
     }
     adjusted
 }
 
-/// Indices significant at `alpha` after a correction.
-pub fn significant_after(adjusted: &[f64], alpha: f64) -> Vec<usize> {
-    adjusted
-        .iter()
-        .enumerate()
-        .filter(|(_, &p)| p < alpha)
-        .map(|(i, _)| i)
-        .collect()
+/// `(index, p)` pairs in ascending `p` order; equal p-values keep their
+/// input order.
+fn ascending(p_values: &[f64]) -> Vec<(usize, f64)> {
+    let mut order: Vec<(usize, f64)> = p_values.iter().copied().enumerate().collect();
+    order.sort_by(|a, b| a.1.total_cmp(&b.1));
+    order
 }
 
 #[cfg(test)]
@@ -110,12 +99,5 @@ mod tests {
         for (hh, bb) in h.iter().zip(&b) {
             assert!(hh >= bb, "holm {hh} < bh {bb}");
         }
-    }
-
-    #[test]
-    fn significance_helper() {
-        let adj = [0.01, 0.2, 0.04];
-        assert_eq!(significant_after(&adj, 0.05), vec![0, 2]);
-        assert!(significant_after(&adj, 0.001).is_empty());
     }
 }

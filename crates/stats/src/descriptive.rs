@@ -13,26 +13,16 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
     Some(xs.iter().sum::<f64>() / xs.len() as f64)
 }
 
-/// Sample median (the 0.5 quantile). Returns `None` for an empty sample.
-pub fn median(xs: &[f64]) -> Option<f64> {
-    quantile(xs, 0.5)
-}
-
-/// [`median`] of a sample the caller owns, selected in place: same bits, no
-/// copy, but `xs` is left reordered.
+/// Sample median (the 0.5 quantile) of a sample the caller owns, selected
+/// in place: no copy, but `xs` is left reordered. Returns `None` for an
+/// empty sample.
 pub fn median_in_place(xs: &mut [f64]) -> Option<f64> {
     quantile_in_place(xs, 0.5)
 }
 
-/// Linear-interpolation quantile (type 7). `q` must be within `[0, 1]`.
-///
-/// Returns `None` if the sample is empty or `q` is out of range / not finite.
-pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
-    quantile_in_place(&mut xs.to_vec(), q)
-}
-
-/// [`quantile`] selected in place: same bits, no copy, but `xs` is left
-/// reordered.
+/// Linear-interpolation quantile (type 7), selected in place: no copy, but
+/// `xs` is left reordered. Returns `None` if the sample is empty or `q` is
+/// outside `[0, 1]` or not finite.
 fn quantile_in_place(xs: &mut [f64], q: f64) -> Option<f64> {
     if xs.is_empty() || !(0.0..=1.0).contains(&q) {
         return None;
@@ -57,23 +47,19 @@ fn quantile_in_place(xs: &mut [f64], q: f64) -> Option<f64> {
 }
 
 /// Quantile of an already ascending-sorted slice. An empty slice yields
-/// `NaN` (every in-crate caller guards for non-emptiness first).
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    let n = sorted.len();
-    let Some(&first) = sorted.first() else {
-        return f64::NAN;
-    };
-    if n == 1 {
-        return first;
-    }
-    let pos = q * (n - 1) as f64;
+/// `NaN` (every caller guards for non-emptiness first).
+fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+    let last = sorted.len().saturating_sub(1);
+    let pos = q * last as f64;
     let lo = pos.floor() as usize;
-    let hi = (pos.ceil() as usize).min(n - 1);
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    let hi = (pos.ceil() as usize).min(last);
+    match (sorted.get(lo), sorted.get(hi)) {
+        (Some(&at_lo), Some(_)) if lo == hi => at_lo,
+        (Some(&at_lo), Some(&at_hi)) => {
+            let frac = pos - lo as f64;
+            at_lo * (1.0 - frac) + at_hi * frac
+        }
+        _ => f64::NAN,
     }
 }
 
@@ -92,21 +78,6 @@ fn sort_total(xs: &mut [f64]) {
     xs.iter_mut().for_each(flip);
     xs.sort_unstable_by_key(|x| x.to_bits() as i64);
     xs.iter_mut().for_each(flip);
-}
-
-/// Unbiased (n−1 denominator) sample variance. `None` if fewer than 2 points.
-pub fn variance(xs: &[f64]) -> Option<f64> {
-    if xs.len() < 2 {
-        return None;
-    }
-    let m = mean(xs)?;
-    let ss: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum();
-    Some(ss / (xs.len() - 1) as f64)
-}
-
-/// Sample standard deviation. `None` if fewer than 2 points.
-pub fn stddev(xs: &[f64]) -> Option<f64> {
-    variance(xs).map(f64::sqrt)
 }
 
 /// A five-number summary plus mean — everything a box plot needs.
@@ -132,22 +103,11 @@ pub struct Summary {
     pub mean: f64,
 }
 
-impl Summary {
-    /// Interquartile range (`q3 − q1`).
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
-}
-
-/// Compute a [`Summary`] for a sample. Returns `None` for an empty sample.
-pub fn five_number_summary(xs: &[f64]) -> Option<Summary> {
-    five_number_summary_in_place(&mut xs.to_vec())
-}
-
-/// [`five_number_summary`] of a sample the caller owns, sorted in place:
-/// same bits, no copy, but `xs` is left sorted. Values `total_cmp` calls
-/// equal have equal bits, so an unstable sort yields the same sequence as
-/// a stable one, and the mean is summed in that same sorted order.
+/// Compute a [`Summary`] of a sample the caller owns, sorted in place: no
+/// copy, but `xs` is left sorted. Values `total_cmp` calls equal have equal
+/// bits, so an unstable sort yields the same sequence as a stable one, and
+/// the mean is summed in that same sorted order. Returns `None` for an
+/// empty sample.
 pub fn five_number_summary_in_place(xs: &mut [f64]) -> Option<Summary> {
     if xs.is_empty() {
         return None;
@@ -169,6 +129,7 @@ pub fn five_number_summary_in_place(xs: &mut [f64]) -> Option<Summary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn mean_of_empty_is_none() {
@@ -182,38 +143,29 @@ mod tests {
 
     #[test]
     fn median_odd_and_even() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
+        assert_eq!(median_in_place(&mut [3.0, 1.0, 2.0]), Some(2.0));
+        assert_eq!(median_in_place(&mut [4.0, 1.0, 2.0, 3.0]), Some(2.5));
     }
 
     #[test]
     fn quantile_bounds() {
         let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&xs, 0.0), Some(1.0));
-        assert_eq!(quantile(&xs, 1.0), Some(4.0));
-        assert_eq!(quantile(&xs, 1.5), None);
-        assert_eq!(quantile(&xs, -0.1), None);
+        assert_eq!(quantile_in_place(&mut xs.clone(), 0.0), Some(1.0));
+        assert_eq!(quantile_in_place(&mut xs.clone(), 1.0), Some(4.0));
+        assert_eq!(quantile_in_place(&mut xs.clone(), 1.5), None);
+        assert_eq!(quantile_in_place(&mut xs.clone(), -0.1), None);
     }
 
     #[test]
     fn quantile_interpolates() {
         // numpy.quantile([1,2,3,4], 0.25) == 1.75 with the type-7 estimator.
-        assert!((quantile(&[1.0, 2.0, 3.0, 4.0], 0.25).unwrap() - 1.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn variance_and_stddev() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        // Known example: population variance 4, sample variance 32/7.
-        assert!((variance(&xs).unwrap() - 32.0 / 7.0).abs() < 1e-12);
-        assert!((stddev(&xs).unwrap() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
-        assert_eq!(variance(&[1.0]), None);
+        let q = quantile_in_place(&mut [1.0, 2.0, 3.0, 4.0], 0.25).unwrap();
+        assert!((q - 1.75).abs() < 1e-12);
     }
 
     #[test]
     fn summary_matches_parts() {
-        let xs = [5.0, 1.0, 3.0, 2.0, 4.0];
-        let s = five_number_summary(&xs).unwrap();
+        let s = five_number_summary_in_place(&mut [5.0, 1.0, 3.0, 2.0, 4.0]).unwrap();
         assert_eq!(s.n, 5);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 5.0);
@@ -221,12 +173,11 @@ mod tests {
         assert_eq!(s.mean, 3.0);
         assert_eq!(s.q1, 2.0);
         assert_eq!(s.q3, 4.0);
-        assert_eq!(s.iqr(), 2.0);
     }
 
     #[test]
     fn summary_single_element() {
-        let s = five_number_summary(&[7.5]).unwrap();
+        let s = five_number_summary_in_place(&mut [7.5]).unwrap();
         assert_eq!(s.min, 7.5);
         assert_eq!(s.q1, 7.5);
         assert_eq!(s.median, 7.5);
@@ -234,29 +185,49 @@ mod tests {
         assert_eq!(s.max, 7.5);
     }
 
+    /// The reference the in-place variants must match bit for bit: a stable
+    /// `total_cmp` sort of a copy, its type-7 quantiles and its mean.
+    fn reference(xs: &[f64]) -> (Vec<f64>, [u64; 6]) {
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let q = |p| quantile_sorted(&sorted, p);
+        let want = [
+            sorted[0],
+            q(0.25),
+            q(0.5),
+            q(0.75),
+            sorted[sorted.len() - 1],
+            mean(&sorted).unwrap(),
+        ];
+        (sorted, want.map(f64::to_bits))
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn summary_bits(s: &Summary) -> [u64; 6] {
         [s.min, s.q1, s.median, s.q3, s.max, s.mean].map(f64::to_bits)
     }
 
-    /// The in-place variants return exactly the bits of the copying ones.
+    /// The in-place variants return exactly the bits of the sorted-copy
+    /// reference, and leave the sample sorted.
     fn assert_in_place_matches(xs: &[f64]) {
-        let copy = five_number_summary(xs).unwrap();
+        let (sorted, want) = reference(xs);
         let mut owned = xs.to_vec();
         let in_place = five_number_summary_in_place(&mut owned).unwrap();
-        assert_eq!(in_place.n, copy.n, "{xs:?}");
-        assert_eq!(summary_bits(&in_place), summary_bits(&copy), "{xs:?}");
-        assert!(owned.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
-        let mut owned = xs.to_vec();
+        assert_eq!(in_place.n, xs.len(), "{xs:?}");
+        assert_eq!(summary_bits(&in_place), want, "{xs:?}");
+        assert_eq!(bits(&owned), bits(&sorted), "{xs:?}");
         assert_eq!(
-            median_in_place(&mut owned).map(f64::to_bits),
-            median(xs).map(f64::to_bits),
+            median_in_place(&mut xs.to_vec()).map(f64::to_bits),
+            Some(quantile_sorted(&sorted, 0.5).to_bits()),
             "{xs:?}"
         );
         for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let mut owned = xs.to_vec();
             assert_eq!(
-                quantile_in_place(&mut owned, q).map(f64::to_bits),
-                quantile(xs, q).map(f64::to_bits),
+                quantile_in_place(&mut xs.to_vec(), q).map(f64::to_bits),
+                Some(quantile_sorted(&sorted, q).to_bits()),
                 "{xs:?} q={q}"
             );
         }
@@ -314,5 +285,35 @@ mod tests {
         assert_eq!(five_number_summary_in_place(&mut []), None);
         assert_eq!(median_in_place(&mut []), None);
         assert_eq!(quantile_in_place(&mut [1.0], 1.5), None);
+    }
+
+    fn sample(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
+        prop::collection::vec(-1e6..1e6f64, 1..max_len)
+    }
+
+    proptest! {
+        #[test]
+        fn quantiles_are_monotone(xs in sample(64), q1 in 0.0..1.0f64, q2 in 0.0..1.0f64) {
+            let (lo_q, hi_q) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
+            let lo = quantile_in_place(&mut xs.clone(), lo_q).unwrap();
+            let hi = quantile_in_place(&mut xs.clone(), hi_q).unwrap();
+            prop_assert!(lo <= hi + 1e-9);
+        }
+
+        #[test]
+        fn selected_quantile_equals_sorted_quantile(
+            xs in prop::collection::vec((-8i32..8).prop_map(|v| f64::from(v) * 0.5), 1..64),
+            q in (0u32..101).prop_map(|k| f64::from(k) / 100.0),
+        ) {
+            // quantile_in_place() selects order statistics instead of
+            // sorting; ties included, it must return the exact bits a full
+            // sort gives.
+            let mut sorted = xs.clone();
+            sorted.sort_by(f64::total_cmp);
+            prop_assert_eq!(
+                quantile_in_place(&mut xs.clone(), q).unwrap().to_bits(),
+                quantile_sorted(&sorted, q).to_bits()
+            );
+        }
     }
 }

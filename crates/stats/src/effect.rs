@@ -1,10 +1,10 @@
-//! Rank-biserial effect size and the paper's magnitude bands.
+//! The paper's magnitude bands for the rank-biserial effect size.
 //!
 //! The paper reports the rank-biserial coefficient alongside each
-//! Mann–Whitney p-value in Table 7 and reads magnitudes with the bands
-//! 0.11–0.28 (small), 0.28–0.43 (medium), ≥ 0.43 (large).
-
-use crate::mannwhitney::{mann_whitney_u, Alternative, MwuMethod};
+//! Mann–Whitney p-value in Table 7 (it is
+//! [`MwuResult::effect_size`](crate::MwuResult::effect_size)) and reads
+//! magnitudes with the bands 0.11–0.28 (small), 0.28–0.43 (medium),
+//! ≥ 0.43 (large).
 
 /// Magnitude bands for the rank-biserial coefficient used in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,19 +47,15 @@ impl std::fmt::Display for EffectMagnitude {
     }
 }
 
-/// Rank-biserial correlation between two samples: `2·U1/(n1·n2) − 1`.
-///
-/// Ranges over [−1, 1]; −1, 0, and 1 indicate stochastic subservience,
-/// equality, and dominance of `x` over `y`. Returns
-/// [`StatsError::EmptySample`](crate::StatsError::EmptySample) if either
-/// sample is empty.
-pub fn rank_biserial(x: &[f64], y: &[f64]) -> Result<f64, crate::StatsError> {
-    mann_whitney_u(x, y, Alternative::TwoSided, MwuMethod::Asymptotic).map(|r| r.effect_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{mann_whitney_u, Alternative, StatsError};
+
+    /// The rank-biserial coefficient `2·U1/(n1·n2) − 1` the U test reports.
+    fn rank_biserial(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
+        mann_whitney_u(x, y, Alternative::TwoSided).map(|r| r.effect_size)
+    }
 
     #[test]
     fn dominance_is_plus_one() {
@@ -83,10 +79,7 @@ mod tests {
 
     #[test]
     fn empty_is_a_typed_error() {
-        assert_eq!(
-            rank_biserial(&[], &[1.0]),
-            Err(crate::StatsError::EmptySample)
-        );
+        assert_eq!(rank_biserial(&[], &[1.0]), Err(StatsError::EmptySample));
     }
 
     #[test]

@@ -13,17 +13,12 @@ use std::fmt;
 pub enum StatsError {
     /// An input sample was empty.
     EmptySample,
-    /// A permutation test was requested with zero permutations.
-    ZeroPermutations,
 }
 
 impl fmt::Display for StatsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StatsError::EmptySample => write!(f, "empty sample"),
-            StatsError::ZeroPermutations => {
-                write!(f, "permutation test needs at least one permutation")
-            }
         }
     }
 }
@@ -37,8 +32,5 @@ mod tests {
     #[test]
     fn messages_are_specific() {
         assert_eq!(StatsError::EmptySample.to_string(), "empty sample");
-        assert!(StatsError::ZeroPermutations
-            .to_string()
-            .contains("at least one permutation"));
     }
 }

@@ -11,24 +11,21 @@
 /// Ties receive the average of the ranks they occupy. The returned vector is
 /// index-aligned with the input: `midranks(xs)[i]` is the rank of `xs[i]`.
 /// NaN values sort last under IEEE total order.
-pub fn midranks(xs: &[f64]) -> Vec<f64> {
-    let n = xs.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
-    let mut ranks = vec![0.0; n];
-    let mut i = 0;
-    while i < n {
-        // Find the extent of the tie group starting at sorted position i.
-        let mut j = i + 1;
-        while j < n && xs[order[j]] == xs[order[i]] {
-            j += 1;
+pub(crate) fn midranks(xs: &[f64]) -> Vec<f64> {
+    let mut order: Vec<(usize, f64)> = xs.iter().copied().enumerate().collect();
+    order.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let mut ranks = vec![0.0; xs.len()];
+    // `start` is the 0-based sorted position where the tie group begins.
+    let mut start = 0;
+    for group in order.chunk_by(|a, b| a.1 == b.1) {
+        // Ranks are 1-based: the group holds ranks start+1 ..= start+len.
+        let avg = (2 * start + 1 + group.len()) as f64 / 2.0;
+        for &(idx, _) in group {
+            if let Some(rank) = ranks.get_mut(idx) {
+                *rank = avg;
+            }
         }
-        // Ranks are 1-based: positions i..j hold ranks i+1 ..= j.
-        let avg = (i + 1 + j) as f64 / 2.0;
-        for &idx in &order[i..j] {
-            ranks[idx] = avg;
-        }
-        i = j;
+        start += group.len();
     }
     ranks
 }
@@ -37,25 +34,16 @@ pub fn midranks(xs: &[f64]) -> Vec<f64> {
 ///
 /// Used for the tie correction term of the Mann–Whitney normal
 /// approximation: `Σ (t³ − t)` over tie group sizes `t`.
-pub fn tie_group_sizes(xs: &[f64]) -> Vec<usize> {
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let mut sizes = Vec::new();
-    let mut i = 0;
-    while i < sorted.len() {
-        let mut j = i + 1;
-        while j < sorted.len() && sorted[j] == sorted[i] {
-            j += 1;
-        }
-        sizes.push(j - i);
-        i = j;
-    }
-    sizes
+pub(crate) fn tie_group_sizes(xs: &[f64]) -> Vec<usize> {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted.chunk_by(|a, b| a == b).map(<[f64]>::len).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn no_ties_is_permutation_of_1_to_n() {
@@ -93,5 +81,14 @@ mod tests {
     fn tie_groups() {
         let xs = [2.0, 1.0, 2.0, 2.0, 3.0];
         assert_eq!(tie_group_sizes(&xs), vec![1, 3, 1]);
+    }
+
+    proptest! {
+        #[test]
+        fn midranks_sum_invariant(xs in prop::collection::vec(-1e6..1e6f64, 1..64)) {
+            let total: f64 = midranks(&xs).iter().sum();
+            let n = xs.len() as f64;
+            prop_assert!((total - n * (n + 1.0) / 2.0).abs() < 1e-6 * n.max(1.0));
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! cargo run --release --example misactivations
 //! ```
 
-use alexa_platform::voice::{VoiceConfig, VoicePipeline};
+use alexa_platform::{VoiceConfig, VoicePipeline};
 
 const CONVERSATION: &[&str] = &[
     "I let Sarah borrow the car on Tuesday",

@@ -15,8 +15,9 @@
 )]
 
 use alexa_audit::{AuditConfig, AuditRun};
-use alexa_net::flowstats::{aggregate, top_by_bytes};
-use alexa_net::{read_trace, write_trace, FilterList, OrgMap};
+use alexa_net::{
+    aggregate_flows, read_trace, top_by_bytes, write_trace, FilterList, OrgMap, AMAZON,
+};
 
 fn main() {
     let obs = AuditRun::execute(AuditConfig::small(42));
@@ -35,7 +36,7 @@ fn main() {
     // Re-read from the archive and analyze from disk alone.
     let restored = read_trace(&archive).expect("well-formed archive");
     assert_eq!(restored.len(), captures.len());
-    let stats = aggregate(&restored);
+    let stats = aggregate_flows(&restored);
 
     let orgs = OrgMap::new();
     let fl = FilterList::new();
@@ -67,7 +68,7 @@ fn main() {
     );
     let third_party = stats
         .keys()
-        .filter(|d| orgs.org_of(d) != Some(alexa_net::orgmap::AMAZON))
+        .filter(|d| orgs.org_of(d) != Some(AMAZON))
         .count();
     println!(
         "Endpoints: {} total, {} non-Amazon.",

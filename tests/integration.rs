@@ -203,7 +203,7 @@ fn avs_captures_are_amazon_only() {
         for p in &cap.packets {
             assert_eq!(
                 obs().orgs.org_of(&p.remote),
-                Some(alexa_net::orgmap::AMAZON),
+                Some(alexa_net::AMAZON),
                 "AVS Echo contacted {} ({})",
                 p.remote,
                 cap.label
