@@ -7,9 +7,9 @@
 //! non-partner bidders (Table 10) and summarizes the partner-bid
 //! distributions (Figure 6).
 //!
-//! The sync graph is recovered once per run by the [`AnalysisIndex`], which
-//! also pre-resolves each bid's partner flag — the bid splits here are pure
-//! scans of the dense bid table.
+//! The sync graph is recovered once per run by the [`AnalysisIndex`], whose
+//! bid views resolve each bid's partner flag — the bid splits here are pure
+//! scans of the crawl's bids.
 
 use crate::index::AnalysisIndex;
 use crate::observations::Observations;
@@ -80,16 +80,14 @@ pub fn table10(ix: &AnalysisIndex) -> Table10 {
         .map(|&p| {
             let mut partner_bids = Vec::new();
             let mut other_bids = Vec::new();
-            if let Some(pb) = ix.bids_of(p) {
-                for b in &pb.bids {
-                    if !window.contains(&(b.iteration as usize)) || !slots[b.slot as usize] {
-                        continue;
-                    }
-                    if b.partner {
-                        partner_bids.push(b.cpm);
-                    } else {
-                        other_bids.push(b.cpm);
-                    }
+            for b in ix.bids_of(p).in_window(&window) {
+                if !slots.get(b.slot).copied().unwrap_or(false) {
+                    continue;
+                }
+                if b.partner {
+                    partner_bids.push(b.cpm);
+                } else {
+                    other_bids.push(b.cpm);
                 }
             }
             // Means sum in observation order, before the medians' selection
@@ -165,18 +163,10 @@ pub fn figure6(ix: &AnalysisIndex) -> Figure6 {
     for &p in &personas {
         let mut bids: Vec<f64> = ix
             .bids_of(p)
-            .map(|pb| {
-                pb.bids
-                    .iter()
-                    .filter(|b| {
-                        window.contains(&(b.iteration as usize))
-                            && slots[b.slot as usize]
-                            && b.partner
-                    })
-                    .map(|b| b.cpm)
-                    .collect()
-            })
-            .unwrap_or_default();
+            .in_window(&window)
+            .filter(|b| b.partner && slots.get(b.slot).copied().unwrap_or(false))
+            .map(|b| b.cpm)
+            .collect();
         if let Some(s) = five_number_summary_in_place(&mut bids) {
             series.push((p.name(), s));
         }
@@ -259,23 +249,26 @@ mod tests {
 
     #[test]
     fn partner_flags_match_naive_lookup() {
-        // Every dense bid row's pre-resolved partner flag must agree with a
-        // naive partner-set lookup over the raw crawl.
+        // Every bid's partner flag, as the view resolves it, must agree with
+        // a naive partner-set lookup over the raw crawl.
         let i = ix();
         let o = obs();
         for (persona, visits) in &o.crawl {
-            let pb = i
-                .persona_bids
-                .iter()
-                .find(|pb| i.str_of(pb.persona) == persona)
+            let p = Persona::all()
+                .into_iter()
+                .find(|p| p.name() == *persona)
                 .unwrap();
             let naive: Vec<bool> = visits
                 .iter()
                 .flat_map(|v| v.bids.iter())
                 .map(|b| i.sync.amazon_partners.contains(b.bidder.as_str()))
                 .collect();
-            let dense: Vec<bool> = pb.bids.iter().map(|b| b.partner).collect();
-            assert_eq!(naive, dense, "{persona}");
+            let viewed: Vec<bool> = i
+                .bids_of(p)
+                .in_window(&(0..usize::MAX))
+                .map(|b| b.partner)
+                .collect();
+            assert_eq!(naive, viewed, "{persona}");
         }
     }
 

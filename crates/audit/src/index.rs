@@ -14,10 +14,11 @@
 //! * per-(persona, skill) flow aggregates ([`SkillFlows`]) with per-host
 //!   packet counts, in the exact iteration order the legacy per-artifact
 //!   scans produced;
-//! * per-persona dense bid rows ([`BidRow`], 16 bytes) with slot ids and
-//!   the partner-bidder classification pre-resolved, through tables
-//!   indexed by crawl label id ([`alexa_adtech::Label`]) rather than hash
-//!   probes;
+//! * the slot table, and per-persona bid views ([`BidView`]) that read the
+//!   crawl's bids in place, resolving each bid's slot rank and partner flag
+//!   through two tables indexed by crawl label id
+//!   ([`alexa_adtech::Label`]) rather than hash probes or a copy of the
+//!   crawl;
 //! * the recovered cookie-sync structure, extracted audio ads, and the
 //!   AVS data-type map — each shared by several artifacts.
 //!
@@ -36,6 +37,7 @@ use std::ops::Range;
 
 /// Marks crawl labels in a table indexed by [`Label::id`], remembering
 /// each label the first time it is marked.
+#[derive(Debug)]
 struct LabelMarks {
     marked: Vec<bool>,
     labels: Vec<Label>,
@@ -51,13 +53,15 @@ impl LabelMarks {
     }
 
     fn mark(&mut self, l: Label) {
-        if !std::mem::replace(&mut self.marked[l.id()], true) {
-            self.labels.push(l);
+        if let Some(m) = self.marked.get_mut(l.id()) {
+            if !std::mem::replace(m, true) {
+                self.labels.push(l);
+            }
         }
     }
 
     fn contains(&self, l: Label) -> bool {
-        self.marked[l.id()]
+        self.marked.get(l.id()).copied().unwrap_or(false)
     }
 
     /// The marked labels' texts.
@@ -180,28 +184,52 @@ pub struct SkillFlows {
     pub hosts: Range<u32>,
 }
 
-/// One observed bid in dense form (16 bytes).
+/// One crawl bid as the bid analyses read it: its slot resolved to a rank
+/// in [`AnalysisIndex::slots`] and its bidder to the partner flag.
 #[derive(Debug, Clone, Copy)]
-pub struct BidRow {
+pub struct IndexedBid {
     /// Crawl iteration the bid was observed in.
-    pub iteration: u16,
+    pub iteration: usize,
     /// Index into [`AnalysisIndex::slots`].
-    pub slot: u32,
+    pub slot: usize,
     /// Whether the bidder is one of Amazon's cookie-sync partners.
     pub partner: bool,
     /// Bid value.
     pub cpm: f64,
 }
 
-/// All bids one persona received, in visit order (the order every legacy
-/// scan produced — Tables 5 and 10 take the observation-order mean, so
-/// summation order fixes the output bits).
-#[derive(Debug, Clone)]
-pub struct PersonaBids {
-    /// Persona name.
-    pub persona: Sym,
-    /// Dense bid rows in observation order.
-    pub bids: Vec<BidRow>,
+/// One persona's crawl bids, read in place from its visit records in visit
+/// order (the order every legacy scan produced — Tables 5 and 10 take the
+/// observation-order mean, so summation order fixes the output bits).
+#[derive(Debug, Clone, Copy)]
+pub struct BidView<'i> {
+    visits: &'i [VisitRecord],
+    /// Slot rank by slot label id.
+    slot_rank: &'i [u32],
+    /// Partner flag by bidder label id.
+    partners: &'i LabelMarks,
+}
+
+impl<'i> BidView<'i> {
+    /// The bids of the visits whose iteration lies in `window`, in
+    /// observation order. The window is tested once per visit, so visits
+    /// outside it are skipped whole.
+    pub fn in_window(self, window: &Range<usize>) -> impl Iterator<Item = IndexedBid> + 'i {
+        let window = window.clone();
+        self.visits
+            .iter()
+            .filter(move |v| window.contains(&v.iteration))
+            .flat_map(move |v| {
+                v.bids.iter().filter_map(move |b| {
+                    Some(IndexedBid {
+                        iteration: v.iteration,
+                        slot: *self.slot_rank.get(b.slot_id.id())? as usize,
+                        partner: self.partners.contains(b.bidder),
+                        cpm: b.cpm,
+                    })
+                })
+            })
+    }
 }
 
 /// The shared, deterministic analysis index. Build once per run with
@@ -230,8 +258,10 @@ pub struct AnalysisIndex<'a> {
     pub persona_flows: Vec<(Sym, Range<u32>)>,
     /// Distinct ad-slot ids in lexicographic order.
     pub slots: Vec<Sym>,
-    /// Per-persona dense bid tables, personas in lexicographic order.
-    pub persona_bids: Vec<PersonaBids>,
+    /// Each slot label's rank in [`AnalysisIndex::slots`], by label id.
+    slot_rank: Vec<u32>,
+    /// Amazon's cookie-sync partners, marked by label id.
+    partners: LabelMarks,
     /// Recovered cookie-sync structure (partners, downstream parties).
     pub sync: SyncAnalysis,
     /// Extracted audio ads per (persona, streaming service).
@@ -355,38 +385,13 @@ impl<'a> AnalysisIndex<'a> {
         slot_labels.sort_unstable_by_key(|l| l.as_str());
         let mut slot_rank = vec![0u32; seen.marked.len()];
         for (rank, l) in (0..).zip(&slot_labels) {
-            slot_rank[l.id()] = rank;
+            if let Some(r) = slot_rank.get_mut(l.id()) {
+                *r = rank;
+            }
         }
         let slots: Vec<Sym> = slot_labels
             .iter()
             .map(|l| symbols.intern(l.as_str()))
-            .collect();
-
-        // Dense per-persona bid rows in visit order.
-        let persona_bids: Vec<PersonaBids> = obs
-            .crawl
-            .iter()
-            .map(|(persona, visits)| {
-                let mut bids = Vec::with_capacity(visits.iter().map(|v| v.bids.len()).sum());
-                for v in visits {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "iterations come from AuditConfig, a few dozen per run; 65,536 would crawl every persona's sites that many times"
-                    )]
-                    let iteration =
-                        u16::try_from(v.iteration).expect("crawl iteration fits in u16");
-                    bids.extend(v.bids.iter().map(|b| BidRow {
-                        iteration,
-                        slot: slot_rank[b.slot_id.id()],
-                        partner: partners.contains(b.bidder),
-                        cpm: b.cpm,
-                    }));
-                }
-                PersonaBids {
-                    persona: symbols.intern(persona),
-                    bids,
-                }
-            })
             .collect();
 
         // Shared extraction passes for the audio and policy artifacts.
@@ -414,7 +419,8 @@ impl<'a> AnalysisIndex<'a> {
             host_counts,
             persona_flows,
             slots,
-            persona_bids,
+            slot_rank,
+            partners,
             sync,
             audio_ads,
             types_per_skill,
@@ -471,13 +477,17 @@ impl<'a> AnalysisIndex<'a> {
         self.policies.get(skill_id)
     }
 
-    /// The dense bid table of a persona, if it crawled.
-    pub fn bids_of(&self, persona: Persona) -> Option<&PersonaBids> {
-        let name = persona.name();
-        self.persona_bids
-            .binary_search_by(|pb| self.str_of(pb.persona).cmp(name.as_str()))
-            .ok()
-            .map(|i| &self.persona_bids[i])
+    /// A persona's crawl bids, read in place (empty when it did not crawl).
+    pub fn bids_of(&self, persona: Persona) -> BidView<'_> {
+        BidView {
+            visits: self
+                .obs
+                .crawl
+                .get(&persona.name())
+                .map_or(&[], Vec::as_slice),
+            slot_rank: &self.slot_rank,
+            partners: &self.partners,
+        }
     }
 
     /// Slot mask (indexed like [`AnalysisIndex::slots`]) of the slots that
@@ -510,11 +520,9 @@ impl<'a> AnalysisIndex<'a> {
         let mut seen = vec![false; n];
         for p in personas {
             seen.iter_mut().for_each(|s| *s = false);
-            if let Some(pb) = self.bids_of(*p) {
-                for b in &pb.bids {
-                    if window.contains(&(b.iteration as usize)) {
-                        seen[b.slot as usize] = true;
-                    }
+            for b in self.bids_of(*p).in_window(window) {
+                if let Some(s) = seen.get_mut(b.slot) {
+                    *s = true;
                 }
             }
             common
@@ -533,13 +541,10 @@ impl<'a> AnalysisIndex<'a> {
     /// All individual CPM values a persona received on the masked slots
     /// within the window, in observation order.
     pub fn pooled_bids(&self, persona: Persona, window: &Range<usize>, mask: &[bool]) -> Vec<f64> {
-        let Some(pb) = self.bids_of(persona) else {
-            return Vec::new();
-        };
+        let bids = self.bids_of(persona);
         let kept = || {
-            pb.bids
-                .iter()
-                .filter(|b| window.contains(&(b.iteration as usize)) && mask[b.slot as usize])
+            bids.in_window(window)
+                .filter(|b| mask.get(b.slot).copied().unwrap_or(false))
         };
         // Counting first sizes the series exactly: these series are the
         // render pass's largest allocations, and growing one by doubling
@@ -555,13 +560,11 @@ impl<'a> AnalysisIndex<'a> {
         let n = self.slots.len();
         let mut sums = vec![0.0f64; n];
         let mut counts = vec![0usize; n];
-        if let Some(pb) = self.bids_of(persona) {
-            for b in &pb.bids {
-                let s = b.slot as usize;
-                if mask[s] && window.contains(&(b.iteration as usize)) {
-                    sums[s] += b.cpm;
-                    counts[s] += 1;
-                }
+        for b in self.bids_of(persona).in_window(window) {
+            let s = b.slot;
+            if mask[s] {
+                sums[s] += b.cpm;
+                counts[s] += 1;
             }
         }
         (0..n)
@@ -589,8 +592,9 @@ mod tests {
     }
 
     #[test]
-    fn bid_rows_are_16_bytes() {
-        assert_eq!(std::mem::size_of::<BidRow>(), 16);
+    fn crawl_bids_are_16_bytes() {
+        // The bid views scan the crawl's records in place: 16 bytes a bid.
+        assert_eq!(std::mem::size_of::<alexa_adtech::Bid>(), 16);
     }
 
     #[test]
@@ -624,13 +628,52 @@ mod tests {
     }
 
     #[test]
+    fn build_does_not_copy_the_crawl() {
+        // 1,000 visits of 100 bids each: a 16-byte row per bid would charge
+        // the build 1.6 MB, sixteen times this bound.
+        use alexa_adtech::{Bid, VisitRecord};
+        let slots: Vec<Label> = (0..40)
+            .map(|s| Label::intern(&format!("site{}#slot{}", s % 8, s)))
+            .collect();
+        let bidders: Vec<Label> = (0..25)
+            .map(|b| Label::intern(&format!("bidder{b}.example")))
+            .collect();
+        let visits: Vec<VisitRecord> = (0..1_000)
+            .map(|v| VisitRecord {
+                iteration: v / 40,
+                bids: (0..100)
+                    .map(|b| Bid {
+                        bidder: bidders[(v + b) % bidders.len()],
+                        slot_id: slots[(v * 7 + b) % slots.len()],
+                        cpm: (v * 100 + b) as f64 / 1000.0,
+                    })
+                    .collect(),
+                ..VisitRecord::default()
+            })
+            .collect();
+        let n_bids: u64 = visits.iter().map(|v| v.bids.len() as u64).sum();
+        assert!(n_bids >= 100_000);
+        let mut obs = Observations::default();
+        obs.crawl.insert(Persona::Vanilla.name(), visits);
+        let before = alexa_obs::alloc::snapshot();
+        let ix = AnalysisIndex::build(&obs);
+        let bytes = alexa_obs::alloc::snapshot().bytes - before.bytes;
+        assert_eq!(ix.slots.len(), slots.len());
+        assert!(
+            bytes < n_bids,
+            "index.build allocated {bytes} B for {n_bids} bids ({} labels interned)",
+            Label::count()
+        );
+    }
+
+    #[test]
     fn empty_observations_build_an_empty_index() {
         let obs = Observations::default();
         let ix = AnalysisIndex::build(&obs);
         assert!(ix.hosts.is_empty());
         assert!(ix.flows.is_empty());
         assert!(ix.slots.is_empty());
-        assert!(ix.persona_bids.is_empty());
+        assert_eq!(ix.bids_of(Persona::Vanilla).in_window(&(0..10)).count(), 0);
         assert!(ix.sync.amazon_partners.is_empty());
         assert!(ix.common_slots(&[Persona::Vanilla], &(0..10)).is_empty());
     }

@@ -93,7 +93,7 @@ pub fn render_all(
 /// [`AuditRun::execute_with_firewall_shadow`] returned with `obs`.
 ///
 /// The shared [`AnalysisIndex`] is built exactly once (its own `index.build`
-/// stage) and every artifact streams from it; the fan-out is clamped to the
+/// stage, metered on this thread) and every artifact streams from it; the fan-out is clamped to the
 /// host's hardware threads because oversubscribing a CPU-bound render pass
 /// only adds contention (bytes are jobs-independent either way).
 pub fn render_artifacts(
@@ -115,7 +115,7 @@ fn render_with(
     shadow: impl FnOnce() -> Option<defense::Measurement>,
     rec: &Recorder,
 ) -> Vec<String> {
-    let ix = rec.stage("index.build", || AnalysisIndex::build(obs));
+    let ix = rec.metered_stage("index.build", || AnalysisIndex::build(obs));
     // The `defenses` comparisons are analysis input, not rendering, so they
     // get their own top-level stages and `render.all` stays a pure stream.
     let reports = wanted

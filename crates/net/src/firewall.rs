@@ -7,8 +7,6 @@
 //!
 //! * advertising & tracking endpoints (per the [`FilterList`]) are
 //!   **blocked**;
-//! * an explicit allowlist (e.g. the platform's voice endpoints, which the
-//!   device cannot function without) is always **allowed**;
 //! * everything else is allowed — the defense must not break functionality.
 //!
 //! [`FirewallStats`] records what was dropped so the audit can quantify the
@@ -55,7 +53,6 @@ pub struct FirewallStats {
 #[derive(Debug)]
 pub struct Firewall {
     blocklist: FilterList,
-    allowlist: Vec<Domain>,
     stats: FirewallStats,
 }
 
@@ -66,7 +63,7 @@ impl Default for Firewall {
 }
 
 impl Firewall {
-    /// Firewall with the built-in A&T blocklist and an empty allowlist.
+    /// Firewall with the built-in A&T blocklist.
     pub fn new() -> Firewall {
         Firewall::with_blocklist(FilterList::new())
     }
@@ -75,14 +72,8 @@ impl Firewall {
     pub fn with_blocklist(blocklist: FilterList) -> Firewall {
         Firewall {
             blocklist,
-            allowlist: Vec::new(),
             stats: FirewallStats::default(),
         }
-    }
-
-    /// Always allow a domain (and its subdomains), even if blocklisted.
-    pub fn allow(&mut self, domain: Domain) {
-        self.allowlist.push(domain);
     }
 
     /// Decide a packet's fate without forwarding it.
@@ -93,9 +84,6 @@ impl Firewall {
     /// Decide the fate of every packet to `remote`: the verdict depends on
     /// the endpoint alone, so it can be evaluated once per distinct host.
     pub fn judge_remote(&self, remote: &Domain) -> Verdict {
-        if self.allowlist.iter().any(|a| remote.is_subdomain_of(a)) {
-            return Verdict::Allow;
-        }
         if self.blocklist.is_ad_tracking(remote) {
             Verdict::Block
         } else {
@@ -178,14 +166,6 @@ mod tests {
         let mut fw = Firewall::new();
         assert!(fw.filter(&pkt("device-metrics-us-2.amazon.com")).is_none());
         assert!(fw.filter(&pkt("api.amazon.com")).is_some());
-    }
-
-    #[test]
-    fn allowlist_overrides_blocklist() {
-        let mut fw = Firewall::new();
-        fw.allow(Domain::parse("podtrac.com").unwrap());
-        assert!(fw.filter(&pkt("dts.podtrac.com")).is_some());
-        assert!(fw.filter(&pkt("chtbl.com")).is_none());
     }
 
     #[test]

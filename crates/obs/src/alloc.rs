@@ -7,7 +7,9 @@
 //! peak-net-live pair, and a log2 histogram of allocation sizes. A shard
 //! opens a window ([`ShardLog::alloc_open`]) when its work starts and seals
 //! it when the work ends; the deltas land in the shard log and merge by
-//! `(group, structural index)` exactly like spans. Because every shard's
+//! `(group, structural index)` exactly like spans. A serial stage on the
+//! orchestrator thread meters itself the same way
+//! ([`Recorder::metered_stage`]). Because every shard's and metered stage's
 //! allocation sequence is a pure function of its input, the deltas are
 //! byte-identical across `--jobs` values.
 //!
@@ -31,6 +33,7 @@
 //! committed surface.
 //!
 //! [`Recorder`]: crate::Recorder
+//! [`Recorder::metered_stage`]: crate::Recorder::metered_stage
 //! [`ShardLog`]: crate::ShardLog
 //! [`ShardLog::alloc_open`]: crate::ShardLog::alloc_open
 //! [`GlobalAlloc`]: std::alloc::GlobalAlloc

@@ -14,8 +14,8 @@
 
 /// All sanctioned observability names, sorted.
 pub const REGISTRY: &[&str] = &[
-    "alloc.bytes",             // aggregate: heap bytes requested across shard windows
-    "alloc.count",             // aggregate: heap allocations across shard windows
+    "alloc.bytes",             // aggregate: heap bytes in shard windows and metered stages
+    "alloc.count",             // aggregate: heap allocations in shard windows and metered stages
     "alloc.peak_bytes",        // aggregate: summed per-shard windowed peak net-live bytes
     "artifact",                // shard group: report artifact renders
     "audio",                   // span: audio tap + transcript harvest

@@ -98,6 +98,18 @@ impl Recorder {
     /// events belong in a [`ShardLog`]. The lock is released while `f` runs,
     /// so nested stage calls do not deadlock.
     pub fn stage<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
+        self.stage_with(name, false, f)
+    }
+
+    /// [`Recorder::stage`] with an allocation window over `f` on the calling
+    /// thread, charged to the stage and to the `alloc.*` run totals like a
+    /// sealed shard window. Only for serial stages: a `par_map` inside `f`
+    /// runs shards on this thread too, and would charge them twice.
+    pub fn metered_stage<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
+        self.stage_with(name, true, f)
+    }
+
+    fn stage_with<R>(&self, name: &str, meter: bool, f: impl FnOnce() -> R) -> R {
         if !self.enabled {
             return f();
         }
@@ -121,7 +133,10 @@ impl Recorder {
             g.open_stages.push(idx);
             idx
         };
+        let before = alloc::snapshot();
         let out = f();
+        // Read before the /proc sample below, which allocates.
+        let after = alloc::snapshot();
         // Sampled outside the lock: a /proc read is slow for a guard scope.
         let rss_kb = alloc::peak_rss_kb();
         let _quiet = alloc::pause();
@@ -134,6 +149,14 @@ impl Recorder {
             // like dur_us, shown by the human views, excluded from every
             // ledger surface.
             stage.peak_rss_kb = rss_kb;
+        }
+        if meter {
+            let (count, bytes) = (after.count - before.count, after.bytes - before.bytes);
+            if let Some(stage) = g.stages.get_mut(idx) {
+                stage.alloc_count += count;
+                stage.alloc_bytes += bytes;
+            }
+            add_alloc_totals(&mut g.aggregates, count, bytes);
         }
         if rss_kb > 0 {
             let v = g.volatile.entry("mem.peak_rss_kb".to_string()).or_insert(0);
@@ -184,14 +207,7 @@ impl Recorder {
             None => String::new(),
         };
         if log.alloc_count > 0 || log.alloc_bytes > 0 {
-            // Run totals, straight into the aggregates map (the lock is
-            // already held — `Recorder::count` would deadlock here).
-            let a = g.aggregates.entry("alloc.count".to_string()).or_default();
-            a.count += log.alloc_count;
-            a.calls += 1;
-            let a = g.aggregates.entry("alloc.bytes".to_string()).or_default();
-            a.count += log.alloc_bytes;
-            a.calls += 1;
+            add_alloc_totals(&mut g.aggregates, log.alloc_count, log.alloc_bytes);
             let a = g
                 .aggregates
                 .entry("alloc.peak_bytes".to_string())
@@ -334,6 +350,19 @@ pub fn agg_time<R>(name: &str, f: impl FnOnce() -> R) -> R {
     match global() {
         Some(rec) => rec.time(name, f),
         None => f(),
+    }
+}
+
+/// Add one allocation window to the `alloc.count`/`alloc.bytes` run totals
+/// (the caller holds the lock). Empty windows are not counted.
+fn add_alloc_totals(aggregates: &mut BTreeMap<String, Aggregate>, count: u64, bytes: u64) {
+    if count == 0 && bytes == 0 {
+        return;
+    }
+    for (name, n) in [("alloc.count", count), ("alloc.bytes", bytes)] {
+        let a = aggregates.entry(name.to_string()).or_default();
+        a.count += n;
+        a.calls += 1;
     }
 }
 
@@ -491,6 +520,35 @@ mod tests {
             assert!(stage.peak_rss_kb > 0);
             assert!(r.volatile["mem.peak_rss_kb"] >= stage.peak_rss_kb);
         }
+    }
+
+    #[test]
+    fn metered_stage_charges_its_thread_and_the_totals() {
+        let rec = Recorder::new();
+        let built = rec.metered_stage("index.build", || {
+            (0..64).map(|n| format!("h-{n}")).collect::<Vec<String>>()
+        });
+        rec.stage("render.all", || {
+            let mut log = rec.shard("artifact", 0, "table1");
+            log.alloc_open();
+            let _scratch = vec![0u8; 4096];
+            log.alloc_seal();
+            rec.submit(log);
+            // An unmetered stage charges only its shards' windows.
+            let _unmetered = vec![0u8; 1 << 16];
+        });
+        let r = rec.report();
+        let build = r.stage("index.build").unwrap();
+        assert_eq!(build.alloc_count, 65, "64 strings and their vector");
+        assert!(build.alloc_bytes >= 64 * 3 + 64 * std::mem::size_of::<String>() as u64);
+        let render = r.stage("render.all").unwrap();
+        assert_eq!(render.alloc_bytes, r.shards[0].alloc_bytes);
+        // The run totals are the sum of the stages' figures.
+        let sum = |f: fn(&StageRec) -> u64| r.stages.iter().map(f).sum::<u64>();
+        assert_eq!(r.aggregates["alloc.count"].count, sum(|s| s.alloc_count));
+        assert_eq!(r.aggregates["alloc.bytes"].count, sum(|s| s.alloc_bytes));
+        assert_eq!(r.aggregates["alloc.bytes"].calls, 2);
+        assert_eq!(built.len(), 64);
     }
 
     #[test]

@@ -98,9 +98,10 @@ impl fmt::Display for GateError {
 /// fails the gate even when `total_ms` stays within bounds. `render.all` is
 /// the stage the shared-index/streaming-render work exists to keep down;
 /// `persona.shards` holds the lean crawl records (interned labels,
-/// exactly sized bid and sync vectors). A perf PR must not quietly give
-/// either back.
-pub const GATED_STAGES: &[&str] = &["render.all", "persona.shards"];
+/// exactly sized bid and sync vectors); `index.build` reads the crawl's bids
+/// in place instead of copying them. A perf PR must not quietly give any of
+/// them back.
+pub const GATED_STAGES: &[&str] = &["render.all", "persona.shards", "index.build"];
 
 /// The gate's verdict plus its full comparison log.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -474,9 +474,7 @@ fn index_orders_hand_built_labels_by_text() {
     assert_eq!(slots, ["s#1", "s#2"]);
     let rows = |p: Persona| {
         ix.bids_of(p)
-            .unwrap()
-            .bids
-            .iter()
+            .in_window(&(0..usize::MAX))
             .map(|b| (b.iteration, b.slot, b.partner, b.cpm))
             .collect::<Vec<_>>()
     };
@@ -539,10 +537,8 @@ fn bid_summaries_are_bit_identical_to_copying_stats() {
     let mask = i.common_slots(&echo, &post);
     let split = |p: Persona, partner: bool| -> Vec<f64> {
         i.bids_of(p)
-            .unwrap()
-            .bids
-            .iter()
-            .filter(|b| post.contains(&(b.iteration as usize)) && mask[b.slot as usize])
+            .in_window(&(0..usize::MAX))
+            .filter(|b| post.contains(&b.iteration) && mask[b.slot])
             .filter(|b| b.partner == partner)
             .map(|b| b.cpm)
             .collect()
@@ -570,5 +566,68 @@ fn bid_summaries_are_bit_identical_to_copying_stats() {
             ],
             "{p}"
         );
+    }
+}
+
+#[test]
+fn bid_views_match_a_naive_scan_at_window_edges() {
+    let o = obs();
+    let last = o.pre_iterations + o.post_iterations;
+    let pre_tail = o.pre_iterations.saturating_sub(3)..o.pre_iterations;
+    let post_head = o.pre_iterations..(o.pre_iterations + 3).min(last);
+    let windows = [
+        pre_tail,
+        post_head,
+        o.pre_iterations..o.pre_iterations,
+        last..last + 5,
+        0..usize::MAX,
+    ];
+    // The paper run, and a copy holding only two personas' crawls: every
+    // other persona has no crawl at all.
+    let mut two = Observations {
+        pre_iterations: o.pre_iterations,
+        post_iterations: o.post_iterations,
+        ..Observations::default()
+    };
+    for p in [Persona::Vanilla, Persona::WebHealth] {
+        two.crawl.insert(p.name(), o.crawl[&p.name()].clone());
+    }
+    let two_ix = AnalysisIndex::build(&two);
+    // Each bid as (iteration, slot rank, partner, CPM bits), by a scan of
+    // the raw crawl that resolves slots and partners by text.
+    let naive_bids = |ix: &AnalysisIndex, persona: Persona, window: &std::ops::Range<usize>| {
+        let slots: Vec<&str> = ix.slots.iter().map(|&s| ix.str_of(s)).collect();
+        ix.obs
+            .visits_in(persona, window.clone())
+            .iter()
+            .flat_map(|v| v.bids.iter().map(move |b| (v.iteration, b)))
+            .map(|(iteration, b)| {
+                (
+                    iteration,
+                    slots.binary_search(&b.slot_id.as_str()).unwrap(),
+                    ix.sync.amazon_partners.contains(b.bidder.as_str()),
+                    b.cpm.to_bits(),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    for (i, crawled) in [(ix(), Persona::all().len()), (&two_ix, 2)] {
+        let mut nonempty = 0;
+        for p in Persona::all() {
+            nonempty += usize::from(i.obs.crawl.contains_key(&p.name()));
+            for window in &windows {
+                let viewed: Vec<_> = i
+                    .bids_of(p)
+                    .in_window(window)
+                    .map(|b| (b.iteration, b.slot, b.partner, b.cpm.to_bits()))
+                    .collect();
+                let naive = naive_bids(i, p, window);
+                assert_eq!(viewed, naive, "{p} {window:?}");
+                if window.is_empty() || window.start >= last {
+                    assert!(viewed.is_empty(), "{p} {window:?}");
+                }
+            }
+        }
+        assert_eq!(nonempty, crawled);
     }
 }
