@@ -10,25 +10,12 @@
 //! both artifacts here read the cached `(persona, service) → brands` map.
 
 use crate::index::AnalysisIndex;
-use crate::observations::Observations;
 use crate::table::{pct, TextTable};
-use alexa_adtech::{AudioAdExtractor, StreamingService};
+use alexa_adtech::StreamingService;
 use std::collections::BTreeMap;
 
 /// The three audio personas in experiment order.
 pub const AUDIO_PERSONAS: [&str; 3] = ["Connected Car", "Fashion & Style", "Vanilla"];
-
-/// Extracted ads per (persona, service) — the naive per-call extraction,
-/// kept as the reference the index cache is tested against.
-pub fn extracted_ads(obs: &Observations) -> BTreeMap<(String, StreamingService), Vec<String>> {
-    let extractor = AudioAdExtractor::new();
-    obs.audio
-        .iter()
-        .map(|((persona, service), transcripts)| {
-            ((persona.clone(), *service), extractor.extract(transcripts))
-        })
-        .collect()
-}
 
 /// Table 9: fraction of each service's ads per persona.
 #[derive(Debug, Clone)]
@@ -202,6 +189,20 @@ impl Figure5 {
 mod tests {
     use super::*;
     use crate::analysis::test_support::{ix, obs};
+    use crate::observations::Observations;
+    use alexa_adtech::AudioAdExtractor;
+
+    /// Extracted ads per (persona, service) — the naive per-call
+    /// extraction, the reference the index cache is tested against.
+    fn extracted_ads(obs: &Observations) -> BTreeMap<(String, StreamingService), Vec<String>> {
+        let extractor = AudioAdExtractor::new();
+        obs.audio
+            .iter()
+            .map(|((persona, service), transcripts)| {
+                ((persona.clone(), *service), extractor.extract(transcripts))
+            })
+            .collect()
+    }
 
     #[test]
     fn cached_extraction_matches_naive_rescan() {

@@ -19,13 +19,13 @@ pub(crate) mod test_support {
     use std::sync::OnceLock;
 
     /// A shared small audit run for analysis unit tests (computed once).
-    pub fn obs() -> &'static Observations {
+    pub(crate) fn obs() -> &'static Observations {
         static OBS: OnceLock<Observations> = OnceLock::new();
         OBS.get_or_init(|| AuditRun::execute(AuditConfig::small(2222)))
     }
 
     /// The shared analysis index over [`obs`] (built once).
-    pub fn ix() -> &'static AnalysisIndex<'static> {
+    pub(crate) fn ix() -> &'static AnalysisIndex<'static> {
         static IX: OnceLock<AnalysisIndex<'static>> = OnceLock::new();
         IX.get_or_init(|| AnalysisIndex::build(obs()))
     }

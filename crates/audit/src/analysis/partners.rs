@@ -12,11 +12,10 @@
 //! scans of the crawl's bids.
 
 use crate::index::AnalysisIndex;
-use crate::observations::Observations;
 use crate::persona::Persona;
 use crate::table::{f3, TextTable};
 use alexa_stats::{five_number_summary_in_place, mean, median_in_place, Summary};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Amazon's advertising endpoint observed in sync redirects.
@@ -202,22 +201,6 @@ impl Figure6 {
     }
 }
 
-/// Per-persona count of sync partners observed — the paper notes syncing
-/// happens across *all* Echo personas.
-pub fn partners_per_persona(obs: &Observations) -> BTreeMap<String, usize> {
-    let mut out = BTreeMap::new();
-    for (persona, visits) in &obs.crawl {
-        let partners: BTreeSet<&str> = visits
-            .iter()
-            .flat_map(|v| v.syncs.iter())
-            .filter(|s| s.to_org.as_str() == AMAZON_AD_ENDPOINT)
-            .map(|s| s.from_org.as_str())
-            .collect();
-        out.insert(persona.clone(), partners.len());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,9 +275,16 @@ mod tests {
 
     #[test]
     fn syncing_happens_for_every_echo_persona() {
-        let per = partners_per_persona(obs());
+        // Per persona, the advertisers seen syncing their cookie to Amazon.
         for p in Persona::echo_personas() {
-            assert!(per.get(&p.name()).copied().unwrap_or(0) > 30, "{p}");
+            let visits = obs().crawl.get(&p.name()).map_or(&[][..], Vec::as_slice);
+            let partners: BTreeSet<&str> = visits
+                .iter()
+                .flat_map(|v| v.syncs.iter())
+                .filter(|s| s.to_org.as_str() == AMAZON_AD_ENDPOINT)
+                .map(|s| s.from_org.as_str())
+                .collect();
+            assert!(partners.len() > 30, "{p}");
         }
     }
 

@@ -100,7 +100,7 @@ fn sync_structure(crawl: &BTreeMap<String, Vec<VisitRecord>>) -> (SyncAnalysis, 
 }
 
 /// An interned label: index into the run's [`Interner`].
-pub type Sym = u32;
+pub(crate) type Sym = u32;
 
 /// String interner: hosts, orgs, skill ids, personas and slot ids become
 /// `u32` symbols compared and grouped without touching the bytes.
@@ -251,7 +251,7 @@ pub struct AnalysisIndex<'a> {
     /// Per-(persona, skill) flow groups, personas then skills in
     /// lexicographic order.
     pub flows: Vec<SkillFlows>,
-    /// Arena backing [`SkillFlows::hosts`].
+    /// Arena backing each flow group's `hosts` range.
     pub host_counts: Vec<HostCount>,
     /// Per-persona ranges into [`AnalysisIndex::flows`], personas in
     /// lexicographic order (flow groups are persona-contiguous).

@@ -35,17 +35,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod analysis;
-pub mod artifacts;
+mod artifacts;
 mod capture_digest;
 mod crawl_digest;
-pub mod experiment;
-pub mod index;
-pub mod observations;
-pub mod persona;
-pub mod table;
+mod experiment;
+mod index;
+mod observations;
+mod persona;
+mod table;
 
+pub use artifacts::{render_into, ARTIFACTS};
 pub use experiment::{AuditConfig, AuditRun, DefenseMode};
 pub use index::AnalysisIndex;
 pub use observations::{Observations, SkillMeta};

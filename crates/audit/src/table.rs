@@ -165,7 +165,7 @@ impl TextTable {
 /// precision). Formats straight into the table arena — no intermediate
 /// `String`.
 #[derive(Debug, Clone, Copy)]
-pub struct F3(pub f64);
+pub(crate) struct F3(pub(crate) f64);
 
 impl fmt::Display for F3 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -174,13 +174,13 @@ impl fmt::Display for F3 {
 }
 
 /// Format a float with 3 decimals (the paper's bid-value precision).
-pub fn f3(x: f64) -> F3 {
+pub(crate) fn f3(x: f64) -> F3 {
     F3(x)
 }
 
 /// Display adapter: a share as a percentage with 2 decimals.
 #[derive(Debug, Clone, Copy)]
-pub struct Pct(pub f64);
+pub(crate) struct Pct(pub(crate) f64);
 
 impl fmt::Display for Pct {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -189,7 +189,7 @@ impl fmt::Display for Pct {
 }
 
 /// Format a share as a percentage with 2 decimals.
-pub fn pct(x: f64) -> Pct {
+pub(crate) fn pct(x: f64) -> Pct {
     Pct(x)
 }
 

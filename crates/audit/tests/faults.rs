@@ -3,7 +3,7 @@
 //! rate. These are the robustness counterparts of `tests/determinism.rs`.
 
 use alexa_audit::analysis::defense;
-use alexa_audit::artifacts::{self, ARTIFACTS};
+use alexa_audit::{render_into, ARTIFACTS};
 use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, DefenseMode};
 use alexa_fault::FaultProfile;
 use alexa_obs::Recorder;
@@ -97,7 +97,7 @@ fn analysis_never_panics_at_total_fault_rate() {
     let obs_ix = AnalysisIndex::build(&obs);
     let mut report = obs.coverage.render();
     for name in ARTIFACTS.iter().filter(|&&a| a != "defenses") {
-        artifacts::render_into(&obs_ix, name, &mut report).expect(name);
+        render_into(&obs_ix, name, &mut report).expect(name);
     }
     assert!(report.contains("DEGRADED (valid, reduced coverage)"));
     assert!(report.contains("insufficient samples"));

@@ -9,8 +9,8 @@
 //! repro --metrics-out m.json all   # JSON metrics export (- = stderr)
 //! repro --run-dir run-a all        # self-describing run-ledger bundle
 //! repro --fault-profile flaky all  # run under a fault-plane preset
-//! repro --fault-rate 0.2 all       # uniform fault rate on every channel
-//! repro --bench             # time a paper-scale run, write BENCH_audit.json
+//! repro --fault-profile uniform:0.2 all  # one fault rate on every channel
+//! repro --bench             # time a paper-scale run, append to BENCH_audit.json
 //! repro --bench --fault-profile flaky  # the same, under a fault profile
 //! repro --list              # list artifact names
 //! repro campaign plan.json  # execute a declarative experiment plan
@@ -65,6 +65,7 @@
 use alexa_audit::{AuditConfig, AuditRun, Observations};
 use alexa_bench::{campaign, render_artifacts, ARTIFACTS};
 use alexa_fault::FaultProfile;
+use alexa_obs::bench::BenchEntry;
 use alexa_obs::bundle::BundleSpec;
 use alexa_obs::{Exit, Json, Recorder};
 use std::path::Path;
@@ -92,8 +93,9 @@ fn write_or_exit(path: &str, what: &str, body: &str) {
 
 /// `--bench`: time the paper-scale execute plus a full `repro all` rendering
 /// pass under `fault` and append the data point — with the recorder's
-/// per-stage breakdown — to `BENCH_audit.json` at the repo root. The entry
-/// records its fault profile, which keys it in `obs-diff gate`. Returns the
+/// per-stage breakdown — to `BENCH_audit.json` at the repo root, as one
+/// [`BenchEntry`], the type `obs-diff gate` decodes. The entry records its
+/// fault profile, which keys it in the gate. Returns the
 /// observations so the observability surfaces (`--run-dir`, ...) can
 /// describe the benched run.
 #[expect(
@@ -119,58 +121,22 @@ fn run_bench(seed: u64, jobs: Option<usize>, fault: &FaultProfile, rec: &Recorde
     let t1 = std::time::Instant::now();
     let rendered = render_artifacts(&obs, ARTIFACTS, jobs, firewall, rec);
     let render_ms = t1.elapsed().as_millis() as u64;
-    let rendered_bytes: usize = rendered.iter().map(String::len).sum();
+    let rendered_bytes = rendered.iter().map(String::len).sum();
 
-    // Per-stage wall times from the recorder, millisecond precision — the
-    // breakdown future perf PRs regress against — plus the deterministic
-    // work-unit figure per stage (schedule-independent context).
-    let report = rec.report();
-    let stages: Vec<(String, Json)> = report
-        .stages
-        .iter()
-        .filter(|s| s.depth == 0)
-        .map(|s| (s.name.clone(), Json::Int(s.dur_us / 1000)))
-        .collect();
-    let stage_work: Vec<(String, Json)> = report
-        .stages
-        .iter()
-        .filter(|s| s.depth == 0)
-        .map(|s| (s.name.clone(), Json::Int(s.work)))
-        .collect();
-    // Per-stage allocated bytes: deterministic for a fixed seed, so the
-    // obs-diff gate can hold a much tighter threshold on these than on the
-    // (noisy) wall-clock columns.
-    let stage_alloc: Vec<(String, Json)> = report
-        .stages
-        .iter()
-        .filter(|s| s.depth == 0)
-        .map(|s| (s.name.clone(), Json::Int(s.alloc_bytes)))
-        .collect();
-    let total_ms = execute_ms + render_ms;
-
-    let entry = Json::Obj(vec![
-        ("seed".into(), Json::Int(seed)),
-        (
-            "jobs".into(),
-            jobs.map_or(Json::Null, |n| Json::Int(n as u64)),
-        ),
-        ("fault_profile".into(), Json::Str(fault.name().to_string())),
-        (
-            "hardware_threads".into(),
-            Json::Int(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1) as u64,
-            ),
-        ),
-        ("execute_ms".into(), Json::Int(execute_ms)),
-        ("render_all_ms".into(), Json::Int(render_ms)),
-        ("total_ms".into(), Json::Int(total_ms)),
-        ("rendered_bytes".into(), Json::Int(rendered_bytes as u64)),
-        ("stages".into(), Json::Obj(stages)),
-        ("stage_work".into(), Json::Obj(stage_work)),
-        ("stage_alloc".into(), Json::Obj(stage_alloc)),
-    ])
+    // The recorder's per-stage breakdown (wall time, work units,
+    // allocated bytes) is what later perf changes regress against.
+    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let timings = [execute_ms, render_ms];
+    let entry = BenchEntry::new(
+        &rec.report(),
+        seed,
+        jobs,
+        fault.name(),
+        hardware_threads,
+        timings,
+        rendered_bytes,
+    )
+    .to_json()
     .render();
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json");
@@ -261,7 +227,7 @@ fn guard_run_dir(cli: &Cli) {
 fn usage(code: Exit) -> ! {
     eprintln!(
         "usage: repro [--seed N] [--jobs N] [--trace] [--metrics-out PATH] [--run-dir DIR] \
-         [--fault-profile none|flaky|degraded|hostile] [--fault-rate R] \
+         [--fault-profile none|flaky|degraded|hostile|uniform:R] \
          <artifact>... | all | --bench | --list"
     );
     eprintln!("       repro campaign PLAN [--out DIR]");
@@ -391,19 +357,6 @@ fn parse_cli() -> Cli {
                         eprintln!("error: {e}");
                         Exit::Usage.exit();
                     })
-            }
-            "--fault-rate" => {
-                let rate: f64 = value(&mut args, "--fault-rate")
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        eprintln!("error: --fault-rate expects a number in [0, 1]");
-                        Exit::Usage.exit();
-                    });
-                if !(0.0..=1.0).contains(&rate) {
-                    eprintln!("error: --fault-rate expects a number in [0, 1]");
-                    Exit::Usage.exit();
-                }
-                cli.fault = FaultProfile::uniform(rate);
             }
             "--bench" => cli.bench = true,
             "--list" => cli.list = true,

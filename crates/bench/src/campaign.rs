@@ -473,7 +473,7 @@ fn execute_cells(
         // The plan parser validated every variant; a failed resolution here
         // means the schema's pinned catalog drifted from the crates.
         let (Some(fault), Some(defense)) = (
-            FaultProfile::from_plan_variant(&coord.fault),
+            coord.fault.parse::<FaultProfile>().ok(),
             resolve_defense(&coord.defense),
         ) else {
             return Err(CampaignError::Plan {
@@ -781,12 +781,12 @@ mod tests {
         // crate); every pinned name must resolve, and the uniform spec must
         // produce the uniform profile.
         for preset in FAULT_PRESETS {
-            let profile = FaultProfile::from_plan_variant(preset).expect("preset resolves");
+            let profile: FaultProfile = preset.parse().expect("preset resolves");
             assert_eq!(profile.name(), *preset);
         }
-        let uniform = FaultProfile::from_plan_variant("uniform:0.25").expect("uniform resolves");
+        let uniform: FaultProfile = "uniform:0.25".parse().expect("uniform resolves");
         assert_eq!(uniform.name(), "uniform(0.25)");
-        assert!(FaultProfile::from_plan_variant("chaotic").is_none());
+        assert!("chaotic".parse::<FaultProfile>().is_err());
     }
 
     #[test]

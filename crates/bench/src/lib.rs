@@ -12,17 +12,18 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod campaign;
 
 use alexa_audit::analysis::defense;
-use alexa_audit::{artifacts, AnalysisIndex, AuditConfig, AuditRun, DefenseMode, Observations};
+use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, DefenseMode, Observations};
 use alexa_fault::FaultProfile;
 use alexa_obs::Recorder;
 
 // The artifact vocabulary lives beside its dispatch table in the audit
 // crate; harnesses name it `alexa_bench::ARTIFACTS`.
-pub use alexa_audit::artifacts::ARTIFACTS;
+pub use alexa_audit::ARTIFACTS;
 
 /// The `defenses` artifact's comparisons, in render order.
 const DEFENSES: [(&str, DefenseMode); 2] = [
@@ -140,7 +141,7 @@ fn render_with(
                         clippy::expect_used,
                         reason = "every caller passes names from ARTIFACTS; repro rejects unknowns at parse time (exit 2)"
                     )]
-                    _ => artifacts::render_into(&ix, artifact, &mut buf).expect("artifact known"),
+                    _ => alexa_audit::render_into(&ix, artifact, &mut buf).expect("artifact known"),
                 };
                 log.work(units as u64);
                 buf

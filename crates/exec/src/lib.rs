@@ -19,6 +19,7 @@
 //! build must work fully offline.
 
 #![deny(clippy::indexing_slicing)]
+#![deny(unreachable_pub)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};

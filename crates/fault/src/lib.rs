@@ -10,7 +10,7 @@
 //!
 //! Three design rules make that possible:
 //!
-//! 1. **Stateless decisions.** [`FaultPlane::fires`] is a pure hash of
+//! 1. **Stateless decisions.** [`FaultPlane::fires_at`] is a pure hash of
 //!    `(seed, channel, structural key)` compared against the profile's rate
 //!    for that channel. There is no RNG stream to advance, so consulting the
 //!    plane never perturbs the simulation's own randomness, and a rate of
@@ -23,6 +23,7 @@
 //!    leaks into observables.
 
 #![deny(clippy::indexing_slicing)]
+#![deny(unreachable_pub)]
 
 mod coverage;
 mod fnv;

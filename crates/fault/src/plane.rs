@@ -16,7 +16,7 @@ use crate::unit;
 /// A decision hashes the byte stream `{seed}\u{1f}{channel label}\u{1f}{key}`
 /// with FNV-1a. The stream is never materialized: the per-channel prefix is
 /// hashed once when the plane is built, and callers append their key parts
-/// to a [`FaultKey`] (or pass a whole key to [`FaultPlane::fires`]).
+/// to a [`FaultKey`].
 #[derive(Debug, Clone)]
 pub struct FaultPlane {
     profile: FaultProfile,
@@ -38,7 +38,8 @@ pub struct FaultPlane {
 /// let plane = FaultPlane::new(7, FaultProfile::hostile());
 /// let session = plane.key(FaultChannel::PacketDrop).str("skill-12");
 /// let streamed = plane.fires_at(session.byte(b'/').u64(3));
-/// assert_eq!(streamed, plane.fires(FaultChannel::PacketDrop, "skill-12/3"));
+/// let whole = plane.key(FaultChannel::PacketDrop).str("skill-12/3");
+/// assert_eq!(streamed, plane.fires_at(whole));
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct FaultKey {
@@ -108,7 +109,7 @@ impl FaultPlane {
         }
     }
 
-    /// Does the fault on `channel` fire for this structural `key`?
+    /// Does the fault on the key's channel fire for this structural key?
     ///
     /// Keys must name the work structurally (e.g. `"Fashion/skill-12#2"` for
     /// the second install attempt of a skill), never positionally, so the
@@ -116,11 +117,6 @@ impl FaultPlane {
     /// rate*: if a key fires at rate `r` it also fires at every rate above
     /// `r`, which is what makes coverage decrease monotonically across
     /// profile tiers.
-    pub fn fires(&self, channel: FaultChannel, key: &str) -> bool {
-        self.fires_at(self.key(channel).str(key))
-    }
-
-    /// [`FaultPlane::fires`] for a key built part by part.
     pub fn fires_at(&self, key: FaultKey) -> bool {
         let rate = self.profile.rate(key.channel);
         if rate <= 0.0 {
@@ -132,16 +128,12 @@ impl FaultPlane {
         unit(key.hash.finish()) < rate
     }
 
-    /// Truncated length for a flow of `len` units when [`FaultChannel::FlowTruncation`]
-    /// fires: a deterministic cut keeping 25–75% of the flow (at least one
-    /// unit of a non-empty flow, so a truncated flow is still observed).
-    pub fn truncated_len(&self, key: &str, len: usize) -> usize {
-        self.truncated_len_at(self.key(FaultChannel::FlowTruncation).str(key), len)
-    }
-
-    /// [`FaultPlane::truncated_len`] for the flow-truncation key that fired,
-    /// as passed to [`FaultPlane::fires_at`]. The cut is sampled from the
-    /// same key extended by `/cut`.
+    /// Truncated length for a flow of `len` units when
+    /// [`FaultChannel::FlowTruncation`] fires on `key` (as passed to
+    /// [`FaultPlane::fires_at`]): a deterministic cut keeping 25–75% of the
+    /// flow (at least one unit of a non-empty flow, so a truncated flow is
+    /// still observed). The cut is sampled from the same key extended by
+    /// `/cut`.
     pub fn truncated_len_at(&self, key: FaultKey, len: usize) -> usize {
         debug_assert_eq!(key.channel, FaultChannel::FlowTruncation);
         if len == 0 {
@@ -156,12 +148,17 @@ impl FaultPlane {
 mod tests {
     use super::*;
 
+    /// Whether `plane` fires on `channel` for the whole key `key`.
+    fn fires(plane: &FaultPlane, channel: FaultChannel, key: &str) -> bool {
+        plane.fires_at(plane.key(channel).str(key))
+    }
+
     #[test]
     fn disabled_plane_never_fires() {
         let plane = FaultPlane::disabled();
         for ch in FaultChannel::ALL {
             for i in 0..200 {
-                assert!(!plane.fires(ch, &format!("key-{i}")));
+                assert!(!fires(&plane, ch, &format!("key-{i}")));
             }
         }
     }
@@ -170,7 +167,7 @@ mod tests {
     fn full_rate_always_fires() {
         let plane = FaultPlane::new(7, FaultProfile::uniform(1.0));
         for ch in FaultChannel::ALL {
-            assert!(plane.fires(ch, "anything"));
+            assert!(fires(&plane, ch, "anything"));
         }
     }
 
@@ -178,10 +175,10 @@ mod tests {
     fn decisions_are_stable_and_key_dependent() {
         let plane = FaultPlane::new(1234, FaultProfile::hostile());
         let a: Vec<bool> = (0..100)
-            .map(|i| plane.fires(FaultChannel::CrawlTimeout, &format!("site-{i}")))
+            .map(|i| fires(&plane, FaultChannel::CrawlTimeout, &format!("site-{i}")))
             .collect();
         let b: Vec<bool> = (0..100)
-            .map(|i| plane.fires(FaultChannel::CrawlTimeout, &format!("site-{i}")))
+            .map(|i| fires(&plane, FaultChannel::CrawlTimeout, &format!("site-{i}")))
             .collect();
         assert_eq!(a, b, "same key must always answer the same");
         assert!(a.iter().any(|&x| x) && a.iter().any(|&x| !x));
@@ -195,8 +192,8 @@ mod tests {
         for i in 0..500 {
             let key = format!("k{i}");
             for ch in FaultChannel::ALL {
-                if low.fires(ch, &key) {
-                    assert!(high.fires(ch, &key));
+                if fires(&low, ch, &key) {
+                    assert!(fires(&high, ch, &key));
                 }
             }
         }
@@ -207,7 +204,7 @@ mod tests {
         let plane = FaultPlane::new(9, FaultProfile::uniform(0.3));
         let n = 4000;
         let hits = (0..n)
-            .filter(|i| plane.fires(FaultChannel::PacketDrop, &format!("p{i}")))
+            .filter(|i| fires(&plane, FaultChannel::PacketDrop, &format!("p{i}")))
             .count();
         let rate = hits as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.03, "observed {rate}");
@@ -218,11 +215,15 @@ mod tests {
         let plane = FaultPlane::new(5, FaultProfile::hostile());
         for len in [1usize, 2, 10, 1000] {
             for i in 0..50 {
-                let t = plane.truncated_len(&format!("f{i}"), len);
+                let key = plane
+                    .key(FaultChannel::FlowTruncation)
+                    .str(&format!("f{i}"));
+                let t = plane.truncated_len_at(key, len);
                 assert!(t >= 1 && t <= (len * 3).div_ceil(4), "len {len} -> {t}");
             }
         }
-        assert_eq!(plane.truncated_len("x", 0), 0);
+        let key = plane.key(FaultChannel::FlowTruncation).str("x");
+        assert_eq!(plane.truncated_len_at(key, 0), 0);
     }
 
     #[test]
@@ -231,7 +232,7 @@ mod tests {
         let b = FaultPlane::new(8, FaultProfile::degraded());
         let pattern = |p: &FaultPlane| -> Vec<bool> {
             (0..200)
-                .map(|i| p.fires(FaultChannel::InstallFailure, &format!("s{i}")))
+                .map(|i| fires(p, FaultChannel::InstallFailure, &format!("s{i}")))
                 .collect()
         };
         assert_ne!(pattern(&a), pattern(&b));

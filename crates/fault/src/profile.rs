@@ -83,7 +83,7 @@ impl fmt::Display for ProfileParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown fault profile '{}' (expected none|flaky|degraded|hostile)",
+            "unknown fault profile '{}' (expected none|flaky|degraded|hostile|uniform:R, R in [0, 1])",
             self.0
         )
     }
@@ -135,7 +135,7 @@ impl FaultProfile {
         }
     }
 
-    /// Every channel at the same rate — the `--fault-rate` override. The
+    /// Every channel at the same rate, the profile `uniform:R` names. The
     /// rate is clamped to `[0, 1]`; `uniform(1.0)` faults everything.
     pub fn uniform(rate: f64) -> FaultProfile {
         let r = rate.clamp(0.0, 1.0);
@@ -143,17 +143,6 @@ impl FaultProfile {
             name: format!("uniform({r})"),
             rates: [r; 7],
             retry_budget: 32,
-        }
-    }
-
-    /// The profile a campaign plan's fault variant names: a preset, or
-    /// `uniform:R` ([`uniform_fault_rate`]). The plan parser accepts
-    /// exactly the variants that resolve, so `None` means the plan schema's
-    /// pinned catalog drifted from this crate.
-    pub fn from_plan_variant(spec: &str) -> Option<FaultProfile> {
-        match uniform_fault_rate(spec) {
-            Some(rate) => Some(FaultProfile::uniform(rate)),
-            None => spec.parse().ok(),
         }
     }
 
@@ -182,10 +171,16 @@ impl FaultProfile {
     }
 }
 
+/// One fault-spec grammar for `repro --fault-profile` and a campaign
+/// plan's fault axis: a preset name, or `uniform:R` with `R` in `[0, 1]`
+/// ([`uniform_fault_rate`]).
 impl FromStr for FaultProfile {
     type Err = ProfileParseError;
 
     fn from_str(s: &str) -> Result<FaultProfile, ProfileParseError> {
+        if let Some(rate) = uniform_fault_rate(s) {
+            return Ok(FaultProfile::uniform(rate));
+        }
         match s {
             "none" => Ok(FaultProfile::none()),
             "flaky" => Ok(FaultProfile::flaky()),
@@ -246,6 +241,25 @@ mod tests {
             assert_eq!(p.name(), name);
         }
         assert!("chaotic".parse::<FaultProfile>().is_err());
+    }
+
+    #[test]
+    fn parse_reads_uniform_specs_in_range() {
+        let p: FaultProfile = "uniform:0.25".parse().unwrap();
+        assert_eq!(p, FaultProfile::uniform(0.25));
+        assert_eq!(p.name(), "uniform(0.25)");
+        let full: FaultProfile = "uniform:1".parse().unwrap();
+        assert_eq!(full.name(), "uniform(1)");
+        for bad in [
+            "uniform:1.5",
+            "uniform:-0.1",
+            "uniform:nan",
+            "uniform:",
+            "uniform",
+        ] {
+            let err = bad.parse::<FaultProfile>().unwrap_err();
+            assert!(err.to_string().contains("uniform:R"), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl RetryBudget {
         self.used
     }
 
-    /// Retries still available.
-    pub fn remaining(&self) -> u32 {
-        self.total - self.used
-    }
-
     /// Whether the breaker has opened (every retry spent).
     pub fn exhausted(&self) -> bool {
         self.total > 0 && self.used >= self.total
@@ -313,7 +308,7 @@ mod tests {
             !b.exhausted(),
             "a zero budget is 'no retries', not degraded"
         );
-        assert_eq!(b.remaining(), 0);
+        assert!(!b.clone().try_consume(), "and no retry to take");
     }
 
     #[test]

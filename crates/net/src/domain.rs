@@ -126,11 +126,6 @@ impl Domain {
         })
     }
 
-    /// Whether `self` equals `other` or is a subdomain of it.
-    pub fn is_subdomain_of(&self, other: &Domain) -> bool {
-        self.name == other.name || self.name.ends_with(&format!(".{}", other.name))
-    }
-
     /// Number of labels.
     pub fn depth(&self) -> usize {
         self.name.split('.').count()
@@ -224,12 +219,13 @@ mod tests {
         let parent = Domain::parse("amazon.com").unwrap();
         let child = Domain::parse("api.amazon.com").unwrap();
         let other = Domain::parse("notamazon.com").unwrap();
-        assert!(child.is_subdomain_of(&parent));
-        assert!(parent.is_subdomain_of(&parent));
-        assert!(!other.is_subdomain_of(&parent));
+        // A subdomain, and the domain itself, share its registrable domain.
+        assert_eq!(child.registrable().as_ref(), Some(&parent));
+        assert_eq!(parent.registrable().as_ref(), Some(&parent));
+        assert_ne!(other.registrable().as_ref(), Some(&parent));
         // Suffix-string trap: "xamazon.com" is NOT a subdomain of "amazon.com".
         let trap = Domain::parse("xamazon.com").unwrap();
-        assert!(!trap.is_subdomain_of(&parent));
+        assert_ne!(trap.registrable().as_ref(), Some(&parent));
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl std::fmt::Display for JsonParseError {
 /// recursive descent, so the limit turns hostile input (thousands of `[`)
 /// into a typed error instead of a stack overflow; every document this
 /// workspace writes nests fewer than ten levels.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     src: &'a str,

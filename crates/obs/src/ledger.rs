@@ -256,21 +256,33 @@ pub fn items<'j, V>(
         .collect()
 }
 
-/// The object field `key`, each value decoded by `decode`; a repeated key
-/// fails, since no encoder writes one.
-pub fn entries<'j, V>(
+/// The object field `key`, each value decoded by `decode`, in document
+/// order; a repeated key fails, since no encoder writes one.
+pub(crate) fn pairs<'j, V>(
     json: &'j Json,
     key: &str,
     mut decode: impl FnMut(&'j Json) -> Result<V, Fail>,
-) -> Result<BTreeMap<String, V>, Fail> {
-    let mut out = BTreeMap::new();
-    for (name, value) in field(json, key, Json::as_obj)? {
+) -> Result<Vec<(String, V)>, Fail> {
+    let fields = field(json, key, Json::as_obj)?;
+    let mut out: Vec<(String, V)> = Vec::with_capacity(fields.len());
+    for (name, value) in fields {
         let v = decode(value).map_err(|f| under(format_args!("{key}.{name}"), f))?;
-        if out.insert(name.clone(), v).is_some() {
+        if out.iter().any(|(seen, _)| seen == name) {
             return Err(format!("{key}: repeats {name:?}"));
         }
+        out.push((name.clone(), v));
     }
     Ok(out)
+}
+
+/// The object field `key`, each value decoded by `decode`, keyed by name;
+/// a repeated key fails, since no encoder writes one.
+pub fn entries<'j, V>(
+    json: &'j Json,
+    key: &str,
+    decode: impl FnMut(&'j Json) -> Result<V, Fail>,
+) -> Result<BTreeMap<String, V>, Fail> {
+    Ok(pairs(json, key, decode)?.into_iter().collect())
 }
 
 /// The `depth` of a row, which pre-order allows to be at most one level

@@ -34,6 +34,9 @@
 //!   with nearest-rank percentiles, [`Summary`]; the folded profile) is
 //!   derived from the decoded report. Bundles from different worker counts
 //!   are byte-identical and diffable with the `obs-diff` tool.
+//! * **Bench entries** ([`bench`](mod@bench)) — the `BENCH_audit.json` line each
+//!   `repro --bench` run appends and `obs-diff gate` reads, encoder and
+//!   decoder side by side.
 //! * [`Exit`] — the exit-code contract (0 clean, 1 findings, 2 usage,
 //!   3 degraded) that every binary ends through.
 //!
@@ -52,8 +55,10 @@
 #![deny(unsafe_code)]
 #![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
 pub mod alloc;
+pub mod bench;
 pub mod bundle;
 pub mod campaign;
 mod exit;

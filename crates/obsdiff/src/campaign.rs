@@ -223,7 +223,7 @@ pub fn check_campaign(dir: &Path) -> Result<CampaignCheck, CampaignCheckError> {
             }
         };
         // The bundle's run identity is the one the row's coordinates name.
-        let fault = FaultProfile::from_plan_variant(&row.coord.fault);
+        let fault = row.coord.fault.parse::<FaultProfile>().ok();
         let cell = CampaignCell {
             plan_hash: plan_hash.clone(),
             cell: id.clone(),

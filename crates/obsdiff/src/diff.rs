@@ -1,6 +1,7 @@
 //! The bundle diff engine: every way two run ledgers can disagree.
 
 use crate::bundle::LoadedBundle;
+use crate::gate::{MAX_ALLOC_REGRESS, MAX_REGRESS};
 use alexa_obs::bundle::BundleSpec;
 use alexa_obs::{Json, Report, ShardReport, StageRec};
 use std::collections::{BTreeMap, BTreeSet};
@@ -40,29 +41,6 @@ pub struct Finding {
     pub subject: String,
     /// Human-readable explanation with both values.
     pub detail: String,
-}
-
-/// Knobs for [`diff_bundles`].
-#[derive(Debug, Clone, Copy)]
-pub struct DiffOptions {
-    /// Maximum tolerated percentage growth of a stage's work, a group's
-    /// p99, or a shard's work before the difference escalates from drift to
-    /// regression. Default 25.
-    pub max_regress_pct: f64,
-    /// Maximum tolerated percentage growth of a stage's or shard's
-    /// allocated bytes (the `memory.json` plane) before drift escalates to
-    /// regression. Allocation counts are structural like work units, so the
-    /// default gate is tighter than the work gate: 10.
-    pub max_alloc_regress_pct: f64,
-}
-
-impl Default for DiffOptions {
-    fn default() -> DiffOptions {
-        DiffOptions {
-            max_regress_pct: 25.0,
-            max_alloc_regress_pct: 10.0,
-        }
-    }
 }
 
 /// The outcome of comparing two bundles.
@@ -370,7 +348,7 @@ fn diff_coverage(report: &mut DiffReport, a: &LoadedBundle, b: &LoadedBundle) {
 }
 
 /// Diff the per-group percentile summaries of shard work.
-fn diff_summaries(report: &mut DiffReport, a: &Report, b: &Report, opts: &DiffOptions) {
+fn diff_summaries(report: &mut DiffReport, a: &Report, b: &Report) {
     let missing = (Severity::Regression, "shard group missing from candidate");
     let added = "shard group only in candidate";
     let (ga, gb) = (a.work_summaries(), b.work_summaries());
@@ -389,7 +367,7 @@ fn diff_summaries(report: &mut DiffReport, a: &Report, b: &Report, opts: &DiffOp
                 // Percentile growth beyond the threshold gates; anything else
                 // (including shrinkage) is drift worth seeing.
                 let gated = matches!(key, "p50" | "p90" | "p99");
-                let beyond = growth_pct(av, bv).is_none_or(|pct| pct > opts.max_regress_pct);
+                let beyond = growth_pct(av, bv).is_none_or(|pct| pct > MAX_REGRESS * 100.0);
                 let sev = if gated && beyond {
                     Severity::Regression
                 } else {
@@ -408,13 +386,13 @@ fn diff_summaries(report: &mut DiffReport, a: &Report, b: &Report, opts: &DiffOp
 /// same [`Report`] method computing it for both sides. The report
 /// distinguishes context notes (different seeds), drift (values differ
 /// where equal inputs should agree byte-for-byte) and regressions
-/// (structure lost, growth beyond `opts.max_regress_pct`, coverage drops,
+/// (structure lost, growth beyond 25%, or 10% for allocated bytes, coverage drops,
 /// determinism breaks). Identical bundles produce an empty report.
-pub fn diff_bundles(a: &LoadedBundle, b: &LoadedBundle, opts: &DiffOptions) -> DiffReport {
+pub fn diff_bundles(a: &LoadedBundle, b: &LoadedBundle) -> DiffReport {
     let mut report = DiffReport::default();
     let (ra, rb) = (&a.report, &b.report);
-    let gate = Some(opts.max_regress_pct);
-    let alloc_gate = Some(opts.max_alloc_regress_pct);
+    let gate = Some(MAX_REGRESS * 100.0);
+    let alloc_gate = Some(MAX_ALLOC_REGRESS * 100.0);
     diff_manifests(&mut report, &a.manifest, &b.manifest);
     // Stage work: removed stages and big growth gate.
     let work = (stage_values(ra, |s| s.work), stage_values(rb, |s| s.work));
@@ -441,7 +419,7 @@ pub fn diff_bundles(a: &LoadedBundle, b: &LoadedBundle, opts: &DiffOptions) -> D
             r.push(Severity::Drift, "aggregate", name, detail);
         },
     );
-    diff_summaries(&mut report, ra, rb, opts);
+    diff_summaries(&mut report, ra, rb);
     // Work histograms: shape only — magnitude shifts already surface via
     // the summaries and stage work.
     let hists = (&ra.work_histograms(), &rb.work_histograms());
@@ -458,7 +436,7 @@ pub fn diff_bundles(a: &LoadedBundle, b: &LoadedBundle, opts: &DiffOptions) -> D
         gate,
     );
     // The allocation plane (the facts of `memory.json`). Bytes per stage
-    // and per shard gate at `max_alloc_regress_pct`; counts surface as
+    // and per shard gate at [`MAX_ALLOC_REGRESS`]; counts surface as
     // drift (bytes are what memory budgets are written in); size
     // histograms compare by shape. Per-group allocation summaries are
     // functions of the shard values, so they get no category.

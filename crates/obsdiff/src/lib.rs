@@ -13,8 +13,9 @@
 //!   must diff clean — CI relies on it — and a digest mismatch between
 //!   them is a determinism regression; across identities it is a note.
 //! * `obs-diff gate --baseline B --candidate C` is the bench regression
-//!   gate over `BENCH_audit.json` (JSON-lines appended by `repro --bench`),
-//!   a typed-error Rust port of the retired `ci/bench_gate.py`.
+//!   gate over `BENCH_audit.json` (one `alexa_obs::bench::BenchEntry` per
+//!   line, appended by `repro --bench`), a typed-error Rust port of the
+//!   retired `ci/bench_gate.py`.
 //! * `obs-diff campaign DIR` re-verifies a campaign directory written by
 //!   `repro campaign` from nothing but its files: every listed cell bundle
 //!   loads, records the campaign's plan hash / cell identity / digest, and
@@ -29,15 +30,16 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
+#![deny(unreachable_pub)]
 
-pub mod bundle;
-pub mod campaign;
-pub mod diff;
-pub mod gate;
+mod bundle;
+mod campaign;
+mod diff;
+mod gate;
 
 pub use bundle::{load_bundle, BundleError, LoadedBundle};
 pub use campaign::{
     check_campaign, verify_instances, CampaignCheck, CampaignCheckError, InstanceDivergence,
 };
-pub use diff::{diff_bundles, DiffOptions, DiffReport, Finding, Severity};
+pub use diff::{diff_bundles, DiffReport, Finding, Severity};
 pub use gate::{run_gate, GateError, GateReport};

@@ -2,15 +2,15 @@
 //!
 //! ```sh
 //! obs-diff diff RUN_A RUN_B                 # full cross-run comparison
-//! obs-diff diff A B --max-regress 10        # tighter growth threshold (%)
-//! obs-diff diff A B --max-alloc-regress 5   # tighter allocation threshold (%)
 //! obs-diff diff A B --format json           # machine-readable findings
 //! obs-diff gate --baseline B --candidate C  # bench gate (BENCH_audit.json)
-//! obs-diff gate ... --max-regress 25        # wall-clock threshold in percent
-//! obs-diff gate ... --max-alloc-regress 10  # per-stage alloc-bytes threshold (%)
 //! obs-diff campaign CAMPAIGN_DIR            # verify a campaign directory
 //! obs-diff profile RUN_DIR                  # folded-stack profile (flamegraph input)
 //! ```
+//!
+//! The thresholds are fixed: growth beyond 25% (time, work units) or 10%
+//! (allocated bytes) is a regression, and the gate's `--format json`
+//! report prints both.
 //!
 //! # Exit codes
 //!
@@ -19,20 +19,19 @@
 //! * `0` — bundles equivalent / gate passed / profile printed.
 //! * `1` — drift or regression found / gate failed.
 //! * `2` — usage error, unreadable or malformed input (including a bundle
-//!   or campaign manifest field that parses but does not decode).
+//!   or campaign manifest field, or a bench entry field, that parses but
+//!   does not decode).
 
 #![deny(clippy::indexing_slicing)]
 
 use alexa_obs::Exit;
-use alexa_obsdiff::{
-    check_campaign, diff_bundles, load_bundle, run_gate, DiffOptions, LoadedBundle,
-};
+use alexa_obsdiff::{check_campaign, diff_bundles, load_bundle, run_gate, LoadedBundle};
 use std::path::Path;
 
 fn usage(code: Exit) -> ! {
     eprintln!(
-        "usage: obs-diff diff BASELINE_DIR CANDIDATE_DIR [--max-regress PCT] [--max-alloc-regress PCT] [--format human|json]\n\
-                obs-diff gate --baseline FILE --candidate FILE [--max-regress PCT] [--max-alloc-regress PCT] [--format human|json]\n\
+        "usage: obs-diff diff BASELINE_DIR CANDIDATE_DIR [--format human|json]\n\
+                obs-diff gate --baseline FILE --candidate FILE [--format human|json]\n\
                 obs-diff campaign CAMPAIGN_DIR [--format human|json]\n\
                 obs-diff profile BUNDLE_DIR"
     );
@@ -57,18 +56,6 @@ fn parse_format(value: &str) -> Format {
     }
 }
 
-fn parse_pct(flag: &str, value: &str) -> f64 {
-    let pct: f64 = value.parse().unwrap_or_else(|_| {
-        eprintln!("error: {flag} expects a percentage (e.g. 25)");
-        Exit::Usage.exit();
-    });
-    if !(0.0..=1000.0).contains(&pct) {
-        eprintln!("error: {flag} expects a percentage in [0, 1000]");
-        Exit::Usage.exit();
-    }
-    pct
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
@@ -89,20 +76,10 @@ fn main() {
 
 fn cmd_diff(args: &[String]) -> ! {
     let mut dirs: Vec<&str> = Vec::new();
-    let mut opts = DiffOptions::default();
     let mut format = Format::Human;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--max-regress" => {
-                opts.max_regress_pct = parse_pct("--max-regress", &value(&mut it, "--max-regress"));
-            }
-            "--max-alloc-regress" => {
-                opts.max_alloc_regress_pct = parse_pct(
-                    "--max-alloc-regress",
-                    &value(&mut it, "--max-alloc-regress"),
-                );
-            }
             "--format" => format = parse_format(&value(&mut it, "--format")),
             flag if flag.starts_with('-') => {
                 eprintln!("error: unknown flag {flag:?}");
@@ -116,7 +93,7 @@ fn cmd_diff(args: &[String]) -> ! {
         usage(Exit::Usage);
     };
     let (bundle_a, bundle_b) = (load(a), load(b));
-    let report = diff_bundles(&bundle_a, &bundle_b, &opts);
+    let report = diff_bundles(&bundle_a, &bundle_b);
     match format {
         Format::Human => print!("{}", report.render_human()),
         Format::Json => println!("{}", report.to_json().render()),
@@ -127,23 +104,12 @@ fn cmd_diff(args: &[String]) -> ! {
 fn cmd_gate(args: &[String]) -> ! {
     let mut baseline: Option<String> = None;
     let mut candidate: Option<String> = None;
-    let mut threshold = 0.25;
-    let mut alloc_threshold = 0.10;
     let mut format = Format::Human;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--baseline" => baseline = Some(value(&mut it, "--baseline")),
             "--candidate" => candidate = Some(value(&mut it, "--candidate")),
-            "--max-regress" => {
-                threshold = parse_pct("--max-regress", &value(&mut it, "--max-regress")) / 100.0;
-            }
-            "--max-alloc-regress" => {
-                alloc_threshold = parse_pct(
-                    "--max-alloc-regress",
-                    &value(&mut it, "--max-alloc-regress"),
-                ) / 100.0;
-            }
             "--format" => format = parse_format(&value(&mut it, "--format")),
             other => {
                 eprintln!("error: unknown argument {other:?}");
@@ -155,12 +121,7 @@ fn cmd_gate(args: &[String]) -> ! {
         eprintln!("error: gate requires --baseline and --candidate");
         usage(Exit::Usage);
     };
-    match run_gate(
-        Path::new(&baseline),
-        Path::new(&candidate),
-        threshold,
-        alloc_threshold,
-    ) {
+    match run_gate(Path::new(&baseline), Path::new(&candidate)) {
         Ok(report) => {
             match format {
                 Format::Human => print!("{}", report.render_human()),

@@ -1,6 +1,7 @@
 //! Structured mutation of every outside-input decoder that remains: campaign
-//! plans (`Plan::parse`) and run bundles (`load_bundle`, then `diff_bundles`
-//! against the pristine bundle in both directions).
+//! plans (`Plan::parse`), run bundles (`load_bundle`, then `diff_bundles`
+//! against the pristine bundle in both directions) and bench entries
+//! (`obs-diff gate`).
 //!
 //! Each case takes a real input — the committed smoke plan, or one file of a
 //! small-scale audit bundle — and breaks it one structured way: truncation,
@@ -17,7 +18,7 @@ use alexa_audit::{AuditConfig, AuditRun};
 use alexa_obs::bundle::{write_bundle, BundleSpec, FILES, MANIFEST_FILE, TRACE_FILE};
 use alexa_obs::campaign::{Plan, PlanError};
 use alexa_obs::Recorder;
-use alexa_obsdiff::{diff_bundles, load_bundle, BundleError, DiffOptions, LoadedBundle};
+use alexa_obsdiff::{diff_bundles, load_bundle, run_gate, BundleError, GateError, LoadedBundle};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -208,11 +209,7 @@ fn check_bundle(tag: &str, target: usize, bytes: &[u8]) -> Result<LoadedBundle, 
     let outcome = load_bundle(&dir);
     match &outcome {
         Ok(mutated) => {
-            let opts = DiffOptions::default();
-            for report in [
-                diff_bundles(base, mutated, &opts),
-                diff_bundles(mutated, base, &opts),
-            ] {
+            for report in [diff_bundles(base, mutated), diff_bundles(mutated, base)] {
                 let _ = (report.render_human(), report.to_json().render());
             }
         }
@@ -334,4 +331,115 @@ fn manifest_fails_typed_under_mutation() {
             }
         }
     }
+}
+
+/// The key of the value that starts at `at` (the text between the quotes
+/// before its `": `).
+fn key_before(doc: &[u8], at: usize) -> String {
+    let head = &doc[..at - 3];
+    let open = head.iter().rposition(|&b| b == b'"').expect("a key");
+    String::from_utf8_lossy(&head[open + 1..]).into_owned()
+}
+
+/// A bench entry of the current shape: every required field removed, and
+/// every value replaced by one of another kind (save `jobs`' `null`), makes
+/// `obs-diff gate` refuse the file with exit 2, naming the line and the
+/// field. The library's typed error says the same for every site.
+#[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the test drives the obs-diff binary as a child process"
+)]
+fn bench_entry_fails_typed_under_mutation() {
+    let committed = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../BENCH_audit.json"
+    ))
+    .expect("read BENCH_audit.json");
+    let last = committed
+        .lines()
+        .last()
+        .expect("committed entries")
+        .as_bytes();
+    let line = committed.lines().count() + 1;
+    let dir = case_dir("bench");
+    std::fs::create_dir_all(&dir).expect("create case dir");
+    let baseline = dir.join("baseline.json");
+    std::fs::write(&baseline, &committed).expect("write baseline");
+    let candidate = dir.join("candidate.json");
+    let gate = |mutated: &[u8]| {
+        let body = [committed.as_bytes(), mutated, b"\n"].concat();
+        std::fs::write(&candidate, body).expect("write candidate");
+        run_gate(&baseline, &candidate)
+    };
+    let cli = |field: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_obs-diff"))
+            .arg("gate")
+            .arg("--baseline")
+            .arg(&baseline)
+            .arg("--candidate")
+            .arg(&candidate)
+            .output()
+            .expect("run obs-diff");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{field}: {stderr}");
+        assert!(stderr.contains(&format!(":{line}: ")), "{field}: {stderr}");
+        assert!(stderr.contains(field), "{field}: {stderr}");
+    };
+    let required = [
+        "seed",
+        "jobs",
+        "hardware_threads",
+        "execute_ms",
+        "render_all_ms",
+        "total_ms",
+        "rendered_bytes",
+        "stages",
+        "stage_work",
+    ];
+    for field in required {
+        let json = alexa_obs::Json::parse(&String::from_utf8_lossy(last)).expect("parses");
+        let alexa_obs::Json::Obj(fields) = json else {
+            panic!("an entry is an object")
+        };
+        let kept = fields.into_iter().filter(|(k, _)| k != field).collect();
+        let mutated = alexa_obs::Json::Obj(kept).render();
+        match gate(mutated.as_bytes()) {
+            Err(GateError::BadEntry {
+                line: at, detail, ..
+            }) => {
+                assert_eq!(at, line, "{field}");
+                assert_eq!(detail, format!("{field}: missing or mistyped"));
+            }
+            other => panic!("without {field}: {other:?}"),
+        }
+        cli(field);
+    }
+    for at in value_starts(last) {
+        let (head, rest) = last.split_at(at);
+        let (value, tail) = rest.split_at(value_end(last, at) - at);
+        let key = key_before(last, at);
+        let depth = |brace| head.iter().filter(|&&b| b == brace).count();
+        let top_level = depth(b'{') - depth(b'}') == 1;
+        for wrong in WRONG_TYPES.map(str::as_bytes) {
+            if kind(value) == kind(wrong) || (key == "jobs" && wrong == b"null") {
+                continue;
+            }
+            match gate(&[head, wrong, tail].concat()) {
+                Err(GateError::BadEntry {
+                    line: at, detail, ..
+                }) => {
+                    assert_eq!(at, line, "{key}");
+                    assert!(detail.contains(&key), "{key}: {detail}");
+                }
+                other => panic!("{key} = {}: {other:?}", String::from_utf8_lossy(wrong)),
+            }
+        }
+        if top_level {
+            // No field is a bool: the binary refuses it, naming the field.
+            assert!(gate(&[head, b"true", tail].concat()).is_err(), "{key}");
+            cli(&key);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

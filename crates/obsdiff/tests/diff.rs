@@ -10,7 +10,7 @@ use alexa_audit::{AuditConfig, AuditRun};
 use alexa_fault::{CoverageReport, FaultProfile};
 use alexa_obs::bundle::{write_bundle, BundleSpec, FILES, MANIFEST_FILE, SCHEMA_VERSION};
 use alexa_obs::{Json, Recorder, Report};
-use alexa_obsdiff::{diff_bundles, load_bundle, BundleError, DiffOptions, DiffReport, Severity};
+use alexa_obsdiff::{diff_bundles, load_bundle, BundleError, DiffReport, Severity};
 use std::path::{Path, PathBuf};
 
 /// An empty scratch directory for one tag (tags are unique per call site).
@@ -61,7 +61,7 @@ fn identical_bundles_diff_clean_with_zero_findings() {
     synthetic(&db, 7, 100, true);
     let a = load_bundle(&da).expect("load a");
     let b = load_bundle(&db).expect("load b");
-    let report = diff_bundles(&a, &b, &DiffOptions::default());
+    let report = diff_bundles(&a, &b);
     assert!(report.findings.is_empty(), "{:?}", report.findings);
     assert!(report.clean());
     assert!(report.render_human().contains("bundles equivalent"));
@@ -74,7 +74,7 @@ fn growth_beyond_threshold_is_a_regression() {
     synthetic(&db, 7, 200, false); // +100% work
     let a = load_bundle(&da).expect("load a");
     let b = load_bundle(&db).expect("load b");
-    let report = diff_bundles(&a, &b, &DiffOptions::default());
+    let report = diff_bundles(&a, &b);
     assert!(has_regression(&report));
     assert!(report
         .findings
@@ -92,19 +92,17 @@ fn growth_within_threshold_is_drift_not_regression() {
     synthetic(&db, 7, 110, false); // +10% < 25%
     let a = load_bundle(&da).expect("load a");
     let b = load_bundle(&db).expect("load b");
-    let report = diff_bundles(&a, &b, &DiffOptions::default());
+    let report = diff_bundles(&a, &b);
     assert!(!report.clean(), "drift must not be clean");
     assert!(!has_regression(&report), "{:?}", report.findings);
-    // The same pair under a tighter threshold regresses.
-    let tight = diff_bundles(
-        &a,
-        &b,
-        &DiffOptions {
-            max_regress_pct: 5.0,
-            ..DiffOptions::default()
-        },
-    );
-    assert!(has_regression(&tight));
+    // The threshold is 25%: +20% is drift, +30% a regression.
+    let (dc, dd) = (fresh_dir("drift-c"), fresh_dir("drift-d"));
+    synthetic(&dc, 7, 120, false);
+    synthetic(&dd, 7, 130, false);
+    let c = load_bundle(&dc).expect("load c");
+    let d = load_bundle(&dd).expect("load d");
+    assert!(!has_regression(&diff_bundles(&a, &c)));
+    assert!(has_regression(&diff_bundles(&a, &d)));
 }
 
 #[test]
@@ -114,12 +112,12 @@ fn removed_stage_is_a_regression() {
     synthetic(&db, 7, 100, false); // lost it
     let a = load_bundle(&da).expect("load a");
     let b = load_bundle(&db).expect("load b");
-    let report = diff_bundles(&a, &b, &DiffOptions::default());
+    let report = diff_bundles(&a, &b);
     assert!(report.findings.iter().any(|f| f.category == "stage-work"
         && f.severity == Severity::Regression
         && f.subject == "policy.download"));
     // The reverse direction reports an addition as a note only.
-    let reverse = diff_bundles(&b, &a, &DiffOptions::default());
+    let reverse = diff_bundles(&b, &a);
     assert!(reverse
         .findings
         .iter()
@@ -136,7 +134,7 @@ fn digest_mismatch_with_equal_seed_is_a_determinism_regression() {
     write_bundle(&db, &other, &rec.report()).expect("write b");
     let a = load_bundle(&da).expect("load a");
     let b = load_bundle(&db).expect("load b");
-    let report = diff_bundles(&a, &b, &DiffOptions::default());
+    let report = diff_bundles(&a, &b);
     assert!(report
         .findings
         .iter()
@@ -147,7 +145,7 @@ fn digest_mismatch_with_equal_seed_is_a_determinism_regression() {
     write_bundle(&dd, &spec(8), &rec.report()).expect("write d");
     let c = load_bundle(&dc).expect("load c");
     let d = load_bundle(&dd).expect("load d");
-    let cross = diff_bundles(&c, &d, &DiffOptions::default());
+    let cross = diff_bundles(&c, &d);
     assert!(cross.clean(), "{:?}", cross.findings);
     // Equal seed and fault profile but another defense: another run, so
     // the mismatch is a note, beside one note for the defense.
@@ -158,7 +156,7 @@ fn digest_mismatch_with_equal_seed_is_a_determinism_regression() {
     write_bundle(&df, &defended, &rec.report()).expect("write f");
     let e = load_bundle(&de).expect("load e");
     let f = load_bundle(&df).expect("load f");
-    let defense = diff_bundles(&e, &f, &DiffOptions::default());
+    let defense = diff_bundles(&e, &f);
     assert!(defense.clean(), "{:?}", defense.findings);
     let subjects: Vec<&str> = defense
         .findings
@@ -204,7 +202,7 @@ fn coverage_ratio_drop_is_a_regression() {
     write_bundle(&db, &sb, &rec.report()).expect("write b");
     let a = load_bundle(&da).expect("load a");
     let b = load_bundle(&db).expect("load b");
-    let report = diff_bundles(&a, &b, &DiffOptions::default());
+    let report = diff_bundles(&a, &b);
     assert!(report
         .findings
         .iter()
@@ -309,7 +307,7 @@ fn json_report_format_is_parseable_and_complete() {
     synthetic(&db, 7, 300, false);
     let a = load_bundle(&da).expect("load a");
     let b = load_bundle(&db).expect("load b");
-    let report = diff_bundles(&a, &b, &DiffOptions::default());
+    let report = diff_bundles(&a, &b);
     let rendered = report.to_json().render();
     let parsed = Json::parse(&rendered).expect("report JSON parses");
     assert_eq!(parsed.get("clean").and_then(Json::as_bool), Some(false));
@@ -346,7 +344,7 @@ fn real_audit_bundle_round_trips_clean_across_worker_counts() {
     // And the diff engine agrees: zero findings.
     let a = load_bundle(&da).expect("load a");
     let b = load_bundle(&db).expect("load b");
-    let report = diff_bundles(&a, &b, &DiffOptions::default());
+    let report = diff_bundles(&a, &b);
     assert!(report.findings.is_empty(), "{:?}", report.findings);
 }
 

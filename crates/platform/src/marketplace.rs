@@ -934,16 +934,6 @@ impl Marketplace {
             .find(|s| &s.id == id)
     }
 
-    /// Look up a skill by display name.
-    // Only tests call this today; it carries §4.2's certification-gap
-    // claim (EXPERIMENTS.md) until the claim ledger computes it.
-    pub fn by_name(&self, name: &str) -> Option<&Skill> {
-        self.skills
-            .iter()
-            .chain(self.music_skills.iter())
-            .find(|s| s.name == name)
-    }
-
     /// Register every vendor / content organization this catalog references
     /// into an [`OrgMap`], mirroring the paper's WHOIS/Crunchbase resolution.
     pub fn register_orgs(&self, orgs: &mut OrgMap) {
@@ -1359,6 +1349,14 @@ fn music_catalog() -> Vec<Skill> {
 mod tests {
     use super::*;
 
+    /// The catalog or music skill named `name`.
+    fn by_name<'m>(m: &'m Marketplace, name: &str) -> Option<&'m Skill> {
+        m.all()
+            .iter()
+            .chain(m.music_skills())
+            .find(|s| s.name == name)
+    }
+
     fn market() -> Marketplace {
         Marketplace::generate(42)
     }
@@ -1491,10 +1489,10 @@ mod tests {
     #[test]
     fn pinned_skills_present_with_backends() {
         let m = market();
-        let garmin = m.by_name("Garmin").unwrap();
+        let garmin = by_name(&m, "Garmin").unwrap();
         assert_eq!(garmin.backends.len(), 5);
         assert!(garmin.streaming);
-        let makeup = m.by_name("Makeup of the Day").unwrap();
+        let makeup = by_name(&m, "Makeup of the Day").unwrap();
         assert!(makeup.backends.iter().any(|b| b.as_str() == "chtbl.com"));
     }
 
@@ -1503,7 +1501,7 @@ mod tests {
         let m = market();
         assert_eq!(m.music_skills().len(), 3);
         assert!(m.music_skills().iter().all(|s| s.streaming));
-        assert!(m.by_name("Spotify").is_some());
+        assert!(by_name(&m, "Spotify").is_some());
     }
 
     #[test]
@@ -1553,7 +1551,7 @@ mod tests {
     #[test]
     fn irobot_requires_account_linking() {
         let m = market();
-        assert!(m.by_name("iRobot Home").unwrap().requires_account_linking);
+        assert!(by_name(&m, "iRobot Home").unwrap().requires_account_linking);
     }
 
     #[test]

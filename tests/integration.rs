@@ -4,7 +4,7 @@
 use alexa_audit::analysis::{
     audio, bids, creatives, partners, policy, profiling, significance, traffic,
 };
-use alexa_audit::artifacts::{self, ARTIFACTS};
+use alexa_audit::{render_into, ARTIFACTS};
 use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, Observations, Persona};
 use std::sync::OnceLock;
 
@@ -216,7 +216,7 @@ fn avs_captures_are_amazon_only() {
 fn artifact_report_renders() {
     let mut report = obs().coverage.render();
     for name in ARTIFACTS.iter().filter(|&&a| a != "defenses") {
-        artifacts::render_into(ix(), name, &mut report).expect(name);
+        render_into(ix(), name, &mut report).expect(name);
     }
     assert!(report.len() > 2_000);
     assert!(report.contains("Table 14"));
@@ -270,7 +270,8 @@ fn certification_gap_reproduced_from_captures() {
     // violators appears; whatever appears must be a genuine violator.
     let fl = alexa_net::FilterList::new();
     for name in &flagged {
-        let s = market.by_name(name).unwrap();
+        let mut skills = market.all().iter().chain(market.music_skills());
+        let s = skills.find(|s| &s.name == name).unwrap();
         assert!(!s.streaming);
         assert!(s.backends.iter().any(|b| fl.is_ad_tracking(b)), "{name}");
     }
