@@ -261,25 +261,6 @@ pub fn table14(ix: &AnalysisIndex) -> Table14 {
 }
 
 impl Table14 {
-    /// Number of skills contacting non-Amazon endpoint organizations.
-    pub fn non_amazon_skills(&self) -> usize {
-        let mut skills = BTreeSet::new();
-        for (org, (_, per_skill)) in &self.rows {
-            if org != alexa_net::AMAZON {
-                skills.extend(per_skill.keys().cloned());
-            }
-        }
-        skills.len()
-    }
-
-    /// Disclosure class of one (org, skill) pair.
-    pub fn class_of(&self, org: &str, skill_name: &str) -> Option<DisclosureClass> {
-        self.rows
-            .get(org)
-            .and_then(|(_, m)| m.get(skill_name))
-            .copied()
-    }
-
     /// Stream the paper's layout into `out` (counts per class instead of
     /// colors); returns render work units.
     pub fn render_into(&self, out: &mut String) -> usize {
@@ -466,10 +447,8 @@ mod tests {
     #[test]
     fn garmin_clearly_discloses_itself() {
         let t14 = table14(ix());
-        assert_eq!(
-            t14.class_of("Garmin International", "Garmin"),
-            Some(DisclosureClass::Clear)
-        );
+        let (_, per_skill) = &t14.rows["Garmin International"];
+        assert_eq!(per_skill.get("Garmin"), Some(&DisclosureClass::Clear));
     }
 
     #[test]

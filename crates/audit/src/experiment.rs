@@ -26,9 +26,11 @@
 //! engine executes each kind of unit through an order-preserving parallel
 //! map ([`alexa_exec::par_map`]). Every shard owns its complete device-side
 //! state: its own [`AlexaCloud`] (per-account profiler slice, clock, DNS
-//! table), its own [`EchoDevice`] / [`RouterTap`] / [`BrowserProfile`], all
-//! seeded from the master seed and the shard's *fixed index* in the persona
-//! (or category) list, never from execution order. Shared inputs — the
+//! table), its own [`EchoDevice`] and [`Tap`] — at [`Vantage::Router`] for
+//! a persona, [`Vantage::Avs`] for a category — and a persona's
+//! [`BrowserProfile`], all seeded from the master seed and the shard's
+//! *fixed index* in the persona (or category) list, never from execution
+//! order. Shared inputs — the
 //! marketplace, the web ecosystem, the crawler and its sync graph — are
 //! borrowed read-only by all shards.
 //!
@@ -50,11 +52,11 @@ use alexa_fault::{
     retry, Coverage, CoverageReport, FaultChannel, FaultLedger, FaultPlane, FaultProfile,
     RetryBudget, RetryOutcome, RetryPolicy,
 };
-use alexa_net::{AvsTap, Capture, OrgMap, Packet, Payload, Record, RouterTap, TapStats, Verdict};
+use alexa_net::{Capture, OrgMap, Packet, Payload, Record, Tap, TapStats, Vantage, Verdict};
 use alexa_obs::{Recorder, ShardLog};
 use alexa_platform::{parse_invocation, parse_sample_utterances, render_store_page};
 use alexa_platform::{
-    AlexaCloud, AvsEcho, DeviceError, DsarExport, DsarPhase, EchoDevice, Marketplace, SkillCategory,
+    AlexaCloud, DeviceError, DsarExport, DsarPhase, EchoDevice, Marketplace, SkillCategory,
 };
 use alexa_policy::PolicyFetcher;
 
@@ -209,69 +211,21 @@ impl Defense {
     }
 }
 
-/// What a shard does with either vantage point's tap.
-trait Tap {
-    fn start(&mut self, label: String);
-    fn observe_batch(&mut self, packets: Vec<Packet>);
-    fn stop(&mut self);
-    /// The copy of an offered payload that a shadow of this tap records:
-    /// no more than its measurement reads.
-    fn shadow_payload(payload: &Payload) -> Payload;
-}
-
-impl Tap for RouterTap {
-    fn start(&mut self, label: String) {
-        RouterTap::start(self, label);
-    }
-    fn observe_batch(&mut self, packets: Vec<Packet>) {
-        RouterTap::observe_batch(self, packets);
-    }
-    fn stop(&mut self) {
-        RouterTap::stop(self);
-    }
-    /// Encrypted already, as the router records it.
-    fn shadow_payload(payload: &Payload) -> Payload {
-        payload.encrypt()
-    }
-}
-
-impl Tap for AvsTap {
-    fn start(&mut self, label: String) {
-        AvsTap::start(self, label);
-    }
-    fn observe_batch(&mut self, packets: Vec<Packet>) {
-        AvsTap::observe_batch(self, packets);
-    }
-    fn stop(&mut self) {
-        AvsTap::stop(self);
-    }
-    /// Record types only: tap faults act on record positions, never values.
-    fn shadow_payload(payload: &Payload) -> Payload {
-        match payload {
-            Payload::Plain(records) => Payload::Plain(
-                records
-                    .iter()
-                    .map(|r| Record::new(r.data_type, ""))
-                    .collect(),
-            ),
-            encrypted => encrypted.clone(),
-        }
-    }
-}
-
 /// A shard's tap plus an optional *firewall shadow*: a second tap on the
 /// same fault plane that only sees what an A&T firewall forwards of each
 /// batch. Tap faults key off a packet's sequence number within its session,
 /// which the firewall shifts, so the shadow records exactly what the tap of
 /// an executed `Firewall` run records, without executing that run.
-struct ShadowedTap<T> {
-    tap: T,
-    shadow: Option<(alexa_net::Firewall, T)>,
+struct ShadowedTap {
+    tap: Tap,
+    shadow: Option<(alexa_net::Firewall, Tap)>,
 }
 
-impl<T: Tap> ShadowedTap<T> {
-    /// `make` builds each tap; the shadow exists only when `shadow` is set.
-    fn new(shadow: bool, make: impl Fn() -> T) -> ShadowedTap<T> {
+impl ShadowedTap {
+    /// Taps at `vantage` on `plane`; the shadow exists only when `shadow`
+    /// is set.
+    fn new(vantage: Vantage, plane: &FaultPlane, shadow: bool) -> ShadowedTap {
+        let make = || Tap::with_faults(vantage, plane.clone());
         ShadowedTap {
             tap: make(),
             shadow: shadow.then(|| (alexa_net::Firewall::new(), make())),
@@ -279,26 +233,37 @@ impl<T: Tap> ShadowedTap<T> {
     }
 
     fn start(&mut self, label: &str) {
-        self.tap.start(label.to_string());
+        self.tap.start(label);
         if let Some((_, shadow)) = &mut self.shadow {
-            shadow.start(label.to_string());
+            shadow.start(label);
         }
     }
 
     /// Observe one offered batch on the tap, and its forwarded part on the
-    /// shadow.
+    /// shadow. The shadow's copy of each payload holds no more than its
+    /// measurement reads: the router's ciphertext size, or the AVS records'
+    /// types (tap faults act on record positions, never values).
     fn observe_batch(&mut self, packets: Vec<Packet>) {
         if let Some((fw, shadow)) = &mut self.shadow {
             let allowed = packets.iter().filter(|p| fw.judge(p) == Verdict::Allow);
-            shadow.observe_batch(
-                allowed
-                    .map(|p| Packet {
-                        remote: p.remote.clone(),
-                        payload: T::shadow_payload(&p.payload),
-                        ..*p
-                    })
-                    .collect(),
-            );
+            let copy = |payload: &Payload| match (shadow.vantage(), payload) {
+                (Vantage::Avs, Payload::Plain(records)) => Payload::Plain(
+                    records
+                        .iter()
+                        .map(|r| Record::new(r.data_type, ""))
+                        .collect(),
+                ),
+                (Vantage::Avs, encrypted) => encrypted.clone(),
+                (Vantage::Router, payload) => payload.encrypt(),
+            };
+            let forwarded = allowed
+                .map(|p| Packet {
+                    remote: p.remote.clone(),
+                    payload: copy(&p.payload),
+                    ..*p
+                })
+                .collect();
+            shadow.observe_batch(forwarded);
         }
         self.tap.observe_batch(packets);
     }
@@ -375,8 +340,12 @@ fn absorb_outcome<T>(
     }
 }
 
-/// Fold a tap's packet-level fault counters into a shard ledger.
-fn absorb_tap(ledger: &mut FaultLedger, stats: &TapStats) {
+/// Count a shard's tap in its log, and fold the tap's packet-level fault
+/// counters into the shard's ledger.
+fn absorb_tap(log: &mut ShardLog, ledger: &mut FaultLedger, stats: TapStats) {
+    log.add("tap.sessions", stats.sessions as u64);
+    log.add("tap.flows", stats.packets as u64);
+    log.add("tap.bytes", stats.bytes as u64);
     ledger.inject(FaultChannel::PacketDrop, stats.dropped as u64);
     ledger.inject(FaultChannel::FlowTruncation, stats.truncated as u64);
 }
@@ -423,11 +392,11 @@ pub(crate) fn run_persona_shard(
     let (mut device, mut tap, mut profile) = log.span("boot", |l| {
         l.work(1); // one provisioning step per persona
         let device = echo_index.map(|i| {
-            let mut d = EchoDevice::new(&account, config.seed ^ (i as u64 + 1));
+            let mut d = EchoDevice::new(Vantage::Router, &account, config.seed ^ (i as u64 + 1));
             d.set_fault_plane(plane.clone());
             d
         });
-        let tap = ShadowedTap::new(shadow, || RouterTap::with_faults(plane.clone()));
+        let tap = ShadowedTap::new(Vantage::Router, plane, shadow);
         let profile = BrowserProfile::fresh(&persona.name(), all_index as u8 + 1, Some(&account));
         (device, tap, profile)
     });
@@ -607,9 +576,7 @@ pub(crate) fn run_persona_shard(
 
     // Shard-level counts: what the tap captured, what the crawls observed,
     // and what the persona's timeline produced.
-    log.add("tap.sessions", tap_stats.sessions as u64);
-    log.add("tap.flows", tap_stats.packets as u64);
-    log.add("tap.bytes", tap_stats.bytes as u64);
+    absorb_tap(log, &mut out.ledger, tap_stats);
     log.add("install.failed", out.failed_installs.len() as u64);
     log.add("dsar.exports", out.dsar.len() as u64);
     log.add("crawl.visits", out.crawl.len() as u64);
@@ -630,7 +597,6 @@ pub(crate) fn run_persona_shard(
         out.audio.iter().map(|(_, t)| t.len() as u64).sum(),
     );
 
-    absorb_tap(&mut out.ledger, &tap_stats);
     // Circuit breaker: an exhausted retry budget marks the shard degraded —
     // the run completes and reports reduced coverage instead of panicking.
     out.ledger.degraded = budget.exhausted();
@@ -726,12 +692,13 @@ pub(crate) fn run_avs_shard(
 ) -> AvsShard {
     log.alloc_open(); // see run_persona_shard: window == shard body only
     let mut cloud = AlexaCloud::new();
-    let mut avs = AvsEcho::new(
+    let mut avs = EchoDevice::new(
+        Vantage::Avs,
         "avs-lab",
         config.seed ^ 0xa5a5 ^ ((cat_index as u64 + 1) << 32),
     );
     avs.set_fault_plane(plane.clone());
-    let mut tap = ShadowedTap::new(shadow, || AvsTap::with_faults(plane.clone()));
+    let mut tap = ShadowedTap::new(Vantage::Avs, plane, shadow);
     let mut defense = Defense::new(config.defense);
     let rpolicy = RetryPolicy::standard();
     let mut budget = RetryBudget::new(plane.profile().retry_budget());
@@ -781,11 +748,7 @@ pub(crate) fn run_avs_shard(
             tap.stop();
         }
     });
-    let stats = tap.tap.stats();
-    log.add("tap.sessions", stats.sessions as u64);
-    log.add("tap.flows", stats.packets as u64);
-    log.add("tap.bytes", stats.bytes as u64);
-    absorb_tap(&mut ledger, &stats);
+    absorb_tap(log, &mut ledger, tap.tap.stats());
     ledger.degraded = budget.exhausted();
     if plane.is_active() {
         log.add("fault.injected", ledger.total_injected());

@@ -88,6 +88,27 @@ fn paper_scale_seed_7_digests_are_pinned() {
     );
 }
 
+/// Seed 7's executed `TextOnly` runs, which no benchmark cell covers: the
+/// only digests of both taps under the text-only remap of voice records.
+#[test]
+fn paper_scale_seed_7_text_only_digests_are_pinned() {
+    assert_digests(
+        7,
+        vec![
+            (
+                FaultProfile::none(),
+                DefenseMode::TextOnly,
+                0x556c1956e5e51ce3,
+            ),
+            (
+                FaultProfile::flaky(),
+                DefenseMode::TextOnly,
+                0x00c8a3e92e7ddd95,
+            ),
+        ],
+    );
+}
+
 /// Two of seed 8's cells, the benchmark's second `campaign` item
 /// (`benchmark/reference.json`, `s8-fnone-dnone` and
 /// `s8-fflaky-dfirewall`). Each seed draws different bid CPMs, so a slip

@@ -29,14 +29,14 @@
 use alexa_audit::{AuditConfig, AuditRun, DefenseMode};
 use alexa_fault::{Coverage, CoverageReport, FaultProfile};
 use alexa_obs::bundle::{
-    check_run_dir, write_bundle, BundleSpec, CampaignCell, RunDirConflict, RunDirState, FILES,
+    check_run_dir, write_bundle, BundleSpec, RunDirConflict, RunDirState, FILES,
 };
 use alexa_obs::campaign::{
     campaign_manifest, CampaignManifest, CellCoord, CellRecord, Plan, PlanError, Scale,
     CAMPAIGN_FILE, CAMPAIGN_SCHEMA_VERSION, CELLS_DIR, TABLES_DIR,
 };
 use alexa_obs::{install_global, Exit, Json, ManifestError, Recorder};
-use alexa_obsdiff::{load_bundle, verify_instances, InstanceDivergence, LoadedBundle};
+use alexa_obsdiff::{cell_spec, load_bundle, verify_instances, InstanceDivergence, LoadedBundle};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -263,22 +263,6 @@ fn io_err(path: &Path, error: std::io::Error) -> CampaignError {
     }
 }
 
-/// The bundle-manifest identity spec of one cell. The digest is filled in
-/// after execution; identity matching ignores it.
-fn cell_spec(plan_hash: &str, coord: &CellCoord, fault: &FaultProfile, digest: u64) -> BundleSpec {
-    BundleSpec {
-        seed: coord.seed,
-        fault_profile: fault.name().to_string(),
-        defense: (coord.defense != "none").then(|| coord.defense.clone()),
-        campaign: Some(CampaignCell {
-            plan_hash: plan_hash.to_string(),
-            cell: coord.id(),
-        }),
-        observations_digest: digest,
-        coverage: None,
-    }
-}
-
 /// Whether `dir` already holds this cell's complete bundle.
 ///
 /// Complete means the whole bundle loads (`load_bundle`) *and* the manifest
@@ -485,7 +469,7 @@ fn execute_cells(
             });
         };
         let cell_dir = dir.join(CELLS_DIR).join(&key);
-        let spec = cell_spec(plan_hash, coord, &fault, 0);
+        let spec = cell_spec(plan_hash, coord);
         let mut log = rec.shard("cell", i, &key);
         if cell_is_complete(&cell_dir, &spec)? {
             log.add("cell.skipped", 1);
@@ -509,8 +493,11 @@ fn execute_cells(
         // The digest runs on this thread after the execution; its span sits
         // on the campaign's log, so the cell's bundle does not see it.
         let digest = log.span("digest", |_| obs.digest());
-        let mut spec = cell_spec(plan_hash, coord, &fault, digest);
-        spec.coverage = Some(obs.coverage.to_json());
+        let spec = BundleSpec {
+            observations_digest: digest,
+            coverage: Some(obs.coverage.to_json()),
+            ..cell_spec(plan_hash, coord)
+        };
         drop(obs);
         write_bundle(&cell_dir, &spec, &cell_rec.report()).map_err(|e| io_err(&cell_dir, e))?;
         // Surface the cell's OS peak RSS, sampled once the digest and the
@@ -843,7 +830,7 @@ mod tests {
         let mut records = Vec::new();
         for coord in &coords {
             let cell_dir = dir.join(CELLS_DIR).join(coord.key());
-            let spec = cell_spec(&plan.hash(), coord, &FaultProfile::none(), 0);
+            let spec = cell_spec(&plan.hash(), coord);
             write_bundle(&cell_dir, &spec, &Recorder::new().report()).expect("write bundle");
             let bundle = load_bundle(&cell_dir).expect("bundle loads");
             records.push(CellRecord {

@@ -1,20 +1,21 @@
-//! Capture taps: the two vantage points of the paper's methodology.
+//! The capture tap, at either vantage point of the paper's methodology.
 //!
-//! * [`RouterTap`] — the RPi bridged-AP router. Sees **every** packet the
-//!   device exchanges, but cannot decrypt TLS: each captured packet carries
-//!   only endpoint, direction, timing and ciphertext size.
-//! * [`AvsTap`] — the instrumented AVS Device SDK. Logs payloads **before**
-//!   encryption, so captured packets retain their typed records. The AVS
-//!   Echo's limitations are enforced by the device model in
-//!   `alexa-platform` (Amazon-only endpoints, no streaming skills); this tap
+//! One [`Tap`] type serves both; its [`Vantage`] decides what it can read:
+//!
+//! * [`Vantage::Router`] — the RPi bridged-AP router. Sees **every** packet
+//!   the device exchanges, but cannot decrypt TLS: each captured packet
+//!   carries only endpoint, direction, timing and ciphertext size.
+//! * [`Vantage::Avs`] — the instrumented AVS Device SDK. Logs payloads
+//!   **before** encryption, so captured packets retain their typed records.
+//!   The AVS Echo's limitations are enforced by the device model in
+//!   `alexa-platform` (Amazon-only endpoints, no streaming skills); the tap
 //!   faithfully records whatever that device emits.
 //!
-//! Both taps support the paper's per-skill capture discipline: `tcpdump` was
+//! Both follow the paper's per-skill capture discipline: `tcpdump` was
 //! enabled before each skill install and disabled after uninstall, so every
 //! capture is cleanly attributable to one skill. [`Capture::label`] carries
 //! that attribution.
 
-use crate::domain::Domain;
 use crate::packet::{Packet, Payload};
 use alexa_fault::{FaultChannel, FaultKey, FaultPlane};
 
@@ -37,14 +38,6 @@ impl Capture {
             label: label.into(),
             packets: Vec::new(),
         }
-    }
-
-    /// Distinct remote endpoints contacted, sorted.
-    pub fn endpoints(&self) -> Vec<Domain> {
-        let mut set: Vec<Domain> = self.packets.iter().map(|p| p.remote.clone()).collect();
-        set.sort();
-        set.dedup();
-        set
     }
 }
 
@@ -74,11 +67,11 @@ impl TapStats {
     }
 }
 
-/// Per-session fault bookkeeping shared by both taps: a monotone packet
-/// sequence number makes the structural key `label/seq`, so fault placement
-/// depends only on what the packet *is* within its session, never on
-/// scheduling. The session label is hashed into both channels' keys once,
-/// at [`TapFaults::start`]; each packet appends only `/seq`.
+/// Per-session fault bookkeeping: a monotone packet sequence number makes
+/// the structural key `label/seq`, so fault placement depends only on what
+/// the packet *is* within its session, never on scheduling. The session
+/// label is hashed into both channels' keys once, at [`TapFaults::start`];
+/// each packet appends only `/seq`.
 #[derive(Debug)]
 struct TapFaults {
     plane: FaultPlane,
@@ -86,12 +79,6 @@ struct TapFaults {
     /// `(packet-drop, flow-truncation)` keys holding the session label,
     /// set only while the plane is active.
     session: Option<(FaultKey, FaultKey)>,
-}
-
-impl Default for TapFaults {
-    fn default() -> TapFaults {
-        TapFaults::new(FaultPlane::disabled())
-    }
 }
 
 impl TapFaults {
@@ -143,28 +130,41 @@ enum PacketFate {
     Truncate(FaultKey),
 }
 
-/// The RPi router tap: records every packet, encrypted view only.
-#[derive(Debug, Default)]
-pub struct RouterTap {
+/// Where a tap sits, and so how much of each packet it can read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Vantage {
+    /// The RPi bridged-AP router: every packet, as TLS ciphertext.
+    Router,
+    /// The instrumented AVS Device SDK: payloads before encryption.
+    Avs,
+}
+
+/// A capture tap at one [`Vantage`].
+#[derive(Debug)]
+pub struct Tap {
+    vantage: Vantage,
     session: Option<Capture>,
     finished: Vec<Capture>,
     stats: TapStats,
     faults: TapFaults,
 }
 
-impl RouterTap {
-    /// Create a tap with no active session.
-    pub fn new() -> RouterTap {
-        RouterTap::default()
+impl Tap {
+    /// A tap at `vantage` whose capture path consults `plane` for packet
+    /// drops and flow truncation. An inactive plane injects nothing.
+    pub fn with_faults(vantage: Vantage, plane: FaultPlane) -> Tap {
+        Tap {
+            vantage,
+            session: None,
+            finished: Vec::new(),
+            stats: TapStats::default(),
+            faults: TapFaults::new(plane),
+        }
     }
 
-    /// A tap whose capture path consults `plane` for packet drops and flow
-    /// truncation. With an inactive plane this is exactly [`RouterTap::new`].
-    pub fn with_faults(plane: FaultPlane) -> RouterTap {
-        RouterTap {
-            faults: TapFaults::new(plane),
-            ..RouterTap::default()
-        }
+    /// Where this tap sits.
+    pub fn vantage(&self) -> Vantage {
+        self.vantage
     }
 
     /// Begin a capture session (the paper's "enable tcpdump").
@@ -178,148 +178,46 @@ impl RouterTap {
         self.session = Some(capture);
     }
 
-    /// Observe one packet. No-op unless a session is active. The payload is
-    /// opacified: the router sees TLS ciphertext only.
-    pub fn observe(&mut self, packet: &Packet) {
-        if self.session.is_some() {
-            self.admit(packet.clone());
-        }
-    }
-
-    /// Observe a whole packet batch in one call, taking ownership so the
-    /// payloads are encrypted in place instead of cloned packet-by-packet.
-    /// No-op unless a session is active.
-    pub fn observe_batch(&mut self, packets: Vec<Packet>) {
-        if self.session.is_some() {
-            if let Some(s) = &mut self.session {
-                s.packets.reserve(packets.len());
-            }
-            for p in packets {
-                self.admit(p);
-            }
-        }
-    }
-
-    /// Encrypt, apply any injected capture fault, and record one packet.
-    fn admit(&mut self, mut p: Packet) {
-        let Some(session) = &mut self.session else {
-            return;
-        };
-        p.payload = p.payload.encrypt();
-        if self.faults.plane.is_active() {
-            match self.faults.admit() {
-                PacketFate::Drop => {
-                    self.stats.dropped += 1;
-                    return;
-                }
-                PacketFate::Truncate(key) => {
-                    if let Payload::Encrypted { len } = p.payload {
-                        p.payload = Payload::Encrypted {
-                            len: self.faults.plane.truncated_len_at(key, len),
-                        };
-                    }
-                    self.stats.truncated += 1;
-                }
-                PacketFate::Keep => {}
-            }
-        }
-        self.stats.observe(p.payload.wire_len());
-        session.packets.push(p);
-    }
-
-    /// Running totals across the tap's whole life.
-    pub fn stats(&self) -> TapStats {
-        self.stats
-    }
-
-    /// End the active session (the paper's "disable tcpdump").
-    pub fn stop(&mut self) {
-        if let Some(s) = self.session.take() {
-            self.finished.push(s);
-        }
-    }
-
-    /// All finalized captures, in session order.
-    pub fn captures(&self) -> &[Capture] {
-        &self.finished
-    }
-
-    /// Consume the tap, returning its captures.
-    pub fn into_captures(mut self) -> Vec<Capture> {
-        self.stop();
-        self.finished
-    }
-}
-
-/// The AVS Echo tap: records payloads before encryption.
-#[derive(Debug, Default)]
-pub struct AvsTap {
-    session: Option<Capture>,
-    finished: Vec<Capture>,
-    stats: TapStats,
-    faults: TapFaults,
-}
-
-impl AvsTap {
-    /// Create a tap with no active session.
-    pub fn new() -> AvsTap {
-        AvsTap::default()
-    }
-
-    /// A tap whose capture path consults `plane` for packet drops and flow
-    /// truncation. With an inactive plane this is exactly [`AvsTap::new`].
-    pub fn with_faults(plane: FaultPlane) -> AvsTap {
-        AvsTap {
-            faults: TapFaults::new(plane),
-            ..AvsTap::default()
-        }
-    }
-
-    /// Begin a capture session.
-    pub fn start(&mut self, label: impl Into<String>) {
-        self.stop();
-        self.stats.sessions += 1;
-        let capture = Capture::new(label);
-        self.faults.start(&capture.label);
-        self.session = Some(capture);
-    }
-
-    /// Observe one packet with full plaintext visibility.
-    pub fn observe(&mut self, packet: &Packet) {
-        if self.session.is_some() {
-            self.admit(packet.clone());
-        }
-    }
-
-    /// Observe a whole packet batch in one call, taking ownership to avoid
-    /// per-packet clones. No-op unless a session is active.
+    /// Observe a whole packet batch in one call, taking ownership so no
+    /// packet is cloned. No-op unless a session is active.
     pub fn observe_batch(&mut self, packets: Vec<Packet>) {
         let Some(session) = &mut self.session else {
             return;
         };
-        if !self.faults.plane.is_active() {
-            for p in &packets {
-                self.stats.observe(p.payload.wire_len());
+        match self.vantage {
+            // Nothing to encrypt and no fault to place: the batch moves in.
+            Vantage::Avs if !self.faults.plane.is_active() => {
+                for p in &packets {
+                    self.stats.observe(p.payload.wire_len());
+                }
+                if session.packets.is_empty() {
+                    session.packets = packets;
+                } else {
+                    session.packets.extend(packets);
+                }
+                return;
             }
-            if session.packets.is_empty() {
-                session.packets = packets;
-            } else {
-                session.packets.extend(packets);
-            }
-            return;
+            // The router reserves for the batch and the faulted AVS view
+            // grows as it goes: each keeps the allocation pattern that
+            // `memory.json` records.
+            Vantage::Router => session.packets.reserve(packets.len()),
+            Vantage::Avs => {}
         }
         for p in packets {
             self.admit(p);
         }
     }
 
-    /// Apply any injected capture fault and record one packet. The AVS view
-    /// is plaintext, so truncation cuts trailing typed records rather than
-    /// ciphertext bytes.
+    /// Encrypt at the router, apply any injected capture fault, and record
+    /// one packet. A plaintext truncation cuts trailing typed records; a
+    /// ciphertext one cuts bytes.
     fn admit(&mut self, mut p: Packet) {
         let Some(session) = &mut self.session else {
             return;
         };
+        if self.vantage == Vantage::Router {
+            p.payload = p.payload.encrypt();
+        }
         if self.faults.plane.is_active() {
             match self.faults.admit() {
                 PacketFate::Drop => {
@@ -350,19 +248,14 @@ impl AvsTap {
         self.stats
     }
 
-    /// End the active session.
+    /// End the active session (the paper's "disable tcpdump").
     pub fn stop(&mut self) {
         if let Some(s) = self.session.take() {
             self.finished.push(s);
         }
     }
 
-    /// All finalized captures.
-    pub fn captures(&self) -> &[Capture] {
-        &self.finished
-    }
-
-    /// Consume the tap, returning its captures.
+    /// Consume the tap, returning its captures in session order.
     pub fn into_captures(mut self) -> Vec<Capture> {
         self.stop();
         self.finished
@@ -372,14 +265,22 @@ impl AvsTap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::Domain;
     use crate::packet::{DataType, Payload, Record};
+    use alexa_fault::FaultProfile;
     use std::net::Ipv4Addr;
+
+    const BOTH: [Vantage; 2] = [Vantage::Router, Vantage::Avs];
 
     impl Capture {
         /// Total bytes across all packets.
         fn total_bytes(&self) -> usize {
             self.packets.iter().map(|p| p.payload.wire_len()).sum()
         }
+    }
+
+    fn tap(vantage: Vantage) -> Tap {
+        Tap::with_faults(vantage, FaultPlane::disabled())
     }
 
     fn pkt(ts: u64, name: &str, records: Vec<Record>) -> Packet {
@@ -391,17 +292,20 @@ mod tests {
         )
     }
 
+    fn voice(ts: u64, name: &str) -> Packet {
+        pkt(
+            ts,
+            name,
+            vec![Record::new(DataType::VoiceRecording, "hello")],
+        )
+    }
+
     #[test]
     fn router_tap_hides_payloads() {
-        let mut tap = RouterTap::new();
+        let mut tap = tap(Vantage::Router);
         tap.start("skill-a");
-        tap.observe(&pkt(
-            1,
-            "amazon.com",
-            vec![Record::new(DataType::VoiceRecording, "hello")],
-        ));
-        tap.stop();
-        let caps = tap.captures();
+        tap.observe_batch(vec![voice(1, "amazon.com")]);
+        let caps = tap.into_captures();
         assert_eq!(caps.len(), 1);
         assert!(caps[0].packets[0].payload.records().is_none());
         // ...but preserves size.
@@ -410,204 +314,149 @@ mod tests {
 
     #[test]
     fn avs_tap_preserves_payloads() {
-        let mut tap = AvsTap::new();
+        let mut tap = tap(Vantage::Avs);
         tap.start("skill-a");
-        tap.observe(&pkt(
+        tap.observe_batch(vec![pkt(
             1,
             "amazon.com",
             vec![Record::new(DataType::CustomerId, "A1")],
-        ));
-        tap.stop();
-        let records = tap.captures()[0].packets[0].payload.records().unwrap();
+        )]);
+        let caps = tap.into_captures();
+        let records = caps[0].packets[0].payload.records().unwrap();
         assert_eq!(records[0].data_type, DataType::CustomerId);
     }
 
     #[test]
     fn observe_without_session_is_dropped() {
-        let mut tap = RouterTap::new();
-        tap.observe(&pkt(1, "amazon.com", vec![]));
-        tap.start("s");
-        tap.stop();
-        assert_eq!(tap.captures().len(), 1);
-        assert!(tap.captures()[0].packets.is_empty());
+        for vantage in BOTH {
+            let mut tap = tap(vantage);
+            tap.observe_batch(vec![pkt(1, "amazon.com", vec![])]);
+            tap.start("s");
+            tap.stop();
+            assert_eq!(tap.stats().packets, 0, "{vantage:?}");
+            let caps = tap.into_captures();
+            assert_eq!(caps.len(), 1, "{vantage:?}");
+            assert!(caps[0].packets.is_empty(), "{vantage:?}");
+        }
+    }
+
+    #[test]
+    fn observe_batch_without_session_is_dropped() {
+        // After a session ends, nothing is recorded until the next starts.
+        for vantage in BOTH {
+            let mut tap = tap(vantage);
+            tap.start("s");
+            tap.stop();
+            tap.observe_batch(vec![pkt(1, "amazon.com", vec![])]);
+            assert_eq!(tap.stats().packets, 0, "{vantage:?}");
+            let caps = tap.into_captures();
+            assert_eq!(caps.len(), 1, "{vantage:?}");
+            assert!(caps[0].packets.is_empty(), "{vantage:?}");
+        }
     }
 
     #[test]
     fn sessions_attribute_traffic_to_labels() {
-        let mut tap = RouterTap::new();
-        tap.start("garmin");
-        tap.observe(&pkt(1, "static.garmincdn.com", vec![]));
-        tap.start("sonos"); // implicit stop of garmin session
-        tap.observe(&pkt(2, "amazon.com", vec![]));
-        tap.stop();
-        let caps = tap.captures();
-        assert_eq!(caps.len(), 2);
-        assert_eq!(caps[0].label, "garmin");
-        assert_eq!(caps[1].label, "sonos");
-        assert_eq!(caps[0].packets[0].remote.as_str(), "static.garmincdn.com");
-    }
-
-    #[test]
-    fn capture_endpoint_dedup() {
-        let mut c = Capture::new("x");
-        c.packets.push(pkt(1, "amazon.com", vec![]));
-        c.packets.push(pkt(2, "amazon.com", vec![]));
-        c.packets.push(pkt(3, "api.amazon.com", vec![]));
-        assert_eq!(c.endpoints().len(), 2);
+        for vantage in BOTH {
+            let mut tap = tap(vantage);
+            tap.start("garmin");
+            tap.observe_batch(vec![pkt(1, "static.garmincdn.com", vec![])]);
+            tap.start("sonos"); // implicit stop of garmin session
+            tap.observe_batch(vec![pkt(2, "amazon.com", vec![])]);
+            let caps = tap.into_captures();
+            assert_eq!(caps.len(), 2, "{vantage:?}");
+            assert_eq!(caps[0].label, "garmin");
+            assert_eq!(caps[1].label, "sonos");
+            assert_eq!(caps[0].packets[0].remote.as_str(), "static.garmincdn.com");
+            assert_eq!(caps[1].packets[0].remote.as_str(), "amazon.com");
+        }
     }
 
     #[test]
     fn observe_batch_matches_per_packet_observe() {
         let batch = vec![
-            pkt(
-                1,
-                "amazon.com",
-                vec![Record::new(DataType::VoiceRecording, "hi")],
-            ),
+            voice(1, "amazon.com"),
             pkt(2, "chtbl.com", vec![]),
+            voice(3, "api.amazon.com"),
         ];
-        let mut one = RouterTap::new();
-        one.start("s");
-        for p in &batch {
-            one.observe(p);
+        for vantage in BOTH {
+            let mut one = tap(vantage);
+            one.start("s");
+            one.observe_batch(batch.clone());
+            let mut split = tap(vantage);
+            split.start("s");
+            for p in &batch {
+                split.observe_batch(vec![p.clone()]);
+            }
+            assert_eq!(one.stats(), split.stats(), "{vantage:?}");
+            assert_eq!(one.into_captures(), split.into_captures(), "{vantage:?}");
         }
-        one.stop();
-        let mut many = RouterTap::new();
-        many.start("s");
-        many.observe_batch(batch.clone());
-        many.stop();
-        assert_eq!(
-            format!("{:?}", one.captures()),
-            format!("{:?}", many.captures())
-        );
-
-        let mut avs_one = AvsTap::new();
-        avs_one.start("s");
-        for p in &batch {
-            avs_one.observe(p);
-        }
-        avs_one.stop();
-        let mut avs_many = AvsTap::new();
-        avs_many.start("s");
-        avs_many.observe_batch(batch);
-        avs_many.stop();
-        assert_eq!(
-            format!("{:?}", avs_one.captures()),
-            format!("{:?}", avs_many.captures())
-        );
-    }
-
-    #[test]
-    fn observe_batch_without_session_is_dropped() {
-        let mut tap = RouterTap::new();
-        tap.observe_batch(vec![pkt(1, "amazon.com", vec![])]);
-        tap.start("s");
-        tap.stop();
-        assert!(tap.captures()[0].packets.is_empty());
     }
 
     #[test]
     fn tap_stats_track_sessions_packets_bytes() {
-        let mut tap = RouterTap::new();
-        assert_eq!(tap.stats(), TapStats::default());
-        tap.observe(&pkt(0, "amazon.com", vec![])); // no session: not counted
-        tap.start("a");
-        tap.observe(&pkt(
-            1,
-            "amazon.com",
-            vec![Record::new(DataType::VoiceRecording, "hello")],
-        ));
-        tap.start("b");
-        tap.observe_batch(vec![
-            pkt(2, "chtbl.com", vec![]),
-            pkt(3, "amazon.com", vec![]),
-        ]);
-        tap.stop();
-        let s = tap.stats();
-        assert_eq!(s.sessions, 2);
-        assert_eq!(s.packets, 3);
-        // Bytes are post-encryption wire lengths, so they match the capture.
-        let captured: usize = tap.captures().iter().map(Capture::total_bytes).sum();
-        assert_eq!(s.bytes, captured);
-
-        let mut avs = AvsTap::new();
-        avs.start("s");
-        avs.observe_batch(vec![pkt(
-            1,
-            "amazon.com",
-            vec![Record::new(DataType::CustomerId, "A1")],
-        )]);
-        avs.observe(&pkt(2, "amazon.com", vec![]));
-        let s = avs.stats();
-        assert_eq!((s.sessions, s.packets), (1, 2));
-        assert_eq!(
-            s.bytes,
-            avs.captures()
-                .iter()
-                .chain(avs.session.iter())
-                .map(Capture::total_bytes)
-                .sum::<usize>()
-        );
+        for vantage in BOTH {
+            let mut tap = tap(vantage);
+            assert_eq!(tap.stats(), TapStats::default());
+            tap.start("a");
+            tap.observe_batch(vec![voice(1, "amazon.com")]);
+            tap.start("b");
+            tap.observe_batch(vec![
+                pkt(2, "chtbl.com", vec![]),
+                pkt(3, "amazon.com", vec![]),
+            ]);
+            let s = tap.stats();
+            assert_eq!((s.sessions, s.packets), (2, 3), "{vantage:?}");
+            let captured: usize = tap.into_captures().iter().map(Capture::total_bytes).sum();
+            assert_eq!(s.bytes, captured, "{vantage:?}");
+        }
     }
 
     #[test]
     fn inactive_fault_plane_changes_nothing() {
-        use alexa_fault::FaultProfile;
-        let batch = vec![
-            pkt(
-                1,
-                "amazon.com",
-                vec![Record::new(DataType::VoiceRecording, "hi")],
-            ),
-            pkt(2, "chtbl.com", vec![]),
-        ];
-        let mut plain = RouterTap::new();
-        let mut gated = RouterTap::with_faults(FaultPlane::new(7, FaultProfile::none()));
-        for tap in [&mut plain, &mut gated] {
-            tap.start("s");
-            tap.observe_batch(batch.clone());
-            tap.stop();
+        let batch = vec![voice(1, "amazon.com"), pkt(2, "chtbl.com", vec![])];
+        for vantage in BOTH {
+            let mut plain = tap(vantage);
+            let mut gated = Tap::with_faults(vantage, FaultPlane::new(7, FaultProfile::none()));
+            for tap in [&mut plain, &mut gated] {
+                tap.start("s");
+                tap.observe_batch(batch.clone());
+                tap.stop();
+            }
+            assert_eq!(plain.stats(), gated.stats(), "{vantage:?}");
+            assert_eq!(plain.into_captures(), gated.into_captures(), "{vantage:?}");
         }
-        assert_eq!(
-            format!("{:?}", plain.captures()),
-            format!("{:?}", gated.captures())
-        );
-        assert_eq!(plain.stats(), gated.stats());
     }
 
     #[test]
     fn faulted_tap_drops_and_truncates_deterministically() {
-        use alexa_fault::FaultProfile;
-        let batch: Vec<Packet> = (0..200)
-            .map(|i| {
-                pkt(
-                    i,
-                    "amazon.com",
-                    vec![Record::new(DataType::VoiceRecording, "hello world")],
-                )
-            })
-            .collect();
-        let run = |seed: u64| {
-            let mut tap = RouterTap::with_faults(FaultPlane::new(seed, FaultProfile::hostile()));
-            tap.start("skill");
-            tap.observe_batch(batch.clone());
-            tap.stop();
-            (format!("{:?}", tap.captures()), tap.stats())
-        };
-        let (caps_a, stats_a) = run(7);
-        let (caps_b, stats_b) = run(7);
-        assert_eq!(caps_a, caps_b, "same seed, same capture");
-        assert_eq!(stats_a, stats_b);
-        assert!(stats_a.dropped > 0, "hostile profile must drop packets");
-        assert!(stats_a.truncated > 0, "hostile profile must truncate flows");
-        assert_eq!(stats_a.packets + stats_a.dropped, batch.len());
-        let (caps_c, _) = run(8);
-        assert_ne!(caps_a, caps_c, "fault placement follows the seed");
+        let batch: Vec<Packet> = (0..200).map(|i| voice(i, "amazon.com")).collect();
+        for vantage in BOTH {
+            let run = |seed: u64| {
+                let mut tap =
+                    Tap::with_faults(vantage, FaultPlane::new(seed, FaultProfile::hostile()));
+                tap.start("skill");
+                tap.observe_batch(batch.clone());
+                let stats = tap.stats();
+                (tap.into_captures(), stats)
+            };
+            let (caps_a, stats_a) = run(7);
+            let (caps_b, stats_b) = run(7);
+            assert_eq!(caps_a, caps_b, "{vantage:?}: same seed, same capture");
+            assert_eq!(stats_a, stats_b);
+            assert!(stats_a.dropped > 0, "hostile profile must drop packets");
+            assert!(stats_a.truncated > 0, "hostile profile must truncate flows");
+            assert_eq!(stats_a.packets + stats_a.dropped, batch.len());
+            let (caps_c, _) = run(8);
+            assert_ne!(
+                caps_a, caps_c,
+                "{vantage:?}: fault placement follows the seed"
+            );
+        }
     }
 
     #[test]
     fn avs_truncation_cuts_records_not_packets() {
-        use alexa_fault::FaultProfile;
         let batch: Vec<Packet> = (0..100)
             .map(|i| {
                 pkt(
@@ -622,18 +471,18 @@ mod tests {
                 )
             })
             .collect();
-        let mut tap = AvsTap::with_faults(FaultPlane::new(1234, FaultProfile::hostile()));
+        let mut tap =
+            Tap::with_faults(Vantage::Avs, FaultPlane::new(1234, FaultProfile::hostile()));
         tap.start("skill");
         tap.observe_batch(batch);
-        tap.stop();
-        let stats = tap.stats();
-        assert!(stats.truncated > 0);
+        assert!(tap.stats().truncated > 0);
+        let caps = tap.into_captures();
         // Truncated packets keep a non-empty record prefix.
-        assert!(tap.captures()[0]
+        assert!(caps[0]
             .packets
             .iter()
             .all(|p| !p.payload.records().unwrap().is_empty()));
-        assert!(tap.captures()[0]
+        assert!(caps[0]
             .packets
             .iter()
             .any(|p| p.payload.records().unwrap().len() < 4));
@@ -641,29 +490,31 @@ mod tests {
 
     #[test]
     fn fault_keys_reset_per_session() {
-        use alexa_fault::FaultProfile;
         // Two sessions with the same label see identical fault placement.
-        let plane = FaultPlane::new(42, FaultProfile::hostile());
-        let batch: Vec<Packet> = (0..50).map(|i| pkt(i, "amazon.com", vec![])).collect();
-        let mut tap = RouterTap::with_faults(plane);
-        tap.start("same");
-        tap.observe_batch(batch.clone());
-        tap.start("same");
-        tap.observe_batch(batch);
-        tap.stop();
-        let caps = tap.captures();
-        assert_eq!(
-            format!("{:?}", caps[0].packets),
-            format!("{:?}", caps[1].packets)
-        );
+        let batch: Vec<Packet> = (0..50).map(|i| voice(i, "amazon.com")).collect();
+        for vantage in BOTH {
+            let plane = FaultPlane::new(42, FaultProfile::hostile());
+            let mut tap = Tap::with_faults(vantage, plane);
+            tap.start("same");
+            tap.observe_batch(batch.clone());
+            tap.start("same");
+            tap.observe_batch(batch.clone());
+            let stats = tap.stats();
+            assert!(stats.dropped + stats.truncated > 0, "{vantage:?}");
+            let caps = tap.into_captures();
+            assert_eq!(caps[0].packets, caps[1].packets, "{vantage:?}");
+        }
     }
 
     #[test]
     fn into_captures_finalizes_open_session() {
-        let mut tap = AvsTap::new();
-        tap.start("open");
-        tap.observe(&pkt(1, "amazon.com", vec![]));
-        let caps = tap.into_captures();
-        assert_eq!(caps.len(), 1);
+        for vantage in BOTH {
+            let mut tap = tap(vantage);
+            tap.start("open");
+            tap.observe_batch(vec![pkt(1, "amazon.com", vec![])]);
+            let caps = tap.into_captures();
+            assert_eq!(caps.len(), 1, "{vantage:?}");
+            assert_eq!(caps[0].packets.len(), 1, "{vantage:?}");
+        }
     }
 }

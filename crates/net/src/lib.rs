@@ -12,8 +12,8 @@
 //! This crate models everything both vantage points operate on: validated
 //! [`Domain`] names with eTLD+1 extraction, a deterministic [`DnsTable`],
 //! typed [`Packet`]s whose payloads are either opaque ([`Payload::Encrypted`])
-//! or structured ([`Payload::Plain`]), the two taps ([`RouterTap`],
-//! [`AvsTap`]), a domain→organization map ([`OrgMap`]) equivalent to the
+//! or structured ([`Payload::Plain`]), the capture [`Tap`] at either
+//! [`Vantage`], a domain→organization map ([`OrgMap`]) equivalent to the
 //! paper's DuckDuckGo-entity + Crunchbase + WHOIS resolution, and a
 //! Pi-hole-style [`FilterList`] for advertising & tracking classification.
 
@@ -32,7 +32,7 @@ mod orgmap;
 mod packet;
 mod trace;
 
-pub use capture::{AvsTap, Capture, RouterTap, TapStats};
+pub use capture::{Capture, Tap, TapStats, Vantage};
 pub use dns::DnsTable;
 pub use domain::Domain;
 pub use filterlist::{FilterList, TrafficPurpose};

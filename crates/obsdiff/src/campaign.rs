@@ -19,8 +19,10 @@
 
 use crate::bundle::load_bundle;
 use alexa_fault::{CoverageReport, FaultProfile};
-use alexa_obs::bundle::{CampaignCell, RunIdentity, FILES};
-use alexa_obs::campaign::{CampaignManifest, CAMPAIGN_FILE, CAMPAIGN_SCHEMA_VERSION, CELLS_DIR};
+use alexa_obs::bundle::{BundleSpec, CampaignCell, FILES};
+use alexa_obs::campaign::{
+    CampaignManifest, CellCoord, CAMPAIGN_FILE, CAMPAIGN_SCHEMA_VERSION, CELLS_DIR,
+};
 use alexa_obs::{Json, ManifestError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -183,6 +185,26 @@ pub fn verify_instances(cells_dir: &Path, cells: &[(String, String)]) -> Vec<Ins
     divergences
 }
 
+/// The bundle manifest of one campaign cell, with digest 0 and no
+/// coverage: its seed, its fault variant under the profile's name, its
+/// defense (absent when `none`) and its cell identity in the plan.
+/// `repro campaign` writes it and [`check_campaign`] checks each bundle
+/// against it, so the runner and the checker agree on what a cell is.
+pub fn cell_spec(plan_hash: &str, coord: &CellCoord) -> BundleSpec {
+    let fault = coord.fault.parse::<FaultProfile>();
+    BundleSpec {
+        seed: coord.seed,
+        fault_profile: fault.map_or_else(|_| coord.fault.clone(), |f| f.name().to_string()),
+        defense: (coord.defense != "none").then(|| coord.defense.clone()),
+        campaign: Some(CampaignCell {
+            plan_hash: plan_hash.to_string(),
+            cell: coord.id(),
+        }),
+        observations_digest: 0,
+        coverage: None,
+    }
+}
+
 /// Verify `dir` as a campaign directory. Returns the check outcome (whose
 /// findings list the integrity violations) or an error when the campaign
 /// manifest itself is unusable: unreadable, not JSON, or not decodable
@@ -223,19 +245,9 @@ pub fn check_campaign(dir: &Path) -> Result<CampaignCheck, CampaignCheckError> {
             }
         };
         // The bundle's run identity is the one the row's coordinates name.
-        let fault = row.coord.fault.parse::<FaultProfile>().ok();
-        let cell = CampaignCell {
-            plan_hash: plan_hash.clone(),
-            cell: id.clone(),
-        };
-        let claimed = RunIdentity {
-            seed: row.coord.seed,
-            fault_profile: fault.as_ref().map_or(&row.coord.fault, FaultProfile::name),
-            defense: (row.coord.defense != "none").then_some(&row.coord.defense),
-            campaign: Some(&cell),
-        };
+        let claimed = cell_spec(&plan_hash, &row.coord);
         let recorded = bundle.manifest.identity().fields();
-        for ((field, found), (_, claim)) in recorded.into_iter().zip(claimed.fields()) {
+        for ((field, found), (_, claim)) in recorded.into_iter().zip(claimed.identity().fields()) {
             if found != claim {
                 findings.push(format!(
                     "cell {key}: bundle records {field} {found}, campaign manifest says {claim}"

@@ -39,7 +39,8 @@ mod gate;
 
 pub use bundle::{load_bundle, BundleError, LoadedBundle};
 pub use campaign::{
-    check_campaign, verify_instances, CampaignCheck, CampaignCheckError, InstanceDivergence,
+    cell_spec, check_campaign, verify_instances, CampaignCheck, CampaignCheckError,
+    InstanceDivergence,
 };
 pub use diff::{diff_bundles, DiffReport, Finding, Severity};
 pub use gate::{run_gate, GateError, GateReport};

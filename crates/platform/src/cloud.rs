@@ -22,10 +22,11 @@
 //!
 //! Every interaction is also fed to the [`Profiler`].
 
+use crate::pick;
 use crate::profiler::Profiler;
 use crate::skill::Skill;
 use alexa_fault::Fnv1a;
-use alexa_net::{DataType, DnsTable, Domain, Packet, Payload, Record};
+use alexa_net::{DataType, DnsTable, Domain, Packet, Payload, Record, Vantage};
 
 /// The 11 `amazon.com` voice/infrastructure subdomains of Table 1.
 const AMAZON_SUBDOMAINS: &[&str] = &[
@@ -157,8 +158,8 @@ impl AlexaCloud {
 
     /// Generate all traffic for one interaction session.
     ///
-    /// `avs` selects the AVS Echo behaviour: the device only talks to
-    /// Amazon-organization endpoints, so skill backends are never contacted.
+    /// At [`Vantage::Avs`] the device only talks to Amazon-organization
+    /// endpoints, so skill backends are never contacted.
     /// Device-model constraints (streaming unsupported on AVS) are enforced
     /// by the caller in `device.rs`.
     pub(crate) fn session_traffic(
@@ -167,7 +168,7 @@ impl AlexaCloud {
         customer_id: &str,
         skill: &Skill,
         kind: &InteractionKind,
-        avs: bool,
+        vantage: Vantage,
     ) -> Vec<Packet> {
         let mut packets = Vec::new();
         if skill.fails_to_load {
@@ -207,9 +208,7 @@ impl AlexaCloud {
                     self.profiler.record_interaction(account, skill, text);
                 }
                 // Voice upstream: recording + identifiers to an AVS endpoint.
-                let avs_host = AMAZON_SUBDOMAINS[(Fnv1a::hash_parts(&[sid, ":", text])
-                    % AMAZON_SUBDOMAINS.len() as u64)
-                    as usize];
+                let avs_host = pick(AMAZON_SUBDOMAINS, Fnv1a::hash_parts(&[sid, ":", text]));
                 let mut records = vec![Record::new(DataType::VoiceRecording, text.clone())];
                 if to_skill && skill.collects_type(DataType::CustomerId) {
                     records.push(Record::new(DataType::CustomerId, customer_id));
@@ -247,8 +246,7 @@ impl AlexaCloud {
                     self.push_out(&mut packets, "api.amazonalexa.com", vec![rec]);
                 }
                 if skill_chance(sid, "cloudfront", 144.0 / 446.0) {
-                    let host = CLOUDFRONT_HOSTS
-                        [(Fnv1a::hash_parts(&[sid]) % CLOUDFRONT_HOSTS.len() as u64) as usize];
+                    let host = pick(CLOUDFRONT_HOSTS, Fnv1a::hash_parts(&[sid]));
                     self.push_in(&mut packets, host, 16_384);
                 }
                 if skill_chance(sid, "metrics", 123.0 / 446.0) {
@@ -259,8 +257,7 @@ impl AlexaCloud {
                     );
                 }
                 if skill_chance(sid, "aws", 52.0 / 446.0) {
-                    let host =
-                        AWS_HOSTS[(Fnv1a::hash_parts(&[sid]) % AWS_HOSTS.len() as u64) as usize];
+                    let host = pick(AWS_HOSTS, Fnv1a::hash_parts(&[sid]));
                     self.push_in(&mut packets, host, 4_096);
                 }
                 if skill_chance(sid, "arteries", 7.0 / 446.0) {
@@ -282,7 +279,7 @@ impl AlexaCloud {
 
                 // Skill backends: only the commercial Echo, and only when the
                 // utterance actually reached the skill.
-                if !avs && to_skill {
+                if vantage == Vantage::Router && to_skill {
                     for backend in &skill.backends {
                         let mut recs = Vec::new();
                         // §4.1: 8.59% of persistent-ID collectors also send
@@ -354,7 +351,7 @@ mod tests {
         let mut cloud = AlexaCloud::new();
         let s = skill(&[], &[DataType::VoiceRecording]);
         let kind = InteractionKind::Utterance("what should i wear".into());
-        let pkts = cloud.session_traffic("acct", "AMZN1", &s, &kind, false);
+        let pkts = cloud.session_traffic("acct", "AMZN1", &s, &kind, Vantage::Router);
         assert!(!pkts.is_empty());
         assert!(pkts[0].remote.as_str().ends_with("amazon.com"));
         // Voice recording present in the plaintext.
@@ -374,7 +371,7 @@ mod tests {
             ],
         );
         let kind = InteractionKind::Utterance("tip please".into());
-        let pkts = cloud.session_traffic("acct", "AMZN1", &s, &kind, false);
+        let pkts = cloud.session_traffic("acct", "AMZN1", &s, &kind, Vantage::Router);
         let backend_pkt = pkts
             .iter()
             .find(|p| p.remote.as_str() == "play.podtrac.com" && p.payload.records().is_some())
@@ -389,7 +386,7 @@ mod tests {
         let mut cloud = AlexaCloud::new();
         let s = skill(&["play.podtrac.com", "chtbl.com"], &[DataType::SkillId]);
         let kind = InteractionKind::Utterance("hello".into());
-        let pkts = cloud.session_traffic("acct", "AMZN1", &s, &kind, true);
+        let pkts = cloud.session_traffic("acct", "AMZN1", &s, &kind, Vantage::Avs);
         let orgs = alexa_net::OrgMap::new();
         for p in &pkts {
             assert_eq!(
@@ -406,7 +403,7 @@ mod tests {
         let mut cloud = AlexaCloud::new();
         let s = skill(&["play.podtrac.com"], &[DataType::SkillId]);
         let kind = InteractionKind::BuiltInUtterance("what time is it".into());
-        let pkts = cloud.session_traffic("acct", "AMZN1", &s, &kind, false);
+        let pkts = cloud.session_traffic("acct", "AMZN1", &s, &kind, Vantage::Router);
         assert!(pkts.iter().all(|p| p.remote.as_str() != "play.podtrac.com"));
     }
 
@@ -420,7 +417,7 @@ mod tests {
             "AMZN1",
             &s,
             &InteractionKind::Utterance("x".into()),
-            false,
+            Vantage::Router,
         );
         assert!(pkts.is_empty());
     }
@@ -437,7 +434,13 @@ mod tests {
                 DataType::SkillId,
             ],
         );
-        let pkts = cloud.session_traffic("acct", "AMZN1", &s, &InteractionKind::Install, false);
+        let pkts = cloud.session_traffic(
+            "acct",
+            "AMZN1",
+            &s,
+            &InteractionKind::Install,
+            Vantage::Router,
+        );
         let recs = pkts[0].payload.records().unwrap();
         for dt in [DataType::Language, DataType::Timezone, DataType::Preference] {
             assert!(recs.iter().any(|r| r.data_type == dt), "{dt:?} missing");
@@ -458,7 +461,7 @@ mod tests {
                 "c",
                 &s,
                 &InteractionKind::Utterance("hello".into()),
-                false,
+                Vantage::Router,
             )
         };
         assert_eq!(run(), run());
@@ -468,8 +471,13 @@ mod tests {
     fn timestamps_increase_monotonically() {
         let mut cloud = AlexaCloud::new();
         let s = skill(&["chtbl.com", "play.podtrac.com"], &[DataType::SkillId]);
-        let pkts =
-            cloud.session_traffic("a", "c", &s, &InteractionKind::Utterance("x".into()), false);
+        let pkts = cloud.session_traffic(
+            "a",
+            "c",
+            &s,
+            &InteractionKind::Utterance("x".into()),
+            Vantage::Router,
+        );
         for w in pkts.windows(2) {
             assert!(w[0].ts_ms < w[1].ts_ms);
         }
@@ -489,7 +497,7 @@ mod tests {
                     "cid",
                     skill,
                     &InteractionKind::Utterance("hello".into()),
-                    false,
+                    Vantage::Router,
                 )
             };
             let a = gen();

@@ -1,13 +1,15 @@
-//! Device models: the commercial Echo and the instrumented AVS Echo.
+//! The Echo device model, at either of the paper's vantage points (§3.2).
 //!
-//! Two devices, mirroring the paper's §3.2 exactly:
+//! One [`EchoDevice`] type serves both; its [`Vantage`] says which device
+//! it is:
 //!
-//! * [`EchoDevice`] — a certified 4th-generation Echo. Talks to Amazon *and*
-//!   skill backends; its traffic is only observable encrypted (the
-//!   `RouterTap` opacifies payloads).
-//! * [`AvsEcho`] — the AVS Device SDK instrumented on a Raspberry Pi. Logs
-//!   payloads before encryption, but is **uncertified**: streaming skills
-//!   are unsupported, and it only communicates with Amazon.
+//! * [`Vantage::Router`] — a certified 4th-generation Echo behind the RPi
+//!   router. Talks to Amazon *and* skill backends; its traffic is only
+//!   observable encrypted (the router's [`alexa_net::Tap`] opacifies
+//!   payloads).
+//! * [`Vantage::Avs`] — the AVS Device SDK instrumented on a Raspberry Pi.
+//!   Logs payloads before encryption, but is **uncertified**: streaming
+//!   skills are unsupported, and it only communicates with Amazon.
 //!
 //! Both run the same [`VoicePipeline`] (wake word → transcript → routing),
 //! so the occasional fall-through of generic utterances to the built-in
@@ -17,7 +19,7 @@ use crate::cloud::{AlexaCloud, InteractionKind};
 use crate::skill::{Skill, SkillId};
 use crate::voice::{RoutedIntent, VoicePipeline};
 use alexa_fault::{FaultChannel, FaultPlane, Fnv1a};
-use alexa_net::Packet;
+use alexa_net::{Packet, Vantage};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Errors surfaced by device operations.
@@ -69,14 +71,14 @@ impl std::fmt::Display for DeviceError {
 
 impl std::error::Error for DeviceError {}
 
-/// Shared device state and interaction logic.
+/// An Echo bound to an Amazon account, seen from one [`Vantage`].
 #[derive(Debug)]
-struct DeviceCore {
+pub struct EchoDevice {
+    vantage: Vantage,
     account: String,
     customer_id: String,
     installed: BTreeSet<SkillId>,
     pipeline: VoicePipeline,
-    avs: bool,
     fault: FaultPlane,
     /// Per-(operation, skill) call counts: each call gets a fresh fault
     /// decision, so a retried operation can succeed. Only populated when
@@ -84,20 +86,32 @@ struct DeviceCore {
     fault_attempts: BTreeMap<&'static str, BTreeMap<String, u32>>,
 }
 
-impl DeviceCore {
-    fn new(account: &str, seed: u64, avs: bool) -> DeviceCore {
+impl EchoDevice {
+    /// Provision a device at `vantage` bound to an Amazon account.
+    pub fn new(vantage: Vantage, account: &str, seed: u64) -> EchoDevice {
         // Customer IDs look like Amazon's directed IDs; derived from the
         // account so captures can be correlated per persona.
         let h = Fnv1a::hash_parts(&[account]);
-        DeviceCore {
+        EchoDevice {
+            vantage,
             account: account.to_string(),
             customer_id: format!("amzn1.account.{h:016X}"),
             installed: BTreeSet::new(),
             pipeline: VoicePipeline::new(seed),
-            avs,
             fault: FaultPlane::disabled(),
             fault_attempts: BTreeMap::new(),
         }
+    }
+
+    /// Route this device's install/interact paths through a fault plane.
+    /// An inactive plane leaves behavior untouched.
+    pub fn set_fault_plane(&mut self, plane: FaultPlane) {
+        self.fault = plane;
+    }
+
+    /// Whether a skill is currently installed.
+    pub fn has_skill(&self, id: &SkillId) -> bool {
+        self.installed.contains(id)
     }
 
     /// Does an injected fault fire for this call? Keys are structural
@@ -124,7 +138,8 @@ impl DeviceCore {
         self.fault.fires_at(key.u64(n.into()))
     }
 
-    fn install(
+    /// Install (enable) a skill. Returns the traffic of the enablement.
+    pub fn install(
         &mut self,
         cloud: &mut AlexaCloud,
         skill: &Skill,
@@ -132,7 +147,7 @@ impl DeviceCore {
         if skill.fails_to_load {
             return Err(DeviceError::SkillFailedToLoad(skill.id.clone()));
         }
-        if self.avs && skill.streaming {
+        if self.vantage == Vantage::Avs && skill.streaming {
             return Err(DeviceError::StreamingUnsupported(skill.id.clone()));
         }
         if self.fault_fires(FaultChannel::InstallFailure, "install", &skill.id) {
@@ -144,11 +159,12 @@ impl DeviceCore {
             &self.customer_id,
             skill,
             &InteractionKind::Install,
-            self.avs,
+            self.vantage,
         ))
     }
 
-    fn interact(
+    /// Speak to the device during a skill session.
+    pub fn interact(
         &mut self,
         cloud: &mut AlexaCloud,
         skill: &Skill,
@@ -157,7 +173,7 @@ impl DeviceCore {
         if !self.installed.contains(&skill.id) {
             return Err(DeviceError::NotInstalled(skill.id.clone()));
         }
-        if self.avs && skill.streaming {
+        if self.vantage == Vantage::Avs && skill.streaming {
             return Err(DeviceError::StreamingUnsupported(skill.id.clone()));
         }
         // Fault check precedes the wake roll so injected outages never
@@ -173,17 +189,18 @@ impl DeviceCore {
             RoutedIntent::Skill(_) => InteractionKind::Utterance(transcript),
             RoutedIntent::BuiltIn => InteractionKind::BuiltInUtterance(transcript),
         };
-        Ok(cloud.session_traffic(&self.account, &self.customer_id, skill, &kind, self.avs))
+        Ok(cloud.session_traffic(&self.account, &self.customer_id, skill, &kind, self.vantage))
     }
 
-    fn uninstall(&mut self, cloud: &mut AlexaCloud, skill: &Skill) -> Vec<Packet> {
+    /// Uninstall a skill.
+    pub fn uninstall(&mut self, cloud: &mut AlexaCloud, skill: &Skill) -> Vec<Packet> {
         self.installed.remove(&skill.id);
         cloud.session_traffic(
             &self.account,
             &self.customer_id,
             skill,
             &InteractionKind::Uninstall,
-            self.avs,
+            self.vantage,
         )
     }
 }
@@ -197,116 +214,6 @@ fn strip_wake_word(spoken: &str) -> &str {
         }
     }
     trimmed
-}
-
-/// A certified 4th-generation Amazon Echo.
-#[derive(Debug)]
-pub struct EchoDevice {
-    core: DeviceCore,
-}
-
-impl EchoDevice {
-    /// Provision an Echo bound to an Amazon account.
-    pub fn new(account: &str, seed: u64) -> EchoDevice {
-        EchoDevice {
-            core: DeviceCore::new(account, seed, false),
-        }
-    }
-
-    /// The bound account name.
-    pub fn account(&self) -> &str {
-        &self.core.account
-    }
-
-    /// The directed customer ID the device transmits.
-    pub fn customer_id(&self) -> &str {
-        &self.core.customer_id
-    }
-
-    /// Route this device's install/interact paths through a fault plane.
-    /// An inactive plane leaves behavior untouched.
-    pub fn set_fault_plane(&mut self, plane: FaultPlane) {
-        self.core.fault = plane;
-    }
-
-    /// Install (enable) a skill. Returns the traffic of the enablement.
-    pub fn install(
-        &mut self,
-        cloud: &mut AlexaCloud,
-        skill: &Skill,
-    ) -> Result<Vec<Packet>, DeviceError> {
-        self.core.install(cloud, skill)
-    }
-
-    /// Speak to the device during a skill session.
-    pub fn interact(
-        &mut self,
-        cloud: &mut AlexaCloud,
-        skill: &Skill,
-        spoken: &str,
-    ) -> Result<Vec<Packet>, DeviceError> {
-        self.core.interact(cloud, skill, spoken)
-    }
-
-    /// Uninstall a skill.
-    pub fn uninstall(&mut self, cloud: &mut AlexaCloud, skill: &Skill) -> Vec<Packet> {
-        self.core.uninstall(cloud, skill)
-    }
-
-    /// Whether a skill is currently installed.
-    pub fn has_skill(&self, id: &SkillId) -> bool {
-        self.core.installed.contains(id)
-    }
-}
-
-/// The instrumented AVS Device SDK build ("AVS Echo").
-#[derive(Debug)]
-pub struct AvsEcho {
-    core: DeviceCore,
-}
-
-impl AvsEcho {
-    /// Provision an AVS Echo bound to an Amazon account.
-    pub fn new(account: &str, seed: u64) -> AvsEcho {
-        AvsEcho {
-            core: DeviceCore::new(account, seed, true),
-        }
-    }
-
-    /// The bound account name.
-    pub fn account(&self) -> &str {
-        &self.core.account
-    }
-
-    /// Route this device's install/interact paths through a fault plane.
-    /// An inactive plane leaves behavior untouched.
-    pub fn set_fault_plane(&mut self, plane: FaultPlane) {
-        self.core.fault = plane;
-    }
-
-    /// Install (enable) a skill. Streaming skills are rejected.
-    pub fn install(
-        &mut self,
-        cloud: &mut AlexaCloud,
-        skill: &Skill,
-    ) -> Result<Vec<Packet>, DeviceError> {
-        self.core.install(cloud, skill)
-    }
-
-    /// Speak to the device during a skill session.
-    pub fn interact(
-        &mut self,
-        cloud: &mut AlexaCloud,
-        skill: &Skill,
-        spoken: &str,
-    ) -> Result<Vec<Packet>, DeviceError> {
-        self.core.interact(cloud, skill, spoken)
-    }
-
-    /// Uninstall a skill.
-    pub fn uninstall(&mut self, cloud: &mut AlexaCloud, skill: &Skill) -> Vec<Packet> {
-        self.core.uninstall(cloud, skill)
-    }
 }
 
 #[cfg(test)]
@@ -338,7 +245,7 @@ mod tests {
     #[test]
     fn echo_installs_and_interacts() {
         let mut cloud = AlexaCloud::new();
-        let mut echo = EchoDevice::new("persona-pets", 11);
+        let mut echo = EchoDevice::new(Vantage::Router, "persona-pets", 11);
         let s = skill(false, &["dillilabs.com"]);
         let install = echo.install(&mut cloud, &s).unwrap();
         assert!(!install.is_empty());
@@ -352,7 +259,7 @@ mod tests {
     #[test]
     fn interact_requires_install() {
         let mut cloud = AlexaCloud::new();
-        let mut echo = EchoDevice::new("p", 1);
+        let mut echo = EchoDevice::new(Vantage::Router, "p", 1);
         let s = skill(false, &[]);
         assert_eq!(
             echo.interact(&mut cloud, &s, "Alexa, hello"),
@@ -363,7 +270,7 @@ mod tests {
     #[test]
     fn avs_rejects_streaming_skills() {
         let mut cloud = AlexaCloud::new();
-        let mut avs = AvsEcho::new("p", 2);
+        let mut avs = EchoDevice::new(Vantage::Avs, "p", 2);
         let s = skill(true, &[]);
         assert_eq!(
             avs.install(&mut cloud, &s),
@@ -374,7 +281,7 @@ mod tests {
     #[test]
     fn avs_traffic_is_amazon_only_even_with_backends() {
         let mut cloud = AlexaCloud::new();
-        let mut avs = AvsEcho::new("p", 3);
+        let mut avs = EchoDevice::new(Vantage::Avs, "p", 3);
         let s = skill(false, &["play.podtrac.com"]);
         avs.install(&mut cloud, &s).unwrap();
         let traffic = avs.interact(&mut cloud, &s, "Alexa, open skill y").unwrap();
@@ -387,7 +294,7 @@ mod tests {
     #[test]
     fn failing_skill_install_errors() {
         let mut cloud = AlexaCloud::new();
-        let mut echo = EchoDevice::new("p", 4);
+        let mut echo = EchoDevice::new(Vantage::Router, "p", 4);
         let mut s = skill(false, &[]);
         s.fails_to_load = true;
         assert_eq!(
@@ -399,7 +306,7 @@ mod tests {
     #[test]
     fn phrases_without_wake_word_usually_ignored() {
         let mut cloud = AlexaCloud::new();
-        let mut echo = EchoDevice::new("p", 5);
+        let mut echo = EchoDevice::new(Vantage::Router, "p", 5);
         let s = skill(false, &[]);
         echo.install(&mut cloud, &s).unwrap();
         let ignored = (0..200)
@@ -412,17 +319,26 @@ mod tests {
 
     #[test]
     fn customer_ids_are_stable_and_distinct() {
-        let a1 = EchoDevice::new("persona-a", 1);
-        let a2 = EchoDevice::new("persona-a", 99);
-        let b = EchoDevice::new("persona-b", 1);
-        assert_eq!(a1.customer_id(), a2.customer_id());
-        assert_ne!(a1.customer_id(), b.customer_id());
+        let mut s = skill(false, &[]);
+        s.collects.push(DataType::CustomerId);
+        // The customer ID the device transmits on install.
+        let sent = |account: &str, seed: u64| {
+            let mut echo = EchoDevice::new(Vantage::Router, account, seed);
+            let traffic = echo.install(&mut AlexaCloud::new(), &s).unwrap();
+            let records = traffic.iter().filter_map(|p| p.payload.records());
+            let mut ids = records
+                .flatten()
+                .filter(|r| r.data_type == DataType::CustomerId);
+            ids.next().expect("a customer id is sent").value.clone()
+        };
+        assert_eq!(sent("persona-a", 1), sent("persona-a", 99));
+        assert_ne!(sent("persona-a", 1), sent("persona-b", 1));
     }
 
     #[test]
     fn uninstall_removes_skill() {
         let mut cloud = AlexaCloud::new();
-        let mut echo = EchoDevice::new("p", 6);
+        let mut echo = EchoDevice::new(Vantage::Router, "p", 6);
         let s = skill(false, &[]);
         echo.install(&mut cloud, &s).unwrap();
         echo.uninstall(&mut cloud, &s);
@@ -437,7 +353,7 @@ mod tests {
         // retry succeeds — proving per-call fault decisions.
         let mut proved = false;
         for seed in 0..64u64 {
-            let mut echo = EchoDevice::new("p", 7);
+            let mut echo = EchoDevice::new(Vantage::Router, "p", 7);
             echo.set_fault_plane(FaultPlane::new(seed, FaultProfile::uniform(0.5)));
             let mut cloud = AlexaCloud::new();
             let first = echo.install(&mut cloud, &s);
@@ -462,7 +378,7 @@ mod tests {
     fn full_fault_rate_blocks_every_interaction() {
         use alexa_fault::FaultProfile;
         let mut cloud = AlexaCloud::new();
-        let mut echo = EchoDevice::new("p", 8);
+        let mut echo = EchoDevice::new(Vantage::Router, "p", 8);
         let s = skill(false, &[]);
         echo.install(&mut cloud, &s).unwrap();
         echo.set_fault_plane(FaultPlane::new(3, FaultProfile::uniform(1.0)));

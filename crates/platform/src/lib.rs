@@ -21,9 +21,10 @@
 //! * [`VoicePipeline`] — wake-word detection, utterance transcription and
 //!   intent routing, including the paper's observed misrouting of a small
 //!   fraction of utterances to the built-in assistant.
-//! * [`EchoDevice`] / [`AvsEcho`] — a certified Echo (encrypted traffic, any
-//!   endpoint) and the instrumented AVS SDK build (plaintext visibility, but
-//!   Amazon-only endpoints and no streaming skills).
+//! * [`EchoDevice`] — one device model at either vantage point: the
+//!   certified Echo behind the router (encrypted traffic, any endpoint) or
+//!   the instrumented AVS SDK build (plaintext visibility, but Amazon-only
+//!   endpoints and no streaming skills).
 //! * [`AlexaCloud`] — mediates every interaction, relays to skill backends,
 //!   emits device metrics, and feeds the [`Profiler`].
 //! * [`Profiler`] — Amazon's interest-inference model, its internal targeting
@@ -31,6 +32,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
+#![deny(clippy::indexing_slicing)]
 #![warn(missing_docs)]
 
 mod category;
@@ -48,9 +50,18 @@ pub use category::SkillCategory;
 // (EXPERIMENTS.md) until the claim ledger computes it.
 pub use certification::{dynamic_review, static_review, Review, Violation};
 pub use cloud::AlexaCloud;
-pub use device::{AvsEcho, DeviceError, EchoDevice};
+pub use device::{DeviceError, EchoDevice};
 pub use marketplace::Marketplace;
 pub use profiler::{DsarExport, DsarPhase, Interest, Profiler};
 pub use skill::{DisclosureLevel, Permission, PolicySpec, Skill, SkillId};
 pub use storepage::{parse_invocation, parse_sample_utterances, render_store_page};
 pub use voice::{RoutedIntent, VoiceConfig, VoicePipeline};
+
+/// The entry of a non-empty constant list that `k` selects, wrapping.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "k % len < len, and every list passed is a non-empty constant"
+)]
+fn pick<T: Copy>(list: &[T], k: u64) -> T {
+    list[(k % list.len() as u64) as usize]
+}

@@ -20,6 +20,7 @@
 //! * per-data-type clear/vague disclosure counts of Table 13.
 
 use crate::category::SkillCategory;
+use crate::pick;
 use crate::skill::{DisclosureLevel, Permission, PolicySpec, Skill, SkillId};
 use alexa_net::{DataType, Domain, OrgMap};
 use rand::rngs::StdRng;
@@ -840,8 +841,8 @@ impl Marketplace {
             let mut made = 0usize;
             let mut salt = 0usize;
             while made < SKILLS_PER_CATEGORY - have {
-                let adj = adjectives[(made + salt) % adjectives.len()];
-                let noun = nouns[(made + salt) / adjectives.len() % nouns.len()];
+                let adj = pick(adjectives, (made + salt) as u64);
+                let noun = pick(nouns, ((made + salt) / adjectives.len()) as u64);
                 let name = if (made + salt) < adjectives.len() * nouns.len() {
                     format!("{adj} {noun}")
                 } else {
@@ -880,15 +881,13 @@ impl Marketplace {
         }
 
         // Mark 4 synthetic skills as failing to load (Table 1: 4 / 450).
-        let mut synthetic_idx: Vec<usize> = skills
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.backends.is_empty() && !is_pinned(&s.name))
-            .map(|(i, _)| i)
+        let mut synthetic: Vec<&mut Skill> = skills
+            .iter_mut()
+            .filter(|s| s.backends.is_empty() && !is_pinned(&s.name))
             .collect();
-        synthetic_idx.shuffle(&mut rng);
-        for &i in synthetic_idx.iter().take(4) {
-            skills[i].fails_to_load = true;
+        synthetic.shuffle(&mut rng);
+        for s in synthetic.into_iter().take(4) {
+            s.fails_to_load = true;
         }
 
         // iRobot requires account linking (§3.1.1).
@@ -1049,8 +1048,8 @@ fn assign_data_collection(skills: &mut [Skill], rng: &mut StdRng) {
 
     // Everyone active sends voice recordings (installing + enabling a skill
     // necessarily involves voice interaction).
-    for &i in &active {
-        skills[i].collects.push(DataType::VoiceRecording);
+    for s in skills.iter_mut().filter(|s| !s.fails_to_load) {
+        s.collects.push(DataType::VoiceRecording);
     }
 
     // Targets from Table 13 (counts over the 450-skill catalog).
@@ -1068,17 +1067,20 @@ fn assign_data_collection(skills: &mut [Skill], rng: &mut StdRng) {
         // Skills that talk to third parties always collect persistent IDs
         // (the paper: 8.59% of persistent-ID collectors contact third
         // parties). Put them first so shuffling can't exclude them.
-        pool.sort_by_key(|&i| usize::from(skills[i].backends.is_empty()));
+        let third_party = |i: &usize| skills.get(*i).is_some_and(|s| !s.backends.is_empty());
+        pool.sort_by_key(|i| usize::from(!third_party(i)));
         let keep_first = if matches!(dt, DataType::SkillId | DataType::CustomerId) {
-            pool.iter()
-                .take_while(|&&i| !skills[i].backends.is_empty())
-                .count()
+            pool.iter().take_while(|i| third_party(i)).count()
         } else {
             0
         };
-        pool[keep_first..].shuffle(rng);
+        if let Some(rest) = pool.get_mut(keep_first..) {
+            rest.shuffle(rng);
+        }
         for &i in pool.iter().take(count.min(pool.len())) {
-            skills[i].collects.push(dt);
+            if let Some(s) = skills.get_mut(i) {
+                s.collects.push(dt);
+            }
         }
     }
     // Note: DataType::DeviceMetric is deliberately NOT a skill-level
@@ -1100,11 +1102,9 @@ fn assign_policies(skills: &mut [Skill], rng: &mut StdRng) {
         .filter(|s| s.policy.links_platform_policy)
         .count();
 
-    let mut synth: Vec<usize> = skills
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| !is_pinned(&s.name) && !s.fails_to_load)
-        .map(|(i, _)| i)
+    let mut synth: Vec<&mut Skill> = skills
+        .iter_mut()
+        .filter(|s| !is_pinned(&s.name) && !s.fails_to_load)
         .collect();
     synth.shuffle(rng);
 
@@ -1113,8 +1113,7 @@ fn assign_policies(skills: &mut [Skill], rng: &mut StdRng) {
     let need_mention = 59usize.saturating_sub(have_mention);
     let need_plat_link = 10usize.saturating_sub(have_plat_link);
 
-    for (k, &i) in synth.iter().take(need_link).enumerate() {
-        let s = &mut skills[i];
+    for (k, s) in synth.into_iter().take(need_link).enumerate() {
         s.policy.has_link = true;
         // The first `need_doc` of the linkers are retrievable; the rest are
         // dead links (the paper: 214 links, 188 retrievable).
@@ -1145,14 +1144,12 @@ fn assign_data_disclosures(skills: &mut [Skill], rng: &mut StdRng) {
         (DataType::AudioPlayerEvent, 0, 60),
     ];
     for &(dt, clear_n, vague_n) in targets {
-        let mut holders: Vec<usize> = skills
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.policy.has_document() && s.collects_type(dt))
-            .map(|(i, _)| i)
+        let mut holders: Vec<&mut Skill> = skills
+            .iter_mut()
+            .filter(|s| s.policy.has_document() && s.collects_type(dt))
             .collect();
         holders.shuffle(rng);
-        for (k, &i) in holders.iter().enumerate() {
+        for (k, s) in holders.into_iter().enumerate() {
             let level = if k < clear_n {
                 DisclosureLevel::Clear
             } else if k < clear_n + vague_n {
@@ -1160,28 +1157,25 @@ fn assign_data_disclosures(skills: &mut [Skill], rng: &mut StdRng) {
             } else {
                 DisclosureLevel::Omitted
             };
-            skills[i].policy.data_disclosures.insert(dt, level);
+            s.policy.data_disclosures.insert(dt, level);
         }
     }
 
     // A handful of policies actively LIE: they deny collecting voice
     // recordings while their traffic shows them (PoliCheck's "incorrect"
     // class; the original tool found such contradictions in mobile apps).
-    let mut deniers: Vec<usize> = skills
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| {
+    let mut deniers: Vec<&mut Skill> = skills
+        .iter_mut()
+        .filter(|s| {
             s.policy.has_document()
                 && s.collects_type(DataType::VoiceRecording)
                 && s.policy.data_disclosures.get(&DataType::VoiceRecording)
                     == Some(&DisclosureLevel::Omitted)
         })
-        .map(|(i, _)| i)
         .collect();
     deniers.shuffle(rng);
-    for &i in deniers.iter().take(6) {
-        skills[i]
-            .policy
+    for s in deniers.into_iter().take(6) {
+        s.policy
             .data_disclosures
             .insert(DataType::VoiceRecording, DisclosureLevel::Denied);
     }
@@ -1207,43 +1201,35 @@ fn assign_endpoint_disclosures(skills: &mut [Skill], rng: &mut StdRng) {
     // §7.1) — otherwise the mention count would drift upward. Vague
     // disclosures use category phrases ("analytics tool", "voice partner")
     // that never name Amazon, so any document qualifies.
-    let mut mentioners: Vec<usize> = skills
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| {
+    let mut mentioners: Vec<&mut Skill> = skills
+        .iter_mut()
+        .filter(|s| {
             s.policy.has_document()
                 && s.policy.mentions_platform
                 && !s.policy.endpoint_disclosures.contains_key(AMAZON)
         })
-        .map(|(i, _)| i)
         .collect();
     mentioners.shuffle(rng);
     let need_clear = 10usize.saturating_sub(have_clear);
-    for &i in mentioners.iter().take(need_clear) {
-        skills[i]
-            .policy
+    for s in mentioners.into_iter().take(need_clear) {
+        s.policy
             .endpoint_disclosures
             .insert(AMAZON.to_string(), DisclosureLevel::Clear);
     }
 
-    let mut doc_holders: Vec<usize> = skills
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| {
-            s.policy.has_document() && !s.policy.endpoint_disclosures.contains_key(AMAZON)
-        })
-        .map(|(i, _)| i)
+    let mut doc_holders: Vec<&mut Skill> = skills
+        .iter_mut()
+        .filter(|s| s.policy.has_document() && !s.policy.endpoint_disclosures.contains_key(AMAZON))
         .collect();
     doc_holders.shuffle(rng);
     let need_vague = 136usize.saturating_sub(have_vague);
-    for (k, &i) in doc_holders.iter().enumerate() {
+    for (k, s) in doc_holders.into_iter().enumerate() {
         let level = if k < need_vague {
             DisclosureLevel::Vague
         } else {
             DisclosureLevel::Omitted
         };
-        skills[i]
-            .policy
+        s.policy
             .endpoint_disclosures
             .insert(AMAZON.to_string(), level);
     }
