@@ -11,17 +11,28 @@
 //! Pets & Animals). This module plants exactly that inventory.
 
 use crate::bidding::UserState;
+use alexa_net::Label;
 use alexa_platform::SkillCategory;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// One served display creative.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One served display creative. Both fields are interned [`Label`]s from
+/// the ad server's constant catalogue, so a creative is 8 bytes and `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Creative {
     /// Advertiser brand.
-    pub advertiser: String,
+    pub advertiser: Label,
     /// Advertised product (the unit the paper labels).
-    pub product: String,
+    pub product: Label,
+}
+
+impl Creative {
+    fn intern(advertiser: &str, product: &str) -> Creative {
+        Creative {
+            advertiser: Label::intern(advertiser),
+            product: Label::intern(product),
+        }
+    }
 }
 
 /// Amazon's persona-exclusive creatives: (segment, product, per-iteration
@@ -74,13 +85,42 @@ const GENERIC_CAMPAIGNS: &[(&str, &str)] = &[
 ];
 
 /// The ad server that fills won impressions with creatives.
-#[derive(Debug, Clone, Default)]
-pub struct AdServer;
+///
+/// It interns its whole catalogue when built, whichever creatives a seed
+/// ends up serving, so the label vocabulary does not depend on the seed.
+#[derive(Debug, Clone)]
+pub struct AdServer {
+    /// [`GENERIC_CAMPAIGNS`], interned.
+    generic: Vec<Creative>,
+    /// [`VENDOR_CAMPAIGNS`]: creative and weight.
+    vendor: Vec<(Creative, f64)>,
+    /// [`AMAZON_EXCLUSIVES`]: segment, creative and rate.
+    amazon: Vec<(SkillCategory, Creative, f64)>,
+}
+
+impl Default for AdServer {
+    fn default() -> AdServer {
+        AdServer::new()
+    }
+}
 
 impl AdServer {
-    /// Create the ad server.
+    /// Create the ad server, interning its creative catalogue.
     pub fn new() -> AdServer {
-        AdServer
+        AdServer {
+            generic: GENERIC_CAMPAIGNS
+                .iter()
+                .map(|&(adv, prod)| Creative::intern(adv, prod))
+                .collect(),
+            vendor: VENDOR_CAMPAIGNS
+                .iter()
+                .map(|&(adv, prod, weight)| (Creative::intern(adv, prod), weight))
+                .collect(),
+            amazon: AMAZON_EXCLUSIVES
+                .iter()
+                .map(|&(cat, prod, p)| (cat, Creative::intern("Amazon", prod), p))
+                .collect(),
+        }
     }
 
     /// Select the creatives shown to a user during one page visit.
@@ -89,34 +129,23 @@ impl AdServer {
         // Generic background ads: 1–3 per page.
         let n = rng.gen_range(1..=3);
         for _ in 0..n {
-            if let Some(&(adv, prod)) =
-                GENERIC_CAMPAIGNS.get(rng.gen_range(0..GENERIC_CAMPAIGNS.len()))
-            {
-                out.push(Creative {
-                    advertiser: adv.into(),
-                    product: prod.into(),
-                });
+            if let Some(&creative) = self.generic.get(rng.gen_range(0..self.generic.len())) {
+                out.push(creative);
             }
         }
         // Vendor campaigns reach everyone (broad targeting).
-        for &(adv, prod, weight) in VENDOR_CAMPAIGNS {
+        for &(creative, weight) in &self.vendor {
             if rng.gen_bool(weight / 10.0) {
-                out.push(Creative {
-                    advertiser: adv.into(),
-                    product: prod.into(),
-                });
+                out.push(creative);
             }
         }
         // Amazon's own retargeting: exclusive to the matching Echo segment.
-        for &(cat, prod, p) in AMAZON_EXCLUSIVES {
+        for &(cat, creative, p) in &self.amazon {
             if user.echo_segments.contains(&cat) && rng.gen_bool(p / 3.0) {
                 // p is a per-iteration rate; a persona visits ~hundreds of
                 // pages per iteration, so the per-page rate is scaled down
                 // and the crawler deduplicates per iteration.
-                out.push(Creative {
-                    advertiser: "Amazon".into(),
-                    product: prod.into(),
-                });
+                out.push(creative);
             }
         }
         out
@@ -185,6 +214,15 @@ mod tests {
         // Microsoft runs the heaviest campaign: both personas see it.
         assert!(vanilla.contains("Microsoft:Surface laptop"));
         assert!(smarthome.contains("Microsoft:Surface laptop"));
+    }
+
+    #[test]
+    fn debug_prints_like_the_string_fields() {
+        let c = Creative::intern("Amazon", "Kindle");
+        assert_eq!(
+            format!("{c:?}"),
+            "Creative { advertiser: \"Amazon\", product: \"Kindle\" }"
+        );
     }
 
     #[test]

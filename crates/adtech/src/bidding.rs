@@ -21,8 +21,8 @@
 //!   pattern matches Table 5/7 (six personas significantly above vanilla,
 //!   Smart Home / Wine & Beverages / Health & Fitness not).
 
-use crate::label::Label;
 use alexa_fault::Fnv1a;
+use alexa_net::Label;
 use alexa_platform::SkillCategory;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -35,8 +35,6 @@ pub struct AdSlot {
     /// [`Label`]: the hundreds of thousands of bids quoting the slot copy a
     /// 4-byte id, not the text.
     pub id: Label,
-    /// Publisher site hosting the slot.
-    pub site: String,
     /// Quality multiplier (viewability, position). Shared across personas.
     pub quality: f64,
 }
@@ -446,7 +444,6 @@ mod tests {
     fn slot() -> AdSlot {
         AdSlot {
             id: Label::intern("site#1"),
-            site: "site".into(),
             quality: 1.0,
         }
     }
@@ -493,7 +490,6 @@ mod tests {
         for i in 0..8 {
             let s = AdSlot {
                 id: Label::intern(&format!("site#{i}")),
-                site: "site".into(),
                 quality: 1.0,
             };
             let b = partner();
@@ -563,12 +559,10 @@ mod tests {
         let user = UserState::blank("x");
         let cheap = AdSlot {
             id: Label::intern("a"),
-            site: "s".into(),
             quality: 0.5,
         };
         let pricey = AdSlot {
             id: Label::intern("b"),
-            site: "s".into(),
             quality: 2.0,
         };
         let b = partner();

@@ -15,11 +15,11 @@
 use crate::adserver::AdServer;
 use crate::bidding::{Auction, Bid, UserState, UserView};
 use crate::identity::BrowserProfile;
-use crate::label::Label;
 use crate::sync::{SyncGraph, AMAZON_AD_ORG};
 use crate::website::Website;
 use crate::Creative;
 use alexa_fault::{FaultChannel, FaultPlane, Fnv1a};
+use alexa_net::Label;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -40,8 +40,8 @@ pub struct SyncObservation {
 /// Everything recorded during one page visit.
 #[derive(Debug, Clone, Default)]
 pub struct VisitRecord {
-    /// Site visited.
-    pub site: String,
+    /// Site visited: the site domain's interned name.
+    pub site: Label,
     /// Crawl iteration this visit belongs to.
     pub iteration: usize,
     /// Bids observed via the prebid API, grouped by loaded slot in the
@@ -212,7 +212,7 @@ impl Crawler {
         let mut rng = StdRng::seed_from_u64(h.wrapping_add(iteration as u64));
 
         let mut record = VisitRecord {
-            site: site.domain.as_str().to_string(),
+            site: site.domain.name(),
             iteration,
             ..VisitRecord::default()
         };
@@ -309,6 +309,28 @@ mod tests {
         assert_eq!(std::mem::size_of::<Bid>(), 16);
         assert_eq!(std::mem::size_of::<SyncObservation>(), 12);
         assert_eq!(std::mem::size_of::<crate::Cookie>(), 8);
+        assert_eq!(std::mem::size_of::<Creative>(), 8);
+        assert_eq!(std::mem::size_of::<alexa_net::Domain>(), 4);
+    }
+
+    #[test]
+    fn debug_prints_like_the_string_fields() {
+        let visit = VisitRecord {
+            site: Label::intern("site0001.example.com"),
+            iteration: 2,
+            bids: vec![],
+            creatives: vec![Creative {
+                advertiser: Label::intern("Chase"),
+                product: Label::intern("Credit card"),
+            }],
+            syncs: vec![],
+        };
+        assert_eq!(
+            format!("{visit:?}"),
+            "VisitRecord { site: \"site0001.example.com\", iteration: 2, bids: [], \
+             creatives: [Creative { advertiser: \"Chase\", product: \"Credit card\" }], \
+             syncs: [] }"
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 
 use crate::bidding::Bid;
 use crate::crawler::SyncObservation;
-use crate::label::Label;
 use alexa_fault::Fnv1a;
+use alexa_net::Label;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 

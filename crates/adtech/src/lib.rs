@@ -19,8 +19,9 @@
 //!   requests bids, records creatives and captures sync redirects;
 //! * [`AdServer`] — display-creative inventory, including the specific
 //!   personalized ads the paper observed (Table 8);
-//! * [`Label`] — the process-wide interner behind every crawl label (slot
-//!   ids, orgs, cookie values), so records carry 4-byte ids, not strings;
+//! * [`Label`] — re-exported from `alexa-net`: the process-wide interner
+//!   behind every crawl label (slot ids, orgs, cookie values, sites,
+//!   creatives), so records carry 4-byte ids, not strings;
 //! * [`simulate_session`] — streaming sessions on Amazon Music / Spotify /
 //!   Pandora with inserted audio ads, a noisy [`Transcriber`], and ad
 //!   extraction (§5.4).
@@ -39,18 +40,17 @@ mod audio;
 mod bidding;
 mod crawler;
 mod identity;
-mod label;
 mod prebid;
 mod sync;
 mod website;
 
 pub use adserver::{AdServer, Creative};
+pub use alexa_net::Label;
 pub use audio::{
     simulate_session, AudioAdExtractor, AudioEvent, StreamingService, StreamingSession, Transcriber,
 };
 pub use bidding::{standard_roster, AdSlot, Auction, Bid, Bidder, SeasonModel, UserState};
 pub use crawler::{Crawler, SyncObservation, VisitRecord};
 pub use identity::{BrowserProfile, Cookie};
-pub use label::Label;
 pub use sync::SyncGraph;
 pub use website::{WebEcosystem, Website};

@@ -8,8 +8,8 @@
 //! a probed page runs the auction for each of its ad units.
 
 use crate::bidding::{Auction, Bid, UserState, UserView};
-use crate::label::Label;
 use crate::website::Website;
+use alexa_net::Label;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

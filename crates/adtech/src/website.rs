@@ -6,8 +6,8 @@
 //! ~35% prebid adoption and 2–5 ad slots per prebid site.
 
 use crate::bidding::AdSlot;
-use crate::label::Label;
 use alexa_net::Domain;
+use alexa_net::Label;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,7 +70,6 @@ impl WebEcosystem {
                         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
                         AdSlot {
                             id,
-                            site: name.clone(),
                             quality: (0.9 * z).exp(),
                         }
                     })

@@ -37,7 +37,7 @@ proptest! {
             bidders: standard_roster(graph.partners()),
             season: SeasonModel::default(),
         };
-        let slot = AdSlot { id: Label::intern("p#1"), site: "p".into(), quality };
+        let slot = AdSlot { id: Label::intern("p#1"), quality };
         let mut user = UserState::blank("prop");
         user.amazon_customer = true;
         user.echo_segments.insert(cat);

@@ -53,7 +53,7 @@ pub fn measure(ix: &AnalysisIndex, lens: DefenseMode) -> Measurement {
     let blocked = |d: &alexa_net::Domain| {
         lens == DefenseMode::Firewall && fw.judge_remote(d) == Verdict::Block
     };
-    let host_blocked: Vec<bool> = ix.domains.iter().map(|d| blocked(d)).collect();
+    let host_blocked: Vec<bool> = ix.domains.iter().map(&blocked).collect();
     let keep = |h: u32| !host_blocked[h as usize];
 
     let t3 = traffic::table3(ix, keep);

@@ -51,9 +51,7 @@ pub fn skill_traffic(obs: &Observations) -> Vec<SkillTraffic> {
                     packets: 0,
                 });
             entry.packets += cap.packets.len();
-            entry
-                .endpoints
-                .extend(cap.packets.iter().map(|p| p.remote.clone()));
+            entry.endpoints.extend(cap.packets.iter().map(|p| p.remote));
         }
         // Capture sessions with zero packets (failed installs) carry no
         // endpoint evidence; the paper excludes the 4 failed skills from

@@ -3,14 +3,15 @@
 //! Like the crawl walk (`crawl_digest.rs`), it emits exactly the bytes the
 //! derived `Debug` of `Capture` prints, straight into the hasher: constant
 //! fragments as [`Fnv1a::jump`]s (one per `Direction` and per `DataType`
-//! variant, so a variant name costs nothing), strings through
+//! variant, so a variant name costs nothing), each host's interned name
+//! through the digest's [`LabelJumps`], other strings through
 //! [`str_body`], integers as decimal, and an `Ipv4Addr` as its four
 //! octets. `Capture`, `Packet` and `Record` are destructured and `Payload`,
 //! `Direction` and `DataType` matched exhaustively, so a new field or
 //! variant stops this module compiling until the walk learns it; the drift
 //! guards below compare the walk with `format!("{:?}")` byte for byte.
 
-use crate::crawl_digest::{str_body, LIST_SEP, LIST_STRUCT_CLOSE, QUOTED_CLOSE};
+use crate::crawl_digest::{str_body, LabelJumps, LIST_SEP, LIST_STRUCT_CLOSE, QUOTED_CLOSE};
 use alexa_fault::{Fnv1a, FnvJump};
 use alexa_net::{Capture, DataType, Direction, Packet, Payload, Record};
 use std::collections::BTreeMap;
@@ -38,7 +39,11 @@ static DEVICE_METRIC: FnvJump = FnvJump::new("Record { data_type: DeviceMetric, 
 
 /// Hash the `Debug` text of a capture map: `{"persona": [Capture { … },
 /// …], …}`.
-pub(crate) fn hash_capture_map(h: &mut Fnv1a, captures: &BTreeMap<String, Vec<Capture>>) {
+pub(crate) fn hash_capture_map(
+    h: &mut Fnv1a,
+    labels: &mut LabelJumps,
+    captures: &BTreeMap<String, Vec<Capture>>,
+) {
     h.byte(b'{');
     for (i, (persona, list)) in captures.iter().enumerate() {
         if i > 0 {
@@ -47,13 +52,13 @@ pub(crate) fn hash_capture_map(h: &mut Fnv1a, captures: &BTreeMap<String, Vec<Ca
         h.byte(b'"');
         str_body(h, persona);
         h.str("\": ");
-        hash_captures(h, list);
+        hash_captures(h, labels, list);
     }
     h.byte(b'}');
 }
 
 /// Hash the `Debug` text of a capture list: `[Capture { … }, …]`.
-pub(crate) fn hash_captures(h: &mut Fnv1a, captures: &[Capture]) {
+pub(crate) fn hash_captures(h: &mut Fnv1a, labels: &mut LabelJumps, captures: &[Capture]) {
     h.byte(b'[');
     for (i, capture) in captures.iter().enumerate() {
         if i > 0 {
@@ -67,7 +72,7 @@ pub(crate) fn hash_captures(h: &mut Fnv1a, captures: &[Capture]) {
             if j > 0 {
                 h.jump(&LIST_SEP);
             }
-            hash_packet(h, packet);
+            hash_packet(h, labels, packet);
         }
         h.jump(&LIST_STRUCT_CLOSE);
     }
@@ -75,7 +80,7 @@ pub(crate) fn hash_captures(h: &mut Fnv1a, captures: &[Capture]) {
 }
 
 /// One packet, exactly as `{:?}` prints it.
-fn hash_packet(h: &mut Fnv1a, packet: &Packet) {
+fn hash_packet(h: &mut Fnv1a, labels: &mut LabelJumps, packet: &Packet) {
     let Packet {
         ts_ms,
         direction,
@@ -89,7 +94,7 @@ fn hash_packet(h: &mut Fnv1a, packet: &Packet) {
         Direction::Outgoing => &OUTGOING_REMOTE,
         Direction::Incoming => &INCOMING_REMOTE,
     });
-    str_body(h, remote.as_str());
+    labels.hash(h, remote.name());
     h.jump(&PACKET_REMOTE_IP);
     let [a, b, c, d] = remote_ip.octets();
     h.u64(a.into())
@@ -145,7 +150,7 @@ mod tests {
 
     fn walk_hash(captures: &BTreeMap<String, Vec<Capture>>) -> u64 {
         let mut h = Fnv1a::new();
-        hash_capture_map(&mut h, captures);
+        hash_capture_map(&mut h, &mut LabelJumps::new(), captures);
         h.finish()
     }
 
@@ -228,7 +233,7 @@ mod tests {
         let ip = Ipv4Addr::new(0, 10, 100, 255);
         let mut capture = Capture::new("");
         capture.packets = vec![
-            Packet::outgoing(0, remote.clone(), ip, Payload::Plain(Vec::new())),
+            Packet::outgoing(0, remote, ip, Payload::Plain(Vec::new())),
             Packet::incoming(u64::MAX, remote, ip, Payload::Encrypted { len: 0 }),
         ];
         captures.insert(
@@ -251,7 +256,7 @@ mod tests {
             capture.packets.push(Packet {
                 ts_ms: 7,
                 direction,
-                remote: remote.clone(),
+                remote,
                 remote_ip: Ipv4Addr::new(52, 94, 236, 1),
                 payload: Payload::Plain(records.clone()),
             });
@@ -278,7 +283,7 @@ mod tests {
             assert_eq!(walk_hash(&captures), debug_hash(&captures), "seed {seed}");
             let avs: Vec<Capture> = captures.into_values().flatten().collect();
             let mut walked = Fnv1a::new();
-            hash_captures(&mut walked, &avs);
+            hash_captures(&mut walked, &mut LabelJumps::new(), &avs);
             let mut debug = Fnv1a::new();
             debug.str(&format!("{avs:?}"));
             assert_eq!(walked.finish(), debug.finish(), "seed {seed}, list");

@@ -8,10 +8,11 @@
 //!
 //! * constant fragments (`Bid { bidder: "`, `", slot_id: "`, …) are
 //!   applied with [`Fnv1a::jump`], O(1) each;
-//! * each crawl [`Label`] is a constant string too, so its quoted body is
+//! * each [`Label`] (slot ids, orgs, cookie values, sites, creatives, and
+//!   the captures' hosts) is a constant string too, so its quoted body is
 //!   applied as a jump built on the label's first quote (from the escaped
-//!   body when `Debug` escapes it). A seed-7 crawl quotes about 900
-//!   distinct labels some 700k times; the tables (2 KiB each) live only as
+//!   body when `Debug` escapes it). A seed-7 digest quotes 979 distinct
+//!   labels 744,921 times; the tables (2 KiB each) live only as
 //!   long as one digest;
 //! * other strings are hashed raw, with the check for bytes `Debug` would
 //!   escape fused into the hashing loop, falling back to the `{:?}` bytes
@@ -19,8 +20,8 @@
 //! * `usize` is hashed as decimal and the bid CPMs through
 //!   [`Fnv1a::f64_debug`], which writes core's `{:?}` bytes itself.
 //!
-//! What is left is the byte-serial chain over the site names and the CPM
-//! digits, plus one jump per fragment and label.
+//! What is left is the byte-serial chain over the persona names and the
+//! CPM digits, plus one jump per fragment and label.
 //!
 //! Every record is destructured exhaustively, so a field added to
 //! `VisitRecord`, `Bid`, `Creative` or `SyncObservation` stops this module
@@ -54,11 +55,17 @@ pub(crate) static LIST_STRUCT_CLOSE: FnvJump = FnvJump::new("] }");
 
 /// One jump per label id, each built on the label's first quote and all
 /// dropped with the digest.
-struct LabelJumps(Vec<Option<Box<FnvJump>>>);
+pub(crate) struct LabelJumps(Vec<Option<Box<FnvJump>>>);
 
 impl LabelJumps {
+    /// A table covering every label interned so far; a later label is
+    /// hashed byte by byte.
+    pub(crate) fn new() -> LabelJumps {
+        LabelJumps((0..Label::count()).map(|_| None).collect())
+    }
+
     /// Append the label's text as `Debug` prints it between its quotes.
-    fn hash(&mut self, h: &mut Fnv1a, l: Label) {
+    pub(crate) fn hash(&mut self, h: &mut Fnv1a, l: Label) {
         match self.0.get_mut(l.id()) {
             Some(slot) => {
                 h.jump(slot.get_or_insert_with(|| Box::new(body_jump(l.as_str()))));
@@ -79,8 +86,11 @@ fn body_jump(s: &str) -> FnvJump {
 
 /// Hash the `Debug` text of the crawl map: `{"persona": [VisitRecord { … },
 /// …], …}`.
-pub(crate) fn hash_crawl(h: &mut Fnv1a, crawl: &BTreeMap<String, Vec<VisitRecord>>) {
-    let mut labels = LabelJumps((0..Label::count()).map(|_| None).collect());
+pub(crate) fn hash_crawl(
+    h: &mut Fnv1a,
+    labels: &mut LabelJumps,
+    crawl: &BTreeMap<String, Vec<VisitRecord>>,
+) {
     h.byte(b'{');
     for (i, (persona, visits)) in crawl.iter().enumerate() {
         if i > 0 {
@@ -93,7 +103,7 @@ pub(crate) fn hash_crawl(h: &mut Fnv1a, crawl: &BTreeMap<String, Vec<VisitRecord
             if j > 0 {
                 h.jump(&LIST_SEP);
             }
-            hash_visit(h, &mut labels, visit);
+            hash_visit(h, labels, visit);
         }
         h.byte(b']');
     }
@@ -110,7 +120,7 @@ fn hash_visit(h: &mut Fnv1a, labels: &mut LabelJumps, visit: &VisitRecord) {
         syncs,
     } = visit;
     h.jump(&VISIT_SITE);
-    str_body(h, site);
+    labels.hash(h, *site);
     h.jump(&VISIT_ITERATION);
     h.u64(*iteration as u64);
     h.jump(&VISIT_BIDS);
@@ -139,9 +149,9 @@ fn hash_visit(h: &mut Fnv1a, labels: &mut LabelJumps, visit: &VisitRecord) {
         } else {
             &CREATIVE_NEXT
         });
-        str_body(h, advertiser);
+        labels.hash(h, *advertiser);
         h.jump(&CREATIVE_PRODUCT);
-        str_body(h, product);
+        labels.hash(h, *product);
         h.jump(&QUOTED_CLOSE);
     }
     h.jump(&VISIT_SYNCS);
@@ -206,7 +216,7 @@ mod tests {
 
     fn walk_hash(crawl: &BTreeMap<String, Vec<VisitRecord>>) -> u64 {
         let mut h = Fnv1a::new();
-        hash_crawl(&mut h, crawl);
+        hash_crawl(&mut h, &mut LabelJumps::new(), crawl);
         h.finish()
     }
 
@@ -285,8 +295,8 @@ mod tests {
                 .collect();
             let creatives = (0..self.below(3))
                 .map(|_| Creative {
-                    advertiser: self.str().to_string(),
-                    product: self.str().to_string(),
+                    advertiser: self.label(),
+                    product: self.label(),
                 })
                 .collect();
             let syncs = (0..self.below(3))
@@ -297,7 +307,7 @@ mod tests {
                 })
                 .collect();
             VisitRecord {
-                site: self.str().to_string(),
+                site: self.label(),
                 iteration: self.below(40) * self.below(1000),
                 bids,
                 creatives,
@@ -332,7 +342,7 @@ mod tests {
             .iter()
             .zip(STRINGS.iter().cycle())
             .map(|(&cpm, &s)| VisitRecord {
-                site: s.to_string(),
+                site: Label::intern(s),
                 iteration: usize::MAX,
                 bids: vec![Bid {
                     bidder: Label::intern(s),
@@ -362,7 +372,7 @@ mod tests {
     #[test]
     fn the_walk_is_sensitive_to_every_field() {
         let base = VisitRecord {
-            site: "a.com".into(),
+            site: Label::intern("a.com"),
             iteration: 3,
             bids: vec![Bid {
                 bidder: Label::intern("b"),
@@ -370,8 +380,8 @@ mod tests {
                 cpm: 1.5,
             }],
             creatives: vec![Creative {
-                advertiser: "ad".into(),
-                product: "p".into(),
+                advertiser: Label::intern("ad"),
+                product: Label::intern("p"),
             }],
             syncs: vec![SyncObservation {
                 from_org: Label::intern("f"),
@@ -384,7 +394,7 @@ mod tests {
         let mut seen = vec![hash(&base)];
         let mut mutants = Vec::new();
         let mut m = base.clone();
-        m.site.push('x');
+        m.site = Label::intern("a.comx");
         mutants.push(m);
         let mut m = base.clone();
         m.iteration += 1;
@@ -399,7 +409,10 @@ mod tests {
         m.bids[0].cpm = 1.25;
         mutants.push(m);
         let mut m = base.clone();
-        m.creatives[0].product.push('x');
+        m.creatives[0].advertiser = Label::intern("adx");
+        mutants.push(m);
+        let mut m = base.clone();
+        m.creatives[0].product = Label::intern("px");
         mutants.push(m);
         let mut m = base.clone();
         m.syncs[0].user_id = Label::intern("v");

@@ -258,7 +258,6 @@ impl ShadowedTap {
             };
             let forwarded = allowed
                 .map(|p| Packet {
-                    remote: p.remote.clone(),
                     payload: copy(&p.payload),
                     ..*p
                 })
@@ -392,9 +391,8 @@ pub(crate) fn run_persona_shard(
     let (mut device, mut tap, mut profile) = log.span("boot", |l| {
         l.work(1); // one provisioning step per persona
         let device = echo_index.map(|i| {
-            let mut d = EchoDevice::new(Vantage::Router, &account, config.seed ^ (i as u64 + 1));
-            d.set_fault_plane(plane.clone());
-            d
+            let seed = config.seed ^ (i as u64 + 1);
+            EchoDevice::new(Vantage::Router, &account, seed, plane.clone())
         });
         let tap = ShadowedTap::new(Vantage::Router, plane, shadow);
         let profile = BrowserProfile::fresh(&persona.name(), all_index as u8 + 1, Some(&account));
@@ -696,8 +694,8 @@ pub(crate) fn run_avs_shard(
         Vantage::Avs,
         "avs-lab",
         config.seed ^ 0xa5a5 ^ ((cat_index as u64 + 1) << 32),
+        plane.clone(),
     );
-    avs.set_fault_plane(plane.clone());
     let mut tap = ShadowedTap::new(Vantage::Avs, plane, shadow);
     let mut defense = Defense::new(config.defense);
     let rpolicy = RetryPolicy::standard();

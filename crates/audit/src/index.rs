@@ -10,14 +10,16 @@
 //! * a label table ([`Interner`]) mapping hosts, organizations, skill ids,
 //!   personas and ad-slot ids to symbols;
 //! * per-host attributes ([`HostInfo`]: registrable domain, organization,
-//!   traffic purpose) computed once per distinct endpoint;
+//!   traffic purpose) computed once per distinct endpoint, the hosts
+//!   sorted by text once;
 //! * per-(persona, skill) flow aggregates ([`SkillFlows`]) with per-host
-//!   packet counts, in the exact iteration order the legacy per-artifact
-//!   scans produced;
+//!   packet counts, counted into a dense table indexed by each host's rank
+//!   (found through its [`alexa_net::Label`] id), in the exact iteration
+//!   order the legacy per-artifact scans produced;
 //! * the slot table, and per-persona bid views ([`BidView`]) that read the
 //!   crawl's bids in place, resolving each bid's slot rank and partner flag
 //!   through two tables indexed by crawl label id
-//!   ([`alexa_adtech::Label`]) rather than hash probes or a copy of the
+//!   ([`alexa_net::Label`]) rather than hash probes or a copy of the
 //!   crawl;
 //! * the recovered cookie-sync structure, extracted audio ads, and the
 //!   AVS data-type map — each shared by several artifacts.
@@ -30,7 +32,7 @@ use crate::analysis::partners::{SyncAnalysis, AMAZON_AD_ENDPOINT};
 use crate::observations::{Observations, SkillMeta};
 use crate::persona::Persona;
 use alexa_adtech::{AudioAdExtractor, Label, StreamingService, VisitRecord};
-use alexa_net::{DataType, FilterList, OrgClass, TrafficPurpose};
+use alexa_net::{Capture, DataType, Domain, FilterList, OrgClass, TrafficPurpose};
 use alexa_policy::{CompiledPolicy, FlowExtractor, PoliCheck};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -247,7 +249,7 @@ pub struct AnalysisIndex<'a> {
     /// The endpoint behind each [`AnalysisIndex::hosts`] entry (same order),
     /// for predicates over the parsed name such as the defense lens's
     /// firewall verdict.
-    pub domains: Vec<&'a alexa_net::Domain>,
+    pub domains: Vec<Domain>,
     /// Per-(persona, skill) flow groups, personas then skills in
     /// lexicographic order.
     pub flows: Vec<SkillFlows>,
@@ -294,35 +296,27 @@ impl<'a> AnalysisIndex<'a> {
         let meta_by_id: BTreeMap<&str, &SkillMeta> =
             obs.catalog.iter().map(|m| (m.id.as_str(), m)).collect();
 
-        // Packet counts per (persona, skill label, endpoint): one pass over
-        // the router captures, merging a skill's sessions.
-        type PerLabel<'o> = BTreeMap<&'o str, BTreeMap<&'o alexa_net::Domain, u32>>;
-        let merged: Vec<(&String, PerLabel)> = obs
-            .router_captures
-            .iter()
-            .map(|(persona, caps)| {
-                let mut per_label: PerLabel = BTreeMap::new();
-                for cap in caps {
-                    let entry = per_label.entry(cap.label.as_str()).or_default();
-                    for p in &cap.packets {
-                        *entry.entry(&p.remote).or_insert(0) += 1;
-                    }
-                }
-                (persona, per_label)
-            })
-            .collect();
-
         // Host table: every distinct endpoint across all router captures,
-        // in lexicographic order (so host-id order == host-string order).
-        let host_set: BTreeSet<&alexa_net::Domain> = merged
-            .iter()
-            .flat_map(|(_, per_label)| per_label.values())
-            .flat_map(|per_host| per_host.keys().copied())
-            .collect();
-        let mut hosts = Vec::with_capacity(host_set.len());
-        let mut host_ids: BTreeMap<&str, u32> = BTreeMap::new();
-        for d in &host_set {
-            host_ids.insert(d.as_str(), hosts.len() as u32);
+        // sorted by text once (so host-id order == host-string order), and
+        // each host's rank in it, indexed by the host's label id.
+        let mut host_rank = vec![u32::MAX; Label::count()];
+        let mut domains: Vec<Domain> = Vec::new();
+        for p in obs
+            .router_captures
+            .values()
+            .flatten()
+            .flat_map(|c| &c.packets)
+        {
+            let rank = &mut host_rank[p.remote.name().id()];
+            if *rank == u32::MAX {
+                *rank = 0;
+                domains.push(p.remote);
+            }
+        }
+        domains.sort_unstable();
+        let mut hosts = Vec::with_capacity(domains.len());
+        for (rank, d) in (0..).zip(&domains) {
+            host_rank[d.name().id()] = rank;
             let host = symbols.intern(d.as_str());
             let registrable = match d.registrable() {
                 Some(r) => symbols.intern(r.as_str()),
@@ -340,23 +334,42 @@ impl<'a> AnalysisIndex<'a> {
 
         // Flow groups, keeping only skills that produced traffic — exactly
         // the legacy `skill_traffic` view, but with counts instead of cloned
-        // strings.
+        // strings. A persona's captures are grouped by skill label (merging
+        // the skill's sessions) in label order, and each group's packets are
+        // counted into a dense table indexed by host rank.
         let mut flows: Vec<SkillFlows> = Vec::new();
         let mut host_counts = Vec::new();
         let mut persona_flows = Vec::new();
-        for (persona, per_label) in merged {
+        let mut counts = vec![0u32; domains.len()];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut by_label: Vec<&Capture> = Vec::new();
+        for (persona, caps) in &obs.router_captures {
             let persona_sym = symbols.intern(persona);
             let flows_start = flows.len() as u32;
-            for (label, per_host) in per_label {
-                let packets: u32 = per_host.values().sum();
+            by_label.clear();
+            by_label.extend(caps);
+            by_label.sort_by_key(|c| c.label.as_str());
+            for group in by_label.chunk_by(|a, b| a.label == b.label) {
+                let mut packets = 0u32;
+                for p in group.iter().flat_map(|c| &c.packets) {
+                    packets += 1;
+                    let rank = host_rank[p.remote.name().id()];
+                    let count = &mut counts[rank as usize];
+                    if *count == 0 {
+                        touched.push(rank);
+                    }
+                    *count += 1;
+                }
                 if packets == 0 {
                     continue;
                 }
+                touched.sort_unstable();
                 let start = host_counts.len() as u32;
-                host_counts.extend(per_host.into_iter().map(|(d, packets)| HostCount {
-                    host: host_ids[d.as_str()],
-                    packets,
+                host_counts.extend(touched.drain(..).map(|host| HostCount {
+                    host,
+                    packets: std::mem::take(&mut counts[host as usize]),
                 }));
+                let label = group[0].label.as_str();
                 let meta = meta_by_id.get(label).copied();
                 let skill = symbols.intern(label);
                 flows.push(SkillFlows {
@@ -414,7 +427,7 @@ impl<'a> AnalysisIndex<'a> {
             obs,
             symbols,
             hosts,
-            domains: host_set.into_iter().collect(),
+            domains,
             flows,
             host_counts,
             persona_flows,
@@ -663,6 +676,73 @@ mod tests {
             bytes < n_bids,
             "index.build allocated {bytes} B for {n_bids} bids ({} labels interned)",
             Label::count()
+        );
+    }
+
+    #[test]
+    fn host_table_is_in_text_order_whatever_the_intern_order() {
+        use alexa_net::{Capture, Packet, Payload};
+        // Interned in reverse text order, so label ids disagree with text
+        // order.
+        let names = [
+            "zz.index-order.com",
+            "mm.index-order.com",
+            "aa.index-order.com",
+        ];
+        let [zz, mm, aa] = names.map(|n| Domain::parse(n).unwrap());
+        assert!(zz.name().id() < aa.name().id());
+        let ip = std::net::Ipv4Addr::new(10, 0, 0, 1);
+        let session = |label: &str, hosts: &[Domain]| {
+            let mut c = Capture::new(label);
+            c.packets = hosts
+                .iter()
+                .map(|&d| Packet::outgoing(1, d, ip, Payload::Encrypted { len: 1 }))
+                .collect();
+            c
+        };
+        let mut obs = Observations::default();
+        // Two sessions of skill-b (merged) around one of skill-a.
+        obs.router_captures.insert(
+            Persona::Vanilla.name(),
+            vec![
+                session("skill-b", &[zz, aa, zz]),
+                session("skill-a", &[mm]),
+                session("skill-b", &[mm]),
+            ],
+        );
+        let ix = AnalysisIndex::build(&obs);
+        let hosts: Vec<&str> = ix.hosts.iter().map(|h| ix.str_of(h.host)).collect();
+        assert_eq!(hosts, names.iter().rev().copied().collect::<Vec<_>>());
+        assert_eq!(ix.domains, [aa, mm, zz]);
+        let flows: Vec<String> = ix
+            .flows
+            .iter()
+            .map(|f| {
+                let per_host: Vec<String> = ix
+                    .hosts_of(f)
+                    .iter()
+                    .map(|hc| {
+                        format!(
+                            "{}={}",
+                            ix.str_of(ix.hosts[hc.host as usize].host),
+                            hc.packets
+                        )
+                    })
+                    .collect();
+                format!(
+                    "{} {}: {}",
+                    ix.str_of(f.skill),
+                    f.packets,
+                    per_host.join(" ")
+                )
+            })
+            .collect();
+        assert_eq!(
+            flows,
+            [
+                "skill-a 1: mm.index-order.com=1",
+                "skill-b 4: aa.index-order.com=1 mm.index-order.com=1 zz.index-order.com=2",
+            ]
         );
     }
 

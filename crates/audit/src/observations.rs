@@ -119,8 +119,9 @@ impl Observations {
     /// is hashed through its sorted-entries view instead. The text is
     /// never materialized. The captures and `crawl`, 99% of its
     /// bytes, are hashed by typed walks over the records that emit the same
-    /// bytes without `core::fmt`: constant fragments and crawl labels as
-    /// O(1) jumps, bid CPMs through an in-tree shortest-float writer. The
+    /// bytes without `core::fmt`: constant fragments and labels (hosts,
+    /// sites, creatives and the crawl's ids) as O(1) jumps, bid CPMs
+    /// through an in-tree shortest-float writer. The
     /// remaining fields stream their `Debug` output into the hasher.
     pub fn digest(&self) -> u64 {
         use std::fmt::Write as _;
@@ -132,11 +133,12 @@ impl Observations {
             "{}|{}|{}|",
             self.seed, self.pre_iterations, self.post_iterations,
         );
-        crate::capture_digest::hash_capture_map(&mut w, &self.router_captures);
+        let mut labels = crate::crawl_digest::LabelJumps::new();
+        crate::capture_digest::hash_capture_map(&mut w, &mut labels, &self.router_captures);
         w.byte(b'|');
-        crate::capture_digest::hash_captures(&mut w, &self.avs_captures);
+        crate::capture_digest::hash_captures(&mut w, &mut labels, &self.avs_captures);
         w.byte(b'|');
-        crate::crawl_digest::hash_crawl(&mut w, &self.crawl);
+        crate::crawl_digest::hash_crawl(&mut w, &mut labels, &self.crawl);
         let _ = write!(
             w,
             "|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",

@@ -1,6 +1,7 @@
 //! Fault channels and named fault profiles.
 
 use alexa_obs::campaign::uniform_fault_rate;
+use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
 
@@ -70,7 +71,9 @@ impl FaultChannel {
 /// stress tier where circuit breakers are expected to open.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultProfile {
-    name: String,
+    /// Borrowed for the presets, so building or cloning one allocates
+    /// nothing; only `uniform(r)` owns its name.
+    name: Cow<'static, str>,
     rates: [f64; 7],
     retry_budget: u32,
 }
@@ -101,7 +104,7 @@ impl FaultProfile {
     /// No faults at all — the pipeline behaves exactly as without this crate.
     pub fn none() -> FaultProfile {
         FaultProfile {
-            name: "none".into(),
+            name: Cow::Borrowed("none"),
             rates: [0.0; 7],
             retry_budget: 0,
         }
@@ -110,7 +113,7 @@ impl FaultProfile {
     /// Everyday transient loss; retries recover almost everything.
     pub fn flaky() -> FaultProfile {
         FaultProfile {
-            name: "flaky".into(),
+            name: Cow::Borrowed("flaky"),
             // install, interaction, drop, truncation, crawl, bid, policy
             rates: [0.05, 0.03, 0.01, 0.01, 0.05, 0.02, 0.05],
             retry_budget: 96,
@@ -120,7 +123,7 @@ impl FaultProfile {
     /// A bad capture day: visible losses survive the retry budget.
     pub fn degraded() -> FaultProfile {
         FaultProfile {
-            name: "degraded".into(),
+            name: Cow::Borrowed("degraded"),
             rates: [0.15, 0.10, 0.05, 0.05, 0.15, 0.10, 0.15],
             retry_budget: 48,
         }
@@ -129,7 +132,7 @@ impl FaultProfile {
     /// Stress tier: budgets exhaust, circuit breakers open, shards degrade.
     pub fn hostile() -> FaultProfile {
         FaultProfile {
-            name: "hostile".into(),
+            name: Cow::Borrowed("hostile"),
             rates: [0.40, 0.35, 0.25, 0.20, 0.45, 0.35, 0.50],
             retry_budget: 16,
         }
@@ -140,7 +143,7 @@ impl FaultProfile {
     pub fn uniform(rate: f64) -> FaultProfile {
         let r = rate.clamp(0.0, 1.0);
         FaultProfile {
-            name: format!("uniform({r})"),
+            name: Cow::Owned(format!("uniform({r})")),
             rates: [r; 7],
             retry_budget: 32,
         }
@@ -232,6 +235,21 @@ mod tests {
             FaultProfile::uniform(-3.0).rate(FaultChannel::PacketDrop),
             0.0
         );
+    }
+
+    #[test]
+    fn presets_borrow_their_names() {
+        let before = alexa_obs::alloc::snapshot();
+        let presets = [
+            FaultProfile::none(),
+            FaultProfile::flaky(),
+            FaultProfile::degraded(),
+            FaultProfile::hostile(),
+        ];
+        let copies = presets.clone();
+        assert_eq!(alexa_obs::alloc::snapshot().count, before.count);
+        assert_eq!(copies, presets);
+        assert!(matches!(FaultProfile::uniform(0.5).name, Cow::Owned(_)));
     }
 
     #[test]

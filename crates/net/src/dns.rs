@@ -52,8 +52,8 @@ impl DnsTable {
                 Some(_) => candidate = candidate.wrapping_add(0x9e3779b97f4a7c15),
             }
         };
-        self.forward.insert(domain.clone(), ip);
-        self.reverse.insert(ip, domain.clone());
+        self.forward.insert(*domain, ip);
+        self.reverse.insert(ip, *domain);
         ip
     }
 

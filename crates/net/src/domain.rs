@@ -5,6 +5,7 @@
 //! that grouping with an embedded subset of the public-suffix list covering
 //! every suffix observed in the simulated ecosystem.
 
+use crate::label::Label;
 use std::fmt;
 
 /// Public suffixes known to the embedded list. A real deployment would load
@@ -41,16 +42,30 @@ impl fmt::Display for DomainError {
 impl std::error::Error for DomainError {}
 
 /// A validated, lower-cased fully-qualified domain name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The name is an interned [`Label`], so a domain is 4 bytes and `Copy`:
+/// the tap records the same few dozen hosts in every packet. `Debug` prints
+/// `Domain { name: "…" }` as the string field did, and `Ord` is the name's
+/// text order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Domain {
-    name: String,
+    name: Label,
 }
 
 impl Domain {
     /// Parse and validate a domain name. Lower-cases the input and rejects
-    /// empty/invalid labels, overlong names, and bare public suffixes.
+    /// empty/invalid labels, overlong names, and bare public suffixes. Only
+    /// a valid name is interned, and a name that is already lower-case is
+    /// validated without allocating.
     pub fn parse(s: &str) -> Result<Domain, DomainError> {
-        let name = s.trim().trim_end_matches('.').to_ascii_lowercase();
+        let trimmed = s.trim().trim_end_matches('.');
+        let lowered;
+        let name = if trimmed.bytes().any(|b| b.is_ascii_uppercase()) {
+            lowered = trimmed.to_ascii_lowercase();
+            lowered.as_str()
+        } else {
+            trimmed
+        };
         if name.is_empty() {
             return Err(DomainError::Empty);
         }
@@ -67,11 +82,12 @@ impl Domain {
                 return Err(DomainError::BadLabel(label.to_string()));
             }
         }
-        let d = Domain { name };
-        if d.registrable().is_none() {
+        if registrable_of(name).is_none() {
             return Err(DomainError::OnlySuffix);
         }
-        Ok(d)
+        Ok(Domain {
+            name: Label::intern(name),
+        })
     }
 
     /// The deterministic sentinel for internal names that fail validation.
@@ -83,58 +99,75 @@ impl Domain {
     /// unmistakable in any analysis output.
     pub fn invalid_sentinel() -> Domain {
         Domain {
-            name: String::from("invalid.example.com"),
+            name: Label::intern("invalid.example.com"),
         }
     }
 
     /// The full name, always lower-case, no trailing dot.
-    pub fn as_str(&self) -> &str {
-        &self.name
+    pub fn as_str(&self) -> &'static str {
+        self.name.as_str()
+    }
+
+    /// The interned name.
+    pub fn name(&self) -> Label {
+        self.name
     }
 
     /// Labels from leftmost (most specific) to rightmost (TLD).
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.name.split('.')
+    pub fn labels(&self) -> impl Iterator<Item = &'static str> {
+        self.as_str().split('.')
     }
 
     /// The public suffix of this name, if the embedded list knows it.
-    pub fn public_suffix(&self) -> Option<&str> {
-        // Longest matching suffix wins (so `co.uk` beats `uk`).
-        let mut best: Option<&str> = None;
-        for &suffix in PUBLIC_SUFFIXES {
-            if self.name == suffix || self.name.ends_with(&format!(".{suffix}")) {
-                match best {
-                    Some(b) if b.len() >= suffix.len() => {}
-                    _ => best = Some(suffix),
-                }
-            }
-        }
-        best
+    pub fn public_suffix(&self) -> Option<&'static str> {
+        suffix_of(self.as_str())
     }
 
     /// The registrable domain (eTLD+1), e.g. `device-metrics-us-2.amazon.com`
     /// → `amazon.com`. `None` when the name *is* a public suffix.
     pub fn registrable(&self) -> Option<Domain> {
-        let suffix = self.public_suffix()?;
-        if self.name == suffix {
-            return None;
-        }
-        let prefix = &self.name[..self.name.len() - suffix.len() - 1];
-        let owner = prefix.rsplit('.').next()?;
         Some(Domain {
-            name: format!("{owner}.{suffix}"),
+            name: Label::intern(self.registrable_name()?),
         })
+    }
+
+    /// The registrable domain's text, a suffix of this name, without
+    /// interning it.
+    pub(crate) fn registrable_name(&self) -> Option<&'static str> {
+        registrable_of(self.as_str())
     }
 
     /// Number of labels.
     pub fn depth(&self) -> usize {
-        self.name.split('.').count()
+        self.labels().count()
     }
+}
+
+/// The longest public suffix `name` ends in at a label boundary (so
+/// `co.uk` beats `uk`, and `xcom` does not end in `com`).
+fn suffix_of(name: &str) -> Option<&'static str> {
+    PUBLIC_SUFFIXES
+        .iter()
+        .copied()
+        .filter(|&suffix| {
+            name.strip_suffix(suffix)
+                .is_some_and(|rest| rest.is_empty() || rest.ends_with('.'))
+        })
+        .max_by_key(|suffix| suffix.len())
+}
+
+/// The registrable part (eTLD+1) of a validated name, a suffix of it.
+/// `None` when the name is a bare public suffix or the list knows none.
+fn registrable_of(name: &str) -> Option<&str> {
+    let suffix = suffix_of(name)?;
+    let prefix = name.strip_suffix(suffix)?.strip_suffix('.')?;
+    let owner = prefix.rsplit('.').next()?;
+    name.get(prefix.len() - owner.len()..)
 }
 
 impl fmt::Display for Domain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name)
+        f.write_str(self.as_str())
     }
 }
 
@@ -176,6 +209,7 @@ mod tests {
         ));
         assert_eq!(Domain::parse("com"), Err(DomainError::OnlySuffix));
         assert_eq!(Domain::parse("co.uk"), Err(DomainError::OnlySuffix));
+        assert_eq!(Domain::parse("xcom"), Err(DomainError::OnlySuffix));
     }
 
     #[test]
@@ -201,6 +235,7 @@ mod tests {
             ("bbc.co.uk", "bbc.co.uk"),
             ("news.bbc.co.uk", "bbc.co.uk"),
             ("traffic.omny.fm", "omny.fm"),
+            ("a.b.example.com.au", "example.com.au"),
         ];
         for (input, want) in cases {
             assert_eq!(
@@ -241,8 +276,51 @@ mod tests {
     #[test]
     fn invalid_sentinel_is_itself_a_valid_domain() {
         let s = Domain::invalid_sentinel();
-        assert_eq!(Domain::parse(s.as_str()), Ok(s.clone()));
+        assert_eq!(Domain::parse(s.as_str()), Ok(s));
         assert_eq!(s.registrable().unwrap().as_str(), "example.com");
+    }
+
+    #[test]
+    fn lower_case_parse_allocates_at_most_once() {
+        for name in ["api.amazon.com", "news.bbc.co.uk", "a.b.c.example.org"] {
+            Domain::parse(name).unwrap();
+            let before = alexa_obs::alloc::snapshot();
+            let d = Domain::parse(name).unwrap();
+            let allocs = alexa_obs::alloc::snapshot().count - before.count;
+            assert!(allocs <= 1, "{name}: {allocs} allocations");
+            assert_eq!(d.as_str(), name);
+        }
+    }
+
+    #[test]
+    fn debug_prints_the_name_as_a_string_field() {
+        let d = Domain::parse("Device-Metrics-US-2.Amazon.COM").unwrap();
+        assert_eq!(
+            format!("{d:?}"),
+            "Domain { name: \"device-metrics-us-2.amazon.com\" }"
+        );
+    }
+
+    #[test]
+    fn sets_of_domains_iterate_in_text_order() {
+        // Interned in reverse text order: ids disagree with text order.
+        let names = [
+            "zz.order-test.com",
+            "mm.order-test.com",
+            "aa.order-test.com",
+        ];
+        let domains: Vec<Domain> = names.iter().map(|n| Domain::parse(n).unwrap()).collect();
+        assert!(domains[0].name().id() < domains[2].name().id());
+        let set: std::collections::BTreeSet<Domain> = domains.into_iter().collect();
+        let texts: Vec<&str> = set.iter().map(Domain::as_str).collect();
+        assert_eq!(
+            texts,
+            [
+                "aa.order-test.com",
+                "mm.order-test.com",
+                "zz.order-test.com"
+            ]
+        );
     }
 
     #[test]

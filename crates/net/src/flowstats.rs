@@ -47,7 +47,7 @@ pub fn aggregate(captures: &[Capture]) -> BTreeMap<Domain, FlowStats> {
     for cap in captures {
         let mut seen_in_session: BTreeMap<&Domain, bool> = BTreeMap::new();
         for p in &cap.packets {
-            let entry = out.entry(p.remote.clone()).or_insert(FlowStats {
+            let entry = out.entry(p.remote).or_insert(FlowStats {
                 first_seen_ms: p.ts_ms,
                 last_seen_ms: p.ts_ms,
                 ..FlowStats::default()

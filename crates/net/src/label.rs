@@ -1,19 +1,27 @@
-//! The crawl's process-wide label interner.
+//! The process-wide label interner: one table for every repeated
+//! observation text.
 //!
-//! Crawl records quote a small, fixed vocabulary — ad-slot ids, bidder and
-//! sync organizations, cookie values — hundreds of thousands of times per
-//! run. [`Label::intern`] stores each distinct text once and hands out a
-//! [`Label`]: a 4-byte id, so a bid carries two labels in 8 bytes and a
-//! sync event three in 12, and copying a label is an integer copy. Equal
-//! text always interns to the same id, so ids index dense per-label tables
-//! exactly. Ids are handed out in first-interned order, which is a
-//! scheduling accident: nothing ordered may come from them, only from
-//! [`Label::as_str`].
+//! Observations quote a small, fixed vocabulary hundreds of thousands of
+//! times per run: endpoint hosts ([`crate::Domain`]), ad-slot ids, bidder
+//! and sync organizations, cookie values, crawled sites and creative
+//! advertisers and products. [`Label::intern`] stores each distinct text
+//! once and hands out a [`Label`]: a 4-byte id, so a bid carries two labels
+//! in 8 bytes, a sync event three in 12 and a packet's host one in 4, and
+//! copying a label is an integer copy. Equal text always interns to the
+//! same id, so ids index dense per-label tables exactly.
 //!
-//! The table is append-only and never frees. Its size is bounded by the
-//! vocabulary, which does not depend on the seed: the web ecosystem interns
-//! every possible slot id of its ranked sites up front, and the org and
-//! cookie labels are functions of fixed name lists and persona names.
+//! **Order is by text.** Ids are handed out in first-interned order, which
+//! is a scheduling accident, so nothing ordered may come from them: `Ord`
+//! compares the texts, and a `BTreeMap` keyed by labels (or by a type
+//! holding one, such as `Domain`) iterates in text order.
+//!
+//! **Only seed-independent vocabularies go in.** The table is append-only
+//! and never frees, and the vocabulary must not depend on the seed: the web
+//! ecosystem interns every possible slot id of its ranked sites up front,
+//! the ad server its whole creative catalogue, the org, cookie and host
+//! labels are functions of fixed name lists and persona names. Texts that
+//! differ from seed to seed (record values, transcripts) stay strings.
+//! Id 0 is the empty text, so `Label::default()` prints as `""`.
 //!
 //! Reading a label's text takes no lock. The texts live in chunks of
 //! `OnceLock` slots that double in size (1024, 2048, … entries), so every
@@ -25,6 +33,7 @@
 //! that shard's window would make the memory ledger differ across `--jobs`
 //! values and across repeated runs in one process.
 
+use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 #[expect(
     clippy::disallowed_types,
@@ -35,11 +44,12 @@ use std::fmt;
 use std::hash::BuildHasherDefault;
 use std::sync::{OnceLock, RwLock};
 
-/// An interned crawl label: a dense id whose text is [`Label::as_str`].
+/// An interned label: a dense id whose text is [`Label::as_str`].
 ///
 /// `Debug` and `Display` print the text exactly as `&str` does, so a record
-/// holding labels formats as if it held the strings.
-#[derive(Clone, Copy, PartialEq, Eq)]
+/// holding labels formats as if it held the strings. `Ord` compares the
+/// texts, never the ids. The default label is the empty text.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Label(u32);
 
 #[expect(
@@ -63,8 +73,8 @@ type Chunk = Box<[OnceLock<&'static str>]>;
 static TEXTS: [OnceLock<Chunk>; CHUNKS] = [const { OnceLock::new() }; CHUNKS];
 
 /// Table capacity reserved by the first insert. A paper-scale run interns
-/// about 4.4k labels, so the table never rehashes while the first run
-/// fills it.
+/// about 5.2k labels; this reservation rounds up to room for 7,168, so the
+/// table never rehashes while the first run fills it.
 const INITIAL_CAPACITY: usize = 4096;
 
 /// The chunk holding `id`, and the slot within it. Chunk `k` starts at id
@@ -89,23 +99,12 @@ impl Label {
         }
         if ids.capacity() == 0 {
             ids.reserve(INITIAL_CAPACITY);
+            insert(&mut ids, "");
+            if text.is_empty() {
+                return Label::default();
+            }
         }
-        // The vocabulary is a few thousand labels; four billion would not
-        // fit in memory, so the id space never runs out.
-        let label = Label(u32::try_from(ids.len()).unwrap_or(u32::MAX));
-        let text: &'static str = Box::leak(text.into());
-        let (chunk, slot) = locate(label.0);
-        let cell = TEXTS.get(chunk).and_then(|cells| {
-            cells
-                .get_or_init(|| (0..FIRST_CHUNK << chunk).map(|_| OnceLock::new()).collect())
-                .get(slot)
-        });
-        if let Some(cell) = cell {
-            // The write lock is held and the id is fresh: the slot is empty.
-            let _ = cell.set(text);
-        }
-        ids.insert(text, label);
-        label
+        insert(&mut ids, text)
     }
 
     /// The label's text. Takes no lock.
@@ -130,6 +129,43 @@ impl Label {
     /// Number of distinct labels interned so far.
     pub fn count() -> usize {
         IDS.read().unwrap_or_else(|p| p.into_inner()).len()
+    }
+}
+
+/// Give `text` the next id and fill its text slot. The caller holds the
+/// write lock and has checked that `text` is new.
+fn insert(ids: &mut Ids, text: &str) -> Label {
+    // The vocabulary is a few thousand labels; four billion would not fit
+    // in memory, so the id space never runs out.
+    let label = Label(u32::try_from(ids.len()).unwrap_or(u32::MAX));
+    let text: &'static str = Box::leak(text.into());
+    let (chunk, slot) = locate(label.0);
+    let cell = TEXTS.get(chunk).and_then(|cells| {
+        cells
+            .get_or_init(|| (0..FIRST_CHUNK << chunk).map(|_| OnceLock::new()).collect())
+            .get(slot)
+    });
+    if let Some(cell) = cell {
+        // The write lock is held and the id is fresh: the slot is empty.
+        let _ = cell.set(text);
+    }
+    ids.insert(text, label);
+    label
+}
+
+impl Ord for Label {
+    fn cmp(&self, other: &Label) -> Ordering {
+        if self.0 == other.0 {
+            Ordering::Equal
+        } else {
+            self.as_str().cmp(other.as_str())
+        }
+    }
+}
+
+impl PartialOrd for Label {
+    fn partial_cmp(&self, other: &Label) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -167,6 +203,13 @@ mod tests {
         let again = Label::intern(text);
         assert_eq!(alexa_obs::alloc::snapshot(), before);
         assert_eq!(first, again);
+    }
+
+    #[test]
+    fn the_default_label_is_the_empty_text() {
+        assert_eq!(Label::default().as_str(), "");
+        assert_eq!(Label::intern(""), Label::default());
+        assert_eq!(format!("{:?}", Label::default()), "\"\"");
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! [`Vantage`], a domain→organization map ([`OrgMap`]) equivalent to the
 //! paper's DuckDuckGo-entity + Crunchbase + WHOIS resolution, and a
 //! Pi-hole-style [`FilterList`] for advertising & tracking classification.
+//!
+//! It also owns the workspace's one interner, [`Label`]. The tap sees the
+//! same few dozen endpoints again and again, so a [`Domain`] is a 4-byte
+//! label, `Copy`, ordered by its text; the crawl's slot ids, organizations,
+//! cookie values, sites and creatives are labels from the same table.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
@@ -28,6 +33,7 @@ mod domain;
 mod filterlist;
 mod firewall;
 mod flowstats;
+mod label;
 mod orgmap;
 mod packet;
 mod trace;
@@ -38,6 +44,7 @@ pub use domain::Domain;
 pub use filterlist::{FilterList, TrafficPurpose};
 pub use firewall::{Firewall, FirewallStats, Verdict};
 pub use flowstats::{aggregate as aggregate_flows, top_by_bytes, FlowStats};
+pub use label::Label;
 pub use orgmap::{OrgClass, OrgMap, AMAZON};
 pub use packet::{DataType, Direction, Packet, Payload, Record};
 pub use trace::{read_trace, write_trace, TraceError};

@@ -119,8 +119,8 @@ impl OrgMap {
         if let Some(org) = self.by_registrable.get(domain.as_str()) {
             return Some(org);
         }
-        let reg = domain.registrable()?;
-        self.by_registrable.get(reg.as_str()).map(String::as_str)
+        let reg = domain.registrable_name()?;
+        self.by_registrable.get(reg).map(String::as_str)
     }
 
     /// Classify a domain relative to a skill vendor's organization name.

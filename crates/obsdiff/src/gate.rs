@@ -98,10 +98,12 @@ impl fmt::Display for GateError {
 /// `total_ms` stays within bounds. `render.all` is the stage the
 /// shared-index/streaming-render work exists to keep down;
 /// `persona.shards` holds the lean crawl records (interned labels, exactly
-/// sized bid and sync vectors); `index.build` reads the crawl's bids in
-/// place instead of copying them. A perf change must not quietly give any
-/// of them back.
-pub(crate) const GATED_STAGES: &[&str] = &["render.all", "persona.shards", "index.build"];
+/// sized bid and sync vectors, interned hosts and creatives); `avs.pass`
+/// holds the AVS captures' interned hosts; `index.build` reads the crawl's
+/// bids in place instead of copying them. A perf change must not quietly
+/// give any of them back.
+pub(crate) const GATED_STAGES: &[&str] =
+    &["render.all", "persona.shards", "index.build", "avs.pass"];
 
 /// The gate's verdict plus its full comparison log.
 #[derive(Debug, Clone, Default, PartialEq)]

@@ -236,8 +236,8 @@ fn gated_stage_regression_fails_even_when_total_is_fine() {
         .render_human()
         .contains("render.all: 100 ms -> 300 ms REGRESSION"));
     // Non-gated stages may swing freely: keep the gated ones, triple another.
-    let base2 = entry(Some(1), 1000, &[("render.all", 100), ("avs.pass", 900)]);
-    let cand2 = entry(Some(1), 1000, &[("render.all", 100), ("avs.pass", 2700)]);
+    let base2 = entry(Some(1), 1000, &[("render.all", 100), ("merge", 900)]);
+    let cand2 = entry(Some(1), 1000, &[("render.all", 100), ("merge", 2700)]);
     assert!(gate("stage2", &[&base2], &[&cand2]).passed());
 }
 

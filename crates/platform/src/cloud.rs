@@ -91,12 +91,14 @@ pub struct AlexaCloud {
     /// Parsed-and-resolved endpoint cache: the same few dozen endpoint
     /// names are hit by every session, and `Domain::parse` re-validates
     /// the name each time. Both steps are pure functions of the name, so
-    /// caching them is invisible to the generated traffic.
+    /// caching them is invisible to the generated traffic. Names are
+    /// constants or interned backend names and domains are `Copy`, so a
+    /// hit allocates nothing.
     #[expect(
         clippy::disallowed_types,
         reason = "lookup-only cache of a pure function; iteration order never reaches an output"
     )]
-    endpoints: std::collections::HashMap<String, (Domain, std::net::Ipv4Addr)>,
+    endpoints: std::collections::HashMap<&'static str, (Domain, std::net::Ipv4Addr)>,
 }
 
 impl AlexaCloud {
@@ -124,17 +126,17 @@ impl AlexaCloud {
         &self.dns
     }
 
-    fn endpoint(&mut self, name: &str) -> (Domain, std::net::Ipv4Addr) {
-        if let Some(cached) = self.endpoints.get(name) {
-            return cached.clone();
+    fn endpoint(&mut self, name: &'static str) -> (Domain, std::net::Ipv4Addr) {
+        if let Some(&cached) = self.endpoints.get(name) {
+            return cached;
         }
         let d = Domain::parse(name).unwrap_or_else(|_| Domain::invalid_sentinel());
         let ip = self.dns.resolve(&d);
-        self.endpoints.insert(name.to_string(), (d.clone(), ip));
+        self.endpoints.insert(name, (d, ip));
         (d, ip)
     }
 
-    fn push_out(&mut self, packets: &mut Vec<Packet>, name: &str, records: Vec<Record>) {
+    fn push_out(&mut self, packets: &mut Vec<Packet>, name: &'static str, records: Vec<Record>) {
         let (d, ip) = self.endpoint(name);
         self.clock_ms += 3;
         packets.push(Packet::outgoing(
@@ -145,7 +147,7 @@ impl AlexaCloud {
         ));
     }
 
-    fn push_in(&mut self, packets: &mut Vec<Packet>, name: &str, bytes: usize) {
+    fn push_in(&mut self, packets: &mut Vec<Packet>, name: &'static str, bytes: usize) {
         let (d, ip) = self.endpoint(name);
         self.clock_ms += 5;
         packets.push(Packet::incoming(
@@ -294,9 +296,9 @@ impl AlexaCloud {
                         if skill.collects_type(DataType::AudioPlayerEvent) {
                             recs.push(Record::new(DataType::AudioPlayerEvent, "progress"));
                         }
-                        let name = backend.as_str().to_string();
-                        self.push_out(&mut packets, &name, recs);
-                        self.push_in(&mut packets, &name, 8_192);
+                        let name = backend.as_str();
+                        self.push_out(&mut packets, name, recs);
+                        self.push_in(&mut packets, name, 8_192);
                     }
                 }
             }
@@ -396,6 +398,40 @@ mod tests {
                 p.remote
             );
         }
+    }
+
+    #[test]
+    fn warm_sessions_allocate_no_host_strings() {
+        // Backends that collect nothing send empty record lists, so once
+        // the endpoint cache is warm a backend's packets allocate nothing
+        // but the packet vector's growth.
+        let backends = [
+            "a-rather-long-backend-name-one.example-cdn.net",
+            "a-rather-long-backend-name-two.example-cdn.net",
+            "a-rather-long-backend-name-three.example-cdn.net",
+            "a-rather-long-backend-name-four.example-cdn.net",
+        ];
+        let kind = InteractionKind::Utterance("hello".into());
+        let warm_allocs = |backends: &[&str]| {
+            let mut cloud = AlexaCloud::new();
+            let s = skill(backends, &[]);
+            cloud.session_traffic("acct", "AMZN1", &s, &kind, Vantage::Router);
+            let before = alexa_obs::alloc::snapshot();
+            let pkts = cloud.session_traffic("acct", "AMZN1", &s, &kind, Vantage::Router);
+            (
+                alexa_obs::alloc::snapshot().count - before.count,
+                pkts.len(),
+            )
+        };
+        let (bare, bare_packets) = warm_allocs(&[]);
+        let (with, with_packets) = warm_allocs(&backends);
+        assert_eq!(with_packets, bare_packets + 2 * backends.len());
+        // Eight more packets cost at most two more doublings of the packet
+        // vector; a host string per packet would cost eight.
+        assert!(
+            with <= bare + 2,
+            "{with} allocations with backends vs {bare} without"
+        );
     }
 
     #[test]

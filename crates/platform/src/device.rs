@@ -87,8 +87,10 @@ pub struct EchoDevice {
 }
 
 impl EchoDevice {
-    /// Provision a device at `vantage` bound to an Amazon account.
-    pub fn new(vantage: Vantage, account: &str, seed: u64) -> EchoDevice {
+    /// Provision a device at `vantage` bound to an Amazon account, its
+    /// install/interact paths routed through `plane`. An inactive plane
+    /// leaves behavior untouched.
+    pub fn new(vantage: Vantage, account: &str, seed: u64, plane: FaultPlane) -> EchoDevice {
         // Customer IDs look like Amazon's directed IDs; derived from the
         // account so captures can be correlated per persona.
         let h = Fnv1a::hash_parts(&[account]);
@@ -98,15 +100,9 @@ impl EchoDevice {
             customer_id: format!("amzn1.account.{h:016X}"),
             installed: BTreeSet::new(),
             pipeline: VoicePipeline::new(seed),
-            fault: FaultPlane::disabled(),
+            fault: plane,
             fault_attempts: BTreeMap::new(),
         }
-    }
-
-    /// Route this device's install/interact paths through a fault plane.
-    /// An inactive plane leaves behavior untouched.
-    pub fn set_fault_plane(&mut self, plane: FaultPlane) {
-        self.fault = plane;
     }
 
     /// Whether a skill is currently installed.
@@ -245,7 +241,7 @@ mod tests {
     #[test]
     fn echo_installs_and_interacts() {
         let mut cloud = AlexaCloud::new();
-        let mut echo = EchoDevice::new(Vantage::Router, "persona-pets", 11);
+        let mut echo = EchoDevice::new(Vantage::Router, "persona-pets", 11, FaultPlane::disabled());
         let s = skill(false, &["dillilabs.com"]);
         let install = echo.install(&mut cloud, &s).unwrap();
         assert!(!install.is_empty());
@@ -259,7 +255,7 @@ mod tests {
     #[test]
     fn interact_requires_install() {
         let mut cloud = AlexaCloud::new();
-        let mut echo = EchoDevice::new(Vantage::Router, "p", 1);
+        let mut echo = EchoDevice::new(Vantage::Router, "p", 1, FaultPlane::disabled());
         let s = skill(false, &[]);
         assert_eq!(
             echo.interact(&mut cloud, &s, "Alexa, hello"),
@@ -270,7 +266,7 @@ mod tests {
     #[test]
     fn avs_rejects_streaming_skills() {
         let mut cloud = AlexaCloud::new();
-        let mut avs = EchoDevice::new(Vantage::Avs, "p", 2);
+        let mut avs = EchoDevice::new(Vantage::Avs, "p", 2, FaultPlane::disabled());
         let s = skill(true, &[]);
         assert_eq!(
             avs.install(&mut cloud, &s),
@@ -281,7 +277,7 @@ mod tests {
     #[test]
     fn avs_traffic_is_amazon_only_even_with_backends() {
         let mut cloud = AlexaCloud::new();
-        let mut avs = EchoDevice::new(Vantage::Avs, "p", 3);
+        let mut avs = EchoDevice::new(Vantage::Avs, "p", 3, FaultPlane::disabled());
         let s = skill(false, &["play.podtrac.com"]);
         avs.install(&mut cloud, &s).unwrap();
         let traffic = avs.interact(&mut cloud, &s, "Alexa, open skill y").unwrap();
@@ -294,7 +290,7 @@ mod tests {
     #[test]
     fn failing_skill_install_errors() {
         let mut cloud = AlexaCloud::new();
-        let mut echo = EchoDevice::new(Vantage::Router, "p", 4);
+        let mut echo = EchoDevice::new(Vantage::Router, "p", 4, FaultPlane::disabled());
         let mut s = skill(false, &[]);
         s.fails_to_load = true;
         assert_eq!(
@@ -306,7 +302,7 @@ mod tests {
     #[test]
     fn phrases_without_wake_word_usually_ignored() {
         let mut cloud = AlexaCloud::new();
-        let mut echo = EchoDevice::new(Vantage::Router, "p", 5);
+        let mut echo = EchoDevice::new(Vantage::Router, "p", 5, FaultPlane::disabled());
         let s = skill(false, &[]);
         echo.install(&mut cloud, &s).unwrap();
         let ignored = (0..200)
@@ -323,7 +319,7 @@ mod tests {
         s.collects.push(DataType::CustomerId);
         // The customer ID the device transmits on install.
         let sent = |account: &str, seed: u64| {
-            let mut echo = EchoDevice::new(Vantage::Router, account, seed);
+            let mut echo = EchoDevice::new(Vantage::Router, account, seed, FaultPlane::disabled());
             let traffic = echo.install(&mut AlexaCloud::new(), &s).unwrap();
             let records = traffic.iter().filter_map(|p| p.payload.records());
             let mut ids = records
@@ -338,7 +334,7 @@ mod tests {
     #[test]
     fn uninstall_removes_skill() {
         let mut cloud = AlexaCloud::new();
-        let mut echo = EchoDevice::new(Vantage::Router, "p", 6);
+        let mut echo = EchoDevice::new(Vantage::Router, "p", 6, FaultPlane::disabled());
         let s = skill(false, &[]);
         echo.install(&mut cloud, &s).unwrap();
         echo.uninstall(&mut cloud, &s);
@@ -353,8 +349,8 @@ mod tests {
         // retry succeeds — proving per-call fault decisions.
         let mut proved = false;
         for seed in 0..64u64 {
-            let mut echo = EchoDevice::new(Vantage::Router, "p", 7);
-            echo.set_fault_plane(FaultPlane::new(seed, FaultProfile::uniform(0.5)));
+            let plane = FaultPlane::new(seed, FaultProfile::uniform(0.5));
+            let mut echo = EchoDevice::new(Vantage::Router, "p", 7, plane);
             let mut cloud = AlexaCloud::new();
             let first = echo.install(&mut cloud, &s);
             if let Err(e) = &first {
@@ -378,10 +374,15 @@ mod tests {
     fn full_fault_rate_blocks_every_interaction() {
         use alexa_fault::FaultProfile;
         let mut cloud = AlexaCloud::new();
-        let mut echo = EchoDevice::new(Vantage::Router, "p", 8);
+        let plane = FaultPlane::new(3, FaultProfile::uniform(1.0));
+        let mut echo = EchoDevice::new(Vantage::Router, "p", 8, plane);
         let s = skill(false, &[]);
-        echo.install(&mut cloud, &s).unwrap();
-        echo.set_fault_plane(FaultPlane::new(3, FaultProfile::uniform(1.0)));
+        assert_eq!(
+            echo.install(&mut cloud, &s),
+            Err(DeviceError::InstallTimeout(s.id.clone()))
+        );
+        // Installed out of band, so every interaction reaches the plane.
+        echo.installed.insert(s.id.clone());
         for _ in 0..5 {
             let err = echo
                 .interact(&mut cloud, &s, "Alexa, open skill y")
