@@ -22,11 +22,12 @@
 //!   Smart Home / Wine & Beverages / Health & Fitness not).
 
 use alexa_fault::Fnv1a;
-use alexa_net::Label;
+use alexa_net::{InternTable, Label};
 use alexa_platform::SkillCategory;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeSet;
+use std::fmt;
 
 /// One ad slot on a publisher page.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,15 +40,125 @@ pub struct AdSlot {
     pub quality: f64,
 }
 
-/// One bid returned through the header-bidding API.
-#[derive(Debug, Clone, PartialEq)]
+/// A bid's interned (bidder, slot) pair: the crawl's ~195k bids at seed 7
+/// name only 840 distinct pairs, so a bid carries this 4-byte key instead
+/// of two labels. Equal pairs get one key for the life of the process.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct BidKey(u32);
+
+/// (bidder, slot) → key and back. Seed 7 interns 840 keys.
+static BID_KEYS: InternTable<(Label, Label)> = InternTable::new(1024, None);
+
+impl BidKey {
+    /// The key of `(bidder, slot_id)`. Interning takes the table's lock, so
+    /// the crawler caches each slot's row of keys instead of interning per
+    /// bid.
+    pub fn intern(bidder: Label, slot_id: Label) -> BidKey {
+        BidKey(BID_KEYS.intern(&(bidder, slot_id), |&pair| pair))
+    }
+
+    /// The pair: `(bidder, slot_id)`.
+    pub fn parts(self) -> (Label, Label) {
+        BID_KEYS.get(self.0).unwrap_or_default()
+    }
+
+    /// The bidder organization.
+    pub fn bidder(self) -> Label {
+        self.parts().0
+    }
+
+    /// The slot the bid targets.
+    pub fn slot_id(self) -> Label {
+        self.parts().1
+    }
+
+    /// The dense id: every key is below [`BidKey::count`].
+    pub fn id(self) -> usize {
+        self.0 as usize
+    }
+
+    /// Number of distinct keys interned so far.
+    pub fn count() -> usize {
+        BID_KEYS.len()
+    }
+}
+
+impl fmt::Debug for BidKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (bidder, slot_id) = self.parts();
+        f.debug_tuple("BidKey")
+            .field(&bidder)
+            .field(&slot_id)
+            .finish()
+    }
+}
+
+/// One bid returned through the header-bidding API: 12 bytes, its
+/// [`BidKey`] and its CPM.
+///
+/// The CPM is kept as the two halves of its bit pattern, so the bid is
+/// 4-byte aligned and needs no padding. `Debug` prints exactly what a
+/// struct of `bidder: Label, slot_id: Label, cpm: f64` derives, and `==`
+/// compares the CPMs as `f64`s (`NaN` is unequal to itself, `0.0 ==
+/// -0.0`).
+#[derive(Clone, Copy)]
 pub struct Bid {
-    /// Bidder organization (registrable domain, interned).
-    pub bidder: Label,
-    /// Slot the bid targets (interned).
-    pub slot_id: Label,
+    key: BidKey,
+    cpm: [u32; 2],
+}
+
+impl Bid {
+    /// A bid of `cpm` under an interned key.
+    pub fn with_key(key: BidKey, cpm: f64) -> Bid {
+        let bits = cpm.to_bits();
+        Bid {
+            key,
+            cpm: [bits as u32, (bits >> 32) as u32],
+        }
+    }
+
+    /// A bid of `cpm` by `bidder` on `slot_id` (interns the key).
+    pub fn new(bidder: Label, slot_id: Label, cpm: f64) -> Bid {
+        Bid::with_key(BidKey::intern(bidder, slot_id), cpm)
+    }
+
+    /// The interned (bidder, slot) pair.
+    pub fn key(self) -> BidKey {
+        self.key
+    }
+
+    /// Bidder organization (registrable domain).
+    pub fn bidder(self) -> Label {
+        self.key.bidder()
+    }
+
+    /// Slot the bid targets.
+    pub fn slot_id(self) -> Label {
+        self.key.slot_id()
+    }
+
     /// Bid value in CPM (cost per mille), USD.
-    pub cpm: f64,
+    pub fn cpm(self) -> f64 {
+        let [low, high] = self.cpm;
+        f64::from_bits(u64::from(low) | u64::from(high) << 32)
+    }
+}
+
+impl PartialEq for Bid {
+    fn eq(&self, other: &Bid) -> bool {
+        self.key == other.key && self.cpm() == other.cpm()
+    }
+}
+
+impl fmt::Debug for Bid {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (bidder, slot_id) = self.key.parts();
+        f.debug_struct("Bid")
+            .field("bidder", &bidder)
+            .field("slot_id", &slot_id)
+            .field("cpm", &self.cpm())
+            .finish()
+    }
 }
 
 /// What the ad ecosystem knows / can learn about the crawling user.
@@ -214,7 +325,8 @@ impl Bidder {
     /// knowledge facts. Both are RNG-free, so hoisting them out of the
     /// per-bid path (once per slot and once per user respectively) leaves
     /// the values — and every RNG draw — bit-identical to computing them
-    /// per bid.
+    /// per bid. `key` is this bidder's [`BidKey`] on `slot`, interned by
+    /// the caller once per slot rather than once per bid.
     #[expect(
         clippy::too_many_arguments,
         reason = "the hoisted per-slot and per-user factors are passed in separately"
@@ -222,6 +334,7 @@ impl Bidder {
     pub fn bid_in_context(
         &self,
         slot: &AdSlot,
+        key: BidKey,
         ctx: &SlotContext,
         knows_echo: bool,
         web_reached: bool,
@@ -268,11 +381,7 @@ impl Bidder {
         }
 
         let cpm = base * slot.quality * season.factor(iteration) * uplift;
-        Some(Bid {
-            bidder: self.org,
-            slot_id: slot.id,
-            cpm,
-        })
+        Some(Bid::with_key(key, cpm))
     }
 }
 
@@ -363,10 +472,17 @@ impl Auction {
     /// Collect all bids for a slot (the `pbjs.requestBids` analog), with the
     /// user's knowledge facts precomputed (the crawler reuses one view
     /// across a whole crawl), appending the bids to `out` so a caller can
-    /// collect a whole page's bids in one reused buffer.
+    /// collect a whole page's bids in one reused buffer. `keys` is the
+    /// slot's row of [`BidKey`]s, one per bidder in roster order
+    /// ([`Auction::bid_keys`]).
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the hoisted per-slot and per-user inputs are passed in separately"
+    )]
     pub fn request_bids_into(
         &self,
         slot: &AdSlot,
+        keys: &[BidKey],
         view: &UserView,
         user: &UserState,
         iteration: usize,
@@ -377,11 +493,29 @@ impl Auction {
         out.extend(
             self.bidders
                 .iter()
+                .zip(keys)
                 .zip(view.knows_echo.iter().zip(&view.web_reached))
-                .filter_map(|(b, (&knows, &web))| {
-                    b.bid_in_context(slot, &ctx, knows, web, user, iteration, self.season, rng)
+                .filter_map(|((b, &key), (&knows, &web))| {
+                    b.bid_in_context(
+                        slot,
+                        key,
+                        &ctx,
+                        knows,
+                        web,
+                        user,
+                        iteration,
+                        self.season,
+                        rng,
+                    )
                 }),
         );
+    }
+
+    /// The row of bid keys of `slot`: each bidder's key, in roster order.
+    pub fn bid_keys(&self, slot: Label) -> impl Iterator<Item = BidKey> + '_ {
+        self.bidders
+            .iter()
+            .map(move |b| BidKey::intern(b.org, slot))
     }
 }
 
@@ -430,6 +564,7 @@ mod tests {
         ) -> Option<Bid> {
             self.bid_in_context(
                 slot,
+                BidKey::intern(self.org, slot.id),
                 &SlotContext::new(slot, user),
                 self.knows_echo_segments(user),
                 self.web_reached(&user.persona),
@@ -470,7 +605,7 @@ mod tests {
         let s = slot();
         let mut cpms: Vec<f64> = (0..n)
             .filter_map(|_| bidder.bid(&s, user, 20, SeasonModel::default(), &mut rng))
-            .map(|b| b.cpm)
+            .map(Bid::cpm)
             .collect();
         cpms.sort_by(|a, b| a.partial_cmp(b).unwrap());
         cpms[cpms.len() / 2]
@@ -497,7 +632,7 @@ mod tests {
             let med = |user: &UserState, rng: &mut StdRng| -> f64 {
                 let mut cpms: Vec<f64> = (0..2000)
                     .filter_map(|_| b.bid(&s, user, 20, SeasonModel::default(), rng))
-                    .map(|x| x.cpm)
+                    .map(Bid::cpm)
                     .collect();
                 cpms.sort_by(|a, c| a.partial_cmp(c).unwrap());
                 cpms[cpms.len() / 2]
@@ -569,7 +704,7 @@ mod tests {
         let avg = |slot: &AdSlot, rng: &mut StdRng| -> f64 {
             (0..2000)
                 .filter_map(|_| b.bid(slot, &user, 20, SeasonModel::default(), rng))
-                .map(|x| x.cpm)
+                .map(Bid::cpm)
                 .sum::<f64>()
                 / 2000.0
         };

@@ -13,28 +13,80 @@
 //! for *all* personas ("common slots") to control for slot effects.
 
 use crate::adserver::AdServer;
-use crate::bidding::{Auction, Bid, UserState, UserView};
+use crate::bidding::{Auction, Bid, BidKey, UserState, UserView};
 use crate::identity::BrowserProfile;
 use crate::sync::{SyncGraph, AMAZON_AD_ORG};
 use crate::website::Website;
 use crate::Creative;
 use alexa_fault::{FaultChannel, FaultPlane, Fnv1a};
-use alexa_net::Label;
+use alexa_net::{InternTable, Label};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
 use std::sync::Arc;
 
-/// A cookie-sync redirect observed in crawl traffic. Every field is an
-/// interned [`Label`]: the same few hundred orgs and cookie values appear
-/// in tens of thousands of sync events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SyncObservation {
+/// A cookie-sync redirect observed in crawl traffic: one 4-byte id of an
+/// interned (from org, to org, user id) triple. A seed-7 crawl records
+/// 107,556 sync events over only 5,278 distinct triples.
+///
+/// `Debug` prints exactly what a struct of three [`Label`] fields
+/// (`from_org`, `to_org`, `user_id`) derives; equal triples are one id, so
+/// `==` compares the triples.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct SyncObservation(u32);
+
+/// (from org, to org, user id) → id and back.
+static SYNC_TRIPLES: InternTable<(Label, Label, Label)> = InternTable::new(6144, None);
+
+impl SyncObservation {
+    /// The sync of `user_id` from `from_org` to `to_org` (interns the
+    /// triple; the crawler caches each edge's triple instead of interning
+    /// per event).
+    pub fn new(from_org: Label, to_org: Label, user_id: Label) -> SyncObservation {
+        let triple = (from_org, to_org, user_id);
+        SyncObservation(SYNC_TRIPLES.intern(&triple, |&t| t))
+    }
+
+    /// The triple: `(from_org, to_org, user_id)`.
+    pub fn parts(self) -> (Label, Label, Label) {
+        SYNC_TRIPLES.get(self.0).unwrap_or_default()
+    }
+
     /// Organization initiating the sync (sends its cookie).
-    pub from_org: Label,
+    pub fn from_org(self) -> Label {
+        self.parts().0
+    }
+
     /// Organization receiving the identifier.
-    pub to_org: Label,
+    pub fn to_org(self) -> Label {
+        self.parts().1
+    }
+
     /// The user identifier embedded in the redirect URL.
-    pub user_id: Label,
+    pub fn user_id(self) -> Label {
+        self.parts().2
+    }
+
+    /// The dense id: every sync triple is below [`SyncObservation::count`].
+    pub fn id(self) -> usize {
+        self.0 as usize
+    }
+
+    /// Number of distinct sync triples interned so far.
+    pub fn count() -> usize {
+        SYNC_TRIPLES.len()
+    }
+}
+
+impl fmt::Debug for SyncObservation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (from_org, to_org, user_id) = self.parts();
+        f.debug_struct("SyncObservation")
+            .field("from_org", &from_org)
+            .field("to_org", &to_org)
+            .field("user_id", &user_id)
+            .finish()
+    }
 }
 
 /// Everything recorded during one page visit.
@@ -67,40 +119,116 @@ pub struct Crawler {
 /// The sync roles precomputed from `(auction, sync_graph)` at construction:
 /// which bidders are Amazon sync partners and which partners are page
 /// trackers that never bid, each with its downstream orgs resolved. The
-/// visit loop walks these lists in the exact order the original per-visit
+/// visit loop walks these rows in the exact order the original per-visit
 /// membership scans produced, so RNG draw order is unchanged — this only
 /// removes the repeated linear string searches from every visit.
 #[derive(Debug)]
 struct SyncPlan {
-    /// Partner bidders, in roster order: `(org, downstream orgs)`.
-    partner_bidders: Vec<(Label, Vec<Label>)>,
-    /// Non-bidding sync partners, in partner-list order.
-    trackers: Vec<(Label, Vec<Label>)>,
+    /// Partner bidders in roster order (sync rate 0.3), then the
+    /// non-bidding sync partners in partner-list order (rate 0.18).
+    rows: Vec<SyncRow>,
     /// Amazon's ad endpoint, the hub every sync points at.
     amazon: Label,
 }
 
+/// One sync partner: its org, how often it syncs per visit and the orgs
+/// it forwards to.
+#[derive(Debug)]
+struct SyncRow {
+    org: Label,
+    rate: f64,
+    downstream: Vec<Label>,
+}
+
 impl SyncPlan {
     fn build(auction: &Auction, graph: &SyncGraph) -> SyncPlan {
-        let labels =
-            |orgs: &[String]| -> Vec<Label> { orgs.iter().map(|d| Label::intern(d)).collect() };
+        let row = |org: Label, rate| SyncRow {
+            org,
+            rate,
+            downstream: graph
+                .downstream_of(org.as_str())
+                .iter()
+                .map(|d| Label::intern(d))
+                .collect(),
+        };
         let partner_bidders = auction
             .bidders
             .iter()
             .filter(|b| graph.is_partner(b.org.as_str()))
-            .map(|b| (b.org, labels(graph.downstream_of(b.org.as_str()))))
-            .collect();
+            .map(|b| row(b.org, 0.3));
         let trackers = graph
             .partners()
             .iter()
             .filter(|p| !auction.bidders.iter().any(|b| b.org.as_str() == p.as_str()))
-            .map(|p| (Label::intern(p), labels(graph.downstream_of(p))))
-            .collect();
+            .map(|p| row(Label::intern(p), 0.18));
         SyncPlan {
-            partner_bidders,
-            trackers,
+            rows: partner_bidders.chain(trackers).collect(),
             amazon: Label::intern(AMAZON_AD_ORG),
         }
+    }
+}
+
+/// The interned keys a profile's visits use again and again: each loaded
+/// slot's row of bid keys and each sync row's triples. A visit reads them
+/// here instead of interning per bid or per sync event.
+///
+/// The cache lives on the profile, so a lookup takes no lock. It is
+/// interning state, not a record: like the intern tables it allocates and
+/// frees with the allocation meter paused, so the memory ledger counts the
+/// crawl's records and nothing that depends on which keys a process had
+/// already cached.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KeyCache {
+    /// Per slot, sorted by slot label id: each bidder's key, in roster
+    /// order.
+    bid_rows: Vec<(Label, Box<[BidKey]>)>,
+    /// Per [`SyncPlan`] row, once it first fired: the sync to Amazon, then
+    /// one per downstream org.
+    sync_rows: Vec<Option<Box<[SyncObservation]>>>,
+}
+
+impl KeyCache {
+    /// The bid keys of `slot`, one per roster bidder.
+    pub(crate) fn bid_row(&mut self, auction: &Auction, slot: Label) -> &[BidKey] {
+        let at = match self
+            .bid_rows
+            .binary_search_by_key(&slot.id(), |(s, _)| s.id())
+        {
+            Ok(at) => at,
+            Err(at) => {
+                let _unmetered = alexa_obs::alloc::pause();
+                self.bid_rows
+                    .insert(at, (slot, auction.bid_keys(slot).collect()));
+                at
+            }
+        };
+        self.bid_rows.get(at).map_or(&[], |(_, row)| row)
+    }
+
+    /// The triples of sync row `row`, when it has fired before.
+    fn sync_row(&self, row: usize) -> Option<&[SyncObservation]> {
+        self.sync_rows.get(row)?.as_deref()
+    }
+
+    /// Store the triples of `plan`'s row `row` for the cookie `user_id`.
+    fn fill_sync_row(&mut self, plan: &SyncPlan, row: usize, user_id: Label) {
+        let _unmetered = alexa_obs::alloc::pause();
+        self.sync_rows.resize(plan.rows.len(), None);
+        if let (Some(slot), Some(r)) = (self.sync_rows.get_mut(row), plan.rows.get(row)) {
+            let to = std::iter::once(plan.amazon).chain(r.downstream.iter().copied());
+            *slot = Some(
+                to.map(|to| SyncObservation::new(r.org, to, user_id))
+                    .collect(),
+            );
+        }
+    }
+}
+
+impl Drop for KeyCache {
+    fn drop(&mut self) {
+        let _unmetered = alexa_obs::alloc::pause();
+        self.bid_rows = Vec::new();
+        self.sync_rows = Vec::new();
     }
 }
 
@@ -229,6 +357,7 @@ impl Crawler {
         page.request_bids_with_view(
             user,
             &view,
+            &mut profile.keys,
             iteration,
             h.wrapping_add(iteration as u64),
             |_| rng.gen_bool(self.slot_load_rate),
@@ -243,30 +372,26 @@ impl Crawler {
         // onward with their downstream third parties. Partner bidders first
         // (roster order, sync rate 0.3), then the non-bidding tracker
         // partners (partner-list order, rate 0.18) — the same draw order the
-        // original per-visit membership scans produced.
+        // original per-visit membership scans produced. A row's first sync
+        // reads the partner's cookie and caches the row's triples.
         let mut syncs = std::mem::take(&mut profile.sync_scratch);
-        for (plan, rate) in [
-            (&self.sync_plan.partner_bidders, 0.3),
-            (&self.sync_plan.trackers, 0.18),
-        ] {
-            for &(org, ref downstream) in plan {
-                if rng.gen_bool(rate) {
-                    let user_id = profile.cookie(org.as_str()).value;
-                    syncs.push(SyncObservation {
-                        from_org: org,
-                        to_org: self.sync_plan.amazon,
-                        user_id,
-                    });
-                    // Downstream propagation: each partner forwards to a few
-                    // of its downstream orgs per sync event.
-                    for &to_org in downstream {
-                        if rng.gen_bool(0.35) {
-                            syncs.push(SyncObservation {
-                                from_org: org,
-                                to_org,
-                                user_id,
-                            });
-                        }
+        for (i, row) in self.sync_plan.rows.iter().enumerate() {
+            if rng.gen_bool(row.rate) {
+                if profile.keys.sync_row(i).is_none() {
+                    let user_id = profile.cookie(row.org.as_str()).value;
+                    profile.keys.fill_sync_row(&self.sync_plan, i, user_id);
+                }
+                let Some((&to_amazon, downstream)) =
+                    profile.keys.sync_row(i).and_then(<[_]>::split_first)
+                else {
+                    continue;
+                };
+                syncs.push(to_amazon);
+                // Downstream propagation: each partner forwards to a few
+                // of its downstream orgs per sync event.
+                for &sync in downstream {
+                    if rng.gen_bool(0.35) {
+                        syncs.push(sync);
                     }
                 }
             }
@@ -305,9 +430,11 @@ mod tests {
 
     #[test]
     fn records_hold_labels_as_ids() {
-        // A paper-scale crawl holds about 195k bids and 108k sync events.
-        assert_eq!(std::mem::size_of::<Bid>(), 16);
-        assert_eq!(std::mem::size_of::<SyncObservation>(), 12);
+        // A paper-scale crawl holds about 195k bids and 108k sync events: a
+        // bid is its interned (bidder, slot) key and its CPM, a sync event
+        // one interned triple.
+        assert_eq!(std::mem::size_of::<Bid>(), 12);
+        assert_eq!(std::mem::size_of::<SyncObservation>(), 4);
         assert_eq!(std::mem::size_of::<crate::Cookie>(), 8);
         assert_eq!(std::mem::size_of::<Creative>(), 8);
         assert_eq!(std::mem::size_of::<alexa_net::Domain>(), 4);
@@ -331,6 +458,76 @@ mod tests {
              creatives: [Creative { advertiser: \"Chase\", product: \"Credit card\" }], \
              syncs: [] }"
         );
+        let visit = VisitRecord {
+            bids: vec![Bid::new(
+                Label::intern("criteo.com"),
+                Label::intern("s#1"),
+                0.25,
+            )],
+            creatives: vec![],
+            syncs: vec![SyncObservation::new(
+                Label::intern("criteo.com"),
+                Label::intern(AMAZON_AD_ORG),
+                Label::intern("uid-\"1\""),
+            )],
+            ..visit
+        };
+        assert_eq!(
+            format!("{visit:?}"),
+            "VisitRecord { site: \"site0001.example.com\", iteration: 2, \
+             bids: [Bid { bidder: \"criteo.com\", slot_id: \"s#1\", cpm: 0.25 }], \
+             creatives: [], \
+             syncs: [SyncObservation { from_org: \"criteo.com\", to_org: \"amazon-adsystem.com\", \
+             user_id: \"uid-\\\"1\\\"\" }] }"
+        );
+        // The alternate form breaks lines the way the derived impls do.
+        assert_eq!(
+            format!("{:#?}", visit.bids[0]),
+            "Bid {\n    bidder: \"criteo.com\",\n    slot_id: \"s#1\",\n    cpm: 0.25,\n}"
+        );
+    }
+
+    #[test]
+    fn bids_compare_cpms_as_floats() {
+        let (b, s) = (Label::intern("criteo.com"), Label::intern("s#1"));
+        let bid = |cpm| Bid::new(b, s, cpm);
+        assert_eq!(bid(0.0), bid(-0.0), "0.0 == -0.0 as f64");
+        assert_ne!(bid(f64::NAN), bid(f64::NAN), "NaN is unequal to itself");
+        assert_ne!(bid(1.0), bid(1.0 + f64::EPSILON));
+        assert_ne!(bid(1.0), Bid::new(s, b, 1.0), "the key is compared too");
+        for cpm in [0.0, -0.0, 1e-300, 2.47, f64::MAX, f64::INFINITY, f64::NAN] {
+            assert_eq!(bid(cpm).cpm().to_bits(), cpm.to_bits(), "{cpm} round-trips");
+        }
+        assert_eq!((bid(1.0).bidder(), bid(1.0).slot_id()), (b, s));
+    }
+
+    #[test]
+    fn warm_visits_allocate_only_their_record_vectors() {
+        // A visit repeated with the same seed draws the same slots, bids and
+        // syncs, so once its keys are cached and its scratch buffers grown
+        // it allocates exactly its three record vectors: no key, no label,
+        // no cookie.
+        let (crawler, web) = setup();
+        let user = UserState::blank("t");
+        let warm = web
+            .prebid_sites(50)
+            .into_iter()
+            .find_map(|site| {
+                let mut profile = BrowserProfile::fresh("t", 1, None);
+                crawler.visit(site, &mut profile, &user, 7, 42);
+                let before = alexa_obs::alloc::snapshot();
+                let rec = crawler.visit(site, &mut profile, &user, 7, 42);
+                let after = alexa_obs::alloc::snapshot();
+                let full = !rec.bids.is_empty() && !rec.syncs.is_empty();
+                // `AdServer::select` pushes into a vector of capacity 4.
+                (full && rec.creatives.len() <= 4)
+                    .then(|| (after.count - before.count, after.bytes - before.bytes, rec))
+            })
+            .expect("a visit with bids, syncs and at most four creatives");
+        let (count, bytes, rec) = warm;
+        assert_eq!(count, 3, "one allocation per record vector");
+        let want = 12 * rec.bids.len() + 4 * rec.syncs.len() + 4 * size_of::<Creative>();
+        assert_eq!(bytes, want as u64);
     }
 
     #[test]
@@ -426,11 +623,11 @@ mod tests {
             let rec = crawler.visit(site, &mut profile, &user, 5, 42);
             for s in &rec.syncs {
                 assert_ne!(
-                    s.from_org.as_str(),
+                    s.from_org().as_str(),
                     AMAZON_AD_ORG,
                     "Amazon must never sync out"
                 );
-                if s.to_org.as_str() == AMAZON_AD_ORG {
+                if s.to_org().as_str() == AMAZON_AD_ORG {
                     saw_amazon_sync = true;
                 }
             }
@@ -446,7 +643,7 @@ mod tests {
         for site in web.prebid_sites(10) {
             let rec = crawler.visit(site, &mut profile, &user, 5, 42);
             for s in &rec.syncs {
-                assert_eq!(s.user_id, profile.cookie(s.from_org.as_str()).value);
+                assert_eq!(s.user_id(), profile.cookie(s.from_org().as_str()).value);
             }
         }
     }
@@ -461,8 +658,8 @@ mod tests {
             for site in web.prebid_sites(200) {
                 let rec = crawler.visit(site, &mut profile, &user, iteration, 42);
                 for s in rec.syncs {
-                    if s.to_org.as_str() == AMAZON_AD_ORG {
-                        partners.insert(s.from_org.as_str());
+                    if s.to_org().as_str() == AMAZON_AD_ORG {
+                        partners.insert(s.from_org().as_str());
                     }
                 }
             }

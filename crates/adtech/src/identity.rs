@@ -6,7 +6,7 @@
 //! cookie-syncing machinery (§5.5) exchanges.
 
 use crate::bidding::Bid;
-use crate::crawler::SyncObservation;
+use crate::crawler::{KeyCache, SyncObservation};
 use alexa_fault::Fnv1a;
 use alexa_net::Label;
 use std::collections::BTreeMap;
@@ -49,6 +49,8 @@ pub struct BrowserProfile {
     pub(crate) bid_scratch: Vec<Bid>,
     /// See [`BrowserProfile::bid_scratch`].
     pub(crate) sync_scratch: Vec<SyncObservation>,
+    /// The bid keys and sync triples this profile's visits record.
+    pub(crate) keys: KeyCache,
 }
 
 impl BrowserProfile {
@@ -62,6 +64,7 @@ impl BrowserProfile {
             view_cache: None,
             bid_scratch: Vec::new(),
             sync_scratch: Vec::new(),
+            keys: KeyCache::default(),
         }
     }
 

@@ -21,7 +21,9 @@
 //!   personalized ads the paper observed (Table 8);
 //! * [`Label`] — re-exported from `alexa-net`: the process-wide interner
 //!   behind every crawl label (slot ids, orgs, cookie values, sites,
-//!   creatives), so records carry 4-byte ids, not strings;
+//!   creatives), so records carry 4-byte ids, not strings; a [`Bid`] is
+//!   its interned (bidder, slot) [`BidKey`] and its CPM in 12 bytes, and a
+//!   [`SyncObservation`] one 4-byte interned triple;
 //! * [`simulate_session`] — streaming sessions on Amazon Music / Spotify /
 //!   Pandora with inserted audio ads, a noisy [`Transcriber`], and ad
 //!   extraction (§5.4).
@@ -49,7 +51,7 @@ pub use alexa_net::Label;
 pub use audio::{
     simulate_session, AudioAdExtractor, AudioEvent, StreamingService, StreamingSession, Transcriber,
 };
-pub use bidding::{standard_roster, AdSlot, Auction, Bid, Bidder, SeasonModel, UserState};
+pub use bidding::{standard_roster, AdSlot, Auction, Bid, BidKey, Bidder, SeasonModel, UserState};
 pub use crawler::{Crawler, SyncObservation, VisitRecord};
 pub use identity::{BrowserProfile, Cookie};
 pub use sync::SyncGraph;

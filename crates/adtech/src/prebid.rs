@@ -8,6 +8,7 @@
 //! a probed page runs the auction for each of its ad units.
 
 use crate::bidding::{Auction, Bid, UserState, UserView};
+use crate::crawler::KeyCache;
 use crate::website::Website;
 use alexa_net::Label;
 use rand::rngs::StdRng;
@@ -52,11 +53,13 @@ impl<'a> PrebidPage<'a> {
     /// received. `loaded` decides per-slot whether the unit rendered (the
     /// paper's analyses must handle slots that failed to load). `view`
     /// holds the roster's knowledge facts about the user, which the crawler
-    /// computes once per crawl (they are deterministic per user).
+    /// computes once per crawl (they are deterministic per user), and
+    /// `keys` each loaded slot's row of bid keys.
     pub(crate) fn request_bids_with_view<F>(
         &mut self,
         user: &UserState,
         view: &UserView,
+        keys: &mut KeyCache,
         iteration: usize,
         seed: u64,
         mut loaded: F,
@@ -70,6 +73,7 @@ impl<'a> PrebidPage<'a> {
             if loaded(slot.id) {
                 self.auction.request_bids_into(
                     slot,
+                    keys.bid_row(self.auction, slot.id),
                     view,
                     user,
                     iteration,
@@ -123,14 +127,15 @@ mod tests {
         let view = auction.user_view(&user);
         let mut buf = Vec::new();
         let mut page = probe(site, &auction, &mut buf).unwrap();
-        let n = page.request_bids_with_view(&user, &view, 10, 42, |_| true);
+        let n =
+            page.request_bids_with_view(&user, &view, &mut KeyCache::default(), 10, 42, |_| true);
         assert!(n > 0);
         assert_eq!(buf.len(), n);
         // A second probe starts from an empty buffer, and taking the bids
         // drains it.
         let mut page = probe(site, &auction, &mut buf).unwrap();
         assert_eq!(
-            page.request_bids_with_view(&user, &view, 10, 42, |_| true),
+            page.request_bids_with_view(&user, &view, &mut KeyCache::default(), 10, 42, |_| true),
             n
         );
         assert_eq!(page.take_bids().len(), n);
@@ -144,7 +149,14 @@ mod tests {
         let user = UserState::blank("t");
         let mut buf = Vec::new();
         let mut page = probe(site, &auction, &mut buf).unwrap();
-        let n = page.request_bids_with_view(&user, &auction.user_view(&user), 10, 42, |_| false);
+        let n = page.request_bids_with_view(
+            &user,
+            &auction.user_view(&user),
+            &mut KeyCache::default(),
+            10,
+            42,
+            |_| false,
+        );
         assert_eq!(n, 0);
         assert!(page.take_bids().is_empty());
     }
@@ -158,11 +170,18 @@ mod tests {
         let user = UserState::blank("t");
         let mut buf = Vec::new();
         let mut page = probe(site, &auction, &mut buf).unwrap();
-        page.request_bids_with_view(&user, &auction.user_view(&user), 10, 42, |_| true);
+        page.request_bids_with_view(
+            &user,
+            &auction.user_view(&user),
+            &mut KeyCache::default(),
+            10,
+            42,
+            |_| true,
+        );
         let units: Vec<Label> = page
             .take_bids()
-            .chunk_by(|a, b| a.slot_id == b.slot_id)
-            .map(|unit| unit[0].slot_id)
+            .chunk_by(|a, b| a.slot_id() == b.slot_id())
+            .map(|unit| unit[0].slot_id())
             .collect();
         let slots: Vec<Label> = site.slots.iter().map(|s| s.id).collect();
         assert_eq!(units, slots, "every loaded unit collects responses");

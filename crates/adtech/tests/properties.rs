@@ -43,11 +43,13 @@ proptest! {
         user.echo_segments.insert(cat);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut bids = Vec::new();
-        auction.request_bids_into(&slot, &auction.user_view(&user), &user, iteration, &mut rng, &mut bids);
+        let keys: Vec<_> = auction.bid_keys(slot.id).collect();
+        auction.request_bids_into(&slot, &keys, &auction.user_view(&user), &user, iteration, &mut rng, &mut bids);
         for bid in bids {
-            prop_assert!(bid.cpm.is_finite());
-            prop_assert!(bid.cpm > 0.0);
-            prop_assert_eq!(bid.slot_id.as_str(), "p#1");
+            prop_assert!(auction.bidders.iter().any(|b| b.org == bid.bidder()));
+            prop_assert!(bid.cpm().is_finite());
+            prop_assert!(bid.cpm() > 0.0);
+            prop_assert_eq!(bid.slot_id().as_str(), "p#1");
         }
     }
 

@@ -325,7 +325,7 @@ mod tests {
             let slots: std::collections::BTreeSet<String> = o
                 .visits_in(*p, window.clone())
                 .iter()
-                .flat_map(|v| v.bids.iter().map(|b| b.slot_id.to_string()))
+                .flat_map(|v| v.bids.iter().map(|b| b.slot_id().to_string()))
                 .collect();
             naive = Some(match naive {
                 None => slots,
@@ -361,8 +361,8 @@ mod tests {
                 .visits_in(p, window.clone())
                 .iter()
                 .flat_map(|v| v.bids.iter())
-                .filter(|b| in_mask.contains(b.slot_id.as_str()))
-                .map(|b| b.cpm)
+                .filter(|b| in_mask.contains(b.slot_id().as_str()))
+                .map(|b| b.cpm())
                 .collect();
             // Bit-exact (order included): Tables 5 and 10 take the
             // observation-order mean, so summation order fixes the bits.

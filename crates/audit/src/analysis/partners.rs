@@ -244,7 +244,7 @@ mod tests {
             let naive: Vec<bool> = visits
                 .iter()
                 .flat_map(|v| v.bids.iter())
-                .map(|b| i.sync.amazon_partners.contains(b.bidder.as_str()))
+                .map(|b| i.sync.amazon_partners.contains(b.bidder().as_str()))
                 .collect();
             let viewed: Vec<bool> = i
                 .bids_of(p)
@@ -281,8 +281,8 @@ mod tests {
             let partners: BTreeSet<&str> = visits
                 .iter()
                 .flat_map(|v| v.syncs.iter())
-                .filter(|s| s.to_org.as_str() == AMAZON_AD_ENDPOINT)
-                .map(|s| s.from_org.as_str())
+                .filter(|s| s.to_org().as_str() == AMAZON_AD_ENDPOINT)
+                .map(|s| s.from_org().as_str())
                 .collect();
             assert!(partners.len() > 30, "{p}");
         }

@@ -13,7 +13,8 @@
 //!   applied as a jump built on the label's first quote (from the escaped
 //!   body when `Debug` escapes it). A seed-7 digest quotes 979 distinct
 //!   labels 744,921 times; the tables (2 KiB each) live only as
-//!   long as one digest;
+//!   long as one digest. A bid's key and a sync event's triple resolve to
+//!   their labels through a dense memo by key id, filled once per key;
 //! * other strings are hashed raw, with the check for bytes `Debug` would
 //!   escape fused into the hashing loop, falling back to the `{:?}` bytes
 //!   for the rare string that needs escaping;
@@ -23,12 +24,15 @@
 //! What is left is the byte-serial chain over the persona names and the
 //! CPM digits, plus one jump per fragment and label.
 //!
-//! Every record is destructured exhaustively, so a field added to
-//! `VisitRecord`, `Bid`, `Creative` or `SyncObservation` stops this module
-//! compiling until the walk learns it; the drift-guard tests below compare
-//! the walk with `format!("{:?}")` byte for byte.
+//! `VisitRecord` and `Creative` are destructured exhaustively, so a field
+//! added to either stops this module compiling until the walk learns it.
+//! `Bid` and `SyncObservation` hold interned keys and are read through
+//! their accessors (`BidKey::parts`, `Bid::cpm`, `SyncObservation::parts`),
+//! and their hand-written `Debug` impls print the fields the walk emits;
+//! the drift-guard tests below compare the walk with `format!("{:?}")`
+//! byte for byte, so a change to either side fails them.
 
-use alexa_adtech::{Bid, Creative, Label, SyncObservation, VisitRecord};
+use alexa_adtech::{BidKey, Creative, Label, SyncObservation, VisitRecord};
 use alexa_fault::{Fnv1a, FnvJump};
 use std::collections::BTreeMap;
 
@@ -75,6 +79,33 @@ impl LabelJumps {
     }
 }
 
+/// Each interned key's parts by key id, resolved from the key's intern
+/// table the first time the walk meets the key: a seed-7 crawl quotes 840
+/// bid keys 195k times and 5,278 sync triples 108k times, and one dense
+/// read is cheaper than a table lookup per record.
+struct KeyParts<T>(Vec<Option<T>>);
+
+impl<T: Copy> KeyParts<T> {
+    /// A memo covering `count` ids; a later key is resolved every time.
+    fn new(count: usize) -> KeyParts<T> {
+        KeyParts(vec![None; count])
+    }
+
+    fn get(&mut self, id: usize, resolve: impl FnOnce() -> T) -> T {
+        match self.0.get_mut(id) {
+            Some(Some(parts)) => *parts,
+            Some(slot) => *slot.insert(resolve()),
+            None => resolve(),
+        }
+    }
+}
+
+/// The parts of the bid keys and sync triples one walk meets.
+struct RecordKeys {
+    bids: KeyParts<(Label, Label)>,
+    syncs: KeyParts<(Label, Label, Label)>,
+}
+
 /// The jump over what `{:?}` prints for `s` between its quotes.
 fn body_jump(s: &str) -> FnvJump {
     if s.bytes().all(plain) {
@@ -91,6 +122,10 @@ pub(crate) fn hash_crawl(
     labels: &mut LabelJumps,
     crawl: &BTreeMap<String, Vec<VisitRecord>>,
 ) {
+    let mut keys = RecordKeys {
+        bids: KeyParts::new(BidKey::count()),
+        syncs: KeyParts::new(SyncObservation::count()),
+    };
     h.byte(b'{');
     for (i, (persona, visits)) in crawl.iter().enumerate() {
         if i > 0 {
@@ -103,7 +138,7 @@ pub(crate) fn hash_crawl(
             if j > 0 {
                 h.jump(&LIST_SEP);
             }
-            hash_visit(h, labels, visit);
+            hash_visit(h, labels, &mut keys, visit);
         }
         h.byte(b']');
     }
@@ -111,7 +146,7 @@ pub(crate) fn hash_crawl(
 }
 
 /// One visit, exactly as `{:?}` prints it.
-fn hash_visit(h: &mut Fnv1a, labels: &mut LabelJumps, visit: &VisitRecord) {
+fn hash_visit(h: &mut Fnv1a, labels: &mut LabelJumps, keys: &mut RecordKeys, visit: &VisitRecord) {
     let VisitRecord {
         site,
         iteration,
@@ -125,17 +160,14 @@ fn hash_visit(h: &mut Fnv1a, labels: &mut LabelJumps, visit: &VisitRecord) {
     h.u64(*iteration as u64);
     h.jump(&VISIT_BIDS);
     for (i, bid) in bids.iter().enumerate() {
-        let Bid {
-            bidder,
-            slot_id,
-            cpm,
-        } = bid;
+        let key = bid.key();
+        let (bidder, slot_id) = keys.bids.get(key.id(), || key.parts());
         h.jump(if i == 0 { &BID_FIRST } else { &BID_NEXT });
-        labels.hash(h, *bidder);
+        labels.hash(h, bidder);
         h.jump(&BID_SLOT_ID);
-        labels.hash(h, *slot_id);
+        labels.hash(h, slot_id);
         h.jump(&BID_CPM);
-        h.f64_debug(*cpm);
+        h.f64_debug(bid.cpm());
         h.jump(&STRUCT_CLOSE);
     }
     h.jump(&VISIT_CREATIVES);
@@ -156,17 +188,13 @@ fn hash_visit(h: &mut Fnv1a, labels: &mut LabelJumps, visit: &VisitRecord) {
     }
     h.jump(&VISIT_SYNCS);
     for (i, sync) in syncs.iter().enumerate() {
-        let SyncObservation {
-            from_org,
-            to_org,
-            user_id,
-        } = sync;
+        let (from_org, to_org, user_id) = keys.syncs.get(sync.id(), || sync.parts());
         h.jump(if i == 0 { &SYNC_FIRST } else { &SYNC_NEXT });
-        labels.hash(h, *from_org);
+        labels.hash(h, from_org);
         h.jump(&SYNC_TO_ORG);
-        labels.hash(h, *to_org);
+        labels.hash(h, to_org);
         h.jump(&SYNC_USER_ID);
-        labels.hash(h, *user_id);
+        labels.hash(h, user_id);
         h.jump(&QUOTED_CLOSE);
     }
     h.jump(&LIST_STRUCT_CLOSE);
@@ -205,7 +233,7 @@ fn escaped_body(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alexa_adtech::Label;
+    use alexa_adtech::Bid;
 
     /// The reference: FNV-1a over the `Debug` text itself.
     fn debug_hash(crawl: &BTreeMap<String, Vec<VisitRecord>>) -> u64 {
@@ -287,10 +315,9 @@ mod tests {
 
         fn visit(&mut self) -> VisitRecord {
             let bids = (0..self.below(4))
-                .map(|_| Bid {
-                    bidder: self.label(),
-                    slot_id: self.label(),
-                    cpm: FLOATS[self.below(FLOATS.len())],
+                .map(|_| {
+                    let (bidder, slot_id) = (self.label(), self.label());
+                    Bid::new(bidder, slot_id, FLOATS[self.below(FLOATS.len())])
                 })
                 .collect();
             let creatives = (0..self.below(3))
@@ -300,10 +327,9 @@ mod tests {
                 })
                 .collect();
             let syncs = (0..self.below(3))
-                .map(|_| SyncObservation {
-                    from_org: self.label(),
-                    to_org: self.label(),
-                    user_id: self.label(),
+                .map(|_| {
+                    let (from_org, to_org) = (self.label(), self.label());
+                    SyncObservation::new(from_org, to_org, self.label())
                 })
                 .collect();
             VisitRecord {
@@ -344,11 +370,7 @@ mod tests {
             .map(|(&cpm, &s)| VisitRecord {
                 site: Label::intern(s),
                 iteration: usize::MAX,
-                bids: vec![Bid {
-                    bidder: Label::intern(s),
-                    slot_id: Label::intern(s),
-                    cpm,
-                }],
+                bids: vec![Bid::new(Label::intern(s), Label::intern(s), cpm)],
                 ..VisitRecord::default()
             })
             .collect();
@@ -374,20 +396,16 @@ mod tests {
         let base = VisitRecord {
             site: Label::intern("a.com"),
             iteration: 3,
-            bids: vec![Bid {
-                bidder: Label::intern("b"),
-                slot_id: Label::intern("s"),
-                cpm: 1.5,
-            }],
+            bids: vec![Bid::new(Label::intern("b"), Label::intern("s"), 1.5)],
             creatives: vec![Creative {
                 advertiser: Label::intern("ad"),
                 product: Label::intern("p"),
             }],
-            syncs: vec![SyncObservation {
-                from_org: Label::intern("f"),
-                to_org: Label::intern("t"),
-                user_id: Label::intern("u"),
-            }],
+            syncs: vec![SyncObservation::new(
+                Label::intern("f"),
+                Label::intern("t"),
+                Label::intern("u"),
+            )],
         };
         let hash =
             |v: &VisitRecord| walk_hash(&BTreeMap::from([("p".to_string(), vec![v.clone()])]));
@@ -399,14 +417,15 @@ mod tests {
         let mut m = base.clone();
         m.iteration += 1;
         mutants.push(m);
+        let (b, s) = (Label::intern("b"), Label::intern("s"));
         let mut m = base.clone();
-        m.bids[0].bidder = Label::intern("c");
+        m.bids[0] = Bid::new(Label::intern("c"), s, 1.5);
         mutants.push(m);
         let mut m = base.clone();
-        m.bids[0].slot_id = Label::intern("t");
+        m.bids[0] = Bid::new(b, Label::intern("t"), 1.5);
         mutants.push(m);
         let mut m = base.clone();
-        m.bids[0].cpm = 1.25;
+        m.bids[0] = Bid::new(b, s, 1.25);
         mutants.push(m);
         let mut m = base.clone();
         m.creatives[0].advertiser = Label::intern("adx");
@@ -414,8 +433,15 @@ mod tests {
         let mut m = base.clone();
         m.creatives[0].product = Label::intern("px");
         mutants.push(m);
+        let (f, t) = (Label::intern("f"), Label::intern("t"));
         let mut m = base.clone();
-        m.syncs[0].user_id = Label::intern("v");
+        m.syncs[0] = SyncObservation::new(Label::intern("g"), t, Label::intern("u"));
+        mutants.push(m);
+        let mut m = base.clone();
+        m.syncs[0] = SyncObservation::new(f, Label::intern("s"), Label::intern("u"));
+        mutants.push(m);
+        let mut m = base.clone();
+        m.syncs[0] = SyncObservation::new(f, t, Label::intern("v"));
         mutants.push(m);
         let mut m = base.clone();
         m.bids.clear();

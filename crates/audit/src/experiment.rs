@@ -1091,7 +1091,7 @@ mod tests {
         let bids = |o: &Observations| {
             o.crawl["Fashion & Style"]
                 .iter()
-                .flat_map(|v| v.bids.iter().map(|b| (b.slot_id, b.cpm)))
+                .flat_map(|v| v.bids.iter().map(|b| (b.slot_id(), b.cpm())))
                 .collect::<Vec<_>>()
         };
         assert_eq!(bids(&a), bids(&b));

@@ -18,57 +18,68 @@
 //!   order the legacy per-artifact scans produced;
 //! * the slot table, and per-persona bid views ([`BidView`]) that read the
 //!   crawl's bids in place, resolving each bid's slot rank and partner flag
-//!   through two tables indexed by crawl label id
-//!   ([`alexa_net::Label`]) rather than hash probes or a copy of the
+//!   with one read of a dense table indexed by the bid's interned key
+//!   ([`alexa_adtech::BidKey`]) rather than hash probes or a copy of the
 //!   crawl;
 //! * the recovered cookie-sync structure, extracted audio ads, and the
 //!   AVS data-type map — each shared by several artifacts.
 //!
 //! Determinism: every table is built by iterating `BTreeMap`s of the
-//! observations, so the index — and everything rendered from it — is a pure
-//! function of the observable record, independent of thread count.
+//! observations, and every ordered table is sorted by text, never by an
+//! interned id, so the index — and everything rendered from it — is a pure
+//! function of the observable record, independent of thread count and of
+//! the order in which the process interned its labels and keys.
+
+#![deny(clippy::indexing_slicing)]
 
 use crate::analysis::partners::{SyncAnalysis, AMAZON_AD_ENDPOINT};
 use crate::observations::{Observations, SkillMeta};
 use crate::persona::Persona;
-use alexa_adtech::{AudioAdExtractor, Label, StreamingService, VisitRecord};
+use alexa_adtech::{
+    AudioAdExtractor, BidKey, Label, StreamingService, SyncObservation, VisitRecord,
+};
 use alexa_net::{Capture, DataType, Domain, FilterList, OrgClass, TrafficPurpose};
 use alexa_policy::{CompiledPolicy, FlowExtractor, PoliCheck};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-/// Marks crawl labels in a table indexed by [`Label::id`], remembering
-/// each label the first time it is marked.
+/// Marks interned values (labels, bid keys) in a table indexed by their
+/// dense id, remembering each value the first time it is marked.
 #[derive(Debug)]
-struct LabelMarks {
+struct Marks<T> {
     marked: Vec<bool>,
-    labels: Vec<Label>,
+    items: Vec<T>,
 }
 
-impl LabelMarks {
-    /// A table covering every label interned so far.
-    fn new() -> LabelMarks {
-        LabelMarks {
-            marked: vec![false; Label::count()],
-            labels: Vec::new(),
+impl<T: Copy> Marks<T> {
+    /// A table covering ids below `count`.
+    fn new(count: usize) -> Marks<T> {
+        Marks {
+            marked: vec![false; count],
+            items: Vec::new(),
         }
     }
 
-    fn mark(&mut self, l: Label) {
-        if let Some(m) = self.marked.get_mut(l.id()) {
+    fn mark(&mut self, id: usize, item: T) {
+        if let Some(m) = self.marked.get_mut(id) {
             if !std::mem::replace(m, true) {
-                self.labels.push(l);
+                self.items.push(item);
             }
         }
     }
 
-    fn contains(&self, l: Label) -> bool {
-        self.marked.get(l.id()).copied().unwrap_or(false)
+    fn contains(&self, id: usize) -> bool {
+        self.marked.get(id).copied().unwrap_or(false)
     }
+}
 
+/// Marks over labels.
+type LabelMarks = Marks<Label>;
+
+impl LabelMarks {
     /// The marked labels' texts.
     fn texts(&self) -> BTreeSet<String> {
-        self.labels.iter().map(|l| l.as_str().to_string()).collect()
+        self.items.iter().map(|l| l.as_str().to_string()).collect()
     }
 }
 
@@ -76,21 +87,33 @@ impl LabelMarks {
 /// [`AMAZON_AD_ENDPOINT`], and their downstream parties are every
 /// non-Amazon organization a partner pushes to. Two passes over the sync
 /// events mark label ids; the partner marks also classify the bidders.
+/// Each pass resolves each distinct triple once (5,278 of 107,556 events
+/// at seed 7): the first pass flags the triples it met, the second clears
+/// each flag as it goes.
 fn sync_structure(crawl: &BTreeMap<String, Vec<VisitRecord>>) -> (SyncAnalysis, LabelMarks) {
     let amazon = Label::intern(AMAZON_AD_ENDPOINT);
     let syncs = || crawl.values().flatten().flat_map(|v| &v.syncs);
-    let mut partners = LabelMarks::new();
+    let mut met = vec![false; SyncObservation::count()];
+    let mut partners = Marks::new(Label::count());
     let mut amazon_syncs_out = false;
     for s in syncs() {
-        if s.to_org == amazon {
-            partners.mark(s.from_org);
+        if let Some(m @ &mut false) = met.get_mut(s.id()) {
+            *m = true;
+            let (from_org, to_org, _) = s.parts();
+            if to_org == amazon {
+                partners.mark(from_org.id(), from_org);
+            }
+            amazon_syncs_out |= from_org == amazon;
         }
-        amazon_syncs_out |= s.from_org == amazon;
     }
-    let mut downstream = LabelMarks::new();
+    let mut downstream = Marks::new(Label::count());
     for s in syncs() {
-        if s.to_org != amazon && partners.contains(s.from_org) {
-            downstream.mark(s.to_org);
+        if let Some(m @ &mut true) = met.get_mut(s.id()) {
+            *m = false;
+            let (from_org, to_org, _) = s.parts();
+            if to_org != amazon && partners.contains(from_org.id()) {
+                downstream.mark(to_org.id(), to_org);
+            }
         }
     }
     let sync = SyncAnalysis {
@@ -124,9 +147,10 @@ impl Interner {
         id
     }
 
-    /// Resolve a symbol back to its text.
+    /// Resolve a symbol back to its text ("" for a symbol this interner
+    /// did not hand out).
     pub fn resolve(&self, sym: Sym) -> &str {
-        &self.strings[sym as usize]
+        self.strings.get(sym as usize).map_or("", String::as_str)
     }
 
     /// Number of interned strings.
@@ -200,16 +224,23 @@ pub struct IndexedBid {
     pub cpm: f64,
 }
 
+/// What the bid analyses read of one [`BidKey`]: the rank of its slot in
+/// [`AnalysisIndex::slots`] and whether its bidder is one of Amazon's
+/// cookie-sync partners.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeyInfo {
+    slot: u32,
+    partner: bool,
+}
+
 /// One persona's crawl bids, read in place from its visit records in visit
 /// order (the order every legacy scan produced — Tables 5 and 10 take the
 /// observation-order mean, so summation order fixes the output bits).
 #[derive(Debug, Clone, Copy)]
 pub struct BidView<'i> {
     visits: &'i [VisitRecord],
-    /// Slot rank by slot label id.
-    slot_rank: &'i [u32],
-    /// Partner flag by bidder label id.
-    partners: &'i LabelMarks,
+    /// Slot rank and partner flag by bid key id.
+    keys: &'i [KeyInfo],
 }
 
 impl<'i> BidView<'i> {
@@ -223,11 +254,12 @@ impl<'i> BidView<'i> {
             .filter(move |v| window.contains(&v.iteration))
             .flat_map(move |v| {
                 v.bids.iter().filter_map(move |b| {
+                    let key = self.keys.get(b.key().id())?;
                     Some(IndexedBid {
                         iteration: v.iteration,
-                        slot: *self.slot_rank.get(b.slot_id.id())? as usize,
-                        partner: self.partners.contains(b.bidder),
-                        cpm: b.cpm,
+                        slot: key.slot as usize,
+                        partner: key.partner,
+                        cpm: b.cpm(),
                     })
                 })
             })
@@ -260,10 +292,8 @@ pub struct AnalysisIndex<'a> {
     pub persona_flows: Vec<(Sym, Range<u32>)>,
     /// Distinct ad-slot ids in lexicographic order.
     pub slots: Vec<Sym>,
-    /// Each slot label's rank in [`AnalysisIndex::slots`], by label id.
-    slot_rank: Vec<u32>,
-    /// Amazon's cookie-sync partners, marked by label id.
-    partners: LabelMarks,
+    /// Each bid key's slot rank and partner flag, by key id.
+    bid_keys: Vec<KeyInfo>,
     /// Recovered cookie-sync structure (partners, downstream parties).
     pub sync: SyncAnalysis,
     /// Extracted audio ads per (persona, streaming service).
@@ -307,8 +337,7 @@ impl<'a> AnalysisIndex<'a> {
             .flatten()
             .flat_map(|c| &c.packets)
         {
-            let rank = &mut host_rank[p.remote.name().id()];
-            if *rank == u32::MAX {
+            if let Some(rank @ &mut u32::MAX) = host_rank.get_mut(p.remote.name().id()) {
                 *rank = 0;
                 domains.push(p.remote);
             }
@@ -316,7 +345,9 @@ impl<'a> AnalysisIndex<'a> {
         domains.sort_unstable();
         let mut hosts = Vec::with_capacity(domains.len());
         for (rank, d) in (0..).zip(&domains) {
-            host_rank[d.name().id()] = rank;
+            if let Some(r) = host_rank.get_mut(d.name().id()) {
+                *r = rank;
+            }
             let host = symbols.intern(d.as_str());
             let registrable = match d.registrable() {
                 Some(r) => symbols.intern(r.as_str()),
@@ -353,23 +384,28 @@ impl<'a> AnalysisIndex<'a> {
                 let mut packets = 0u32;
                 for p in group.iter().flat_map(|c| &c.packets) {
                     packets += 1;
-                    let rank = host_rank[p.remote.name().id()];
-                    let count = &mut counts[rank as usize];
+                    // Every packet's host was ranked above.
+                    let rank = host_rank.get(p.remote.name().id()).copied();
+                    let Some((rank, count)) =
+                        rank.and_then(|r| Some((r, counts.get_mut(r as usize)?)))
+                    else {
+                        continue;
+                    };
                     if *count == 0 {
                         touched.push(rank);
                     }
                     *count += 1;
                 }
-                if packets == 0 {
+                let Some(first) = group.first().filter(|_| packets > 0) else {
                     continue;
-                }
+                };
                 touched.sort_unstable();
                 let start = host_counts.len() as u32;
                 host_counts.extend(touched.drain(..).map(|host| HostCount {
                     host,
-                    packets: std::mem::take(&mut counts[host as usize]),
+                    packets: counts.get_mut(host as usize).map_or(0, std::mem::take),
                 }));
-                let label = group[0].label.as_str();
+                let label = first.label.as_str();
                 let meta = meta_by_id.get(label).copied();
                 let skill = symbols.intern(label);
                 flows.push(SkillFlows {
@@ -389,17 +425,29 @@ impl<'a> AnalysisIndex<'a> {
 
         let (sync, partners) = sync_structure(&obs.crawl);
 
-        // The slot table: the distinct slot labels in text order, and each
-        // slot label's rank in it, indexed by label id.
-        let bids = || obs.crawl.values().flatten().flat_map(|v| &v.bids);
-        let mut seen = LabelMarks::new();
-        bids().for_each(|b| seen.mark(b.slot_id));
-        let mut slot_labels = seen.labels;
-        slot_labels.sort_unstable_by_key(|l| l.as_str());
-        let mut slot_rank = vec![0u32; seen.marked.len()];
-        for (rank, l) in (0..).zip(&slot_labels) {
-            if let Some(r) = slot_rank.get_mut(l.id()) {
-                *r = rank;
+        // The bid keys the crawl quotes (840 at seed 7), the slot table (the
+        // distinct slots of those keys, in text order), and for each key its
+        // slot's rank and its bidder's partner flag, indexed by key id.
+        let mut keys = Marks::new(BidKey::count());
+        for b in obs.crawl.values().flatten().flat_map(|v| &v.bids) {
+            keys.mark(b.key().id(), b.key());
+        }
+        let mut slot_labels = Marks::new(Label::count());
+        keys.items
+            .iter()
+            .for_each(|k| slot_labels.mark(k.slot_id().id(), k.slot_id()));
+        let mut slot_labels = slot_labels.items;
+        slot_labels.sort_unstable();
+        let mut bid_keys = vec![KeyInfo::default(); keys.marked.len()];
+        for k in &keys.items {
+            if let (Some(info), Ok(slot)) = (
+                bid_keys.get_mut(k.id()),
+                slot_labels.binary_search(&k.slot_id()),
+            ) {
+                *info = KeyInfo {
+                    slot: slot as u32,
+                    partner: partners.contains(k.bidder().id()),
+                };
             }
         }
         let slots: Vec<Sym> = slot_labels
@@ -432,8 +480,7 @@ impl<'a> AnalysisIndex<'a> {
             host_counts,
             persona_flows,
             slots,
-            slot_rank,
-            partners,
+            bid_keys,
             sync,
             audio_ads,
             types_per_skill,
@@ -452,12 +499,14 @@ impl<'a> AnalysisIndex<'a> {
 
     /// The per-host packet counts of one flow group.
     pub fn hosts_of(&self, flow: &SkillFlows) -> &[HostCount] {
-        &self.host_counts[flow.hosts.start as usize..flow.hosts.end as usize]
+        let hosts = flow.hosts.start as usize..flow.hosts.end as usize;
+        self.host_counts.get(hosts).unwrap_or_default()
     }
 
     /// The flow groups of one persona range from [`AnalysisIndex::persona_flows`].
     pub fn flows_in(&self, range: &Range<u32>) -> &[SkillFlows] {
-        &self.flows[range.start as usize..range.end as usize]
+        let flows = range.start as usize..range.end as usize;
+        self.flows.get(flows).unwrap_or_default()
     }
 
     /// Classify a host relative to a skill vendor — symbol-compare form of
@@ -498,8 +547,7 @@ impl<'a> AnalysisIndex<'a> {
                 .crawl
                 .get(&persona.name())
                 .map_or(&[], Vec::as_slice),
-            slot_rank: &self.slot_rank,
-            partners: &self.partners,
+            keys: &self.bid_keys,
         }
     }
 
@@ -524,7 +572,8 @@ impl<'a> AnalysisIndex<'a> {
             memo.push((personas.to_vec(), window.clone(), mask));
             memo.len() - 1
         });
-        memo[at].2.clone()
+        memo.get(at)
+            .map_or_else(Vec::new, |(_, _, mask)| mask.clone())
     }
 
     fn compute_common_slots(&self, personas: &[Persona], window: &Range<usize>) -> Vec<bool> {
@@ -570,19 +619,17 @@ impl<'a> AnalysisIndex<'a> {
     /// Per-slot mean CPM over the masked slots (slot order — the
     /// significance tests' slot-level sample).
     pub fn slot_means(&self, persona: Persona, window: &Range<usize>, mask: &[bool]) -> Vec<f64> {
-        let n = self.slots.len();
-        let mut sums = vec![0.0f64; n];
-        let mut counts = vec![0usize; n];
+        let mut slots = vec![(0.0f64, 0usize); self.slots.len()];
         for b in self.bids_of(persona).in_window(window) {
-            let s = b.slot;
-            if mask[s] {
-                sums[s] += b.cpm;
-                counts[s] += 1;
+            if let (Some(true), Some((sum, count))) = (mask.get(b.slot), slots.get_mut(b.slot)) {
+                *sum += b.cpm;
+                *count += 1;
             }
         }
-        (0..n)
-            .filter(|&s| mask[s] && counts[s] > 0)
-            .map(|s| sums[s] / counts[s] as f64)
+        mask.iter()
+            .zip(&slots)
+            .filter(|&(&m, &(_, count))| m && count > 0)
+            .map(|(_, &(sum, count))| sum / count as f64)
             .collect()
     }
 }
@@ -605,19 +652,15 @@ mod tests {
     }
 
     #[test]
-    fn crawl_bids_are_16_bytes() {
-        // The bid views scan the crawl's records in place: 16 bytes a bid.
-        assert_eq!(std::mem::size_of::<alexa_adtech::Bid>(), 16);
+    fn crawl_bids_are_12_bytes() {
+        // The bid views scan the crawl's records in place: 12 bytes a bid.
+        assert_eq!(std::mem::size_of::<alexa_adtech::Bid>(), 12);
     }
 
     #[test]
     fn slot_mask_miss_and_hit_charge_the_same_bytes() {
         use alexa_adtech::{Bid, VisitRecord};
-        let bid = |slot_id| Bid {
-            bidder: Label::intern("b.example"),
-            slot_id: Label::intern(slot_id),
-            cpm: 1.0,
-        };
+        let bid = |slot_id| Bid::new(Label::intern("b.example"), Label::intern(slot_id), 1.0);
         let mut obs = Observations::default();
         obs.crawl.insert(
             Persona::Vanilla.name(),
@@ -642,8 +685,8 @@ mod tests {
 
     #[test]
     fn build_does_not_copy_the_crawl() {
-        // 1,000 visits of 100 bids each: a 16-byte row per bid would charge
-        // the build 1.6 MB, sixteen times this bound.
+        // 1,000 visits of 100 bids each: a 12-byte row per bid would charge
+        // the build 1.2 MB, twelve times this bound.
         use alexa_adtech::{Bid, VisitRecord};
         let slots: Vec<Label> = (0..40)
             .map(|s| Label::intern(&format!("site{}#slot{}", s % 8, s)))
@@ -655,10 +698,12 @@ mod tests {
             .map(|v| VisitRecord {
                 iteration: v / 40,
                 bids: (0..100)
-                    .map(|b| Bid {
-                        bidder: bidders[(v + b) % bidders.len()],
-                        slot_id: slots[(v * 7 + b) % slots.len()],
-                        cpm: (v * 100 + b) as f64 / 1000.0,
+                    .map(|b| {
+                        Bid::new(
+                            bidders[(v + b) % bidders.len()],
+                            slots[(v * 7 + b) % slots.len()],
+                            (v * 100 + b) as f64 / 1000.0,
+                        )
                     })
                     .collect(),
                 ..VisitRecord::default()

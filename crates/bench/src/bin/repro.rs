@@ -93,7 +93,8 @@ fn write_or_exit(path: &str, what: &str, body: &str) {
 
 /// `--bench`: time the paper-scale execute plus a full `repro all` rendering
 /// pass under `fault` and append the data point — with the recorder's
-/// per-stage breakdown — to `BENCH_audit.json` at the repo root, as one
+/// per-stage breakdown and the process's peak RSS so far — to
+/// `BENCH_audit.json` at the repo root, as one
 /// [`BenchEntry`], the type `obs-diff gate` decodes. The entry records its
 /// fault profile, which keys it in the gate. Returns the
 /// observations so the observability surfaces (`--run-dir`, ...) can
@@ -127,15 +128,18 @@ fn run_bench(seed: u64, jobs: Option<usize>, fault: &FaultProfile, rec: &Recorde
     // allocated bytes) is what later perf changes regress against.
     let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let timings = [execute_ms, render_ms];
-    let entry = BenchEntry::new(
-        &rec.report(),
-        seed,
-        jobs,
-        fault.name(),
-        hardware_threads,
-        timings,
-        rendered_bytes,
-    )
+    let entry = BenchEntry {
+        peak_rss_kb: Some(alexa_obs::peak_rss_kb()),
+        ..BenchEntry::new(
+            &rec.report(),
+            seed,
+            jobs,
+            fault.name(),
+            hardware_threads,
+            timings,
+            rendered_bytes,
+        )
+    }
     .to_json()
     .render();
 

@@ -20,7 +20,9 @@
 //! It also owns the workspace's one interner, [`Label`]. The tap sees the
 //! same few dozen endpoints again and again, so a [`Domain`] is a 4-byte
 //! label, `Copy`, ordered by its text; the crawl's slot ids, organizations,
-//! cookie values, sites and creatives are labels from the same table.
+//! cookie values, sites and creatives are labels from the same table. The
+//! table's shape, [`InternTable`], is generic: the crawl interns its bid
+//! keys and sync triples in tables of label tuples.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
@@ -44,7 +46,7 @@ pub use domain::Domain;
 pub use filterlist::{FilterList, TrafficPurpose};
 pub use firewall::{Firewall, FirewallStats, Verdict};
 pub use flowstats::{aggregate as aggregate_flows, top_by_bytes, FlowStats};
-pub use label::Label;
+pub use label::{InternTable, Label};
 pub use orgmap::{OrgClass, OrgMap, AMAZON};
 pub use packet::{DataType, Direction, Packet, Payload, Record};
 pub use trace::{read_trace, write_trace, TraceError};

@@ -3,9 +3,9 @@
 //!
 //! `repro --bench` times a paper-scale run and appends one entry per run:
 //! the run's identity (seed, jobs, fault profile, hardware threads), its
-//! wall-clock timings, the bytes its artifacts rendered to, and for each
-//! top-level pipeline stage its wall time, work units and allocated bytes,
-//! in pipeline order. `obs-diff gate` reads the file back through
+//! wall-clock timings, the bytes its artifacts rendered to, the process's
+//! peak RSS, and for each top-level pipeline stage its wall time, work
+//! units and allocated bytes, in pipeline order. `obs-diff gate` reads the file back through
 //! [`BenchEntry::from_json`] only.
 //!
 //! The committed history is part of the format, stated once here:
@@ -14,6 +14,8 @@
 //!   fault-free, so it decodes as `"none"`;
 //! * an entry without `stage_alloc` predates the allocation meter and has
 //!   no allocation baseline;
+//! * an entry without `peak_rss_kb` predates the field and has no peak RSS
+//!   baseline;
 //! * keys no encoder writes any more (`work_per_ms`) are ignored;
 //! * every other field is required, since every entry has it.
 //!
@@ -45,6 +47,9 @@ pub struct BenchEntry {
     pub total_ms: u64,
     /// Bytes of every rendered artifact: equal runs render equal bytes.
     pub rendered_bytes: u64,
+    /// The process's peak RSS (`VmHWM`) after the run, in kB; `None` for an
+    /// entry from before the field.
+    pub peak_rss_kb: Option<u64>,
     /// Wall time per top-level stage, in milliseconds.
     pub stages: StageValues,
     /// Deterministic work units per top-level stage.
@@ -57,7 +62,7 @@ pub struct BenchEntry {
 impl BenchEntry {
     /// The entry of a run whose recorder produced `report`, timed at
     /// `[execute_ms, render_all_ms]`: the stage columns are `report`'s
-    /// top-level stages.
+    /// top-level stages. The peak RSS is left for the caller to read.
     pub fn new(
         report: &Report,
         seed: u64,
@@ -80,6 +85,7 @@ impl BenchEntry {
             render_all_ms,
             total_ms: execute_ms + render_all_ms,
             rendered_bytes: rendered_bytes as u64,
+            peak_rss_kb: None,
             stages: column(|s| s.dur_us / 1000),
             stage_work: column(|s| s.work),
             stage_alloc: Some(column(|s| s.alloc_bytes)),
@@ -104,9 +110,12 @@ impl BenchEntry {
             ("render_all_ms".into(), Json::Int(self.render_all_ms)),
             ("total_ms".into(), Json::Int(self.total_ms)),
             ("rendered_bytes".into(), Json::Int(self.rendered_bytes)),
-            ("stages".into(), column(&self.stages)),
-            ("stage_work".into(), column(&self.stage_work)),
         ];
+        if let Some(kb) = self.peak_rss_kb {
+            fields.push(("peak_rss_kb".into(), Json::Int(kb)));
+        }
+        fields.push(("stages".into(), column(&self.stages)));
+        fields.push(("stage_work".into(), column(&self.stage_work)));
         if let Some(alloc) = &self.stage_alloc {
             fields.push(("stage_alloc".into(), column(alloc)));
         }
@@ -137,6 +146,10 @@ impl BenchEntry {
             render_all_ms: count(json, "render_all_ms")?,
             total_ms: count(json, "total_ms")?,
             rendered_bytes: count(json, "rendered_bytes")?,
+            peak_rss_kb: match present("peak_rss_kb") {
+                true => Some(count(json, "peak_rss_kb")?),
+                false => None,
+            },
             stages: column("stages")?,
             stage_work: column("stage_work")?,
             stage_alloc: match present("stage_alloc") {
@@ -166,6 +179,15 @@ mod tests {
         assert!(entry.stage_alloc.is_some());
         let line = entry.to_json().render();
         assert!(line.starts_with(r#"{"seed": 7, "jobs": null, "fault_profile": "flaky","#));
+        assert!(!line.contains("peak_rss_kb"));
+        let json = Json::parse(&line).unwrap();
+        assert_eq!(BenchEntry::from_json(&json), Ok(entry.clone()));
+        let entry = BenchEntry {
+            peak_rss_kb: Some(13_200),
+            ..entry
+        };
+        let line = entry.to_json().render();
+        assert!(line.contains(r#""rendered_bytes": 36391, "peak_rss_kb": 13200, "stages": "#));
         let json = Json::parse(&line).unwrap();
         assert_eq!(BenchEntry::from_json(&json), Ok(entry));
     }
@@ -176,6 +198,10 @@ mod tests {
         let entry = BenchEntry::from_json(&Json::parse(old).unwrap()).unwrap();
         assert_eq!(entry.fault_profile, "none");
         assert_eq!(entry.stage_alloc, None);
+        assert_eq!(entry.peak_rss_kb, None);
+        let bad = old.replace(r#""stages""#, r#""peak_rss_kb": "13 MB", "stages""#);
+        let err = BenchEntry::from_json(&Json::parse(&bad).unwrap()).unwrap_err();
+        assert_eq!(err, "peak_rss_kb: missing or mistyped");
         let bad = old.replace(r#"{"merge": 0}}"#, r#"{"merge": -1}}"#);
         let err = BenchEntry::from_json(&Json::parse(&bad).unwrap()).unwrap_err();
         assert_eq!(err, "stage_work.merge: not a count");

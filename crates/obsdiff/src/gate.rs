@@ -8,7 +8,8 @@
 //! gate with a [`GateError::BadEntry`] naming the file, the line and the
 //! field. The gate fails when time regressed beyond [`MAX_REGRESS`], a
 //! gated stage allocates more than [`MAX_ALLOC_REGRESS`] beyond its
-//! baseline, a stage vanished or the rendered bytes changed.
+//! baseline, the peak RSS grew beyond [`MAX_RSS_REGRESS`], a stage vanished
+//! or the rendered bytes changed.
 //!
 //! Wall time depends on the machine and on the moment, so it is compared
 //! only with the latest committed entry of the same full key `(seed, jobs,
@@ -17,7 +18,10 @@
 //! count): one noisy run out of three does not fail the gate, a shift in
 //! all of them does. When no committed entry has the key, the key lands in
 //! [`GateReport::incomparable`] instead of being compared with another
-//! machine's figure. Allocation bytes, rendered bytes and the stage set do
+//! machine's figure. Peak RSS depends on the machine too (its allocator
+//! arenas follow the thread count): the median of the fresh entries' peaks
+//! is compared with the latest committed entry of the same full key that
+//! records one. Allocation bytes, rendered bytes and the stage set do
 //! not depend on the machine or the moment, so every fresh entry is
 //! compared with the latest committed entry of the same `(seed, jobs,
 //! fault_profile)`. A faulted run is never compared with a fault-free
@@ -36,6 +40,10 @@ pub(crate) const MAX_REGRESS: f64 = 0.25;
 /// The tolerated growth of allocated bytes, which are deterministic, so
 /// the bound is tighter than [`MAX_REGRESS`]: 0.10 = +10%.
 pub(crate) const MAX_ALLOC_REGRESS: f64 = 0.10;
+
+/// The tolerated growth of the peak RSS: 0.05 = +5%, the end-to-end bound
+/// the benchmark holds it to. Run to run it moves by 1–2%.
+pub(crate) const MAX_RSS_REGRESS: f64 = 0.05;
 
 /// Why the gate could not even run (exit 2 territory — distinct from a
 /// gate *failure*, which is a successful run with a bad verdict).
@@ -139,9 +147,10 @@ impl GateReport {
         } else {
             if !self.failures.is_empty() {
                 out.push_str(&format!(
-                    "bench gate failed (total_ms/stage regression >{:.0}%, stage alloc regression >{:.0}%, or missing stages) for: {}\n",
+                    "bench gate failed (total_ms/stage regression >{:.0}%, stage alloc regression >{:.0}%, peak RSS regression >{:.0}%, or missing stages) for: {}\n",
                     MAX_REGRESS * 100.0,
                     MAX_ALLOC_REGRESS * 100.0,
+                    MAX_RSS_REGRESS * 100.0,
                     self.failures.join("; ")
                 ));
             }
@@ -165,6 +174,7 @@ impl GateReport {
                 "alloc_threshold".to_string(),
                 Json::Float(MAX_ALLOC_REGRESS),
             ),
+            ("rss_threshold".to_string(), Json::Float(MAX_RSS_REGRESS)),
             ("failures".to_string(), strings(&self.failures)),
             (
                 "no_comparable_baseline".to_string(),
@@ -301,6 +311,9 @@ pub fn run_gate(baseline: &Path, candidate: &Path) -> Result<GateReport, GateErr
                 false
             }
         };
+        if let Some(peaked) = latest(&|b| same_key(b, first) && b.peak_rss_kb.is_some()) {
+            gate_rss(&mut report, &lbl, peaked, group, &runs);
+        }
         for entry in group {
             gate_deterministic(&mut report, &lbl, base, entry);
         }
@@ -356,6 +369,35 @@ fn gate_time(
         }
     }
     regressed
+}
+
+/// Compare the median peak RSS of the fresh entries of one key that record
+/// it with the committed entry `peaked`'s, and fail the key beyond
+/// [`MAX_RSS_REGRESS`].
+fn gate_rss(
+    report: &mut GateReport,
+    lbl: &str,
+    peaked: &BenchEntry,
+    group: &[&BenchEntry],
+    runs: &str,
+) {
+    let fresh: Vec<u64> = group.iter().filter_map(|e| e.peak_rss_kb).collect();
+    let (Some(base_kb), false) = (peaked.peak_rss_kb, fresh.is_empty()) else {
+        return;
+    };
+    let kb = median(fresh);
+    let ratio = growth(base_kb, kb);
+    let regressed = ratio > 1.0 + MAX_RSS_REGRESS;
+    report.log.push(format!(
+        "  peak RSS: {base_kb} kB -> {kb} kB ({:+.1}%{runs}){}",
+        (ratio - 1.0) * 100.0,
+        if regressed { " REGRESSION" } else { "" }
+    ));
+    if regressed {
+        report
+            .failures
+            .push(format!("{lbl} (peak RSS {:+.1}%)", (ratio - 1.0) * 100.0));
+    }
 }
 
 /// Compare what one fresh entry shares with every machine against the

@@ -38,6 +38,7 @@ fn entry(jobs: Option<u64>, total_ms: u64, stages: &[(&str, u64)]) -> BenchEntry
         render_all_ms: 0,
         total_ms,
         rendered_bytes: 36392,
+        peak_rss_kb: None,
         stage_work: stages.iter().map(|(n, _)| (n.clone(), 0)).collect(),
         stages,
         stage_alloc: None,
@@ -310,6 +311,10 @@ fn json_format_carries_verdict_failures_and_log() {
     assert_eq!(
         parsed.get("alloc_threshold").and_then(Json::as_f64),
         Some(0.10)
+    );
+    assert_eq!(
+        parsed.get("rss_threshold").and_then(Json::as_f64),
+        Some(0.05)
     );
     assert_eq!(
         parsed
@@ -653,6 +658,57 @@ fn deterministic_columns_are_checked_on_every_fresh_run() {
     );
 }
 
+/// A jobs-1 entry of 1000 ms peaking at `kb`.
+fn peaked(kb: u64) -> BenchEntry {
+    BenchEntry {
+        peak_rss_kb: Some(kb),
+        ..timed(1000, 100)
+    }
+}
+
+#[test]
+fn peak_rss_within_five_percent_passes_and_is_logged() {
+    let fresh = [&peaked(10_400), &peaked(10_000), &peaked(11_000)];
+    let report = gate("rss-ok", &[&peaked(10_000)], &fresh);
+    assert!(report.passed(), "{:?}", report.failures);
+    let human = report.render_human();
+    assert!(
+        human.contains("peak RSS: 10000 kB -> 10400 kB (+4.0%, median of 3)"),
+        "{human}"
+    );
+}
+
+#[test]
+fn peak_rss_median_above_five_percent_fails() {
+    // One run of three at the baseline does not save a shifted median.
+    let fresh = [&peaked(10_600), &peaked(10_000), &peaked(10_700)];
+    let report = gate("rss-up", &[&peaked(10_000)], &fresh);
+    assert_eq!(
+        report.failures,
+        vec!["seed=7 jobs=1 hardware_threads=2 (peak RSS +6.0%)".to_string()]
+    );
+    assert!(report.render_human().contains("peak RSS regression >5%"));
+}
+
+#[test]
+fn peak_rss_gates_against_the_latest_entry_that_records_one() {
+    // The newest committed entry predates the field; the one before it
+    // holds the baseline peak, and another machine's peak never counts.
+    let other_machine = BenchEntry {
+        hardware_threads: 8,
+        ..peaked(5_000)
+    };
+    let base = [&peaked(10_000), &other_machine, &timed(1000, 100)];
+    let report = gate("rss-latest", &base, &[&peaked(10_900)]);
+    assert_eq!(
+        report.failures,
+        vec!["seed=7 jobs=1 hardware_threads=2 (peak RSS +9.0%)".to_string()]
+    );
+    // No committed peak, or no fresh one: nothing to gate.
+    assert!(gate("rss-none", &[&timed(1000, 100)], &[&peaked(99_000)]).passed());
+    assert!(gate("rss-old", &[&peaked(10_000)], &[&timed(1000, 100)]).passed());
+}
+
 /// `BENCH_audit.json` as committed at the repository root.
 fn committed() -> (PathBuf, String) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_audit.json");
@@ -673,8 +729,10 @@ fn every_committed_bench_line_decodes_and_current_lines_round_trip() {
     assert!(decoded.len() >= 19, "{} lines", decoded.len());
     for (n, (line, entry)) in decoded.iter().enumerate() {
         let n = n + 1;
-        // Lines 1-4 predate the allocation meter, 1-14 the fault profile.
+        // Lines 1-4 predate the allocation meter, 1-14 the fault profile,
+        // 1-22 the peak RSS.
         assert_eq!(entry.stage_alloc.is_some(), n > 4, "line {n}");
+        assert_eq!(entry.peak_rss_kb.is_some(), n > 22, "line {n}");
         if n <= 14 {
             assert_eq!(entry.fault_profile, "none", "line {n}");
         }

@@ -387,17 +387,18 @@ fn paper_validation_f1() {
 fn naive_sync(obs: &Observations) -> SyncAnalysis {
     let syncs = || obs.crawl.values().flatten().flat_map(|v| &v.syncs);
     let amazon_partners: BTreeSet<String> = syncs()
-        .filter(|s| s.to_org.as_str() == AMAZON_AD_ENDPOINT)
-        .map(|s| s.from_org.to_string())
+        .filter(|s| s.to_org().as_str() == AMAZON_AD_ENDPOINT)
+        .map(|s| s.from_org().to_string())
         .collect();
     let downstream_parties = syncs()
         .filter(|s| {
-            amazon_partners.contains(s.from_org.as_str()) && s.to_org.as_str() != AMAZON_AD_ENDPOINT
+            amazon_partners.contains(s.from_org().as_str())
+                && s.to_org().as_str() != AMAZON_AD_ENDPOINT
         })
-        .map(|s| s.to_org.to_string())
+        .map(|s| s.to_org().to_string())
         .collect();
     SyncAnalysis {
-        amazon_syncs_out: syncs().any(|s| s.from_org.as_str() == AMAZON_AD_ENDPOINT),
+        amazon_syncs_out: syncs().any(|s| s.from_org().as_str() == AMAZON_AD_ENDPOINT),
         amazon_partners,
         downstream_parties,
     }
@@ -414,16 +415,8 @@ fn index_orders_hand_built_labels_by_text() {
     // text order: the sync structure must match a naive text scan, and slot
     // ids must rank by text, not by label id.
     let label = Label::intern;
-    let sync = |from: &str, to: &str| SyncObservation {
-        from_org: label(from),
-        to_org: label(to),
-        user_id: label("u"),
-    };
-    let bid = |bidder: &str, slot: &str, cpm| Bid {
-        bidder: label(bidder),
-        slot_id: label(slot),
-        cpm,
-    };
+    let sync = |from: &str, to: &str| SyncObservation::new(label(from), label(to), label("u"));
+    let bid = |bidder: &str, slot: &str, cpm| Bid::new(label(bidder), label(slot), cpm);
     assert!(
         label("s#2").id() < label("s#1").id(),
         "ids must disagree with text order"
@@ -610,9 +603,9 @@ fn bid_views_match_a_naive_scan_at_window_edges() {
             .map(|(iteration, b)| {
                 (
                     iteration,
-                    slots.binary_search(&b.slot_id.as_str()).unwrap(),
-                    ix.sync.amazon_partners.contains(b.bidder.as_str()),
-                    b.cpm.to_bits(),
+                    slots.binary_search(&b.slot_id().as_str()).unwrap(),
+                    ix.sync.amazon_partners.contains(b.bidder().as_str()),
+                    b.cpm().to_bits(),
                 )
             })
             .collect::<Vec<_>>()

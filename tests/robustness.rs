@@ -124,12 +124,12 @@ fn different_seeds_produce_different_bid_corpora() {
     let a: f64 = runs()[0].crawl["Vanilla"]
         .iter()
         .flat_map(|v| v.bids.iter())
-        .map(|b| b.cpm)
+        .map(|b| b.cpm())
         .sum();
     let b: f64 = runs()[1].crawl["Vanilla"]
         .iter()
         .flat_map(|v| v.bids.iter())
-        .map(|b| b.cpm)
+        .map(|b| b.cpm())
         .sum();
     assert_ne!(a, b);
 }
