@@ -43,7 +43,7 @@ pub fn table9(ix: &AnalysisIndex) -> Table9 {
             list.len() as f64 / denom as f64
         };
         shares
-            .entry(persona.as_str())
+            .entry(persona.name())
             .or_default()
             .insert(*service, share);
     }
@@ -113,7 +113,7 @@ pub fn figure5(ix: &AnalysisIndex) -> Figure5 {
                 .or_default()
                 .entry(brand.as_str())
                 .or_default()
-                .entry(persona.as_str())
+                .entry(persona.name())
                 .or_insert(0) += 1;
         }
     }
@@ -190,17 +190,16 @@ mod tests {
     use super::*;
     use crate::analysis::test_support::{ix, obs};
     use crate::observations::Observations;
+    use crate::persona::Persona;
     use alexa_adtech::AudioAdExtractor;
 
     /// Extracted ads per (persona, service) — the naive per-call
     /// extraction, the reference the index cache is tested against.
-    fn extracted_ads(obs: &Observations) -> BTreeMap<(String, StreamingService), Vec<String>> {
+    fn extracted_ads(obs: &Observations) -> BTreeMap<(Persona, StreamingService), Vec<String>> {
         let extractor = AudioAdExtractor::new();
         obs.audio
             .iter()
-            .map(|((persona, service), transcripts)| {
-                ((persona.clone(), *service), extractor.extract(transcripts))
-            })
+            .map(|(&key, transcripts)| (key, extractor.extract(transcripts)))
             .collect()
     }
 

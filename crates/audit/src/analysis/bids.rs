@@ -70,7 +70,11 @@ pub fn table5(ix: &AnalysisIndex) -> Table5 {
             // The mean sums in observation order, before the median's
             // selection reorders the series.
             let avg = mean(&bids).unwrap_or(0.0);
-            (p.name(), median_in_place(&mut bids).unwrap_or(0.0), avg)
+            (
+                p.name().to_string(),
+                median_in_place(&mut bids).unwrap_or(0.0),
+                avg,
+            )
         })
         .collect();
     Table5 {
@@ -134,7 +138,7 @@ pub fn table6(ix: &AnalysisIndex) -> Table6 {
             let pre = ix.pooled_bids(p, &pre_tail, &slots_pre);
             let post = ix.pooled_bids(p, &post_head, &slots_post);
             (
-                p.name(),
+                p.name().to_string(),
                 mean(&pre).unwrap_or(0.0),
                 mean(&post).unwrap_or(0.0),
             )
@@ -197,7 +201,7 @@ pub fn figure3(ix: &AnalysisIndex) -> Figure3 {
         for &p in &personas {
             let mut bids = ix.pooled_bids(p, &window, &slots);
             if let Some(s) = five_number_summary_in_place(&mut bids) {
-                out.push((p.name(), s));
+                out.push((p.name().to_string(), s));
             }
         }
     }
@@ -275,7 +279,7 @@ pub fn figure7(ix: &AnalysisIndex) -> Figure7 {
         .into_iter()
         .filter_map(|p| {
             let mut bids = ix.pooled_bids(p, &ix.obs.post_window(), &slots);
-            five_number_summary_in_place(&mut bids).map(|s| (p.name(), s))
+            five_number_summary_in_place(&mut bids).map(|s| (p.name().to_string(), s))
         })
         .collect();
     Figure7 { series }
@@ -338,7 +342,7 @@ mod tests {
             .iter()
             .enumerate()
             .filter(|(_, &m)| m)
-            .map(|(s, _)| i.str_of(i.slots[s]).to_string())
+            .map(|(s, _)| i.slots[s].to_string())
             .collect();
         assert_eq!(naive, from_mask);
     }
@@ -354,7 +358,7 @@ mod tests {
             .iter()
             .enumerate()
             .filter(|(_, &m)| m)
-            .map(|(s, _)| i.str_of(i.slots[s]))
+            .map(|(s, _)| i.slots[s].as_str())
             .collect();
         for &p in &personas {
             let naive: Vec<f64> = o

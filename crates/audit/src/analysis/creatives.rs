@@ -52,18 +52,14 @@ pub fn table8(ix: &AnalysisIndex) -> Table8 {
     type PerPersona<'a> = BTreeMap<&'a str, (usize, BTreeSet<usize>)>;
     let mut seen: BTreeMap<(&str, &str), PerPersona> = BTreeMap::new();
     let mut total = 0usize;
-    let personas: Vec<(Persona, String)> = Persona::echo_personas()
-        .into_iter()
-        .map(|p| (p, p.name()))
-        .collect();
-    for (persona, name) in &personas {
-        for visit in obs.visits_in(*persona, obs.post_window()) {
+    for persona in Persona::echo_personas() {
+        for visit in obs.visits_in(persona, obs.post_window()) {
             for c in &visit.creatives {
                 total += 1;
                 let entry = seen
                     .entry((c.advertiser.as_str(), c.product.as_str()))
                     .or_default()
-                    .entry(name.as_str())
+                    .entry(persona.name())
                     .or_insert((0, BTreeSet::new()));
                 entry.0 += 1;
                 entry.1.insert(visit.iteration);

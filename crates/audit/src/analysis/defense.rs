@@ -16,7 +16,7 @@
 
 use crate::analysis::{bids, traffic};
 use crate::experiment::DefenseMode;
-use crate::index::AnalysisIndex;
+use crate::index::{AnalysisIndex, HostInfo};
 use crate::persona::Persona;
 use alexa_net::{DataType, Firewall, Packet, Verdict};
 use std::fmt::Write as _;
@@ -53,8 +53,7 @@ pub fn measure(ix: &AnalysisIndex, lens: DefenseMode) -> Measurement {
     let blocked = |d: &alexa_net::Domain| {
         lens == DefenseMode::Firewall && fw.judge_remote(d) == Verdict::Block
     };
-    let host_blocked: Vec<bool> = ix.domains.iter().map(&blocked).collect();
-    let keep = |h: u32| !host_blocked[h as usize];
+    let keep = |h: &HostInfo| !blocked(&h.host);
 
     let t3 = traffic::table3(ix, keep);
     let avs = ix.obs.avs_captures.iter().flat_map(|c| &c.packets);
@@ -97,7 +96,7 @@ pub(crate) fn voice_text<'p>(
 /// whatever the defense.
 pub fn bid_uplift(ix: &AnalysisIndex) -> f64 {
     let t5 = bids::table5(ix);
-    let Some((vanilla, _)) = t5.get(&Persona::Vanilla.name()) else {
+    let Some((vanilla, _)) = t5.get(Persona::Vanilla.name()) else {
         return 0.0;
     };
     if vanilla == 0.0 {
@@ -341,7 +340,7 @@ mod tests {
         }
         let mut obs = Observations::default();
         obs.router_captures
-            .insert("Vanilla".into(), vec![cap.clone()]);
+            .insert(Persona::Vanilla, vec![cap.clone()]);
         obs.avs_captures.push(cap);
         for mode in [DefenseMode::Firewall, DefenseMode::TextOnly] {
             let mut defended = obs.clone();

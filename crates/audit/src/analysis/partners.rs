@@ -14,6 +14,7 @@
 use crate::index::AnalysisIndex;
 use crate::persona::Persona;
 use crate::table::{f3, TextTable};
+use alexa_net::Label;
 use alexa_stats::{five_number_summary_in_place, mean, median_in_place, Summary};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -25,11 +26,11 @@ pub const AMAZON_AD_ENDPOINT: &str = "amazon-adsystem.com";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncAnalysis {
     /// Advertisers observed pushing their cookie to Amazon.
-    pub amazon_partners: BTreeSet<String>,
+    pub amazon_partners: BTreeSet<Label>,
     /// Whether Amazon was ever observed pushing its own identifier out.
     pub amazon_syncs_out: bool,
     /// Third parties that received identifiers from Amazon's partners.
-    pub downstream_parties: BTreeSet<String>,
+    pub downstream_parties: BTreeSet<Label>,
 }
 
 /// The sync graph recovered from the crawl traffic of all personas
@@ -94,7 +95,7 @@ pub fn table10(ix: &AnalysisIndex) -> Table10 {
             let partner_mean = mean(&partner_bids).unwrap_or(0.0);
             let other_mean = mean(&other_bids).unwrap_or(0.0);
             (
-                p.name(),
+                p.name().to_string(),
                 median_in_place(&mut partner_bids).unwrap_or(0.0),
                 partner_mean,
                 median_in_place(&mut other_bids).unwrap_or(0.0),
@@ -167,7 +168,7 @@ pub fn figure6(ix: &AnalysisIndex) -> Figure6 {
             .map(|b| b.cpm)
             .collect();
         if let Some(s) = five_number_summary_in_place(&mut bids) {
-            series.push((p.name(), s));
+            series.push((p.name().to_string(), s));
         }
     }
     Figure6 { series }
@@ -236,18 +237,14 @@ mod tests {
         // a naive partner-set lookup over the raw crawl.
         let i = ix();
         let o = obs();
-        for (persona, visits) in &o.crawl {
-            let p = Persona::all()
-                .into_iter()
-                .find(|p| p.name() == *persona)
-                .unwrap();
+        for (&persona, visits) in &o.crawl {
             let naive: Vec<bool> = visits
                 .iter()
                 .flat_map(|v| v.bids.iter())
-                .map(|b| i.sync.amazon_partners.contains(b.bidder().as_str()))
+                .map(|b| i.sync.amazon_partners.contains(&b.bidder()))
                 .collect();
             let viewed: Vec<bool> = i
-                .bids_of(p)
+                .bids_of(persona)
                 .in_window(&(0..usize::MAX))
                 .map(|b| b.partner)
                 .collect();
@@ -277,7 +274,7 @@ mod tests {
     fn syncing_happens_for_every_echo_persona() {
         // Per persona, the advertisers seen syncing their cookie to Amazon.
         for p in Persona::echo_personas() {
-            let visits = obs().crawl.get(&p.name()).map_or(&[][..], Vec::as_slice);
+            let visits = obs().crawl.get(&p).map_or(&[][..], Vec::as_slice);
             let partners: BTreeSet<&str> = visits
                 .iter()
                 .flat_map(|v| v.syncs.iter())

@@ -223,10 +223,10 @@ pub fn table14(ix: &AnalysisIndex) -> Table14 {
     // WHOIS fallback is pre-resolved in `HostInfo::org_or_reg`).
     let mut orgs_per_skill: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for f in &ix.flows {
-        let entry = orgs_per_skill.entry(ix.str_of(f.skill)).or_default();
-        for hc in ix.hosts_of(f) {
-            entry.insert(ix.str_of(ix.hosts[hc.host as usize].org_or_reg));
-        }
+        orgs_per_skill
+            .entry(f.skill)
+            .or_default()
+            .extend(ix.hosts_of(f).map(|(h, _)| h.org_or_reg));
     }
 
     let mut per_org: BTreeMap<&str, BTreeMap<&str, DisclosureClass>> = BTreeMap::new();
@@ -408,10 +408,10 @@ mod tests {
         let naive = FlowExtractor::new().endpoint_orgs(&all, &o.orgs);
         let mut from_index: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
         for f in &i.flows {
-            let entry = from_index.entry(i.str_of(f.skill)).or_default();
-            for hc in i.hosts_of(f) {
-                entry.insert(i.str_of(i.hosts[hc.host as usize].org_or_reg));
-            }
+            from_index
+                .entry(f.skill)
+                .or_default()
+                .extend(i.hosts_of(f).map(|(h, _)| h.org_or_reg));
         }
         for (skill, orgs) in &naive {
             let got: BTreeSet<&str> = from_index.remove(skill.as_str()).unwrap_or_default();

@@ -53,19 +53,19 @@ pub fn table12(ix: &AnalysisIndex) -> Table12 {
         DsarPhase::AfterInteraction2,
     ] {
         for persona in Persona::echo_personas() {
-            let Some(export) = obs.dsar.get(&(persona.name(), phase)) else {
+            let Some(export) = obs.dsar.get(&(persona, phase)) else {
                 continue;
             };
             match &export.advertising_interests {
                 Some(interests) if !interests.is_empty() => rows.push(InterestRow {
                     phase,
-                    persona: persona.name(),
+                    persona: persona.name().to_string(),
                     interests: interests.iter().map(|i| i.label().to_string()).collect(),
                 }),
                 Some(_) => {}
                 None => {
                     if phase == DsarPhase::AfterInteraction2 {
-                        missing.push(persona.name());
+                        missing.push(persona.name().to_string());
                     }
                 }
             }

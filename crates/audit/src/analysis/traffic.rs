@@ -12,10 +12,10 @@
 //! classification and per-skill packet merging happen once per run, not
 //! once per artifact.
 
-use crate::index::{AnalysisIndex, Sym};
+use crate::index::{AnalysisIndex, HostInfo};
 use crate::observations::Observations;
 use crate::table::{pct, TextTable};
-use alexa_net::{Domain, OrgClass, TrafficPurpose};
+use alexa_net::{Domain, OrgClass, TrafficPurpose, AMAZON};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -46,7 +46,7 @@ pub fn skill_traffic(obs: &Observations) -> Vec<SkillTraffic> {
                 .entry(cap.label.clone())
                 .or_insert_with(|| SkillTraffic {
                     skill_id: cap.label.clone(),
-                    persona: persona.clone(),
+                    persona: persona.name().to_string(),
                     endpoints: BTreeSet::new(),
                     packets: 0,
                 });
@@ -93,18 +93,18 @@ pub struct Table1 {
 
 /// Per (class, registrable, A&T) group: the skills contacting the group and
 /// the distinct hosts forming it.
-type EndpointGroups<'a> = BTreeMap<(OrgClass, &'a str, bool), (BTreeSet<Sym>, BTreeSet<u32>)>;
+type EndpointGroups<'a> =
+    BTreeMap<(OrgClass, &'a str, bool), (BTreeSet<&'a str>, BTreeSet<Domain>)>;
 
 /// Compute Table 1.
 pub fn table1(ix: &AnalysisIndex) -> Table1 {
     let mut groups: EndpointGroups = BTreeMap::new();
-    let mut amazon_skills: BTreeSet<Sym> = BTreeSet::new();
-    let mut vendor_skills: BTreeSet<Sym> = BTreeSet::new();
-    let mut third_skills: BTreeSet<Sym> = BTreeSet::new();
+    let mut amazon_skills: BTreeSet<&str> = BTreeSet::new();
+    let mut vendor_skills: BTreeSet<&str> = BTreeSet::new();
+    let mut third_skills: BTreeSet<&str> = BTreeSet::new();
 
     for f in &ix.flows {
-        for hc in ix.hosts_of(f) {
-            let h = &ix.hosts[hc.host as usize];
+        for (h, _) in ix.hosts_of(f) {
             let class = ix.org_class(h, f.vendor);
             match class {
                 OrgClass::Amazon => amazon_skills.insert(f.skill),
@@ -112,18 +112,18 @@ pub fn table1(ix: &AnalysisIndex) -> Table1 {
                 OrgClass::ThirdParty => third_skills.insert(f.skill),
             };
             let entry = groups
-                .entry((class, ix.str_of(h.registrable), h.ad_tracking))
+                .entry((class, h.registrable.as_str(), h.ad_tracking))
                 .or_default();
             entry.0.insert(f.skill);
-            entry.1.insert(hc.host);
+            entry.1.insert(h.host);
         }
     }
 
     let mut rows: Vec<Table1Row> = groups
         .into_iter()
         .map(|((class, reg, at), (skills, subs))| {
-            let display = match (subs.len(), subs.iter().next()) {
-                (1, Some(&only)) => ix.str_of(ix.hosts[only as usize].host).to_string(),
+            let display = match (subs.len(), subs.first()) {
+                (1, Some(only)) => only.as_str().to_string(),
                 (n, _) => format!("*({n}).{reg}"),
             };
             Table1Row {
@@ -196,20 +196,19 @@ pub struct Table2 {
 }
 
 /// The host filter of the report artifacts: count every host.
-pub const KEEP_ALL: fn(u32) -> bool = |_| true;
+pub const KEEP_ALL: fn(&HostInfo) -> bool = |_| true;
 
-/// Compute Table 2 from the packet counts of the host ids `keep` admits
-/// (the defense lens drops the hosts a firewall blocks).
-pub fn table2(ix: &AnalysisIndex, keep: impl Fn(u32) -> bool) -> Table2 {
+/// Compute Table 2 from the packet counts of the hosts `keep` admits (the
+/// defense lens drops the hosts a firewall blocks).
+pub fn table2(ix: &AnalysisIndex, keep: impl Fn(&HostInfo) -> bool) -> Table2 {
     let mut counts: BTreeMap<(OrgClass, TrafficPurpose), usize> = BTreeMap::new();
     let mut total = 0usize;
     for f in &ix.flows {
-        for hc in ix.hosts_of(f).iter().filter(|hc| keep(hc.host)) {
-            let h = &ix.hosts[hc.host as usize];
+        for (h, packets) in ix.hosts_of(f).filter(|(h, _)| keep(h)) {
             *counts
                 .entry((ix.org_class(h, f.vendor), ix.purpose(h)))
-                .or_insert(0) += hc.packets as usize;
-            total += hc.packets as usize;
+                .or_insert(0) += packets as usize;
+            total += packets as usize;
         }
     }
     let share = |class, purpose| -> f64 {
@@ -284,30 +283,29 @@ pub struct Table3 {
 }
 
 /// Compute Table 3 over the hosts `keep` admits (see [`table2`]).
-pub fn table3(ix: &AnalysisIndex, keep: impl Fn(u32) -> bool) -> Table3 {
+pub fn table3(ix: &AnalysisIndex, keep: impl Fn(&HostInfo) -> bool) -> Table3 {
     let mut rows: Vec<(String, usize, usize)> = ix
         .persona_flows
         .iter()
         .filter_map(|(persona, range)| {
-            let mut at: BTreeSet<u32> = BTreeSet::new();
-            let mut func: BTreeSet<u32> = BTreeSet::new();
+            let mut at: BTreeSet<Domain> = BTreeSet::new();
+            let mut func: BTreeSet<Domain> = BTreeSet::new();
             for f in ix.flows_in(range) {
-                for hc in ix.hosts_of(f).iter().filter(|hc| keep(hc.host)) {
-                    let h = &ix.hosts[hc.host as usize];
+                for (h, _) in ix.hosts_of(f).filter(|(h, _)| keep(h)) {
                     if ix.org_class(h, f.vendor) != OrgClass::ThirdParty {
                         continue;
                     }
                     if h.ad_tracking {
-                        at.insert(hc.host);
+                        at.insert(h.host);
                     } else {
-                        func.insert(hc.host);
+                        func.insert(h.host);
                     }
                 }
             }
             if at.is_empty() && func.is_empty() {
                 None
             } else {
-                Some((ix.str_of(*persona).to_string(), at.len(), func.len()))
+                Some((persona.name().to_string(), at.len(), func.len()))
             }
         })
         .collect();
@@ -348,15 +346,14 @@ pub struct Table4 {
 /// subdomains of one service into a single entry.
 pub fn table4(ix: &AnalysisIndex) -> Table4 {
     // Per skill id: A&T hosts, their registrable services, display name.
-    let mut per_skill: BTreeMap<&str, (BTreeSet<u32>, BTreeSet<Sym>, Sym)> = BTreeMap::new();
+    let mut per_skill: BTreeMap<&str, (BTreeSet<Domain>, BTreeSet<Domain>, &str)> = BTreeMap::new();
     for f in &ix.flows {
-        for hc in ix.hosts_of(f) {
-            let h = &ix.hosts[hc.host as usize];
-            if h.ad_tracking && h.org != Some(ix.amazon) {
+        for (h, _) in ix.hosts_of(f) {
+            if h.ad_tracking && h.org != Some(AMAZON) {
                 let entry = per_skill
-                    .entry(ix.str_of(f.skill))
+                    .entry(f.skill)
                     .or_insert_with(|| (BTreeSet::new(), BTreeSet::new(), f.name));
-                entry.0.insert(hc.host);
+                entry.0.insert(h.host);
                 entry.1.insert(h.registrable);
             }
         }
@@ -365,11 +362,9 @@ pub fn table4(ix: &AnalysisIndex) -> Table4 {
         .into_values()
         .map(|(doms, services, name)| {
             (
-                ix.str_of(name).to_string(),
+                name.to_string(),
                 services.len(),
-                doms.iter()
-                    .map(|&h| ix.str_of(ix.hosts[h as usize].host).to_string())
-                    .collect(),
+                doms.iter().map(|d| d.as_str().to_string()).collect(),
             )
         })
         .collect();
@@ -428,17 +423,15 @@ pub struct Figure2 {
 pub fn figure2(ix: &AnalysisIndex) -> Figure2 {
     let mut counts: BTreeMap<(&str, &str, TrafficPurpose, &str), usize> = BTreeMap::new();
     for f in &ix.flows {
-        let persona = ix.str_of(f.persona);
-        for hc in ix.hosts_of(f) {
-            let h = &ix.hosts[hc.host as usize];
+        for (h, packets) in ix.hosts_of(f) {
             *counts
                 .entry((
-                    persona,
-                    ix.str_of(h.registrable),
+                    f.persona.name(),
+                    h.registrable.as_str(),
                     ix.purpose(h),
-                    ix.str_of(h.org_or_reg),
+                    h.org_or_reg,
                 ))
-                .or_insert(0) += hc.packets as usize;
+                .or_insert(0) += packets as usize;
         }
     }
     let flows = counts
@@ -561,14 +554,10 @@ mod tests {
         let mut naive_sorted: Vec<&SkillTraffic> = naive.iter().collect();
         naive_sorted.sort_by_key(|t| (t.persona.clone(), t.skill_id.clone()));
         for (t, f) in naive_sorted.iter().zip(&ixr.flows) {
-            assert_eq!(t.persona, ixr.str_of(f.persona));
-            assert_eq!(t.skill_id, ixr.str_of(f.skill));
+            assert_eq!(t.persona, f.persona.name());
+            assert_eq!(t.skill_id, f.skill);
             assert_eq!(t.packets, f.packets as usize);
-            let ix_hosts: Vec<&str> = ixr
-                .hosts_of(f)
-                .iter()
-                .map(|hc| ixr.str_of(ixr.hosts[hc.host as usize].host))
-                .collect();
+            let ix_hosts: Vec<&str> = ixr.hosts_of(f).map(|(h, _)| h.host.as_str()).collect();
             let naive_hosts: Vec<&str> = t.endpoints.iter().map(|d| d.as_str()).collect();
             assert_eq!(ix_hosts, naive_hosts);
         }

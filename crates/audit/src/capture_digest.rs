@@ -12,6 +12,7 @@
 //! guards below compare the walk with `format!("{:?}")` byte for byte.
 
 use crate::crawl_digest::{str_body, LabelJumps, LIST_SEP, LIST_STRUCT_CLOSE, QUOTED_CLOSE};
+use crate::persona::Persona;
 use alexa_fault::{Fnv1a, FnvJump};
 use alexa_net::{Capture, DataType, Direction, Packet, Payload, Record};
 use std::collections::BTreeMap;
@@ -42,7 +43,7 @@ static DEVICE_METRIC: FnvJump = FnvJump::new("Record { data_type: DeviceMetric, 
 pub(crate) fn hash_capture_map(
     h: &mut Fnv1a,
     labels: &mut LabelJumps,
-    captures: &BTreeMap<String, Vec<Capture>>,
+    captures: &BTreeMap<Persona, Vec<Capture>>,
 ) {
     h.byte(b'{');
     for (i, (persona, list)) in captures.iter().enumerate() {
@@ -50,7 +51,7 @@ pub(crate) fn hash_capture_map(
             h.jump(&LIST_SEP);
         }
         h.byte(b'"');
-        str_body(h, persona);
+        str_body(h, persona.name());
         h.str("\": ");
         hash_captures(h, labels, list);
     }
@@ -142,13 +143,13 @@ mod tests {
     use alexa_net::Domain;
     use std::net::Ipv4Addr;
 
-    fn debug_hash(captures: &BTreeMap<String, Vec<Capture>>) -> u64 {
+    fn debug_hash(captures: &BTreeMap<Persona, Vec<Capture>>) -> u64 {
         let mut h = Fnv1a::new();
         h.str(&format!("{captures:?}"));
         h.finish()
     }
 
-    fn walk_hash(captures: &BTreeMap<String, Vec<Capture>>) -> u64 {
+    fn walk_hash(captures: &BTreeMap<Persona, Vec<Capture>>) -> u64 {
         let mut h = Fnv1a::new();
         hash_capture_map(&mut h, &mut LabelJumps::new(), captures);
         h.finish()
@@ -195,6 +196,10 @@ mod tests {
             (self.next() % n as u64) as usize
         }
 
+        fn persona(&mut self) -> Persona {
+            Persona::all()[self.below(13)]
+        }
+
         fn str(&mut self) -> &'static str {
             STRINGS[self.below(STRINGS.len())]
         }
@@ -227,7 +232,7 @@ mod tests {
     fn empty_maps_lists_and_payloads_match_debug() {
         let mut captures = BTreeMap::new();
         assert_eq!(walk_hash(&captures), debug_hash(&captures));
-        captures.insert("Vanilla".to_string(), Vec::new());
+        captures.insert(Persona::Vanilla, Vec::new());
         assert_eq!(walk_hash(&captures), debug_hash(&captures));
         let remote = Domain::parse("a.co.uk").unwrap();
         let ip = Ipv4Addr::new(0, 10, 100, 255);
@@ -236,10 +241,7 @@ mod tests {
             Packet::outgoing(0, remote, ip, Payload::Plain(Vec::new())),
             Packet::incoming(u64::MAX, remote, ip, Payload::Encrypted { len: 0 }),
         ];
-        captures.insert(
-            "Web \"Health\"".to_string(),
-            vec![Capture::new("x"), capture],
-        );
+        captures.insert(Persona::WebHealth, vec![Capture::new("x"), capture]);
         assert_eq!(walk_hash(&captures), debug_hash(&captures));
     }
 
@@ -261,7 +263,7 @@ mod tests {
                 payload: Payload::Plain(records.clone()),
             });
         }
-        let captures = BTreeMap::from([("p".to_string(), vec![capture])]);
+        let captures = BTreeMap::from([(Persona::WebScience, vec![capture])]);
         assert_eq!(walk_hash(&captures), debug_hash(&captures));
     }
 
@@ -278,7 +280,7 @@ mod tests {
                         c
                     })
                     .collect();
-                captures.insert(g.str().to_string(), list);
+                captures.insert(g.persona(), list);
             }
             assert_eq!(walk_hash(&captures), debug_hash(&captures), "seed {seed}");
             let avs: Vec<Capture> = captures.into_values().flatten().collect();

@@ -4,7 +4,8 @@
 //! `crawl` is about nine tenths of that text (31.7 MB at seed 7), and
 //! pushing it through `core::fmt` costs about twice what hashing the same
 //! bytes does. This walk emits exactly the bytes the derived `Debug` of
-//! `BTreeMap<String, Vec<VisitRecord>>` prints, straight into the hasher:
+//! `BTreeMap<Persona, Vec<VisitRecord>>` prints (a persona prints as its
+//! quoted name), straight into the hasher:
 //!
 //! * constant fragments (`Bid { bidder: "`, `", slot_id: "`, …) are
 //!   applied with [`Fnv1a::jump`], O(1) each;
@@ -32,6 +33,7 @@
 //! the drift-guard tests below compare the walk with `format!("{:?}")`
 //! byte for byte, so a change to either side fails them.
 
+use crate::persona::Persona;
 use alexa_adtech::{BidKey, Creative, Label, SyncObservation, VisitRecord};
 use alexa_fault::{Fnv1a, FnvJump};
 use std::collections::BTreeMap;
@@ -120,7 +122,7 @@ fn body_jump(s: &str) -> FnvJump {
 pub(crate) fn hash_crawl(
     h: &mut Fnv1a,
     labels: &mut LabelJumps,
-    crawl: &BTreeMap<String, Vec<VisitRecord>>,
+    crawl: &BTreeMap<Persona, Vec<VisitRecord>>,
 ) {
     let mut keys = RecordKeys {
         bids: KeyParts::new(BidKey::count()),
@@ -132,7 +134,7 @@ pub(crate) fn hash_crawl(
             h.jump(&LIST_SEP);
         }
         h.byte(b'"');
-        str_body(h, persona);
+        str_body(h, persona.name());
         h.str("\": [");
         for (j, visit) in visits.iter().enumerate() {
             if j > 0 {
@@ -236,13 +238,13 @@ mod tests {
     use alexa_adtech::Bid;
 
     /// The reference: FNV-1a over the `Debug` text itself.
-    fn debug_hash(crawl: &BTreeMap<String, Vec<VisitRecord>>) -> u64 {
+    fn debug_hash(crawl: &BTreeMap<Persona, Vec<VisitRecord>>) -> u64 {
         let mut h = Fnv1a::new();
         h.str(&format!("{crawl:?}"));
         h.finish()
     }
 
-    fn walk_hash(crawl: &BTreeMap<String, Vec<VisitRecord>>) -> u64 {
+    fn walk_hash(crawl: &BTreeMap<Persona, Vec<VisitRecord>>) -> u64 {
         let mut h = Fnv1a::new();
         hash_crawl(&mut h, &mut LabelJumps::new(), crawl);
         h.finish()
@@ -305,6 +307,10 @@ mod tests {
             (self.next() % n as u64) as usize
         }
 
+        fn persona(&mut self) -> Persona {
+            Persona::all()[self.below(13)]
+        }
+
         fn str(&mut self) -> &'static str {
             STRINGS[self.below(STRINGS.len())]
         }
@@ -356,9 +362,9 @@ mod tests {
     fn empty_map_and_empty_lists_match_debug() {
         let mut crawl = BTreeMap::new();
         assert_eq!(walk_hash(&crawl), debug_hash(&crawl));
-        crawl.insert("Vanilla".to_string(), Vec::new());
+        crawl.insert(Persona::Vanilla, Vec::new());
         assert_eq!(walk_hash(&crawl), debug_hash(&crawl));
-        crawl.insert("Web \"Health\"".to_string(), vec![VisitRecord::default()]);
+        crawl.insert(Persona::WebHealth, vec![VisitRecord::default()]);
         assert_eq!(walk_hash(&crawl), debug_hash(&crawl));
     }
 
@@ -374,7 +380,7 @@ mod tests {
                 ..VisitRecord::default()
             })
             .collect();
-        let crawl = BTreeMap::from([("p".to_string(), visits)]);
+        let crawl = BTreeMap::from([(Persona::WebScience, visits)]);
         assert_eq!(walk_hash(&crawl), debug_hash(&crawl));
     }
 
@@ -385,7 +391,7 @@ mod tests {
             let mut crawl = BTreeMap::new();
             for _ in 0..g.below(4) {
                 let visits = (0..g.below(5)).map(|_| g.visit()).collect();
-                crawl.insert(g.str().to_string(), visits);
+                crawl.insert(g.persona(), visits);
             }
             assert_eq!(walk_hash(&crawl), debug_hash(&crawl), "seed {seed}");
         }
@@ -408,7 +414,7 @@ mod tests {
             )],
         };
         let hash =
-            |v: &VisitRecord| walk_hash(&BTreeMap::from([("p".to_string(), vec![v.clone()])]));
+            |v: &VisitRecord| walk_hash(&BTreeMap::from([(Persona::WebScience, vec![v.clone()])]));
         let mut seen = vec![hash(&base)];
         let mut mutants = Vec::new();
         let mut m = base.clone();

@@ -395,7 +395,7 @@ pub(crate) fn run_persona_shard(
             EchoDevice::new(Vantage::Router, &account, seed, plane.clone())
         });
         let tap = ShadowedTap::new(Vantage::Router, plane, shadow);
-        let profile = BrowserProfile::fresh(&persona.name(), all_index as u8 + 1, Some(&account));
+        let profile = BrowserProfile::fresh(persona.name(), all_index as u8 + 1, Some(&account));
         (device, tap, profile)
     });
 
@@ -769,19 +769,21 @@ pub(crate) fn run_avs_shard(
     }
 }
 
-/// Run one shard group on `config.jobs` workers: each shard fills its own
-/// [`ShardLog`] under its fixed structural index and submits it, and the
-/// results come back in label order whatever the schedule.
-fn fan_out<T: Send>(
+/// Run one shard group on `config.jobs` workers, one shard per item: each
+/// shard fills its own [`ShardLog`] under its fixed structural index and
+/// the item's label, and submits it, and the results come back in item
+/// order whatever the schedule.
+fn fan_out<I: Copy + Send + Sync, T: Send>(
     config: &AuditConfig,
     rec: &Recorder,
     group: &str,
-    labels: &[String],
-    run: &(impl Fn(usize, &mut ShardLog) -> T + Sync),
+    items: &[I],
+    label: fn(I) -> &'static str,
+    run: &(impl Fn(usize, I, &mut ShardLog) -> T + Sync),
 ) -> Vec<T> {
-    par_map(config.jobs, labels.iter().collect(), |i, label| {
-        let mut log = rec.shard(group, i, label);
-        let shard = run(i, &mut log);
+    par_map(config.jobs, items.to_vec(), |i, item| {
+        let mut log = rec.shard(group, i, label(item));
+        let shard = run(i, item, &mut log);
         rec.submit(log);
         shard
     })
@@ -871,14 +873,14 @@ impl AuditRun {
 
         // ---- AVS Echo plaintext pass, one shard per category (§3.2) -----
         let avs_shards = rec.stage("avs.pass", || {
-            let labels: Vec<String> = SkillCategory::ALL
-                .iter()
-                .map(|cat| cat.label().to_string())
-                .collect();
-            fan_out(config, rec, "avs", &labels, &|ci, log| {
-                let cat = SkillCategory::ALL[ci];
-                run_avs_shard(config, &market, &plane, ci, cat, shadow, log)
-            })
+            fan_out(
+                config,
+                rec,
+                "avs",
+                &SkillCategory::ALL,
+                SkillCategory::label,
+                &|ci, cat, log| run_avs_shard(config, &market, &plane, ci, cat, shadow, log),
+            )
         });
         let mut coverage = CoverageReport::new(config.fault.name());
         let mut shadow_flows = (0, 0);
@@ -906,50 +908,46 @@ impl AuditRun {
         // ---- Persona shards ----------------------------------------------
         let personas = Persona::all();
         let shards = rec.stage("persona.shards", || {
-            let labels: Vec<String> = personas.iter().map(|p| p.name()).collect();
-            fan_out(config, rec, "persona", &labels, &|i, log| {
-                run_persona_shard(
-                    config,
-                    &market,
-                    &crawler,
-                    &sites,
-                    &plane,
-                    personas[i],
-                    i,
-                    shadow,
-                    log,
-                )
-            })
+            fan_out(
+                config,
+                rec,
+                "persona",
+                &personas,
+                Persona::name,
+                &|i, persona, log| {
+                    run_persona_shard(
+                        config, &market, &crawler, &sites, &plane, persona, i, shadow, log,
+                    )
+                },
+            )
         });
 
         // Merge in fixed persona order (par_map preserves input order).
         let firewall = rec.stage("merge", || {
             let mut shadow_captures = std::collections::BTreeMap::new();
             for (persona, shard) in Persona::all().into_iter().zip(shards) {
-                let name = persona.name();
                 if let Some(captures) = shard.router_captures {
-                    obs.router_captures.insert(name.clone(), captures);
+                    obs.router_captures.insert(persona, captures);
                 }
                 if let Some(captures) = shard.shadow_captures {
-                    shadow_captures.insert(name.clone(), captures);
+                    shadow_captures.insert(persona, captures);
                 }
                 if !shard.failed_installs.is_empty() {
-                    obs.failed_installs
-                        .insert(name.clone(), shard.failed_installs);
+                    obs.failed_installs.insert(persona, shard.failed_installs);
                 }
                 for (phase, export) in shard.dsar {
-                    obs.dsar.insert((name.clone(), phase), export);
+                    obs.dsar.insert((persona, phase), export);
                 }
-                obs.crawl.insert(name.clone(), shard.crawl);
+                obs.crawl.insert(persona, shard.crawl);
                 for (service, transcripts) in shard.audio {
-                    obs.audio.insert((name.clone(), service), transcripts);
+                    obs.audio.insert((persona, service), transcripts);
                 }
                 coverage.section("skill.installs").merge(shard.installs);
                 coverage
                     .section("skill.interactions")
                     .merge(shard.interactions);
                 coverage.section("crawl.visits").merge(shard.visits);
-                coverage.merge_ledger(&name, &shard.ledger);
+                coverage.merge_ledger(persona.name(), &shard.ledger);
             }
             shadow.then(|| measure_shadow(&mut obs, shadow_captures, shadow_flows))
         });
@@ -999,7 +997,7 @@ impl AuditRun {
 /// to [`defense::measure`] of an executed `Firewall` run.
 fn measure_shadow(
     obs: &mut Observations,
-    router_captures: std::collections::BTreeMap<String, Vec<Capture>>,
+    router_captures: std::collections::BTreeMap<Persona, Vec<Capture>>,
     (voice, text): (usize, usize),
 ) -> Measurement {
     let traffic = Observations {
@@ -1034,7 +1032,7 @@ fn scraped_script(skill: &alexa_platform::Skill) -> Vec<String> {
 /// (hidden from the auditor; visible to the ad stack). Web personas carry
 /// their priming topic.
 fn user_state(persona: Persona, cloud: &AlexaCloud) -> UserState {
-    let mut user = UserState::blank(&persona.name());
+    let mut user = UserState::blank(persona.name());
     match persona {
         Persona::Interest(_) | Persona::Vanilla => {
             user.amazon_customer = true;
@@ -1069,8 +1067,8 @@ mod tests {
     #[test]
     fn vanilla_has_no_skill_captures() {
         let obs = AuditRun::execute(AuditConfig::small(3));
-        assert!(obs.router_captures["Vanilla"].is_empty());
-        assert!(!obs.router_captures["Connected Car"].is_empty());
+        assert!(obs.router_captures[&Persona::Vanilla].is_empty());
+        assert!(!obs.router_captures[&Persona::Interest(SkillCategory::ConnectedCar)].is_empty());
     }
 
     #[test]
@@ -1078,7 +1076,7 @@ mod tests {
         let cfg = AuditConfig::small(3);
         let total = cfg.pre_iterations + cfg.post_iterations;
         let obs = AuditRun::execute(cfg.clone());
-        let visits = &obs.crawl["Vanilla"];
+        let visits = &obs.crawl[&Persona::Vanilla];
         assert_eq!(visits.len(), total * cfg.crawl_sites);
         let max_iter = visits.iter().map(|v| v.iteration).max().unwrap();
         assert_eq!(max_iter, total - 1);
@@ -1089,7 +1087,7 @@ mod tests {
         let a = AuditRun::execute(AuditConfig::small(11));
         let b = AuditRun::execute(AuditConfig::small(11));
         let bids = |o: &Observations| {
-            o.crawl["Fashion & Style"]
+            o.crawl[&Persona::Interest(SkillCategory::FashionStyle)]
                 .iter()
                 .flat_map(|v| v.bids.iter().map(|b| (b.slot_id(), b.cpm())))
                 .collect::<Vec<_>>()

@@ -5,13 +5,15 @@
 //! the raw captures packet-by-packet with per-endpoint `String` clones —
 //! O(artifacts × packets) work that made rendering 82% of a paper-scale
 //! run's wall time. The index performs each scan exactly once and stores
-//! the results in dense, sorted tables keyed by interned `u32` symbols:
+//! the results in dense, sorted tables. It adds no label space of its own:
+//! hosts and ad slots stay the observations' interned [`alexa_net::Label`]s
+//! (as [`Domain`]s and slot labels), personas stay [`Persona`]s, and every
+//! other text (organizations, skill ids, names, vendors) is borrowed from
+//! the observations:
 //!
-//! * a label table ([`Interner`]) mapping hosts, organizations, skill ids,
-//!   personas and ad-slot ids to symbols;
-//! * per-host attributes ([`HostInfo`]: registrable domain, organization,
-//!   traffic purpose) computed once per distinct endpoint, the hosts
-//!   sorted by text once;
+//! * per-host attributes ([`HostInfo`]: the endpoint, its registrable
+//!   domain, organization, traffic purpose) computed once per distinct
+//!   endpoint, the hosts sorted by text once;
 //! * per-(persona, skill) flow aggregates ([`SkillFlows`]) with per-host
 //!   packet counts, counted into a dense table indexed by each host's rank
 //!   (found through its [`alexa_net::Label`] id), in the exact iteration
@@ -25,12 +27,11 @@
 //!   AVS data-type map — each shared by several artifacts.
 //!
 //! Determinism: every table is built by iterating `BTreeMap`s of the
-//! observations, and every ordered table is sorted by text, never by an
-//! interned id, so the index — and everything rendered from it — is a pure
-//! function of the observable record, independent of thread count and of
-//! the order in which the process interned its labels and keys.
-
-#![deny(clippy::indexing_slicing)]
+//! observations (keyed by [`Persona`], ordered by name), and every ordered
+//! table is sorted by text, never by an interned id, so the index — and
+//! everything rendered from it — is a pure function of the observable
+//! record, independent of thread count and of the order in which the
+//! process interned its labels and keys.
 
 use crate::analysis::partners::{SyncAnalysis, AMAZON_AD_ENDPOINT};
 use crate::observations::{Observations, SkillMeta};
@@ -38,7 +39,7 @@ use crate::persona::Persona;
 use alexa_adtech::{
     AudioAdExtractor, BidKey, Label, StreamingService, SyncObservation, VisitRecord,
 };
-use alexa_net::{Capture, DataType, Domain, FilterList, OrgClass, TrafficPurpose};
+use alexa_net::{Capture, DataType, Domain, FilterList, OrgClass, TrafficPurpose, AMAZON};
 use alexa_policy::{CompiledPolicy, FlowExtractor, PoliCheck};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -73,16 +74,6 @@ impl<T: Copy> Marks<T> {
     }
 }
 
-/// Marks over labels.
-type LabelMarks = Marks<Label>;
-
-impl LabelMarks {
-    /// The marked labels' texts.
-    fn texts(&self) -> BTreeSet<String> {
-        self.items.iter().map(|l| l.as_str().to_string()).collect()
-    }
-}
-
 /// The crawl's cookie-sync structure: Amazon's partners push to
 /// [`AMAZON_AD_ENDPOINT`], and their downstream parties are every
 /// non-Amazon organization a partner pushes to. Two passes over the sync
@@ -90,7 +81,7 @@ impl LabelMarks {
 /// Each pass resolves each distinct triple once (5,278 of 107,556 events
 /// at seed 7): the first pass flags the triples it met, the second clears
 /// each flag as it goes.
-fn sync_structure(crawl: &BTreeMap<String, Vec<VisitRecord>>) -> (SyncAnalysis, LabelMarks) {
+fn sync_structure(crawl: &BTreeMap<Persona, Vec<VisitRecord>>) -> (SyncAnalysis, Marks<Label>) {
     let amazon = Label::intern(AMAZON_AD_ENDPOINT);
     let syncs = || crawl.values().flatten().flat_map(|v| &v.syncs);
     let mut met = vec![false; SyncObservation::count()];
@@ -118,96 +109,56 @@ fn sync_structure(crawl: &BTreeMap<String, Vec<VisitRecord>>) -> (SyncAnalysis, 
     }
     let sync = SyncAnalysis {
         amazon_syncs_out,
-        amazon_partners: partners.texts(),
-        downstream_parties: downstream.texts(),
+        amazon_partners: partners.items.iter().copied().collect(),
+        downstream_parties: downstream.items.into_iter().collect(),
     };
     (sync, partners)
-}
-
-/// An interned label: index into the run's [`Interner`].
-pub(crate) type Sym = u32;
-
-/// String interner: hosts, orgs, skill ids, personas and slot ids become
-/// `u32` symbols compared and grouped without touching the bytes.
-#[derive(Debug, Default)]
-pub struct Interner {
-    strings: Vec<String>,
-    lookup: BTreeMap<String, Sym>,
-}
-
-impl Interner {
-    /// Intern `s`, returning its stable symbol.
-    pub fn intern(&mut self, s: &str) -> Sym {
-        if let Some(&id) = self.lookup.get(s) {
-            return id;
-        }
-        let id = self.strings.len() as Sym;
-        self.lookup.insert(s.to_string(), id);
-        self.strings.push(s.to_string());
-        id
-    }
-
-    /// Resolve a symbol back to its text ("" for a symbol this interner
-    /// did not hand out).
-    pub fn resolve(&self, sym: Sym) -> &str {
-        self.strings.get(sym as usize).map_or("", String::as_str)
-    }
-
-    /// Number of interned strings.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// Whether nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
 }
 
 /// Everything the analyses need to know about one distinct endpoint host,
 /// computed once (instead of once per artifact per packet).
 #[derive(Debug, Clone, Copy)]
-pub struct HostInfo {
-    /// Full host name.
-    pub host: Sym,
+pub struct HostInfo<'a> {
+    /// The endpoint.
+    pub host: Domain,
     /// Registrable domain (eTLD+1), falling back to the host itself.
-    pub registrable: Sym,
+    pub registrable: Domain,
     /// Owning organization, when the org database knows it.
-    pub org: Option<Sym>,
+    pub org: Option<&'a str>,
     /// Organization with the registrable-domain fallback (the paper's
     /// WHOIS fallback, used by Figure 2 and the endpoint-policy analysis).
-    pub org_or_reg: Sym,
+    pub org_or_reg: &'a str,
     /// Whether the filter list classifies the host as advertising/tracking.
     pub ad_tracking: bool,
 }
 
 /// Packet count for one host within one (persona, skill) flow group.
 #[derive(Debug, Clone, Copy)]
-pub struct HostCount {
+struct HostCount {
     /// Index into [`AnalysisIndex::hosts`].
-    pub host: u32,
+    host: u32,
     /// Packets the skill session sent to this host.
-    pub packets: u32,
+    packets: u32,
 }
 
 /// Merged traffic of one skill under one persona (only skills that
 /// produced traffic — failed installs carry no endpoint evidence).
 #[derive(Debug, Clone)]
-pub struct SkillFlows {
-    /// Persona name.
-    pub persona: Sym,
+pub struct SkillFlows<'a> {
+    /// Persona whose device produced the traffic.
+    pub persona: Persona,
     /// Skill id (capture label).
-    pub skill: Sym,
+    pub skill: &'a str,
     /// Skill display name (falls back to the id when the catalog has no
     /// entry).
-    pub name: Sym,
+    pub name: &'a str,
     /// Vendor organization ("" when unknown).
-    pub vendor: Sym,
+    pub vendor: &'a str,
     /// Total packets across the skill's sessions.
     pub packets: u32,
-    /// This group's per-host packet counts: a range into
-    /// [`AnalysisIndex::host_counts`], hosts in lexicographic order.
-    pub hosts: Range<u32>,
+    /// This group's per-host packet counts, hosts in lexicographic order
+    /// (read through [`AnalysisIndex::hosts_of`]).
+    hosts: Range<u32>,
 }
 
 /// One crawl bid as the bid analyses read it: its slot resolved to a rank
@@ -274,38 +225,30 @@ pub struct AnalysisIndex<'a> {
     /// The raw observable record (for the few cheap analyses — DSAR,
     /// creatives, policy documents — that read it directly).
     pub obs: &'a Observations,
-    /// The run's label table.
-    pub symbols: Interner,
     /// Distinct endpoint hosts in lexicographic order.
-    pub hosts: Vec<HostInfo>,
-    /// The endpoint behind each [`AnalysisIndex::hosts`] entry (same order),
-    /// for predicates over the parsed name such as the defense lens's
-    /// firewall verdict.
-    pub domains: Vec<Domain>,
+    pub hosts: Vec<HostInfo<'a>>,
     /// Per-(persona, skill) flow groups, personas then skills in
     /// lexicographic order.
-    pub flows: Vec<SkillFlows>,
+    pub flows: Vec<SkillFlows<'a>>,
     /// Arena backing each flow group's `hosts` range.
-    pub host_counts: Vec<HostCount>,
+    host_counts: Vec<HostCount>,
     /// Per-persona ranges into [`AnalysisIndex::flows`], personas in
     /// lexicographic order (flow groups are persona-contiguous).
-    pub persona_flows: Vec<(Sym, Range<u32>)>,
+    pub persona_flows: Vec<(Persona, Range<u32>)>,
     /// Distinct ad-slot ids in lexicographic order.
-    pub slots: Vec<Sym>,
+    pub slots: Vec<Label>,
     /// Each bid key's slot rank and partner flag, by key id.
     bid_keys: Vec<KeyInfo>,
     /// Recovered cookie-sync structure (partners, downstream parties).
     pub sync: SyncAnalysis,
     /// Extracted audio ads per (persona, streaming service).
-    pub audio_ads: BTreeMap<(String, StreamingService), Vec<String>>,
+    pub audio_ads: BTreeMap<(Persona, StreamingService), Vec<String>>,
     /// Data types observed per skill in the AVS plaintext captures.
     pub types_per_skill: BTreeMap<String, BTreeSet<DataType>>,
     /// Every downloaded policy, compiled once, by skill id.
     pub policies: BTreeMap<&'a str, CompiledPolicy>,
     /// The one PoliCheck analyzer every policy artifact classifies with.
     pub policheck: PoliCheck,
-    /// `Amazon Technologies, Inc.` as a symbol.
-    pub amazon: Sym,
     meta_by_id: BTreeMap<&'a str, &'a SkillMeta>,
     /// Memoized [`AnalysisIndex::common_slots`] masks. About a dozen
     /// artifacts ask for the same (persona set, window) masks; the mask is
@@ -320,8 +263,6 @@ impl<'a> AnalysisIndex<'a> {
     /// Build the index: one pass over each observation table.
     pub fn build(obs: &'a Observations) -> AnalysisIndex<'a> {
         let fl = FilterList::new();
-        let mut symbols = Interner::default();
-        let amazon = symbols.intern(alexa_net::AMAZON);
 
         let meta_by_id: BTreeMap<&str, &SkillMeta> =
             obs.catalog.iter().map(|m| (m.id.as_str(), m)).collect();
@@ -344,22 +285,18 @@ impl<'a> AnalysisIndex<'a> {
         }
         domains.sort_unstable();
         let mut hosts = Vec::with_capacity(domains.len());
-        for (rank, d) in (0..).zip(&domains) {
-            if let Some(r) = host_rank.get_mut(d.name().id()) {
+        for (rank, &host) in (0..).zip(&domains) {
+            if let Some(r) = host_rank.get_mut(host.name().id()) {
                 *r = rank;
             }
-            let host = symbols.intern(d.as_str());
-            let registrable = match d.registrable() {
-                Some(r) => symbols.intern(r.as_str()),
-                None => host,
-            };
-            let org = obs.orgs.org_of(d).map(|o| symbols.intern(o));
+            let registrable = host.registrable().unwrap_or(host);
+            let org = obs.orgs.org_of(&host);
             hosts.push(HostInfo {
                 host,
                 registrable,
                 org,
-                org_or_reg: org.unwrap_or(registrable),
-                ad_tracking: fl.is_ad_tracking(d),
+                org_or_reg: org.unwrap_or(registrable.as_str()),
+                ad_tracking: fl.is_ad_tracking(&host),
             });
         }
 
@@ -371,11 +308,10 @@ impl<'a> AnalysisIndex<'a> {
         let mut flows: Vec<SkillFlows> = Vec::new();
         let mut host_counts = Vec::new();
         let mut persona_flows = Vec::new();
-        let mut counts = vec![0u32; domains.len()];
+        let mut counts = vec![0u32; hosts.len()];
         let mut touched: Vec<u32> = Vec::new();
         let mut by_label: Vec<&Capture> = Vec::new();
-        for (persona, caps) in &obs.router_captures {
-            let persona_sym = symbols.intern(persona);
+        for (&persona, caps) in &obs.router_captures {
             let flows_start = flows.len() as u32;
             by_label.clear();
             by_label.extend(caps);
@@ -405,22 +341,18 @@ impl<'a> AnalysisIndex<'a> {
                     host,
                     packets: counts.get_mut(host as usize).map_or(0, std::mem::take),
                 }));
-                let label = first.label.as_str();
-                let meta = meta_by_id.get(label).copied();
-                let skill = symbols.intern(label);
+                let skill = first.label.as_str();
+                let meta = meta_by_id.get(skill).copied();
                 flows.push(SkillFlows {
-                    persona: persona_sym,
+                    persona,
                     skill,
-                    name: meta.map_or(skill, |m| symbols.intern(&m.name)),
-                    vendor: match meta {
-                        Some(m) => symbols.intern(&m.vendor),
-                        None => symbols.intern(""),
-                    },
+                    name: meta.map_or(skill, |m| m.name.as_str()),
+                    vendor: meta.map_or("", |m| m.vendor.as_str()),
                     packets,
                     hosts: start..host_counts.len() as u32,
                 });
             }
-            persona_flows.push((persona_sym, flows_start..flows.len() as u32));
+            persona_flows.push((persona, flows_start..flows.len() as u32));
         }
 
         let (sync, partners) = sync_structure(&obs.crawl);
@@ -436,33 +368,26 @@ impl<'a> AnalysisIndex<'a> {
         keys.items
             .iter()
             .for_each(|k| slot_labels.mark(k.slot_id().id(), k.slot_id()));
-        let mut slot_labels = slot_labels.items;
-        slot_labels.sort_unstable();
+        let mut slots = slot_labels.items;
+        slots.sort_unstable();
         let mut bid_keys = vec![KeyInfo::default(); keys.marked.len()];
         for k in &keys.items {
-            if let (Some(info), Ok(slot)) = (
-                bid_keys.get_mut(k.id()),
-                slot_labels.binary_search(&k.slot_id()),
-            ) {
+            if let (Some(info), Ok(slot)) =
+                (bid_keys.get_mut(k.id()), slots.binary_search(&k.slot_id()))
+            {
                 *info = KeyInfo {
                     slot: slot as u32,
                     partner: partners.contains(k.bidder().id()),
                 };
             }
         }
-        let slots: Vec<Sym> = slot_labels
-            .iter()
-            .map(|l| symbols.intern(l.as_str()))
-            .collect();
 
         // Shared extraction passes for the audio and policy artifacts.
         let extractor = AudioAdExtractor::new();
         let audio_ads = obs
             .audio
             .iter()
-            .map(|((persona, service), transcripts)| {
-                ((persona.clone(), *service), extractor.extract(transcripts))
-            })
+            .map(|(&key, transcripts)| (key, extractor.extract(transcripts)))
             .collect();
         let types_per_skill = FlowExtractor::new().data_types(&obs.avs_captures);
         let policies = obs
@@ -473,9 +398,7 @@ impl<'a> AnalysisIndex<'a> {
 
         AnalysisIndex {
             obs,
-            symbols,
             hosts,
-            domains,
             flows,
             host_counts,
             persona_flows,
@@ -486,34 +409,33 @@ impl<'a> AnalysisIndex<'a> {
             types_per_skill,
             policies,
             policheck: PoliCheck::new(),
-            amazon,
             meta_by_id,
             slot_masks: std::sync::Mutex::new(Vec::new()),
         }
     }
 
-    /// Resolve a symbol to its text.
-    pub fn str_of(&self, sym: Sym) -> &str {
-        self.symbols.resolve(sym)
-    }
-
-    /// The per-host packet counts of one flow group.
-    pub fn hosts_of(&self, flow: &SkillFlows) -> &[HostCount] {
-        let hosts = flow.hosts.start as usize..flow.hosts.end as usize;
-        self.host_counts.get(hosts).unwrap_or_default()
+    /// The hosts one flow group contacted, in lexicographic order, each
+    /// with the packets the group sent it.
+    pub fn hosts_of(&self, flow: &SkillFlows) -> impl Iterator<Item = (&HostInfo<'a>, u32)> + '_ {
+        let counts = flow.hosts.start as usize..flow.hosts.end as usize;
+        self.host_counts
+            .get(counts)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|hc| Some((self.hosts.get(hc.host as usize)?, hc.packets)))
     }
 
     /// The flow groups of one persona range from [`AnalysisIndex::persona_flows`].
-    pub fn flows_in(&self, range: &Range<u32>) -> &[SkillFlows] {
+    pub fn flows_in(&self, range: &Range<u32>) -> &[SkillFlows<'a>] {
         let flows = range.start as usize..range.end as usize;
         self.flows.get(flows).unwrap_or_default()
     }
 
-    /// Classify a host relative to a skill vendor — symbol-compare form of
-    /// `OrgMap::classify`. Unknown organizations are third party.
-    pub fn org_class(&self, host: &HostInfo, vendor: Sym) -> OrgClass {
+    /// Classify a host relative to a skill vendor — `OrgMap::classify` over
+    /// the pre-resolved organization. Unknown organizations are third party.
+    pub fn org_class(&self, host: &HostInfo, vendor: &str) -> OrgClass {
         match host.org {
-            Some(o) if o == self.amazon => OrgClass::Amazon,
+            Some(o) if o == AMAZON => OrgClass::Amazon,
             Some(o) if o == vendor => OrgClass::SkillVendor,
             _ => OrgClass::ThirdParty,
         }
@@ -542,11 +464,7 @@ impl<'a> AnalysisIndex<'a> {
     /// A persona's crawl bids, read in place (empty when it did not crawl).
     pub fn bids_of(&self, persona: Persona) -> BidView<'_> {
         BidView {
-            visits: self
-                .obs
-                .crawl
-                .get(&persona.name())
-                .map_or(&[], Vec::as_slice),
+            visits: self.obs.crawl.get(&persona).map_or(&[], Vec::as_slice),
             keys: &self.bid_keys,
         }
     }
@@ -639,19 +557,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn interner_roundtrip_and_dedup() {
-        let mut i = Interner::default();
-        let a = i.intern("alpha");
-        let b = i.intern("beta");
-        assert_ne!(a, b);
-        assert_eq!(i.intern("alpha"), a);
-        assert_eq!(i.resolve(a), "alpha");
-        assert_eq!(i.resolve(b), "beta");
-        assert_eq!(i.len(), 2);
-        assert!(!i.is_empty());
-    }
-
-    #[test]
     fn crawl_bids_are_12_bytes() {
         // The bid views scan the crawl's records in place: 12 bytes a bid.
         assert_eq!(std::mem::size_of::<alexa_adtech::Bid>(), 12);
@@ -663,7 +568,7 @@ mod tests {
         let bid = |slot_id| Bid::new(Label::intern("b.example"), Label::intern(slot_id), 1.0);
         let mut obs = Observations::default();
         obs.crawl.insert(
-            Persona::Vanilla.name(),
+            Persona::Vanilla,
             vec![VisitRecord {
                 iteration: 1,
                 bids: vec![bid("s#slot0"), bid("s#slot1")],
@@ -712,7 +617,7 @@ mod tests {
         let n_bids: u64 = visits.iter().map(|v| v.bids.len() as u64).sum();
         assert!(n_bids >= 100_000);
         let mut obs = Observations::default();
-        obs.crawl.insert(Persona::Vanilla.name(), visits);
+        obs.crawl.insert(Persona::Vanilla, visits);
         let before = alexa_obs::alloc::snapshot();
         let ix = AnalysisIndex::build(&obs);
         let bytes = alexa_obs::alloc::snapshot().bytes - before.bytes;
@@ -748,7 +653,7 @@ mod tests {
         let mut obs = Observations::default();
         // Two sessions of skill-b (merged) around one of skill-a.
         obs.router_captures.insert(
-            Persona::Vanilla.name(),
+            Persona::Vanilla,
             vec![
                 session("skill-b", &[zz, aa, zz]),
                 session("skill-a", &[mm]),
@@ -756,30 +661,17 @@ mod tests {
             ],
         );
         let ix = AnalysisIndex::build(&obs);
-        let hosts: Vec<&str> = ix.hosts.iter().map(|h| ix.str_of(h.host)).collect();
-        assert_eq!(hosts, names.iter().rev().copied().collect::<Vec<_>>());
-        assert_eq!(ix.domains, [aa, mm, zz]);
+        let hosts: Vec<Domain> = ix.hosts.iter().map(|h| h.host).collect();
+        assert_eq!(hosts, [aa, mm, zz]);
         let flows: Vec<String> = ix
             .flows
             .iter()
             .map(|f| {
                 let per_host: Vec<String> = ix
                     .hosts_of(f)
-                    .iter()
-                    .map(|hc| {
-                        format!(
-                            "{}={}",
-                            ix.str_of(ix.hosts[hc.host as usize].host),
-                            hc.packets
-                        )
-                    })
+                    .map(|(h, packets)| format!("{}={packets}", h.host.as_str()))
                     .collect();
-                format!(
-                    "{} {}: {}",
-                    ix.str_of(f.skill),
-                    f.packets,
-                    per_host.join(" ")
-                )
+                format!("{} {}: {}", f.skill, f.packets, per_host.join(" "))
             })
             .collect();
         assert_eq!(
@@ -789,6 +681,89 @@ mod tests {
                 "skill-b 4: aa.index-order.com=1 mm.index-order.com=1 zz.index-order.com=2",
             ]
         );
+    }
+
+    /// Observations with `k` skills, each contacting its own host under its
+    /// own registrable domain, owned by its own organization.
+    fn distinct_texts(k: usize) -> Observations {
+        use alexa_net::{Capture, Packet, Payload};
+        let ip = std::net::Ipv4Addr::new(10, 0, 0, 1);
+        let mut obs = Observations::default();
+        let mut captures = Vec::new();
+        for i in 0..k {
+            let host = Domain::parse(&format!("api.texts{i}.com")).unwrap();
+            // Intern the registrable label up front: the build only reads it.
+            let registrable = host.registrable().unwrap();
+            obs.orgs
+                .register(registrable.as_str(), &format!("Texts {i}, Inc."));
+            let mut c = Capture::new(format!("skill-{i}"));
+            c.packets = vec![Packet::outgoing(1, host, ip, Payload::Encrypted { len: 1 })];
+            captures.push(c);
+            obs.catalog.push(SkillMeta {
+                id: format!("skill-{i}"),
+                name: format!("Skill {i}"),
+                vendor: format!("Vendor {i}"),
+                category: alexa_platform::SkillCategory::Dating,
+                reviews: 1,
+                streaming: false,
+                policy_link: false,
+            });
+        }
+        obs.router_captures.insert(Persona::Vanilla, captures);
+        obs
+    }
+
+    #[test]
+    fn build_borrows_its_texts() {
+        // Each distinct skill brings six texts (host, registrable domain,
+        // org, skill id, name, vendor); copying each into the index would
+        // cost at least two allocations per extra skill.
+        const K: usize = 400;
+        let allocations = |k: usize| {
+            let obs = distinct_texts(k);
+            let before = alexa_obs::alloc::snapshot();
+            let ix = AnalysisIndex::build(&obs);
+            let count = alexa_obs::alloc::snapshot().count - before.count;
+            assert_eq!((ix.hosts.len(), ix.flows.len()), (k, k));
+            let first = &ix.flows[0];
+            let (host, packets) = ix.hosts_of(first).next().unwrap();
+            assert_eq!(
+                (
+                    first.skill,
+                    first.name,
+                    first.vendor,
+                    host.org_or_reg,
+                    packets
+                ),
+                ("skill-0", "Skill 0", "Vendor 0", "Texts 0, Inc.", 1)
+            );
+            count
+        };
+        let (one, two) = (allocations(K), allocations(2 * K));
+        assert!(
+            two - one < K as u64,
+            "{K} more skills cost {} more allocations ({one} → {two})",
+            two - one
+        );
+    }
+
+    #[test]
+    fn skill_meta_lookup() {
+        let obs = Observations {
+            catalog: vec![SkillMeta {
+                id: "car-garmin".into(),
+                name: "Garmin".into(),
+                vendor: "Garmin International".into(),
+                category: alexa_platform::SkillCategory::ConnectedCar,
+                reviews: 2143,
+                streaming: true,
+                policy_link: false,
+            }],
+            ..Observations::default()
+        };
+        let ix = AnalysisIndex::build(&obs);
+        assert_eq!(ix.skill_meta("car-garmin").unwrap().name, "Garmin");
+        assert!(ix.skill_meta("nope").is_none());
     }
 
     #[test]

@@ -36,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(unreachable_pub)]
+#![deny(clippy::indexing_slicing)]
 
 pub mod analysis;
 mod artifacts;

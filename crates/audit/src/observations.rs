@@ -47,23 +47,23 @@ pub struct Observations {
     pub post_iterations: usize,
     /// Router-tap captures (encrypted view) per Echo persona, one capture
     /// per skill session.
-    pub router_captures: BTreeMap<String, Vec<Capture>>,
+    pub router_captures: BTreeMap<Persona, Vec<Capture>>,
     /// AVS Echo captures (plaintext view), one capture per skill, from the
     /// dedicated AVS lab account.
     pub avs_captures: Vec<Capture>,
-    /// Crawl records per persona name: all visits, all iterations.
-    pub crawl: BTreeMap<String, Vec<VisitRecord>>,
-    /// Audio transcripts per (persona name, streaming service).
-    pub audio: BTreeMap<(String, StreamingService), Vec<String>>,
-    /// DSAR exports per (persona name, request phase).
-    pub dsar: BTreeMap<(String, DsarPhase), DsarExport>,
+    /// Crawl records per persona: all visits, all iterations.
+    pub crawl: BTreeMap<Persona, Vec<VisitRecord>>,
+    /// Audio transcripts per (persona, streaming service).
+    pub audio: BTreeMap<(Persona, StreamingService), Vec<String>>,
+    /// DSAR exports per (persona, request phase).
+    pub dsar: BTreeMap<(Persona, DsarPhase), DsarExport>,
     /// Downloaded policy documents per skill id (`None` = no retrievable
     /// policy).
     pub policies: BTreeMap<String, Option<PolicyDoc>>,
     /// Public marketplace metadata for the 450 studied skills.
     pub catalog: Vec<SkillMeta>,
     /// Skills that failed to load during installation, per persona.
-    pub failed_installs: BTreeMap<String, Vec<String>>,
+    pub failed_installs: BTreeMap<Persona, Vec<String>>,
     /// The auditor's domain→organization database (DuckDuckGo entities +
     /// Crunchbase + WHOIS in the paper; observable public information).
     pub orgs: OrgMap,
@@ -73,11 +73,6 @@ pub struct Observations {
 }
 
 impl Observations {
-    /// Catalog metadata for a skill id.
-    pub fn skill_meta(&self, id: &str) -> Option<&SkillMeta> {
-        self.catalog.iter().find(|m| m.id == id)
-    }
-
     /// All crawl visits for a persona within an iteration range.
     pub fn visits_in(
         &self,
@@ -85,7 +80,7 @@ impl Observations {
         iterations: std::ops::Range<usize>,
     ) -> Vec<&VisitRecord> {
         self.crawl
-            .get(&persona.name())
+            .get(&persona)
             .map(|v| {
                 v.iter()
                     .filter(|r| iterations.contains(&r.iteration))
@@ -176,24 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn skill_meta_lookup() {
-        let obs = Observations {
-            catalog: vec![SkillMeta {
-                id: "car-garmin".into(),
-                name: "Garmin".into(),
-                vendor: "Garmin International".into(),
-                category: SkillCategory::ConnectedCar,
-                reviews: 2143,
-                streaming: true,
-                policy_link: false,
-            }],
-            ..Observations::default()
-        };
-        assert_eq!(obs.skill_meta("car-garmin").unwrap().name, "Garmin");
-        assert!(obs.skill_meta("nope").is_none());
-    }
-
-    #[test]
     fn visits_in_filters_by_iteration() {
         let mut obs = Observations::default();
         let mk = |iteration| VisitRecord {
@@ -201,7 +178,7 @@ mod tests {
             ..VisitRecord::default()
         };
         obs.crawl
-            .insert("Vanilla".into(), vec![mk(0), mk(3), mk(9)]);
+            .insert(Persona::Vanilla, vec![mk(0), mk(3), mk(9)]);
         assert_eq!(obs.visits_in(Persona::Vanilla, 0..4).len(), 2);
         assert_eq!(obs.visits_in(Persona::Vanilla, 4..20).len(), 1);
         assert!(obs.visits_in(Persona::WebHealth, 0..20).is_empty());

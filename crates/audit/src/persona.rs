@@ -7,7 +7,11 @@ use alexa_platform::SkillCategory;
 /// Nine *interest* personas (one per skill category), one *vanilla* control
 /// (Amazon account + Echo, no skill interaction), and three *web* controls
 /// primed by browsing topical websites instead of using an Echo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// A persona keys the observation maps and reads as its display name: `Ord`
+/// compares [`Persona::name`] (so maps iterate in the paper's name order)
+/// and `Debug` prints the quoted name, exactly as `&str` does.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Persona {
     /// Treatment: installs and interacts with one category's top-50 skills.
     Interest(SkillCategory),
@@ -55,13 +59,13 @@ impl Persona {
     }
 
     /// Display name, matching the paper's tables.
-    pub fn name(self) -> String {
+    pub fn name(self) -> &'static str {
         match self {
-            Persona::Interest(c) => c.label().to_string(),
-            Persona::Vanilla => "Vanilla".to_string(),
-            Persona::WebHealth => "Web Health".to_string(),
-            Persona::WebScience => "Web Science".to_string(),
-            Persona::WebComputers => "Web Computers".to_string(),
+            Persona::Interest(c) => c.label(),
+            Persona::Vanilla => "Vanilla",
+            Persona::WebHealth => "Web Health",
+            Persona::WebScience => "Web Science",
+            Persona::WebComputers => "Web Computers",
         }
     }
 
@@ -102,7 +106,25 @@ impl Persona {
 
 impl std::fmt::Display for Persona {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name())
+        f.write_str(self.name())
+    }
+}
+
+impl std::fmt::Debug for Persona {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.name(), f)
+    }
+}
+
+impl Ord for Persona {
+    fn cmp(&self, other: &Persona) -> std::cmp::Ordering {
+        self.name().cmp(other.name())
+    }
+}
+
+impl PartialOrd for Persona {
+    fn partial_cmp(&self, other: &Persona) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -141,5 +163,19 @@ mod tests {
             "Fashion & Style"
         );
         assert_eq!(Persona::Vanilla.name(), "Vanilla");
+    }
+
+    #[test]
+    fn order_and_debug_are_the_names() {
+        // Maps keyed by persona must iterate, and print, exactly as maps
+        // keyed by the name text did.
+        let mut by_ord = Persona::all();
+        by_ord.sort();
+        let mut by_name = Persona::all();
+        by_name.sort_by_key(|p| p.name());
+        assert_eq!(by_ord, by_name);
+        for p in Persona::all() {
+            assert_eq!(format!("{p:?}"), format!("{:?}", p.name()));
+        }
     }
 }

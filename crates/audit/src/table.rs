@@ -98,8 +98,9 @@ impl TextTable {
         let mut widths = vec![0usize; cols];
         // First pass: measure, walking the same row runs emit will.
         let measure = |widths: &mut [usize], first: usize, last: usize| {
-            for (col, &span) in self.spans[first..last].iter().enumerate() {
-                widths[col] = widths[col].max(self.span_str(span).chars().count());
+            let cells = self.spans.get(first..last).unwrap_or_default();
+            for (width, &span) in widths.iter_mut().zip(cells) {
+                *width = (*width).max(self.span_str(span).chars().count());
             }
         };
         measure(&mut widths, 0, self.header_cells);
@@ -131,13 +132,9 @@ impl TextTable {
     /// Emit one padded row (`spans[first..last]`) plus a newline, trimming
     /// trailing whitespace like the original row formatter did.
     fn emit_row(&self, out: &mut String, widths: &[usize], first: usize, last: usize) -> usize {
-        let line_cells = last - first;
+        let cells = self.spans.get(first..last).unwrap_or_default();
         for (col, w) in widths.iter().enumerate() {
-            let text = if col < line_cells {
-                self.span_str(self.spans[first + col])
-            } else {
-                ""
-            };
+            let text = cells.get(col).map_or("", |&span| self.span_str(span));
             out.push_str(text);
             if col + 1 < widths.len() {
                 let pad = w.saturating_sub(text.chars().count()) + 2;
@@ -150,7 +147,7 @@ impl TextTable {
             out.pop();
         }
         out.push('\n');
-        line_cells
+        cells.len()
     }
 
     /// Render to a fresh `String` (convenience wrapper over `render_into`).

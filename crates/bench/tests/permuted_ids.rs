@@ -157,9 +157,9 @@ fn ids_interned_in_reverse_text_order_change_nothing() {
     // index's ordered tables directly too.
     let ix = AnalysisIndex::build(&obs);
     let in_text_order = |texts: Vec<&str>| texts.windows(2).all(|w| w[0] < w[1]);
-    let slots = ix.slots.iter().map(|&s| ix.str_of(s)).collect();
+    let slots = ix.slots.iter().map(|s| s.as_str()).collect();
     assert!(in_text_order(slots), "the slot table is not in text order");
-    let hosts = ix.hosts.iter().map(|h| ix.str_of(h.host)).collect();
+    let hosts = ix.hosts.iter().map(|h| h.host.as_str()).collect();
     assert!(in_text_order(hosts), "the host table is not in text order");
     drop(ix);
     let rec = Recorder::disabled();

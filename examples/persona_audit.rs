@@ -59,7 +59,7 @@ fn main() {
 
     // Bid response.
     let t5 = bids::table5(&ix);
-    let (median, mean) = t5.get(&persona.name()).unwrap();
+    let (median, mean) = t5.get(persona.name()).unwrap();
     let (vmedian, vmean) = t5.get("Vanilla").unwrap();
     println!(
         "\nBids (post-interaction, common slots): median {median:.3} vs vanilla {vmedian:.3} \
@@ -67,13 +67,13 @@ fn main() {
         median / vmedian
     );
     let t7 = significance::table7(&ix);
-    if let Some((p, r)) = t7.get(&persona.name()) {
+    if let Some((p, r)) = t7.get(persona.name()) {
         println!("Mann-Whitney U vs vanilla: p = {p:.3}, rank-biserial = {r:.3}.");
     }
 
     // Exclusive ads.
     let t8 = creatives::table8(&ix);
-    let products = t8.products_for(&persona.name());
+    let products = t8.products_for(persona.name());
     if products.is_empty() {
         println!("No persona-exclusive Amazon ads observed.");
     } else {

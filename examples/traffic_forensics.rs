@@ -14,15 +14,16 @@
     reason = "an example reads best as straight-line code; a failed trace round trip is a bug worth a panic"
 )]
 
-use alexa_audit::{AuditConfig, AuditRun};
+use alexa_audit::{AuditConfig, AuditRun, Persona};
 use alexa_net::{
     aggregate_flows, read_trace, top_by_bytes, write_trace, FilterList, OrgMap, AMAZON,
 };
+use alexa_platform::SkillCategory;
 
 fn main() {
     let obs = AuditRun::execute(AuditConfig::small(42));
-    let persona = "Fashion & Style";
-    let captures = &obs.router_captures[persona];
+    let persona = Persona::Interest(SkillCategory::FashionStyle);
+    let captures = &obs.router_captures[&persona];
 
     // Archive to the trace format (what a data release would ship).
     let archive = write_trace(captures);

@@ -386,16 +386,15 @@ fn paper_validation_f1() {
 /// partners first, then everything they push onward.
 fn naive_sync(obs: &Observations) -> SyncAnalysis {
     let syncs = || obs.crawl.values().flatten().flat_map(|v| &v.syncs);
-    let amazon_partners: BTreeSet<String> = syncs()
+    let amazon_partners: BTreeSet<Label> = syncs()
         .filter(|s| s.to_org().as_str() == AMAZON_AD_ENDPOINT)
-        .map(|s| s.from_org().to_string())
+        .map(|s| s.from_org())
         .collect();
     let downstream_parties = syncs()
         .filter(|s| {
-            amazon_partners.contains(s.from_org().as_str())
-                && s.to_org().as_str() != AMAZON_AD_ENDPOINT
+            amazon_partners.contains(&s.from_org()) && s.to_org().as_str() != AMAZON_AD_ENDPOINT
         })
-        .map(|s| s.to_org().to_string())
+        .map(|s| s.to_org())
         .collect();
     SyncAnalysis {
         amazon_syncs_out: syncs().any(|s| s.from_org().as_str() == AMAZON_AD_ENDPOINT),
@@ -429,7 +428,7 @@ fn index_orders_hand_built_labels_by_text() {
     };
     let mut obs = Observations::default();
     obs.crawl.insert(
-        Persona::Vanilla.name(),
+        Persona::Vanilla,
         vec![
             visit(
                 0,
@@ -451,7 +450,7 @@ fn index_orders_hand_built_labels_by_text() {
         ],
     );
     obs.crawl.insert(
-        Persona::WebHealth.name(),
+        Persona::WebHealth,
         vec![visit(
             0,
             vec![
@@ -469,7 +468,7 @@ fn index_orders_hand_built_labels_by_text() {
     assert!(want.amazon_syncs_out);
 
     // Two distinct slot texts, ids in lexicographic order.
-    let slots: Vec<&str> = ix.slots.iter().map(|&s| ix.str_of(s)).collect();
+    let slots: Vec<&str> = ix.slots.iter().map(|s| s.as_str()).collect();
     assert_eq!(slots, ["s#1", "s#2"]);
     let rows = |p: Persona| {
         ix.bids_of(p)
@@ -550,10 +549,10 @@ fn bid_summaries_are_bit_identical_to_copying_stats() {
     let t10 = partners::table10(i);
     for &p in &echo {
         let series = pooled(&echo, post.clone())(p);
-        let (med, avg) = t5.get(&p.name()).unwrap();
+        let (med, avg) = t5.get(p.name()).unwrap();
         assert_eq!(med.to_bits(), bits(median(&series)), "{p}");
         assert_eq!(avg.to_bits(), bits(mean(&series)), "{p}");
-        let (pm, pa, nm, na) = t10.get(&p.name()).unwrap();
+        let (pm, pa, nm, na) = t10.get(p.name()).unwrap();
         let (yes, no) = (split(p, true), split(p, false));
         assert_eq!(
             [pm, pa, nm, na].map(f64::to_bits),
@@ -589,13 +588,13 @@ fn bid_views_match_a_naive_scan_at_window_edges() {
         ..Observations::default()
     };
     for p in [Persona::Vanilla, Persona::WebHealth] {
-        two.crawl.insert(p.name(), o.crawl[&p.name()].clone());
+        two.crawl.insert(p, o.crawl[&p].clone());
     }
     let two_ix = AnalysisIndex::build(&two);
     // Each bid as (iteration, slot rank, partner, CPM bits), by a scan of
     // the raw crawl that resolves slots and partners by text.
     let naive_bids = |ix: &AnalysisIndex, persona: Persona, window: &std::ops::Range<usize>| {
-        let slots: Vec<&str> = ix.slots.iter().map(|&s| ix.str_of(s)).collect();
+        let slots: Vec<&str> = ix.slots.iter().map(|s| s.as_str()).collect();
         ix.obs
             .visits_in(persona, window.clone())
             .iter()
@@ -604,7 +603,7 @@ fn bid_views_match_a_naive_scan_at_window_edges() {
                 (
                     iteration,
                     slots.binary_search(&b.slot_id().as_str()).unwrap(),
-                    ix.sync.amazon_partners.contains(b.bidder().as_str()),
+                    ix.sync.amazon_partners.contains(&b.bidder()),
                     b.cpm().to_bits(),
                 )
             })
@@ -613,7 +612,7 @@ fn bid_views_match_a_naive_scan_at_window_edges() {
     for (i, crawled) in [(ix(), Persona::all().len()), (&two_ix, 2)] {
         let mut nonempty = 0;
         for p in Persona::all() {
-            nonempty += usize::from(i.obs.crawl.contains_key(&p.name()));
+            nonempty += usize::from(i.obs.crawl.contains_key(&p));
             for window in &windows {
                 let viewed: Vec<_> = i
                     .bids_of(p)

@@ -227,7 +227,7 @@ fn persona_isolation_distinct_cookies() {
     // Sync user ids must differ across personas (fresh profiles per §3.1.1).
     let mut ids_by_persona: Vec<std::collections::BTreeSet<&str>> = Vec::new();
     for p in [Persona::Vanilla, Persona::WebHealth] {
-        let ids = obs().crawl[&p.name()]
+        let ids = obs().crawl[&p]
             .iter()
             .flat_map(|v| v.syncs.iter().map(|s| s.user_id().as_str()))
             .collect();

@@ -3,7 +3,7 @@
 //! three independent seeds with tolerant thresholds.
 
 use alexa_audit::analysis::{bids, partners, policy, profiling, significance};
-use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, Observations};
+use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, Observations, Persona};
 use std::sync::OnceLock;
 
 const SEEDS: [u64; 3] = [7, 101, 9001];
@@ -121,12 +121,12 @@ fn validation_f1_band_is_seed_stable() {
 #[test]
 fn different_seeds_produce_different_bid_corpora() {
     // Guard against accidentally ignoring the seed somewhere.
-    let a: f64 = runs()[0].crawl["Vanilla"]
+    let a: f64 = runs()[0].crawl[&Persona::Vanilla]
         .iter()
         .flat_map(|v| v.bids.iter())
         .map(|b| b.cpm())
         .sum();
-    let b: f64 = runs()[1].crawl["Vanilla"]
+    let b: f64 = runs()[1].crawl[&Persona::Vanilla]
         .iter()
         .flat_map(|v| v.bids.iter())
         .map(|b| b.cpm())
