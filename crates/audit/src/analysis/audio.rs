@@ -8,20 +8,19 @@
 //!
 //! The extraction pass runs once per run inside [`AnalysisIndex::build`];
 //! both artifacts here read the cached `(persona, service) → brands` map.
+//! Both list the audio personas ([`Persona::AUDIO`]) in experiment order.
 
 use crate::index::AnalysisIndex;
+use crate::persona::Persona;
 use crate::table::{pct, TextTable};
 use alexa_adtech::StreamingService;
 use std::collections::BTreeMap;
-
-/// The three audio personas in experiment order.
-pub const AUDIO_PERSONAS: [&str; 3] = ["Connected Car", "Fashion & Style", "Vanilla"];
 
 /// Table 9: fraction of each service's ads per persona.
 #[derive(Debug, Clone)]
 pub struct Table9 {
     /// `fractions[persona][service]` = share of that service's ads.
-    pub fractions: BTreeMap<String, BTreeMap<StreamingService, f64>>,
+    pub fractions: BTreeMap<Persona, BTreeMap<StreamingService, f64>>,
     /// Total number of extracted ads (the paper's n = 289).
     pub total_ads: usize,
 }
@@ -34,7 +33,7 @@ pub fn table9(ix: &AnalysisIndex) -> Table9 {
         *per_service_total.entry(*service).or_insert(0) += list.len();
     }
     let total_ads = per_service_total.values().sum();
-    let mut shares: BTreeMap<&str, BTreeMap<StreamingService, f64>> = BTreeMap::new();
+    let mut fractions: BTreeMap<Persona, BTreeMap<StreamingService, f64>> = BTreeMap::new();
     for ((persona, service), list) in ads {
         let denom = *per_service_total.get(service).unwrap_or(&0);
         let share = if denom == 0 {
@@ -42,15 +41,11 @@ pub fn table9(ix: &AnalysisIndex) -> Table9 {
         } else {
             list.len() as f64 / denom as f64
         };
-        shares
-            .entry(persona.name())
+        fractions
+            .entry(*persona)
             .or_default()
             .insert(*service, share);
     }
-    let fractions = shares
-        .into_iter()
-        .map(|(persona, per)| (persona.to_string(), per))
-        .collect();
     Table9 {
         fractions,
         total_ads,
@@ -59,9 +54,9 @@ pub fn table9(ix: &AnalysisIndex) -> Table9 {
 
 impl Table9 {
     /// Share of a service's ads a persona received.
-    pub fn share(&self, persona: &str, service: StreamingService) -> f64 {
+    pub fn share(&self, persona: Persona, service: StreamingService) -> f64 {
         self.fractions
-            .get(persona)
+            .get(&persona)
             .and_then(|m| m.get(&service))
             .copied()
             .unwrap_or(0.0)
@@ -76,7 +71,7 @@ impl Table9 {
             ),
             &["Persona", "Amazon", "Spotify", "Pandora"],
         );
-        for persona in AUDIO_PERSONAS {
+        for persona in Persona::AUDIO {
             t.row()
                 .cell(persona)
                 .cell(pct(self.share(persona, StreamingService::AmazonMusic)))
@@ -85,13 +80,6 @@ impl Table9 {
         }
         t.render_into(out)
     }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
 }
 
 /// Figure 5: brand distribution per service and persona (brands heard ≥ 2
@@ -99,12 +87,12 @@ impl Table9 {
 #[derive(Debug, Clone)]
 pub struct Figure5 {
     /// `counts[service][brand][persona]` = times heard.
-    pub counts: BTreeMap<StreamingService, BTreeMap<String, BTreeMap<String, usize>>>,
+    pub counts: BTreeMap<StreamingService, BTreeMap<String, BTreeMap<Persona, usize>>>,
 }
 
 /// Compute Figure 5's series from the index's cached extraction.
 pub fn figure5(ix: &AnalysisIndex) -> Figure5 {
-    let mut counts: BTreeMap<StreamingService, BTreeMap<&str, BTreeMap<&str, usize>>> =
+    let mut counts: BTreeMap<StreamingService, BTreeMap<&str, BTreeMap<Persona, usize>>> =
         BTreeMap::new();
     for ((persona, service), list) in &ix.audio_ads {
         for brand in list {
@@ -113,7 +101,7 @@ pub fn figure5(ix: &AnalysisIndex) -> Figure5 {
                 .or_default()
                 .entry(brand.as_str())
                 .or_default()
-                .entry(persona.name())
+                .entry(*persona)
                 .or_insert(0) += 1;
         }
     }
@@ -126,13 +114,7 @@ pub fn figure5(ix: &AnalysisIndex) -> Figure5 {
         .map(|(service, brands)| {
             let owned = brands
                 .into_iter()
-                .map(|(brand, per)| {
-                    let per = per
-                        .into_iter()
-                        .map(|(persona, n)| (persona.to_string(), n))
-                        .collect();
-                    (brand.to_string(), per)
-                })
+                .map(|(brand, per)| (brand.to_string(), per))
                 .collect();
             (service, owned)
         })
@@ -142,13 +124,13 @@ pub fn figure5(ix: &AnalysisIndex) -> Figure5 {
 
 impl Figure5 {
     /// Brands exclusive to one persona on a service.
-    pub fn exclusive_brands(&self, service: StreamingService, persona: &str) -> Vec<&str> {
+    pub fn exclusive_brands(&self, service: StreamingService, persona: Persona) -> Vec<&str> {
         self.counts
             .get(&service)
             .map(|brands| {
                 brands
                     .iter()
-                    .filter(|(_, per)| per.len() == 1 && per.contains_key(persona))
+                    .filter(|(_, per)| per.len() == 1 && per.contains_key(&persona))
                     .map(|(b, _)| b.as_str())
                     .collect()
             })
@@ -158,30 +140,23 @@ impl Figure5 {
     /// Stream the per-service brand tables into `out`; returns render work
     /// units.
     pub fn render_into(&self, out: &mut String) -> usize {
+        let [a, b, c] = Persona::AUDIO.map(Persona::name);
         let mut work = 0;
         for (service, brands) in &self.counts {
             let mut t = TextTable::new(
                 &format!("Figure 5: Audio ads on {service}"),
-                &["Brand", "Connected Car", "Fashion & Style", "Vanilla"],
+                &["Brand", a, b, c],
             );
             for (brand, per) in brands {
-                t.row()
-                    .cell(brand)
-                    .cell(per.get("Connected Car").copied().unwrap_or(0))
-                    .cell(per.get("Fashion & Style").copied().unwrap_or(0))
-                    .cell(per.get("Vanilla").copied().unwrap_or(0));
+                t.row().cell(brand);
+                for persona in Persona::AUDIO {
+                    t.cell(per.get(&persona).copied().unwrap_or(0));
+                }
             }
             work += t.render_into(out);
             out.push('\n');
         }
         work
-    }
-
-    /// Render the per-service brand tables.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
     }
 }
 
@@ -190,8 +165,11 @@ mod tests {
     use super::*;
     use crate::analysis::test_support::{ix, obs};
     use crate::observations::Observations;
-    use crate::persona::Persona;
     use alexa_adtech::AudioAdExtractor;
+    use alexa_platform::SkillCategory;
+
+    const CAR: Persona = Persona::Interest(SkillCategory::ConnectedCar);
+    const FASHION: Persona = Persona::Interest(SkillCategory::FashionStyle);
 
     /// Extracted ads per (persona, service) — the naive per-call
     /// extraction, the reference the index cache is tested against.
@@ -212,7 +190,7 @@ mod tests {
     fn table9_fractions_sum_to_one_per_service() {
         let t9 = table9(ix());
         for service in StreamingService::ALL {
-            let sum: f64 = AUDIO_PERSONAS.iter().map(|p| t9.share(p, service)).sum();
+            let sum: f64 = Persona::AUDIO.map(|p| t9.share(p, service)).iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "{service}: {sum}");
         }
     }
@@ -220,8 +198,8 @@ mod tests {
     #[test]
     fn spotify_starves_connected_car() {
         let t9 = table9(ix());
-        let cc = t9.share("Connected Car", StreamingService::Spotify);
-        let fs = t9.share("Fashion & Style", StreamingService::Spotify);
+        let cc = t9.share(CAR, StreamingService::Spotify);
+        let fs = t9.share(FASHION, StreamingService::Spotify);
         assert!(cc < fs / 2.0, "cc {cc} fs {fs}");
     }
 
@@ -236,12 +214,12 @@ mod tests {
                 if brand == "Swiffer Wet Jet" || brand == "Ashley" || brand == "Ross" {
                     assert_eq!(
                         per.keys().collect::<Vec<_>>(),
-                        vec!["Fashion & Style"],
+                        vec![&FASHION],
                         "{service} {brand}"
                     );
                 }
                 if brand == "Febreeze Car" {
-                    assert_eq!(per.keys().collect::<Vec<_>>(), vec!["Connected Car"]);
+                    assert_eq!(per.keys().collect::<Vec<_>>(), vec![&CAR]);
                 }
             }
         }
@@ -259,7 +237,10 @@ mod tests {
 
     #[test]
     fn renders() {
-        assert!(table9(ix()).render().contains("Pandora"));
-        let _ = figure5(ix()).render();
+        let mut out = String::new();
+        table9(ix()).render_into(&mut out);
+        assert!(out.contains("Pandora"));
+        figure5(ix()).render_into(&mut out);
+        assert!(out.contains("Figure 5"));
     }
 }

@@ -16,45 +16,16 @@
 use crate::index::AnalysisIndex;
 use crate::persona::Persona;
 use crate::table::{f3, TextTable};
+use alexa_platform::SkillCategory;
 use alexa_stats::{five_number_summary_in_place, mean, median_in_place, Summary};
 use std::fmt::Write as _;
-use std::ops::Range;
-
-/// Mask (over [`AnalysisIndex::slots`]) of the slot ids that returned at
-/// least one bid for every given persona within the iteration window.
-pub fn common_slots(ix: &AnalysisIndex, personas: &[Persona], window: Range<usize>) -> Vec<bool> {
-    ix.common_slots(personas, &window)
-}
-
-/// All individual CPM values a persona received on the masked slots within
-/// the window, in observation order.
-pub fn pooled_bids(
-    ix: &AnalysisIndex,
-    persona: Persona,
-    window: Range<usize>,
-    slots: &[bool],
-) -> Vec<f64> {
-    ix.pooled_bids(persona, &window, slots)
-}
-
-/// Per-slot mean CPM (ordered by slot id) — the slot-level sample used for
-/// the significance tests, where between-slot heterogeneity provides the
-/// natural variance.
-pub fn slot_means(
-    ix: &AnalysisIndex,
-    persona: Persona,
-    window: Range<usize>,
-    slots: &[bool],
-) -> Vec<f64> {
-    ix.slot_means(persona, &window, slots)
-}
 
 /// Table 5: median and mean CPM for interest and vanilla personas with
 /// interaction (post window, common slots).
 #[derive(Debug, Clone)]
 pub struct Table5 {
     /// (persona, median CPM, mean CPM) rows, interest personas then vanilla.
-    pub rows: Vec<(String, f64, f64)>,
+    pub rows: Vec<(Persona, f64, f64)>,
     /// Number of common ad slots the comparison ran on.
     pub common_slots: usize,
 }
@@ -70,11 +41,7 @@ pub fn table5(ix: &AnalysisIndex) -> Table5 {
             // The mean sums in observation order, before the median's
             // selection reorders the series.
             let avg = mean(&bids).unwrap_or(0.0);
-            (
-                p.name().to_string(),
-                median_in_place(&mut bids).unwrap_or(0.0),
-                avg,
-            )
+            (p, median_in_place(&mut bids).unwrap_or(0.0), avg)
         })
         .collect();
     Table5 {
@@ -84,8 +51,8 @@ pub fn table5(ix: &AnalysisIndex) -> Table5 {
 }
 
 impl Table5 {
-    /// Median/mean for a persona by name.
-    pub fn get(&self, persona: &str) -> Option<(f64, f64)> {
+    /// Median/mean for a persona.
+    pub fn get(&self, persona: Persona) -> Option<(f64, f64)> {
         self.rows
             .iter()
             .find(|r| r.0 == persona)
@@ -99,18 +66,11 @@ impl Table5 {
             &["Persona", "Median", "Mean"],
         );
         for (p, med, avg) in &self.rows {
-            t.row().cell(p).cell(f3(*med)).cell(f3(*avg));
+            t.row().cell(*p).cell(f3(*med)).cell(f3(*avg));
         }
         let work = t.render_into(out);
         let _ = writeln!(out, "(common ad slots: {})", self.common_slots);
         work + 1
-    }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
     }
 }
 
@@ -120,7 +80,7 @@ impl Table5 {
 #[derive(Debug, Clone)]
 pub struct Table6 {
     /// (persona, mean without interaction, mean with interaction).
-    pub rows: Vec<(String, f64, f64)>,
+    pub rows: Vec<(Persona, f64, f64)>,
 }
 
 /// Compute Table 6.
@@ -137,19 +97,15 @@ pub fn table6(ix: &AnalysisIndex) -> Table6 {
         .map(|&p| {
             let pre = ix.pooled_bids(p, &pre_tail, &slots_pre);
             let post = ix.pooled_bids(p, &post_head, &slots_post);
-            (
-                p.name().to_string(),
-                mean(&pre).unwrap_or(0.0),
-                mean(&post).unwrap_or(0.0),
-            )
+            (p, mean(&pre).unwrap_or(0.0), mean(&post).unwrap_or(0.0))
         })
         .collect();
     Table6 { rows }
 }
 
 impl Table6 {
-    /// Means for a persona by name: (no interaction, interaction).
-    pub fn get(&self, persona: &str) -> Option<(f64, f64)> {
+    /// Means for a persona: (no interaction, interaction).
+    pub fn get(&self, persona: Persona) -> Option<(f64, f64)> {
         self.rows
             .iter()
             .find(|r| r.0 == persona)
@@ -163,16 +119,9 @@ impl Table6 {
             &["Persona", "No Interaction", "Interaction"],
         );
         for (p, pre, post) in &self.rows {
-            t.row().cell(p).cell(f3(*pre)).cell(f3(*post));
+            t.row().cell(*p).cell(f3(*pre)).cell(f3(*post));
         }
         t.render_into(out)
-    }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
     }
 }
 
@@ -181,9 +130,9 @@ impl Table6 {
 #[derive(Debug, Clone)]
 pub struct Figure3 {
     /// Panel (a): pre-interaction summaries per persona.
-    pub without_interaction: Vec<(String, Summary)>,
+    pub without_interaction: Vec<(Persona, Summary)>,
     /// Panel (b): post-interaction summaries per persona.
-    pub with_interaction: Vec<(String, Summary)>,
+    pub with_interaction: Vec<(Persona, Summary)>,
 }
 
 /// Compute Figure 3's series.
@@ -201,18 +150,27 @@ pub fn figure3(ix: &AnalysisIndex) -> Figure3 {
         for &p in &personas {
             let mut bids = ix.pooled_bids(p, &window, &slots);
             if let Some(s) = five_number_summary_in_place(&mut bids) {
-                out.push((p.name().to_string(), s));
+                out.push((p, s));
             }
         }
     }
     fig
 }
 
-/// Append one five-number-summary row per series entry.
-fn summary_rows(t: &mut TextTable, series: &[(String, Summary)]) {
+/// Stream one box-plot table — a five-number-summary row per persona —
+/// into `out`; returns render work units. Figures 3, 6 and 7 share it.
+pub(crate) fn render_summaries(
+    title: &str,
+    series: &[(Persona, Summary)],
+    out: &mut String,
+) -> usize {
+    let mut t = TextTable::new(
+        title,
+        &["Persona", "Min", "Q1", "Median", "Q3", "Max", "Mean"],
+    );
     for (p, s) in series {
         t.row()
-            .cell(p)
+            .cell(*p)
             .cell(f3(s.min))
             .cell(f3(s.q1))
             .cell(f3(s.median))
@@ -220,6 +178,7 @@ fn summary_rows(t: &mut TextTable, series: &[(String, Summary)]) {
             .cell(f3(s.max))
             .cell(f3(s.mean));
     }
+    t.render_into(out)
 }
 
 impl Figure3 {
@@ -236,22 +195,10 @@ impl Figure3 {
                 &self.with_interaction,
             ),
         ] {
-            let mut t = TextTable::new(
-                title,
-                &["Persona", "Min", "Q1", "Median", "Q3", "Max", "Mean"],
-            );
-            summary_rows(&mut t, series);
-            work += t.render_into(out);
+            work += render_summaries(title, series, out);
             out.push('\n');
         }
         work
-    }
-
-    /// Render both panels.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
     }
 }
 
@@ -261,25 +208,19 @@ impl Figure3 {
 pub struct Figure7 {
     /// Per-persona five-number summaries, vanilla first, then Echo interest,
     /// then the web personas.
-    pub series: Vec<(String, Summary)>,
+    pub series: Vec<(Persona, Summary)>,
 }
 
 /// Compute Figure 7's series.
 pub fn figure7(ix: &AnalysisIndex) -> Figure7 {
     let personas = Persona::all();
     let slots = ix.common_slots(&personas, &ix.obs.post_window());
-    let mut ordered = vec![Persona::Vanilla];
-    ordered.extend(
-        Persona::echo_personas()
-            .into_iter()
-            .filter(|p| *p != Persona::Vanilla),
-    );
-    ordered.extend(Persona::web_personas());
-    let series = ordered
-        .into_iter()
+    let series = std::iter::once(Persona::Vanilla)
+        .chain(SkillCategory::ALL.map(Persona::Interest))
+        .chain(Persona::web_personas())
         .filter_map(|p| {
             let mut bids = ix.pooled_bids(p, &ix.obs.post_window(), &slots);
-            five_number_summary_in_place(&mut bids).map(|s| (p.name().to_string(), s))
+            five_number_summary_in_place(&mut bids).map(|s| (p, s))
         })
         .collect();
     Figure7 { series }
@@ -288,19 +229,11 @@ pub fn figure7(ix: &AnalysisIndex) -> Figure7 {
 impl Figure7 {
     /// Stream the figure series into `out`; returns render work units.
     pub fn render_into(&self, out: &mut String) -> usize {
-        let mut t = TextTable::new(
+        render_summaries(
             "Figure 7: CPM across vanilla, Echo interest, and web interest personas",
-            &["Persona", "Min", "Q1", "Median", "Q3", "Max", "Mean"],
-        );
-        summary_rows(&mut t, &self.series);
-        t.render_into(out)
-    }
-
-    /// Render the figure series.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
+            &self.series,
+            out,
+        )
     }
 }
 
@@ -308,6 +241,8 @@ impl Figure7 {
 mod tests {
     use super::*;
     use crate::analysis::test_support::{ix, obs};
+
+    const PETS: Persona = Persona::Interest(SkillCategory::PetsAnimals);
 
     #[test]
     fn common_slots_nonempty() {
@@ -377,10 +312,10 @@ mod tests {
     #[test]
     fn interest_personas_outbid_vanilla_with_interaction() {
         let t5 = table5(ix());
-        let (van_med, _) = t5.get("Vanilla").unwrap();
+        let (van_med, _) = t5.get(Persona::Vanilla).unwrap();
         let mut higher = 0;
-        for cat in alexa_platform::SkillCategory::ALL {
-            let (med, _) = t5.get(cat.label()).unwrap();
+        for cat in SkillCategory::ALL {
+            let (med, _) = t5.get(Persona::Interest(cat)).unwrap();
             if med > van_med {
                 higher += 1;
             }
@@ -402,7 +337,7 @@ mod tests {
         let vanilla = f3
             .without_interaction
             .iter()
-            .find(|(p, _)| p == "Vanilla")
+            .find(|(p, _)| *p == Persona::Vanilla)
             .map(|(_, s)| s.median)
             .unwrap();
         // Pre-interaction, every persona's median is within 2× of vanilla.
@@ -417,15 +352,15 @@ mod tests {
     #[test]
     fn post_interaction_difference_is_visible() {
         let fig = figure3(ix());
-        let get = |series: &[(String, Summary)], name: &str| {
+        let get = |series: &[(Persona, Summary)], persona: Persona| {
             series
                 .iter()
-                .find(|(p, _)| p == name)
+                .find(|(p, _)| *p == persona)
                 .map(|(_, s)| s.median)
                 .unwrap()
         };
-        let vanilla = get(&fig.with_interaction, "Vanilla");
-        let pets = get(&fig.with_interaction, "Pets & Animals");
+        let vanilla = get(&fig.with_interaction, Persona::Vanilla);
+        let pets = get(&fig.with_interaction, PETS);
         assert!(pets > vanilla * 2.0, "pets {pets} vanilla {vanilla}");
     }
 
@@ -435,9 +370,9 @@ mod tests {
         // mean is comparable to interest personas; with interaction the
         // interest personas keep elevated bids while vanilla falls.
         let t6 = table6(ix());
-        let (van_pre, van_post) = t6.get("Vanilla").unwrap();
+        let (van_pre, van_post) = t6.get(Persona::Vanilla).unwrap();
         assert!(van_pre > van_post, "vanilla pre {van_pre} post {van_post}");
-        let (pets_pre, pets_post) = t6.get("Pets & Animals").unwrap();
+        let (pets_pre, pets_post) = t6.get(PETS).unwrap();
         assert!(
             pets_post > van_post,
             "pets post {pets_post} vanilla post {van_post}"
@@ -448,24 +383,25 @@ mod tests {
     #[test]
     fn echo_and_web_personas_look_alike() {
         let f7 = figure7(ix());
-        let get = |name: &str| {
+        let get = |persona: Persona| {
             f7.series
                 .iter()
-                .find(|(p, _)| p == name)
+                .find(|(p, _)| *p == persona)
                 .map(|(_, s)| s.median)
                 .unwrap()
         };
-        let web = get("Web Health");
-        let echo = get("Dating");
+        let web = get(Persona::WebHealth);
+        let echo = get(Persona::Interest(SkillCategory::Dating));
         let ratio = echo / web;
         assert!((0.4..2.5).contains(&ratio), "echo/web median ratio {ratio}");
     }
 
     #[test]
     fn renders_contain_all_personas() {
-        let t5 = table5(ix());
-        let s = t5.render();
-        assert!(s.contains("Vanilla"));
-        assert!(s.contains("Fashion & Style"));
+        let mut s = String::new();
+        table5(ix()).render_into(&mut s);
+        for p in Persona::echo_personas() {
+            assert!(s.contains(p.name()), "{p}");
+        }
     }
 }

@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExclusiveAd {
     /// Persona the ad is exclusive to.
-    pub persona: String,
+    pub persona: Persona,
     /// Advertised product.
     pub product: String,
     /// Total appearances.
@@ -49,7 +49,7 @@ pub fn table8(ix: &AnalysisIndex) -> Table8 {
     let obs = ix.obs;
     // (advertiser, product) → persona → (appearances, iterations); all keys
     // borrowed from the observations — no per-creative allocation.
-    type PerPersona<'a> = BTreeMap<&'a str, (usize, BTreeSet<usize>)>;
+    type PerPersona = BTreeMap<Persona, (usize, BTreeSet<usize>)>;
     let mut seen: BTreeMap<(&str, &str), PerPersona> = BTreeMap::new();
     let mut total = 0usize;
     for persona in Persona::echo_personas() {
@@ -59,7 +59,7 @@ pub fn table8(ix: &AnalysisIndex) -> Table8 {
                 let entry = seen
                     .entry((c.advertiser.as_str(), c.product.as_str()))
                     .or_default()
-                    .entry(persona.name())
+                    .entry(persona)
                     .or_insert((0, BTreeSet::new()));
                 entry.0 += 1;
                 entry.1.insert(visit.iteration);
@@ -75,14 +75,14 @@ pub fn table8(ix: &AnalysisIndex) -> Table8 {
             }
             let (persona, (appearances, iters)) = per_persona.iter().next()?;
             Some(ExclusiveAd {
-                persona: (*persona).to_string(),
+                persona: *persona,
                 product: (*product).to_string(),
                 appearances: *appearances,
                 iterations: iters.len(),
             })
         })
         .collect();
-    let mut vendor_personas: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut vendor_personas: BTreeMap<&str, BTreeSet<Persona>> = BTreeMap::new();
     for ((advertiser, _), per_persona) in &seen {
         if SKILL_VENDOR_ADVERTISERS.contains(advertiser) {
             vendor_personas
@@ -105,7 +105,7 @@ pub fn table8(ix: &AnalysisIndex) -> Table8 {
 
 impl Table8 {
     /// Products exclusive to a given persona.
-    pub fn products_for(&self, persona: &str) -> Vec<&str> {
+    pub fn products_for(&self, persona: Persona) -> Vec<&str> {
         self.amazon_exclusive
             .iter()
             .filter(|a| a.persona == persona)
@@ -121,7 +121,7 @@ impl Table8 {
         );
         for a in &self.amazon_exclusive {
             t.row()
-                .cell(&a.persona)
+                .cell(a.persona)
                 .cell(&a.product)
                 .cell(a.appearances)
                 .cell(a.iterations);
@@ -136,19 +136,13 @@ impl Table8 {
         let _ = writeln!(out, "Total creatives observed: {}", self.total_creatives);
         work + 1
     }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::test_support::ix;
+    use crate::analysis::test_support::{ix, rendered};
+    use alexa_platform::SkillCategory;
 
     #[test]
     fn amazon_exclusives_match_planted_personas() {
@@ -156,19 +150,16 @@ mod tests {
         // The planted inventory keys the dehumidifier to Health & Fitness
         // and Eero/Kindle to Religion & Spirituality.
         for ad in &t8.amazon_exclusive {
-            match ad.product.as_str() {
-                "Dehumidifier" | "Essential oils" => assert_eq!(ad.persona, "Health & Fitness"),
+            let planted = match ad.product.as_str() {
+                "Dehumidifier" | "Essential oils" => SkillCategory::HealthFitness,
                 "Eero WiFi router" | "Kindle" | "Swarovski bracelet" => {
-                    assert_eq!(ad.persona, "Religion & Spirituality")
+                    SkillCategory::ReligionSpirituality
                 }
-                "Dyson vacuum cleaner" | "Vacuum cleaner accessories" => {
-                    assert_eq!(ad.persona, "Smart Home")
-                }
-                "PC files copying/switching software" => {
-                    assert_eq!(ad.persona, "Pets & Animals")
-                }
+                "Dyson vacuum cleaner" | "Vacuum cleaner accessories" => SkillCategory::SmartHome,
+                "PC files copying/switching software" => SkillCategory::PetsAnimals,
                 other => panic!("unexpected exclusive Amazon ad: {other}"),
-            }
+            };
+            assert_eq!(ad.persona, Persona::Interest(planted), "{}", ad.product);
         }
         assert!(!t8.amazon_exclusive.is_empty());
     }
@@ -176,7 +167,7 @@ mod tests {
     #[test]
     fn vanilla_gets_no_exclusive_amazon_ads() {
         let t8 = table8(ix());
-        assert!(t8.products_for("Vanilla").is_empty());
+        assert!(t8.products_for(Persona::Vanilla).is_empty());
     }
 
     #[test]
@@ -199,6 +190,6 @@ mod tests {
 
     #[test]
     fn renders() {
-        assert!(table8(ix()).render().contains("Total creatives"));
+        assert!(rendered(|out| table8(ix()).render_into(out)).contains("Total creatives"));
     }
 }

@@ -96,7 +96,7 @@ pub(crate) fn voice_text<'p>(
 /// whatever the defense.
 pub fn bid_uplift(ix: &AnalysisIndex) -> f64 {
     let t5 = bids::table5(ix);
-    let Some((vanilla, _)) = t5.get(Persona::Vanilla.name()) else {
+    let Some((vanilla, _)) = t5.get(Persona::Vanilla) else {
         return 0.0;
     };
     if vanilla == 0.0 {
@@ -104,7 +104,7 @@ pub fn bid_uplift(ix: &AnalysisIndex) -> f64 {
     }
     t5.rows
         .iter()
-        .filter(|r| r.0 != "Vanilla")
+        .filter(|r| r.0 != Persona::Vanilla)
         .map(|r| r.1 / vanilla)
         .fold(0.0, f64::max)
 }
@@ -167,13 +167,6 @@ impl DefenseReport {
             self.bid_uplift.1,
         );
         7
-    }
-
-    /// Render the comparison.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
     }
 }
 
@@ -248,7 +241,9 @@ mod tests {
 
     #[test]
     fn renders() {
-        let s = report(DefenseMode::Firewall).render();
+        let s = crate::analysis::test_support::rendered(|out| {
+            report(DefenseMode::Firewall).render_into(out)
+        });
         assert!(s.contains("A&T traffic share"));
         assert!(s.contains("bid uplift"));
     }

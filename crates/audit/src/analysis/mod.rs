@@ -1,6 +1,9 @@
 //! Analyses: one module per research question, each a pure function of the
 //! shared [`crate::index::AnalysisIndex`] producing a typed table/figure
-//! struct with a streaming text renderer (`render_into`).
+//! struct. Rows are keyed by [`crate::Persona`], which orders and prints as
+//! its paper name, and each artifact has exactly one renderer,
+//! `render_into`, which streams into a caller-owned buffer and returns its
+//! render work units.
 
 pub mod audio;
 pub mod bids;
@@ -28,5 +31,12 @@ pub(crate) mod test_support {
     pub(crate) fn ix() -> &'static AnalysisIndex<'static> {
         static IX: OnceLock<AnalysisIndex<'static>> = OnceLock::new();
         IX.get_or_init(|| AnalysisIndex::build(obs()))
+    }
+
+    /// What one `render_into` call streams into a fresh buffer.
+    pub(crate) fn rendered(render_into: impl FnOnce(&mut String) -> usize) -> String {
+        let mut out = String::new();
+        render_into(&mut out);
+        out
     }
 }

@@ -7,10 +7,11 @@
 //! non-partner bidders (Table 10) and summarizes the partner-bid
 //! distributions (Figure 6).
 //!
-//! The sync graph is recovered once per run by the [`AnalysisIndex`], whose
-//! bid views resolve each bid's partner flag — the bid splits here are pure
-//! scans of the crawl's bids.
+//! The sync graph is recovered once per run into [`AnalysisIndex::sync`],
+//! and the index's bid views resolve each bid's partner flag — the bid
+//! splits here are pure scans of the crawl's bids.
 
+use crate::analysis::bids::render_summaries;
 use crate::index::AnalysisIndex;
 use crate::persona::Persona;
 use crate::table::{f3, TextTable};
@@ -33,12 +34,6 @@ pub struct SyncAnalysis {
     pub downstream_parties: BTreeSet<Label>,
 }
 
-/// The sync graph recovered from the crawl traffic of all personas
-/// (computed once, by [`AnalysisIndex::build`]).
-pub fn sync_analysis<'a>(ix: &'a AnalysisIndex) -> &'a SyncAnalysis {
-    &ix.sync
-}
-
 impl SyncAnalysis {
     /// Stream the headline sync findings into `out`; returns render work
     /// units.
@@ -53,13 +48,6 @@ impl SyncAnalysis {
         );
         1
     }
-
-    /// Render the headline sync findings.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
 }
 
 /// Table 10: median/mean bids from Amazon's partners vs non-partners.
@@ -67,7 +55,7 @@ impl SyncAnalysis {
 pub struct Table10 {
     /// (persona, partner median, partner mean, non-partner median,
     /// non-partner mean).
-    pub rows: Vec<(String, f64, f64, f64, f64)>,
+    pub rows: Vec<(Persona, f64, f64, f64, f64)>,
 }
 
 /// Compute Table 10 on the post window's common slots.
@@ -95,7 +83,7 @@ pub fn table10(ix: &AnalysisIndex) -> Table10 {
             let partner_mean = mean(&partner_bids).unwrap_or(0.0);
             let other_mean = mean(&other_bids).unwrap_or(0.0);
             (
-                p.name().to_string(),
+                p,
                 median_in_place(&mut partner_bids).unwrap_or(0.0),
                 partner_mean,
                 median_in_place(&mut other_bids).unwrap_or(0.0),
@@ -109,7 +97,7 @@ pub fn table10(ix: &AnalysisIndex) -> Table10 {
 impl Table10 {
     /// Lookup by persona: (partner median, partner mean, non-partner median,
     /// non-partner mean).
-    pub fn get(&self, persona: &str) -> Option<(f64, f64, f64, f64)> {
+    pub fn get(&self, persona: Persona) -> Option<(f64, f64, f64, f64)> {
         self.rows
             .iter()
             .find(|r| r.0 == persona)
@@ -130,7 +118,7 @@ impl Table10 {
         );
         for (p, pm, pa, nm, na) in &self.rows {
             t.row()
-                .cell(p)
+                .cell(*p)
                 .cell(f3(*pm))
                 .cell(f3(*pa))
                 .cell(f3(*nm))
@@ -138,20 +126,13 @@ impl Table10 {
         }
         t.render_into(out)
     }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
 }
 
 /// Figure 6: partner-bid distributions per persona.
 #[derive(Debug, Clone)]
 pub struct Figure6 {
     /// Per-persona five-number summaries of partner bids.
-    pub series: Vec<(String, Summary)>,
+    pub series: Vec<(Persona, Summary)>,
 }
 
 /// Compute Figure 6.
@@ -168,7 +149,7 @@ pub fn figure6(ix: &AnalysisIndex) -> Figure6 {
             .map(|b| b.cpm)
             .collect();
         if let Some(s) = five_number_summary_in_place(&mut bids) {
-            series.push((p.name().to_string(), s));
+            series.push((p, s));
         }
     }
     Figure6 { series }
@@ -177,28 +158,11 @@ pub fn figure6(ix: &AnalysisIndex) -> Figure6 {
 impl Figure6 {
     /// Stream the figure series into `out`; returns render work units.
     pub fn render_into(&self, out: &mut String) -> usize {
-        let mut t = TextTable::new(
+        render_summaries(
             "Figure 6: Partner bid values across personas on common ad slots",
-            &["Persona", "Min", "Q1", "Median", "Q3", "Max", "Mean"],
-        );
-        for (p, s) in &self.series {
-            t.row()
-                .cell(p)
-                .cell(f3(s.min))
-                .cell(f3(s.q1))
-                .cell(f3(s.median))
-                .cell(f3(s.q3))
-                .cell(f3(s.max))
-                .cell(f3(s.mean));
-        }
-        t.render_into(out)
-    }
-
-    /// Render the figure series.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
+            &self.series,
+            out,
+        )
     }
 }
 
@@ -209,19 +173,19 @@ mod tests {
 
     #[test]
     fn recovers_41_partners() {
-        let sa = sync_analysis(ix());
+        let sa = &ix().sync;
         assert_eq!(sa.amazon_partners.len(), 41);
     }
 
     #[test]
     fn amazon_never_syncs_out() {
-        let sa = sync_analysis(ix());
+        let sa = &ix().sync;
         assert!(!sa.amazon_syncs_out);
     }
 
     #[test]
     fn downstream_propagation_recovered() {
-        let sa = sync_analysis(ix());
+        let sa = &ix().sync;
         // 247 planted; the small test run sees most of them.
         assert!(
             sa.downstream_parties.len() > 200,
@@ -257,7 +221,7 @@ mod tests {
         let t10 = table10(ix());
         let mut wins = 0;
         for cat in alexa_platform::SkillCategory::ALL {
-            if let Some((pm, _, nm, _)) = t10.get(cat.label()) {
+            if let Some((pm, _, nm, _)) = t10.get(Persona::Interest(cat)) {
                 if pm > nm {
                     wins += 1;
                 }
@@ -287,8 +251,11 @@ mod tests {
 
     #[test]
     fn renders() {
-        assert!(sync_analysis(ix()).render().contains("sync"));
-        assert!(table10(ix()).render().contains("Partner median"));
+        let mut out = String::new();
+        ix().sync.render_into(&mut out);
+        assert!(out.contains("sync"));
+        table10(ix()).render_into(&mut out);
+        assert!(out.contains("Partner median"));
         assert!(!figure6(ix()).series.is_empty());
     }
 }

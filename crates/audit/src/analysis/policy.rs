@@ -21,7 +21,7 @@
 //! capture of every persona per artifact to feed the extractor.
 
 use crate::index::AnalysisIndex;
-use crate::table::TextTable;
+use crate::table::{Joined, TextTable};
 use alexa_net::DataType;
 use alexa_policy::DisclosureClass;
 use alexa_stats::PrfScores;
@@ -70,13 +70,6 @@ impl PolicyStats {
             self.link_platform_policy,
         );
         1
-    }
-
-    /// Render the §7.1 summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
     }
 }
 
@@ -197,13 +190,6 @@ impl Table13 {
         }
         t.render_into(out)
     }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
 }
 
 /// Table 14: endpoint organizations, their ontology categories, and how the
@@ -280,36 +266,13 @@ impl Table14 {
                 |class: DisclosureClass| per_skill.values().filter(|&&c| c == class).count();
             t.row()
                 .cell(org)
-                .cell(Joined(cats))
+                .cell(Joined(cats, ", "))
                 .cell(count(DisclosureClass::Clear))
                 .cell(count(DisclosureClass::Vague))
                 .cell(count(DisclosureClass::Omitted))
                 .cell(count(DisclosureClass::NoPolicy));
         }
         t.render_into(out)
-    }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-}
-
-/// Display adapter for a ", "-joined category list (avoids a `join`
-/// allocation per rendered row).
-struct Joined<'a>(&'a [String]);
-
-impl std::fmt::Display for Joined<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, s) in self.0.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            f.write_str(s)?;
-        }
-        Ok(())
     }
 }
 
@@ -360,19 +323,12 @@ impl Validation {
         );
         1
     }
-
-    /// Render the validation summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::test_support::{ix, obs};
+    use crate::analysis::test_support::{ix, obs, rendered};
     use alexa_policy::FlowExtractor;
 
     #[test]
@@ -484,9 +440,9 @@ mod tests {
 
     #[test]
     fn renders() {
-        assert!(policy_stats(ix()).render().contains("retrievable"));
-        assert!(table13(ix(), false).render().contains("voice recording"));
-        assert!(table14(ix()).render().contains("Endpoint Organization"));
-        assert!(validation(ix()).render().contains("micro"));
+        assert!(rendered(|out| policy_stats(ix()).render_into(out)).contains("retrievable"));
+        assert!(rendered(|out| table13(ix(), false).render_into(out)).contains("voice recording"));
+        assert!(rendered(|out| table14(ix()).render_into(out)).contains("Endpoint Organization"));
+        assert!(rendered(|out| validation(ix()).render_into(out)).contains("micro"));
     }
 }

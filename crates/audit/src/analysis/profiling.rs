@@ -9,7 +9,7 @@
 
 use crate::index::AnalysisIndex;
 use crate::persona::Persona;
-use crate::table::TextTable;
+use crate::table::{Joined, TextTable};
 use alexa_platform::DsarPhase;
 use std::fmt::Write as _;
 
@@ -18,8 +18,8 @@ use std::fmt::Write as _;
 pub struct InterestRow {
     /// Request phase.
     pub phase: DsarPhase,
-    /// Persona name.
-    pub persona: String,
+    /// Persona whose export the row reads.
+    pub persona: Persona,
     /// Inferred advertising interests, as labels.
     pub interests: Vec<String>,
 }
@@ -31,7 +31,7 @@ pub struct Table12 {
     pub rows: Vec<InterestRow>,
     /// Personas whose advertising-interest file was absent on the second
     /// post-interaction request.
-    pub missing_files: Vec<String>,
+    pub missing_files: Vec<Persona>,
 }
 
 fn phase_label(phase: DsarPhase) -> &'static str {
@@ -59,13 +59,13 @@ pub fn table12(ix: &AnalysisIndex) -> Table12 {
             match &export.advertising_interests {
                 Some(interests) if !interests.is_empty() => rows.push(InterestRow {
                     phase,
-                    persona: persona.name().to_string(),
+                    persona,
                     interests: interests.iter().map(|i| i.label().to_string()).collect(),
                 }),
                 Some(_) => {}
                 None => {
                     if phase == DsarPhase::AfterInteraction2 {
-                        missing.push(persona.name().to_string());
+                        missing.push(persona);
                     }
                 }
             }
@@ -79,7 +79,7 @@ pub fn table12(ix: &AnalysisIndex) -> Table12 {
 
 impl Table12 {
     /// Interests inferred for a persona at a phase.
-    pub fn interests(&self, phase: DsarPhase, persona: &str) -> Vec<&str> {
+    pub fn interests(&self, phase: DsarPhase, persona: Persona) -> Vec<&str> {
         self.rows
             .iter()
             .filter(|r| r.phase == phase && r.persona == persona)
@@ -96,51 +96,29 @@ impl Table12 {
         for r in &self.rows {
             t.row()
                 .cell(phase_label(r.phase))
-                .cell(&r.persona)
-                .cell(Joined(&r.interests));
+                .cell(r.persona)
+                .cell(Joined(&r.interests, "; "));
         }
         let work = t.render_into(out);
-        let missing = if self.missing_files.is_empty() {
-            "none".to_string()
+        let missing = Joined(&self.missing_files, ", ");
+        let none = if self.missing_files.is_empty() {
+            "none"
         } else {
-            self.missing_files.join(", ")
+            ""
         };
-        out.push('\n');
         let _ = writeln!(
             out,
-            "Advertising-interest files ABSENT on second post-interaction request: {missing}"
+            "\nAdvertising-interest files ABSENT on second post-interaction request: {missing}{none}"
         );
         work + 1
-    }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-}
-
-/// Display adapter for a "; "-joined label list (avoids a `join` allocation
-/// per rendered row).
-struct Joined<'a>(&'a [String]);
-
-impl std::fmt::Display for Joined<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, s) in self.0.iter().enumerate() {
-            if i > 0 {
-                f.write_str("; ")?;
-            }
-            f.write_str(s)?;
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::test_support::ix;
+    use crate::analysis::test_support::{ix, rendered};
+    use alexa_platform::SkillCategory;
 
     #[test]
     fn install_phase_infers_only_health() {
@@ -151,7 +129,10 @@ mod tests {
             .filter(|r| r.phase == DsarPhase::AfterInstall)
             .collect();
         assert_eq!(install_rows.len(), 1);
-        assert_eq!(install_rows[0].persona, "Health & Fitness");
+        assert_eq!(
+            install_rows[0].persona,
+            Persona::Interest(SkillCategory::HealthFitness)
+        );
         assert_eq!(
             install_rows[0].interests,
             vec!["Electronics", "Home & Garden: DIY & Tools"]
@@ -162,11 +143,17 @@ mod tests {
     fn interaction_unlocks_fashion_and_smarthome() {
         let t12 = table12(ix());
         assert_eq!(
-            t12.interests(DsarPhase::AfterInteraction1, "Fashion & Style"),
+            t12.interests(
+                DsarPhase::AfterInteraction1,
+                Persona::Interest(SkillCategory::FashionStyle)
+            ),
             vec!["Beauty & Personal Care", "Fashion", "Video Entertainment"]
         );
         assert_eq!(
-            t12.interests(DsarPhase::AfterInteraction2, "Smart Home"),
+            t12.interests(
+                DsarPhase::AfterInteraction2,
+                Persona::Interest(SkillCategory::SmartHome)
+            ),
             vec![
                 "Pet Supplies",
                 "Home & Garden: DIY & Tools",
@@ -179,11 +166,11 @@ mod tests {
     fn five_personas_lose_their_interest_files() {
         let t12 = table12(ix());
         let mut expected = vec![
-            "Dating",
-            "Health & Fitness",
-            "Religion & Spirituality",
-            "Vanilla",
-            "Wine & Beverages",
+            Persona::Interest(SkillCategory::Dating),
+            Persona::Interest(SkillCategory::HealthFitness),
+            Persona::Interest(SkillCategory::ReligionSpirituality),
+            Persona::Vanilla,
+            Persona::Interest(SkillCategory::WineBeverages),
         ];
         expected.sort_unstable();
         let mut got = t12.missing_files.clone();
@@ -193,7 +180,7 @@ mod tests {
 
     #[test]
     fn renders() {
-        let out = table12(ix()).render();
+        let out = rendered(|out| table12(ix()).render_into(out));
         assert!(out.contains("Installation"));
         assert!(out.contains("ABSENT"));
     }

@@ -7,10 +7,9 @@
 //! they differ) — the paper's finding is that they mostly do *not*.
 //!
 //! The sample is the per-slot mean CPM over common slots (see
-//! [`crate::analysis::bids::slot_means`]): slot-to-slot heterogeneity is the
+//! [`AnalysisIndex::slot_means`]): slot-to-slot heterogeneity is the
 //! natural variance against which the targeting uplift is tested.
 
-use crate::analysis::bids::{common_slots, slot_means};
 use crate::index::AnalysisIndex;
 use crate::persona::Persona;
 use crate::table::{f3, TextTable};
@@ -39,9 +38,9 @@ pub enum Correction {
 #[derive(Debug, Clone)]
 pub struct Table7 {
     /// (persona, p-value, effect size, magnitude band).
-    pub rows: Vec<(String, f64, f64, EffectMagnitude)>,
+    pub rows: Vec<(Persona, f64, f64, EffectMagnitude)>,
     /// Personas whose test refused to run: (persona, smaller group size).
-    pub skipped: Vec<(String, usize)>,
+    pub skipped: Vec<(Persona, usize)>,
     /// Significance threshold used (paper: 0.05).
     pub alpha: f64,
 }
@@ -50,25 +49,25 @@ pub struct Table7 {
 pub fn table7(ix: &AnalysisIndex) -> Table7 {
     let personas = Persona::echo_personas();
     let window = ix.obs.post_window();
-    let slots = common_slots(ix, &personas, window.clone());
-    let vanilla = slot_means(ix, Persona::Vanilla, window.clone(), &slots);
+    let slots = ix.common_slots(&personas, &window);
+    let vanilla = ix.slot_means(Persona::Vanilla, &window, &slots);
     let mut rows = Vec::new();
     let mut skipped = Vec::new();
-    for &cat in SkillCategory::ALL.iter() {
-        let treated = slot_means(ix, Persona::Interest(cat), window.clone(), &slots);
+    for persona in SkillCategory::ALL.map(Persona::Interest) {
+        let treated = ix.slot_means(persona, &window, &slots);
         let n = treated.len().min(vanilla.len());
         if n < MIN_SAMPLES {
-            skipped.push((cat.label().to_string(), n));
+            skipped.push((persona, n));
             continue;
         }
         // MIN_SAMPLES guards the happy path; a refused test still lands in
         // the skipped rows instead of unwinding the whole table.
         let Ok(r) = mann_whitney_u(&treated, &vanilla, Alternative::Greater) else {
-            skipped.push((cat.label().to_string(), n));
+            skipped.push((persona, n));
             continue;
         };
         rows.push((
-            cat.label().to_string(),
+            persona,
             r.p_value,
             r.effect_size,
             EffectMagnitude::classify(r.effect_size),
@@ -83,16 +82,16 @@ pub fn table7(ix: &AnalysisIndex) -> Table7 {
 
 impl Table7 {
     /// Personas with p below the threshold.
-    pub fn significant(&self) -> Vec<&str> {
+    pub fn significant(&self) -> Vec<Persona> {
         self.rows
             .iter()
             .filter(|r| r.1 < self.alpha)
-            .map(|r| r.0.as_str())
+            .map(|r| r.0)
             .collect()
     }
 
-    /// Row lookup by persona name: (p, effect size).
-    pub fn get(&self, persona: &str) -> Option<(f64, f64)> {
+    /// Row lookup by persona: (p, effect size).
+    pub fn get(&self, persona: Persona) -> Option<(f64, f64)> {
         self.rows
             .iter()
             .find(|r| r.0 == persona)
@@ -102,7 +101,7 @@ impl Table7 {
     /// Personas still significant after correcting over the nine
     /// simultaneous tests (the paper reports raw p-values; the strong-six
     /// finding should survive correction).
-    pub fn significant_corrected(&self, correction: Correction) -> Vec<&str> {
+    pub fn significant_corrected(&self, correction: Correction) -> Vec<Persona> {
         let raw: Vec<f64> = self.rows.iter().map(|r| r.1).collect();
         let adjusted = match correction {
             Correction::HolmBonferroni => holm_bonferroni(&raw),
@@ -112,7 +111,7 @@ impl Table7 {
             .iter()
             .zip(adjusted)
             .filter(|(_, p)| *p < self.alpha)
-            .map(|(r, _)| r.0.as_str())
+            .map(|(r, _)| r.0)
             .collect()
     }
 
@@ -123,7 +122,7 @@ impl Table7 {
             &["Persona", "p-value", "Effect size", "Magnitude"],
         );
         for (p, pv, es, mag) in &self.rows {
-            t.row().cell(p).cell(f3(*pv)).cell(f3(*es)).cell(mag);
+            t.row().cell(*p).cell(f3(*pv)).cell(f3(*es)).cell(mag);
         }
         let mut work = t.render_into(out);
         for (persona, n) in &self.skipped {
@@ -135,13 +134,6 @@ impl Table7 {
         }
         work
     }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
 }
 
 /// Table 11: Echo interest personas vs web interest personas (two-sided).
@@ -149,9 +141,9 @@ impl Table7 {
 pub struct Table11 {
     /// Rows: (echo persona, p vs Web Health, p vs Web Science,
     /// p vs Web Computers).
-    pub rows: Vec<(String, f64, f64, f64)>,
+    pub rows: Vec<(Persona, f64, f64, f64)>,
     /// Personas whose tests refused to run: (persona, smallest group size).
-    pub skipped: Vec<(String, usize)>,
+    pub skipped: Vec<(Persona, usize)>,
     /// Significance threshold used.
     pub alpha: f64,
 }
@@ -160,19 +152,16 @@ pub struct Table11 {
 pub fn table11(ix: &AnalysisIndex) -> Table11 {
     let everyone = Persona::all();
     let window = ix.obs.post_window();
-    let slots = common_slots(ix, &everyone, window.clone());
-    let web: Vec<Vec<f64>> = Persona::web_personas()
-        .iter()
-        .map(|&p| slot_means(ix, p, window.clone(), &slots))
-        .collect();
+    let slots = ix.common_slots(&everyone, &window);
+    let web = Persona::web_personas().map(|p| ix.slot_means(p, &window, &slots));
     let web_min = web.iter().map(Vec::len).min().unwrap_or(0);
     let mut rows = Vec::new();
     let mut skipped = Vec::new();
-    for &cat in SkillCategory::ALL.iter() {
-        let echo = slot_means(ix, Persona::Interest(cat), window.clone(), &slots);
+    for persona in SkillCategory::ALL.map(Persona::Interest) {
+        let echo = ix.slot_means(persona, &window, &slots);
         let n = echo.len().min(web_min);
         if n < MIN_SAMPLES {
-            skipped.push((cat.label().to_string(), n));
+            skipped.push((persona, n));
             continue;
         }
         let ps: Vec<f64> = web
@@ -186,10 +175,10 @@ pub fn table11(ix: &AnalysisIndex) -> Table11 {
         let [h, s, c] = ps[..] else {
             // One of the three tests refused (empty web sample past the
             // MIN_SAMPLES guard) — record the persona as skipped.
-            skipped.push((cat.label().to_string(), n));
+            skipped.push((persona, n));
             continue;
         };
-        rows.push((cat.label().to_string(), h, s, c));
+        rows.push((persona, h, s, c));
     }
     Table11 {
         rows,
@@ -227,7 +216,7 @@ impl Table11 {
             &["Persona", "Health", "Science", "Computers"],
         );
         for (p, h, s, c) in &self.rows {
-            t.row().cell(p).cell(f3(*h)).cell(f3(*s)).cell(f3(*c));
+            t.row().cell(*p).cell(f3(*h)).cell(f3(*s)).cell(f3(*c));
         }
         let mut work = t.render_into(out);
         for (persona, n) in &self.skipped {
@@ -239,20 +228,15 @@ impl Table11 {
         }
         work
     }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::test_support::ix;
+    use crate::analysis::test_support::{ix, rendered};
     use crate::observations::Observations;
+
+    const PETS: Persona = Persona::Interest(SkillCategory::PetsAnimals);
 
     #[test]
     fn table7_has_nine_rows_with_valid_stats() {
@@ -270,7 +254,7 @@ mod tests {
         // must separate from vanilla.
         let t7 = table7(ix());
         let sig = t7.significant();
-        assert!(sig.contains(&"Pets & Animals"), "significant: {sig:?}");
+        assert!(sig.contains(&PETS), "significant: {sig:?}");
     }
 
     #[test]
@@ -315,15 +299,15 @@ mod tests {
         let t7 = table7(ix());
         let surviving = t7.significant_corrected(Correction::HolmBonferroni);
         assert!(
-            surviving.contains(&"Pets & Animals"),
+            surviving.contains(&PETS),
             "strongest persona lost to correction: {surviving:?}"
         );
     }
 
     #[test]
     fn renders() {
-        assert!(table7(ix()).render().contains("p-value"));
-        assert!(table11(ix()).render().contains("Computers"));
+        assert!(rendered(|out| table7(ix()).render_into(out)).contains("p-value"));
+        assert!(rendered(|out| table11(ix()).render_into(out)).contains("Computers"));
     }
 
     #[test]
@@ -336,10 +320,10 @@ mod tests {
         assert!(t7.rows.is_empty());
         assert_eq!(t7.skipped.len(), 9);
         assert!(t7.significant().is_empty());
-        assert!(t7.render().contains("insufficient samples"));
+        assert!(rendered(|out| t7.render_into(out)).contains("insufficient samples"));
         let t11 = table11(&empty_ix);
         assert!(t11.rows.is_empty());
         assert_eq!(t11.significant_pairs(), 0);
-        assert!(t11.render().contains("insufficient samples"));
+        assert!(rendered(|out| t11.render_into(out)).contains("insufficient samples"));
     }
 }

@@ -14,7 +14,8 @@
 
 use crate::index::{AnalysisIndex, HostInfo};
 use crate::observations::Observations;
-use crate::table::{pct, TextTable};
+use crate::persona::Persona;
+use crate::table::{pct, Joined, TextTable};
 use alexa_net::{Domain, OrgClass, TrafficPurpose, AMAZON};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -25,7 +26,7 @@ pub struct SkillTraffic {
     /// Skill id (capture label).
     pub skill_id: String,
     /// Persona whose device produced the captures.
-    pub persona: String,
+    pub persona: Persona,
     /// Distinct endpoints contacted.
     pub endpoints: BTreeSet<Domain>,
     /// Total packets observed.
@@ -46,7 +47,7 @@ pub fn skill_traffic(obs: &Observations) -> Vec<SkillTraffic> {
                 .entry(cap.label.clone())
                 .or_insert_with(|| SkillTraffic {
                     skill_id: cap.label.clone(),
-                    persona: persona.name().to_string(),
+                    persona: *persona,
                     endpoints: BTreeSet::new(),
                     packets: 0,
                 });
@@ -177,13 +178,6 @@ impl Table1 {
         );
         work + 1
     }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
 }
 
 /// Table 2: traffic share by organization class and purpose.
@@ -265,13 +259,6 @@ impl Table2 {
             .cell(pct(1.0));
         t.render_into(out)
     }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
 }
 
 /// Table 3: per-persona third-party domain counts by purpose.
@@ -279,12 +266,12 @@ impl Table2 {
 pub struct Table3 {
     /// (persona, A&T domain count, functional domain count), only personas
     /// with any third-party contact, sorted by A&T count descending.
-    pub rows: Vec<(String, usize, usize)>,
+    pub rows: Vec<(Persona, usize, usize)>,
 }
 
 /// Compute Table 3 over the hosts `keep` admits (see [`table2`]).
 pub fn table3(ix: &AnalysisIndex, keep: impl Fn(&HostInfo) -> bool) -> Table3 {
-    let mut rows: Vec<(String, usize, usize)> = ix
+    let mut rows: Vec<(Persona, usize, usize)> = ix
         .persona_flows
         .iter()
         .filter_map(|(persona, range)| {
@@ -305,7 +292,7 @@ pub fn table3(ix: &AnalysisIndex, keep: impl Fn(&HostInfo) -> bool) -> Table3 {
             if at.is_empty() && func.is_empty() {
                 None
             } else {
-                Some((persona.name().to_string(), at.len(), func.len()))
+                Some((*persona, at.len(), func.len()))
             }
         })
         .collect();
@@ -321,16 +308,9 @@ impl Table3 {
             &["Persona", "Advertising & Tracking", "Functional"],
         );
         for (p, at, f) in &self.rows {
-            t.row().cell(p).cell(at).cell(f);
+            t.row().cell(*p).cell(at).cell(f);
         }
         t.render_into(out)
-    }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
     }
 }
 
@@ -338,7 +318,7 @@ impl Table3 {
 #[derive(Debug, Clone)]
 pub struct Table4 {
     /// (skill name, A&T endpoints contacted), top-5 by count.
-    pub rows: Vec<(String, Vec<String>)>,
+    pub rows: Vec<(String, Vec<Domain>)>,
 }
 
 /// Compute Table 4. Skills are ranked by the number of distinct A&T
@@ -358,14 +338,10 @@ pub fn table4(ix: &AnalysisIndex) -> Table4 {
             }
         }
     }
-    let mut rows: Vec<(String, usize, Vec<String>)> = per_skill
+    let mut rows: Vec<(String, usize, Vec<Domain>)> = per_skill
         .into_values()
         .map(|(doms, services, name)| {
-            (
-                name.to_string(),
-                services.len(),
-                doms.iter().map(|d| d.as_str().to_string()).collect(),
-            )
+            (name.to_string(), services.len(), doms.into_iter().collect())
         })
         .collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -384,31 +360,9 @@ impl Table4 {
             &["Skill name", "Advertising & Tracking"],
         );
         for (name, doms) in &self.rows {
-            t.row().cell(name).cell(Joined(doms));
+            t.row().cell(name).cell(Joined(doms, ", "));
         }
         t.render_into(out)
-    }
-
-    /// Render in the paper's layout.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-}
-
-/// Display adapter: strings joined with `", "` straight into the arena.
-struct Joined<'a>(&'a [String]);
-
-impl std::fmt::Display for Joined<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, s) in self.0.iter().enumerate() {
-            if i > 0 {
-                f.write_str(", ")?;
-            }
-            f.write_str(s)?;
-        }
-        Ok(())
     }
 }
 
@@ -416,27 +370,22 @@ impl std::fmt::Display for Joined<'_> {
 #[derive(Debug, Clone)]
 pub struct Figure2 {
     /// (persona, registrable domain, purpose, organization, packet count).
-    pub flows: Vec<(String, String, TrafficPurpose, String, usize)>,
+    pub flows: Vec<(Persona, Domain, TrafficPurpose, String, usize)>,
 }
 
 /// Compute Figure 2's flow series.
 pub fn figure2(ix: &AnalysisIndex) -> Figure2 {
-    let mut counts: BTreeMap<(&str, &str, TrafficPurpose, &str), usize> = BTreeMap::new();
+    let mut counts: BTreeMap<(Persona, Domain, TrafficPurpose, &str), usize> = BTreeMap::new();
     for f in &ix.flows {
         for (h, packets) in ix.hosts_of(f) {
             *counts
-                .entry((
-                    f.persona.name(),
-                    h.registrable.as_str(),
-                    ix.purpose(h),
-                    h.org_or_reg,
-                ))
+                .entry((f.persona, h.registrable, ix.purpose(h), h.org_or_reg))
                 .or_insert(0) += packets as usize;
         }
     }
     let flows = counts
         .into_iter()
-        .map(|((p, d, pu, o), n)| (p.to_string(), d.to_string(), pu, o.to_string(), n))
+        .map(|((p, d, pu, o), n)| (p, d, pu, o.to_string(), n))
         .collect();
     Figure2 { flows }
 }
@@ -450,23 +399,17 @@ impl Figure2 {
             &["Persona", "Domain", "Purpose", "Organization", "Packets"],
         );
         for (p, d, pu, o, n) in &self.flows {
-            t.row().cell(p).cell(d).cell(pu).cell(o).cell(n);
+            t.row().cell(*p).cell(d).cell(pu).cell(o).cell(n);
         }
         t.render_into(out)
-    }
-
-    /// Render the flow series (sankey input data).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::test_support::{ix, obs};
+    use crate::analysis::test_support::{ix, obs, rendered};
+    use alexa_platform::SkillCategory;
 
     #[test]
     fn every_active_skill_contacts_amazon() {
@@ -516,11 +459,14 @@ mod tests {
     #[test]
     fn table3_excludes_personas_without_third_parties() {
         let t3 = table3(ix(), KEEP_ALL);
+        let silent = [
+            Persona::Vanilla,
+            Persona::Interest(SkillCategory::SmartHome),
+            Persona::Interest(SkillCategory::WineBeverages),
+            Persona::Interest(SkillCategory::NavigationTripPlanners),
+        ];
         for (p, _, _) in &t3.rows {
-            assert_ne!(p, "Vanilla");
-            assert_ne!(p, "Smart Home");
-            assert_ne!(p, "Wine & Beverages");
-            assert_ne!(p, "Navigation & Trip Planners");
+            assert!(!silent.contains(p), "{p}");
         }
         assert!(!t3.rows.is_empty());
     }
@@ -539,8 +485,7 @@ mod tests {
     fn figure2_flows_nonempty_and_render() {
         let f2 = figure2(ix());
         assert!(!f2.flows.is_empty());
-        let rendered = f2.render();
-        assert!(rendered.contains("amazon.com"));
+        assert!(rendered(|out| f2.render_into(out)).contains("amazon.com"));
     }
 
     #[test]
@@ -552,9 +497,9 @@ mod tests {
         let ixr = ix();
         assert_eq!(naive.len(), ixr.flows.len());
         let mut naive_sorted: Vec<&SkillTraffic> = naive.iter().collect();
-        naive_sorted.sort_by_key(|t| (t.persona.clone(), t.skill_id.clone()));
+        naive_sorted.sort_by_key(|t| (t.persona, t.skill_id.clone()));
         for (t, f) in naive_sorted.iter().zip(&ixr.flows) {
-            assert_eq!(t.persona, f.persona.name());
+            assert_eq!(t.persona, f.persona);
             assert_eq!(t.skill_id, f.skill);
             assert_eq!(t.packets, f.packets as usize);
             let ix_hosts: Vec<&str> = ixr.hosts_of(f).map(|(h, _)| h.host.as_str()).collect();

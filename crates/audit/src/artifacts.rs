@@ -39,7 +39,7 @@ pub fn render_into(ix: &AnalysisIndex, artifact: &str, out: &mut String) -> Opti
         "table8" => creatives::table8(ix).render_into(out),
         "table9" => audio::table9(ix).render_into(out),
         "figure5" => audio::figure5(ix).render_into(out),
-        "sync" => partners::sync_analysis(ix).render_into(out),
+        "sync" => ix.sync.render_into(out),
         "table10" => partners::table10(ix).render_into(out),
         "figure6" => partners::figure6(ix).render_into(out),
         "table11" => significance::table11(ix).render_into(out),

@@ -275,14 +275,6 @@ impl ShadowedTap {
     }
 }
 
-/// The three personas that run audio-ad sessions (§3.3), in the fixed order
-/// their session seeds are derived from.
-const AUDIO_PERSONAS: [Persona; 3] = [
-    Persona::Interest(SkillCategory::ConnectedCar),
-    Persona::Interest(SkillCategory::FashionStyle),
-    Persona::Vanilla,
-];
-
 /// Everything one persona shard produces; merged into [`Observations`] in
 /// fixed persona order after all shards finish.
 #[derive(Default)]
@@ -551,7 +543,7 @@ pub(crate) fn run_persona_shard(
     }
 
     // ---- Audio-ad sessions (§3.3: two interest personas + vanilla) -------
-    if let Some(pi) = AUDIO_PERSONAS.iter().position(|p| *p == persona) {
+    if let Some(pi) = Persona::AUDIO.iter().position(|p| *p == persona) {
         log.span("audio", |l| {
             // Audio targeting keys off the segments the profiler actually
             // holds — the same ground-truth channel the web auctions use —

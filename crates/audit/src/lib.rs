@@ -19,7 +19,9 @@
 //! let observations = AuditRun::execute(AuditConfig::paper(7));
 //! let index = AnalysisIndex::build(&observations);
 //! let table5 = alexa_audit::analysis::bids::table5(&index);
-//! println!("{}", table5.render());
+//! let mut report = String::new();
+//! table5.render_into(&mut report);
+//! print!("{report}");
 //! ```
 //!
 //! One module per research question:

@@ -26,27 +26,27 @@ pub enum Persona {
 }
 
 impl Persona {
+    /// The three personas that run audio-ad sessions (§3.3), in the fixed
+    /// order their session seeds are derived from and Table 9 lists them.
+    pub const AUDIO: [Persona; 3] = [
+        Persona::Interest(SkillCategory::ConnectedCar),
+        Persona::Interest(SkillCategory::FashionStyle),
+        Persona::Vanilla,
+    ];
+
     /// All 13 personas: 9 interest + vanilla + 3 web controls.
-    pub fn all() -> Vec<Persona> {
-        let mut v: Vec<Persona> = SkillCategory::ALL
-            .iter()
-            .map(|&c| Persona::Interest(c))
-            .collect();
-        v.push(Persona::Vanilla);
-        v.push(Persona::WebHealth);
-        v.push(Persona::WebScience);
-        v.push(Persona::WebComputers);
-        v
+    pub fn all() -> [Persona; 13] {
+        let [a, b, c, d, e, f, g, h, i, vanilla] = Persona::echo_personas();
+        let [health, science, computers] = Persona::web_personas();
+        [
+            a, b, c, d, e, f, g, h, i, vanilla, health, science, computers,
+        ]
     }
 
     /// The 10 Echo personas (interest + vanilla) that own devices.
-    pub fn echo_personas() -> Vec<Persona> {
-        let mut v: Vec<Persona> = SkillCategory::ALL
-            .iter()
-            .map(|&c| Persona::Interest(c))
-            .collect();
-        v.push(Persona::Vanilla);
-        v
+    pub fn echo_personas() -> [Persona; 10] {
+        let [a, b, c, d, e, f, g, h, i] = SkillCategory::ALL.map(Persona::Interest);
+        [a, b, c, d, e, f, g, h, i, Persona::Vanilla]
     }
 
     /// The three web control personas.

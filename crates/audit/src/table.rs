@@ -149,13 +149,6 @@ impl TextTable {
         out.push('\n');
         cells.len()
     }
-
-    /// Render to a fresh `String` (convenience wrapper over `render_into`).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
 }
 
 /// Display adapter: a float with 3 decimals (the paper's bid-value
@@ -190,16 +183,41 @@ pub(crate) fn pct(x: f64) -> Pct {
     Pct(x)
 }
 
+/// Display adapter: a list joined with a separator (the second field),
+/// formatted straight into the table arena (no `join` allocation per
+/// rendered row).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Joined<'a, T>(pub(crate) &'a [T], pub(crate) &'static str);
+
+impl<T: fmt::Display> fmt::Display for Joined<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Joined(items, sep) = *self;
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                f.write_str(sep)?;
+            }
+            write!(f, "{item}")?;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rendered(t: &TextTable) -> String {
+        let mut out = String::new();
+        t.render_into(&mut out);
+        out
+    }
 
     #[test]
     fn renders_aligned_columns() {
         let mut t = TextTable::new("Demo", &["Name", "Value"]);
         t.row().cell("alpha").cell(1);
         t.row().cell("a-much-longer-name").cell(22);
-        let out = t.render();
+        let out = rendered(&t);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], "Demo");
         assert!(lines[1].starts_with("Name"));
@@ -213,7 +231,7 @@ mod tests {
         let mut t = TextTable::new("R", &["A"]);
         t.row().cell("x").cell("extra").cell("more");
         t.row().cell("y");
-        let out = t.render();
+        let out = rendered(&t);
         assert!(out.contains("extra"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
@@ -223,12 +241,14 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f3(0.0301).to_string(), "0.030");
         assert_eq!(pct(0.0940).to_string(), "9.40%");
+        let items = ["a", "b", "c"];
+        assert_eq!(Joined(&items, "; ").to_string(), "a; b; c");
     }
 
     #[test]
     fn empty_table_renders_header_only() {
         let t = TextTable::new("E", &["H1", "H2"]);
-        let out = t.render();
+        let out = rendered(&t);
         assert!(out.contains("H1"));
         assert_eq!(out.lines().count(), 3);
     }
@@ -244,7 +264,7 @@ mod tests {
         // 2 header cells + 4 data cells.
         assert_eq!(cells, 6);
         // Byte-compatible with the fresh-String path.
-        assert_eq!(buf["prefix\n".len()..], t.render());
+        assert_eq!(buf["prefix\n".len()..], rendered(&t));
     }
 
     #[test]
@@ -252,6 +272,6 @@ mod tests {
         let mut t = TextTable::new("I", &["A"]);
         t.cell("lone");
         assert_eq!(t.len(), 1);
-        assert!(t.render().contains("lone"));
+        assert!(rendered(&t).contains("lone"));
     }
 }

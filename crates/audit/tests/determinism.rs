@@ -2,8 +2,7 @@
 //! byte-identical — across repeated runs and across every worker count. The
 //! sharded parallel engine must be undetectable from the output.
 
-use alexa_audit::analysis::{bids, traffic};
-use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, DefenseMode};
+use alexa_audit::{render_into, AnalysisIndex, AuditConfig, AuditRun, DefenseMode, ARTIFACTS};
 use alexa_fault::FaultProfile;
 
 #[test]
@@ -36,18 +35,19 @@ fn worker_count_is_invisible_in_the_output() {
         "jobs=1 vs jobs=None diverged"
     );
 
-    // Digest equality should imply artifact equality; spot-check the
-    // rendering path end to end on a bid table and a traffic table.
+    // Digest equality should imply artifact equality: every artifact the
+    // index renders (all but the bench-orchestrated `defenses`) streams the
+    // same bytes and work units from either index.
     let sequential_ix = AnalysisIndex::build(&sequential);
     let parallel_ix = AnalysisIndex::build(&parallel);
-    assert_eq!(
-        bids::table5(&sequential_ix).render(),
-        bids::table5(&parallel_ix).render()
-    );
-    assert_eq!(
-        traffic::table1(&sequential_ix).render(),
-        traffic::table1(&parallel_ix).render()
-    );
+    for name in ARTIFACTS.iter().filter(|&&a| a != "defenses") {
+        let (mut a, mut b) = (String::new(), String::new());
+        let work_a = render_into(&sequential_ix, name, &mut a);
+        let work_b = render_into(&parallel_ix, name, &mut b);
+        assert!(work_a.is_some(), "{name}: not rendered");
+        assert_eq!(work_a, work_b, "{name}: work units diverged");
+        assert_eq!(a, b, "{name}: jobs=1 vs jobs=4 rendered differently");
+    }
 }
 
 /// Execute each `(fault, defense)` cell of `seed` at paper scale and

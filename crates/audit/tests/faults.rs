@@ -114,7 +114,9 @@ fn analysis_never_panics_at_total_fault_rate() {
             defense::bid_uplift(&defended_ix),
         ),
     );
-    assert!(!comparison.render().is_empty());
+    let mut rendered = String::new();
+    assert!(comparison.render_into(&mut rendered) > 0);
+    assert!(!rendered.is_empty());
 }
 
 /// Injected faults and retries surface as observability counters, and the

@@ -118,11 +118,6 @@ impl Domain {
         self.as_str().split('.')
     }
 
-    /// The public suffix of this name, if the embedded list knows it.
-    pub fn public_suffix(&self) -> Option<&'static str> {
-        suffix_of(self.as_str())
-    }
-
     /// The registrable domain (eTLD+1), e.g. `device-metrics-us-2.amazon.com`
     /// → `amazon.com`. `None` when the name *is* a public suffix.
     pub fn registrable(&self) -> Option<Domain> {

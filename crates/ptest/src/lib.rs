@@ -21,6 +21,7 @@
 //! the failing case directly. Generation is deterministic per test name, so a
 //! red test stays red until the code changes.
 
+#![deny(clippy::indexing_slicing)]
 #![expect(
     clippy::panic,
     clippy::expect_used,
@@ -133,34 +134,18 @@ impl Strategy for &str {
 }
 
 fn generate_pattern(pattern: &str, rng: &mut TestRng) -> String {
-    let chars: Vec<char> = pattern.chars().collect();
+    let mut chars = pattern.chars().peekable();
     let mut out = String::new();
-    let mut i = 0;
-    while i < chars.len() {
+    while let Some(c) = chars.next() {
         // One atom: a class or a literal character.
-        let alphabet: Vec<char> = if chars[i] == '[' {
-            let close = chars[i..]
-                .iter()
-                .position(|&c| c == ']')
-                .unwrap_or_else(|| panic!("unclosed [ in pattern {pattern:?}"))
-                + i;
-            let class = expand_class(&chars[i + 1..close], pattern);
-            i = close + 1;
-            class
+        let alphabet: Vec<char> = if c == '[' {
+            expand_class(&take_until(&mut chars, ']', pattern), pattern)
         } else {
-            let c = chars[i];
-            i += 1;
             vec![c]
         };
         // Optional {lo,hi} repetition.
-        let (lo, hi) = if i < chars.len() && chars[i] == '{' {
-            let close = chars[i..]
-                .iter()
-                .position(|&c| c == '}')
-                .unwrap_or_else(|| panic!("unclosed {{ in pattern {pattern:?}"))
-                + i;
-            let body: String = chars[i + 1..close].iter().collect();
-            i = close + 1;
+        let (lo, hi) = if chars.next_if_eq(&'{').is_some() {
+            let body: String = take_until(&mut chars, '}', pattern).into_iter().collect();
             match body.split_once(',') {
                 Some((lo, hi)) => (
                     lo.trim().parse().expect("repeat lower bound"),
@@ -176,25 +161,37 @@ fn generate_pattern(pattern: &str, rng: &mut TestRng) -> String {
         };
         let n = rng.gen_range(lo..=hi);
         for _ in 0..n {
-            out.push(alphabet[rng.gen_range(0..alphabet.len())]);
+            out.extend(alphabet.get(rng.gen_range(0..alphabet.len())));
         }
     }
     out
 }
 
+/// The characters up to the next `close`, consuming it.
+fn take_until(chars: &mut impl Iterator<Item = char>, close: char, pattern: &str) -> Vec<char> {
+    let mut body = Vec::new();
+    for c in chars {
+        if c == close {
+            return body;
+        }
+        body.push(c);
+    }
+    panic!("unclosed {close:?} in pattern {pattern:?}")
+}
+
 fn expand_class(class: &[char], pattern: &str) -> Vec<char> {
     assert!(!class.is_empty(), "empty character class in {pattern:?}");
     let mut out = Vec::new();
-    let mut i = 0;
-    while i < class.len() {
-        if i + 2 < class.len() && class[i + 1] == '-' {
-            let (lo, hi) = (class[i] as u32, class[i + 2] as u32);
+    let mut rest = class;
+    while let Some((&first, tail)) = rest.split_first() {
+        if let ['-', last, after @ ..] = tail {
+            let (lo, hi) = (first as u32, *last as u32);
             assert!(lo <= hi, "inverted class range in {pattern:?}");
             out.extend((lo..=hi).filter_map(char::from_u32));
-            i += 3;
+            rest = after;
         } else {
-            out.push(class[i]);
-            i += 1;
+            out.push(first);
+            rest = tail;
         }
     }
     out
@@ -304,7 +301,11 @@ pub mod prop {
         impl<T: Clone> Strategy for Select<T> {
             type Value = T;
             fn generate(&self, rng: &mut TestRng) -> T {
-                self.options[rng.gen_range(0..self.options.len())].clone()
+                let i = rng.gen_range(0..self.options.len());
+                self.options
+                    .get(i)
+                    .cloned()
+                    .expect("select draws an index in range")
             }
         }
     }

@@ -31,10 +31,9 @@ fn main() {
         ("on-device transcription (text-only)", DefenseMode::TextOnly),
     ] {
         let defended = defense::measure(&ix, mode);
-        println!(
-            "{}",
-            defense::compare(name, base, defended, (uplift, uplift)).render()
-        );
+        let mut report = String::new();
+        defense::compare(name, base, defended, (uplift, uplift)).render_into(&mut report);
+        println!("{report}");
     }
 
     println!(

@@ -35,10 +35,7 @@ fn main() {
 
     // Network behaviour of this persona's skills.
     let per_skill = traffic::skill_traffic(&obs);
-    let mine: Vec<_> = per_skill
-        .iter()
-        .filter(|t| t.persona == persona.name())
-        .collect();
+    let mine: Vec<_> = per_skill.iter().filter(|t| t.persona == persona).collect();
     println!(
         "{} skills produced traffic. Endpoints contacted:",
         mine.len()
@@ -59,21 +56,21 @@ fn main() {
 
     // Bid response.
     let t5 = bids::table5(&ix);
-    let (median, mean) = t5.get(persona.name()).unwrap();
-    let (vmedian, vmean) = t5.get("Vanilla").unwrap();
+    let (median, mean) = t5.get(persona).unwrap();
+    let (vmedian, vmean) = t5.get(Persona::Vanilla).unwrap();
     println!(
         "\nBids (post-interaction, common slots): median {median:.3} vs vanilla {vmedian:.3} \
          ({:.1}x); mean {mean:.3} vs {vmean:.3}.",
         median / vmedian
     );
     let t7 = significance::table7(&ix);
-    if let Some((p, r)) = t7.get(persona.name()) {
+    if let Some((p, r)) = t7.get(persona) {
         println!("Mann-Whitney U vs vanilla: p = {p:.3}, rank-biserial = {r:.3}.");
     }
 
     // Exclusive ads.
     let t8 = creatives::table8(&ix);
-    let products = t8.products_for(persona.name());
+    let products = t8.products_for(persona);
     if products.is_empty() {
         println!("No persona-exclusive Amazon ads observed.");
     } else {

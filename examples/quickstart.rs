@@ -10,8 +10,8 @@
     reason = "an example reads best as straight-line code; a missing row is a bug worth a panic"
 )]
 
-use alexa_audit::analysis::{bids, partners, policy, profiling, significance, traffic};
-use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun};
+use alexa_audit::analysis::{bids, policy, profiling, significance, traffic};
+use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, Persona};
 
 fn main() {
     // A reduced configuration keeps the quickstart fast; use
@@ -35,11 +35,11 @@ fn main() {
 
     // RQ2 — is interaction data used for targeting?
     let t5 = bids::table5(&ix);
-    let (vanilla_median, _) = t5.get("Vanilla").unwrap();
+    let (vanilla_median, _) = t5.get(Persona::Vanilla).unwrap();
     let best = t5
         .rows
         .iter()
-        .filter(|r| r.0 != "Vanilla")
+        .filter(|r| r.0 != Persona::Vanilla)
         .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
         .unwrap();
     println!(
@@ -54,7 +54,7 @@ fn main() {
         "     personas bidding significantly above vanilla: {:?}",
         t7.significant()
     );
-    let sync = partners::sync_analysis(&ix);
+    let sync = &ix.sync;
     println!(
         "     {} advertisers sync cookies with Amazon; {} downstream third parties.",
         sync.amazon_partners.len(),

@@ -17,6 +17,11 @@ use alexa_stats::{
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
+const CAR: Persona = Persona::Interest(SkillCategory::ConnectedCar);
+const FASHION: Persona = Persona::Interest(SkillCategory::FashionStyle);
+const HEALTH: Persona = Persona::Interest(SkillCategory::HealthFitness);
+const PETS: Persona = Persona::Interest(SkillCategory::PetsAnimals);
+
 fn obs() -> &'static Observations {
     static OBS: OnceLock<Observations> = OnceLock::new();
     OBS.get_or_init(|| AuditRun::execute(AuditConfig::paper(7)))
@@ -67,13 +72,13 @@ fn paper_table2_amazon_dominates() {
 fn paper_table3_fashion_leads_ad_tracking() {
     let t3 = traffic::table3(ix(), traffic::KEEP_ALL);
     // Fashion & Style contacts the most A&T services (paper: 9).
-    assert_eq!(t3.rows[0].0, "Fashion & Style");
+    assert_eq!(t3.rows[0].0, FASHION);
     assert!(t3.rows[0].1 >= 7, "fashion A&T domains {}", t3.rows[0].1);
     // Pets & Animals has the most functional third-party domains (paper: 11).
-    let pets = t3.rows.iter().find(|r| r.0 == "Pets & Animals").unwrap();
+    let pets = t3.rows.iter().find(|r| r.0 == PETS).unwrap();
     assert!(pets.2 >= 8, "pets functional domains {}", pets.2);
     // Health & Fitness has no A&T contact.
-    if let Some(health) = t3.rows.iter().find(|r| r.0 == "Health & Fitness") {
+    if let Some(health) = t3.rows.iter().find(|r| r.0 == HEALTH) {
         assert_eq!(health.1, 0);
     }
 }
@@ -81,10 +86,10 @@ fn paper_table3_fashion_leads_ad_tracking() {
 #[test]
 fn paper_table5_uplift_pattern() {
     let t5 = bids::table5(ix());
-    let (vanilla_median, vanilla_mean) = t5.get("Vanilla").unwrap();
+    let (vanilla_median, vanilla_mean) = t5.get(Persona::Vanilla).unwrap();
     // All interest personas above vanilla on median; vanilla lowest.
     for cat in SkillCategory::ALL {
-        let (median, _) = t5.get(cat.label()).unwrap();
+        let (median, _) = t5.get(Persona::Interest(cat)).unwrap();
         assert!(
             median > vanilla_median,
             "{} median {median} <= vanilla {vanilla_median}",
@@ -96,28 +101,18 @@ fn paper_table5_uplift_pattern() {
     // threshold to avoid knife-edge flakiness at exactly 2.0.
     let doubled = SkillCategory::ALL
         .iter()
-        .filter(|c| t5.get(c.label()).unwrap().0 > 1.9 * vanilla_median)
+        .filter(|&&c| t5.get(Persona::Interest(c)).unwrap().0 > 1.9 * vanilla_median)
         .count();
     assert!(
         doubled >= 5,
         "only {doubled} personas with ~2x median uplift"
     );
     // The maximum single bid reaches the ~30x regime the paper reports.
-    let slots = bids::common_slots(
-        ix(),
-        &alexa_audit::Persona::echo_personas(),
-        obs().post_window(),
-    );
+    let post = obs().post_window();
+    let slots = ix().common_slots(&Persona::echo_personas(), &post);
     let max_bid = SkillCategory::ALL
         .iter()
-        .flat_map(|&c| {
-            bids::pooled_bids(
-                ix(),
-                alexa_audit::Persona::Interest(c),
-                obs().post_window(),
-                &slots,
-            )
-        })
+        .flat_map(|&c| ix().pooled_bids(Persona::Interest(c), &post, &slots))
         .fold(0.0, f64::max);
     assert!(
         max_bid > 10.0 * vanilla_mean,
@@ -130,11 +125,11 @@ fn paper_table6_holiday_control() {
     let t6 = bids::table6(ix());
     // Pre-interaction (peak season): vanilla is NOT the lowest — everyone
     // is elevated. Post-interaction: vanilla falls below the interest mean.
-    let (vanilla_pre, vanilla_post) = t6.get("Vanilla").unwrap();
+    let (vanilla_pre, vanilla_post) = t6.get(Persona::Vanilla).unwrap();
     assert!(vanilla_pre > vanilla_post);
     let interest_post_mean: f64 = SkillCategory::ALL
         .iter()
-        .map(|c| t6.get(c.label()).unwrap().1)
+        .map(|&c| t6.get(Persona::Interest(c)).unwrap().1)
         .sum::<f64>()
         / 9.0;
     assert!(interest_post_mean > vanilla_post);
@@ -150,16 +145,20 @@ fn paper_table7_significance_split() {
         (5..=7).contains(&sig.len()),
         "significant personas: {sig:?}"
     );
-    for strong in ["Pets & Animals", "Connected Car", "Dating"] {
+    for strong in [PETS, CAR, Persona::Interest(SkillCategory::Dating)] {
         assert!(
             sig.contains(&strong),
             "{strong} should be significant: {sig:?}"
         );
     }
-    let weak_sig = ["Smart Home", "Wine & Beverages", "Health & Fitness"]
-        .iter()
-        .filter(|w| sig.contains(&w.to_string().as_str()))
-        .count();
+    let weak_sig = [
+        SkillCategory::SmartHome,
+        SkillCategory::WineBeverages,
+        SkillCategory::HealthFitness,
+    ]
+    .iter()
+    .filter(|&&w| sig.contains(&Persona::Interest(w)))
+    .count();
     assert!(
         weak_sig <= 1,
         "weak categories unexpectedly significant: {sig:?}"
@@ -178,12 +177,12 @@ fn paper_table7_ablations() {
     let fashion = Persona::Interest(SkillCategory::FashionStyle);
     let greater = |t: &[f64], v: &[f64]| mann_whitney_u(t, v, Alternative::Greater).unwrap();
     let slot_test = |window: std::ops::Range<usize>, mask: &[bool]| {
-        let t = bids::slot_means(i, fashion, window.clone(), mask);
-        greater(&t, &bids::slot_means(i, Persona::Vanilla, window, mask))
+        let t = i.slot_means(fashion, &window, mask);
+        greater(&t, &i.slot_means(Persona::Vanilla, &window, mask))
     };
 
     // The no-filter control: every slot in the index's slot universe.
-    let common = bids::common_slots(i, &echo, post.clone());
+    let common = i.common_slots(&echo, &post);
     let every = vec![true; i.slots.len()];
     let (filtered, unfiltered) = (
         slot_test(post.clone(), &common),
@@ -201,11 +200,8 @@ fn paper_table7_ablations() {
     // Simulated slots load reliably: the filter keeps every indexed slot.
     assert_eq!(n_slots, i.slots.len());
 
-    let pooled_t = bids::pooled_bids(i, fashion, post.clone(), &common);
-    let pooled = greater(
-        &pooled_t,
-        &bids::pooled_bids(i, Persona::Vanilla, post, &common),
-    );
+    let pooled_t = i.pooled_bids(fashion, &post, &common);
+    let pooled = greater(&pooled_t, &i.pooled_bids(Persona::Vanilla, &post, &common));
     eprintln!(
         "[ablation] slot-mean sample: p={:.4} (n={n_slots}) | pooled-bid sample: p={:.6} (n={})",
         filtered.p_value,
@@ -226,7 +222,7 @@ fn paper_table7_ablations() {
     let o = i.obs;
     for k in [3usize, 10, 25] {
         let w = o.pre_iterations..(o.pre_iterations + k.min(o.post_iterations));
-        let r = slot_test(w.clone(), &bids::common_slots(i, &echo, w));
+        let r = slot_test(w.clone(), &i.common_slots(&echo, &w));
         eprintln!(
             "[ablation] crawl budget {k:>2} post iterations: p={:.4} r={:.3}",
             r.p_value, r.effect_size
@@ -238,37 +234,32 @@ fn paper_table7_ablations() {
 #[test]
 fn paper_table9_spotify_connected_car_gap() {
     let t9 = audio::table9(ix());
-    let cc = t9.share("Connected Car", alexa_adtech::StreamingService::Spotify);
-    let fs = t9.share("Fashion & Style", alexa_adtech::StreamingService::Spotify);
-    let vanilla = t9.share("Vanilla", alexa_adtech::StreamingService::Spotify);
+    let cc = t9.share(CAR, alexa_adtech::StreamingService::Spotify);
+    let fs = t9.share(FASHION, alexa_adtech::StreamingService::Spotify);
+    let vanilla = t9.share(Persona::Vanilla, alexa_adtech::StreamingService::Spotify);
     // Paper: CC gets about a fifth of the ads the other personas get.
     assert!(cc < fs / 3.0, "cc {cc} fs {fs}");
     assert!(cc < vanilla / 2.0, "cc {cc} vanilla {vanilla}");
     // Amazon Music is uniform.
-    let am_cc = t9.share("Connected Car", alexa_adtech::StreamingService::AmazonMusic);
-    let am_fs = t9.share(
-        "Fashion & Style",
-        alexa_adtech::StreamingService::AmazonMusic,
-    );
+    let am_cc = t9.share(CAR, alexa_adtech::StreamingService::AmazonMusic);
+    let am_fs = t9.share(FASHION, alexa_adtech::StreamingService::AmazonMusic);
     assert!((am_cc - am_fs).abs() < 0.15);
 }
 
 #[test]
 fn paper_figure5_exclusive_brands() {
     let f5 = audio::figure5(ix());
-    let fs_pandora =
-        f5.exclusive_brands(alexa_adtech::StreamingService::Pandora, "Fashion & Style");
+    let fs_pandora = f5.exclusive_brands(alexa_adtech::StreamingService::Pandora, FASHION);
     assert!(
         fs_pandora.contains(&"Swiffer Wet Jet"),
         "Pandora FS exclusives: {fs_pandora:?}"
     );
-    let cc_pandora = f5.exclusive_brands(alexa_adtech::StreamingService::Pandora, "Connected Car");
+    let cc_pandora = f5.exclusive_brands(alexa_adtech::StreamingService::Pandora, CAR);
     assert!(
         cc_pandora.contains(&"Febreeze Car"),
         "Pandora CC exclusives: {cc_pandora:?}"
     );
-    let fs_spotify =
-        f5.exclusive_brands(alexa_adtech::StreamingService::Spotify, "Fashion & Style");
+    let fs_spotify = f5.exclusive_brands(alexa_adtech::StreamingService::Spotify, FASHION);
     assert!(
         fs_spotify.contains(&"Ashley") && fs_spotify.contains(&"Ross"),
         "Spotify FS exclusives: {fs_spotify:?}"
@@ -277,7 +268,7 @@ fn paper_figure5_exclusive_brands() {
 
 #[test]
 fn paper_sync_counts_exact() {
-    let sa = partners::sync_analysis(ix());
+    let sa = &ix().sync;
     assert_eq!(sa.amazon_partners.len(), 41);
     assert_eq!(sa.downstream_parties.len(), 247);
     assert!(!sa.amazon_syncs_out);
@@ -288,7 +279,7 @@ fn paper_table10_partners_bid_higher() {
     let t10 = partners::table10(ix());
     let mut median_wins = 0;
     for cat in SkillCategory::ALL {
-        let (pm, _, nm, _) = t10.get(cat.label()).unwrap();
+        let (pm, _, nm, _) = t10.get(Persona::Interest(cat)).unwrap();
         if pm > nm {
             median_wins += 1;
         }
@@ -313,11 +304,11 @@ fn paper_table12_interest_evolution() {
     use alexa_platform::DsarPhase;
     let t12 = profiling::table12(ix());
     assert_eq!(
-        t12.interests(DsarPhase::AfterInstall, "Health & Fitness"),
+        t12.interests(DsarPhase::AfterInstall, HEALTH),
         vec!["Electronics", "Home & Garden: DIY & Tools"]
     );
     assert_eq!(
-        t12.interests(DsarPhase::AfterInteraction2, "Fashion & Style"),
+        t12.interests(DsarPhase::AfterInteraction2, FASHION),
         vec!["Fashion", "Video Entertainment"]
     );
     assert_eq!(t12.missing_files.len(), 5);
@@ -507,14 +498,10 @@ fn bid_summaries_are_bit_identical_to_copying_stats() {
     // Each rendered series must hold, bit for bit, the summary of a fresh
     // copy of each persona's series. (That the in-place summary equals a
     // stable-sort reference is a unit test of `alexa-stats`.)
-    let assert_summaries = |series: &[(String, Summary)], want: &dyn Fn(Persona) -> Vec<f64>| {
-        for (name, got) in series {
-            let p = Persona::all()
-                .into_iter()
-                .find(|p| p.name() == *name)
-                .unwrap();
+    let assert_summaries = |series: &[(Persona, Summary)], want: &dyn Fn(Persona) -> Vec<f64>| {
+        for &(p, ref got) in series {
             let expected = five_number_summary_in_place(&mut want(p)).unwrap();
-            assert_eq!(summary_bits(got), summary_bits(&expected), "{name}");
+            assert_eq!(summary_bits(got), summary_bits(&expected), "{p}");
         }
     };
     let echo = Persona::echo_personas();
@@ -549,10 +536,10 @@ fn bid_summaries_are_bit_identical_to_copying_stats() {
     let t10 = partners::table10(i);
     for &p in &echo {
         let series = pooled(&echo, post.clone())(p);
-        let (med, avg) = t5.get(p.name()).unwrap();
+        let (med, avg) = t5.get(p).unwrap();
         assert_eq!(med.to_bits(), bits(median(&series)), "{p}");
         assert_eq!(avg.to_bits(), bits(mean(&series)), "{p}");
-        let (pm, pa, nm, na) = t10.get(p.name()).unwrap();
+        let (pm, pa, nm, na) = t10.get(p).unwrap();
         let (yes, no) = (split(p, true), split(p, false));
         assert_eq!(
             [pm, pa, nm, na].map(f64::to_bits),

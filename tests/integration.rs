@@ -1,12 +1,15 @@
 //! Cross-crate integration tests: the audit framework recovers the planted
 //! ground truth from observables alone.
 
-use alexa_audit::analysis::{
-    audio, bids, creatives, partners, policy, profiling, significance, traffic,
-};
+use alexa_audit::analysis::{audio, bids, creatives, policy, profiling, significance, traffic};
 use alexa_audit::{render_into, ARTIFACTS};
 use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, Observations, Persona};
+use alexa_platform::SkillCategory;
 use std::sync::OnceLock;
+
+const CAR: Persona = Persona::Interest(SkillCategory::ConnectedCar);
+const FASHION: Persona = Persona::Interest(SkillCategory::FashionStyle);
+const WINE: Persona = Persona::Interest(SkillCategory::WineBeverages);
 
 fn obs() -> &'static Observations {
     static OBS: OnceLock<Observations> = OnceLock::new();
@@ -51,18 +54,18 @@ fn rq1_ad_tracking_traffic_is_minor_but_present() {
 #[test]
 fn rq2_interaction_causes_bid_uplift() {
     let t5 = bids::table5(ix());
-    let (vanilla, _) = t5.get("Vanilla").unwrap();
+    let (vanilla, _) = t5.get(Persona::Vanilla).unwrap();
     let medians: Vec<f64> = t5
         .rows
         .iter()
-        .filter(|r| r.0 != "Vanilla")
+        .filter(|r| r.0 != Persona::Vanilla)
         .map(|r| r.1)
         .collect();
     let above = medians.iter().filter(|m| **m > vanilla).count();
     assert!(above >= 8, "{above}/9 personas above vanilla");
     // Max uplift should reach the paper's order of magnitude on means.
     let max_mean = t5.rows.iter().map(|r| r.2).fold(0.0, f64::max);
-    let (_, vanilla_mean) = t5.get("Vanilla").unwrap();
+    let (_, vanilla_mean) = t5.get(Persona::Vanilla).unwrap();
     assert!(max_mean > 1.5 * vanilla_mean);
 }
 
@@ -72,7 +75,7 @@ fn rq2_no_uplift_before_interaction() {
     let vanilla = f3
         .without_interaction
         .iter()
-        .find(|(p, _)| p == "Vanilla")
+        .find(|(p, _)| *p == Persona::Vanilla)
         .map(|(_, s)| s.median)
         .unwrap();
     for (p, s) in &f3.without_interaction {
@@ -91,7 +94,7 @@ fn rq2_significance_pattern() {
     // Strong categories separate; the planted-weak ones are not required to.
     assert!(sig.len() >= 3, "significant: {sig:?}");
     for p in &sig {
-        let (_, effect) = t7.get(p).unwrap();
+        let (_, effect) = t7.get(*p).unwrap();
         assert!(effect > 0.0, "{p} significant with non-positive effect");
     }
 }
@@ -109,7 +112,7 @@ fn rq2_echo_web_equivalence() {
 
 #[test]
 fn rq2_cookie_sync_recovery_is_exact() {
-    let sa = partners::sync_analysis(ix());
+    let sa = &ix().sync;
     assert_eq!(sa.amazon_partners.len(), 41, "paper: 41 partners");
     assert!(!sa.amazon_syncs_out, "Amazon must never sync out");
     assert!(sa.downstream_parties.len() >= 200, "paper: 247 downstream");
@@ -120,18 +123,14 @@ fn rq2_dsar_vs_targeting_gap() {
     // Wine & Beverages: targeted (higher bids) but DSAR shows no interests —
     // the transparency gap the paper highlights.
     let t12 = profiling::table12(ix());
-    let wine_rows: Vec<_> = t12
-        .rows
-        .iter()
-        .filter(|r| r.persona == "Wine & Beverages")
-        .collect();
+    let wine_rows: Vec<_> = t12.rows.iter().filter(|r| r.persona == WINE).collect();
     assert!(
         wine_rows.is_empty(),
         "DSAR should show nothing for Wine & Beverages"
     );
     let t5 = bids::table5(ix());
-    let (wine_median, _) = t5.get("Wine & Beverages").unwrap();
-    let (vanilla_median, _) = t5.get("Vanilla").unwrap();
+    let (wine_median, _) = t5.get(WINE).unwrap();
+    let (vanilla_median, _) = t5.get(Persona::Vanilla).unwrap();
     assert!(
         wine_median > vanilla_median,
         "yet Wine & Beverages is targeted"
@@ -141,8 +140,8 @@ fn rq2_dsar_vs_targeting_gap() {
 #[test]
 fn rq2_audio_ads_differ_by_persona() {
     let t9 = audio::table9(ix());
-    let cc = t9.share("Connected Car", alexa_adtech::StreamingService::Spotify);
-    let fs = t9.share("Fashion & Style", alexa_adtech::StreamingService::Spotify);
+    let cc = t9.share(CAR, alexa_adtech::StreamingService::Spotify);
+    let fs = t9.share(FASHION, alexa_adtech::StreamingService::Spotify);
     assert!(cc < fs, "Spotify ad share: CC {cc} vs FS {fs}");
 }
 
@@ -151,7 +150,7 @@ fn rq2_exclusive_ads_recovered_without_ground_truth() {
     let t8 = creatives::table8(ix());
     // Every recovered exclusive ad is from Amazon and tied to one persona.
     for ad in &t8.amazon_exclusive {
-        assert!(!ad.persona.is_empty());
+        assert!(ad.persona.has_echo(), "{}", ad.persona);
         assert!(ad.appearances >= 1);
     }
 }

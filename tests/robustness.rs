@@ -2,8 +2,9 @@
 //! be artifacts of one lucky seed. Each paper-scale claim is checked on
 //! three independent seeds with tolerant thresholds.
 
-use alexa_audit::analysis::{bids, partners, policy, profiling, significance};
+use alexa_audit::analysis::{bids, policy, profiling, significance};
 use alexa_audit::{AnalysisIndex, AuditConfig, AuditRun, Observations, Persona};
+use alexa_platform::SkillCategory;
 use std::sync::OnceLock;
 
 const SEEDS: [u64; 3] = [7, 101, 9001];
@@ -22,11 +23,11 @@ fn runs() -> &'static Vec<Observations> {
 fn uplift_direction_is_seed_stable() {
     for obs in runs() {
         let t5 = bids::table5(&AnalysisIndex::build(obs));
-        let (vanilla, _) = t5.get("Vanilla").unwrap();
+        let (vanilla, _) = t5.get(Persona::Vanilla).unwrap();
         let above = t5
             .rows
             .iter()
-            .filter(|r| r.0 != "Vanilla" && r.1 > vanilla)
+            .filter(|r| r.0 != Persona::Vanilla && r.1 > vanilla)
             .count();
         assert!(
             above >= 8,
@@ -47,17 +48,22 @@ fn significance_split_is_seed_stable() {
             obs.seed
         );
         // The strongest planted categories always separate.
-        assert!(
-            sig.contains(&"Pets & Animals"),
-            "seed {}: {sig:?}",
-            obs.seed
-        );
-        assert!(sig.contains(&"Connected Car"), "seed {}: {sig:?}", obs.seed);
+        for strong in [SkillCategory::PetsAnimals, SkillCategory::ConnectedCar] {
+            assert!(
+                sig.contains(&Persona::Interest(strong)),
+                "seed {}: {sig:?}",
+                obs.seed
+            );
+        }
         // At least two of the three weak categories stay non-significant.
-        let weak_ns = ["Smart Home", "Wine & Beverages", "Health & Fitness"]
-            .iter()
-            .filter(|w| !sig.contains(&w.to_string().as_str()))
-            .count();
+        let weak_ns = [
+            SkillCategory::SmartHome,
+            SkillCategory::WineBeverages,
+            SkillCategory::HealthFitness,
+        ]
+        .iter()
+        .filter(|&&w| !sig.contains(&Persona::Interest(w)))
+        .count();
         assert!(weak_ns >= 2, "seed {}: {sig:?}", obs.seed);
     }
 }
@@ -66,7 +72,7 @@ fn significance_split_is_seed_stable() {
 fn sync_counts_are_seed_exact() {
     for obs in runs() {
         let ix = AnalysisIndex::build(obs);
-        let sa = partners::sync_analysis(&ix);
+        let sa = &ix.sync;
         assert_eq!(sa.amazon_partners.len(), 41, "seed {}", obs.seed);
         assert_eq!(sa.downstream_parties.len(), 247, "seed {}", obs.seed);
         assert!(!sa.amazon_syncs_out, "seed {}", obs.seed);
